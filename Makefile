@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-paper perfbench allocbench allocbench-smoke doc clean examples trace-smoke stress sweep-smoke fault-smoke policy-matrix pdes-smoke check-smoke
+.PHONY: all build test bench bench-paper allocbench allocbench-smoke doc clean examples trace-smoke stress sweep-smoke fault-smoke policy-matrix check-smoke
 
 all: build
 
@@ -18,26 +18,19 @@ bench-paper:
 	@mkdir -p out
 	dune exec bench/main.exe -- --paper --no-micro 2>&1 | tee out/bench_output_paper.txt
 
-# Host-side throughput rig: events/sec of the simulator itself, all
-# policies x {stencil, unstructured, synthetic, stress}.  See README
-# "Performance benchmarking" for the JSON schema and --baseline
-# comparisons.
-perfbench:
-	dune exec bench/perf.exe -- --out BENCH_perf.json
-
 # Host allocation profile: GC minor words / promoted words / major
 # collections and minor words per simulated event for the two pinned
 # allocation workloads.  See README "Allocation benchmarking" and
 # DESIGN.md §"Host allocation discipline".
 allocbench:
 	@mkdir -p out
-	dune exec bench/perf.exe -- --alloc --out out/BENCH_alloc.json
+	dune exec bench/perf.exe -- --out out/BENCH_alloc.json
 
 # Same rig with the pinned words-per-event ceilings enforced (non-zero
 # exit on regression); also runs as part of `dune runtest`.
 allocbench-smoke:
 	@mkdir -p out
-	dune exec bench/perf.exe -- --alloc --check --out out/BENCH_alloc.json
+	dune exec bench/perf.exe -- --check --out out/BENCH_alloc.json
 
 # Run a small traced stencil and check the emitted Chrome trace JSON
 # parses and is non-empty.
@@ -79,21 +72,6 @@ policy-matrix:
 fault-smoke:
 	dune exec bin/lcm_sim.exe -- stress --cases 40 --seed 1 \
 	  --fault-rate 0.05 --fault-profile chaos --fault-seed 7
-
-# Parallel-engine smoke: the same benchmark sequentially and sharded
-# across 2 domains (--jobs 2, conservative PDES driver) must print
-# byte-identical results and stats — the determinism contract of
-# DESIGN.md §8.  The full oracle (pinned fingerprints at jobs=4, forced
-# worker domains, crash/budget parity) runs as part of `dune runtest`
-# (test_pdes, test_equiv).
-pdes-smoke:
-	dune exec bin/lcm_sim.exe -- stencil --system lcm-mcc --nodes 8 \
-	  --size 24 --iters 3 --stats > /tmp/lcm_pdes_j1.txt
-	dune exec bin/lcm_sim.exe -- stencil --system lcm-mcc --nodes 8 \
-	  --size 24 --iters 3 --stats --jobs 2 | grep -v '^pdes:' \
-	  > /tmp/lcm_pdes_j2.txt
-	diff /tmp/lcm_pdes_j1.txt /tmp/lcm_pdes_j2.txt
-	@echo "pdes-smoke: jobs=1 and jobs=2 byte-identical"
 
 # Tiny parallel sweep through the fleet pool: exercises domain workers,
 # progress, and the JSON/CSV summary writers in a few seconds.  Also runs

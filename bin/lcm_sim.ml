@@ -148,49 +148,8 @@ let make_runtime ?barrier ?faults system schedule nodes topology capacity =
 
 let report rt dump_stats (r : Bench_result.t) =
   Format.printf "%a@." Bench_result.pp r;
-  if dump_stats then begin
-    Format.printf "%a" Lcm_util.Stats.pp (Lcm_cstar.Runtime.stats rt);
-    (* PDES window-shape counters live outside the run's stats registry
-       (they describe the host-side drive, and the registry digest is
-       pinned jobs-invariant); surface them here when sharding is on. *)
-    match Lcm_tempest.Machine.pdes (Lcm_cstar.Runtime.machine rt) with
-    | None -> ()
-    | Some p ->
-      let c = Lcm_sim.Pdes.counters p in
-      Format.printf
-        "pdes: shards=%d lookahead=%d windows=%d null_msgs=%d \
-         cross_shard=%d lookahead_violations=%d horizon_stalls=%d \
-         max_window=%d avg_window=%.1f@."
-        (Lcm_sim.Pdes.shards p) (Lcm_sim.Pdes.lookahead p) c.Lcm_sim.Pdes.windows
-        c.Lcm_sim.Pdes.null_msgs c.Lcm_sim.Pdes.cross_shard_msgs
-        c.Lcm_sim.Pdes.lookahead_violations c.Lcm_sim.Pdes.horizon_stalls
-        c.Lcm_sim.Pdes.max_window_events
-        (if c.Lcm_sim.Pdes.windows = 0 then 0.
-         else
-           float_of_int c.Lcm_sim.Pdes.window_events_total
-           /. float_of_int c.Lcm_sim.Pdes.windows)
-  end
-
-(* --jobs N on a single benchmark run: shard the simulation itself across
-   N domains (conservative windowed PDES; see DESIGN.md §8).  Results are
-   bit-identical at any N; 0 = auto (recommended domain count).  Distinct
-   from the sweep/stress --jobs, which runs whole cells in parallel. *)
-let run_jobs_arg =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | Some _ -> Error (`Msg "jobs must be >= 0 (0 = auto)")
-    | None -> Error (`Msg "jobs must be an integer")
-  in
-  let run_jobs_conv = Arg.conv (parse, Format.pp_print_int) in
-  Arg.(
-    value & opt run_jobs_conv 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Shard this run's event queue across $(docv) domains with the \
-           conservative parallel driver (0 = auto).  Event order — and \
-           every result, counter and trace — is bit-identical at any \
-           $(docv).")
+  if dump_stats then
+    Format.printf "%a" Lcm_util.Stats.pp (Lcm_cstar.Runtime.stats rt)
 
 (* Arm tracing/phase logging before a run; [finish_observability] reports
    or exports what was captured afterwards. *)
@@ -221,24 +180,21 @@ let finish_observability rt ~trace ~trace_out ~phases =
     print_string (Phases.render (Phases.of_log (Lcm_cstar.Runtime.phase_log rt)))
 
 let simple_bench name ~default_size ~default_iters ~run_fn =
-  let run system schedule nodes topology capacity barrier faults jobs size
-      iters stats paper trace trace_out trace_cap phases =
-    (* The runtime builds its machine internally, so --jobs rides the
-       ambient (the same pattern budgets use). *)
-    Lcm_sim.Pdes.with_jobs ~jobs (fun () ->
-        let rt =
-          make_runtime ~barrier ?faults system schedule nodes topology capacity
-        in
-        setup_observability rt ~trace ~trace_out ~trace_cap ~phases;
-        report rt stats (run_fn rt ~size ~iters ~paper);
-        finish_observability rt ~trace ~trace_out ~phases)
+  let run system schedule nodes topology capacity barrier faults size iters
+      stats paper trace trace_out trace_cap phases =
+    let rt =
+      make_runtime ~barrier ?faults system schedule nodes topology capacity
+    in
+    setup_observability rt ~trace ~trace_out ~trace_cap ~phases;
+    report rt stats (run_fn rt ~size ~iters ~paper);
+    finish_observability rt ~trace ~trace_out ~phases
   in
   let term =
     Term.(
       const run $ system_arg $ schedule_arg $ nodes_arg $ topology_arg
-      $ capacity_arg $ barrier_arg $ faults_term $ run_jobs_arg
-      $ size_arg default_size $ iters_arg default_iters $ stats_arg
-      $ paper_arg $ trace_arg $ trace_out_arg $ trace_cap_arg $ phases_arg)
+      $ capacity_arg $ barrier_arg $ faults_term $ size_arg default_size
+      $ iters_arg default_iters $ stats_arg $ paper_arg $ trace_arg
+      $ trace_out_arg $ trace_cap_arg $ phases_arg)
   in
   Cmd.v (Cmd.info name ~doc:(Printf.sprintf "Run the %s benchmark." name)) term
 
@@ -362,28 +318,27 @@ let synthetic_cmd =
     Arg.(value & opt float 0.75
          & info [ "reads" ] ~docv:"FRACTION" ~doc:"Fraction of ops that read.")
   in
-  let run system schedule nodes topology faults jobs sharing reads size iters
-      stats trace trace_out trace_cap phases =
-    Lcm_sim.Pdes.with_jobs ~jobs (fun () ->
-        let rt = make_runtime ?faults system schedule nodes topology None in
-        setup_observability rt ~trace ~trace_out ~trace_cap ~phases;
-        let p =
-          {
-            Synthetic.default with
-            Synthetic.blocks_per_node = size;
-            phases = iters;
-            sharing;
-            read_fraction = reads;
-          }
-        in
-        report rt stats (Synthetic.run rt p);
-        finish_observability rt ~trace ~trace_out ~phases)
+  let run system schedule nodes topology faults sharing reads size iters stats
+      trace trace_out trace_cap phases =
+    let rt = make_runtime ?faults system schedule nodes topology None in
+    setup_observability rt ~trace ~trace_out ~trace_cap ~phases;
+    let p =
+      {
+        Synthetic.default with
+        Synthetic.blocks_per_node = size;
+        phases = iters;
+        sharing;
+        read_fraction = reads;
+      }
+    in
+    report rt stats (Synthetic.run rt p);
+    finish_observability rt ~trace ~trace_out ~phases
   in
   Cmd.v
     (Cmd.info "synthetic" ~doc:"Configurable synthetic sharing workload.")
     Term.(
       const run $ system_arg $ schedule_arg $ nodes_arg $ topology_arg
-      $ faults_term $ run_jobs_arg $ sharing_arg $ reads_arg $ size_arg 8
+      $ faults_term $ sharing_arg $ reads_arg $ size_arg 8
       $ iters_arg 4 $ stats_arg $ trace_arg $ trace_out_arg $ trace_cap_arg
       $ phases_arg)
 

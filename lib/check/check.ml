@@ -294,7 +294,7 @@ let run_prog ?(trace = false) (prog : Stress.prog) ~expect ~ctl =
   in
   let m =
     Machine.create ?capacity_blocks:prog.capacity_blocks
-      ?hw_cache_blocks:prog.hw_cache_blocks ?faults ~jobs:1
+      ?hw_cache_blocks:prog.hw_cache_blocks ?faults
       ~nnodes:prog.nnodes ~words_per_block:prog.words_per_block
       ~topology:prog.topology ~seed:17 ()
   in

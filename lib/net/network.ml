@@ -117,29 +117,6 @@ let latency t ~src ~dst ~words =
 let transmission_time t ~words =
   max 1 (words * t.costs.Lcm_sim.Costs.msg_per_word)
 
-(* The conservative lookahead bound: the smallest latency any message
-   between two *distinct* nodes can have — msg_fixed plus the cheapest
-   hop path in the topology plus one payload word.  No event a node emits
-   now can affect another node sooner than this, which is exactly the
-   horizon slack the PDES windowed driver may claim.  O(n^2) hop queries,
-   computed once at machine construction. *)
-let min_cross_latency t =
-  if t.nnodes < 2 then t.costs.Lcm_sim.Costs.msg_fixed + 1
-  else begin
-    let min_hops = ref max_int in
-    for src = 0 to t.nnodes - 1 do
-      for dst = 0 to t.nnodes - 1 do
-        if src <> dst then begin
-          let h = Topology.hops t.topology ~src ~dst in
-          if h < !min_hops then min_hops := h
-        end
-      done
-    done;
-    t.costs.Lcm_sim.Costs.msg_fixed
-    + (!min_hops * t.costs.Lcm_sim.Costs.msg_per_hop)
-    + t.costs.Lcm_sim.Costs.msg_per_word
-  end
-
 let tag_counter t tag =
   match Hashtbl.find_opt t.tag_counters tag with
   | Some h -> h
@@ -180,8 +157,8 @@ let loopback t ~src ~words ?tag ~at h p x =
   count t ~words tag;
   let lat = t.costs.Lcm_sim.Costs.msg_fixed in
   let arrival = max (at + lat) (Lcm_sim.Engine.now t.engine) in
-  (* owner hint: a loopback delivery is the sender's own work, so under a
-     sharded engine it stays on the sender's shard *)
+  (* owner hint: a loopback delivery is the sender's own work, so the
+     model checker's DPOR footprint attributes it to the sender *)
   match t.trace with
   | None ->
     Lcm_sim.Engine.schedule_call t.engine ~owner:src ~at:arrival h p arrival x
@@ -189,7 +166,7 @@ let loopback t ~src ~words ?tag ~at h p x =
     let tag_name = Option.value tag ~default:"-" in
     Lcm_sim.Trace.emit tr ~time:(arrival - lat)
       (Lcm_sim.Trace.Msg_send { tag = tag_name; src; dst = src; words });
-    Lcm_sim.Engine.schedule_owned t.engine ~owner:src ~at:arrival (fun () ->
+    Lcm_sim.Engine.schedule t.engine ~owner:src ~at:arrival (fun () ->
         (match t.trace with
         | Some tr ->
           Lcm_sim.Trace.emit tr ~time:arrival
@@ -217,9 +194,8 @@ let inject t ~src ~dst ~words ~tag ~at h p x =
   if stall > 0 then
     Stats.Handle.observe t.channel_stall (float_of_int stall);
   Array.unsafe_set t.channel_free channel (arrival + transmission_time t ~words);
-  (* owner hint: delivery belongs to the destination node — under a sharded
-     engine this is the cross-shard mailbox deposit of the conservative
-     scheme when dst lives on another shard *)
+  (* owner hint: delivery belongs to the destination node, which is the
+     node whose state the model checker's DPOR footprint says it touches *)
   match t.trace with
   | None ->
     Lcm_sim.Engine.schedule_call t.engine ~owner:dst ~at:arrival h p arrival x
@@ -230,7 +206,7 @@ let inject t ~src ~dst ~words ~tag ~at h p x =
        free and the trace would show impossible overlaps. *)
     Lcm_sim.Trace.emit tr ~time:(arrival - lat)
       (Lcm_sim.Trace.Msg_send { tag = tag_name; src; dst; words });
-    Lcm_sim.Engine.schedule_owned t.engine ~owner:dst ~at:arrival (fun () ->
+    Lcm_sim.Engine.schedule t.engine ~owner:dst ~at:arrival (fun () ->
         (match t.trace with
         | Some tr ->
           Lcm_sim.Trace.emit tr ~time:arrival
@@ -402,7 +378,7 @@ let send_reliable t ~src ~dst ~words ?tag ~at k =
           max at (Lcm_sim.Engine.now t.engine) + backoff
         in
         (* owner hint: the retransmission timer lives at the sender *)
-        Lcm_sim.Engine.schedule_owned t.engine ~owner:src ~at:t_check (fun () ->
+        Lcm_sim.Engine.schedule t.engine ~owner:src ~at:t_check (fun () ->
             if st.acked then begin
               (* A stale timer of a delivered message is evidence the run is
                  advancing; without this, a long-backoff timer outliving the

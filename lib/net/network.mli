@@ -170,12 +170,3 @@ val latency : t -> src:int -> dst:int -> words:int -> int
 val transmission_time : t -> words:int -> int
 (** [max 1 (words * msg_per_word)] — how long a message of [words] keeps
     its channel occupied after its own arrival. *)
-
-val min_cross_latency : t -> int
-(** The smallest latency any message between two {e distinct} nodes can
-    have under this network's cost model and topology:
-    [msg_fixed + min-hops * msg_per_hop + msg_per_word] (one payload word).
-    This is the conservative lookahead of the parallel engine
-    ({!Lcm_sim.Pdes}): no event a node emits now can affect another node
-    sooner.  On a single-node network (no cross traffic possible) it is
-    [msg_fixed + 1]. *)

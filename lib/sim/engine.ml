@@ -91,8 +91,6 @@ type ev = {
   mutable own : int;  (* ownership hint from the scheduler; -1 = unknown *)
 }
 
-type event = ev
-
 let op_free = 0
 let op_thunk = 1
 let op_call = 2
@@ -110,9 +108,6 @@ let make_ev () =
     own = -1;
   }
 
-(* Shared inert sentinel: fills dead array slots in PDES window batches. *)
-let null_event = make_ev ()
-
 let poison_ev ev =
   ev.op <- op_free;
   ev.fn <- dead_fn;
@@ -126,18 +121,6 @@ type t = {
   mutable processed : int;
   tally : int Atomic.t;  (* this domain's event cell, snapshotted at create *)
   budget : budget option;  (* ambient cell budget at creation time, if any *)
-  mutable router : (owner:int option -> at:int -> ev -> unit) option;
-      (* sharded mode: insertions divert to the PDES coordinator's
-         per-shard queues instead of [queue]; [owner] is the simulated
-         node the event belongs to when the caller knows it (message
-         deliveries), None for ambient attribution *)
-  mutable driver : (limit:int option -> unit) option;
-      (* sharded mode: [run] hands the whole drain loop to the
-         coordinator's windowed driver *)
-  mutable aux_pending : (unit -> int) option;
-      (* sharded mode: events parked outside [queue] (shard heaps and
-         in-flight window batches), so [pending] and the Stalled payload
-         stay truthful *)
   mutable stall_limit : int option;
       (* quiescence watchdog: raise Stalled when events have *executed*
          more than this many cycles past the last notify_progress —
@@ -154,8 +137,7 @@ type t = {
          are presented as [(stamp, owner)] pairs in FIFO (stamp) order;
          the hook returns an index.  It is consulted on *every* commit —
          including sole candidates — so a controller can observe the
-         committed order, not just the branch points.  Mutually
-         exclusive with the PDES sharding hooks below. *)
+         committed order, not just the branch points. *)
 }
 
 (* Cycle distance alone cannot tell a livelock from a legitimate silent
@@ -174,9 +156,6 @@ let create ?(hint = 1024) () =
     processed = 0;
     tally = Domain.DLS.get domain_total;
     budget = !(Domain.DLS.get ambient_budget);
-    router = None;
-    driver = None;
-    aux_pending = None;
     stall_limit = None;
     last_progress = 0;
     quiet_events = 0;
@@ -190,25 +169,20 @@ let check_at e at =
     invalid_arg
       (Printf.sprintf "Engine.schedule: at=%d is before now=%d" at e.now)
 
+(* [owner] is the simulated node the event belongs to, when the caller
+   knows it (a delivery's destination, a timer's node).  It never affects
+   execution order; the choice hook hands it to Lcm_check as the event's
+   DPOR footprint. *)
 let enqueue e ~owner ~at ev =
   ev.own <- (match owner with Some o -> o | None -> -1);
-  match e.router with
-  | None -> Lcm_util.Heap.add e.queue ~key:at ev
-  | Some route -> route ~owner ~at ev
+  Lcm_util.Heap.add e.queue ~key:at ev
 
-let schedule e ~at f =
+let schedule e ?owner ~at f =
   check_at e at;
   let ev = Lcm_util.Pool.acquire e.pool in
   ev.op <- op_thunk;
   ev.fn <- f;
-  enqueue e ~owner:None ~at ev
-
-let schedule_owned e ~owner ~at f =
-  check_at e at;
-  let ev = Lcm_util.Pool.acquire e.pool in
-  ev.op <- op_thunk;
-  ev.fn <- f;
-  enqueue e ~owner:(Some owner) ~at ev
+  enqueue e ~owner ~at ev
 
 let schedule_call (type a) e ?owner ~at (h : a -> int -> int -> unit) (p : a)
     i1 i2 =
@@ -223,9 +197,8 @@ let schedule_call (type a) e ?owner ~at (h : a -> int -> int -> unit) (p : a)
 
 (* Release before run: the record is back on the free list while the
    body executes, so a body that schedules new events can recycle it
-   immediately, and a body that raises has still consumed its event —
-   exactly the sequential-engine contract, with no Fun.protect closure
-   on the hot path. *)
+   immediately, and a body that raises has still consumed its event,
+   with no Fun.protect closure on the hot path. *)
 let run_event e ev =
   let op = ev.op in
   if op = op_thunk then begin
@@ -247,26 +220,7 @@ let after e ~delay f =
   let delay = max 0 delay in
   schedule e ~at:(e.now + delay) f
 
-let set_router e r =
-  if r <> None && e.chooser <> None then
-    invalid_arg "Engine.set_router: engine has a choice hook installed";
-  e.router <- r
-
-let set_driver e d =
-  if d <> None && e.chooser <> None then
-    invalid_arg "Engine.set_driver: engine has a choice hook installed";
-  e.driver <- d
-
-let set_aux_pending e p = e.aux_pending <- p
-
-let set_choice_hook e hook =
-  (match hook with
-  | Some _ when e.driver <> None || e.router <> None ->
-    invalid_arg
-      "Engine.set_choice_hook: sharded engine (PDES) — choice hooks \
-       require the sequential drain loop"
-  | Some _ | None -> ());
-  e.chooser <- hook
+let set_choice_hook e hook = e.chooser <- hook
 
 (* Budget enforcement happens before the event is popped, so a raise leaves
    the engine consistent (clock unmoved, event still queued) and fires at a
@@ -305,9 +259,7 @@ let notify_progress e =
   e.last_progress <- e.now;
   e.quiet_events <- 0
 
-let pending e =
-  Lcm_util.Heap.length e.queue
-  + (match e.aux_pending with None -> 0 | Some f -> f ())
+let pending e = Lcm_util.Heap.length e.queue
 
 (* Pre-event checks, run while the event is still queued so a raise leaves
    the engine consistent (clock unmoved, event recoverable).  The watchdog
@@ -315,7 +267,7 @@ let pending e =
    that never executed, so it must not consume a budget event or tick the
    wall-clock guard — the stall trips at the same remaining-budget count
    whether or not a budget is armed (satellite regression: test_sim). *)
-let pre_event_checks e =
+let check_next e =
   (* The watchdog compares the *executed* clock against the last progress
      mark and requires a run of [stall_min_events] progress-free events:
      only sustained event activity with nothing semantically advancing —
@@ -329,10 +281,8 @@ let pre_event_checks e =
   check_budget e
 
 (* Commit one already-dequeued event: advance the clock, account it, run
-   the body.  Shared verbatim between the sequential [step] and the PDES
-   coordinator's window commit, so Budget_exhausted/Stalled fire at
-   identical (event count, clock) points at any shard count. *)
-let commit_event e ~at ev =
+   the body.  Shared by the plain and the choice-hook [step]. *)
+let commit e ~at ev =
   e.now <- at;
   e.processed <- e.processed + 1;
   e.quiet_events <- e.quiet_events + 1;
@@ -347,7 +297,7 @@ let commit_event e ~at ev =
    replayable.  This path allocates per step — it exists for the model
    checker, not for benchmarked runs. *)
 let step_choice e choose =
-  pre_event_checks e;
+  check_next e;
   let q = e.queue in
   let t0 = Lcm_util.Heap.top_key q in
   let ties = ref [] in
@@ -367,20 +317,18 @@ let step_choice e choose =
     (fun i (seq, ev) ->
       if i <> k then Lcm_util.Heap.add_stamped q ~key:t0 ~seq ev)
     ties;
-  commit_event e ~at:t0 (snd ties.(k))
+  commit e ~at:t0 (snd ties.(k))
 
 let step e =
-  if e.driver <> None then
-    invalid_arg "Engine.step: sharded engine — drive it with Engine.run";
   if Lcm_util.Heap.is_empty e.queue then false
   else begin
     (match e.chooser with
     | Some choose -> step_choice e choose
     | None ->
-      pre_event_checks e;
+      check_next e;
       let t = Lcm_util.Heap.top_key e.queue in
       let ev = Lcm_util.Heap.pop_exn e.queue in
-      commit_event e ~at:t ev);
+      commit e ~at:t ev);
     true
   end
 
@@ -388,22 +336,19 @@ let run ?limit e =
   (match limit with
   | Some n when n < 0 -> invalid_arg "Engine.run: limit < 0"
   | Some _ | None -> ());
-  match e.driver with
-  | Some drive -> drive ~limit
-  | None ->
-    let budget = match limit with None -> max_int | Some n -> n in
-    let rec loop remaining =
-      if remaining = 0 then begin
-        (* An exhausted budget over an already-empty queue is a completed
-           run, not a failure — only pending work makes the limit an error. *)
-        if Lcm_util.Heap.length e.queue > 0 then
-          failwith
-            (Printf.sprintf
-               "Engine.run: event limit exhausted at t=%d (%d pending)" e.now
-               (Lcm_util.Heap.length e.queue))
-      end
-      else if step e then loop (remaining - 1)
-    in
-    loop budget
+  let budget = match limit with None -> max_int | Some n -> n in
+  let rec loop remaining =
+    if remaining = 0 then begin
+      (* An exhausted budget over an already-empty queue is a completed
+         run, not a failure — only pending work makes the limit an error. *)
+      if Lcm_util.Heap.length e.queue > 0 then
+        failwith
+          (Printf.sprintf
+             "Engine.run: event limit exhausted at t=%d (%d pending)" e.now
+             (Lcm_util.Heap.length e.queue))
+    end
+    else if step e then loop (remaining - 1)
+  in
+  loop budget
 
 let events_processed e = e.processed

@@ -50,10 +50,15 @@ val create : ?hint:int -> unit -> t
 val now : t -> int
 (** Current simulated time, in cycles. *)
 
-val schedule : t -> at:int -> (unit -> unit) -> unit
-(** [schedule e ~at f] runs [f] when the clock reaches [at].  The event
-    record itself is pooled; the closure [f] is the caller's own
+val schedule : t -> ?owner:int -> at:int -> (unit -> unit) -> unit
+(** [schedule e ?owner ~at f] runs [f] when the clock reaches [at].  The
+    event record itself is pooled; the closure [f] is the caller's own
     allocation — hot paths that want to avoid it use {!schedule_call}.
+    [owner] is an ownership hint: the simulated node the event belongs to
+    (a message's destination, a timer's node).  It never affects execution
+    order; a choice hook (see {!set_choice_hook}) receives it as the
+    event's footprint, which {!Lcm_check}'s partial-order reduction uses
+    to tell independent events apart.
     @raise Invalid_argument if [at] is in the past. *)
 
 val schedule_call :
@@ -65,18 +70,9 @@ val schedule_call :
     machine, not per event); [p] is its payload and [i1]/[i2] ride in
     unboxed int slots (an arrival time, a node id).  With a pooled
     event record carrying all four, nothing is allocated per call.
-    [owner] is the shard-routing hint of {!schedule_owned}.  Ordering,
-    budgets and watchdog semantics are identical to {!schedule}.
+    [owner] is the ownership hint of {!schedule}.  Ordering, budgets and
+    watchdog semantics are identical to {!schedule}.
     @raise Invalid_argument if [at] is in the past. *)
-
-val schedule_owned : t -> owner:int -> at:int -> (unit -> unit) -> unit
-(** [schedule_owned e ~owner ~at f] is {!schedule} with an ownership hint:
-    [owner] is the simulated node the event belongs to (a message's
-    destination, a timer's node).  On a plain engine the hint is dropped;
-    on a sharded engine (see {!Pdes}) it routes the event to the owner's
-    shard queue — a send whose destination lives on another shard is a
-    cross-shard mailbox deposit.  Ownership only affects shard
-    accounting and drain parallelism, never execution order. *)
 
 val after : t -> delay:int -> (unit -> unit) -> unit
 (** [after e ~delay f] is [schedule e ~at:(now e + delay) f].
@@ -107,9 +103,9 @@ val step : t -> bool
     watchdog raise happens {e before} the event is dequeued and charges
     nothing: the event is still queued, the clock unmoved, and — for
     {!Stalled} specifically — no budget event or wall-clock guard tick has
-    been consumed for an event that never executed.
-    @raise Invalid_argument on a sharded engine (one driven by {!Pdes});
-    sharded engines are drained with {!run}. *)
+    been consumed for an event that never executed.  A body that raises
+    has still consumed its own event: the clock stands at its timestamp
+    and the rest of the queue is untouched. *)
 
 val run : ?limit:int -> t -> unit
 (** [run e] processes events until the queue drains.  [limit] bounds the
@@ -117,9 +113,6 @@ val run : ?limit:int -> t -> unit
     events remain pending raises [Failure], which flags runaway
     simulations in tests.  A budget that runs out exactly as the queue
     empties (including [~limit:0] on an idle engine) returns normally.
-    On a sharded engine (see {!Pdes}) the drain is delegated to the
-    conservative windowed driver, with identical semantics and identical
-    event order.
     @raise Invalid_argument if [limit] is negative (matching
     {!with_budget}; a negative limit used to behave as unlimited). *)
 
@@ -145,48 +138,9 @@ val set_choice_hook : t -> ((int * int) array -> int) option -> unit
     wake-ups), not just the branch points.
 
     The hook path allocates per step; install it for checking, never for
-    benchmarked runs.  Mutually exclusive with PDES sharding.
-    @raise Invalid_argument when installing on a sharded engine, or (from
-    {!step}) if [pick] returns an out-of-range index. *)
-
-(** {1 Sharding hooks (used by {!Pdes} — not a public scheduling API)}
-
-    A PDES coordinator installs a {e router} (insertions divert to its
-    per-shard queues), a {e driver} ({!run} delegates the drain loop), and
-    an {e aux-pending} thermometer (events parked in shard queues and
-    in-flight window batches still count in {!pending} and in the
-    {!Stalled} payload).  {!pre_event_checks} and {!commit_event} are the
-    two halves of {!step}: checks run while the event is still recoverable,
-    commit advances the clock and runs the body — the coordinator calls
-    them around its own dequeue so budgets, watchdogs and tallies behave
-    identically at any shard count. *)
-
-type event
-(** A queued event: a pooled record the engine recycles on commit.
-    Opaque outside the engine; {!Pdes} moves them between shard heaps
-    and window batches without looking inside. *)
-
-val null_event : event
-(** An inert sentinel for dead array slots (PDES batch storage).  Never
-    executed; executing it is a loud failure. *)
-
-val set_router :
-  t -> (owner:int option -> at:int -> event -> unit) option -> unit
-
-val set_driver : t -> (limit:int option -> unit) option -> unit
-
-val set_aux_pending : t -> (unit -> int) option -> unit
-
-val pre_event_checks : t -> unit
-(** Watchdog then budget, in that order; may raise {!Stalled} /
-    {!Budget_exhausted} / a guard exception with the next event still
-    queued and nothing charged for it. *)
-
-val commit_event : t -> at:int -> event -> unit
-(** Advance the clock to [at], account one processed event, release the
-    event record back to the pool and run its body.  Release happens
-    before the body runs, so a raising body has still consumed its
-    event. *)
+    benchmarked runs.
+    @raise Invalid_argument (from {!step}) if [pick] returns an
+    out-of-range index. *)
 
 val pending : t -> int
 (** Number of events waiting in the queue. *)

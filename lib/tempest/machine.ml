@@ -93,9 +93,6 @@ and t = {
          payload = the fiber's continuation, i1 = resume time, i2 = node
          id (see Engine.schedule_call); installed right after creation *)
   mutable trace : Trace.t option;
-  m_pdes : Lcm_sim.Pdes.t option;
-      (* conservative parallel driver, attached when the machine was
-         created with (resolved) jobs > 1; None = plain sequential engine *)
   m_msg_pool : msg_cell Lcm_util.Pool.t;
       (* free-list of in-flight protocol-message cells (see [send_call]) *)
 }
@@ -159,12 +156,7 @@ let la_mask = la_slots - 1
 
 let create ?(costs = Lcm_sim.Costs.default)
     ?(topology = Lcm_net.Topology.Fat_tree { arity = 4 }) ?(seed = 42)
-    ?capacity_blocks ?hw_cache_blocks ?faults ?jobs ~nnodes ~words_per_block
-    () =
-  let jobs =
-    Lcm_sim.Pdes.resolve_jobs
-      (match jobs with Some j -> j | None -> Lcm_sim.Pdes.ambient_jobs ())
-  in
+    ?capacity_blocks ?hw_cache_blocks ?faults ~nnodes ~words_per_block () =
   let engine = Lcm_sim.Engine.create () in
   let stats = Lcm_util.Stats.create () in
   let network =
@@ -177,22 +169,6 @@ let create ?(costs = Lcm_sim.Costs.default)
   | Some plan ->
     Lcm_sim.Engine.set_stall_limit engine (Some plan.Lcm_net.Faults.stall_limit)
   | None -> ());
-  (* Shard the event queue by owning node when more than one job is asked
-     for and the machine has nodes to spread: block partition (node n on
-     shard n*shards/nnodes), lookahead from the network's minimum
-     cross-node latency.  At jobs = 1 nothing is attached and the engine
-     is byte-for-byte the sequential one. *)
-  let shards = min jobs nnodes in
-  let pdes =
-    if shards > 1 then
-      Some
-        (Lcm_sim.Pdes.attach ~engine ~shards
-           ~lookahead:(max 1 (Lcm_net.Network.min_cross_latency network))
-           ~shard_of:(fun node ->
-             if node < 0 || node >= nnodes then 0 else node * shards / nnodes)
-           ())
-    else None
-  in
   let gmem = Lcm_mem.Gmem.create ~nnodes ~words_per_block in
   (match hw_cache_blocks with
   | Some n when n <= 0 ->
@@ -255,7 +231,6 @@ let create ?(costs = Lcm_sim.Costs.default)
       on_read_hit = None;
       m_yield_h = (fun _ _ _ -> no_handler ());
       trace = None;
-      m_pdes = pdes;
       m_msg_pool =
         Lcm_util.Pool.create ~poison:poison_msg_cell ~make:make_msg_cell ();
     }
@@ -273,7 +248,6 @@ let create ?(costs = Lcm_sim.Costs.default)
   m
 
 let engine t = t.m_engine
-let pdes t = t.m_pdes
 let network t = t.m_network
 let gmem t = t.m_gmem
 let costs t = t.m_costs
@@ -774,9 +748,9 @@ let init_arms t n =
         let at = max n.node_clock (Lcm_sim.Engine.now t.m_engine) in
         (* allocation-free resume: the continuation rides an engine event
            as the payload, the resume time and node id in the int slots.
-           The owner hint marks the resume as node-local work — the choice
-           hook's independence heuristic and a sharded engine's routing
-           both use it; neither changes execution order. *)
+           The owner hint marks the resume as node-local work for the
+           choice hook's independence heuristic; it never changes
+           execution order. *)
         Lcm_sim.Engine.schedule_call t.m_engine ~owner:n.node_id ~at
           t.m_yield_h k at n.node_id);
   n.arm_directive <-

@@ -37,7 +37,6 @@ val create :
   ?capacity_blocks:int ->
   ?hw_cache_blocks:int ->
   ?faults:Lcm_net.Faults.t ->
-  ?jobs:int ->
   nnodes:int ->
   words_per_block:int ->
   unit ->
@@ -53,22 +52,13 @@ val create :
     then rides {!Lcm_net.Network.send_reliable} and the engine's quiescence
     watchdog is armed with the plan's stall limit.
 
-    [jobs] selects the engine's parallel drive (default: the ambient
-    {!Lcm_sim.Pdes.with_jobs} count, itself defaulting to 1): when the
-    resolved count exceeds 1, the event queue is sharded across
-    [min jobs nnodes] shards — nodes block-partitioned, lookahead the
-    network's {!Lcm_net.Network.min_cross_latency} — and drained by the
-    conservative windowed driver.  Event order, and therefore every
-    result, counter and trace, is bit-identical at any job count; [0]
-    resolves to [Domain.recommended_domain_count ()]. *)
+    A machine runs on the domain that creates it, on one sequential event
+    engine; parallelism lives one level up, across independent machines
+    (the fleet pool in [Lcm_fleet]). *)
 
 (** {1 Machine accessors} *)
 
 val engine : t -> Lcm_sim.Engine.t
-
-val pdes : t -> Lcm_sim.Pdes.t option
-(** The conservative parallel coordinator driving this machine's engine,
-    when the machine was created with (resolved) [jobs > 1]. *)
 
 val network : t -> Lcm_net.Network.t
 val gmem : t -> Lcm_mem.Gmem.t

@@ -87,12 +87,12 @@ let add h ~key value =
   h.size <- i + 1;
   sift_up h i
 
-(* Caller-stamped insertion for the PDES shard queues: one coordinator
-   allocates seqs across several heaps so that a k-way merge by
-   (key, seq) reproduces the pop order a single FIFO heap would give.
-   next_seq is kept strictly above every explicit stamp so a later plain
-   [add] can never collide with (and tie ambiguously against) a
-   caller-provided stamp. *)
+(* Caller-stamped insertion for the engine's choice hook: it pops every
+   event tied at the minimum key, commits one, and re-inserts the rest
+   with the stamps they were popped with, so they keep their FIFO order
+   for later steps.  next_seq is kept strictly above every explicit stamp
+   so a later plain [add] can never collide with (and tie ambiguously
+   against) a caller-provided stamp. *)
 let add_stamped h ~key ~seq value =
   if h.size = Array.length h.keys then grow h value;
   let i = h.size in

@@ -11,7 +11,7 @@ type 'a t
 val create : ?hint:int -> unit -> 'a t
 (** [create ?hint ()] is a fresh empty heap.  [hint] (default 16) is the
     capacity of the first backing allocation — a caller that knows its
-    steady-state occupancy (the engine's event queue, a PDES shard)
+    steady-state occupancy (the engine's event queue)
     skips the grow-and-copy ladder from 16 upward.  Arrays are not
     allocated until the first {!add}, so an over-hinted heap that stays
     empty costs nothing.  Growth past the hint still doubles.
@@ -32,16 +32,15 @@ val add : 'a t -> key:int -> 'a -> unit
 
 val add_stamped : 'a t -> key:int -> seq:int -> 'a -> unit
 (** [add_stamped h ~key ~seq v] inserts [v] with an explicit tie-break
-    stamp instead of the internal counter.  Used by the parallel engine's
-    shard queues: one coordinator allocates stamps across several heaps so
-    that merging them by [(key, seq)] reproduces exactly the order a
-    single heap fed by {!add} would pop.  The caller owns stamp
-    uniqueness; the internal counter is advanced past [seq] so later
-    {!add}s never collide. *)
+    stamp instead of the internal counter.  Used by the engine's choice
+    hook: it pops every element tied at the minimum key (reading each
+    stamp with {!top_seq}), keeps one, and re-inserts the rest with their
+    stamps, so they pop again in their original order.  The caller owns
+    stamp uniqueness; the internal counter is advanced past [seq] so
+    later {!add}s never collide. *)
 
 val top_seq : 'a t -> int
-(** [top_seq h] is the tie-break stamp of the minimum element — the value
-    compared against other heaps' tops in a k-way merge.
+(** [top_seq h] is the tie-break stamp of the minimum element.
     @raise Invalid_argument if [h] is empty. *)
 
 val min_key : 'a t -> int option

@@ -88,24 +88,6 @@ let test_pinned () =
         | None -> Alcotest.failf "no recorded fingerprint for %s" name)
     workloads
 
-(* The parallel engine is pinned to the *same* table: the conservative
-   windowed driver (Pdes) must reproduce the sequential event order stamp
-   for stamp, so every cell's memory, counter and trace digests are
-   bit-identical at --jobs 4.  This is the refinement oracle — if sharding
-   perturbs anything observable, these fail against the sequential pins. *)
-let test_pinned_sharded () =
-  if not recording then
-    List.iter
-      (fun (name, run) ->
-        let fp =
-          Lcm_sim.Pdes.with_jobs ~jobs:4 (fun () ->
-              Fingerprint.to_string (run ()))
-        in
-        match List.assoc_opt ("workload " ^ name) expected with
-        | Some want -> Alcotest.(check string) ("jobs=4 " ^ name) want fp
-        | None -> Alcotest.failf "no recorded fingerprint for %s" name)
-      workloads
-
 (* Same build, run twice: determinism of the digest itself. *)
 let test_self_stable () =
   let a = run_stencil Config.lcm_mcc and b = run_stencil Config.lcm_mcc in
@@ -121,8 +103,6 @@ let () =
       ( "fingerprint",
         [
           Alcotest.test_case "pinned workloads" `Slow test_pinned;
-          Alcotest.test_case "pinned workloads --jobs 4" `Slow
-            test_pinned_sharded;
           Alcotest.test_case "self stable" `Quick test_self_stable;
         ] );
     ]

@@ -125,6 +125,149 @@ let test_engine_negative_limit_rejected () =
   Engine.run e;
   Alcotest.(check bool) "engine still usable" true !fired
 
+(* A storm with heavy timestamp collisions: [width] "nodes" each schedule
+   bursts at the same instants, every event re-arms children at equal and
+   near-equal times (loopback: at = now), and cross-node sends target
+   (i + 1) mod width.  Owner-hinted and unhinted events are interleaved at
+   every instant.  Each event is numbered when it is scheduled; the log
+   records (time, number, label) as it executes. *)
+let storm_program ~width ~rounds engine =
+  let log = ref [] and next = ref 0 in
+  let sched ?owner ~at label f =
+    let id = !next in
+    incr next;
+    Engine.schedule engine ?owner ~at (fun () ->
+        log := (Engine.now engine, id, label) :: !log;
+        f ())
+  in
+  let rec node_event i r () =
+    if r < rounds then begin
+      let now = Engine.now engine in
+      sched ~owner:i ~at:now (Printf.sprintf "n%d.loop%d" i r) ignore;
+      let j = (i + 1) mod width in
+      sched ~owner:j ~at:(now + 3)
+        (Printf.sprintf "n%d.r%d" j (r + 1))
+        (node_event j (r + 1));
+      sched ~at:(now + 3) (Printf.sprintf "n%d.amb%d" i r) ignore
+    end
+  in
+  (* barrier-release shape: all nodes released at t=10 simultaneously *)
+  for i = 0 to width - 1 do
+    sched ~owner:i ~at:10 (Printf.sprintf "n%d.r0" i) (node_event i 0)
+  done;
+  log
+
+let run_storm ?limit ~width ~rounds () =
+  let e = Engine.create () in
+  let log = storm_program ~width ~rounds e in
+  Engine.run ?limit e;
+  (List.rev !log, Engine.now e, Engine.events_processed e)
+
+(* Owner hints never reorder: the storm commits in (time, scheduling
+   order), whatever mix of hinted and unhinted events ties at an instant. *)
+let test_storm_order () =
+  let log, _, processed = run_storm ~width:6 ~rounds:10 () in
+  let keys = List.map (fun (t, id, _) -> (t, id)) log in
+  Alcotest.(check int) "every event logged" processed (List.length log);
+  Alcotest.(check bool) "ties at every instant" true
+    (List.length (List.sort_uniq compare (List.map fst keys))
+    < List.length keys / 4);
+  Alcotest.(check (list (pair int int)))
+    "time, then scheduling order" (List.sort compare keys) keys
+
+let test_storm_repeat_stable () =
+  let a = run_storm ~width:5 ~rounds:12 () and b = run_storm ~width:5 ~rounds:12 () in
+  Alcotest.(check bool) "identical log, clock and count" true (a = b)
+
+(* Engine state after [n] manual steps of a fresh storm, for comparing
+   against the two event caps. *)
+let storm_after_steps ~n =
+  let e = Engine.create () in
+  let log = storm_program ~width:6 ~rounds:9 e in
+  for _ = 1 to n do
+    ignore (Engine.step e)
+  done;
+  (e, log)
+
+let state e = (Engine.events_processed e, Engine.now e, Engine.pending e)
+
+let state_t = Alcotest.(triple int int int)
+
+(* [run ~limit:n] stops exactly where [n] steps do, and resuming either
+   engine finishes the same run. *)
+let test_limit_parity () =
+  let stepped, slog = storm_after_steps ~n:55 in
+  let e = Engine.create () in
+  let log = storm_program ~width:6 ~rounds:9 e in
+  Alcotest.(check bool) "limit trips" true
+    (try
+       Engine.run ~limit:55 e;
+       false
+     with Failure _ -> true);
+  Alcotest.check state_t "stop point" (state stepped) (state e);
+  Engine.run stepped;
+  Engine.run e;
+  Alcotest.(check bool) "resumed runs identical" true (!slog = !log)
+
+(* The ambient budget trips before the (n+1)th event, at the clock [n]
+   steps reach, with that event still queued. *)
+let test_budget_parity () =
+  let stepped, _ = storm_after_steps ~n:55 in
+  Engine.with_budget ~max_events:55 (fun () ->
+      let e = Engine.create () in
+      ignore (storm_program ~width:6 ~rounds:9 e);
+      match Engine.run e with
+      | () -> Alcotest.fail "budget never tripped"
+      | exception Engine.Budget_exhausted { events; now } ->
+        Alcotest.(check int) "reported cap" 55 events;
+        Alcotest.(check int) "reported clock" (Engine.now stepped) now;
+        Alcotest.check state_t "stop point" (state stepped) (state e))
+
+exception Boom
+
+(* A raising body consumes exactly its own event: the clock stands at its
+   timestamp, every other event is still queued, and a second [run]
+   completes the rest in FIFO order. *)
+let test_crash_mid_burst () =
+  let e = Engine.create () in
+  let log = ref [] in
+  for i = 0 to 5 do
+    Engine.schedule e ~owner:i ~at:10 (fun () ->
+        if i = 3 then raise Boom;
+        log := Printf.sprintf "n%d@10" i :: !log)
+  done;
+  for i = 0 to 5 do
+    Engine.schedule e ~at:20 (fun () -> log := Printf.sprintf "n%d@20" i :: !log)
+  done;
+  Alcotest.check_raises "body raises" Boom (fun () -> Engine.run e);
+  Alcotest.check state_t "consumed only the raising event" (4, 10, 8) (state e);
+  Engine.run e;
+  Alcotest.(check (list string))
+    "resumed in FIFO order"
+    [
+      "n0@10"; "n1@10"; "n2@10"; "n4@10"; "n5@10";
+      "n0@20"; "n1@20"; "n2@20"; "n3@20"; "n4@20"; "n5@20";
+    ]
+    (List.rev !log)
+
+(* Argument validation: each bad argument is refused before anything runs. *)
+let test_guards () =
+  Alcotest.check_raises "negative budget"
+    (Invalid_argument "Engine.with_budget: max_events < 0") (fun () ->
+      Engine.with_budget ~max_events:(-1) ignore);
+  let e = Engine.create () in
+  Alcotest.check_raises "zero stall limit"
+    (Invalid_argument "Engine.set_stall_limit: limit must be positive")
+    (fun () -> Engine.set_stall_limit e (Some 0));
+  let fired = ref 0 in
+  Engine.schedule e ~at:1 (fun () -> incr fired);
+  Engine.set_choice_hook e (Some (fun cands -> Array.length cands));
+  Alcotest.check_raises "out-of-range choice"
+    (Invalid_argument "Engine: choice hook returned 1 with 1 candidates")
+    (fun () -> ignore (Engine.step e));
+  Engine.set_choice_hook e None;
+  Alcotest.(check int) "nothing ran" 0 !fired
+
 let test_trace_typed_events () =
   let tr = Trace.create ~capacity:8 in
   Trace.emit tr ~time:5 (Trace.Msg_send { tag = "get"; src = 0; dst = 1; words = 8 });
@@ -221,6 +364,12 @@ let () =
           ("stall charges no budget", `Quick, test_stalled_charges_no_budget);
           ("negative limit rejected", `Quick, test_engine_negative_limit_rejected);
           ("pending", `Quick, test_engine_pending);
+          ("equal-timestamp storm", `Quick, test_storm_order);
+          ("repeat stable", `Quick, test_storm_repeat_stable);
+          ("limit parity", `Quick, test_limit_parity);
+          ("budget parity", `Quick, test_budget_parity);
+          ("crash mid-burst", `Quick, test_crash_mid_burst);
+          ("guards", `Quick, test_guards);
         ] );
       ( "trace",
         [

@@ -110,7 +110,7 @@ let prop_heap_sorted =
    so nearly every insertion ties, values are insertion indices, and the
    drain must equal a *stable* sort — any tie broken by sift accident
    instead of the seq stamp shows up as an index inversion.  This is the
-   property the parallel engine's determinism rests on. *)
+   property the engine's determinism rests on. *)
 let prop_heap_fifo_equal_keys =
   QCheck.Test.make ~name:"heap FIFO among equal keys" ~count:300
     QCheck.(list (int_bound 2))
@@ -129,43 +129,48 @@ let prop_heap_fifo_equal_keys =
       in
       drain [] = expected)
 
-(* Caller-stamped insertion: spraying one stamp-ordered stream across
-   several heaps and merging back by (top_key, top_seq) must reproduce the
-   single-heap pop order exactly — the invariant the PDES shard queues
-   rely on. *)
-let prop_heap_stamped_merge =
-  QCheck.Test.make ~name:"add_stamped k-way merge ≡ single heap" ~count:300
-    QCheck.(pair (int_range 1 4) (list (int_bound 3)))
-    (fun (nheaps, keys) ->
-      let reference = Heap.create () in
-      List.iteri (fun i k -> Heap.add reference ~key:k i) keys;
-      let shards = Array.init nheaps (fun _ -> Heap.create ()) in
-      List.iteri
-        (fun i k -> Heap.add_stamped shards.(i mod nheaps) ~key:k ~seq:i i)
-        keys;
-      let pick () =
-        let best = ref (-1) and bk = ref max_int and bs = ref max_int in
-        Array.iteri
-          (fun s h ->
-            if not (Heap.is_empty h) then
-              let k = Heap.top_key h and q = Heap.top_seq h in
-              if k < !bk || (k = !bk && q < !bs) then begin
-                best := s;
-                bk := k;
-                bs := q
-              end)
-          shards;
-        if !best < 0 then None else Some (Heap.pop_exn shards.(!best))
+(* The engine's choice hook: pop every element tied at the minimum key,
+   keep one, re-add the rest with the stamps they were popped with.  In
+   whatever order they are re-added, the survivors must pop again in
+   their original order under their original stamps, and the rest of the
+   heap must drain exactly as if the kept element had never been there. *)
+let prop_heap_restamped_ties =
+  QCheck.Test.make ~name:"add_stamped re-added ties keep their order"
+    ~count:300
+    QCheck.(pair small_nat (list (int_bound 3)))
+    (fun (pick, keys) ->
+      let h = Heap.create () in
+      List.iteri (fun i k -> Heap.add h ~key:k i) keys;
+      let stable =
+        List.stable_sort
+          (fun (a, _) (b, _) -> compare a b)
+          (List.mapi (fun i k -> (k, i)) keys)
       in
-      let rec merged acc =
-        match pick () with Some v -> merged (v :: acc) | None -> List.rev acc
-      in
-      let rec ref_order acc =
-        match Heap.pop reference with
-        | Some (_, v) -> ref_order (v :: acc)
-        | None -> List.rev acc
-      in
-      merged [] = ref_order [])
+      match stable with
+      | [] -> Heap.is_empty h
+      | (k0, _) :: _ ->
+        let ties = ref [] in
+        while (not (Heap.is_empty h)) && Heap.top_key h = k0 do
+          let seq = Heap.top_seq h in
+          ties := (seq, Heap.pop_exn h) :: !ties
+        done;
+        (* [!ties] is newest first: re-adding it reverses the pop order *)
+        let kept = snd (List.nth !ties (pick mod List.length !ties)) in
+        let survivors = List.filter (fun (_, v) -> v <> kept) !ties in
+        List.iter (fun (seq, v) -> Heap.add_stamped h ~key:k0 ~seq v) survivors;
+        let rec drain acc =
+          if Heap.is_empty h then List.rev acc
+          else
+            let k = Heap.top_key h and seq = Heap.top_seq h in
+            drain ((k, seq, Heap.pop_exn h) :: acc)
+        in
+        let drained = drain [] in
+        List.filter_map
+          (fun (k, seq, v) -> if k = k0 then Some (seq, v) else None)
+          drained
+        = List.rev survivors
+        && List.map (fun (k, _, v) -> (k, v)) drained
+           = List.filter (fun (_, v) -> v <> kept) stable)
 
 let test_heap_add_stamped () =
   let h = Heap.create () in
@@ -727,7 +732,7 @@ let suite =
       [
         prop_heap_sorted;
         prop_heap_fifo_equal_keys;
-        prop_heap_stamped_merge;
+        prop_heap_restamped_ties;
         prop_heap_clear_then_pop_order;
         prop_heap_hint_resize_order;
         prop_pool_no_aliasing;
