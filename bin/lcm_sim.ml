@@ -37,7 +37,18 @@ let schedule_arg =
            ~doc:"Invocation schedule: static, rotate or random:SEED.")
 
 let nodes_arg =
-  Arg.(value & opt int 32 & info [ "nodes"; "n" ] ~docv:"N" ~doc:"Processor count.")
+  let max = Lcm_net.Network.max_nodes in
+  let nodes =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 && n <= max -> Ok n
+      | Some _ | None -> Error (`Msg (Printf.sprintf "must be an integer in [1, %d]" max))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt nodes 32
+       & info [ "nodes"; "n" ] ~docv:"N"
+           ~doc:(Printf.sprintf "Processor count, at most %d." max))
 
 let topology_arg =
   Arg.(value & opt topology_conv (Lcm_net.Topology.Fat_tree { arity = 4 })

@@ -61,6 +61,10 @@ type t = {
   sp : Policy.snoop;
   hs : handles;
   bus : Bus.t;
+  g_rd : t Bus.grant;
+  g_rdx : t Bus.grant;
+  g_upgr : t Bus.grant;
+  g_flush : t Bus.grant;
   barrier : Barrier.style;
   states : (int, Snoop.state array) Hashtbl.t;  (* block -> per-node state *)
   wb : (int, Block.t) Hashtbl.t;  (* in-flight evicted dirty data *)
@@ -244,10 +248,10 @@ let do_bus_flush t b ~now =
 (* Fault handling                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Static grant handlers: preallocated once and delivered through
-   {!Bus.transact_call}'s pooled grant cells, so a steady-state snooping
-   transaction allocates nothing host-side.  The rider packs
-   [(nid lsl 40) lor b] — block numbers stay far below 2^40. *)
+(* Static grant handlers, wrapped as bus grants once at [install]; a
+   steady-state snooping transaction then allocates nothing host-side.
+   The rider packs [(nid lsl 40) lor b] — block numbers stay far below
+   2^40. *)
 let grant_rd_m t now x = do_bus_rd t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
 let grant_rdx_m t now x = do_bus_rdx t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
 let grant_upgr_m t now x = do_bus_upgr t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
@@ -273,8 +277,8 @@ let read_fault t node ~addr ~retry =
   let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
   let nid = Machine.id node in
   if request t node b ~retry then
-    Bus.transact_call t.bus ~kind:Bus.Rd ~at:(Machine.clock node)
-      ~words:(data_words t) grant_rd_m t ((nid lsl 40) lor b)
+    Bus.transact t.bus ~kind:Bus.Rd ~at:(Machine.clock node)
+      ~words:(data_words t) t.g_rd t ((nid lsl 40) lor b)
 
 let write_fault t node ~addr ~retry =
   let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
@@ -287,15 +291,15 @@ let write_fault t node ~addr ~retry =
     Machine.resume node ~now:(Machine.clock node) ~cost:0 retry
   | Snoop.S | Snoop.O ->
     if request t node b ~retry then
-      Bus.transact_call t.bus ~kind:Bus.Upgr ~at:(Machine.clock node)
-        ~words:ctrl_words grant_upgr_m t ((nid lsl 40) lor b)
+      Bus.transact t.bus ~kind:Bus.Upgr ~at:(Machine.clock node)
+        ~words:ctrl_words t.g_upgr t ((nid lsl 40) lor b)
   | Snoop.M ->
     (* the line is writable; the fault raced a concurrent install *)
     Machine.resume node ~now:(Machine.clock node) ~cost:0 retry
   | Snoop.I | Snoop.E ->
     if request t node b ~retry then
-      Bus.transact_call t.bus ~kind:Bus.Rdx ~at:(Machine.clock node)
-        ~words:(data_words t) grant_rdx_m t ((nid lsl 40) lor b)
+      Bus.transact t.bus ~kind:Bus.Rdx ~at:(Machine.clock node)
+        ~words:(data_words t) t.g_rdx t ((nid lsl 40) lor b)
 
 (* Capacity eviction: dirty states stage their data in the writeback
    buffer and arbitrate for a FLUSH slot; clean states drop silently. *)
@@ -307,8 +311,8 @@ let evict t node b (line : Machine.line) =
   if Snoop.writeback_on_evict st then begin
     Stats.Handle.incr t.hs.h_writebacks;
     Hashtbl.replace t.wb b (Block.copy line.Machine.data);
-    Bus.transact_call t.bus ~kind:Bus.Flush ~at:(Machine.clock node)
-      ~words:(data_words t) grant_flush_m t b
+    Bus.transact t.bus ~kind:Bus.Flush ~at:(Machine.clock node)
+      ~words:(data_words t) t.g_flush t b
   end
 
 let note_directive t node name =
@@ -540,15 +544,21 @@ let install ?(capacity_evictions = true) ?(barrier = Barrier.Constant)
   in
   Machine.set_home_backing mach false;
   let nnodes = Machine.nnodes mach in
+  let bus =
+    Bus.create ~engine:(Machine.engine mach) ~costs:(Machine.costs mach)
+      ~stats:(Machine.stats mach) ()
+  in
   let t =
     {
       mach;
       pol;
       sp;
       hs = resolve_handles (Machine.stats mach);
-      bus =
-        Bus.create ~engine:(Machine.engine mach) ~costs:(Machine.costs mach)
-          ~stats:(Machine.stats mach) ();
+      bus;
+      g_rd = Bus.grant bus grant_rd_m;
+      g_rdx = Bus.grant bus grant_rdx_m;
+      g_upgr = Bus.grant bus grant_upgr_m;
+      g_flush = Bus.grant bus grant_flush_m;
       barrier;
       states = Hashtbl.create 4096;
       wb = Hashtbl.create 16;

@@ -20,34 +20,10 @@ let kind_to_string = function
   | Upgr -> "bus_upgr"
   | Flush -> "bus_flush"
 
-(* Pooled grant record for [transact_call]: carries the bus, the caller's
-   preallocated grant handler, its payload and an int rider through the
-   engine's allocation-free scheduling path.  Handler and payload are
-   stored as [Obj.t] — [transact_call] pairs them under one type variable,
-   the same discipline as [Lcm_sim.Engine.schedule_call]. *)
-type grant_cell = {
-  mutable g_bus : Obj.t;
-  mutable g_h : Obj.t;
-  mutable g_p : Obj.t;
-  mutable g_x : int;
-}
-
-let dead_grant_h _ _ _ = failwith "Bus: grant cell used after release"
-let dead_obj = Obj.repr "Bus.grant_cell: released"
-
-let make_grant_cell () =
-  { g_bus = dead_obj; g_h = Obj.repr dead_grant_h; g_p = dead_obj; g_x = 0 }
-
-let poison_grant_cell c =
-  c.g_bus <- dead_obj;
-  c.g_h <- Obj.repr dead_grant_h;
-  c.g_p <- dead_obj
-
 type t = {
   engine : Lcm_sim.Engine.t;
   costs : Lcm_sim.Costs.t;
   mutable free_at : int;  (* when the current occupancy ends *)
-  gpool : grant_cell Lcm_util.Pool.t;
   h_transactions : Stats.Handle.counter;
   h_rd : Stats.Handle.counter;
   h_rdx : Stats.Handle.counter;
@@ -62,7 +38,6 @@ let create ~engine ~costs ~stats () =
     engine;
     costs;
     free_at = 0;
-    gpool = Lcm_util.Pool.create ~poison:poison_grant_cell ~make:make_grant_cell ();
     h_transactions = Stats.counter stats "bus.transactions";
     h_rd = Stats.counter stats "bus.rd";
     h_rdx = Stats.counter stats "bus.rdx";
@@ -93,31 +68,18 @@ let arbitrate t ~kind ~at ~words =
   Stats.Handle.add t.h_busy (finish - grant);
   finish
 
-let transact t ~kind ~at ~words k =
-  let finish = arbitrate t ~kind ~at ~words in
-  Lcm_sim.Engine.schedule t.engine ~at:finish (fun () ->
-      (* a completed bus transaction is semantic progress for the stall
-         watchdog armed by fault plans *)
-      Lcm_sim.Engine.notify_progress t.engine;
-      k ~now:finish)
+(* A grant handler is the caller's handler behind one wrapper, built once
+   per handler (not per transaction): a completed bus transaction is
+   semantic progress for the stall watchdog armed by fault plans, and the
+   wrapper is the only way to obtain a ['a grant], so no grant can skip
+   it — including FLUSH grants, which resume no fiber. *)
+type 'a grant = 'a -> int -> int -> unit
 
-(* Static grant dispatcher: runs at occupancy end, recycles the cell
-   before entering the protocol handler. *)
-let run_grant (c : grant_cell) finish _i2 =
-  let t : t = Obj.obj c.g_bus in
+let grant t h : _ grant =
+ fun p now x ->
   Lcm_sim.Engine.notify_progress t.engine;
-  let h : Obj.t -> int -> int -> unit = Obj.obj c.g_h in
-  let p = c.g_p and x = c.g_x in
-  poison_grant_cell c;
-  Lcm_util.Pool.release t.gpool c;
-  h p finish x
+  h p now x
 
-let transact_call (type a) t ~kind ~at ~words (h : a -> int -> int -> unit)
-    (p : a) x =
+let transact t ~kind ~at ~words (g : 'a grant) p x =
   let finish = arbitrate t ~kind ~at ~words in
-  let c = Lcm_util.Pool.acquire t.gpool in
-  c.g_bus <- Obj.repr t;
-  c.g_h <- Obj.repr h;
-  c.g_p <- Obj.repr p;
-  c.g_x <- x;
-  Lcm_sim.Engine.schedule_call t.engine ~at:finish run_grant c finish 0
+  Lcm_sim.Engine.schedule_call t.engine ~at:finish g p finish x

@@ -43,18 +43,22 @@ val busy_until : t -> int
 val occupancy : t -> words:int -> int
 (** Cycles a [words]-word transaction holds the bus. *)
 
-val transact : t -> kind:kind -> at:int -> words:int -> (now:int -> unit) -> unit
-(** [transact t ~kind ~at ~words k] queues a transaction requested at
-    cycle [at]; [k ~now] runs when its bus occupancy completes ([now] is
-    that cycle).  Grants are in request order. *)
+type 'a grant
+(** A grant handler, built once per protocol instance by {!grant}. *)
 
-val transact_call :
-  t -> kind:kind -> at:int -> words:int -> ('a -> int -> int -> unit) -> 'a ->
-  int -> unit
-(** [transact_call t ~kind ~at ~words h p x] is {!transact} for callers
-    with a {e preallocated} grant handler: [h p now x] runs when the
-    occupancy completes, the triple riding a pooled grant record through
-    the engine's allocation-free scheduling path, so a steady-state bus
-    transaction allocates nothing.  [p] is the handler's payload and [x]
-    an integer rider (a packed requester/block descriptor).  Timing,
-    statistics and grant order are exactly {!transact}'s. *)
+val grant : t -> ('a -> int -> int -> unit) -> 'a grant
+(** [grant t h] wraps [h] as a grant handler of bus [t]: when a
+    transaction completes it marks watchdog progress on the engine (see
+    {!Lcm_sim.Engine.notify_progress}) and then runs [h].  Every grant
+    goes through such a wrapper, so a long run of grants — including
+    FLUSH grants, which resume no fiber — never reads as a stall.  Build
+    it once (at protocol install), not per transaction. *)
+
+val transact :
+  t -> kind:kind -> at:int -> words:int -> 'a grant -> 'a -> int -> unit
+(** [transact t ~kind ~at ~words g p x] queues a transaction requested at
+    cycle [at]; [g p now x] runs when its bus occupancy completes ([now]
+    is that cycle).  [p] is the handler's payload and [x] an integer rider
+    (a packed requester/block descriptor).  The triple rides the engine's
+    pooled event, so a steady-state transaction allocates nothing.  Grants
+    are in request order. *)

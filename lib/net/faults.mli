@@ -9,7 +9,7 @@
     drops, same duplicates, same jitter, same [fault.*] counters.
 
     The plan also configures the reliable transport built on top (see
-    {!Network.send_reliable}): whether retransmission is enabled, the
+    {!Network.send_reliable_call}): whether retransmission is enabled, the
     retry cap, the base retransmission timeout, and the quiescence
     watchdog limit armed on the machine's engine. *)
 
@@ -27,7 +27,7 @@ type t = private {
   jitter : int;  (** extra injection delay, uniform in [\[0, jitter\]] *)
   down : window list;
   retransmit : bool;
-      (** when false, {!Network.send_reliable} degrades to the lossy
+      (** when false, {!Network.send_reliable_call} degrades to the lossy
           fire-and-forget path — lost messages stay lost *)
   max_retries : int;
       (** retransmissions per message before {!Network.Net_unreachable} *)

@@ -34,6 +34,10 @@ type node = {
          holds the block number cached there (-1 = empty); a mismatch adds
          the hw-miss penalty to the access *)
   mutable node_machine : t option; (* back-pointer, set once at creation *)
+  mutable self : node option;
+      (* [Some] of this node, allocated once at creation: what [set_cur]
+         stores in the domain's current-node slot, so installing a node
+         allocates nothing *)
   (* Preallocated effect-handler arms + the scratch slots they read.
      [Effect.Deep.match_with]'s [effc] must return [Some handler] per
      perform; building that pair fresh each time made the effect
@@ -92,64 +96,56 @@ and t = {
       (* preallocated engine-event handler for yield resumption:
          payload = the fiber's continuation, i1 = resume time, i2 = node
          id (see Engine.schedule_call); installed right after creation *)
+  mutable m_recv_h : msg_cell -> int -> int -> unit;
+      (* preallocated network delivery handler for protocol messages:
+         payload = the message cell, i1 = arrival; installed right after
+         creation *)
   mutable trace : Trace.t option;
   m_msg_pool : msg_cell Lcm_util.Pool.t;
-      (* free-list of in-flight protocol-message cells (see [send_call]) *)
+      (* free-list of in-flight protocol-message cells (see [send]) *)
 }
 
-(* One in-flight [send_call] message: the receive-side handler and its
-   payload (an existential pair, same discipline as
-   [Engine.schedule_call]) plus two integer riders.  Cells come from
-   [m_msg_pool] and are released at delivery, so steady-state protocol
-   traffic allocates no per-message record.  [mc_t] is the machine,
-   untyped only to give the pool's [make] a value before any machine
-   exists. *)
+(* One in-flight protocol message: the receive-side handler, its data
+   payload and two integer riders.  Cells come from [m_msg_pool] and are
+   released at delivery, so steady-state protocol traffic allocates no
+   per-message record. *)
 and msg_cell = {
-  mutable mc_t : Obj.t;  (* the machine (t) *)
-  mutable mc_h : Obj.t;  (* 'a -> node -> int -> int -> int -> unit *)
-  mutable mc_p : Obj.t;  (* the 'a payload *)
+  mutable mc_h : handler;
+  mutable mc_data : Lcm_mem.Block.t;
   mutable mc_dst : int;
   mutable mc_b : int;
   mutable mc_x : int;
 }
 
+and handler = Lcm_mem.Block.t -> node -> int -> int -> int -> unit
+
 let no_handler _ = failwith "Machine: no protocol handler registered"
+
+let no_data : Lcm_mem.Block.t = [||]
 
 (* The node whose fiber code is executing on this domain, for the Memeff
    fast-path hooks (see [init_arms]): set immediately before every
    [continue] (and before the initial body in [spawn]), cleared the
    moment the fiber suspends back into a handler arm or returns.  Fiber
    code is sequential between a resume and the next suspension, so the
-   slot is never stale while anything that reads it can run.  Stored as
-   [Obj.t] with a private sentinel so reads and writes never allocate an
-   option block. *)
-let no_cur = Obj.repr "Machine.cur_node: none"
+   slot is never stale while anything that reads it can run.  Each node
+   carries its own preallocated [Some], so reads and writes never
+   allocate. *)
+let cur_node : node option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let cur_node : Obj.t Domain.DLS.key = Domain.DLS.new_key (fun () -> no_cur)
+let[@inline] set_cur n = Domain.DLS.set cur_node n.self
 
-let[@inline] set_cur (n : node) = Domain.DLS.set cur_node (Obj.repr n)
-
-let[@inline] clear_cur () = Domain.DLS.set cur_node no_cur
-
-let unit_obj = Obj.repr ()
+let[@inline] clear_cur () = Domain.DLS.set cur_node None
 
 let dead_msg_h _ _ _ _ _ =
   failwith "Machine: message cell used after release"
 
 let make_msg_cell () =
-  {
-    mc_t = unit_obj;
-    mc_h = Obj.repr dead_msg_h;
-    mc_p = unit_obj;
-    mc_dst = 0;
-    mc_b = 0;
-    mc_x = 0;
-  }
+  { mc_h = dead_msg_h; mc_data = no_data; mc_dst = 0; mc_b = 0; mc_x = 0 }
 
 let poison_msg_cell c =
-  c.mc_t <- unit_obj;
-  c.mc_h <- Obj.repr dead_msg_h;
-  c.mc_p <- unit_obj
+  c.mc_h <- dead_msg_h;
+  c.mc_data <- no_data
 
 let la_slots = 64
 let la_mask = la_slots - 1
@@ -190,6 +186,7 @@ let create ?(costs = Lcm_sim.Costs.default)
             | None -> None);
           hw_cache = Option.map (fun n -> Array.make n (-1)) hw_cache_blocks;
           node_machine = None;
+          self = None;
           sc_addr = 0;
           sc_val = 0;
           sc_rmw = (fun v -> v);
@@ -230,12 +227,17 @@ let create ?(costs = Lcm_sim.Costs.default)
       on_evict = (fun _ _ _ -> no_handler ());
       on_read_hit = None;
       m_yield_h = (fun _ _ _ -> no_handler ());
+      m_recv_h = (fun _ _ _ -> no_handler ());
       trace = None;
       m_msg_pool =
         Lcm_util.Pool.create ~poison:poison_msg_cell ~make:make_msg_cell ();
     }
   in
-  Array.iter (fun n -> n.node_machine <- Some m) nodes;
+  Array.iter
+    (fun n ->
+      n.node_machine <- Some m;
+      n.self <- Some n)
+    nodes;
   m.m_yield_h <-
     (fun k at nid ->
       let n = m.m_nodes.(nid) in
@@ -245,6 +247,25 @@ let create ?(costs = Lcm_sim.Costs.default)
       Lcm_sim.Engine.notify_progress m.m_engine;
       set_cur n;
       Effect.Deep.continue k ());
+  (* Delivery runs on the destination's protocol processor: the message
+     waits for the handler to be free, occupies it, and the receive
+     handler sees the occupancy-completion time.  The cell is recycled
+     before the handler runs, which may send again. *)
+  m.m_recv_h <-
+    (fun c arrival _ ->
+      let dst = c.mc_dst in
+      let dnode = m.m_nodes.(dst) in
+      let start = max arrival dnode.handler_free in
+      let finish = start + m.m_costs.Lcm_sim.Costs.handler_occupancy in
+      dnode.handler_free <- finish;
+      Stats.Handle.incr m.h_handler_runs;
+      (match m.trace with
+      | Some tr -> Trace.emit tr ~time:start (Trace.Handler { node = dst; finish })
+      | None -> ());
+      let h = c.mc_h and data = c.mc_data and b = c.mc_b and x = c.mc_x in
+      poison_msg_cell c;
+      Lcm_util.Pool.release m.m_msg_pool c;
+      h data dnode finish b x);
   m
 
 let engine t = t.m_engine
@@ -475,54 +496,21 @@ let set_handlers t ~read_fault ~write_fault ~directive =
 let set_evict_handler t f = t.on_evict <- f
 let set_read_observer t f = t.on_read_hit <- f
 
-let send t ~src ~dst ~words ~tag ~at k =
-  (* The network layer records Msg_send/Msg_recv; this layer records the
-     protocol-processor occupancy interval the message induces.  Protocol
-     traffic always takes the reliable path: without a fault plan it is
-     the plain send, with one it gets exactly-once in-order delivery, so
-     the protocol handlers never see drops or duplicates. *)
-  Lcm_net.Network.send_reliable t.m_network ~src ~dst ~words ~tag ~at
-    (fun ~arrival ->
-      let dnode = t.m_nodes.(dst) in
-      let start = max arrival dnode.handler_free in
-      let finish = start + t.m_costs.Lcm_sim.Costs.handler_occupancy in
-      dnode.handler_free <- finish;
-      Stats.Handle.incr t.h_handler_runs;
-      trace_emit t ~time:start (Trace.Handler { node = dst; finish });
-      k dnode ~now:finish)
-
-(* [send]'s allocation-free sibling: the receive handler and payload ride
-   a pooled message cell through the network's pooled engine event, so an
-   untraced fault-free protocol message allocates nothing at all.  The
-   cell is recycled at delivery; exactly-once transport (below) is what
-   makes that sound — a fire-and-forget path would leak cells on drops
-   and double-run them on duplicates. *)
-
-let recv_msg_cell (c : msg_cell) arrival _x =
-  let t : t = Obj.obj c.mc_t in
-  let dnode = t.m_nodes.(c.mc_dst) in
-  let start = max arrival dnode.handler_free in
-  let finish = start + t.m_costs.Lcm_sim.Costs.handler_occupancy in
-  dnode.handler_free <- finish;
-  Stats.Handle.incr t.h_handler_runs;
-  trace_emit t ~time:start (Trace.Handler { node = c.mc_dst; finish });
-  let h : Obj.t -> node -> int -> int -> int -> unit = Obj.obj c.mc_h in
-  let p = c.mc_p and b = c.mc_b and x = c.mc_x in
-  poison_msg_cell c;
-  Lcm_util.Pool.release t.m_msg_pool c;
-  h p dnode finish b x
-
-let send_call (type a) t ~src ~dst ~words ~tag ~at
-    (h : a -> node -> int -> int -> int -> unit) (p : a) b x =
+(* The network layer records Msg_send/Msg_recv; the receive handler
+   records the protocol-processor occupancy interval the message induces.
+   Protocol traffic always takes the reliable path: without a fault plan
+   it is the plain send, with one it gets exactly-once in-order delivery,
+   so the protocol handlers never see drops or duplicates — which is also
+   what makes recycling the cell at delivery sound. *)
+let send t ~src ~dst ~words ~tag ~at h data b x =
   let c = Lcm_util.Pool.acquire t.m_msg_pool in
-  c.mc_t <- Obj.repr t;
-  c.mc_h <- Obj.repr h;
-  c.mc_p <- Obj.repr p;
+  c.mc_h <- h;
+  c.mc_data <- data;
   c.mc_dst <- dst;
   c.mc_b <- b;
   c.mc_x <- x;
   Lcm_net.Network.send_reliable_call t.m_network ~src ~dst ~words ~tag ~at
-    recv_msg_cell c 0
+    t.m_recv_h c 0
 
 let resume n ~now ~cost retry =
   (* A fiber coming back to life is semantic progress for the quiescence
@@ -654,10 +642,9 @@ let active_fibers t = t.m_active_fibers
    performs the effect exactly as before. *)
 
 let fast_load_hook addr =
-  let o = Domain.DLS.get cur_node in
-  if o == no_cur then Memeff.fast_miss
-  else
-    let n : node = Obj.obj o in
+  match Domain.DLS.get cur_node with
+  | None -> Memeff.fast_miss
+  | Some n -> (
     match n.node_machine with
     | None -> Memeff.fast_miss
     | Some t -> (
@@ -669,13 +656,12 @@ let fast_load_hook addr =
       | Some line when Tag.readable line.tag ->
         n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.cpu_op;
         hit_load t n b (Lcm_mem.Gmem.offset_in_block t.m_gmem addr) line
-      | Some _ | None -> Memeff.fast_miss)
+      | Some _ | None -> Memeff.fast_miss))
 
 let fast_store_hook addr v =
-  let o = Domain.DLS.get cur_node in
-  if o == no_cur then false
-  else
-    let n : node = Obj.obj o in
+  match Domain.DLS.get cur_node with
+  | None -> false
+  | Some n -> (
     match n.node_machine with
     | None -> false
     | Some t -> (
@@ -688,19 +674,18 @@ let fast_store_hook addr v =
         n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.cpu_op;
         hit_store t n b (Lcm_mem.Gmem.offset_in_block t.m_gmem addr) line v;
         true
-      | Some _ | None -> false)
+      | Some _ | None -> false))
 
 let fast_work_hook units =
-  let o = Domain.DLS.get cur_node in
-  if o == no_cur then false
-  else
-    let n : node = Obj.obj o in
+  match Domain.DLS.get cur_node with
+  | None -> false
+  | Some n -> (
     match n.node_machine with
     | None -> false
     | Some t ->
       n.node_clock <-
         n.node_clock + (units * t.m_costs.Lcm_sim.Costs.compute_unit);
-      true
+      true)
 
 let () =
   Memeff.fast_load := fast_load_hook;

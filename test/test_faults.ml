@@ -5,6 +5,16 @@ open Lcm_net
 module Engine = Lcm_sim.Engine
 module Stats = Lcm_util.Stats
 
+(* The closure form of a send: the continuation rides as the payload of
+   one static delivery handler. *)
+let deliver k arrival _ = k ~arrival
+
+let send net ~src ~dst ~words ?tag ~at k =
+  Network.send_call net ~src ~dst ~words ?tag ~at deliver k 0
+
+let send_reliable net ~src ~dst ~words ?tag ~at k =
+  Network.send_reliable_call net ~src ~dst ~words ?tag ~at deliver k 0
+
 let mk_net ?faults () =
   let engine = Engine.create () in
   let stats = Stats.create () in
@@ -165,6 +175,37 @@ let test_engine_sparse_schedule_is_not_a_stall () =
   Engine.run e;
   Alcotest.(check int) "jumped the gap" 5009 (Engine.now e)
 
+let test_bus_grants_are_progress () =
+  (* A fault-armed machine under MSI whose tail is a long run of FLUSH
+     grants, none of which resumes a fiber: every node writes block A,
+     then block B with room for one line, so each B grant evicts dirty A
+     and queues its writeback behind all other traffic.  The run ends in
+     one FLUSH per node whose A is not homed locally (home lines are
+     never evicted) — far more than the watchdog's event threshold, past
+     a 1-cycle stall limit — so only the bus's own progress marks keep
+     the run alive. *)
+  let module Machine = Lcm_tempest.Machine in
+  let nnodes = 100 in
+  let plan = Faults.make ~stall_limit:1 ~seed:1 () in
+  let m =
+    Machine.create ~faults:plan ~capacity_blocks:1 ~nnodes ~words_per_block:8 ()
+  in
+  ignore (Lcm_core.Proto.install ~policy:Lcm_core.Policy.msi m);
+  let base =
+    Lcm_mem.Gmem.alloc (Machine.gmem m) ~dist:Lcm_mem.Gmem.Interleaved
+      ~nwords:(2 * nnodes * 8)
+  in
+  Array.iter
+    (fun n ->
+      let a = base + (2 * Machine.id n * 8) in
+      Machine.spawn m n (fun () ->
+          Lcm_tempest.Memeff.store a 1;
+          Lcm_tempest.Memeff.store (a + 8) 2))
+    (Machine.nodes m);
+  Machine.run_to_quiescence m;
+  Alcotest.(check bool) "a FLUSH run past the watchdog threshold" true
+    (Stats.get (Machine.stats m) "bus.flush" > 64)
+
 (* ------------------------------------------------------------------ *)
 (* Lossy path: drops are deterministic and counted                     *)
 (* ------------------------------------------------------------------ *)
@@ -173,7 +214,7 @@ let lossy_workload plan =
   let engine, stats, net = mk_net ~faults:plan () in
   let delivered = ref 0 in
   for i = 0 to 99 do
-    Network.send net ~src:(i mod 3) ~dst:3 ~words:4 ~tag:"w" ~at:(i * 7)
+    send net ~src:(i mod 3) ~dst:3 ~words:4 ~tag:"w" ~at:(i * 7)
       (fun ~arrival:_ -> incr delivered)
   done;
   Engine.run engine;
@@ -204,7 +245,7 @@ let test_link_down_blackholes () =
   in
   let engine, stats, net = mk_net ~faults:plan () in
   let delivered = ref 0 in
-  Network.send net ~src:0 ~dst:1 ~words:4 ~tag:"w" ~at:0 (fun ~arrival:_ ->
+  send net ~src:0 ~dst:1 ~words:4 ~tag:"w" ~at:0 (fun ~arrival:_ ->
       incr delivered);
   Engine.run engine;
   Alcotest.(check int) "nothing delivered" 0 !delivered;
@@ -218,7 +259,7 @@ let test_link_down_blackholes () =
 let test_reliable_without_plan_is_plain_send () =
   let engine, stats, net = mk_net () in
   let arrived = ref (-1) in
-  Network.send_reliable net ~src:0 ~dst:1 ~words:8 ~tag:"t" ~at:100
+  send_reliable net ~src:0 ~dst:1 ~words:8 ~tag:"t" ~at:100
     (fun ~arrival -> arrived := arrival);
   Engine.run engine;
   Alcotest.(check int) "same arrival as send"
@@ -270,7 +311,7 @@ let test_reliable_exactly_once_under_drops () =
   let order = Hashtbl.create 8 in
   for i = 0 to n - 1 do
     let src = i mod 3 in
-    Network.send_reliable net ~src ~dst:3 ~words:4 ~tag:"w" ~at:(i * 3)
+    send_reliable net ~src ~dst:3 ~words:4 ~tag:"w" ~at:(i * 3)
       (fun ~arrival:_ ->
         counts.(i) <- counts.(i) + 1;
         let prev = Option.value (Hashtbl.find_opt order src) ~default:[] in
@@ -304,7 +345,7 @@ let test_reliable_rides_out_link_flap () =
   in
   let engine, stats, net = mk_net ~faults:plan () in
   let arrived = ref (-1) in
-  Network.send_reliable net ~src:0 ~dst:1 ~words:4 ~tag:"w" ~at:0
+  send_reliable net ~src:0 ~dst:1 ~words:4 ~tag:"w" ~at:0
     (fun ~arrival -> arrived := arrival);
   Engine.run engine;
   Alcotest.(check bool) "delivered after the window" true (!arrived >= 400);
@@ -316,7 +357,7 @@ let test_reliable_rides_out_link_flap () =
 let test_reliable_unreachable_after_retry_cap () =
   let plan = Faults.make ~drop:1.0 ~rto:8 ~max_retries:3 ~seed:1 () in
   let engine, stats, net = mk_net ~faults:plan () in
-  Network.send_reliable net ~src:0 ~dst:1 ~words:4 ~tag:"req" ~at:0
+  send_reliable net ~src:0 ~dst:1 ~words:4 ~tag:"req" ~at:0
     (fun ~arrival:_ -> Alcotest.fail "must never deliver");
   (try
      Engine.run engine;
@@ -355,7 +396,7 @@ let prop_reliable_exactly_once =
         List.iteri
           (fun i (src, doff, words) ->
             let dst = (src + 1 + doff) mod 4 in
-            Network.send_reliable net ~src ~dst ~words ~tag:"p" ~at:(i * 2)
+            send_reliable net ~src ~dst ~words ~tag:"p" ~at:(i * 2)
               (fun ~arrival:_ ->
                 counts.(i) <- counts.(i) + 1;
                 let chan = (src, dst) in
@@ -465,6 +506,7 @@ let () =
           ("engine stall watchdog", `Quick, test_engine_stall_watchdog);
           ("sparse schedule is not a stall", `Quick,
            test_engine_sparse_schedule_is_not_a_stall);
+          ("bus grants are progress", `Quick, test_bus_grants_are_progress);
         ] );
       ( "lossy",
         [

@@ -52,6 +52,13 @@ let test_topology_roundtrip () =
         (Topology.of_string (Topology.to_string t) = Ok t))
     [ Topology.Crossbar; Mesh2d { cols = 8 }; Fat_tree { arity = 4 } ]
 
+(* The closure form of a send: the continuation rides as the payload of
+   one static delivery handler. *)
+let deliver k arrival _ = k ~arrival
+
+let send net ~src ~dst ~words ?tag ~at k =
+  Network.send_call net ~src ~dst ~words ?tag ~at deliver k 0
+
 let mk_net () =
   let engine = Lcm_sim.Engine.create () in
   let stats = Lcm_util.Stats.create () in
@@ -72,7 +79,7 @@ let test_network_latency_model () =
 let test_network_delivery () =
   let engine, stats, net = mk_net () in
   let arrived = ref (-1) in
-  Network.send net ~src:0 ~dst:1 ~words:8 ~tag:"t" ~at:100 (fun ~arrival ->
+  send net ~src:0 ~dst:1 ~words:8 ~tag:"t" ~at:100 (fun ~arrival ->
       arrived := arrival);
   Lcm_sim.Engine.run engine;
   Alcotest.(check int) "arrival time" (100 + Network.latency net ~src:0 ~dst:1 ~words:8)
@@ -85,9 +92,9 @@ let test_network_fifo_per_channel () =
   let engine, _, net = mk_net () in
   let log = ref [] in
   (* Second message is smaller (lower latency) but must not overtake. *)
-  Network.send net ~src:0 ~dst:1 ~words:32 ~tag:"big" ~at:0 (fun ~arrival:_ ->
+  send net ~src:0 ~dst:1 ~words:32 ~tag:"big" ~at:0 (fun ~arrival:_ ->
       log := "big" :: !log);
-  Network.send net ~src:0 ~dst:1 ~words:1 ~tag:"small" ~at:1 (fun ~arrival:_ ->
+  send net ~src:0 ~dst:1 ~words:1 ~tag:"small" ~at:1 (fun ~arrival:_ ->
       log := "small" :: !log);
   Lcm_sim.Engine.run engine;
   Alcotest.(check (list string)) "fifo" [ "big"; "small" ] (List.rev !log)
@@ -95,9 +102,9 @@ let test_network_fifo_per_channel () =
 let test_network_distinct_channels_independent () =
   let engine, _, net = mk_net () in
   let log = ref [] in
-  Network.send net ~src:0 ~dst:1 ~words:32 ~tag:"slow" ~at:0 (fun ~arrival:_ ->
+  send net ~src:0 ~dst:1 ~words:32 ~tag:"slow" ~at:0 (fun ~arrival:_ ->
       log := "slow" :: !log);
-  Network.send net ~src:2 ~dst:3 ~words:1 ~tag:"fast" ~at:0 (fun ~arrival:_ ->
+  send net ~src:2 ~dst:3 ~words:1 ~tag:"fast" ~at:0 (fun ~arrival:_ ->
       log := "fast" :: !log);
   Lcm_sim.Engine.run engine;
   Alcotest.(check (list string)) "no cross-channel ordering" [ "fast"; "slow" ]
@@ -106,22 +113,47 @@ let test_network_distinct_channels_independent () =
 let test_network_bad_node () =
   let _, _, net = mk_net () in
   Alcotest.check_raises "dst range" (Invalid_argument "Network.send: dst out of range")
-    (fun () -> Network.send net ~src:0 ~dst:4 ~words:1 ~at:0 (fun ~arrival:_ -> ()))
+    (fun () -> send net ~src:0 ~dst:4 ~words:1 ~at:0 (fun ~arrival:_ -> ()))
 
 let test_network_rejects_nonpositive_words () =
   let _, _, net = mk_net () in
   Alcotest.check_raises "zero words"
     (Invalid_argument "Network.send: words must be positive") (fun () ->
-      Network.send net ~src:0 ~dst:1 ~words:0 ~at:0 (fun ~arrival:_ -> ()));
+      send net ~src:0 ~dst:1 ~words:0 ~at:0 (fun ~arrival:_ -> ()));
   Alcotest.check_raises "negative words"
     (Invalid_argument "Network.send: words must be positive") (fun () ->
-      Network.send net ~src:0 ~dst:1 ~words:(-3) ~at:0 (fun ~arrival:_ -> ()))
+      send net ~src:0 ~dst:1 ~words:(-3) ~at:0 (fun ~arrival:_ -> ()))
 
 let test_network_rejects_negative_at () =
   let _, _, net = mk_net () in
   Alcotest.check_raises "negative at"
     (Invalid_argument "Network.send: at must be >= 0") (fun () ->
-      Network.send net ~src:0 ~dst:1 ~words:1 ~at:(-1) (fun ~arrival:_ -> ()))
+      send net ~src:0 ~dst:1 ~words:1 ~at:(-1) (fun ~arrival:_ -> ()))
+
+let test_network_node_bound () =
+  (* the reliable transport's reorder key packs the channel into 20 bits,
+     so node counts past 1024 would alias channels: rejected up front *)
+  let create nnodes () =
+    ignore
+      (Network.create ~engine:(Lcm_sim.Engine.create ())
+         ~costs:Lcm_sim.Costs.default ~stats:(Lcm_util.Stats.create ())
+         ~topology:Topology.Crossbar ~nnodes ())
+  in
+  let rejects nnodes =
+    Alcotest.check_raises (Printf.sprintf "nnodes=%d" nnodes)
+      (Invalid_argument
+         (Printf.sprintf
+            "Network.create: nnodes=%d outside [1, 1024] (the reliable \
+             transport's reorder key packs the channel into 20 bits)"
+            nnodes))
+      (create nnodes)
+  in
+  rejects 0;
+  rejects 1025;
+  rejects 4096;
+  Alcotest.(check int) "bound" 1024 Network.max_nodes;
+  create 1 ();
+  create Network.max_nodes ()
 
 let test_network_loopback_semantics () =
   (* src = dst: delivered at [at + msg_fixed], counted, but no channel
@@ -130,9 +162,9 @@ let test_network_loopback_semantics () =
   let engine, stats, net = mk_net () in
   let c = Lcm_sim.Costs.default in
   let arrivals = ref [] in
-  Network.send net ~src:2 ~dst:2 ~words:8 ~tag:"self" ~at:100 (fun ~arrival ->
+  send net ~src:2 ~dst:2 ~words:8 ~tag:"self" ~at:100 (fun ~arrival ->
       arrivals := ("a", arrival) :: !arrivals);
-  Network.send net ~src:2 ~dst:2 ~words:8 ~tag:"self" ~at:100 (fun ~arrival ->
+  send net ~src:2 ~dst:2 ~words:8 ~tag:"self" ~at:100 (fun ~arrival ->
       arrivals := ("b", arrival) :: !arrivals);
   Lcm_sim.Engine.run engine;
   let fixed = c.Lcm_sim.Costs.msg_fixed in
@@ -151,7 +183,7 @@ let test_network_clamps_to_engine_now () =
   let engine, _, net = mk_net () in
   Lcm_sim.Engine.schedule engine ~at:10_000 (fun () ->
       (* a handler reacting to an old message sends "in the past" *)
-      Network.send net ~src:0 ~dst:1 ~words:1 ~tag:"late" ~at:0 (fun ~arrival ->
+      send net ~src:0 ~dst:1 ~words:1 ~tag:"late" ~at:0 (fun ~arrival ->
           Alcotest.(check bool) "not before now" true (arrival >= 10_000)));
   Lcm_sim.Engine.run engine
 
@@ -160,9 +192,9 @@ let test_network_bandwidth_serializes () =
      the first message's transmission time later, not a fixed 1 cycle. *)
   let engine, _, net = mk_net () in
   let arrivals = ref [] in
-  Network.send net ~src:0 ~dst:1 ~words:8 ~tag:"a" ~at:0 (fun ~arrival ->
+  send net ~src:0 ~dst:1 ~words:8 ~tag:"a" ~at:0 (fun ~arrival ->
       arrivals := arrival :: !arrivals);
-  Network.send net ~src:0 ~dst:1 ~words:8 ~tag:"b" ~at:0 (fun ~arrival ->
+  send net ~src:0 ~dst:1 ~words:8 ~tag:"b" ~at:0 (fun ~arrival ->
       arrivals := arrival :: !arrivals);
   Lcm_sim.Engine.run engine;
   match List.rev !arrivals with
@@ -194,7 +226,7 @@ let prop_network_channel_occupancy =
         (fun (src, doff, words) ->
           (* loopback channels have no occupancy; keep src <> dst *)
           let dst = (src + 1 + doff) mod 4 in
-          Network.send net ~src ~dst ~words ~tag:"p" ~at:0 (fun ~arrival ->
+          send net ~src ~dst ~words ~tag:"p" ~at:0 (fun ~arrival ->
               let chan = (src, dst) in
               let prev = Option.value (Hashtbl.find_opt log chan) ~default:[] in
               Hashtbl.replace log chan ((arrival, words) :: prev)))
@@ -226,7 +258,7 @@ let prop_network_delivers_everything_fifo =
       let delivered = Hashtbl.create 16 in
       List.iteri
         (fun seq (src, dst, words) ->
-          Network.send net ~src ~dst ~words ~tag:"p" ~at:0 (fun ~arrival:_ ->
+          send net ~src ~dst ~words ~tag:"p" ~at:0 (fun ~arrival:_ ->
               let chan = (src, dst) in
               let prev = Option.value (Hashtbl.find_opt delivered chan) ~default:[] in
               Hashtbl.replace delivered chan (seq :: prev)))
@@ -254,9 +286,9 @@ let test_network_stall_sample_and_send_stamp () =
   let tr = Lcm_sim.Trace.create ~capacity:16 in
   Network.set_trace net (Some tr);
   let arrivals = ref [] in
-  Network.send net ~src:0 ~dst:1 ~words:8 ~tag:"a" ~at:0 (fun ~arrival ->
+  send net ~src:0 ~dst:1 ~words:8 ~tag:"a" ~at:0 (fun ~arrival ->
       arrivals := arrival :: !arrivals);
-  Network.send net ~src:0 ~dst:1 ~words:8 ~tag:"b" ~at:0 (fun ~arrival ->
+  send net ~src:0 ~dst:1 ~words:8 ~tag:"b" ~at:0 (fun ~arrival ->
       arrivals := arrival :: !arrivals);
   Lcm_sim.Engine.run engine;
   let lat = Network.latency net ~src:0 ~dst:1 ~words:8 in
@@ -377,6 +409,7 @@ let () =
           ("rejects nonpositive words", `Quick,
            test_network_rejects_nonpositive_words);
           ("rejects negative at", `Quick, test_network_rejects_negative_at);
+          ("rejects node counts past 1024", `Quick, test_network_node_bound);
           ("loopback semantics", `Quick, test_network_loopback_semantics);
           ("clamps to now", `Quick, test_network_clamps_to_engine_now);
           ("stall sample and send stamp", `Quick,

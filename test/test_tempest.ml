@@ -14,6 +14,12 @@ let test_tag_permissions () =
   Alcotest.(check bool) "lcm writable" true (Tag.writable Tag.Lcm_modified);
   Alcotest.(check string) "pp" "ReadOnly" (Tag.to_string Tag.Read_only)
 
+(* The closure form of a protocol send: [k dnode ~now] on arrival. *)
+let send m ~src ~dst ~words ~tag ~at k =
+  Machine.send m ~src ~dst ~words ~tag ~at
+    (fun _ dnode now _ _ -> k dnode ~now)
+    Machine.no_data 0 0
+
 (* A minimal protocol: requester sends a request to home, home replies with a
    copy of the master, requester installs it writable and retries.  Writes
    are never sent home — the test protocol is incoherent on purpose. *)
@@ -24,10 +30,10 @@ let install_test_protocol m =
     let b = Lcm_mem.Gmem.block_of_addr gmem addr in
     let home = Lcm_mem.Gmem.home_of_block gmem b in
     let src = Machine.id node in
-    Machine.send m ~src ~dst:home ~words:1 ~tag:"req" ~at:(Machine.clock node)
+    send m ~src ~dst:home ~words:1 ~tag:"req" ~at:(Machine.clock node)
       (fun _home_node ~now ->
         let data = Lcm_mem.Block.copy (Machine.master m b) in
-        Machine.send m ~src:home ~dst:src
+        send m ~src:home ~dst:src
           ~words:(Lcm_mem.Gmem.words_per_block gmem)
           ~tag:"rep" ~at:now
           (fun requester ~now ->
@@ -316,9 +322,9 @@ let test_handler_occupancy_serializes () =
      completion time reflects the first's occupancy *)
   let m = mk () in
   let times = ref [] in
-  Machine.send m ~src:0 ~dst:2 ~words:1 ~tag:"a" ~at:0 (fun _ ~now ->
+  send m ~src:0 ~dst:2 ~words:1 ~tag:"a" ~at:0 (fun _ ~now ->
       times := now :: !times);
-  Machine.send m ~src:1 ~dst:2 ~words:1 ~tag:"b" ~at:0 (fun _ ~now ->
+  send m ~src:1 ~dst:2 ~words:1 ~tag:"b" ~at:0 (fun _ ~now ->
       times := now :: !times);
   Machine.run_to_quiescence m;
   match List.rev !times with
