@@ -50,10 +50,16 @@ val create : ?hint:int -> unit -> t
 val now : t -> int
 (** Current simulated time, in cycles. *)
 
-val schedule : t -> ?owner:int -> at:int -> (unit -> unit) -> unit
-(** [schedule e ?owner ~at f] runs [f] when the clock reaches [at].  The
-    event record itself is pooled; the closure [f] is the caller's own
-    allocation — hot paths that want to avoid it use {!schedule_call}.
+val schedule_call :
+  t -> ?owner:int -> at:int -> ('a -> int -> int -> unit) -> 'a -> int -> int
+  -> unit
+(** [schedule_call e ?owner ~at h p i1 i2] runs [h p i1 i2] when the
+    clock reaches [at].  This is the engine's one event form: every event
+    is a pooled record carrying a handler, its payload [p] and two
+    unboxed ints (an arrival time, a node id).  [h] is meant to be a
+    {e preallocated} handler (one closure per network / machine /
+    protocol instance, not per event); nothing is then allocated per
+    call.
     [owner] is an ownership hint: the simulated node the event belongs to
     (a message's destination, a timer's node).  It never affects execution
     order; a choice hook (see {!set_choice_hook}) receives it as the
@@ -61,17 +67,12 @@ val schedule : t -> ?owner:int -> at:int -> (unit -> unit) -> unit
     to tell independent events apart.
     @raise Invalid_argument if [at] is in the past. *)
 
-val schedule_call :
-  t -> ?owner:int -> at:int -> ('a -> int -> int -> unit) -> 'a -> int -> int
-  -> unit
-(** [schedule_call e ?owner ~at h p i1 i2] runs [h p i1 i2] when the
-    clock reaches [at] — the allocation-free scheduling path.  [h] is
-    meant to be a {e preallocated} handler (one closure per network /
-    machine, not per event); [p] is its payload and [i1]/[i2] ride in
-    unboxed int slots (an arrival time, a node id).  With a pooled
-    event record carrying all four, nothing is allocated per call.
-    [owner] is the ownership hint of {!schedule}.  Ordering, budgets and
-    watchdog semantics are identical to {!schedule}.
+val schedule : t -> ?owner:int -> at:int -> (unit -> unit) -> unit
+(** [schedule e ?owner ~at f] runs [f ()] when the clock reaches [at]:
+    {!schedule_call} with a fixed handler that applies its payload, so a
+    closure event is the same pooled record and follows the same ordering,
+    budget and watchdog rules.  The closure [f] is the caller's own
+    allocation — cold paths (timers, tests) only.
     @raise Invalid_argument if [at] is in the past. *)
 
 val after : t -> delay:int -> (unit -> unit) -> unit
