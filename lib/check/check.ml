@@ -39,8 +39,6 @@
 
 module Stress = Lcm_harness.Stress
 module Machine = Lcm_tempest.Machine
-module Memeff = Lcm_tempest.Memeff
-module Proto = Lcm_core.Proto
 module Policy = Lcm_core.Policy
 module Barrier = Lcm_core.Barrier
 module Reduction = Lcm_core.Reduction
@@ -244,46 +242,13 @@ let on_fault ctl ~src:_ ~dst:_ ~tag:_ =
 (* Executing one schedule of one configuration                         *)
 (* ------------------------------------------------------------------ *)
 
-exception Check_failure of string list
-
-let event_limit = 500_000
-
-let exec_ops prog base mism si nid ops expected () =
-  List.iter2
-    (fun (op : Stress.op) exp ->
-      match op with
-      | Load w -> (
-        let got = Memeff.load (base + w) in
-        match exp with
-        | Some want when got <> want ->
-          mism :=
-            Printf.sprintf
-              "segment %d node %d: load of word %d saw %d, spec expects %d"
-              si nid w got want
-            :: !mism
-        | Some _ | None -> ())
-      | Store (w, v) -> Memeff.store (base + w) v
-      | Rmw (w, k) -> ignore (Memeff.rmw (base + w) (fun x -> x + k))
-      | Accum (w, k) -> (
-        match List.assoc_opt (w / prog.Stress.words_per_block) prog.reductions with
-        | Some rop ->
-          ignore (Memeff.rmw (base + w) (fun x -> rop.Reduction.apply x k))
-        | None ->
-          failwith
-            (Printf.sprintf "Check: accum targets word %d outside every \
-                             registered reduction region" w))
-      | Mark w -> Memeff.directive (Memeff.Mark_modification (base + w))
-      | Flush -> Memeff.directive Memeff.Flush_copies
-      | Work n -> Memeff.work n
-      | Yield -> Memeff.yield ())
-    ops expected
-
-(* Run one schedule of [prog] under the controller, checking every load
-   against the spec's prediction, every post-segment word against the
-   spec's state, and the protocol invariants after every segment.
-   [expect] is [Spec.run prog], computed once per configuration. *)
+(* Run one schedule of [prog] under the controller through the stress
+   harness's runner: every load against the spec's prediction, every
+   post-segment word against the spec's state, and the protocol
+   invariants after every segment.  [expect] is [Stress.spec prog],
+   computed once per configuration.  [Diverged] from the hooks is not a
+   verdict and propagates. *)
 let run_prog ?(trace = false) (prog : Stress.prog) ~expect ~ctl =
-  let nwords = prog.nblocks * prog.words_per_block in
   let faults =
     if ctl.faulty then
       (* zero-probability plan: the RSM rides the reliable envelope
@@ -292,84 +257,14 @@ let run_prog ?(trace = false) (prog : Stress.prog) ~expect ~ctl =
       Some (Faults.make ~seed:0 ())
     else None
   in
-  let m =
-    Machine.create ?capacity_blocks:prog.capacity_blocks
-      ?hw_cache_blocks:prog.hw_cache_blocks ?faults
-      ~nnodes:prog.nnodes ~words_per_block:prog.words_per_block
-      ~topology:prog.topology ~seed:17 ()
-  in
+  let m = Stress.machine ?faults prog in
   if trace then Machine.enable_trace ~capacity:8192 m;
   Engine.set_choice_hook (Machine.engine m) (Some (fun c -> on_tie ctl c));
   if ctl.faulty then
     Network.set_fault_chooser (Machine.network m)
       (Some (fun ~src ~dst ~tag -> on_fault ctl ~src ~dst ~tag));
   let verdict =
-    try
-      let p = Proto.install ~barrier:prog.barrier ~policy:prog.policy m in
-      let base = Gmem.alloc (Machine.gmem m) ~dist:prog.dist ~nwords in
-      List.iter
-        (fun (bi, rop) ->
-          Proto.register_reduction p
-            ~base:(base + (bi * prog.words_per_block))
-            ~nwords:prog.words_per_block rop)
-        prog.reductions;
-      List.iter (fun (w, v) -> Proto.poke p (base + w) v) prog.init;
-      let mism = ref [] in
-      let run_segment si expected ops =
-        Array.iteri
-          (fun nid opl ->
-            Machine.spawn m (Machine.node m nid)
-              (exec_ops prog base mism si nid opl expected.(nid)))
-          ops;
-        Machine.run_to_quiescence ~limit:event_limit m
-      in
-      let check_words si golden =
-        for w = 0 to nwords - 1 do
-          let got = Proto.peek p (base + w) in
-          if got <> golden.(w) then
-            mism :=
-              Printf.sprintf "segment %d: word %d is %d, spec expects %d" si w
-                got golden.(w)
-              :: !mism
-        done
-      in
-      let check_invariants si =
-        match Proto.check_invariants p with
-        | Ok () -> ()
-        | Error msgs ->
-          mism :=
-            List.map (Printf.sprintf "segment %d: invariant: %s" si) msgs
-            @ !mism
-      in
-      List.iteri
-        (fun si seg ->
-          let expected, want = List.nth expect si in
-          (match (seg : Stress.segment) with
-          | Sequential ops ->
-            run_segment si expected ops;
-            check_words si want
-          | Parallel ops ->
-            Proto.begin_parallel p;
-            run_segment si expected ops;
-            Proto.reconcile p;
-            check_words si want);
-          check_invariants si;
-          if !mism <> [] then raise (Check_failure (List.rev !mism)))
-        prog.segments;
-      Pass
-    with
-    | Check_failure msgs -> Fail (String.concat "\n" msgs)
-    | Failure msg -> Fail ("exception: " ^ msg)
-    | Invalid_argument msg -> Fail ("invalid argument: " ^ msg)
-    | Engine.Stalled { clock; pending } ->
-      Fail
-        (Printf.sprintf
-           "stalled: no delivery progress at clock %d (%d pending)" clock
-           pending)
-    | Network.Net_unreachable { src; dst; tag; attempts } ->
-      Fail
-        (Printf.sprintf "net unreachable: %s %d->%d gave up after %d attempts"
-           tag src dst attempts)
+    match Stress.run_on m ~expect prog with Ok () -> Pass | Error e -> Fail e
   in
   (verdict, if trace then Machine.trace_events m else [])
 
@@ -416,7 +311,7 @@ let schedule_of_string s =
 let explore ?(label = "config") ?(max_schedules = 20_000) ?(fault_budget = 0)
     ?(dup = false) ?(reduce = true) ?stats (prog : Stress.prog) =
   let st = match stats with Some s -> s | None -> fresh_stats () in
-  let expect = Spec.run prog in
+  let expect = Stress.spec prog in
   (* DFS over forced prefixes: each stack entry is (prefix, sleep seed).
      A run's choice points past its prefix length contribute their
      unexplored alternatives; a prefix is pushed exactly once, so the
@@ -503,7 +398,7 @@ let replay ?(trace = false) ?(fault_budget = 0) ?(dup = false) ~schedule prog =
       ~forced:(Array.of_list schedule)
       ~seed_sleep:[] ~fault_budget ~dup ~reduce:true ~stats:(fresh_stats ())
   in
-  let expect = Spec.run prog in
+  let expect = Stress.spec prog in
   match run_prog ~trace prog ~expect ~ctl with
   | verdict, events -> (verdict, events)
   | exception Diverged -> (Fail "replay diverged: stale schedule", [])

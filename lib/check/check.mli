@@ -10,10 +10,12 @@
     the FIFO default beyond it), pruned by DPOR-style partial-order
     reduction — a persistent-set heuristic plus sleep sets, both keyed on
     the events' node-ownership footprint.  Every explored schedule drives
-    the {e real} stack (machine, network, protocol, barriers) and is
-    checked against the {!Spec} abstract-state-machine oracle plus
-    {!Lcm_core.Proto.check_invariants}; a violating schedule is a list of
-    choice indices that replays deterministically.
+    the {e real} stack (machine, network, protocol, barriers) through the
+    stress harness's runner, {!Lcm_harness.Stress.run_on}, and is checked
+    against the same abstract-state-machine spec,
+    {!Lcm_harness.Stress.spec}, plus {!Lcm_core.Proto.check_invariants};
+    a violating schedule is a list of choice indices that replays
+    deterministically.
 
     See DESIGN.md § "Small-scope model checking" for the soundness
     argument and the bounds. *)
@@ -122,7 +124,7 @@ val scenarios :
     cross-block write exchange, reduction merge, sequential-then-parallel
     handoff, mid-phase flush, capacity eviction, three-node sharing.
     Every scenario respects the stress harness's well-formedness
-    contract, so the {!Spec} oracle applies. *)
+    contract, so {!Lcm_harness.Stress.spec} applies. *)
 
 val gen_micro :
   seed:int -> case:int -> policy:Lcm_core.Policy.t -> Lcm_harness.Stress.prog

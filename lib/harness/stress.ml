@@ -1,8 +1,8 @@
 (* Differential stress harness: seeded random programs executed against
    the full simulated protocol stack (machine + network + RSM engine) and
-   checked word-for-word against a network-free golden model of the
-   paper's per-epoch semantics.  See the .mli for the model's contract
-   and the limits of load-value checking. *)
+   checked word-for-word against a network-free spec of the paper's
+   per-epoch semantics.  See the .mli for the spec's contract and the
+   limits of load-value checking. *)
 
 module Machine = Lcm_tempest.Machine
 module Memeff = Lcm_tempest.Memeff
@@ -102,11 +102,42 @@ let pp_prog ppf p =
     p.segments
 
 (* ------------------------------------------------------------------ *)
-(* The golden reference model                                          *)
+(* The spec: an abstract state machine of the per-epoch semantics      *)
 (* ------------------------------------------------------------------ *)
 
-(* Which nodes write each word in a segment (used to decide which load
-   values are deterministic under coherent (Stache) semantics). *)
+(* In the style of Schewe et al.'s concurrent-ASM specification of
+   shared replicated memory: explicit agents, each with a private
+   copy-on-write view, stepped one rule application at a time by a
+   round-robin scheduler, with a merge rule at flush/reconcile.  For
+   well-formed programs (see the .mli preamble) the observations and the
+   post-segment state do not depend on the agent interleaving, so any
+   one interleaving computes the verdict. *)
+
+let reduction_of prog w =
+  match red_of prog w with
+  | Some rop -> rop
+  | None ->
+    failwith
+      (Printf.sprintf
+         "Stress: accum targets word %d outside every registered reduction \
+          region"
+         w)
+
+(* One ASM agent: its remaining program, private view and dirty set
+   (parallel phases only), and the observation it records per executed
+   op — [Some v] where the spec predicts the loaded value, [None] where
+   the value is schedule-dependent and unchecked. *)
+type agent = {
+  nid : int;
+  mutable todo : op list;
+  priv : (int, int) Hashtbl.t;
+  dirty : (int, unit) Hashtbl.t;
+  mutable obs : int option list;  (* reversed *)
+}
+
+(* Which agents write each word in this segment — the coherent-policy
+   predictability rule needs it: a load is only schedule-independent
+   when no *other* agent writes the word. *)
 let writers_of nwords ops =
   let writers = Array.make nwords [] in
   Array.iteri
@@ -121,134 +152,128 @@ let writers_of nwords ops =
     ops;
   writers
 
-(* Sequential segments: every node touches only its own word partition, so
-   the final state is the per-word program-order result regardless of the
-   interleaving the simulator chooses.  Mutates [master] to the post-state
-   and returns, per node, the value each load must observe (coherence
-   guarantees the latest value of a word only this node writes). *)
-let golden_sequential master ops =
-  Array.map
-    (fun opl ->
-      List.map
-        (fun op ->
-          match op with
-          | Load w -> Some master.(w)
-          | Store (w, v) ->
-            master.(w) <- v;
-            None
-          | Rmw (w, k) ->
-            master.(w) <- master.(w) + k;
-            None
-          | Accum _ | Mark _ | Flush | Work _ | Yield -> None)
-        opl)
+let agents_of ops =
+  Array.mapi
+    (fun nid opl ->
+      { nid; todo = opl; priv = Hashtbl.create 8; dirty = Hashtbl.create 8;
+        obs = [] })
     ops
 
-(* Parallel phases: the paper's per-epoch semantics.  Each node's writes
-   land in a private copy whose baseline is the phase-start master; reads
-   see the private copy for words this node wrote, the phase-start value
-   otherwise.  [Flush] (and the implicit flush at reconcile) merges the
-   private dirty words into the pending copy: last-writer for plain words
-   (the generator guarantees a unique writer), the registered reduction
-   operator for reduction words.  Returns (expected load values, pending):
-   the caller promotes [pending] to the new master after the reconcile.
+(* Round-robin small-step driver: fire one rule of each live agent in
+   turn until all programs are exhausted, recording the observation each
+   rule returns; the result is every agent's observations in program
+   order. *)
+let drive agents step =
+  let live = ref true in
+  while !live do
+    live := false;
+    Array.iter
+      (fun a ->
+        match a.todo with
+        | [] -> ()
+        | op :: rest ->
+          a.todo <- rest;
+          a.obs <- step a op :: a.obs;
+          if a.todo <> [] then live := true)
+      agents
+  done;
+  Array.map (fun a -> List.rev a.obs) agents
+
+(* Sequential rule set: ordinary coherent memory.  Each agent owns a
+   disjoint word partition, so reads and writes go straight to the
+   master state and every load is predicted.  Accum outside a parallel
+   phase is outside the generation contract: no prediction, no state
+   change. *)
+let spec_sequential master ops =
+  drive (agents_of ops) (fun _ op ->
+      match op with
+      | Load w -> Some master.(w)
+      | Store (w, v) ->
+        master.(w) <- v;
+        None
+      | Rmw (w, k) ->
+        master.(w) <- master.(w) + k;
+        None
+      | Accum _ | Mark _ | Flush | Work _ | Yield -> None)
+
+(* Parallel rule set: the paper's per-epoch semantics.  [master] is the
+   immutable phase-start state; each agent's writes land in its private
+   copy; FLUSH merges the dirty words into [pending] — last-writer for
+   plain words (unique writer by well-formedness), the registered
+   reduction operator against the phase-start clean value for reduction
+   words.  The implicit flush at the phase end is the reconcile; the
+   caller promotes [pending] to the new master.
 
    Load values are only predicted where they are schedule-independent:
-   under LCM with unbounded capacity every load sees either the private
-   copy or the phase-start master; a mid-phase capacity eviction silently
-   resets a node's private view, so with bounded capacity load values are
-   unchecked (the final merged state is still checked — flush order per
-   word is FIFO per channel, so the last store wins regardless of interim
-   evictions).  Under Stache, parallel loads are coherent and only
-   deterministic for words no other node writes. *)
-let golden_parallel prog master ops =
+   under LCM every load sees the private copy or the phase-start value,
+   unless capacity is bounded — a mid-phase eviction resets a node's
+   private view at a schedule-dependent point (the merged state is still
+   predicted: flush order per word is FIFO per channel, so the last store
+   wins regardless of interim evictions).  Under a coherent policy only
+   words no other agent writes are predictable. *)
+let spec_parallel prog master ops =
   let nwords = Array.length master in
   let pending = Array.copy master in
   let lcm = Policy.is_lcm prog.policy in
   let writers = writers_of nwords ops in
-  let expected =
-    Array.mapi
-      (fun nid opl ->
-        let priv = Hashtbl.create 8 in
-        let dirty = Hashtbl.create 8 in
-        let view w =
-          match Hashtbl.find_opt priv w with Some v -> v | None -> master.(w)
-        in
-        let flush () =
-          Hashtbl.iter
-            (fun w () ->
-              let v = view w in
-              match red_of prog w with
-              | Some rop ->
-                pending.(w) <-
-                  rop.Reduction.combine ~clean:master.(w) ~current:pending.(w)
-                    ~incoming:v
-              | None -> pending.(w) <- v)
-            dirty;
-          Hashtbl.reset dirty;
-          (* Under LCM a flush returns the modified copies to their homes:
-             the next read refetches the clean phase-start version, so the
-             private view resets.  Under a coherent policy a flush is only
-             a writeback — the writer keeps observing its own stores. *)
-          if lcm then Hashtbl.reset priv
-        in
-        let checkable w =
-          if lcm then prog.capacity_blocks = None
-          else match writers.(w) with [] -> true | [ n ] -> n = nid | _ -> false
-        in
-        let exp =
-          List.map
-            (fun op ->
-              match op with
-              | Load w -> if checkable w then Some (view w) else None
-              | Store (w, v) ->
-                Hashtbl.replace priv w v;
-                Hashtbl.replace dirty w ();
-                None
-              | Rmw (w, k) ->
-                Hashtbl.replace priv w (view w + k);
-                Hashtbl.replace dirty w ();
-                None
-              | Accum (w, k) -> (
-                match red_of prog w with
-                | Some rop ->
-                  Hashtbl.replace priv w (rop.Reduction.apply (view w) k);
-                  Hashtbl.replace dirty w ();
-                  None
-                | None ->
-                  failwith
-                    (Printf.sprintf
-                       "Stress: accum targets word %d outside every \
-                        registered reduction region"
-                       w))
-              | Flush ->
-                flush ();
-                None
-              | Mark _ | Work _ | Yield -> None)
-            opl
-        in
-        flush ();
-        exp)
-      ops
+  let agents = agents_of ops in
+  let view a w =
+    match Hashtbl.find_opt a.priv w with Some v -> v | None -> master.(w)
   in
+  let flush a =
+    Hashtbl.iter
+      (fun w () ->
+        let v = view a w in
+        match red_of prog w with
+        | Some rop ->
+          pending.(w) <-
+            rop.Reduction.combine ~clean:master.(w) ~current:pending.(w)
+              ~incoming:v
+        | None -> pending.(w) <- v)
+      a.dirty;
+    Hashtbl.reset a.dirty;
+    (* An LCM flush returns the modified copies to their homes, so the
+       next read refetches the clean phase-start version; a coherent
+       flush is only a writeback, so the writer keeps observing its own
+       stores. *)
+    if lcm then Hashtbl.reset a.priv
+  in
+  let predictable a w =
+    if lcm then prog.capacity_blocks = None
+    else List.for_all (fun n -> n = a.nid) writers.(w)
+  in
+  let write a w v =
+    Hashtbl.replace a.priv w v;
+    Hashtbl.replace a.dirty w ();
+    None
+  in
+  let expected =
+    drive agents (fun a op ->
+        match op with
+        | Load w -> if predictable a w then Some (view a w) else None
+        | Store (w, v) -> write a w v
+        | Rmw (w, k) -> write a w (view a w + k)
+        | Accum (w, k) ->
+          write a w ((reduction_of prog w).Reduction.apply (view a w) k)
+        | Flush ->
+          flush a;
+          None
+        | Mark _ | Work _ | Yield -> None)
+  in
+  Array.iter flush agents;
   (expected, pending)
 
-(* The whole-program view of the model above: fold the segments from the
-   initial state, snapshotting the expected load values and the
-   post-segment master for each.  [run_case] below interleaves the same
-   two functions with real execution; this entry point exists so an
-   independent specification (Lcm_check.Spec) can be pinned against the
-   oracle word-for-word. *)
-let golden prog =
+let spec prog =
   let nwords = nwords_of prog in
   let master = Array.make nwords 0 in
   List.iter (fun (w, v) -> master.(w) <- v) prog.init;
   List.map
     (function
       | Sequential ops ->
-        let expected = golden_sequential master ops in
+        let expected = spec_sequential master ops in
         (expected, Array.copy master)
       | Parallel ops ->
-        let expected, pending = golden_parallel prog master ops in
+        let expected, pending = spec_parallel prog master ops in
         Array.blit pending 0 master 0 nwords;
         (expected, Array.copy master))
     prog.segments
@@ -271,37 +296,29 @@ let exec_ops prog base mism si nid ops expected () =
         | Some want when got <> want ->
           mism :=
             Printf.sprintf
-              "segment %d node %d: load of word %d saw %d, golden model \
-               expects %d"
-              si nid w got want
+              "segment %d node %d: load of word %d saw %d, spec expects %d" si
+              nid w got want
             :: !mism
         | Some _ | None -> ())
       | Store (w, v) -> Memeff.store (base + w) v
       | Rmw (w, k) -> ignore (Memeff.rmw (base + w) (fun x -> x + k))
-      | Accum (w, k) -> (
-        match red_of prog w with
-        | Some rop -> ignore (Memeff.rmw (base + w) (fun x -> rop.Reduction.apply x k))
-        | None ->
-          failwith
-            (Printf.sprintf
-               "Stress: accum targets word %d outside every registered \
-                reduction region"
-               w))
+      | Accum (w, k) ->
+        let rop = reduction_of prog w in
+        ignore (Memeff.rmw (base + w) (fun x -> rop.Reduction.apply x k))
       | Mark w -> Memeff.directive (Memeff.Mark_modification (base + w))
       | Flush -> Memeff.directive Memeff.Flush_copies
       | Work n -> Memeff.work n
       | Yield -> Memeff.yield ())
     ops expected
 
-let run_case ?faults prog =
+let machine ?faults prog =
+  Machine.create ?capacity_blocks:prog.capacity_blocks
+    ?hw_cache_blocks:prog.hw_cache_blocks ?faults ~nnodes:prog.nnodes
+    ~words_per_block:prog.words_per_block ~topology:prog.topology ~seed:17 ()
+
+let run_on m ~expect prog =
   let nwords = nwords_of prog in
   try
-    let m =
-      Machine.create ?capacity_blocks:prog.capacity_blocks
-        ?hw_cache_blocks:prog.hw_cache_blocks ?faults ~nnodes:prog.nnodes
-        ~words_per_block:prog.words_per_block ~topology:prog.topology ~seed:17
-        ()
-    in
     let p = Proto.install ~barrier:prog.barrier ~policy:prog.policy m in
     let base = Gmem.alloc (Machine.gmem m) ~dist:prog.dist ~nwords in
     List.iter
@@ -310,12 +327,7 @@ let run_case ?faults prog =
           ~base:(base + (bi * prog.words_per_block))
           ~nwords:prog.words_per_block rop)
       prog.reductions;
-    let master = Array.make nwords 0 in
-    List.iter
-      (fun (w, v) ->
-        master.(w) <- v;
-        Proto.poke p (base + w) v)
-      prog.init;
+    List.iter (fun (w, v) -> Proto.poke p (base + w) v) prog.init;
     let mism = ref [] in
     let run_segment si expected ops =
       Array.iteri
@@ -325,14 +337,13 @@ let run_case ?faults prog =
         ops;
       Machine.run_to_quiescence ~limit:event_limit m
     in
-    let check_words si what golden =
+    let check_words si what want =
       for w = 0 to nwords - 1 do
         let got = Proto.peek p (base + w) in
-        if got <> golden.(w) then
+        if got <> want.(w) then
           mism :=
-            Printf.sprintf
-              "segment %d (%s): word %d is %d, golden model expects %d" si
-              what w got golden.(w)
+            Printf.sprintf "segment %d (%s): word %d is %d, spec expects %d" si
+              what w got want.(w)
             :: !mism
       done
     in
@@ -344,26 +355,29 @@ let run_case ?faults prog =
           List.map (Printf.sprintf "segment %d: invariant: %s" si) msgs
           @ !mism
     in
-    List.iteri
-      (fun si seg ->
+    (* Segments and their verdicts are walked in step, without building
+       a paired list: the model checker calls this once per schedule. *)
+    let rec go si segments expect =
+      match (segments, expect) with
+      | [], [] -> Ok ()
+      | seg :: segments, (expected, want) :: expect ->
         (match seg with
         | Sequential ops ->
-          let expected = golden_sequential master ops in
           run_segment si expected ops;
-          check_words si "sequential" master
+          check_words si "sequential" want
         | Parallel ops ->
-          let expected, pending = golden_parallel prog master ops in
           Proto.begin_parallel p;
           run_segment si expected ops;
           Proto.reconcile p;
-          Array.blit pending 0 master 0 nwords;
-          check_words si "post-reconcile" master);
+          check_words si "post-reconcile" want);
         check_invariants si;
         (* Stop at the first diverging segment: once the states differ,
            later segments only produce cascading noise. *)
-        if !mism <> [] then raise (Stress_failure (List.rev !mism)))
-      prog.segments;
-    Ok ()
+        if !mism <> [] then raise (Stress_failure (List.rev !mism));
+        go (si + 1) segments expect
+      | _ -> invalid_arg "Stress.run_on: expect does not match the segments"
+    in
+    go 0 prog.segments expect
   with
   | Stress_failure msgs -> Error (String.concat "\n" msgs)
   | Failure msg -> Error ("exception: " ^ msg)
@@ -377,6 +391,8 @@ let run_case ?faults prog =
       (Printf.sprintf
          "net unreachable: %s %d->%d gave up after %d attempts" tag src dst
          attempts)
+
+let run_case ?faults prog = run_on (machine ?faults prog) ~expect:(spec prog) prog
 
 (* ------------------------------------------------------------------ *)
 (* Program generation                                                  *)
@@ -584,7 +600,7 @@ let candidates prog =
   in
   (* A reduction region may only be dropped together with every accum that
      targets it: an accum on a region-less word is a program error (the
-     typed failure in the golden model / executor), and a shrink that
+     typed failure in the spec / executor), and a shrink that
      introduced one would chase that artifact instead of the original
      bug — op retention is conditional on the region surviving. *)
   let drop_reduction =

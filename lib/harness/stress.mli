@@ -1,4 +1,4 @@
-(** Differential protocol stress harness.
+(** Differential protocol stress harness and the spec it checks against.
 
     The paper's central claim (§3–§4) is that LCM's copy-on-write,
     merge-on-reconcile semantics are, for race-free programs, equivalent
@@ -6,25 +6,31 @@
     applying all writes at once.  This module checks the protocol engine
     against that contract: it generates seeded random programs, runs them
     through the full simulated stack (machine, network, protocol,
-    barriers, capacity evictions), and compares every outcome against a
-    {e golden model} — a direct, network-free OCaml implementation of the
-    per-epoch semantics:
+    barriers, capacity evictions), and compares every outcome against
+    {!spec} — a network-free abstract state machine of the per-epoch
+    semantics, in the style of Schewe et al.'s concurrent-ASM
+    specification of shared replicated memory:
 
     - reads during a parallel phase observe the phase-start value, or the
       reader's own private copy for blocks it has marked;
     - at reconcile, each word's new value is its unique writer's last
       store (last-writer-wins per word), or the registered reduction
-      operator's combination of all contributions;
+      operator's combination of all contributions against the
+      phase-start clean value;
+    - an LCM flush hands the private copies back (the writer's next read
+      sees the phase-start value again); a coherent flush is only a
+      writeback;
     - sequential segments are ordinary coherent memory.
 
-    After every segment the checker asserts golden-model equality
+    After every segment the runner asserts equality with the spec
     word-for-word (via {!Lcm_core.Proto.peek}) plus
     {!Lcm_core.Proto.check_invariants}; predicted load values are also
     asserted inside the running fibers wherever they are
     schedule-independent (always in sequential segments; in parallel
     phases under LCM only with unbounded capacity — an eviction resets a
-    node's private view — and under Stache only for words no other node
-    writes).
+    node's private view — and under a coherent policy only for words no
+    other node writes).  The model checker ({!Lcm_check.Check}) runs each
+    explored schedule through the same runner, {!run_on}.
 
     Generated programs are race-free by construction (at most one writer
     per non-reduction word per phase; reductions restricted to exact
@@ -33,7 +39,8 @@
     is explicitly marked whenever the writer might still hold a writable
     copy (its own home blocks, or blocks it wrote in an earlier
     sequential segment); other writes randomly rely on the implicit-mark
-    backstop.
+    backstop.  Sequential segments keep each node to its own word
+    partition (word [w] belongs to node [w mod nnodes]).
 
     On failure the harness shrinks the program (dropping segments, whole
     per-node op lists, then single ops) to a minimal reproducer and
@@ -76,37 +83,56 @@ type prog = {
     values, and a list of sequential/parallel segments of per-node op
     lists.  The record is concrete so the model checker
     ({!Lcm_check.Check}) can build bounded configurations directly and
-    its spec-agreement tests can construct micro-programs by hand;
-    hand-built programs must respect the well-formedness contract above
-    (unique writer per non-reduction word per phase, marks on writes that
-    may hit a writable copy). *)
+    tests can construct micro-programs by hand; hand-built programs must
+    respect the well-formedness contract above (unique writer per
+    non-reduction word per phase, marks on writes that may hit a writable
+    copy). *)
 
 val gen : seed:int -> case:int -> ?policy:Lcm_core.Policy.t -> unit -> prog
 (** Deterministically generate case [case] of stream [seed].  [policy]
     forces the memory-system policy; otherwise each case draws one of
-    stache / lcm-scc / lcm-mcc / lcm-mcc-update. *)
+    {!all_policies} (stache, lcm-scc, lcm-mcc, lcm-mcc-update, msi, mesi,
+    moesi). *)
+
+val spec : prog -> (int option list array * int array) list
+(** The spec's verdict on a whole program, one entry per segment: the
+    expected load values per node and op ([None] where the value is
+    schedule-dependent and unchecked — see the module preamble) and the
+    expected state after the segment (post-reconcile for parallel
+    segments).  Pure: no machine, no network.
+    @raise Failure on a program outside the well-formedness contract
+    (an accum targeting a word outside every reduction region). *)
+
+val machine : ?faults:Lcm_net.Faults.t -> prog -> Lcm_tempest.Machine.t
+(** A fresh machine of the program's shape (nodes, block size, topology,
+    capacity, hardware cache), over an unreliable interconnect when
+    [faults] is given.  Callers may install hooks on it (trace, the
+    engine's choice hook, the network's fault chooser) before {!run_on}. *)
+
+val run_on :
+  Lcm_tempest.Machine.t ->
+  expect:(int option list array * int array) list ->
+  prog ->
+  (unit, string) result
+(** Install the program's policy on a fresh {!machine}, register its
+    reductions, poke the initial values, then run each segment to
+    quiescence and check it against [expect] (which must be [spec prog];
+    passing it in lets a caller running many schedules compute it once).
+    [Error] carries every divergence found in the first diverging segment
+    (load values, post-segment state, protocol invariants), or the
+    exception that stopped the run: [Failure] or [Invalid_argument]
+    (e.g. a deadlock), a typed {!Lcm_sim.Engine.Stalled} quiescence
+    failure, or {!Lcm_net.Network.Net_unreachable}.  Any other exception
+    propagates, so a hook the caller installed can abort the run with
+    its own. *)
 
 val run_case : ?faults:Lcm_net.Faults.t -> prog -> (unit, string) result
-(** Execute a program against the real stack and check it against the
-    golden model.  [Error] carries every divergence found in the first
-    diverging segment (load values, post-segment state, protocol
-    invariants), or the protocol exception (e.g. deadlock, a typed
-    {!Lcm_sim.Engine.Stalled} quiescence failure, or
-    {!Lcm_net.Network.Net_unreachable}).  [faults] runs the case over an
-    unreliable interconnect per the plan; because the golden model is
-    network-free, this is exactly the paper's fault-tolerance claim: with
-    retransmission enabled the final semantic state must be identical to
-    the fault-free run. *)
-
-val golden : prog -> (int option list array * int array) list
-(** The golden model's verdict on a whole program, one entry per segment:
-    the expected load values per node ([None] where the value is
-    schedule-dependent and unchecked — see the module preamble) and a
-    snapshot of the master state after the segment (post-reconcile for
-    parallel segments).  This is {e exactly} the oracle {!run_case}
-    checks against; it is exported so {!Lcm_check.Spec} — an independent
-    abstract-state-machine formulation of the same semantics — can be
-    pinned against it word-for-word. *)
+(** [run_on (machine ?faults prog) ~expect:(spec prog) prog].  [faults]
+    runs the case over an unreliable interconnect per the plan; because
+    the spec is network-free, this is exactly the paper's
+    fault-tolerance claim: with retransmission enabled the final semantic
+    state must be identical to the fault-free run.
+    @raise Failure as {!spec} does. *)
 
 val shrink : ?max_runs:int -> ?faults:Lcm_net.Faults.t -> prog -> prog
 (** Greedily minimize a failing program: repeatedly drop segments, then

@@ -1,12 +1,11 @@
 (* Tests for the small-scope model checker (Lcm_check): the engine's
-   choice-point hook, the ASM spec pinned word-for-word against the
-   stress harness's golden model, bounded exhaustive exploration of the
-   fixed scenario suite under every policy (with a fleet wall-clock
-   budget), partial-order-reduction soundness cross-checks, and the
-   violation -> shrink -> replay pipeline. *)
+   choice-point hook, bounded exhaustive exploration of the fixed
+   scenario suite under every policy (with a fleet wall-clock budget),
+   partial-order-reduction soundness cross-checks, and the
+   violation -> shrink -> replay pipeline.  The spec every schedule is
+   checked against, Stress.spec, is pinned by test_stress. *)
 
 module Check = Lcm_check.Check
-module Spec = Lcm_check.Spec
 module Stress = Lcm_harness.Stress
 module Traceview = Lcm_harness.Traceview
 module Policy = Lcm_core.Policy
@@ -70,33 +69,6 @@ let test_hook_bad_index_rejected () =
   Alcotest.check_raises "out-of-range choice"
     (Invalid_argument "Engine: choice hook returned 7 with 1 candidates")
     (fun () -> Engine.run e)
-
-(* ------------------------------------------------------------------ *)
-(* Spec agrees with the stress golden model                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Word-for-word agreement on full-size generated programs, every
-   policy.  Both sides are pure (no simulation), so this runs wide. *)
-let prop_spec_matches_golden =
-  QCheck.Test.make ~name:"Spec.run = Stress.golden (all policies)" ~count:120
-    QCheck.(pair (int_range 0 40) (int_range 0 400))
-    (fun (seed, case) ->
-      List.for_all
-        (fun policy ->
-          let prog = Stress.gen ~seed ~case ~policy () in
-          Spec.run prog = Stress.golden prog)
-        Policy.policies)
-
-(* ... and on the checker's own micro-configurations. *)
-let prop_spec_matches_golden_micro =
-  QCheck.Test.make ~name:"Spec.run = Stress.golden (micro configs)" ~count:150
-    QCheck.(pair (int_range 0 40) (int_range 0 400))
-    (fun (seed, case) ->
-      List.for_all
-        (fun policy ->
-          let prog = Check.gen_micro ~seed ~case ~policy in
-          Spec.run prog = Stress.golden prog)
-        Policy.policies)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded exhaustive exploration                                      *)
@@ -283,11 +255,6 @@ let () =
           ("hook reorders ties", `Quick, test_hook_reorders_ties);
           ("hook sees every candidate", `Quick, test_hook_sees_all_candidates);
           ("bad index rejected", `Quick, test_hook_bad_index_rejected);
-        ] );
-      ( "spec",
-        [
-          QCheck_alcotest.to_alcotest prop_spec_matches_golden;
-          QCheck_alcotest.to_alcotest prop_spec_matches_golden_micro;
         ] );
       ( "explore",
         [

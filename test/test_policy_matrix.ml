@@ -2,7 +2,7 @@
    snooping-bus families alike — gets (a) a bounded fingerprint
    determinism check (same fixed-seed workload twice must digest
    bit-identically), (b) a short differential stress sweep against the
-   golden model, and (c) a protocol-invariant audit on the quiescent
+   per-epoch spec, and (c) a protocol-invariant audit on the quiescent
    machine.  The suite iterates [Config.all_systems] /
    [Stress.all_policies], so a policy added to [Policy.all] is covered
    here with no test edits — and a policy that bypasses the registry
