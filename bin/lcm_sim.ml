@@ -11,6 +11,17 @@ open Cmdliner
 open Lcm_harness
 open Lcm_apps
 
+(* Integer option values with a lower bound: anything below [min] is a
+   clean command-line error (exit 124), never an exception deeper in. *)
+let int_at_least min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "must be at least %d" min))
+    | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let system_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Config.system_of_string s) in
   Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf s.Config.label)
@@ -89,16 +100,7 @@ let trace_out_arg =
                  $(b,--trace).")
 
 let trace_cap_arg =
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n > 0 -> Ok n
-      | Some _ -> Error (`Msg "trace capacity must be positive")
-      | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt positive_int 262144
+  Arg.(value & opt (int_at_least 1) 262144
        & info [ "trace-cap" ] ~docv:"N"
            ~doc:"Trace ring capacity; once full, the oldest events are \
                  evicted.")
@@ -397,16 +399,7 @@ let info_cmd =
 (* --jobs N: worker domains for sweeps.  0 = auto (one per recommended
    domain); clamped to >= 1.  Default 1 keeps runs deterministic-sequential. *)
 let jobs_arg =
-  let jobs_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> Ok n
-      | Some _ -> Error (`Msg "jobs must be >= 0 (0 = auto)")
-      | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt jobs_conv 1
+  Arg.(value & opt (int_at_least 0) 1
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Worker domains for the sweep: 1 (default) runs \
                  deterministic-sequential on the calling domain, 0 picks \
@@ -445,15 +438,6 @@ let experiments_cmd =
                    figure3), $(b,ablations), $(b,all), or a single family \
                    name (e.g. figure2, barrier, topology).")
   in
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n > 0 -> Ok n
-      | Some _ -> Error (`Msg "must be positive")
-      | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   let positive_float =
     let parse s =
       match float_of_string_opt s with
@@ -464,7 +448,7 @@ let experiments_cmd =
     Arg.conv (parse, Format.pp_print_float)
   in
   let max_events_arg =
-    Arg.(value & opt (some positive_int) None
+    Arg.(value & opt (some (int_at_least 1)) None
          & info [ "max-events" ] ~docv:"N"
              ~doc:"Per-cell simulated-event budget; a cell exceeding it is \
                    reported $(b,timed-out) at a deterministic simulated \
@@ -604,16 +588,7 @@ let stress_cmd =
                      (String.concat ", " Lcm_core.Policy.names)))
   in
   let cases_arg =
-    let positive_int =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n > 0 -> Ok n
-        | Some _ -> Error (`Msg "case count must be positive")
-        | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt positive_int 100
+    Arg.(value & opt (int_at_least 1) 100
          & info [ "cases" ] ~docv:"N" ~doc:"Cases per policy.")
   in
   let seed_arg =
@@ -651,7 +626,7 @@ let stress_cmd =
     (Cmd.info "stress"
        ~doc:"Differential protocol stress test: run seeded random programs \
              through the full simulated stack and check every outcome \
-             against a golden per-epoch model plus protocol invariants.  \
+             against the per-epoch spec plus protocol invariants.  \
              Failures print a shrunk reproducer; rerun it with the printed \
              $(b,--seed)/$(b,--cases)/$(b,--policy).")
     Term.(
@@ -687,13 +662,13 @@ let check_cmd =
              ~doc:"List the bounded scenario names and exit.")
   in
   let max_schedules_arg =
-    Arg.(value & opt int 20_000
+    Arg.(value & opt (int_at_least 1) 20_000
          & info [ "max-schedules" ] ~docv:"N"
              ~doc:"Cap on complete interleavings per configuration; hitting \
                    it reports $(b,capped) instead of $(b,exhausted).")
   in
   let random_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt (int_at_least 0) 0
          & info [ "random" ] ~docv:"N"
              ~doc:"Also explore N seeded random micro-configurations per \
                    policy (beyond the fixed scenarios).")
@@ -704,7 +679,7 @@ let check_cmd =
              ~doc:"Stream seed for $(b,--random) micro-configurations.")
   in
   let fault_budget_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt (int_at_least 0) 0
          & info [ "fault-budget" ] ~docv:"N"
              ~doc:"Compose the schedule space with up to N per-copy message \
                    fault choices (drop; also duplicate with $(b,--dup)).  0 \
@@ -913,9 +888,10 @@ let check_cmd =
              message-delivery and same-timestamp handler interleaving of \
              bounded configurations through the engine's choice-point hook, \
              with sleep-set + persistent-set partial-order reduction, \
-             checking protocol invariants and an abstract-state-machine \
-             consistency spec.  Optionally composes bounded per-copy fault \
-             choices ($(b,--fault-budget)).  Violations are shrunk to a \
+             checking protocol invariants and the stress harness's \
+             abstract-state-machine spec.  Optionally composes bounded \
+             per-copy fault choices ($(b,--fault-budget)).  Violations are \
+             shrunk to a \
              minimal (configuration, schedule) counterexample that \
              $(b,--replay) reproduces deterministically.")
     Term.(
