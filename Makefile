@@ -40,15 +40,15 @@ trace-smoke:
 	dune exec bin/lcm_sim.exe -- trace-validate /tmp/lcm_trace_smoke.json
 
 # Differential protocol stress test: seeded random programs checked
-# word-for-word against a golden per-epoch model, every registered policy
-# (directory and snooping-bus families alike).
+# word-for-word against the per-epoch spec (Stress.spec), every registered
+# policy (directory and snooping-bus families alike).
 stress:
 	dune exec bin/lcm_sim.exe -- stress --cases 100 --seed 1
 
 # Small-scope model checking smoke: exhaustively enumerate the
 # message-delivery / tie-break interleavings of every bounded scenario
-# under every registered policy (DPOR-pruned), checking the ASM
-# consistency spec plus protocol invariants on each schedule, then one
+# under every registered policy (DPOR-pruned), checking the stress
+# harness's spec plus protocol invariants on each schedule, then one
 # fault-composed pass (each copy of the two-writers scenario's messages
 # may be dropped, retransmission must recover).  A bounded version runs
 # as part of `dune runtest` (test_check); counterexample artifacts land
