@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-paper allocbench allocbench-smoke doc clean examples trace-smoke stress sweep-smoke fault-smoke policy-matrix check-smoke
+.PHONY: all build test doc clean examples trace-smoke stress sweep-smoke fault-smoke policy-matrix check-smoke
 
 all: build
 
@@ -10,27 +10,6 @@ test:
 
 test-force:
 	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
-
-bench:
-	dune exec bench/main.exe 2>&1 | tee bench_output.txt
-
-bench-paper:
-	@mkdir -p out
-	dune exec bench/main.exe -- --paper --no-micro 2>&1 | tee out/bench_output_paper.txt
-
-# Host allocation profile: GC minor words / promoted words / major
-# collections and minor words per simulated event for the two pinned
-# allocation workloads.  See README "Allocation benchmarking" and
-# DESIGN.md §"Host allocation discipline".
-allocbench:
-	@mkdir -p out
-	dune exec bench/perf.exe -- --out out/BENCH_alloc.json
-
-# Same rig with the pinned words-per-event ceilings enforced (non-zero
-# exit on regression); also runs as part of `dune runtest`.
-allocbench-smoke:
-	@mkdir -p out
-	dune exec bench/perf.exe -- --check --out out/BENCH_alloc.json
 
 # Run a small traced stencil and check the emitted Chrome trace JSON
 # parses and is non-empty.

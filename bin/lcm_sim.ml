@@ -22,6 +22,15 @@ let int_at_least min =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* A negative verdict exits 1: cmdliner keeps 124 for a command line it
+   rejected before anything ran, so the two never mix.  Each command that
+   can reach one lists the code in its --help EXIT STATUS. *)
+let verdict_exits doc = Cmd.Exit.info 1 ~doc :: Cmd.Exit.defaults
+
+let negative_verdict msg =
+  Printf.eprintf "lcm_sim: %s\n%!" msg;
+  exit 1
+
 let system_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Config.system_of_string s) in
   Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf s.Config.label)
@@ -481,18 +490,23 @@ let experiments_cmd =
     let machine =
       { Config.default_machine with Config.nnodes = nodes; topology; faults }
     in
+    let figure_families, ablation_families =
+      List.partition
+        (fun (n, _) -> n = "figure2" || n = "figure3")
+        Experiments.families
+    in
+    let figures = suite = "figures" || suite = "all" in
     let families =
       match suite with
-      | "all" -> Experiments.families
-      | "figures" ->
-        List.filter (fun (n, _) -> n = "figure2" || n = "figure3") Experiments.families
-      | "ablations" ->
-        List.filter (fun (n, _) -> n <> "figure2" && n <> "figure3") Experiments.families
+      | "all" -> figure_families @ ablation_families
+      | "figures" -> figure_families
+      | "ablations" -> ablation_families
       | name -> List.filter (fun (n, _) -> n = name) Experiments.families
     in
-    let cells =
+    let cells_of families =
       List.concat_map (fun (_, cells_of) -> cells_of ~scale machine) families
     in
+    let cells = cells_of families in
     let budget = Fleet.Budget.make ?max_events ?wall_s:timeout () in
     let show_progress =
       match progress with
@@ -510,10 +524,36 @@ let experiments_cmd =
     Option.iter Fleet.Progress.finish progress;
     let rows = Sweep.rows results in
     print_string (Report.generic ~title:(Printf.sprintf "sweep %s (%s scale)" suite (Experiments.scale_to_string scale)) rows);
-    (if suite = "figures" || suite = "all" then begin
-       print_string (Report.agreement rows);
-       print_string (Report.claims (Experiments.claims rows))
-     end);
+    let claims =
+      if not figures then []
+      else begin
+        (* the figure cells come first *)
+        let figure_rows =
+          Sweep.rows
+            (Array.sub results 0 (List.length (cells_of figure_families)))
+        in
+        let of_experiments es =
+          List.filter
+            (fun (r : Experiments.row) -> List.mem r.Experiments.experiment es)
+            figure_rows
+        in
+        print_string (Report.memory_usage figure_rows);
+        print_string (Report.samples (of_experiments [ "stencil-stat" ]));
+        print_string
+          (Report.message_breakdown
+             (of_experiments [ "stencil-stat"; "threshold" ]));
+        Experiments.claims rows
+      end
+    in
+    print_string (Report.agreement rows);
+    let paper_machine = machine = Config.default_machine in
+    if figures then begin
+      print_string (Report.claims claims);
+      if not paper_machine then
+        print_endline
+          "(the claims describe the paper's 32-node fat-tree machine; on \
+           this one they do not decide the exit status)"
+    end;
     let scale = Experiments.scale_to_string scale in
     Option.iter
       (fun path ->
@@ -530,47 +570,64 @@ let experiments_cmd =
         Printf.printf "(wrote %s)\n" path)
       summary_csv;
     let failures = Sweep.failures results in
+    let failed, timed_out =
+      List.partition
+        (fun (r : _ Fleet.cell_result) ->
+          match r.Fleet.outcome with Fleet.Failed _ -> true | _ -> false)
+        failures
+    in
     Printf.printf
       "sweep: %d cells (%d ok, %d failed, %d timed-out) in %.2fs host time, jobs=%d\n"
-      (Array.length results)
-      (List.length rows)
-      (List.length
-         (List.filter
-            (fun (r : _ Fleet.cell_result) ->
-              match r.Fleet.outcome with Fleet.Failed _ -> true | _ -> false)
-            failures))
-      (List.length
-         (List.filter
-            (fun (r : _ Fleet.cell_result) ->
-              match r.Fleet.outcome with Fleet.Timed_out _ -> true | _ -> false)
-            failures))
-      wall (Fleet.resolve_jobs jobs);
+      (Array.length results) (List.length rows) (List.length failed)
+      (List.length timed_out) wall (Fleet.resolve_jobs jobs);
     List.iter
       (fun (r : _ Fleet.cell_result) ->
         Printf.eprintf "  cell %d %s: %s\n" r.Fleet.index r.Fleet.label
           (Fleet.outcome_string r.Fleet.outcome))
       failures;
-    let failed =
-      List.exists
-        (fun (r : _ Fleet.cell_result) ->
-          match r.Fleet.outcome with Fleet.Failed _ -> true | _ -> false)
-        failures
+    let named what = function
+      | [] -> []
+      | xs -> [ what ^ ": " ^ String.concat ", " xs ]
     in
-    if failed then `Error (false, "sweep had failed cells") else `Ok ()
+    match
+      named "failed cells"
+        (List.map (fun (r : _ Fleet.cell_result) -> r.Fleet.label) failed)
+      @ named "systems disagree on"
+          (List.filter_map
+             (fun (e, ok) -> if ok then None else Some e)
+             (Experiments.verify_agreement rows))
+      @ named "paper claims differ"
+          (List.filter_map
+             (fun (c : Experiments.claim) ->
+               if c.Experiments.holds || not paper_machine then None
+               else Some c.Experiments.id)
+             claims)
+    with
+    | [] -> ()
+    | verdicts -> negative_verdict (String.concat "; " verdicts)
   in
   Cmd.v
     (Cmd.info "experiments"
+       ~exits:
+         (verdict_exits
+            "on a negative verdict: a failed cell, systems that disagree on \
+             an experiment, or, for $(b,--suite) figures or all on the \
+             paper's machine (32 nodes, arity-4 fat tree, no faults), a \
+             paper claim that reads DIFFERS.")
        ~doc:"Sweep the paper's experiment grid (figures and/or ablations) \
-             across worker domains.  Cells are independent simulations; \
-             results are ordered by cell index, so output is bit-identical \
-             at any $(b,--jobs) count.  A crashing cell is contained as a \
-             $(b,failed) outcome; $(b,--max-events)/$(b,--timeout) turn \
-             runaway cells into $(b,timed-out) outcomes.")
+             across worker domains and report it: one table of cycles, \
+             slowdown and counters, the differential check, and for \
+             $(b,--suite) figures or all the memory-usage, phase-sample and \
+             message tables and the Section 6.3 claims.  Cells are \
+             independent simulations; results are ordered by cell index, so \
+             output is bit-identical at any $(b,--jobs) count.  A crashing \
+             cell is contained as a $(b,failed) outcome; \
+             $(b,--max-events)/$(b,--timeout) turn runaway cells into \
+             $(b,timed-out) outcomes.")
     Term.(
-      ret
-        (const run $ suite_arg $ scale_arg $ jobs_arg $ nodes_arg
-       $ topology_arg $ faults_term $ max_events_arg $ timeout_arg
-       $ summary_json_arg $ summary_csv_arg $ progress_arg))
+      const run $ suite_arg $ scale_arg $ jobs_arg $ nodes_arg
+      $ topology_arg $ faults_term $ max_events_arg $ timeout_arg
+      $ summary_json_arg $ summary_csv_arg $ progress_arg)
 
 let stress_cmd =
   let policy_conv =
@@ -616,23 +673,22 @@ let stress_cmd =
             Some p.Lcm_core.Policy.name)
         policies
     in
-    match failures with
-    | [] -> `Ok ()
-    | fs ->
-      `Error (false,
-              Printf.sprintf "stress failures under: %s" (String.concat ", " fs))
+    if failures <> [] then
+      negative_verdict
+        ("stress failures under: " ^ String.concat ", " failures)
   in
   Cmd.v
     (Cmd.info "stress"
+       ~exits:
+         (verdict_exits
+            "when a case fails its check; the shrunk reproducer is printed.")
        ~doc:"Differential protocol stress test: run seeded random programs \
              through the full simulated stack and check every outcome \
              against the per-epoch spec plus protocol invariants.  \
              Failures print a shrunk reproducer; rerun it with the printed \
              $(b,--seed)/$(b,--cases)/$(b,--policy).")
     Term.(
-      ret
-        (const run $ cases_arg $ seed_arg $ policy_arg $ faults_term
-       $ jobs_arg))
+      const run $ cases_arg $ seed_arg $ policy_arg $ faults_term $ jobs_arg)
 
 let check_cmd =
   let module Check = Lcm_check.Check in
@@ -805,7 +861,7 @@ let check_cmd =
               Printf.printf "replay %s on %s/%s: FAIL\n%s\n"
                 (Check.schedule_to_string schedule) p.Lcm_core.Policy.name
                 sname report;
-              `Ok ())))
+              negative_verdict "replayed schedule fails")))
       | None ->
         let known = Check.scenarios ~policy:(List.hd policies) in
         (match scenario with
@@ -874,7 +930,7 @@ let check_cmd =
               reports)
           policies;
         if !violations > 0 then
-          `Error (false, Printf.sprintf "%d violation(s) found" !violations)
+          negative_verdict (Printf.sprintf "%d violation(s) found" !violations)
         else begin
           if !capped > 0 then
             Printf.printf "note: %d configuration(s) capped, not exhausted\n"
@@ -884,6 +940,10 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check"
+       ~exits:
+         (verdict_exits
+            "when a schedule violates the spec or a protocol invariant, or \
+             a $(b,--replay) fails.")
        ~doc:"Exhaustive small-scope model checking: enumerate every \
              message-delivery and same-timestamp handler interleaving of \
              bounded configurations through the engine's choice-point hook, \

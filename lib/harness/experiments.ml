@@ -24,8 +24,8 @@ let scale_of_string s =
 (* Every experiment is a {e cell}: an independent, self-contained thunk
    that builds its own runtime, runs one (benchmark × system) simulation
    and returns a row.  Cells never share mutable state, which is what lets
-   {!Sweep} run them across domains; executing them in list order
-   ([run_cells]) reproduces the original sequential harness exactly. *)
+   {!Sweep} run them across domains; [run_cells] executes them in list
+   order, the reference every parallel sweep must match. *)
 
 let run_cells cells = List.map (fun (_, f) -> f ()) cells
 
@@ -90,16 +90,14 @@ let run_systems_cells machine ~experiment ~schedule run =
         run)
     Config.systems
 
-let figure2_cells ?(scale = Quick) machine =
+let figure2_cells ~scale machine =
   let p = stencil_params scale in
   run_systems_cells machine ~experiment:"stencil-stat" ~schedule:Schedule.Static
     (fun rt -> Stencil.run rt p)
   @ run_systems_cells machine ~experiment:"stencil-dyn"
       ~schedule:(Schedule.Dynamic_random dyn_seed) (fun rt -> Stencil.run rt p)
 
-let figure2 ?scale machine = run_cells (figure2_cells ?scale machine)
-
-let figure3_cells ?(scale = Quick) machine =
+let figure3_cells ~scale machine =
   let ap = adaptive_params scale in
   let tp = threshold_params scale in
   let up = unstructured_params scale in
@@ -111,8 +109,6 @@ let figure3_cells ?(scale = Quick) machine =
       (fun rt -> Threshold.run rt tp)
   @ run_systems_cells machine ~experiment:"unstructured" ~schedule:Schedule.Static
       (fun rt -> Unstructured.run rt up)
-
-let figure3 ?scale machine = run_cells (figure3_cells ?scale machine)
 
 let group_by_experiment rows =
   let order = ref [] in
@@ -182,16 +178,23 @@ let claims rows =
       ~slower:("stencil-dyn", "LCM-mcc")
       ~faster:("stencil-dyn", "Stache+copy")
       ~ok:(fun m -> m < 1.25);
-    (* Direction check only: LCM pays overhead on statically-analysable
-       adaptive code, but far less than Stache's stencil-stat advantage.
-       Our flush/copy cost constants make the overhead larger than the
-       paper's 13% — see EXPERIMENTS.md. *)
+    (* A band, not just a direction: LCM pays overhead on statically
+       analysable adaptive code (above 1.0), and 3.2 caps how far our
+       flush/copy cost constants may stretch the paper's 13%.  Measured
+       2.76x at quick scale; 3.46x at paper scale, outside the band — see
+       EXPERIMENTS.md. *)
     ratio_claim rows ~id:"adaptive-stat/lcm-overhead"
-      ~description:"Adaptive-stat: LCM slower than Stache (but scc beats mcc, as in the paper)"
+      ~description:"Adaptive-stat: LCM slower than Stache"
       ~paper:"LCM 13% slower"
       ~slower:("adaptive-stat", "LCM-mcc")
       ~faster:("adaptive-stat", "Stache+copy")
       ~ok:(fun m -> m > 1.0 && m < 3.2);
+    ratio_claim rows ~id:"adaptive-stat/scc-over-mcc"
+      ~description:"Adaptive-stat: LCM-scc faster than LCM-mcc (no intra-block reuse)"
+      ~paper:"scc 1.1% faster"
+      ~slower:("adaptive-stat", "LCM-mcc")
+      ~faster:("adaptive-stat", "LCM-scc")
+      ~ok:(fun m -> m > 1.0);
     ratio_claim rows ~id:"adaptive-dyn/lcm-wins"
       ~description:"Adaptive-dyn: LCM-mcc beats Stache (fine-grain copy-on-write vs full copy)"
       ~paper:"~1.9x"
@@ -226,13 +229,12 @@ let claims rows =
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Ablations historically ran at one fixed (Quick-ish) size; the [?scale]
-   parameter keeps those exact constants as the [Quick] default (so the
-   bench harness output is unchanged) and adds [Tiny] shrinks so the test
-   suite can sweep every family in seconds.  [Paper] falls back to the
-   Quick constants — the ablations' conclusions are scale-insensitive. *)
+(* Ablations run at one fixed size at [Quick], with [Tiny] shrinks so the
+   test suite can sweep every family in seconds.  [Paper] falls back to
+   the Quick constants — the ablations' conclusions are
+   scale-insensitive. *)
 
-let ablation_reduction_cells ?(scale = Quick) machine =
+let ablation_reduction_cells ~scale machine =
   let p =
     match scale with
     | Tiny -> { Reduce_demo.n = 512; per_add_work = 2 }
@@ -249,9 +251,7 @@ let ablation_reduction_cells ?(scale = Quick) machine =
     cell Config.stache `Serialized;
   ]
 
-let ablation_reduction machine = run_cells (ablation_reduction_cells machine)
-
-let ablation_false_sharing_cells ?(scale = Quick) machine =
+let ablation_false_sharing_cells ~scale machine =
   let p =
     match scale with
     | Tiny -> { False_sharing.blocks = 16; rounds = 4 }
@@ -264,25 +264,23 @@ let ablation_false_sharing_cells ?(scale = Quick) machine =
         (fun rt -> False_sharing.run rt p))
     [ Config.stache; Config.lcm_scc; Config.lcm_mcc ]
 
-let ablation_false_sharing machine =
-  run_cells (ablation_false_sharing_cells machine)
-
-let ablation_stale_cells ?(scale = Quick) machine =
+let ablation_stale_cells ~scale machine =
   let p =
     match scale with
     | Tiny -> { Nbody_stale.bodies = 64; iters = 3; work_per_body = 2 }
     | Quick | Paper -> { Nbody_stale.bodies = 512; iters = 12; work_per_body = 2 }
   in
+  (* each refresh mode computes a different result by design, so each is
+     its own experiment *)
   List.map
     (fun mode ->
-      checked_cell ~experiment:"nbody-stale" ~system:(Nbody_stale.mode_name mode)
+      checked_cell ~experiment:("nbody-" ^ Nbody_stale.mode_name mode)
+        ~system:Config.lcm_mcc.Config.label
         (fun () -> Config.make_runtime machine Config.lcm_mcc ~schedule:Schedule.Static)
         (fun rt -> Nbody_stale.run rt mode p))
     [ `Fresh; `Stale 2; `Stale 4; `Stale 8 ]
 
-let ablation_stale machine = run_cells (ablation_stale_cells machine)
-
-let ablation_block_reuse_cells ?(scale = Quick) machine =
+let ablation_block_reuse_cells ~scale machine =
   let p =
     match scale with
     | Tiny -> { Stencil.n = 16; iters = 2; work_per_cell = 4 }
@@ -301,13 +299,11 @@ let ablation_block_reuse_cells ?(scale = Quick) machine =
         [ Config.lcm_scc; Config.lcm_mcc ])
     [ 2; 4; 8; 16 ]
 
-let ablation_block_reuse machine = run_cells (ablation_block_reuse_cells machine)
-
 let small_stencil_params = function
   | Tiny -> { Stencil.n = 24; iters = 2; work_per_cell = 4 }
   | Quick | Paper -> { Stencil.n = 96; iters = 6; work_per_cell = 4 }
 
-let ablation_schedule_cells ?(scale = Quick) machine =
+let ablation_schedule_cells ~scale machine =
   let p = small_stencil_params scale in
   List.concat_map
     (fun (sname, schedule) ->
@@ -325,9 +321,7 @@ let ablation_schedule_cells ?(scale = Quick) machine =
       ("random", Schedule.Dynamic_random dyn_seed);
     ]
 
-let ablation_schedule machine = run_cells (ablation_schedule_cells machine)
-
-let ablation_topology_cells ?(scale = Quick) machine =
+let ablation_topology_cells ~scale machine =
   (* interconnect sensitivity: hop latencies across a crossbar, a 2-D mesh
      and the CM-5's fat tree *)
   let p = small_stencil_params scale in
@@ -350,9 +344,7 @@ let ablation_topology_cells ?(scale = Quick) machine =
       ("fattree4", Lcm_net.Topology.Fat_tree { arity = 4 });
     ]
 
-let ablation_topology machine = run_cells (ablation_topology_cells machine)
-
-let ablation_scaling_cells ?(scale = Quick) machine =
+let ablation_scaling_cells ~scale machine =
   (* weak scaling: per-node work held constant (a fixed-height band each)
      while the machine grows; reconciliation and boundary traffic grow
      with P *)
@@ -375,9 +367,7 @@ let ablation_scaling_cells ?(scale = Quick) machine =
         [ Config.stache; Config.lcm_mcc ])
     sizes
 
-let ablation_scaling machine = run_cells (ablation_scaling_cells machine)
-
-let dir_vs_snoop_cells ?(scale = Quick) machine =
+let dir_vs_snoop_cells ~scale machine =
   (* the crossover family: the same weak-scaling stencil on the directory
      engine (point-to-point fat tree, bandwidth grows with P, home blocks
      are local memory) and the snooping-bus engine (one arbitrated
@@ -407,9 +397,7 @@ let dir_vs_snoop_cells ?(scale = Quick) machine =
         [ Config.stache; Config.mesi ])
     sizes
 
-let dir_vs_snoop machine = run_cells (dir_vs_snoop_cells machine)
-
-let ablation_cost_sensitivity_cells ?(scale = Quick) machine =
+let ablation_cost_sensitivity_cells ~scale machine =
   (* robustness: the headline comparisons should not depend on the exact
      communication-cost constants — sweep them x0.5 / x1 / x2 *)
   let p = small_stencil_params scale in
@@ -432,10 +420,7 @@ let ablation_cost_sensitivity_cells ?(scale = Quick) machine =
         [ ("stat", Schedule.Static); ("dyn", Schedule.Dynamic_random dyn_seed) ])
     [ 0.5; 1.0; 2.0 ]
 
-let ablation_cost_sensitivity machine =
-  run_cells (ablation_cost_sensitivity_cells machine)
-
-let ablation_detection_cells ?(scale = Quick) machine =
+let ablation_detection_cells ~scale machine =
   (* cost of run-time semantic-violation detection (§7.2-7.3): off,
      reconcile-time only, and strict (all read-only copies flushed at sync
      points, catching actual races).  Threshold leaves ~98% of blocks
@@ -467,9 +452,7 @@ let ablation_detection_cells ?(scale = Quick) machine =
         (fun rt -> Threshold.run rt p))
     [ ("off", false, false); ("reconcile-time", true, false); ("strict", true, true) ]
 
-let ablation_detection machine = run_cells (ablation_detection_cells machine)
-
-let ablation_update_cells ?(scale = Quick) machine =
+let ablation_update_cells ~scale machine =
   (* invalidate- vs update-based reconciliation (Policy.lcm_mcc_update):
      stencil consumers re-reference neighbour blocks every iteration, so
      refreshing copies in place saves their re-fetches *)
@@ -484,9 +467,7 @@ let ablation_update_cells ?(scale = Quick) machine =
         [ Config.lcm_mcc; Config.lcm_mcc_update ])
     [ ("static", Schedule.Static); ("dyn", Schedule.Dynamic_random dyn_seed) ]
 
-let ablation_update machine = run_cells (ablation_update_cells machine)
-
-let ablation_barrier_cells ?(scale = Quick) machine =
+let ablation_barrier_cells ~scale machine =
   (* Reconciliation organised as a central coordinator vs a combining tree
      (paper §5.1), at two machine sizes.  Many short phases make barrier
      cost visible. *)
@@ -511,9 +492,7 @@ let ablation_barrier_cells ?(scale = Quick) machine =
         [ Lcm_core.Barrier.Constant; Lcm_core.Barrier.Flat; Lcm_core.Barrier.Tree 4 ])
     sizes
 
-let ablation_barrier machine = run_cells (ablation_barrier_cells machine)
-
-let ablation_capacity_cells ?(scale = Quick) machine =
+let ablation_capacity_cells ~scale machine =
   (* The paper's "on a machine with a limited cache ... the first
      [dynamic] version's performance is likely to be more typical": a
      small hardware cache above node memory erodes Stache-stat's advantage
@@ -533,29 +512,25 @@ let ablation_capacity_cells ?(scale = Quick) machine =
         [ Config.stache; Config.lcm_mcc ])
     [ ("none", None); ("64 blocks", Some 64); ("16 blocks", Some 16) ]
 
-let ablation_capacity machine = run_cells (ablation_capacity_cells machine)
-
 (* ------------------------------------------------------------------ *)
 (* Family registry                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let families =
   [
-    ("figure2", fun ~scale machine -> figure2_cells ~scale machine);
-    ("figure3", fun ~scale machine -> figure3_cells ~scale machine);
-    ("reduction", fun ~scale machine -> ablation_reduction_cells ~scale machine);
-    ( "false-sharing",
-      fun ~scale machine -> ablation_false_sharing_cells ~scale machine );
-    ("stale", fun ~scale machine -> ablation_stale_cells ~scale machine);
-    ("block-reuse", fun ~scale machine -> ablation_block_reuse_cells ~scale machine);
-    ("schedule", fun ~scale machine -> ablation_schedule_cells ~scale machine);
-    ("topology", fun ~scale machine -> ablation_topology_cells ~scale machine);
-    ("scaling", fun ~scale machine -> ablation_scaling_cells ~scale machine);
-    ("dir-vs-snoop", fun ~scale machine -> dir_vs_snoop_cells ~scale machine);
-    ( "cost-sensitivity",
-      fun ~scale machine -> ablation_cost_sensitivity_cells ~scale machine );
-    ("detection", fun ~scale machine -> ablation_detection_cells ~scale machine);
-    ("update", fun ~scale machine -> ablation_update_cells ~scale machine);
-    ("barrier", fun ~scale machine -> ablation_barrier_cells ~scale machine);
-    ("capacity", fun ~scale machine -> ablation_capacity_cells ~scale machine);
+    ("figure2", figure2_cells);
+    ("figure3", figure3_cells);
+    ("reduction", ablation_reduction_cells);
+    ("false-sharing", ablation_false_sharing_cells);
+    ("stale", ablation_stale_cells);
+    ("block-reuse", ablation_block_reuse_cells);
+    ("schedule", ablation_schedule_cells);
+    ("topology", ablation_topology_cells);
+    ("scaling", ablation_scaling_cells);
+    ("dir-vs-snoop", dir_vs_snoop_cells);
+    ("cost-sensitivity", ablation_cost_sensitivity_cells);
+    ("detection", ablation_detection_cells);
+    ("update", ablation_update_cells);
+    ("barrier", ablation_barrier_cells);
+    ("capacity", ablation_capacity_cells);
   ]

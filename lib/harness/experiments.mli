@@ -1,16 +1,17 @@
 (** The paper's evaluation, experiment by experiment.
 
-    Each function runs a set of (benchmark × memory-system) simulations and
-    returns rows the report layer renders.  Figure 2 is Stencil (static and
-    dynamic) under the three systems; Figure 3 is Adaptive (static and
-    dynamic), Threshold and Unstructured; Table 1's miss/clean-copy
-    counters come from the same runs.  The ablations cover the paper's
-    §7 extensions and the design choices DESIGN.md calls out.
+    Each family is a list of {e cells}: independent (benchmark ×
+    memory-system) simulations that share no mutable state, so {!Sweep}
+    can run them across domains.  Figure 2 is Stencil (static and dynamic)
+    under the three systems; Figure 3 is Adaptive (static and dynamic),
+    Threshold and Unstructured; Table 1's miss/clean-copy counters come
+    from the same runs.  The ablations cover the paper's §7 extensions and
+    the design choices DESIGN.md calls out.
 
-    Every family is also exposed as {e cells} — independent
-    [(label, thunk)] simulations that share no mutable state — so
-    {!Sweep} can run them across domains; executing the cells in list
-    order reproduces the sequential functions bit-for-bit. *)
+    The differential check relies on one rule: cells that share an
+    experiment compute the same result, so a family gives a cell whose
+    result differs by design (a stale-data refresh mode) an experiment of
+    its own. *)
 
 type scale = Tiny | Quick | Paper
 (** [Tiny] is for the test suite (seconds); [Quick] shrinks problem sizes
@@ -38,17 +39,13 @@ val run_cells : cells -> row list
 (** Execute cells sequentially in list order — the reference semantics
     every parallel sweep must match. *)
 
-val figure2 : ?scale:scale -> Config.machine -> row list
+val figure2_cells : scale:scale -> Config.machine -> cells
 (** Stencil execution time: static and dynamic partitioning × LCM-scc,
     LCM-mcc, Stache+copy. *)
 
-val figure2_cells : ?scale:scale -> Config.machine -> cells
-
-val figure3 : ?scale:scale -> Config.machine -> row list
+val figure3_cells : scale:scale -> Config.machine -> cells
 (** Adaptive (static & dynamic), Threshold, Unstructured × the three
     systems. *)
-
-val figure3_cells : ?scale:scale -> Config.machine -> cells
 
 val group_by_experiment : row list -> (string * row list) list
 (** Rows grouped by experiment, preserving first-appearance order. *)
@@ -68,50 +65,37 @@ type claim = {
 }
 
 val claims : row list -> claim list
-(** Evaluate every quantitative §6.3 claim against rows from {!figure2}
-    and {!figure3}. *)
+(** Evaluate every quantitative §6.3 claim against the rows of
+    {!figure2_cells} and {!figure3_cells}. *)
 
 (** {1 Ablations} *)
 
-val ablation_reduction : Config.machine -> row list
+val ablation_reduction_cells : scale:scale -> Config.machine -> cells
 (** §7.1: RSM-reconciled vs hand-coded vs serialized global sum. *)
 
-val ablation_reduction_cells : ?scale:scale -> Config.machine -> cells
-
-val ablation_false_sharing : Config.machine -> row list
+val ablation_false_sharing_cells : scale:scale -> Config.machine -> cells
 (** §7.4: falsely-shared blocks under Stache vs LCM. *)
 
-val ablation_false_sharing_cells : ?scale:scale -> Config.machine -> cells
+val ablation_stale_cells : scale:scale -> Config.machine -> cells
+(** §7.5: N-body with fresh vs increasingly stale remote data, one
+    experiment per refresh mode ([nbody-fresh], [nbody-stale-K]). *)
 
-val ablation_stale : Config.machine -> row list
-(** §7.5: N-body with fresh vs increasingly stale remote data. *)
-
-val ablation_stale_cells : ?scale:scale -> Config.machine -> cells
-
-val ablation_block_reuse : Config.machine -> row list
+val ablation_block_reuse_cells : scale:scale -> Config.machine -> cells
 (** scc vs mcc as words-per-block (spatial reuse per block) varies — the
     clean-copy-placement design choice. *)
 
-val ablation_block_reuse_cells : ?scale:scale -> Config.machine -> cells
-
-val ablation_schedule : Config.machine -> row list
+val ablation_schedule_cells : scale:scale -> Config.machine -> cells
 (** Stencil under static / rotating / random scheduling for LCM-mcc and
     Stache — scheduling sensitivity. *)
 
-val ablation_schedule_cells : ?scale:scale -> Config.machine -> cells
-
-val ablation_topology : Config.machine -> row list
+val ablation_topology_cells : scale:scale -> Config.machine -> cells
 (** Dynamic stencil across crossbar / 2-D mesh / fat-tree interconnects. *)
 
-val ablation_topology_cells : ?scale:scale -> Config.machine -> cells
-
-val ablation_scaling : Config.machine -> row list
+val ablation_scaling_cells : scale:scale -> Config.machine -> cells
 (** Weak scaling: fixed per-node stencil band while the machine grows from
     4 to 32 nodes. *)
 
-val ablation_scaling_cells : ?scale:scale -> Config.machine -> cells
-
-val dir_vs_snoop : Config.machine -> row list
+val dir_vs_snoop_cells : scale:scale -> Config.machine -> cells
 (** Directory-vs-snooping-bus crossover: the weak-scaling stencil on
     Stache (point-to-point fat tree, home blocks local) and MESI (shared
     arbitrated bus, every miss broadcast).  A bus miss is individually
@@ -120,39 +104,27 @@ val dir_vs_snoop : Config.machine -> row list
     [bus.arb_stall_cycles] takes over the critical path.  Both engines
     are coherent, so the checksums agree cell-for-cell. *)
 
-val dir_vs_snoop_cells : ?scale:scale -> Config.machine -> cells
-
-val ablation_cost_sensitivity : Config.machine -> row list
+val ablation_cost_sensitivity_cells : scale:scale -> Config.machine -> cells
 (** Stencil comparisons under communication costs scaled ×0.5/×1/×2 —
     checks that who-wins conclusions are robust to the cost constants. *)
 
-val ablation_cost_sensitivity_cells : ?scale:scale -> Config.machine -> cells
-
-val ablation_detection : Config.machine -> row list
+val ablation_detection_cells : scale:scale -> Config.machine -> cells
 (** Cost of run-time violation detection: off, reconcile-time only, and
     strict (§7.2–7.3's "flush all read-only blocks" mode). *)
 
-val ablation_detection_cells : ?scale:scale -> Config.machine -> cells
-
-val ablation_update : Config.machine -> row list
+val ablation_update_cells : scale:scale -> Config.machine -> cells
 (** Invalidate- vs update-based reconciliation (the other end of the RSM
     reconcile-policy axis) on the stencil. *)
 
-val ablation_update_cells : ?scale:scale -> Config.machine -> cells
-
-val ablation_barrier : Config.machine -> row list
+val ablation_barrier_cells : scale:scale -> Config.machine -> cells
 (** Reconciliation barrier organised as a constant-cost network, a flat
-    central coordinator, or a combining tree (paper §5.1), at 8 and 32
-    nodes. *)
+    central coordinator, or a combining tree (paper §5.1), at two machine
+    sizes. *)
 
-val ablation_barrier_cells : ?scale:scale -> Config.machine -> cells
-
-val ablation_capacity : Config.machine -> row list
+val ablation_capacity_cells : scale:scale -> Config.machine -> cells
 (** Stencil-stat under Stache with an unbounded vs small cache — the
     paper's "on a machine with a limited cache" remark (see EXPERIMENTS.md
     for why this model shows no slowdown). *)
-
-val ablation_capacity_cells : ?scale:scale -> Config.machine -> cells
 
 val families : (string * (scale:scale -> Config.machine -> cells)) list
 (** Every experiment family by name — the figures plus all ablations —

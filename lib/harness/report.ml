@@ -5,9 +5,9 @@ module Tablefmt = Lcm_util.Tablefmt
 (* Shared machine-readable serialization                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Every machine-readable artefact the repo writes — out/lcm_results.csv, the
-   bench/perf JSON, sweep summaries — goes through these two writers, so
-   escaping rules live in exactly one place. *)
+(* Every machine-readable artefact the repo writes — sweep summaries,
+   lcmbench's JSON — goes through these two writers, so escaping rules
+   live in exactly one place. *)
 
 module Json = struct
   type t =
@@ -108,52 +108,6 @@ let kilo n =
   if n >= 1000 then Printf.sprintf "%.1fk" (float_of_int n /. 1000.0)
   else string_of_int n
 
-let execution_times ~title rows =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "== %s ==\n" title);
-  List.iter
-    (fun (experiment, rows) ->
-      let fastest =
-        List.fold_left
-          (fun acc (r : Experiments.row) -> min acc r.result.Bench_result.cycles)
-          max_int rows
-      in
-      Buffer.add_string buf (Printf.sprintf "-- %s --\n" experiment);
-      Buffer.add_string buf
-        (Tablefmt.render
-           ~header:[ "system"; "cycles"; "slowdown" ]
-           (List.map
-              (fun (r : Experiments.row) ->
-                [
-                  r.system;
-                  string_of_int r.result.Bench_result.cycles;
-                  Printf.sprintf "%.2fx"
-                    (float_of_int r.result.Bench_result.cycles
-                    /. float_of_int fastest);
-                ])
-              rows)))
-    (Experiments.group_by_experiment rows);
-  Buffer.contents buf
-
-let table1 rows =
-  let header =
-    [ "benchmark"; "system"; "misses"; "remote"; "clean copies"; "msgs" ]
-  in
-  let body =
-    List.map
-      (fun (r : Experiments.row) ->
-        [
-          r.experiment;
-          r.system;
-          kilo r.result.Bench_result.faults;
-          kilo r.result.Bench_result.remote_fetches;
-          kilo r.result.Bench_result.clean_copies;
-          kilo r.result.Bench_result.messages;
-        ])
-      rows
-  in
-  "== Table 1: cache misses and clean copies ==\n" ^ Tablefmt.render ~header body
-
 let agreement rows =
   let checks = Experiments.verify_agreement rows in
   "== Differential check: all systems compute identical results ==\n"
@@ -239,39 +193,30 @@ let samples rows =
              r.result.Bench_result.samples)
          rows)
 
-let to_csv rows =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (csv_line
-       [ "experiment"; "system"; "cycles"; "faults"; "remote_fetches";
-         "clean_copies"; "messages"; "checksum" ]);
-  List.iter
-    (fun (r : Experiments.row) ->
-      Buffer.add_string buf
-        (csv_line
-           [
-             r.experiment;
-             r.system;
-             string_of_int r.result.Bench_result.cycles;
-             string_of_int r.result.Bench_result.faults;
-             string_of_int r.result.Bench_result.remote_fetches;
-             string_of_int r.result.Bench_result.clean_copies;
-             string_of_int r.result.Bench_result.messages;
-             Printf.sprintf "%.9g" r.result.Bench_result.checksum;
-           ]))
-    rows;
-  Buffer.contents buf
-
+(* Slowdown is cycles over the fastest row of the same experiment, so the
+   figure blocks read off the same table as every ablation. *)
 let generic ~title rows =
+  let fastest experiment =
+    List.fold_left
+      (fun acc (r : Experiments.row) ->
+        if r.experiment = experiment then min acc r.result.Bench_result.cycles
+        else acc)
+      max_int rows
+  in
   Printf.sprintf "== %s ==\n" title
   ^ Tablefmt.render
-      ~header:[ "experiment"; "system"; "cycles"; "misses"; "remote"; "clean"; "msgs"; "checksum" ]
+      ~header:
+        [ "experiment"; "system"; "cycles"; "slowdown"; "misses"; "remote";
+          "clean"; "msgs"; "checksum" ]
       (List.map
          (fun (r : Experiments.row) ->
            [
              r.experiment;
              r.system;
              string_of_int r.result.Bench_result.cycles;
+             Printf.sprintf "%.2fx"
+               (float_of_int r.result.Bench_result.cycles
+               /. float_of_int (fastest r.experiment));
              kilo r.result.Bench_result.faults;
              kilo r.result.Bench_result.remote_fetches;
              kilo r.result.Bench_result.clean_copies;

@@ -1,15 +1,15 @@
 (** Render experiment rows as the paper's figures and tables.
 
-    All output is plain text meant to be read next to the paper: execution
-    times with a slowdown column normalised to the fastest system per
-    experiment (the figures), a miss/clean-copy table (Table 1), the §6.3
-    claim checklist, and generic tables for ablations. *)
+    All output is plain text meant to be read next to the paper: one
+    table of cycles, slowdown and counters per row set (the figures'
+    execution times, Table 1's misses and clean copies, every ablation),
+    the differential check, and the §6.3 claim checklist. *)
 
 (** {1 Shared machine-readable serialization}
 
-    Every machine-readable artefact the repo writes ([out/lcm_results.csv],
-    the bench/perf JSON, fleet sweep summaries) is built from these two
-    writers, so escaping lives in one place. *)
+    Every machine-readable artefact the repo writes (fleet sweep
+    summaries, lcmbench's JSON) is built from these two writers, so
+    escaping lives in one place. *)
 
 module Json : sig
   type t =
@@ -40,15 +40,6 @@ val csv_line : string list -> string
 
 (** {1 Paper tables and figures} *)
 
-val execution_times : title:string -> Experiments.row list -> string
-(** One block per experiment: per-system simulated cycles and relative
-    slowdown vs the fastest system (reproduces Figures 2/3 as numbers). *)
-
-val table1 : Experiments.row list -> string
-(** Cache misses (access faults), remote fetches and clean copies per
-    benchmark × system, in thousands — the paper's Table 1 with our
-    counters broken out. *)
-
 val agreement : Experiments.row list -> string
 (** The differential check: per experiment, whether all systems computed
     identical results. *)
@@ -58,7 +49,10 @@ val claims : Experiments.claim list -> string
     verdict. *)
 
 val generic : title:string -> Experiments.row list -> string
-(** Cycles/faults/messages table for ablation row sets. *)
+(** One line per row: simulated cycles, slowdown against the fastest row
+    of the same experiment (reproduces Figures 2/3 as numbers), then
+    access faults, remote fetches, clean copies and messages in thousands
+    (the paper's Table 1 with our counters broken out) and the checksum. *)
 
 val all_agree : Experiments.row list -> bool
 
@@ -74,8 +68,3 @@ val samples : Experiments.row list -> string
 val message_breakdown : Experiments.row list -> string
 (** Per-message-class counts for each row — which protocol actions a
     workload actually consists of. *)
-
-val to_csv : Experiments.row list -> string
-(** Machine-readable export: one line per (experiment, system) with
-    cycles, faults, remote fetches, clean copies, messages and checksum.
-    Header included. *)

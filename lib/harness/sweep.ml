@@ -13,16 +13,6 @@ let failures results =
   |> List.filter (fun (r : _ Fleet.cell_result) ->
          match r.Fleet.outcome with Fleet.Done _ -> false | _ -> true)
 
-let rows_exn results =
-  (match failures results with
-  | [] -> ()
-  | f :: _ ->
-    failwith
-      (Printf.sprintf "sweep: cell %d (%s) did not complete: %s" f.Fleet.index
-         f.Fleet.label
-         (Fleet.outcome_string f.Fleet.outcome)));
-  rows results
-
 (* ------------------------------------------------------------------ *)
 (* Machine-readable sweep summaries                                    *)
 (* ------------------------------------------------------------------ *)
@@ -89,25 +79,29 @@ let summary_csv results =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Report.csv_line
-       [ "index"; "label"; "outcome"; "host_s"; "events"; "cycles"; "error" ]);
+       [ "index"; "label"; "outcome"; "host_s"; "events"; "cycles"; "faults";
+         "remote_fetches"; "clean_copies"; "messages"; "checksum"; "error" ]);
   Array.iter
     (fun (r : Experiments.row Fleet.cell_result) ->
-      let cycles =
+      let counters =
         match r.Fleet.outcome with
-        | Fleet.Done row ->
-          string_of_int row.Experiments.result.Lcm_apps.Bench_result.cycles
-        | _ -> ""
+        | Fleet.Done { Experiments.result = b; _ } ->
+          let open Lcm_apps.Bench_result in
+          List.map string_of_int
+            [ b.cycles; b.faults; b.remote_fetches; b.clean_copies; b.messages ]
+          @ [ Printf.sprintf "%.9g" b.checksum ]
+        | _ -> List.init 6 (fun _ -> "")
       in
       Buffer.add_string buf
         (Report.csv_line
-           [
-             string_of_int r.Fleet.index;
-             r.Fleet.label;
-             outcome_tag r;
-             Printf.sprintf "%.6f" r.Fleet.host_s;
-             string_of_int r.Fleet.events;
-             cycles;
-             Option.value (error_text r) ~default:"";
-           ]))
+           ([
+              string_of_int r.Fleet.index;
+              r.Fleet.label;
+              outcome_tag r;
+              Printf.sprintf "%.6f" r.Fleet.host_s;
+              string_of_int r.Fleet.events;
+            ]
+           @ counters
+           @ [ Option.value (error_text r) ~default:"" ])))
     results;
   Buffer.contents buf

@@ -22,10 +22,6 @@ val rows : Experiments.row Fleet.cell_result array -> Experiments.row list
 (** The [Done] rows in cell-index order — what the report layer consumes.
     Failed and timed-out cells are silently dropped; check {!failures}. *)
 
-val rows_exn : Experiments.row Fleet.cell_result array -> Experiments.row list
-(** Like {!rows} but raises [Failure] describing the first non-[Done]
-    cell — for drivers (bench harness) that must fail hard. *)
-
 val failures :
   Experiments.row Fleet.cell_result array ->
   Experiments.row Fleet.cell_result list
@@ -40,4 +36,6 @@ val summary_json :
     observability}, not simulated counters (see COUNTERS.md). *)
 
 val summary_csv : Experiments.row Fleet.cell_result array -> string
-(** The same summary as CSV (header included), one line per cell. *)
+(** The same summary as CSV (header included), one line per cell; done
+    cells also carry faults, remote fetches, clean copies, messages and
+    the checksum. *)

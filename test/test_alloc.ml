@@ -1,0 +1,69 @@
+(* Host allocation fence: minor-heap words allocated per simulated event on
+   two pinned workloads must stay under fixed ceilings.  A change that
+   re-introduces per-event closure or record churn fails here long before
+   it costs wall-clock (DESIGN.md §9).
+
+   It is its own executable, so no other test's allocation is charged to
+   it.  lcmbench's gc.* metrics report the same quantities for the
+   benchmark workloads. *)
+
+open Lcm_harness
+
+(* Sizes are pinned because words/event is amortized over fixed startup
+   allocation: changing a workload silently moves its number.  Both run
+   under LCM-mcc with the static schedule, machine build included. *)
+let runtime nnodes =
+  Config.make_runtime
+    { Config.default_machine with Config.nnodes }
+    Config.lcm_mcc ~schedule:Lcm_cstar.Schedule.Static
+
+let stencil ~nnodes ~n ~iters () =
+  ignore
+    (Lcm_apps.Stencil.run (runtime nnodes)
+       { Lcm_apps.Stencil.n; iters; work_per_cell = 4 })
+
+let synthetic () =
+  ignore (Lcm_apps.Synthetic.run (runtime 16) Lcm_apps.Synthetic.default)
+
+(* workload, run, minor-words-per-event ceiling *)
+let fenced =
+  [
+    ("stencil-64x64-i10-p32", stencil ~nnodes:32 ~n:64 ~iters:10, 87.5);
+    ("synthetic-p16", synthetic, 41.5);
+  ]
+
+let () =
+  (* The first simulation in a process pays one-time lazy initialization
+     (registries, hashtable growth, domain-local state) that must not be
+     charged to either pinned workload: burn it on a throwaway run. *)
+  stencil ~nnodes:4 ~n:8 ~iters:1 ();
+  Printf.printf "%-24s %9s %13s %10s %7s %8s %8s\n" "workload" "events"
+    "minor-words" "promoted" "majors" "w/ev" "ceiling";
+  (* Events come from the calling domain's tally, so the count covers
+     every engine the workload builds. *)
+  let over =
+    List.fold_left
+      (fun over (workload, run, ceiling) ->
+        Gc.full_major ();
+        let g0 = Gc.quick_stat () in
+        let ev0 = Lcm_sim.Engine.domain_events () in
+        run ();
+        let g1 = Gc.quick_stat () in
+        let events = Lcm_sim.Engine.domain_events () - ev0 in
+        let minor = g1.Gc.minor_words -. g0.Gc.minor_words in
+        let per_event = minor /. float_of_int (max events 1) in
+        Printf.printf "%-24s %9d %13.0f %10.0f %7d %8.1f %8.1f\n" workload
+          events minor
+          (g1.Gc.promoted_words -. g0.Gc.promoted_words)
+          (g1.Gc.major_collections - g0.Gc.major_collections)
+          per_event ceiling;
+        if per_event > ceiling then workload :: over else over)
+      [] fenced
+  in
+  if over <> [] then begin
+    Printf.eprintf
+      "test_alloc: minor words per event over the ceiling on %s: a change \
+       re-introduced per-event allocation churn (DESIGN.md §9)\n"
+      (String.concat ", " (List.rev over));
+    exit 1
+  end

@@ -61,7 +61,16 @@ let test_families_parallel_identical () =
     (fun (name, cells_of) ->
       let cells = cells_of ~scale:Experiments.Tiny machine in
       let seq = Experiments.run_cells cells in
-      let par = Sweep.rows_exn (Sweep.run ~jobs:4 cells) in
+      (* cells that share an experiment compute the same result *)
+      Alcotest.(check bool) (name ^ ": systems agree") true
+        (Report.all_agree seq);
+      let results = Sweep.run ~jobs:4 cells in
+      List.iter
+        (fun (r : _ Fleet.cell_result) ->
+          Alcotest.failf "%s: cell %s: %s" name r.Fleet.label
+            (Fleet.outcome_string r.Fleet.outcome))
+        (Sweep.failures results);
+      let par = Sweep.rows results in
       Alcotest.(check int)
         (name ^ ": row count")
         (List.length seq) (List.length par);
@@ -301,8 +310,29 @@ let test_sweep_summaries () =
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check int) "csv: header + one line per cell" 3 (List.length lines);
   Alcotest.(check string)
-    "csv header" "index,label,outcome,host_s,events,cycles,error"
-    (List.hd lines)
+    "csv header"
+    "index,label,outcome,host_s,events,cycles,faults,remote_fetches,\
+     clean_copies,messages,checksum,error"
+    (List.hd lines);
+  (* row content: each done cell carries its row's counters and checksum *)
+  List.iteri
+    (fun i (row : Experiments.row) ->
+      let b = row.Experiments.result in
+      let line = List.nth lines (i + 1) in
+      let prefix =
+        Printf.sprintf "%d,%s/%s,done," i row.Experiments.experiment
+          row.Experiments.system
+      and suffix =
+        Printf.sprintf ",%d,%d,%d,%d,%d,%.9g," b.Lcm_apps.Bench_result.cycles
+          b.Lcm_apps.Bench_result.faults b.Lcm_apps.Bench_result.remote_fetches
+          b.Lcm_apps.Bench_result.clean_copies b.Lcm_apps.Bench_result.messages
+          b.Lcm_apps.Bench_result.checksum
+      in
+      Alcotest.(check bool) ("csv row prefix " ^ line) true
+        (String.starts_with ~prefix line);
+      Alcotest.(check bool) ("csv row counters " ^ line) true
+        (String.ends_with ~suffix line))
+    (Sweep.rows results)
 
 (* ------------------------------------------------------------------ *)
 (* Stress harness through the pool                                     *)
