@@ -61,7 +61,7 @@ sweep-smoke:
 	  --summary-csv /tmp/lcm_sweep_smoke.csv
 
 examples:
-	@for e in quickstart compiler_demo adaptive_mesh reductions race_detection stale_data dynamic_list; do \
+	@for e in quickstart compiler_demo adaptive_mesh reductions race_detection stale_data dynamic_list convergence; do \
 	  echo "== $$e =="; dune exec examples/$$e.exe; echo; done
 
 doc:

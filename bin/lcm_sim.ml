@@ -31,9 +31,22 @@ let negative_verdict msg =
   Printf.eprintf "lcm_sim: %s\n%!" msg;
   exit 1
 
-let system_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Config.system_of_string s) in
+(* The one policy converter: any spelling in Policy.spellings, to the
+   registry entry.  --system/--protocol/-p and every --policy use it. *)
+let policy_conv =
+  let parse s = Result.map_error (fun e -> `Msg e) (Lcm_core.Policy.of_string s) in
   Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf s.Config.label)
+
+let policy_spellings = String.concat ", " Lcm_core.Policy.spellings
+
+let policy_arg =
+  let arg =
+    Arg.(value & opt (some policy_conv) None
+         & info [ "policy" ] ~docv:"POLICY"
+             ~doc:(Printf.sprintf "Restrict to one policy (%s); default: every \
+                                   registered policy." policy_spellings))
+  in
+  Term.(const (Option.map (fun s -> s.Config.policy)) $ arg)
 
 let schedule_conv =
   let parse s =
@@ -46,10 +59,9 @@ let topology_conv =
   Arg.conv (parse, fun ppf t -> Format.pp_print_string ppf (Lcm_net.Topology.to_string t))
 
 let system_arg =
-  Arg.(value & opt system_conv Config.lcm_mcc
+  Arg.(value & opt policy_conv Config.lcm_mcc
        & info [ "system"; "protocol"; "p" ] ~docv:"SYSTEM"
-           ~doc:(Printf.sprintf "Memory system: %s."
-                   (String.concat ", " Lcm_core.Policy.names)))
+           ~doc:(Printf.sprintf "Memory system: %s." policy_spellings))
 
 let schedule_arg =
   Arg.(value & opt schedule_conv Lcm_cstar.Schedule.Static
@@ -372,14 +384,10 @@ let info_cmd =
       m.Config.nnodes m.Config.words_per_block
       (Lcm_net.Topology.to_string m.Config.topology);
     Printf.printf "systems:\n";
-    List.iter
-      (fun (i : Lcm_core.Policy.info) ->
-        let spellings =
-          String.concat "|" (i.Lcm_core.Policy.policy.Lcm_core.Policy.name
-                             :: i.Lcm_core.Policy.aliases)
-        in
+    List.iter2
+      (fun spellings (i : Lcm_core.Policy.info) ->
         Printf.printf "  %-28s %s\n" spellings i.Lcm_core.Policy.summary)
-      Lcm_core.Policy.all;
+      Lcm_core.Policy.spellings Lcm_core.Policy.all;
     Printf.printf "\n";
     Printf.printf "cost model (cycles):\n";
     List.iter
@@ -630,20 +638,6 @@ let experiments_cmd =
       $ summary_json_arg $ summary_csv_arg $ progress_arg)
 
 let stress_cmd =
-  let policy_conv =
-    let parse s = Result.map_error (fun e -> `Msg e) (Lcm_core.Policy.of_string s) in
-    Arg.conv
-      (parse, fun ppf (p : Lcm_core.Policy.t) ->
-        Format.pp_print_string ppf p.Lcm_core.Policy.name)
-  in
-  let policy_arg =
-    Arg.(value & opt (some policy_conv) None
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:(Printf.sprintf
-                     "Restrict to one policy (%s); default runs every \
-                      registered policy."
-                     (String.concat ", " Lcm_core.Policy.names)))
-  in
   let cases_arg =
     Arg.(value & opt (int_at_least 1) 100
          & info [ "cases" ] ~docv:"N" ~doc:"Cases per policy.")
@@ -658,7 +652,7 @@ let stress_cmd =
       Printf.printf "fault plan: %s\n%!" (Lcm_net.Faults.to_string plan)
     | None -> ());
     let policies =
-      match policy with Some p -> [ p ] | None -> Stress.all_policies
+      match policy with Some p -> [ p ] | None -> Lcm_core.Policy.policies
     in
     let failures =
       List.filter_map
@@ -692,20 +686,6 @@ let stress_cmd =
 
 let check_cmd =
   let module Check = Lcm_check.Check in
-  let policy_conv =
-    let parse s = Result.map_error (fun e -> `Msg e) (Lcm_core.Policy.of_string s) in
-    Arg.conv
-      (parse, fun ppf (p : Lcm_core.Policy.t) ->
-        Format.pp_print_string ppf p.Lcm_core.Policy.name)
-  in
-  let policy_arg =
-    Arg.(value & opt (some policy_conv) None
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:(Printf.sprintf
-                     "Restrict to one policy (%s); default checks every \
-                      registered policy."
-                     (String.concat ", " Lcm_core.Policy.names)))
-  in
   let scenario_arg =
     Arg.(value & opt (some string) None
          & info [ "scenario" ] ~docv:"NAME"

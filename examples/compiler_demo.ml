@@ -52,18 +52,15 @@ let blur =
       ];
   }
 
-let mk strategy =
+(* the policy picks the compilation: LCM-mcc gets LCM directives, Stache
+   explicit copying *)
+let mk policy =
   let m =
     Lcm_tempest.Machine.create ~nnodes:8 ~words_per_block:8
       ~topology:Lcm_net.Topology.Crossbar ()
   in
-  let policy =
-    match strategy with
-    | Runtime.Lcm_directives -> Lcm_core.Policy.lcm_mcc
-    | Runtime.Explicit_copy -> Lcm_core.Policy.stache
-  in
   let p = Lcm_core.Proto.install ~policy m in
-  Runtime.create p ~strategy ~schedule:Schedule.Static ()
+  Runtime.create p ~schedule:Schedule.Static
 
 let () =
   print_endline "=== source kernel ===";
@@ -74,14 +71,14 @@ let () =
   Format.printf "blur:    %a@.@." K.pp_decision (K.analyze blur);
 
   print_endline "=== compiled for LCM (the paper's section 6.1 listing) ===";
-  Format.printf "%a@." (K.pp_compiled (mk Runtime.Lcm_directives)) stencil;
+  Format.printf "%a@." (K.pp_compiled (mk Lcm_core.Policy.lcm_mcc)) stencil;
 
   print_endline "=== compiled with explicit copying (the baseline) ===";
-  Format.printf "%a@." (K.pp_compiled (mk Runtime.Explicit_copy)) stencil;
+  Format.printf "%a@." (K.pp_compiled (mk Lcm_core.Policy.stache)) stencil;
 
   (* And actually run both; they must agree. *)
-  let run strategy =
-    let rt = mk strategy in
+  let run policy =
+    let rt = mk policy in
     let a = Runtime.alloc2d rt ~rows:16 ~cols:16 ~dist:Lcm_mem.Gmem.Chunked in
     for i = 0 to 15 do
       for j = 0 to 15 do
@@ -100,8 +97,8 @@ let () =
     done;
     !sum
   in
-  let lcm_sum = run Runtime.Lcm_directives in
-  let copy_sum = run Runtime.Explicit_copy in
+  let lcm_sum = run Lcm_core.Policy.lcm_mcc in
+  let copy_sum = run Lcm_core.Policy.stache in
   Printf.printf "=== execution check ===\nLCM result %.4f  explicit-copy result %.4f  agree: %b\n"
     lcm_sum copy_sum
     (abs_float (lcm_sum -. copy_sum) < 1e-6)

@@ -20,10 +20,7 @@ let () =
       ()
   in
   let proto = Lcm_core.Proto.install ~policy:Lcm_core.Policy.lcm_mcc machine in
-  let rt =
-    Runtime.create proto ~strategy:Runtime.Lcm_directives
-      ~schedule:Schedule.Static ()
-  in
+  let rt = Runtime.create proto ~schedule:Schedule.Static in
   let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Lcm_mem.Gmem.Chunked in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do

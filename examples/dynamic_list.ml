@@ -17,14 +17,14 @@ let n = 512
 let value i = (i * 37) mod 101
 let selected v = v mod 7 = 0
 
-let run policy strategy =
+let run policy =
   let machine =
     Lcm_tempest.Machine.create ~nnodes ~words_per_block:8
       ~topology:(Lcm_net.Topology.Fat_tree { arity = 4 })
       ()
   in
   let proto = Lcm_core.Proto.install ~policy machine in
-  let rt = Runtime.create proto ~strategy ~schedule:Schedule.Static () in
+  let rt = Runtime.create proto ~schedule:Schedule.Static in
   let data = Runtime.alloc1d rt ~n ~dist:Lcm_mem.Gmem.Chunked in
   for i = 0 to n - 1 do
     Agg.poke data 0 i (value i)
@@ -79,13 +79,13 @@ let () =
   done;
   Printf.printf "expected: %d values summing to %d\n\n" !expected_count !expected_total;
   List.iter
-    (fun (name, policy, strategy) ->
-      let total, count, cycles = run policy strategy in
+    (fun (name, policy) ->
+      let total, count, cycles = run policy in
       Printf.printf "%-12s count=%d total=%d (%s) cycles=%d\n" name count total
         (if total = !expected_total && count = !expected_count then "ok"
          else "MISMATCH")
         cycles)
     [
-      ("stache", Lcm_core.Policy.stache, Runtime.Explicit_copy);
-      ("lcm-mcc", Lcm_core.Policy.lcm_mcc, Runtime.Lcm_directives);
+      ("stache", Lcm_core.Policy.stache);
+      ("lcm-mcc", Lcm_core.Policy.lcm_mcc);
     ]

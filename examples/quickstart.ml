@@ -19,11 +19,9 @@ let () =
   in
   (* Install the LCM-mcc protocol (clean copies on every caching node). *)
   let proto = Lcm_core.Proto.install ~policy:Lcm_core.Policy.lcm_mcc machine in
-  (* The runtime compiles parallel functions with LCM directives. *)
-  let rt =
-    Runtime.create proto ~strategy:Runtime.Lcm_directives
-      ~schedule:Schedule.Static ()
-  in
+  (* Under an LCM policy the runtime compiles parallel functions with LCM
+     directives. *)
+  let rt = Runtime.create proto ~schedule:Schedule.Static in
 
   (* An aggregate: a 1-D array of 64 values distributed across the nodes. *)
   let a = Runtime.alloc1d rt ~n:64 ~dist:Lcm_mem.Gmem.Chunked in

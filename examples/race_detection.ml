@@ -18,10 +18,7 @@ let mk () =
   let proto =
     Lcm_core.Proto.install ~detect:true ~policy:Lcm_core.Policy.lcm_mcc machine
   in
-  let rt =
-    Runtime.create proto ~strategy:Runtime.Lcm_directives
-      ~schedule:Schedule.Static ()
-  in
+  let rt = Runtime.create proto ~schedule:Schedule.Static in
   (proto, rt)
 
 let () =

@@ -10,16 +10,6 @@ type params = {
   work_per_cell : int;
 }
 
-let default =
-  {
-    n = 32;
-    iters = 10;
-    max_depth = 3;
-    subdiv_threshold = 2.0;
-    arena_per_node = 2048;
-    work_per_cell = 6;
-  }
-
 let paper =
   {
     n = 64;

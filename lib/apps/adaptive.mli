@@ -27,9 +27,6 @@ type params = {
   work_per_cell : int;
 }
 
-val default : params
-(** 32×32, 10 iterations, depth ≤ 3. *)
-
 val paper : params
 (** 64×64, 100 iterations, depth ≤ 4. *)
 

@@ -5,8 +5,6 @@ module Machine = Lcm_tempest.Machine
 
 type params = { blocks : int; rounds : int }
 
-let default = { blocks = 16; rounds = 20 }
-
 let run rt { blocks; rounds } =
   let mach = Runtime.machine rt in
   let gmem = Machine.gmem mach in

@@ -12,7 +12,5 @@ type params = {
   rounds : int;  (** update rounds per processor *)
 }
 
-val default : params
-
 val run : Lcm_cstar.Runtime.t -> params -> Bench_result.t
 (** The checksum sums the final words; identical across protocols. *)

@@ -7,8 +7,6 @@ type mode = [ `Fresh | `Stale of int ]
 
 type params = { bodies : int; iters : int; work_per_body : int }
 
-let default = { bodies = 256; iters = 16; work_per_body = 2 }
-
 let mode_name = function
   | `Fresh -> "fresh"
   | `Stale r -> Printf.sprintf "stale-%d" r

@@ -19,9 +19,7 @@ type mode = [ `Fresh | `Stale of int ]
 
 type params = { bodies : int; iters : int; work_per_body : int }
 
-val default : params
-
 val run : Lcm_cstar.Runtime.t -> mode -> params -> Bench_result.t
-(** Requires an LCM-policy runtime with the [Lcm_directives] strategy. *)
+(** Requires an LCM-policy runtime (the [Lcm_directives] strategy). *)
 
 val mode_name : mode -> string

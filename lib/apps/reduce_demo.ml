@@ -7,8 +7,6 @@ type variant = [ `Rsm_reconcile | `Manual_partials | `Serialized ]
 
 type params = { n : int; per_add_work : int }
 
-let default = { n = 4096; per_add_work = 2 }
-
 let variant_name = function
   | `Rsm_reconcile -> "rsm-reconcile"
   | `Manual_partials -> "manual-partials"
@@ -43,7 +41,7 @@ let run rt variant { n; per_add_work } =
     | `Manual_partials ->
       (* force the hand-coded path regardless of the runtime's strategy *)
       let r =
-        Reducer.create proto ~strategy:Agg.Double_buffered ~op:Reduction.int_sum
+        Reducer.create proto ~strategy:Agg.Explicit_copy ~op:Reduction.int_sum
           ~init:0
       in
       Runtime.parallel_apply rt ~n (fun ctx ->

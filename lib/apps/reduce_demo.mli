@@ -18,14 +18,11 @@ type variant = [ `Rsm_reconcile | `Manual_partials | `Serialized ]
 
 type params = { n : int; per_add_work : int }
 
-val default : params
-
 val run : Lcm_cstar.Runtime.t -> variant -> params -> Bench_result.t
 (** The checksum is the final sum; all variants must agree.  Run
-    [`Rsm_reconcile] on an LCM-policy runtime with [Lcm_directives], and
-    the two baselines on a Stache-policy runtime with [Explicit_copy] (the
-    serialized variant relies on coherent exclusive ownership for its
-    atomic adds). *)
+    [`Rsm_reconcile] on an LCM-policy runtime and the two baselines on a
+    Stache-policy runtime (the serialized variant relies on coherent
+    exclusive ownership for its atomic adds). *)
 
 val variant_name : variant -> string
 

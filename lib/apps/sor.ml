@@ -4,8 +4,6 @@ module Memeff = Lcm_tempest.Memeff
 
 type params = { n : int; iters : int; omega : float; work_per_cell : int }
 
-let default = { n = 50; iters = 8; omega = 1.5; work_per_cell = 4 }
-
 let init_value ~n i j =
   if i = 0 then 100.0 else if i = n - 1 || j = 0 || j = n - 1 then 0.0 else 0.0
 

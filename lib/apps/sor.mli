@@ -22,8 +22,6 @@ type params = {
   work_per_cell : int;
 }
 
-val default : params
-
 val run : Lcm_cstar.Runtime.t -> params -> Bench_result.t
 
 val reference : params -> float

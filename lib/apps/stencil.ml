@@ -3,8 +3,6 @@ module Word = Lcm_mem.Word
 
 type params = { n : int; iters : int; work_per_cell : int }
 
-let default = { n = 64; iters = 10; work_per_cell = 4 }
-
 let paper = { n = 1024; iters = 50; work_per_cell = 4 }
 
 (* Deterministic initial condition: a hot top edge and a cold interior with

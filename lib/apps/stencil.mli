@@ -22,9 +22,6 @@ type params = {
   work_per_cell : int;  (** extra compute cycles charged per invocation *)
 }
 
-val default : params
-(** 64×64, 10 iterations — quick-run scale. *)
-
 val paper : params
 (** 1024×1024, 50 iterations — the paper's configuration. *)
 

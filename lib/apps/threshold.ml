@@ -3,8 +3,6 @@ module Word = Lcm_mem.Word
 
 type params = { n : int; iters : int; threshold : float; work_per_cell : int }
 
-let default = { n = 64; iters = 10; threshold = 0.5; work_per_cell = 4 }
-
 let paper = { n = 512; iters = 50; threshold = 0.5; work_per_cell = 4 }
 
 (* Zero mesh with a few fixed hot sources sprinkled deterministically. *)

@@ -19,9 +19,6 @@ type params = {
   work_per_cell : int;
 }
 
-val default : params
-(** 64×64, 10 iterations. *)
-
 val paper : params
 (** 512×512, 50 iterations. *)
 

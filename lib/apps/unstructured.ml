@@ -10,8 +10,6 @@ type params = {
   work_per_node : int;
 }
 
-let default = { nodes = 256; edges = 1024; iters = 32; seed = 11; work_per_node = 6 }
-
 let paper = { nodes = 256; edges = 1024; iters = 512; seed = 11; work_per_node = 6 }
 
 (* Random multigraph-free undirected graph: a Hamiltonian ring for

@@ -27,9 +27,6 @@ val scatter : params -> int -> int
     cache blocks — so neighbouring invocations write words of shared blocks
     (the irregular-structure behaviour the paper measures). *)
 
-val default : params
-(** 256 nodes / 1024 edges / 32 iterations. *)
-
 val paper : params
 (** 256 nodes / 1024 edges / 512 iterations. *)
 

@@ -70,9 +70,10 @@ let moesi =
   { name = "moesi"; family = Snoop { exclusive_state = true; owned_state = true } }
 
 (* ------------------------------------------------------------------ *)
-(* The registry: the single source of truth for which policies exist.  *)
-(* Every other list of policies (the stress harness, the harness       *)
-(* Config systems, the lcm_sim CLI choices) derives from [all].        *)
+(* The registry: the one statement of which memory systems exist and   *)
+(* what they are called.  Every other list of policies (the stress     *)
+(* harness, the harness Config systems, the lcm_sim CLI choices) and   *)
+(* every parser derives from [all].                                    *)
 (* ------------------------------------------------------------------ *)
 
 type info = { policy : t; label : string; aliases : string list; summary : string }
@@ -82,7 +83,7 @@ let all =
     {
       policy = stache;
       label = "Stache+copy";
-      aliases = [];
+      aliases = [ "copy" ];
       summary = "directory; sequentially-consistent single-writer (baseline)";
     };
     {
@@ -94,7 +95,7 @@ let all =
     {
       policy = lcm_mcc;
       label = "LCM-mcc";
-      aliases = [ "mcc" ];
+      aliases = [ "mcc"; "lcm" ];
       summary = "directory; LCM, clean copies on every caching node";
     };
     {
@@ -125,22 +126,19 @@ let all =
 
 let policies = List.map (fun i -> i.policy) all
 
-let names = List.map (fun i -> i.policy.name) all
+let spellings_of i =
+  let label = String.lowercase_ascii i.label in
+  i.policy.name :: (if label = i.policy.name then i.aliases else label :: i.aliases)
 
-let spellings =
-  (* every accepted spelling, canonical name first — the vocabulary the
-     parse error enumerates *)
-  List.map (fun i -> String.concat "|" (i.policy.name :: i.aliases)) all
+let spellings = List.map (fun i -> String.concat "|" (spellings_of i)) all
 
 let of_string s =
   let key = String.lowercase_ascii (String.trim s) in
-  match
-    List.find_opt (fun i -> i.policy.name = key || List.mem key i.aliases) all
-  with
-  | Some i -> Ok i.policy
+  match List.find_opt (fun i -> List.mem key (spellings_of i)) all with
+  | Some i -> Ok i
   | None ->
     Error
-      (Printf.sprintf "unknown protocol %S (expected one of: %s)" key
+      (Printf.sprintf "unknown policy %S (expected one of: %s)" key
          (String.concat ", " spellings))
 
 let is_lcm p =

@@ -15,9 +15,11 @@
       ({!Lcm_net.Bus}); the comparison baseline for the directory-vs-bus
       crossover experiments.
 
-    The {!all} registry is the single source of truth for which policies
-    exist: the stress harness, the harness [Config] systems and the
-    [lcm_sim] CLI choices all derive their lists from it. *)
+    The {!all} registry is the one statement of a memory system: its
+    entry names the policy, carries every spelling {!of_string} accepts,
+    and (through {!is_lcm}) decides the C\*\* compilation strategy the
+    runtime pairs with it.  The stress harness, the harness [Config]
+    systems and every [lcm_sim] policy option derive from it. *)
 
 type write_grant =
   | Exclusive
@@ -90,8 +92,11 @@ type info = {
   policy : t;
   label : string;
       (** presentation label (e.g. "Stache+copy", "MESI") — the harness
-          Config system labels and figure legends derive from it *)
-  aliases : string list;  (** accepted [of_string] spellings besides [name] *)
+          Config system labels and figure legends derive from it; accepted
+          by {!of_string} *)
+  aliases : string list;
+      (** further {!of_string} spellings (e.g. "copy" for Stache, "lcm"
+          for LCM-mcc) *)
   summary : string;  (** one-line description for [--help] and docs *)
 }
 
@@ -102,20 +107,20 @@ val all : info list
 val policies : t list
 (** [List.map (fun i -> i.policy) all]. *)
 
-val names : string list
-(** Canonical names, in registry order. *)
-
 val spellings : string list
-(** Every accepted spelling per policy, canonical name first, joined with
-    ["|"] (e.g. ["lcm-mcc-update|mcc-update|update"]) — the vocabulary the
-    parse error and the CLI help enumerate. *)
+(** Every accepted spelling per policy — canonical name, lowercased label,
+    aliases — joined with ["|"] (e.g. ["stache|stache+copy|copy"]): the
+    vocabulary the parse error and the CLI help enumerate. *)
 
-val of_string : string -> (t, string) result
-(** Case-insensitive lookup by canonical name or alias.  The error message
-    enumerates every accepted spelling. *)
+val of_string : string -> (info, string) result
+(** The registry entry named by a spelling from {!spellings}; case and
+    surrounding blanks are ignored.  The only parser of policy names: the
+    error message enumerates every accepted spelling. *)
 
 val is_lcm : t -> bool
 (** Whether parallel-phase writes receive private LCM copies (the
-    directory family with [Lcm_copy] grants). *)
+    directory family with [Lcm_copy] grants).  Also the C\*\* runtime's
+    rule: LCM policies compile to [mark_modification]/[reconcile_copies]
+    directives, every coherent policy to explicit copying. *)
 
 val is_snoop : t -> bool

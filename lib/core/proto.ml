@@ -14,19 +14,17 @@ type t =
   | Dir of Proto_dir.t
   | Snoop_engine of Proto_snoop.t
 
-let install ?detect ?strict_detection ?capacity_evictions ?barrier ~policy
-    mach =
+let install ?detect ?strict_detection ?barrier ~policy mach =
   match policy.Policy.family with
   | Policy.Directory _ ->
     Dir
-      (Proto_dir.install ?detect ?strict_detection ?capacity_evictions
-         ?barrier ~policy mach)
+      (Proto_dir.install ?detect ?strict_detection ?barrier ~policy mach)
   | Policy.Snoop _ ->
     (* detection is an LCM reconciliation feature; a coherent bus has no
        reconcile sweep to record conflicts in, so the flags are inert *)
     ignore detect;
     ignore strict_detection;
-    Snoop_engine (Proto_snoop.install ?capacity_evictions ?barrier ~policy mach)
+    Snoop_engine (Proto_snoop.install ?barrier ~policy mach)
 
 let policy = function
   | Dir p -> Proto_dir.policy p

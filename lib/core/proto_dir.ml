@@ -1165,8 +1165,7 @@ let poke t addr v =
   (Machine.master t.mach b).(off) <- v
 
 let install ?(detect = false) ?(strict_detection = false)
-    ?(capacity_evictions = true) ?(barrier = Barrier.Constant) ~policy:pol
-    mach =
+    ?(barrier = Barrier.Constant) ~policy:pol mach =
   let dp =
     match pol.Policy.family with
     | Policy.Directory d -> d
@@ -1220,8 +1219,7 @@ let install ?(detect = false) ?(strict_detection = false)
     ~read_fault:(fun node ~addr ~retry -> read_fault t node ~addr ~retry)
     ~write_fault:(fun node ~addr ~retry -> write_fault t node ~addr ~retry)
     ~directive:(fun node d ~retry -> directive t node d ~retry);
-  if capacity_evictions then
-    Machine.set_evict_handler mach (fun node b line -> evict t node b line);
+  Machine.set_evict_handler mach (fun node b line -> evict t node b line);
   if detect then
     (* Home reads hit the always-readable backing line and never fault, so
        they are invisible to [serve]; without this observer a race where

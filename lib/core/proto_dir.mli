@@ -43,7 +43,6 @@ type t
 val install :
   ?detect:bool ->
   ?strict_detection:bool ->
-  ?capacity_evictions:bool ->
   ?barrier:Barrier.style ->
   policy:Policy.t ->
   Lcm_tempest.Machine.t ->
@@ -59,10 +58,9 @@ val install :
     read-only cache blocks must be flushed from the caches at
     synchronization points" (§7.2); it costs extra invalidation traffic and
     re-fetches, which is why the paper reserves it for debugging.  Requires
-    [detect].  [capacity_evictions] registers the eviction hook (default
-    true; only matters when the machine was created with a finite cache).
-    [barrier] selects the reconciliation-barrier timing model (default
-    {!Barrier.Constant}). *)
+    [detect].  The eviction hook is always registered; it fires only on a
+    machine created with a finite cache.  [barrier] selects the
+    reconciliation-barrier timing model (default {!Barrier.Constant}). *)
 
 val policy : t -> Policy.t
 

@@ -68,9 +68,6 @@ type t = {
   barrier : Barrier.style;
   states : (int, Snoop.state array) Hashtbl.t;  (* block -> per-node state *)
   wb : (int, Block.t) Hashtbl.t;  (* in-flight evicted dirty data *)
-  reductions : (int, Reduction.t) Hashtbl.t;
-      (* accepted for API parity; reductions execute as coherent rmws, so
-         the operator table is not consulted by this engine *)
   pending_retries : (int, (unit -> unit) list) Hashtbl.t array;  (* per node *)
 }
 
@@ -372,10 +369,9 @@ let reconcile t =
     (Machine.Trace.Epoch_advance { epoch = Machine.epoch t.mach });
   Machine.set_phase t.mach `Sequential
 
-let register_reduction t ~base ~nwords op =
-  List.iter
-    (fun b -> Hashtbl.replace t.reductions b op)
-    (Gmem.region_blocks (Machine.gmem t.mach) base ~nwords)
+(* reductions execute as coherent read-modify-writes on a bus: there is
+   no reconciliation for an operator to combine *)
+let register_reduction _ ~base:_ ~nwords:_ _ = ()
 
 let conflicts _ = []
 let races _ = []
@@ -534,8 +530,7 @@ let poke t addr v =
   | None -> ());
   (Machine.master t.mach b).(off) <- v
 
-let install ?(capacity_evictions = true) ?(barrier = Barrier.Constant)
-    ~policy:pol mach =
+let install ?(barrier = Barrier.Constant) ~policy:pol mach =
   let sp =
     match pol.Policy.family with
     | Policy.Snoop sp -> sp
@@ -562,7 +557,6 @@ let install ?(capacity_evictions = true) ?(barrier = Barrier.Constant)
       barrier;
       states = Hashtbl.create 4096;
       wb = Hashtbl.create 16;
-      reductions = Hashtbl.create 64;
       pending_retries = Array.init nnodes (fun _ -> Hashtbl.create 16);
     }
   in
@@ -570,6 +564,5 @@ let install ?(capacity_evictions = true) ?(barrier = Barrier.Constant)
     ~read_fault:(fun node ~addr ~retry -> read_fault t node ~addr ~retry)
     ~write_fault:(fun node ~addr ~retry -> write_fault t node ~addr ~retry)
     ~directive:(fun node d ~retry -> directive t node d ~retry);
-  if capacity_evictions then
-    Machine.set_evict_handler mach (fun node b line -> evict t node b line);
+  Machine.set_evict_handler mach (fun node b line -> evict t node b line);
   t

@@ -29,24 +29,23 @@
 type t
 
 val install :
-  ?capacity_evictions:bool ->
   ?barrier:Barrier.style ->
   policy:Policy.t ->
   Lcm_tempest.Machine.t ->
   t
 (** [install ~policy machine] registers the engine: claims the fault,
-    directive and (when [capacity_evictions], default true) eviction
-    hooks, creates the shared bus, and disables home backing lines — so
-    it must run before any block of [machine] is touched.
+    directive and eviction hooks, creates the shared bus, and disables
+    home backing lines — so it must run before any block of [machine] is
+    touched.
     @raise Invalid_argument if [policy] is not in the snooping family. *)
 
 val policy : t -> Policy.t
 val machine : t -> Lcm_tempest.Machine.t
 
 val register_reduction : t -> base:int -> nwords:int -> Reduction.t -> unit
-(** Accepted for API parity with the directory engine.  Reductions under
-    a coherent bus execute as ordinary atomic read-modify-writes, so the
-    operator table is recorded but never consulted. *)
+(** Accepted for API parity with the directory engine and ignored:
+    reductions under a coherent bus execute as ordinary atomic
+    read-modify-writes. *)
 
 val begin_parallel : t -> unit
 

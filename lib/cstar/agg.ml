@@ -2,7 +2,7 @@ module Proto = Lcm_core.Proto
 module Memeff = Lcm_tempest.Memeff
 module Word = Lcm_mem.Word
 
-type strategy = Lcm | Double_buffered
+type strategy = Lcm_directives | Explicit_copy
 
 type t = {
   proto : Proto.t;
@@ -10,7 +10,7 @@ type t = {
   rows : int;
   cols : int;
   mutable front : int;  (* base address of the read buffer *)
-  mutable back : int;  (* base address of the write buffer (= front for Lcm) *)
+  mutable back : int;  (* base address of the write buffer (= front for Lcm_directives) *)
 }
 
 let create proto ~strategy ~rows ~cols ~dist =
@@ -20,8 +20,8 @@ let create proto ~strategy ~rows ~cols ~dist =
   let front = Lcm_mem.Gmem.alloc gmem ~dist ~nwords in
   let back =
     match strategy with
-    | Lcm -> front
-    | Double_buffered -> Lcm_mem.Gmem.alloc gmem ~dist ~nwords
+    | Lcm_directives -> front
+    | Explicit_copy -> Lcm_mem.Gmem.alloc gmem ~dist ~nwords
   in
   { proto; strategy; rows; cols; front; back }
 
@@ -47,8 +47,8 @@ let get t i j = Memeff.load (read_addr t i j)
 let set t i j v =
   let addr = write_addr t i j in
   (match t.strategy with
-  | Lcm -> Memeff.directive (Memeff.Mark_modification addr)
-  | Double_buffered -> ());
+  | Lcm_directives -> Memeff.directive (Memeff.Mark_modification addr)
+  | Explicit_copy -> ());
   Memeff.store addr v
 
 let getf t i j = Word.to_float (get t i j)
@@ -61,8 +61,8 @@ let setf1 t j v = setf t 0 j v
 
 let swap t =
   match t.strategy with
-  | Lcm -> ()
-  | Double_buffered ->
+  | Lcm_directives -> ()
+  | Explicit_copy ->
     let f = t.front in
     t.front <- t.back;
     t.back <- f

@@ -1,11 +1,13 @@
 (** C\*\* aggregates: distributed arrays that parallel functions apply over.
 
-    An aggregate's accessors adapt to the compilation strategy:
+    An aggregate's accessors adapt to the C\*\* compilation strategy,
+    which the runtime derives from its protocol's policy
+    ({!Lcm_core.Policy.is_lcm}):
 
-    - [Lcm]: one buffer; {!set} issues a [mark_modification] directive
+    - [Lcm_directives]: one buffer; {!set} issues a [mark_modification] directive
       before the store, exactly as the C\*\* compiler does for potentially
       conflicting writes, so the memory system makes the copy;
-    - [Double_buffered]: the explicit-copying baseline — two buffers, reads
+    - [Explicit_copy]: the explicit-copying baseline — two buffers, reads
       from the front, writes to the back, {!swap} exchanges them after the
       parallel call ("all reads come from the old copy of A and all writes
       go to the new copy of A ... the code exchanges the two arrays with a
@@ -15,7 +17,14 @@
     fiber code; {!peek}/{!poke} bypass the simulation for initialisation
     and result extraction. *)
 
-type strategy = Lcm | Double_buffered
+type strategy =
+  | Lcm_directives
+      (** the compiler relies on the memory system: marks before
+          potentially conflicting writes, reconciliation at the end of the
+          parallel call *)
+  | Explicit_copy
+      (** the conservative baseline: double-buffered aggregates and
+          hand-coded reductions *)
 
 type t
 
@@ -43,14 +52,15 @@ val read_addr : t -> int -> int -> int
     @raise Invalid_argument when out of bounds. *)
 
 val write_addr : t -> int -> int -> int
-(** Address in the back (write) buffer — same as {!read_addr} under [Lcm]. *)
+(** Address in the back (write) buffer — same as {!read_addr} under
+    [Lcm_directives]. *)
 
 val get : t -> int -> int -> int
 (** Effectful read of element [(i, j)] (front buffer). *)
 
 val set : t -> int -> int -> int -> unit
 (** Effectful write of element [(i, j)]; marks the block first under
-    [Lcm]. *)
+    [Lcm_directives]. *)
 
 val getf : t -> int -> int -> float
 val setf : t -> int -> int -> float -> unit
@@ -63,8 +73,8 @@ val getf1 : t -> int -> float
 val setf1 : t -> int -> float -> unit
 
 val swap : t -> unit
-(** Exchange front and back buffers; no-op under [Lcm].  Only sound between
-    phases. *)
+(** Exchange front and back buffers; no-op under [Lcm_directives].  Only
+    sound between phases. *)
 
 val peek : t -> int -> int -> int
 (** Non-effectful read of the front buffer (via {!Lcm_core.Proto.peek}). *)

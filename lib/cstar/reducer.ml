@@ -21,10 +21,10 @@ let create proto ~strategy ~op ~init =
   Proto.poke proto var (Word.of_int init);
   let partials =
     match strategy with
-    | Agg.Lcm ->
+    | Agg.Lcm_directives ->
       Proto.register_reduction proto ~base:var ~nwords:wpb op;
       [||]
-    | Agg.Double_buffered ->
+    | Agg.Explicit_copy ->
       Array.init (Machine.nnodes mach) (fun nid ->
           let addr = Gmem.alloc gmem ~dist:(Gmem.On nid) ~nwords:wpb in
           Proto.poke proto addr op.Reduction.identity;
@@ -34,10 +34,10 @@ let create proto ~strategy ~op ~init =
 
 let add ctx t v =
   match t.strategy with
-  | Agg.Lcm ->
+  | Agg.Lcm_directives ->
     Memeff.directive (Memeff.Mark_modification t.var);
     Memeff.store t.var (t.op.Reduction.apply (Memeff.load t.var) v)
-  | Agg.Double_buffered ->
+  | Agg.Explicit_copy ->
     let partial = t.partials.(ctx.Ctx.node) in
     Memeff.store partial (t.op.Reduction.apply (Memeff.load partial) v)
 
@@ -53,8 +53,8 @@ let setf t v = Proto.poke t.proto t.var (Word.of_float v)
 
 let finalize t =
   match t.strategy with
-  | Agg.Lcm -> ()
-  | Agg.Double_buffered ->
+  | Agg.Lcm_directives -> ()
+  | Agg.Explicit_copy ->
     (* Sequential fold of the per-node partials, as the hand-written
        baseline would do after the parallel loop. *)
     let acc = ref (Memeff.load t.var) in

@@ -1,11 +1,11 @@
 (** Reduction variables — C\*\*'s reduction assignments ([total %+= x]).
 
-    Under the [Lcm] strategy, {!add} compiles exactly as the paper
+    Under the [Lcm_directives] strategy, {!add} compiles exactly as the paper
     describes: the location is marked, the invocation accumulates into its
     private copy, and the registered {!Lcm_core.Reduction.t} combines the
     copies at reconciliation.
 
-    Under the [Double_buffered] (explicit-copy) strategy, {!add} follows
+    Under the [Explicit_copy] strategy, {!add} follows
     the hand-coded baseline of Section 7.1: each node accumulates into a
     node-local partial (placed in its own cache block to avoid false
     sharing), and the runtime folds the partials into the global variable
@@ -44,7 +44,7 @@ val setf : t -> float -> unit
 
 val finalize : t -> unit
 (** Fold per-node partials into the global variable and reset them (no-op
-    under [Lcm]).  Must run from fiber code in a sequential phase; the
+    under [Lcm_directives]).  Must run from fiber code in a sequential phase; the
     runtime calls this after each parallel apply that names the reducer. *)
 
 val op : t -> Lcm_core.Reduction.t

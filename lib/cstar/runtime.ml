@@ -2,7 +2,7 @@ module Proto = Lcm_core.Proto
 module Machine = Lcm_tempest.Machine
 module Memeff = Lcm_tempest.Memeff
 
-type strategy = Lcm_directives | Explicit_copy
+type strategy = Agg.strategy = Lcm_directives | Explicit_copy
 
 type phase_snapshot = {
   label : string;
@@ -20,26 +20,23 @@ type t = {
   h_invocations : Lcm_util.Stats.Handle.counter;
   h_phase_cycles : Lcm_util.Stats.Handle.sample;
   schedule : Schedule.t;
-  flush_between : bool;
-  chunks_per_node : int;
   mutable phase_log : phase_snapshot list; (* newest first *)
   mutable log_phases : bool;
 }
 
-let create proto ~strategy ~schedule ?(flush_between = true)
-    ?(chunks_per_node = 1) () =
-  if chunks_per_node <= 0 then
-    invalid_arg "Runtime.create: chunks_per_node must be positive";
+let create proto ~schedule =
   let s = Machine.stats (Proto.machine proto) in
   {
     proto;
-    strategy;
+    (* the policy decides what the C** compiler emits: LCM policies rely
+       on marks and reconciliation, coherent ones on explicit copies *)
+    strategy =
+      (if Lcm_core.Policy.is_lcm (Proto.policy proto) then Lcm_directives
+       else Explicit_copy);
     h_parallel_calls = Lcm_util.Stats.counter s "cstar.parallel_calls";
     h_invocations = Lcm_util.Stats.counter s "cstar.invocations";
     h_phase_cycles = Lcm_util.Stats.sample s "cstar.phase_cycles";
     schedule;
-    flush_between;
-    chunks_per_node;
     phase_log = [];
     log_phases = false;
   }
@@ -51,17 +48,12 @@ let proto t = t.proto
 let machine t = Proto.machine t.proto
 let strategy t = t.strategy
 
-let agg_strategy t =
-  match t.strategy with
-  | Lcm_directives -> Agg.Lcm
-  | Explicit_copy -> Agg.Double_buffered
-
 let alloc2d t ~rows ~cols ~dist =
-  Agg.create t.proto ~strategy:(agg_strategy t) ~rows ~cols ~dist
+  Agg.create t.proto ~strategy:t.strategy ~rows ~cols ~dist
 
-let alloc1d t ~n ~dist = Agg.create1d t.proto ~strategy:(agg_strategy t) ~n ~dist
+let alloc1d t ~n ~dist = Agg.create1d t.proto ~strategy:t.strategy ~n ~dist
 
-let reducer t ~op ~init = Reducer.create t.proto ~strategy:(agg_strategy t) ~op ~init
+let reducer t ~op ~init = Reducer.create t.proto ~strategy:t.strategy ~op ~init
 
 let stats t = Machine.stats (machine t)
 
@@ -82,13 +74,12 @@ let parallel_apply t ?(iter = 0) ?(reducers = []) ?flush_between ?schedule ~n
   let before = if t.log_phases then Lcm_util.Stats.counters (stats t) else [] in
   Proto.begin_parallel t.proto;
   let schedule = Option.value schedule ~default:t.schedule in
-  let nchunks = max 1 (min n (nnodes * t.chunks_per_node)) in
+  let nchunks = max 1 (min n nnodes) in
   let ranges = Schedule.chunks ~n ~nchunks in
   let assignment = Schedule.assign schedule ~iter ~nnodes ~nchunks in
   let dynamic = Schedule.is_dynamic schedule in
   let emit_flush =
-    Option.value flush_between ~default:t.flush_between
-    && t.strategy = Lcm_directives
+    Option.value flush_between ~default:true && t.strategy = Lcm_directives
   in
   for nid = 0 to nnodes - 1 do
     let my_chunks =

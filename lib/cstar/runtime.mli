@@ -10,34 +10,24 @@
       [reconcile_copies] — a plain barrier under the Stache policy;
     - {!sequential} runs ordinary code on one node.
 
-    The {e strategy} selects what the C\*\* compiler emitted:
+    The {e strategy} is what the C\*\* compiler emitted, and the
+    protocol's policy decides it ({!Lcm_core.Policy.is_lcm}):
     [Lcm_directives] relies on the memory system (marks + reconcile);
     [Explicit_copy] is the conservative baseline that double-buffers
     aggregates and hand-codes reductions. *)
 
-type strategy = Lcm_directives | Explicit_copy
+type strategy = Agg.strategy = Lcm_directives | Explicit_copy
 
 type t
 
-val create :
-  Lcm_core.Proto.t ->
-  strategy:strategy ->
-  schedule:Schedule.t ->
-  ?flush_between:bool ->
-  ?chunks_per_node:int ->
-  unit ->
-  t
-(** [flush_between] (default [true]) issues [flush_copies] between
-    consecutive invocations on a node under [Lcm_directives] — required
-    unless the compiler proves invocations access distinct locations.
-    [chunks_per_node] (default 1) oversubscribes the schedule. *)
+val create : Lcm_core.Proto.t -> schedule:Schedule.t -> t
+(** A runtime over an installed protocol: [Lcm_directives] under an LCM
+    policy, [Explicit_copy] under every coherent one (Stache and the bus
+    family).  Each parallel call runs one chunk of invocations per node. *)
 
 val proto : t -> Lcm_core.Proto.t
 val machine : t -> Lcm_tempest.Machine.t
 val strategy : t -> strategy
-
-val agg_strategy : t -> Agg.strategy
-(** The aggregate representation matching this runtime's strategy. *)
 
 val alloc2d : t -> rows:int -> cols:int -> dist:Lcm_mem.Gmem.dist -> Agg.t
 (** Allocate an aggregate with the runtime's strategy. *)
@@ -57,12 +47,13 @@ val parallel_apply :
   unit
 (** Apply a parallel function over indices [\[0, n)].  [reducers] names the
     reduction variables the function updates, so the explicit-copy strategy
-    can fold their partials afterwards.  [flush_between] overrides the
-    runtime default for this call — the compiler omits inter-invocation
-    flushes when analysis shows no invocation reads a location another may
-    have marked (e.g. pure reductions).  [schedule] overrides the runtime's
-    schedule for this call — e.g. a hand-written copy loop stays statically
-    partitioned even when the parallel function is dynamically scheduled.
+    can fold their partials afterwards.  [flush_between] (default [true])
+    issues [flush_copies] between consecutive invocations on a node under
+    [Lcm_directives]; the compiler omits these flushes when analysis shows
+    no invocation reads a location another may have marked (e.g. pure
+    reductions).  [schedule] overrides the runtime's schedule for this
+    call — e.g. a hand-written copy loop stays statically partitioned even
+    when the parallel function is dynamically scheduled.
     On return the phase is complete, memory is reconciled and all node
     clocks equal the release time. *)
 

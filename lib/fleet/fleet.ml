@@ -51,7 +51,6 @@ module Progress = struct
   type t = {
     out : out_channel;
     tty : bool;
-    min_interval_s : float;
     total : int;
     started : float;
     mutable done_ : int;
@@ -59,11 +58,10 @@ module Progress = struct
     mutable finished : (string * float) list;  (* (label, host_s), any order *)
   }
 
-  let create ?(out = stderr) ?(min_interval_s = 0.1) ~total () =
+  let create ?(out = stderr) ~total () =
     {
       out;
       tty = (try Unix.isatty (Unix.descr_of_out_channel out) with Unix.Unix_error _ -> false);
-      min_interval_s;
       total;
       started = Unix.gettimeofday ();
       done_ = 0;
@@ -100,7 +98,7 @@ module Progress = struct
     t.done_ <- t.done_ + 1;
     t.finished <- (label, host_s) :: t.finished;
     let now = Unix.gettimeofday () in
-    if t.done_ = t.total || now -. t.last_draw >= t.min_interval_s then begin
+    if t.done_ = t.total || now -. t.last_draw >= 0.1 then begin
       t.last_draw <- now;
       draw t ~now
     end

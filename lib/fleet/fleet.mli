@@ -69,9 +69,8 @@ val resolve_jobs : int -> int
 module Progress : sig
   type t
 
-  val create : ?out:out_channel -> ?min_interval_s:float -> total:int -> unit -> t
-  (** [out] defaults to stderr; [min_interval_s] (default 0.1) throttles
-      redraws. *)
+  val create : ?out:out_channel -> total:int -> unit -> t
+  (** [out] defaults to stderr; redraws come at most every 0.1 s. *)
 
   val cell_done : t -> label:string -> host_s:float -> unit
   (** Record one finished cell and maybe redraw.  Called by {!Pool.run}

@@ -1,82 +1,23 @@
 module Policy = Lcm_core.Policy
 
-type system = {
-  label : string;
+type system = Policy.info = {
   policy : Policy.t;
-  strategy : Lcm_cstar.Runtime.strategy;
+  label : string;
+  aliases : string list;
+  summary : string;
 }
 
-(* Systems derive from the policy registry: label from the registry entry,
-   execution strategy from the family — LCM policies run C* code through
-   the marking/flushing directives; everything coherent (Stache, the bus
-   family) runs the same code with explicit copies. *)
-let system_of_info (i : Policy.info) =
-  {
-    label = i.Policy.label;
-    policy = i.Policy.policy;
-    strategy =
-      (if Policy.is_lcm i.Policy.policy then Lcm_cstar.Runtime.Lcm_directives
-       else Lcm_cstar.Runtime.Explicit_copy);
-  }
+let system p = List.find (fun s -> s.policy = p) Policy.all
 
-let all_systems = List.map system_of_info Policy.all
-
-let by_name name =
-  List.find (fun s -> s.policy.Policy.name = name) all_systems
-
-let stache = by_name "stache"
-let lcm_scc = by_name "lcm-scc"
-let lcm_mcc = by_name "lcm-mcc"
-let lcm_mcc_update = by_name "lcm-mcc-update"
-let msi = by_name "msi"
-let mesi = by_name "mesi"
-let moesi = by_name "moesi"
+let stache = system Policy.stache
+let lcm_scc = system Policy.lcm_scc
+let lcm_mcc = system Policy.lcm_mcc
+let lcm_mcc_update = system Policy.lcm_mcc_update
+let msi = system Policy.msi
+let mesi = system Policy.mesi
+let moesi = system Policy.moesi
 
 let systems = [ lcm_scc; lcm_mcc; stache ]
-
-(* Historical spellings that name a *system* rather than a policy, kept
-   out of Policy.of_string: "copy" is the explicit-copy execution
-   strategy, "lcm" the headline LCM system. *)
-let extra_aliases = [ ("copy", "stache"); ("lcm", "lcm-mcc") ]
-
-let system_spellings =
-  List.map
-    (fun (i : Policy.info) ->
-      let extras =
-        List.filter_map
-          (fun (alias, name) ->
-            if name = i.Policy.policy.Policy.name then Some alias else None)
-          extra_aliases
-      in
-      let all =
-        (i.Policy.policy.Policy.name :: String.lowercase_ascii i.Policy.label
-         :: i.Policy.aliases)
-        @ extras
-      in
-      let deduped =
-        List.fold_left
-          (fun acc s -> if List.mem s acc then acc else s :: acc)
-          [] all
-      in
-      String.concat "|" (List.rev deduped))
-    Policy.all
-
-let system_of_string s =
-  let key = String.lowercase_ascii (String.trim s) in
-  let matches (i : Policy.info) =
-    i.Policy.policy.Policy.name = key
-    || String.lowercase_ascii i.Policy.label = key
-    || List.mem key i.Policy.aliases
-  in
-  match List.find_opt matches Policy.all with
-  | Some i -> Ok (system_of_info i)
-  | None -> (
-    match List.assoc_opt key extra_aliases with
-    | Some name -> Ok (by_name name)
-    | None ->
-      Error
-        (Printf.sprintf "unknown system %S (expected one of: %s)" key
-           (String.concat ", " system_spellings)))
 
 type machine = {
   nnodes : int;
@@ -101,12 +42,13 @@ let default_machine =
     faults = None;
   }
 
+let build_machine m =
+  Lcm_tempest.Machine.create ~costs:m.costs ~topology:m.topology ~seed:m.seed
+    ?capacity_blocks:m.capacity_blocks ?hw_cache_blocks:m.hw_cache_blocks
+    ?faults:m.faults ~nnodes:m.nnodes ~words_per_block:m.words_per_block ()
+
 let make_runtime ?detect ?barrier m system ~schedule =
-  let mach =
-    Lcm_tempest.Machine.create ~costs:m.costs ~topology:m.topology ~seed:m.seed
-      ?capacity_blocks:m.capacity_blocks ?hw_cache_blocks:m.hw_cache_blocks
-      ?faults:m.faults ~nnodes:m.nnodes
-      ~words_per_block:m.words_per_block ()
+  let proto =
+    Lcm_core.Proto.install ?detect ?barrier ~policy:system.policy (build_machine m)
   in
-  let proto = Lcm_core.Proto.install ?detect ?barrier ~policy:system.policy mach in
-  Lcm_cstar.Runtime.create proto ~strategy:system.strategy ~schedule ()
+  Lcm_cstar.Runtime.create proto ~schedule

@@ -2,14 +2,16 @@
 
     The paper's testbed is a 32-processor CM-5 running Blizzard-E; the
     measured systems are Stache with compiler-emitted explicit copying,
-    LCM-scc and LCM-mcc.  A {!system} bundles a protocol policy with the
-    matching C\*\* compilation strategy; {!systems} lists the three in the
-    paper's order. *)
+    LCM-scc and LCM-mcc.  A {!system} is a policy registry entry
+    ({!Lcm_core.Policy.info}): the runtime derives the matching C\*\*
+    compilation strategy from its policy; {!systems} lists the three in
+    the paper's order. *)
 
-type system = {
-  label : string;
+type system = Lcm_core.Policy.info = {
   policy : Lcm_core.Policy.t;
-  strategy : Lcm_cstar.Runtime.strategy;
+  label : string;
+  aliases : string list;
+  summary : string;
 }
 
 val stache : system
@@ -30,15 +32,6 @@ val moesi : system
 val systems : system list
 (** [\[lcm_scc; lcm_mcc; stache\]] — the order of the paper's figures. *)
 
-val all_systems : system list
-(** One system per registered policy, in {!Lcm_core.Policy.all} order —
-    labels and strategies derive from the registry. *)
-
-val system_of_string : string -> (system, string) result
-(** Case-insensitive lookup by policy name, alias, or system label (plus
-    the historical spellings ["copy"] for Stache and ["lcm"] for
-    LCM-mcc).  The error message enumerates every accepted spelling. *)
-
 type machine = {
   nnodes : int;
   words_per_block : int;
@@ -55,6 +48,10 @@ val default_machine : machine
 (** 32 nodes, 8-word (32-byte) blocks, arity-4 fat tree — the CM-5 shape,
     with a reliable interconnect ([faults = None]). *)
 
+val build_machine : machine -> Lcm_tempest.Machine.t
+(** A fresh simulated machine of this shape, fault plan, capacity and
+    hardware cache included, with no protocol installed yet. *)
+
 val make_runtime :
   ?detect:bool ->
   ?barrier:Lcm_core.Barrier.style ->
@@ -62,5 +59,5 @@ val make_runtime :
   system ->
   schedule:Lcm_cstar.Schedule.t ->
   Lcm_cstar.Runtime.t
-(** Build a fresh machine, install the system's protocol and return its
+(** {!build_machine}, install the system's protocol and return its
     runtime. *)

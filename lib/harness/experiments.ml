@@ -49,7 +49,7 @@ let checked_cell ~experiment ~system mk_rt run =
 let stencil_params = function
   | Tiny -> { Stencil.n = 24; iters = 3; work_per_cell = 4 }
   | Quick -> { Stencil.n = 96; iters = 6; work_per_cell = 4 }
-  | Paper -> { Stencil.n = 1024; iters = 50; work_per_cell = 4 }
+  | Paper -> Stencil.paper
 
 let adaptive_params = function
   | Tiny ->
@@ -437,18 +437,11 @@ let ablation_detection_cells ~scale machine =
     (fun (detect_label, detect, strict) ->
       checked_cell ~experiment:"threshold detection" ~system:detect_label
         (fun () ->
-          let mach =
-            Lcm_tempest.Machine.create ~costs:machine.Config.costs
-              ~topology:machine.Config.topology ~seed:machine.Config.seed
-              ~nnodes:machine.Config.nnodes
-              ~words_per_block:machine.Config.words_per_block ()
-          in
           let proto =
             Lcm_core.Proto.install ~detect ~strict_detection:strict
-              ~policy:Lcm_core.Policy.lcm_mcc mach
+              ~policy:Lcm_core.Policy.lcm_mcc (Config.build_machine machine)
           in
-          Lcm_cstar.Runtime.create proto ~strategy:Lcm_cstar.Runtime.Lcm_directives
-            ~schedule:Schedule.Static ())
+          Lcm_cstar.Runtime.create proto ~schedule:Schedule.Static)
         (fun rt -> Threshold.run rt p))
     [ ("off", false, false); ("reconcile-time", true, false); ("strict", true, true) ]
 

@@ -398,8 +398,6 @@ let run_case ?faults prog = run_on (machine ?faults prog) ~expect:(spec prog) pr
 (* Program generation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let all_policies = Policy.policies
-
 let int_reductions =
   (* Exact integer operators only: float reductions reassociate across
      flush-arrival orders, so their results are not schedule-independent. *)
@@ -412,7 +410,7 @@ let gen ~seed ~case ?policy () =
   let policy =
     match policy with
     | Some p -> p
-    | None -> pick rng (Array.of_list all_policies)
+    | None -> pick rng (Array.of_list Policy.policies)
   in
   let lcm = Policy.is_lcm policy in
   let nnodes = 2 + Rng.int rng 5 in
@@ -685,10 +683,8 @@ let shrink_with ?(max_tries = 300) still_fails prog =
   in
   go prog
 
-let shrink ?(max_runs = 300) ?faults prog =
-  shrink_with ~max_tries:max_runs
-    (fun p -> Result.is_error (run_case ?faults p))
-    prog
+let shrink ?faults prog =
+  shrink_with (fun p -> Result.is_error (run_case ?faults p)) prog
 
 (* ------------------------------------------------------------------ *)
 (* Drivers                                                             *)

@@ -91,8 +91,8 @@ type prog = {
 val gen : seed:int -> case:int -> ?policy:Lcm_core.Policy.t -> unit -> prog
 (** Deterministically generate case [case] of stream [seed].  [policy]
     forces the memory-system policy; otherwise each case draws one of
-    {!all_policies} (stache, lcm-scc, lcm-mcc, lcm-mcc-update, msi, mesi,
-    moesi). *)
+    {!Lcm_core.Policy.policies} (stache, lcm-scc, lcm-mcc, lcm-mcc-update,
+    msi, mesi, moesi). *)
 
 val spec : prog -> (int option list array * int array) list
 (** The spec's verdict on a whole program, one entry per segment: the
@@ -134,16 +134,16 @@ val run_case : ?faults:Lcm_net.Faults.t -> prog -> (unit, string) result
     state must be identical to the fault-free run.
     @raise Failure as {!spec} does. *)
 
-val shrink : ?max_runs:int -> ?faults:Lcm_net.Faults.t -> prog -> prog
+val shrink : ?faults:Lcm_net.Faults.t -> prog -> prog
 (** Greedily minimize a failing program: repeatedly drop segments, then
     reduction regions (together with every accum targeting them — op
     retention is conditional on the region surviving, so shrinking never
     manufactures an accum outside any region), then whole per-node op
     lists, then single ops, keeping each candidate only if it still
-    fails; stops at a fixpoint or after [max_runs] (default 300)
-    re-executions.  Individual marks are never dropped alone — that
-    could turn a well-formed program into one with unmarked parallel
-    writes, which the paper's contract does not cover. *)
+    fails; stops at a fixpoint or after 300 re-executions.  Individual
+    marks are never dropped alone — that could turn a well-formed program
+    into one with unmarked parallel writes, which the paper's contract
+    does not cover. *)
 
 val shrink_with : ?max_tries:int -> (prog -> bool) -> prog -> prog
 (** {!shrink} with a caller-supplied failure predicate — the model
@@ -177,7 +177,3 @@ val run :
     lowest-index} failure is reported, so the reported reproducer matches
     the sequential run's.  With [jobs > 1], [progress] may be called from
     worker domains, out of order. *)
-
-val all_policies : Lcm_core.Policy.t list
-(** Every policy the harness covers — {!Lcm_core.Policy.policies}, i.e.
-    the registry: the directory family and the snooping-bus family. *)

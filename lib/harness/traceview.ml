@@ -4,29 +4,13 @@ module Trace = Lcm_sim.Trace
 (* JSON writing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* One Chrome trace_event object.  [ph] is the phase letter: "X" complete
    (needs [dur]), "i" instant (needs scope [s]), "C" counter. *)
 let event_obj ~name ~ph ~ts ~tid ?dur ?scope ~args () =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
     (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%s\",\"pid\":0,\"tid\":%d,\"ts\":%d"
-       (escape_string name) ph tid ts);
+       (Report.Json.escape name) ph tid ts);
   (match dur with
   | Some d -> Buffer.add_string buf (Printf.sprintf ",\"dur\":%d" d)
   | None -> ());
@@ -40,7 +24,8 @@ let event_obj ~name ~ph ~ts ~tid ?dur ?scope ~args () =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (escape_string k) v))
+        Buffer.add_string buf
+          (Printf.sprintf "\"%s\":%d" (Report.Json.escape k) v))
       args;
     Buffer.add_char buf '}');
   Buffer.add_char buf '}';

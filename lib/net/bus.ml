@@ -14,12 +14,6 @@ module Stats = Lcm_util.Stats
 
 type kind = Rd | Rdx | Upgr | Flush
 
-let kind_to_string = function
-  | Rd -> "bus_rd"
-  | Rdx -> "bus_rdx"
-  | Upgr -> "bus_upgr"
-  | Flush -> "bus_flush"
-
 type t = {
   engine : Lcm_sim.Engine.t;
   costs : Lcm_sim.Costs.t;
@@ -46,8 +40,6 @@ let create ~engine ~costs ~stats () =
     h_stall = Stats.counter stats "bus.arb_stall_cycles";
     h_busy = Stats.counter stats "bus.busy_cycles";
   }
-
-let busy_until t = t.free_at
 
 let occupancy t ~words =
   t.costs.Lcm_sim.Costs.msg_fixed + (words * t.costs.Lcm_sim.Costs.msg_per_word)

@@ -2,9 +2,10 @@
     policy family.
 
     One transaction occupies the bus at a time.  A transaction requested at
-    cycle [at] is granted at [max at (busy_until t)] — the difference is
-    accounted as arbitration stall ([bus.arb_stall_cycles]) — and holds the
-    bus for [msg_fixed + words * msg_per_word] cycles, the same wire cost
+    cycle [at] is granted when the bus next becomes free, or at [at] if it
+    is idle — the difference is accounted as arbitration stall
+    ([bus.arb_stall_cycles]) — and holds the bus for
+    [msg_fixed + words * msg_per_word] cycles, the same wire cost
     the point-to-point network charges minus per-hop switching (a bus has
     no switches).  The completion callback runs when the occupancy ends, so
     each transaction's snoop-side state changes are atomic with respect to
@@ -26,8 +27,6 @@ type kind =
   | Upgr  (** upgrade a held shared copy to exclusive (no data transfer) *)
   | Flush  (** writeback of a dirty evicted line *)
 
-val kind_to_string : kind -> string
-
 type t
 
 val create :
@@ -36,9 +35,6 @@ val create :
   stats:Lcm_util.Stats.t ->
   unit ->
   t
-
-val busy_until : t -> int
-(** The cycle at which the bus next becomes free. *)
 
 val occupancy : t -> words:int -> int
 (** Cycles a [words]-word transaction holds the bus. *)

@@ -39,23 +39,10 @@ let with_budget ?max_events ?guard f =
   cell := Some b;
   Fun.protect ~finally:(fun () -> cell := saved) f
 
-(* Per-domain event tallies.  Each domain owns one Atomic cell (no
-   cross-domain contention on the hot path); [total_events] sums every
-   domain's cell, so on a single domain it behaves exactly like the old
-   process-wide counter.  Cells are registered once per domain and never
-   removed — a few words per domain ever spawned. *)
-let totals_mu = Mutex.create ()
-let totals : int Atomic.t list ref = ref []
-
+(* Per-domain event tallies: each domain owns one cell, so fleet workers
+   never contend on the hot path. *)
 let domain_total : int Atomic.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let c = Atomic.make 0 in
-      Mutex.protect totals_mu (fun () -> totals := c :: !totals);
-      c)
-
-let total_events () =
-  let cells = Mutex.protect totals_mu (fun () -> !totals) in
-  List.fold_left (fun acc c -> acc + Atomic.get c) 0 cells
+  Domain.DLS.new_key (fun () -> Atomic.make 0)
 
 let domain_events () = Atomic.get (Domain.DLS.get domain_total)
 

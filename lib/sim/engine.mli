@@ -149,15 +149,7 @@ val pending : t -> int
 val events_processed : t -> int
 (** Total events processed since creation. *)
 
-val total_events : unit -> int
-(** Process-wide total of events processed across {e all} engines since
-    program start.  Monotone; sample before/after a workload to attribute
-    events to it even when the workload constructs machines internally.
-    Domain-safe: each domain tallies into its own cell ({!domain_events})
-    and this sums them, so concurrent fleet workers never contend. *)
-
 val domain_events : unit -> int
 (** Events processed by engines created on {e this} domain.  Sample
     before/after a cell inside a fleet worker to attribute events to it
-    without seeing sibling cells on other domains.  Equal to
-    {!total_events} in a single-domain program. *)
+    without seeing sibling cells on other domains. *)

@@ -10,6 +10,12 @@ type line = {
   is_home_line : bool;
 }
 
+(* A finite per-node cache: its bound and a lazy-deletion min-heap of
+   (last_use stamp, block) for eviction.  Entries go stale when a line is
+   re-touched or dropped; [evict_one] skips them.  Stamps are unique per
+   node, so the surviving minimum is the least recently used line. *)
+type lru = { capacity : int; heap : int Lcm_util.Heap.t }
+
 type node = {
   node_id : int;
   mutable node_clock : int;
@@ -23,12 +29,7 @@ type node = {
          Memory accesses are highly repetitive over a handful of blocks
          (a stencil cell touches three), so most hits skip the hash. *)
   la_lines : line option array;
-  lru : int Lcm_util.Heap.t option;
-      (* lazy-deletion min-heap of (last_use stamp, block) for eviction:
-         present iff the machine has a finite capacity.  Entries go stale
-         when a line is re-touched or dropped; [evict_one] skips them.
-         Stamps are unique per node, so the surviving minimum is exactly
-         the line the old full-table scan would have picked. *)
+  lru : lru option;  (* present iff the machine has a finite capacity *)
   hw_cache : int array option;
       (* optional direct-mapped hardware cache above node memory: slot i
          holds the block number cached there (-1 = empty); a mismatch adds
@@ -71,7 +72,6 @@ and t = {
   m_rng : Lcm_util.Rng.t;
   m_nodes : node array;
   masters : (int, Lcm_mem.Block.t) Hashtbl.t;
-  capacity_blocks : int option;
   (* pre-resolved handles for every counter the access path can touch *)
   h_hw_misses : Stats.Handle.counter;
   h_evictions : Stats.Handle.counter;
@@ -181,9 +181,9 @@ let create ?(costs = Lcm_sim.Costs.default)
           la_blocks = Array.make la_slots (-1);
           la_lines = Array.make la_slots None;
           lru =
-            (match capacity_blocks with
-            | Some _ -> Some (Lcm_util.Heap.create ())
-            | None -> None);
+            Option.map
+              (fun capacity -> { capacity; heap = Lcm_util.Heap.create () })
+              capacity_blocks;
           hw_cache = Option.map (fun n -> Array.make n (-1)) hw_cache_blocks;
           node_machine = None;
           self = None;
@@ -210,7 +210,6 @@ let create ?(costs = Lcm_sim.Costs.default)
       m_rng = Lcm_util.Rng.create ~seed;
       m_nodes = nodes;
       masters = Hashtbl.create 4096;
-      capacity_blocks;
       h_hw_misses = Stats.counter stats "cache.hw_misses";
       h_evictions = Stats.counter stats "cache.evictions";
       h_fault_read = Stats.counter stats "fault.read";
@@ -317,7 +316,7 @@ let touch n b line =
   line.last_use <- n.access_stamp;
   match n.lru with
   | None -> ()
-  | Some h ->
+  | Some { heap = h; _ } ->
     (* Home backing lines are never eviction candidates; keep them out of
        the heap entirely. *)
     if not line.is_home_line then begin
@@ -354,22 +353,10 @@ let[@inline] hw_access t n b =
 let note_clean_copy_gone t (line : line) =
   if line.local_clean <> None then Stats.Handle.add t.h_live_clean (-1)
 
-let scan_victim n =
-  (* Reference linear scan, used only when no LRU heap is maintained. *)
-  let victim = ref None in
-  Hashtbl.iter
-    (fun b line ->
-      if not line.is_home_line then
-        match !victim with
-        | Some (_, best) when best.last_use <= line.last_use -> ()
-        | Some _ | None -> victim := Some (b, line))
-    n.lines;
-  !victim
-
 let heap_victim n h =
   (* Pop stamps until one is live: present in the table, evictable, and
      still the line's current stamp.  Stamps are unique, so this is the
-     same minimum the scan finds. *)
+     least recently used evictable line. *)
   let rec go () =
     match Lcm_util.Heap.pop h with
     | None -> None
@@ -381,11 +368,8 @@ let heap_victim n h =
   in
   go ()
 
-let evict_one t n =
-  let victim =
-    match n.lru with Some h -> heap_victim n h | None -> scan_victim n
-  in
-  match victim with
+let evict_one t n h =
+  match heap_victim n h with
   | None -> () (* nothing evictable: over-capacity with home lines only *)
   | Some (b, line) ->
     Stats.Handle.incr t.h_evictions;
@@ -400,14 +384,15 @@ let install_line n b ~data ~tag =
   (match Hashtbl.find_opt n.lines b with
   | Some old -> note_clean_copy_gone t old
   | None -> (
-    match t.capacity_blocks with
-    | Some cap when (not is_home_line) && Hashtbl.length n.lines >= cap ->
+    match n.lru with
+    | Some { capacity; heap }
+      when (not is_home_line) && Hashtbl.length n.lines >= capacity ->
       (* Home backing lines are the node's share of distributed memory,
          not cache fills: they materialise lazily (possibly outside the
          engine loop, e.g. from a debug peek) and must never displace a
          cached copy — an eviction writeback issued then would never be
          delivered. *)
-      evict_one t n
+      evict_one t n heap
     | Some _ | None -> ()));
   let line =
     {
@@ -432,8 +417,6 @@ let drop_line n b =
   | None -> ());
   Hashtbl.remove n.lines b;
   invalidate_lookaside n b
-
-let iter_lines n f = Hashtbl.iter f n.lines
 
 let lines_snapshot n =
   Hashtbl.fold (fun b line acc -> (b, line) :: acc) n.lines []

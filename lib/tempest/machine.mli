@@ -107,8 +107,6 @@ val install_line :
 
 val drop_line : node -> Lcm_mem.Gmem.block -> unit
 
-val iter_lines : node -> (Lcm_mem.Gmem.block -> line -> unit) -> unit
-
 val lines_snapshot : node -> (Lcm_mem.Gmem.block * line) list
 (** Sorted by block number — used where deterministic order matters
     (flushes, reconciliation). *)

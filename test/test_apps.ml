@@ -6,20 +6,20 @@ open Lcm_cstar
 module Policy = Lcm_core.Policy
 module Machine = Lcm_tempest.Machine
 
-let mk_runtime ?(nnodes = 8) ?(schedule = Schedule.Static) policy strategy =
+let mk_runtime ?(nnodes = 8) ?(schedule = Schedule.Static) policy =
   let m =
     Machine.create ~nnodes ~words_per_block:8
       ~topology:(Lcm_net.Topology.Fat_tree { arity = 4 })
       ()
   in
   let p = Lcm_core.Proto.install ~policy m in
-  Runtime.create p ~strategy ~schedule ()
+  Runtime.create p ~schedule
 
 let combos =
   [
-    ("stache", Policy.stache, Runtime.Explicit_copy);
-    ("scc", Policy.lcm_scc, Runtime.Lcm_directives);
-    ("mcc", Policy.lcm_mcc, Runtime.Lcm_directives);
+    ("stache", Policy.stache);
+    ("scc", Policy.lcm_scc);
+    ("mcc", Policy.lcm_mcc);
   ]
 
 let schedules = [ ("static", Schedule.Static); ("dyn", Schedule.Dynamic_random 5) ]
@@ -34,11 +34,11 @@ let app_tests ~app_name ~reference ~run ~params =
   List.concat_map
     (fun (sname, schedule) ->
       List.map
-        (fun (pname, policy, strategy) ->
+        (fun (pname, policy) ->
           ( Printf.sprintf "%s %s/%s matches reference" app_name pname sname,
             `Slow,
             fun () ->
-              let rt = mk_runtime ~schedule policy strategy in
+              let rt = mk_runtime ~schedule policy in
               let r = run rt params in
               check_close app_name (reference params) r.Bench_result.checksum;
               Alcotest.(check bool) "time advanced" true (r.Bench_result.cycles > 0)
@@ -70,7 +70,7 @@ let adaptive_params =
 (* ------------------------------------------------------------------ *)
 
 let test_threshold_sparse_updates () =
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   let frac =
     Threshold.modified_fraction rt
       { Threshold.n = 32; iters = 6; threshold = 0.5; work_per_cell = 4 }
@@ -81,12 +81,12 @@ let test_threshold_sparse_updates () =
     (frac > 0.0 && frac < 0.25)
 
 let test_threshold_lcm_writes_fewer_blocks () =
-  let run policy strategy =
-    let rt = mk_runtime policy strategy in
+  let run policy =
+    let rt = mk_runtime policy in
     Threshold.run rt threshold_params
   in
-  let stache = run Policy.stache Runtime.Explicit_copy in
-  let mcc = run Policy.lcm_mcc Runtime.Lcm_directives in
+  let stache = run Policy.stache in
+  let mcc = run Policy.lcm_mcc in
   (* LCM's whole point on Threshold: far fewer blocks change hands, and the
      run is faster. *)
   Alcotest.(check bool)
@@ -101,7 +101,7 @@ let test_threshold_lcm_writes_fewer_blocks () =
     (mcc.Bench_result.cycles < stache.Bench_result.cycles)
 
 let test_adaptive_subdivides () =
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   let n = Adaptive.cells_allocated rt adaptive_params in
   Alcotest.(check bool)
     (Printf.sprintf "tree grew (%d cells)" n)
@@ -109,7 +109,7 @@ let test_adaptive_subdivides () =
     (n > adaptive_params.Adaptive.n * adaptive_params.Adaptive.n)
 
 let test_adaptive_refinement_map () =
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   let map = Adaptive.refinement_map rt adaptive_params in
   let lines = String.split_on_char '\n' (String.trim map) in
   Alcotest.(check int) "one row per base row" adaptive_params.Adaptive.n
@@ -125,18 +125,18 @@ let test_adaptive_static_dynamic_agree () =
   (* same protocol, different schedules: allocation layout differs but the
      computed values must not *)
   let run schedule =
-    let rt = mk_runtime ~schedule Policy.lcm_scc Runtime.Lcm_directives in
+    let rt = mk_runtime ~schedule Policy.lcm_scc in
     (Adaptive.run rt adaptive_params).Bench_result.checksum
   in
   check_close "adaptive" (run Schedule.Static) (run (Schedule.Dynamic_random 5))
 
 let test_stencil_lcm_clean_copies_grow_with_writes () =
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   let r = Stencil.run rt stencil_params in
   Alcotest.(check bool) "clean copies created" true (r.Bench_result.clean_copies > 0)
 
 let test_stencil_stache_has_no_clean_copies () =
-  let rt = mk_runtime Policy.stache Runtime.Explicit_copy in
+  let rt = mk_runtime Policy.stache in
   let r = Stencil.run rt stencil_params in
   Alcotest.(check int) "no clean copies" 0 r.Bench_result.clean_copies
 
@@ -147,7 +147,7 @@ let prop_stencil_linearity =
     QCheck.(int_range 2 5)
     (fun k ->
       let run scale =
-        let rt = mk_runtime ~nnodes:4 Policy.lcm_mcc Runtime.Lcm_directives in
+        let rt = mk_runtime ~nnodes:4 Policy.lcm_mcc in
         let n = 16 in
         let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Lcm_mem.Gmem.Chunked in
         for i = 0 to n - 1 do
@@ -186,7 +186,7 @@ let test_unstructured_graph_construction () =
 
 let test_sor_no_explicit_marks () =
   (* the compiler emitted no directives: every mark is an implicit one *)
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   ignore (Sor.run rt sor_params);
   let s = Runtime.stats rt in
   Alcotest.(check int) "marks = implicit marks"
@@ -198,12 +198,12 @@ let test_sor_no_explicit_marks () =
 let test_sor_lcm_avoids_write_ping_pong () =
   (* blocks straddling partition boundaries are falsely shared; Stache
      re-acquires them exclusively, LCM merges private copies *)
-  let faults policy strategy =
-    let rt = mk_runtime policy strategy in
+  let faults policy =
+    let rt = mk_runtime policy in
     (Sor.run rt sor_params).Bench_result.faults
   in
-  let stache = faults Policy.stache Runtime.Explicit_copy in
-  let mcc = faults Policy.lcm_mcc Runtime.Lcm_directives in
+  let stache = faults Policy.stache in
+  let mcc = faults Policy.lcm_mcc in
   Alcotest.(check bool)
     (Printf.sprintf "fault counts differ sensibly (stache %d, mcc %d)" stache mcc)
     true
@@ -214,7 +214,7 @@ let test_stencil_mcc_fewer_faults_than_scc () =
      over LCM-scc" — scc re-faults on every re-marked block after a flush,
      mcc restores it from the local clean copy. *)
   let run policy =
-    let rt = mk_runtime policy Runtime.Lcm_directives in
+    let rt = mk_runtime policy in
     Stencil.run rt stencil_params
   in
   let scc = run Policy.lcm_scc and mcc = run Policy.lcm_mcc in

@@ -1161,26 +1161,34 @@ let test_snoop_auditor_detects_corruption () =
 let test_policy_registry () =
   Alcotest.(check (list string)) "registry order"
     [ "stache"; "lcm-scc"; "lcm-mcc"; "lcm-mcc-update"; "msi"; "mesi"; "moesi" ]
-    Policy.names;
+    (List.map (fun p -> p.Policy.name) Policy.policies);
   List.iter
     (fun (s, expect) ->
       match Policy.of_string s with
-      | Ok p -> Alcotest.(check string) s expect p.Policy.name
+      | Ok i -> Alcotest.(check string) s expect i.Policy.policy.Policy.name
       | Error e -> Alcotest.fail e)
     [
       ("stache", "stache");
+      ("Stache+copy", "stache");
+      ("copy", "stache");
+      ("scc", "lcm-scc");
       ("SCC", "lcm-scc");
       ("mcc", "lcm-mcc");
+      ("LCM-MCC", "lcm-mcc");
+      ("lcm", "lcm-mcc");
       ("update", "lcm-mcc-update");
+      ("msi", "msi");
       (" msi ", "msi");
       ("MESI", "mesi");
+      (" MESI ", "mesi");
       ("moesi", "moesi");
     ];
   (match Policy.of_string "mosi" with
   | Error e ->
     Alcotest.(check string) "error enumerates accepted spellings"
-      "unknown protocol \"mosi\" (expected one of: stache, lcm-scc|scc, \
-       lcm-mcc|mcc, lcm-mcc-update|mcc-update|update, msi, mesi, moesi)"
+      "unknown policy \"mosi\" (expected one of: stache|stache+copy|copy, \
+       lcm-scc|scc, lcm-mcc|mcc|lcm, lcm-mcc-update|mcc-update|update, msi, \
+       mesi, moesi)"
       e
   | Ok _ -> Alcotest.fail "junk accepted");
   List.iter
@@ -1191,33 +1199,19 @@ let test_policy_registry () =
         (not (Policy.is_lcm p) && p.Policy.name <> "stache"))
     Policy.policies
 
-let test_rsm_corners_match_named_policies () =
-  Alcotest.(check bool) "stache" true (Rsm.stache = Policy.stache);
-  Alcotest.(check bool) "scc" true (Rsm.lcm_scc = Policy.lcm_scc);
-  Alcotest.(check bool) "mcc" true (Rsm.lcm_mcc = Policy.lcm_mcc);
-  Alcotest.(check bool) "mcc-update" true (Rsm.lcm_mcc_update = Policy.lcm_mcc_update)
-
-let test_rsm_classify_roundtrip () =
-  List.iter
-    (fun (request, placement, outstanding) ->
-      let reconcile = { Rsm.placement; outstanding } in
-      let p = Rsm.instantiate ~request ~reconcile in
-      let request', reconcile' = Rsm.classify p in
-      Alcotest.(check bool) p.Policy.name true
-        (request = request' && reconcile = reconcile'))
-    [
-      (Rsm.Exclusive_writer, Rsm.Home_only, Rsm.Invalidate);
-      (Rsm.Private_copies, Rsm.Home_only, Rsm.Invalidate);
-      (Rsm.Private_copies, Rsm.All_caching_nodes, Rsm.Invalidate);
-      (Rsm.Private_copies, Rsm.All_caching_nodes, Rsm.Update);
-      (Rsm.Private_copies, Rsm.Home_only, Rsm.Update);
-    ]
-
 let test_rsm_novel_point_runs () =
   (* lcm-scc-update: a point the paper never measured still works *)
   let policy =
-    Rsm.instantiate ~request:Rsm.Private_copies
-      ~reconcile:{ Rsm.placement = Rsm.Home_only; outstanding = Rsm.Update }
+    {
+      Policy.name = "lcm-scc-update";
+      family =
+        Policy.Directory
+          {
+            Policy.parallel_write_grant = Policy.Lcm_copy;
+            local_clean_copies = false;
+            update_on_reconcile = true;
+          };
+    }
   in
   let (m, p) = mk policy in
   let a = alloc m ~dist:(Gmem.On 0) ~nwords:8 in
@@ -1891,8 +1885,6 @@ let () =
       ( "rsm space",
         [
           ("policy registry", `Quick, test_policy_registry);
-          ("corners match named policies", `Quick, test_rsm_corners_match_named_policies);
-          ("classify roundtrip", `Quick, test_rsm_classify_roundtrip);
           ("novel point runs", `Quick, test_rsm_novel_point_runs);
         ] );
       ( "update",

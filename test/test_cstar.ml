@@ -91,19 +91,19 @@ let test_schedule_parse () =
 (* Helpers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let mk_runtime ?(nnodes = 4) ?(schedule = Schedule.Static) policy strategy =
+let mk_runtime ?(nnodes = 4) ?(schedule = Schedule.Static) policy =
   let m =
     Machine.create ~nnodes ~words_per_block:8 ~topology:Lcm_net.Topology.Crossbar ()
   in
   let p = Proto.install ~policy m in
-  Runtime.create p ~strategy ~schedule ()
+  Runtime.create p ~schedule
 
-(* every (policy, strategy) combination used by the experiments *)
+(* every policy the experiments measure; each picks its own strategy *)
 let combos =
   [
-    ("stache+copy", Policy.stache, Runtime.Explicit_copy);
-    ("scc+lcm", Policy.lcm_scc, Runtime.Lcm_directives);
-    ("mcc+lcm", Policy.lcm_mcc, Runtime.Lcm_directives);
+    ("stache+copy", Policy.stache);
+    ("scc+lcm", Policy.lcm_scc);
+    ("mcc+lcm", Policy.lcm_mcc);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -111,7 +111,7 @@ let combos =
 (* ------------------------------------------------------------------ *)
 
 let test_agg_poke_peek () =
-  let rt = mk_runtime Policy.stache Runtime.Explicit_copy in
+  let rt = mk_runtime Policy.stache in
   let a = Runtime.alloc2d rt ~rows:4 ~cols:6 ~dist:Gmem.Chunked in
   Agg.poke a 2 3 42;
   Alcotest.(check int) "peek" 42 (Agg.peek a 2 3);
@@ -119,7 +119,7 @@ let test_agg_poke_peek () =
   Alcotest.(check (float 0.0)) "float" 2.5 (Agg.peekf a 1 1)
 
 let test_agg_bounds () =
-  let rt = mk_runtime Policy.stache Runtime.Explicit_copy in
+  let rt = mk_runtime Policy.stache in
   let a = Runtime.alloc2d rt ~rows:4 ~cols:4 ~dist:Gmem.Chunked in
   Alcotest.(check bool) "oob" true
     (try
@@ -128,7 +128,7 @@ let test_agg_bounds () =
      with Invalid_argument _ -> true)
 
 let test_agg_double_buffer_swap () =
-  let rt = mk_runtime Policy.stache Runtime.Explicit_copy in
+  let rt = mk_runtime Policy.stache in
   let a = Runtime.alloc2d rt ~rows:1 ~cols:8 ~dist:Gmem.Chunked in
   Agg.poke a 0 0 1;
   Alcotest.(check bool) "distinct buffers" true
@@ -140,7 +140,7 @@ let test_agg_double_buffer_swap () =
   Alcotest.(check int) "back visible after swap" 99 (Agg.peek a 0 0)
 
 let test_agg_lcm_single_buffer () =
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   let a = Runtime.alloc2d rt ~rows:1 ~cols:8 ~dist:Gmem.Chunked in
   Alcotest.(check bool) "same buffer" true
     (Agg.read_addr a 0 0 = Agg.write_addr a 0 0);
@@ -149,7 +149,7 @@ let test_agg_lcm_single_buffer () =
   Alcotest.(check int) "swap no-op" 5 (Agg.peek a 0 0)
 
 let test_agg_to_matrix () =
-  let rt = mk_runtime Policy.stache Runtime.Explicit_copy in
+  let rt = mk_runtime Policy.stache in
   let a = Runtime.alloc2d rt ~rows:2 ~cols:2 ~dist:Gmem.Chunked in
   Agg.pokef a 0 0 1.0;
   Agg.pokef a 1 1 4.0;
@@ -162,11 +162,11 @@ let test_agg_to_matrix () =
 (* ------------------------------------------------------------------ *)
 
 (* Square every element; compare against the sequential spec. *)
-let test_parallel_square (name, policy, strategy) =
+let test_parallel_square (name, policy) =
   ( Printf.sprintf "square elements (%s)" name,
     `Quick,
     fun () ->
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let n = 40 in
       let a = Runtime.alloc1d rt ~n ~dist:Gmem.Chunked in
       for j = 0 to n - 1 do
@@ -193,11 +193,11 @@ let stencil_spec grid =
           else
             0.25 *. (grid.(i - 1).(j) +. grid.(i + 1).(j) +. grid.(i).(j - 1) +. grid.(i).(j + 1))))
 
-let test_parallel_stencil_semantics (name, policy, strategy) =
+let test_parallel_stencil_semantics (name, policy) =
   ( Printf.sprintf "stencil semantics (%s)" name,
     `Quick,
     fun () ->
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let n = 12 in
       let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Gmem.Chunked in
       for i = 0 to n - 1 do
@@ -226,12 +226,12 @@ let test_parallel_stencil_semantics (name, policy, strategy) =
       done )
 
 (* Dynamic scheduling must not change results. *)
-let test_dynamic_schedule_same_result (name, policy, strategy) =
+let test_dynamic_schedule_same_result (name, policy) =
   ( Printf.sprintf "dynamic = static result (%s)" name,
     `Quick,
     fun () ->
       let run schedule =
-        let rt = mk_runtime ~schedule policy strategy in
+        let rt = mk_runtime ~schedule policy in
         let n = 16 in
         let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Gmem.Chunked in
         for i = 0 to n - 1 do
@@ -261,11 +261,11 @@ let test_dynamic_schedule_same_result (name, policy, strategy) =
             row)
         st )
 
-let test_reducer_sum (name, policy, strategy) =
+let test_reducer_sum (name, policy) =
   ( Printf.sprintf "reducer sum (%s)" name,
     `Quick,
     fun () ->
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let n = 32 in
       let a = Runtime.alloc1d rt ~n ~dist:Gmem.Chunked in
       for j = 0 to n - 1 do
@@ -276,11 +276,11 @@ let test_reducer_sum (name, policy, strategy) =
           Reducer.add ctx total (Agg.get1 a ctx.Ctx.index));
       Alcotest.(check int) "sum 1..32" (n * (n + 1) / 2) (Reducer.read total) )
 
-let test_reducer_max (name, policy, strategy) =
+let test_reducer_max (name, policy) =
   ( Printf.sprintf "reducer max (%s)" name,
     `Quick,
     fun () ->
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let n = 20 in
       let a = Runtime.alloc1d rt ~n ~dist:Gmem.Chunked in
       for j = 0 to n - 1 do
@@ -291,22 +291,22 @@ let test_reducer_max (name, policy, strategy) =
           Reducer.add ctx best (Agg.get1 a ctx.Ctx.index));
       Alcotest.(check int) "max" 16 (Reducer.read best) )
 
-let test_reducer_float_sum (name, policy, strategy) =
+let test_reducer_float_sum (name, policy) =
   ( Printf.sprintf "reducer f32 sum (%s)" name,
     `Quick,
     fun () ->
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let n = 16 in
       let total = Runtime.reducer rt ~op:Reduction.f32_sum ~init:0 in
       Runtime.parallel_apply rt ~reducers:[ total ] ~n (fun ctx ->
           Reducer.addf ctx total (0.5 *. float_of_int (ctx.Ctx.index + 1)));
       Alcotest.(check (float 1e-4)) "sum" (0.5 *. 136.0) (Reducer.readf total) )
 
-let test_reducer_across_calls (name, policy, strategy) =
+let test_reducer_across_calls (name, policy) =
   ( Printf.sprintf "reducer across calls (%s)" name,
     `Quick,
     fun () ->
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let total = Runtime.reducer rt ~op:Reduction.int_sum ~init:100 in
       for _ = 1 to 3 do
         Runtime.parallel_apply rt ~reducers:[ total ] ~n:8 (fun ctx ->
@@ -315,11 +315,11 @@ let test_reducer_across_calls (name, policy, strategy) =
       (* 100 + 3 * (0+..+7) *)
       Alcotest.(check int) "accumulated" (100 + (3 * 28)) (Reducer.read total) )
 
-let test_sequential_phase (name, policy, strategy) =
+let test_sequential_phase (name, policy) =
   ( Printf.sprintf "sequential phase (%s)" name,
     `Quick,
     fun () ->
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let a = Runtime.alloc1d rt ~n:8 ~dist:Gmem.Chunked in
       Runtime.sequential rt (fun () ->
           for j = 0 to 7 do
@@ -334,11 +334,11 @@ let test_sequential_phase (name, policy, strategy) =
         Alcotest.(check int) "clock sync" c0 (Machine.clock (Machine.node m i))
       done )
 
-let test_phase_advances_time (name, policy, strategy) =
+let test_phase_advances_time (name, policy) =
   ( Printf.sprintf "phase advances time (%s)" name,
     `Quick,
     fun () ->
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let a = Runtime.alloc1d rt ~n:16 ~dist:Gmem.Chunked in
       let t0 = Runtime.elapsed rt in
       Runtime.parallel_apply rt ~n:16 (fun ctx -> Agg.set1 a ctx.Ctx.index 1);
@@ -348,11 +348,11 @@ let test_phase_advances_time (name, policy, strategy) =
       Alcotest.(check int) "stat invocations" 16
         (Lcm_util.Stats.get (Runtime.stats rt) "cstar.invocations") )
 
-let test_multiple_reducers (name, policy, strategy) =
+let test_multiple_reducers (name, policy) =
   ( Printf.sprintf "multiple reducers (%s)" name,
     `Quick,
     fun () ->
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let n = 24 in
       let a = Runtime.alloc1d rt ~n ~dist:Gmem.Chunked in
       for j = 0 to n - 1 do
@@ -370,29 +370,8 @@ let test_multiple_reducers (name, policy, strategy) =
       Alcotest.(check int) "min" (-10) (Reducer.read low);
       Alcotest.(check int) "max" (n - 1 - 10) (Reducer.read high) )
 
-let test_chunks_per_node_oversubscription (name, policy, strategy) =
-  ( Printf.sprintf "oversubscribed chunks (%s)" name,
-    `Quick,
-    fun () ->
-      let m =
-        Machine.create ~nnodes:4 ~words_per_block:8
-          ~topology:Lcm_net.Topology.Crossbar ()
-      in
-      let p = Proto.install ~policy m in
-      let rt =
-        Runtime.create p ~strategy ~schedule:(Schedule.Dynamic_random 5)
-          ~chunks_per_node:4 ()
-      in
-      let n = 32 in
-      let a = Runtime.alloc1d rt ~n ~dist:Gmem.Chunked in
-      Runtime.parallel_apply rt ~n (fun ctx -> Agg.set1 a ctx.Ctx.index ctx.Ctx.index);
-      Agg.swap a;
-      for j = 0 to n - 1 do
-        Alcotest.(check int) (Printf.sprintf "elem %d" j) j (Agg.peek a 0 j)
-      done )
-
 let test_sequential_on_other_node () =
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   let a = Runtime.alloc1d rt ~n:8 ~dist:(Gmem.On 0) in
   (* run the sequential phase on node 3: remote writes still coherent *)
   Runtime.sequential rt ~node:3 (fun () -> Agg.set1 a 0 77);
@@ -402,7 +381,7 @@ let test_dynamic_schedule_charges_dequeue () =
   (* block-aligned chunks: static runs entirely local; rotating the chunks
      makes every write remote and adds the work-queue cost *)
   let run schedule =
-    let rt = mk_runtime ~schedule Policy.stache Runtime.Explicit_copy in
+    let rt = mk_runtime ~schedule Policy.stache in
     let a = Runtime.alloc1d rt ~n:64 ~dist:Gmem.Chunked in
     Runtime.parallel_apply rt ~iter:1 ~n:64 (fun ctx ->
         Agg.set1 a ctx.Ctx.index 1);
@@ -413,23 +392,10 @@ let test_dynamic_schedule_charges_dequeue () =
     (Printf.sprintf "rotate %d > static %d" rotate static)
     true (rotate > static)
 
-let test_invalid_chunks_per_node () =
-  let m =
-    Machine.create ~nnodes:2 ~words_per_block:8 ~topology:Lcm_net.Topology.Crossbar ()
-  in
-  let p = Proto.install ~policy:Policy.stache m in
-  Alcotest.(check bool) "rejected" true
-    (try
-       ignore
-         (Runtime.create p ~strategy:Runtime.Explicit_copy
-            ~schedule:Schedule.Static ~chunks_per_node:0 ());
-       false
-     with Invalid_argument _ -> true)
-
 let test_nested_parallel_rejected () =
   (* the paper considers only non-nested parallel functions; a nested
      apply must fail loudly rather than corrupt the phase structure *)
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   let a = Runtime.alloc1d rt ~n:4 ~dist:Gmem.Chunked in
   let failed = ref false in
   (try
@@ -440,7 +406,7 @@ let test_nested_parallel_rejected () =
 
 let test_apply_more_nodes_than_work () =
   (* n < nnodes: some nodes idle, everything still correct *)
-  let rt = mk_runtime ~nnodes:8 Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime ~nnodes:8 Policy.lcm_mcc in
   let a = Runtime.alloc1d rt ~n:3 ~dist:Gmem.Chunked in
   Runtime.parallel_apply rt ~n:3 (fun ctx -> Agg.set1 a ctx.Ctx.index (ctx.Ctx.index * 5));
   for j = 0 to 2 do
@@ -452,7 +418,7 @@ let test_apply_more_nodes_than_work () =
 (* ------------------------------------------------------------------ *)
 
 let test_shalloc_alloc_free_cycle () =
-  let rt = mk_runtime Policy.stache Runtime.Explicit_copy in
+  let rt = mk_runtime Policy.stache in
   let alloc = Shalloc.create (Runtime.proto rt) ~blocks_per_node:4 in
   Alcotest.(check int) "object words" 7 (Shalloc.object_words alloc);
   Alcotest.(check int) "all free initially" 4 (Shalloc.available alloc ~node:1);
@@ -473,7 +439,7 @@ let test_shalloc_alloc_free_cycle () =
   Alcotest.(check int) "distinct objects" 4 (List.length sorted)
 
 let test_shalloc_objects_usable () =
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   let alloc = Shalloc.create (Runtime.proto rt) ~blocks_per_node:2 in
   let seen = ref (-1) in
   Runtime.sequential rt ~node:2 (fun () ->
@@ -488,7 +454,7 @@ let test_shalloc_objects_usable () =
   Alcotest.(check int) "data intact" 103 !seen
 
 let test_shalloc_free_validation () =
-  let rt = mk_runtime Policy.stache Runtime.Explicit_copy in
+  let rt = mk_runtime Policy.stache in
   let alloc = Shalloc.create (Runtime.proto rt) ~blocks_per_node:2 in
   Runtime.sequential rt ~node:0 (fun () ->
       Alcotest.(check bool) "bogus free rejected" true
@@ -498,7 +464,7 @@ let test_shalloc_free_validation () =
          with Invalid_argument _ -> true))
 
 let test_shalloc_per_node_isolation () =
-  let rt = mk_runtime Policy.stache Runtime.Explicit_copy in
+  let rt = mk_runtime Policy.stache in
   let alloc = Shalloc.create (Runtime.proto rt) ~blocks_per_node:2 in
   Runtime.sequential rt ~node:0 (fun () ->
       ignore (Shalloc.alloc alloc ~node:0);
@@ -508,7 +474,7 @@ let test_shalloc_per_node_isolation () =
 
 let test_shalloc_parallel_allocation () =
   (* every node allocates from its own arena during a parallel phase *)
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   let alloc = Shalloc.create (Runtime.proto rt) ~blocks_per_node:8 in
   let m = Runtime.machine rt in
   Runtime.parallel_apply rt ~n:(Machine.nnodes m) (fun ctx ->
@@ -530,7 +496,7 @@ let prop_shalloc_conserves_objects =
   QCheck.Test.make ~name:"shalloc conserves objects" ~count:40
     QCheck.(list (int_bound 2))
     (fun script ->
-      let rt = mk_runtime Policy.stache Runtime.Explicit_copy in
+      let rt = mk_runtime Policy.stache in
       let cap = 6 in
       let alloc = Shalloc.create (Runtime.proto rt) ~blocks_per_node:cap in
       let ok = ref true in
@@ -561,8 +527,8 @@ let prop_shalloc_conserves_objects =
 
 (* scc vs mcc vs stache: one multi-iteration workload, identical results *)
 let test_all_systems_agree () =
-  let run (_, policy, strategy) =
-    let rt = mk_runtime policy strategy in
+  let run (_, policy) =
+    let rt = mk_runtime policy in
     let n = 10 in
     let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Gmem.Chunked in
     for i = 0 to n - 1 do
@@ -621,12 +587,10 @@ let () =
       ( "runtime",
         per_combo test_sequential_phase @ per_combo test_phase_advances_time
         @ per_combo test_multiple_reducers
-        @ per_combo test_chunks_per_node_oversubscription
         @ [
             ("all systems agree", `Quick, test_all_systems_agree);
             ("sequential on other node", `Quick, test_sequential_on_other_node);
             ("dynamic charges dequeue", `Quick, test_dynamic_schedule_charges_dequeue);
-            ("invalid chunks_per_node", `Quick, test_invalid_chunks_per_node);
             ("more nodes than work", `Quick, test_apply_more_nodes_than_work);
             ("nested parallel rejected", `Quick, test_nested_parallel_rejected);
           ] );

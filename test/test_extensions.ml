@@ -6,22 +6,22 @@ open Lcm_cstar
 module Policy = Lcm_core.Policy
 module Machine = Lcm_tempest.Machine
 
-let mk ?(nnodes = 8) policy strategy =
+let mk ?(nnodes = 8) policy =
   let m =
     Machine.create ~nnodes ~words_per_block:8
       ~topology:(Lcm_net.Topology.Fat_tree { arity = 4 })
       ()
   in
   let p = Lcm_core.Proto.install ~policy m in
-  Runtime.create p ~strategy ~schedule:Schedule.Static ()
+  Runtime.create p ~schedule:Schedule.Static
 
 let reduce_params = { Reduce_demo.n = 512; per_add_work = 2 }
 
 let run_reduce variant =
   let rt =
     match variant with
-    | `Rsm_reconcile -> mk Policy.lcm_mcc Runtime.Lcm_directives
-    | `Manual_partials | `Serialized -> mk Policy.stache Runtime.Explicit_copy
+    | `Rsm_reconcile -> mk Policy.lcm_mcc
+    | `Manual_partials | `Serialized -> mk Policy.stache
   in
   Reduce_demo.run rt variant reduce_params
 
@@ -60,14 +60,14 @@ let test_reduce_rsm_competitive_with_manual () =
 let fs_params = { False_sharing.blocks = 16; rounds = 10 }
 
 let test_false_sharing_results_agree () =
-  let stache = False_sharing.run (mk Policy.stache Runtime.Explicit_copy) fs_params in
-  let mcc = False_sharing.run (mk Policy.lcm_mcc Runtime.Lcm_directives) fs_params in
+  let stache = False_sharing.run (mk Policy.stache) fs_params in
+  let mcc = False_sharing.run (mk Policy.lcm_mcc) fs_params in
   Alcotest.(check (float 0.0)) "same data" stache.Bench_result.checksum
     mcc.Bench_result.checksum
 
 let test_false_sharing_lcm_faster () =
-  let stache = False_sharing.run (mk Policy.stache Runtime.Explicit_copy) fs_params in
-  let mcc = False_sharing.run (mk Policy.lcm_mcc Runtime.Lcm_directives) fs_params in
+  let stache = False_sharing.run (mk Policy.stache) fs_params in
+  let mcc = False_sharing.run (mk Policy.lcm_mcc) fs_params in
   Alcotest.(check bool)
     (Printf.sprintf "lcm %d < stache %d" mcc.Bench_result.cycles
        stache.Bench_result.cycles)
@@ -77,9 +77,9 @@ let test_false_sharing_lcm_faster () =
 let nbody_params = { Nbody_stale.bodies = 128; iters = 8; work_per_body = 2 }
 
 let test_nbody_stale_saves_fetches () =
-  let fresh = Nbody_stale.run (mk Policy.lcm_mcc Runtime.Lcm_directives) `Fresh nbody_params in
+  let fresh = Nbody_stale.run (mk Policy.lcm_mcc) `Fresh nbody_params in
   let stale =
-    Nbody_stale.run (mk Policy.lcm_mcc Runtime.Lcm_directives) (`Stale 4) nbody_params
+    Nbody_stale.run (mk Policy.lcm_mcc) (`Stale 4) nbody_params
   in
   Alcotest.(check bool)
     (Printf.sprintf "fewer remote fetches (%d < %d)" stale.Bench_result.remote_fetches
@@ -93,9 +93,9 @@ let test_nbody_stale_saves_fetches () =
     (stale.Bench_result.cycles < fresh.Bench_result.cycles)
 
 let test_nbody_stale_bounded_drift () =
-  let fresh = Nbody_stale.run (mk Policy.lcm_mcc Runtime.Lcm_directives) `Fresh nbody_params in
+  let fresh = Nbody_stale.run (mk Policy.lcm_mcc) `Fresh nbody_params in
   let stale =
-    Nbody_stale.run (mk Policy.lcm_mcc Runtime.Lcm_directives) (`Stale 2) nbody_params
+    Nbody_stale.run (mk Policy.lcm_mcc) (`Stale 2) nbody_params
   in
   (* staleness changes values, but the relaxation still converges to the
      same neighbourhood: drift stays small relative to the magnitude *)
@@ -109,10 +109,10 @@ let test_nbody_stale_bounded_drift () =
 let test_nbody_never_refresh () =
   (* refresh interval beyond the horizon: remote bodies fetched once *)
   let stale =
-    Nbody_stale.run (mk Policy.lcm_mcc Runtime.Lcm_directives) (`Stale 1000) nbody_params
+    Nbody_stale.run (mk Policy.lcm_mcc) (`Stale 1000) nbody_params
   in
   let sometimes =
-    Nbody_stale.run (mk Policy.lcm_mcc Runtime.Lcm_directives) (`Stale 2) nbody_params
+    Nbody_stale.run (mk Policy.lcm_mcc) (`Stale 2) nbody_params
   in
   Alcotest.(check bool)
     (Printf.sprintf "never-refresh fetches least (%d <= %d)"
@@ -123,10 +123,10 @@ let test_nbody_never_refresh () =
 let test_reduce_agrees_under_dynamic_schedule () =
   let expected = float_of_int (Reduce_demo.expected_sum reduce_params) in
   let run variant =
-    let policy, strategy =
+    let policy =
       match variant with
-      | `Rsm_reconcile -> (Policy.lcm_mcc, Runtime.Lcm_directives)
-      | _ -> (Policy.stache, Runtime.Explicit_copy)
+      | `Rsm_reconcile -> Policy.lcm_mcc
+      | _ -> Policy.stache
     in
     let m =
       Machine.create ~nnodes:8 ~words_per_block:8
@@ -134,9 +134,7 @@ let test_reduce_agrees_under_dynamic_schedule () =
         ()
     in
     let p = Lcm_core.Proto.install ~policy m in
-    let rt =
-      Runtime.create p ~strategy ~schedule:(Schedule.Dynamic_random 5) ()
-    in
+    let rt = Runtime.create p ~schedule:(Schedule.Dynamic_random 5) in
     (Reduce_demo.run rt variant reduce_params).Bench_result.checksum
   in
   List.iter
@@ -146,9 +144,9 @@ let test_reduce_agrees_under_dynamic_schedule () =
 
 let test_nbody_refresh_restores_freshness () =
   (* refresh every iteration == fresh semantics *)
-  let fresh = Nbody_stale.run (mk Policy.lcm_mcc Runtime.Lcm_directives) `Fresh nbody_params in
+  let fresh = Nbody_stale.run (mk Policy.lcm_mcc) `Fresh nbody_params in
   let always =
-    Nbody_stale.run (mk Policy.lcm_mcc Runtime.Lcm_directives) (`Stale 1) nbody_params
+    Nbody_stale.run (mk Policy.lcm_mcc) (`Stale 1) nbody_params
   in
   Alcotest.(check (float 1e-3)) "same result" fresh.Bench_result.checksum
     always.Bench_result.checksum

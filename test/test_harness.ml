@@ -21,43 +21,45 @@ let row experiment system ?(cycles = 1000) ?(checksum = 1.0) () =
 let test_system_parse () =
   List.iter
     (fun (s, expected) ->
-      match Config.system_of_string s with
+      match Lcm_core.Policy.of_string s with
       | Ok sys -> Alcotest.(check string) s expected sys.Config.label
       | Error e -> Alcotest.fail e)
     [
       ("stache", "Stache+copy");
+      ("Stache+copy", "Stache+copy");
       ("copy", "Stache+copy");
       ("scc", "LCM-scc");
+      ("SCC", "LCM-scc");
       ("mcc", "LCM-mcc");
       ("LCM-MCC", "LCM-mcc");
       ("lcm", "LCM-mcc");
       ("update", "LCM-mcc-update");
       ("msi", "MSI");
+      (" msi ", "MSI");
       ("MESI", "MESI");
+      (" MESI ", "MESI");
       ("moesi", "MOESI");
     ];
-  (match Config.system_of_string "ring" with
+  (match Lcm_core.Policy.of_string "ring" with
   | Error e ->
     Alcotest.(check string) "error enumerates accepted spellings"
-      "unknown system \"ring\" (expected one of: stache|stache+copy|copy, \
+      "unknown policy \"ring\" (expected one of: stache|stache+copy|copy, \
        lcm-scc|scc, lcm-mcc|mcc|lcm, lcm-mcc-update|mcc-update|update, msi, \
        mesi, moesi)"
       e
   | Ok _ -> Alcotest.fail "junk accepted")
 
 let test_all_systems_follow_registry () =
-  Alcotest.(check (list string)) "one system per registered policy"
-    (List.map (fun (i : Lcm_core.Policy.info) -> i.Lcm_core.Policy.label)
-       Lcm_core.Policy.all)
-    (List.map (fun s -> s.Config.label) Config.all_systems);
+  let m = { Config.default_machine with Config.nnodes = 4 } in
+  Alcotest.(check int) "seven policies" 7 (List.length Lcm_core.Policy.all);
   List.iter
-    (fun s ->
-      let expect_lcm = Lcm_core.Policy.is_lcm s.Config.policy in
+    (fun (s : Config.system) ->
+      let rt = Config.make_runtime m s ~schedule:Lcm_cstar.Schedule.Static in
       Alcotest.(check bool)
-        (s.Config.label ^ " strategy follows family")
-        expect_lcm
-        (s.Config.strategy = Lcm_cstar.Runtime.Lcm_directives))
-    Config.all_systems
+        (s.Config.label ^ " strategy follows the policy")
+        (List.mem s.Config.label [ "LCM-scc"; "LCM-mcc"; "LCM-mcc-update" ])
+        (Lcm_cstar.Runtime.strategy rt = Lcm_cstar.Runtime.Lcm_directives))
+    Lcm_core.Policy.all
 
 let test_systems_order () =
   Alcotest.(check (list string)) "paper order"
@@ -217,6 +219,37 @@ let test_bench_result_close () =
   Alcotest.(check bool) "close" true (Bench_result.close a b);
   let c = mk_result ~checksum:101.0 "c" in
   Alcotest.(check bool) "not close" false (Bench_result.close a c)
+
+let test_families_honour_fault_plan () =
+  (* every family runs its cells on the machine it is handed, fault plan
+     included; the snooping bus is reliable by design, so bus rows are
+     exempt *)
+  let faults =
+    Result.get_ok (Lcm_net.Faults.of_profile "chaos" ~rate:0.05 ~seed:7)
+  in
+  let machine = { Config.default_machine with Config.faults = Some faults } in
+  List.iter
+    (fun (family, cells_of) ->
+      List.iter
+        (fun (r : Experiments.row) ->
+          let bus =
+            match Lcm_core.Policy.of_string r.Experiments.system with
+            | Ok s -> Lcm_core.Policy.is_snoop s.Config.policy
+            | Error _ -> false
+          in
+          let count k =
+            Option.value ~default:0
+              (List.assoc_opt k r.Experiments.result.Bench_result.counters)
+          in
+          if not bus then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s/%s saw faults" family r.Experiments.experiment
+                 r.Experiments.system)
+              true
+              (count "fault.drops" + count "fault.dups" + count "fault.retransmits"
+               > 0))
+        (Experiments.run_cells (cells_of ~scale:Experiments.Tiny machine)))
+    Experiments.families
 
 let test_figure2_pipeline_tiny () =
   (* the experiments sweep at tiny scale: rows complete, systems agree,
@@ -444,5 +477,6 @@ let () =
           ("bit determinism", `Quick, test_runs_are_bit_deterministic);
           ("figure 2 pipeline (tiny)", `Slow, test_figure2_pipeline_tiny);
           ("figure 3 pipeline (tiny)", `Slow, test_figure3_pipeline_tiny);
+          ("families honour the fault plan", `Slow, test_families_honour_fault_plan);
         ] );
     ]

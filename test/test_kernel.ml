@@ -7,12 +7,12 @@ module Policy = Lcm_core.Policy
 module Machine = Lcm_tempest.Machine
 module K = Kernel
 
-let mk_runtime ?(nnodes = 4) policy strategy =
+let mk_runtime ?(nnodes = 4) policy =
   let m =
     Machine.create ~nnodes ~words_per_block:8 ~topology:Lcm_net.Topology.Crossbar ()
   in
   let p = Lcm_core.Proto.install ~policy m in
-  Runtime.create p ~strategy ~schedule:Schedule.Static ()
+  Runtime.create p ~schedule:Schedule.Static
 
 (* The paper's stencil, in the DSL (section 6.1's generated-code listing). *)
 let stencil_kernel =
@@ -123,9 +123,9 @@ let test_validate () =
 
 let combos =
   [
-    ("stache", Policy.stache, Runtime.Explicit_copy);
-    ("scc", Policy.lcm_scc, Runtime.Lcm_directives);
-    ("mcc", Policy.lcm_mcc, Runtime.Lcm_directives);
+    ("stache", Policy.stache);
+    ("scc", Policy.lcm_scc);
+    ("mcc", Policy.lcm_mcc);
   ]
 
 let n = 12
@@ -153,11 +153,11 @@ let stencil_ref grid =
               *. (grid.(i - 1).(j) +. grid.(i + 1).(j) +. grid.(i).(j - 1)
                  +. grid.(i).(j + 1)))))
 
-let test_kernel_stencil_matches (name, policy, strategy) =
+let test_kernel_stencil_matches (name, policy) =
   ( Printf.sprintf "DSL stencil == reference (%s)" name,
     `Quick,
     fun () ->
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let a = init_a rt in
       let before = Agg.to_matrix a in
       let apply =
@@ -174,12 +174,12 @@ let test_kernel_stencil_matches (name, policy, strategy) =
         done
       done )
 
-let test_kernel_stencil_iterated (name, policy, strategy) =
+let test_kernel_stencil_iterated (name, policy) =
   ( Printf.sprintf "DSL stencil x5 == handwritten x5 (%s)" name,
     `Quick,
     fun () ->
       (* DSL-compiled stencil must agree with the handwritten benchmark *)
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let a = init_a rt in
       let apply =
         K.compile rt stencil_kernel { K.aggs = [ ("A", a) ]; reducers = [] } ~over:"A"
@@ -202,11 +202,11 @@ let test_kernel_stencil_iterated (name, policy, strategy) =
         done
       done )
 
-let test_kernel_map (name, policy, strategy) =
+let test_kernel_map (name, policy) =
   ( Printf.sprintf "DSL map correct (%s)" name,
     `Quick,
     fun () ->
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let a = init_a rt in
       let b = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Lcm_mem.Gmem.Chunked in
       let apply =
@@ -217,7 +217,6 @@ let test_kernel_map (name, policy, strategy) =
       apply ();
       (* B's writes are proven private, so the compiler updates it in
          place under both strategies — results are directly visible *)
-      ignore strategy;
       let expect i j =
         let get i j = Agg.peekf a (min (n - 1) i) j in
         f32 (0.5 *. (get i j +. get (i + 1) j))
@@ -234,8 +233,8 @@ let test_kernel_partial_update () =
   (* the pre-copy machinery: a guarded scatter-write under explicit copying
      must preserve unwritten elements *)
   List.iter
-    (fun (_, policy, strategy) ->
-      let rt = mk_runtime policy strategy in
+    (fun (_, policy) ->
+      let rt = mk_runtime policy in
       let a = init_a rt in
       let before = Agg.to_matrix a in
       let k =
@@ -271,11 +270,11 @@ let test_kernel_partial_update () =
       done)
     combos
 
-let test_kernel_reduction (name, policy, strategy) =
+let test_kernel_reduction (name, policy) =
   ( Printf.sprintf "DSL reduction (%s)" name,
     `Quick,
     fun () ->
-      let rt = mk_runtime policy strategy in
+      let rt = mk_runtime policy in
       let a = init_a rt in
       let total = Runtime.reducer rt ~op:Lcm_core.Reduction.f32_sum ~init:0 in
       let k =
@@ -296,7 +295,7 @@ let test_kernel_reduction (name, policy, strategy) =
       Alcotest.(check (float 0.5)) "sum" !expected (Reducer.readf total) )
 
 let test_kernel_unbound_agg () =
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   Alcotest.(check bool) "unbound rejected" true
     (try
        let (_ : ?iter:int -> unit -> unit) =
@@ -311,7 +310,7 @@ let test_kernel_implicit_marks_catch_unmarked () =
      implicit mark — the paper's run-time fallback.  (Writers that ARE the
      home write their aliased backing line directly: the expected fast
      case.) *)
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   let a = init_a rt in
   let b = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:(Lcm_mem.Gmem.On 3) in
   let apply =
@@ -333,11 +332,11 @@ let contains haystack needle =
 let test_kernel_pp () =
   let s = Format.asprintf "%a" K.pp stencil_kernel in
   Alcotest.(check bool) "mentions parallel" true (contains s "parallel");
-  let rt = mk_runtime Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk_runtime Policy.lcm_mcc in
   let s = Format.asprintf "%a" (K.pp_compiled rt) stencil_kernel in
   Alcotest.(check bool) "directives shown" true
     (contains s "mark_modification" && contains s "flush_copies");
-  let rt = mk_runtime Policy.stache Runtime.Explicit_copy in
+  let rt = mk_runtime Policy.stache in
   let s = Format.asprintf "%a" (K.pp_compiled rt) stencil_kernel in
   Alcotest.(check bool) "swap shown" true (contains s "swap")
 
@@ -410,9 +409,9 @@ let gen_kernel : K.t QCheck.Gen.t =
     (fun stmts -> { K.name = "fuzz"; body = stmts })
     (list_size (int_range 1 4) gen_stmt)
 
-let run_fuzz_kernel kernel (_, policy, strategy) =
+let run_fuzz_kernel kernel (_, policy) =
   let n = 10 in
-  let rt = mk_runtime policy strategy in
+  let rt = mk_runtime policy in
   let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Lcm_mem.Gmem.Chunked in
   let b = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Lcm_mem.Gmem.Interleaved in
   for i = 0 to n - 1 do

@@ -8,20 +8,20 @@ module Policy = Lcm_core.Policy
 module Machine = Lcm_tempest.Machine
 module K = Kernel
 
-let mk policy strategy =
+let mk policy =
   let m =
     Machine.create ~nnodes:8 ~words_per_block:8
       ~topology:(Lcm_net.Topology.Fat_tree { arity = 4 })
       ()
   in
   let p = Lcm_core.Proto.install ~policy m in
-  Runtime.create p ~strategy ~schedule:Schedule.Static ()
+  Runtime.create p ~schedule:Schedule.Static
 
 let combos =
   [
-    ("stache", Policy.stache, Runtime.Explicit_copy);
-    ("scc", Policy.lcm_scc, Runtime.Lcm_directives);
-    ("mcc", Policy.lcm_mcc, Runtime.Lcm_directives);
+    ("stache", Policy.stache);
+    ("scc", Policy.lcm_scc);
+    ("mcc", Policy.lcm_mcc);
   ]
 
 let check_close name expected actual =
@@ -36,12 +36,12 @@ let stencil_init ~n i j =
   else if (i * 31) + (j * 17) mod 257 = 0 then 50.0
   else 0.0
 
-let test_dsl_stencil_matches_app (name, policy, strategy) =
+let test_dsl_stencil_matches_app (name, policy) =
   ( Printf.sprintf "DSL stencil == app reference (%s)" name,
     `Quick,
     fun () ->
       let n = 24 and iters = 4 in
-      let rt = mk policy strategy in
+      let rt = mk policy in
       let got =
         Kernels.run_stencil rt ~n ~iters ~init:(stencil_init ~n)
       in
@@ -50,12 +50,12 @@ let test_dsl_stencil_matches_app (name, policy, strategy) =
       in
       check_close "stencil" expected got )
 
-let test_dsl_sor_matches_app (name, policy, strategy) =
+let test_dsl_sor_matches_app (name, policy) =
   ( Printf.sprintf "DSL sor == app reference (%s)" name,
     `Quick,
     fun () ->
       let n = 26 and iters = 4 and omega = 1.5 in
-      let rt = mk policy strategy in
+      let rt = mk policy in
       let init i _j = if i = 0 then 100.0 else 0.0 in
       let got = Kernels.run_sor rt ~n ~iters ~omega ~init in
       let expected =
@@ -81,9 +81,9 @@ let test_threshold_kernel_analysis () =
 let test_threshold_kernel_runs () =
   (* the DSL threshold behaves like a threshold: values stabilise and all
      systems agree *)
-  let run (_, policy, strategy) =
+  let run (_, policy) =
     let n = 16 in
-    let rt = mk policy strategy in
+    let rt = mk policy in
     let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Lcm_mem.Gmem.Chunked in
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
@@ -115,7 +115,7 @@ let test_threshold_kernel_runs () =
 
 let test_imod_atom () =
   (* IMod/IAdd evaluate correctly inside a kernel condition *)
-  let rt = mk Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk Policy.lcm_mcc in
   let n = 8 in
   let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Lcm_mem.Gmem.Chunked in
   let k =

@@ -3,11 +3,10 @@
    determinism check (same fixed-seed workload twice must digest
    bit-identically), (b) a short differential stress sweep against the
    per-epoch spec, and (c) a protocol-invariant audit on the quiescent
-   machine.  The suite iterates [Config.all_systems] /
-   [Stress.all_policies], so a policy added to [Policy.all] is covered
-   here with no test edits — and a policy that bypasses the registry
-   simply does not exist as far as the CLI and this matrix are
-   concerned.  Run directly via [make policy-matrix] or as part of
+   machine.  The suite iterates [Policy.all] / [Policy.policies], so a
+   policy added to the registry is covered here with no test edits — and
+   a policy that bypasses the registry simply does not exist as far as
+   the CLI and this matrix are concerned.  Run directly via [make policy-matrix] or as part of
    [dune runtest]. *)
 
 open Lcm_harness
@@ -50,7 +49,7 @@ let test_checksums_agree () =
      compute the same answer under every one of them. *)
   let sums =
     List.map (fun sys -> (sys.Config.label, fst (run_stencil sys)))
-      Config.all_systems
+      Policy.all
   in
   match sums with
   | [] -> Alcotest.fail "empty registry"
@@ -74,7 +73,7 @@ let () =
             Alcotest.test_case
               (sys.Config.label ^ " deterministic")
               `Quick (test_deterministic sys))
-          Config.all_systems
+          Policy.all
         @ [ Alcotest.test_case "checksums agree" `Quick test_checksums_agree ]
       );
       ( "stress",
@@ -82,5 +81,5 @@ let () =
           (fun (p : Policy.t) ->
             Alcotest.test_case (p.Policy.name ^ " 8 cases") `Quick
               (test_stress p))
-          Stress.all_policies );
+          Policy.policies );
     ]

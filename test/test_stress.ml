@@ -288,7 +288,7 @@ let () =
           (fun (p : Policy.t) ->
             Alcotest.test_case (p.Policy.name ^ " 30 cases") `Slow
               (run_policy p))
-          Stress.all_policies
+          Policy.policies
         @ [
             Alcotest.test_case "mixed policies" `Slow test_mixed;
             Alcotest.test_case "deterministic generation" `Quick

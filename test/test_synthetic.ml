@@ -6,20 +6,20 @@ open Lcm_cstar
 module Policy = Lcm_core.Policy
 module Machine = Lcm_tempest.Machine
 
-let mk ?(nnodes = 8) ?(schedule = Schedule.Static) policy strategy =
+let mk ?(nnodes = 8) ?(schedule = Schedule.Static) policy =
   let m =
     Machine.create ~nnodes ~words_per_block:8
       ~topology:(Lcm_net.Topology.Fat_tree { arity = 4 })
       ()
   in
   let p = Lcm_core.Proto.install ~policy m in
-  Runtime.create p ~strategy ~schedule ()
+  Runtime.create p ~schedule
 
 let combos =
   [
-    ("stache", Policy.stache, Runtime.Explicit_copy);
-    ("scc", Policy.lcm_scc, Runtime.Lcm_directives);
-    ("mcc", Policy.lcm_mcc, Runtime.Lcm_directives);
+    ("stache", Policy.stache);
+    ("scc", Policy.lcm_scc);
+    ("mcc", Policy.lcm_mcc);
   ]
 
 let params sharing = { Synthetic.default with Synthetic.sharing }
@@ -37,7 +37,7 @@ let test_parse () =
 
 let test_deterministic () =
   let run () =
-    let rt = mk Policy.lcm_mcc Runtime.Lcm_directives in
+    let rt = mk Policy.lcm_mcc in
     (Synthetic.run rt (params `Random)).Bench_result.checksum
   in
   Alcotest.(check (float 0.0)) "same checksum" (run ()) (run ())
@@ -45,8 +45,8 @@ let test_deterministic () =
 let test_protocols_agree sharing =
   let results =
     List.map
-      (fun (_, policy, strategy) ->
-        let rt = mk policy strategy in
+      (fun (_, policy) ->
+        let rt = mk policy in
         (Synthetic.run rt (params sharing)).Bench_result.checksum)
       combos
   in
@@ -60,8 +60,8 @@ let test_protocols_agree_all_patterns () =
   List.iter test_protocols_agree [ `Private; `Neighbour; `Random; `Hot 2 ]
 
 let test_protocols_agree_dynamic () =
-  let run (_, policy, strategy) =
-    let rt = mk ~schedule:(Schedule.Dynamic_random 3) policy strategy in
+  let run (_, policy) =
+    let rt = mk ~schedule:(Schedule.Dynamic_random 3) policy in
     (Synthetic.run rt (params `Random)).Bench_result.checksum
   in
   match List.map run combos with
@@ -76,7 +76,7 @@ let test_sharing_gradient () =
      converge once reads saturate the block space, so only private is
      ordered against both) *)
   let fetches sharing =
-    let rt = mk Policy.lcm_mcc Runtime.Lcm_directives in
+    let rt = mk Policy.lcm_mcc in
     (Synthetic.run rt (params sharing)).Bench_result.remote_fetches
   in
   let priv = fetches `Private
@@ -91,13 +91,13 @@ let test_sharing_gradient () =
 
 let test_invariants_after_run () =
   List.iter
-    (fun (name, policy, strategy) ->
+    (fun (name, policy) ->
       let m =
         Machine.create ~nnodes:8 ~words_per_block:8
           ~topology:Lcm_net.Topology.Crossbar ()
       in
       let p = Lcm_core.Proto.install ~policy m in
-      let rt = Runtime.create p ~strategy ~schedule:Schedule.Static () in
+      let rt = Runtime.create p ~schedule:Schedule.Static in
       ignore (Synthetic.run rt (params `Random));
       match Lcm_core.Proto.check_invariants p with
       | Ok () -> ()
@@ -106,7 +106,7 @@ let test_invariants_after_run () =
     combos
 
 let test_bad_read_fraction () =
-  let rt = mk Policy.lcm_mcc Runtime.Lcm_directives in
+  let rt = mk Policy.lcm_mcc in
   Alcotest.(check bool) "rejected" true
     (try
        ignore
