@@ -213,7 +213,7 @@ let finish_observability rt ~trace ~trace_out ~phases =
   if phases then
     print_string (Phases.render (Phases.of_log (Lcm_cstar.Runtime.phase_log rt)))
 
-let simple_bench name ~default_size ~default_iters ~run_fn =
+let simple_bench name ~default_size ~default_iters ~paper ~run_fn =
   let run system schedule nodes topology capacity barrier faults size iters
       stats paper trace trace_out trace_cap phases =
     let rt =
@@ -227,13 +227,13 @@ let simple_bench name ~default_size ~default_iters ~run_fn =
     Term.(
       const run $ system_arg $ schedule_arg $ nodes_arg $ topology_arg
       $ capacity_arg $ barrier_arg $ faults_term $ size_arg default_size
-      $ iters_arg default_iters $ stats_arg $ paper_arg $ trace_arg
+      $ iters_arg default_iters $ stats_arg $ paper $ trace_arg
       $ trace_out_arg $ trace_cap_arg $ phases_arg)
   in
   Cmd.v (Cmd.info name ~doc:(Printf.sprintf "Run the %s benchmark." name)) term
 
 let stencil_cmd =
-  simple_bench "stencil" ~default_size:128 ~default_iters:10
+  simple_bench "stencil" ~default_size:128 ~default_iters:10 ~paper:paper_arg
     ~run_fn:(fun rt ~size ~iters ~paper ->
       let p =
         if paper then Stencil.paper
@@ -242,7 +242,7 @@ let stencil_cmd =
       Stencil.run rt p)
 
 let threshold_cmd =
-  simple_bench "threshold" ~default_size:128 ~default_iters:10
+  simple_bench "threshold" ~default_size:128 ~default_iters:10 ~paper:paper_arg
     ~run_fn:(fun rt ~size ~iters ~paper ->
       let p =
         if paper then Threshold.paper
@@ -251,7 +251,7 @@ let threshold_cmd =
       Threshold.run rt p)
 
 let adaptive_cmd =
-  simple_bench "adaptive" ~default_size:32 ~default_iters:16
+  simple_bench "adaptive" ~default_size:32 ~default_iters:16 ~paper:paper_arg
     ~run_fn:(fun rt ~size ~iters ~paper ->
       let p =
         if paper then Adaptive.paper
@@ -268,14 +268,13 @@ let adaptive_cmd =
       Adaptive.run rt p)
 
 let sor_cmd =
-  simple_bench "sor" ~default_size:50 ~default_iters:8
-    ~run_fn:(fun rt ~size ~iters ~paper ->
-      ignore paper;
+  simple_bench "sor" ~default_size:50 ~default_iters:8 ~paper:(Term.const false)
+    ~run_fn:(fun rt ~size ~iters ~paper:_ ->
       Sor.run rt { Sor.n = size; iters; omega = 1.5; work_per_cell = 4 })
 
 let unstructured_cmd =
   simple_bench "unstructured" ~default_size:256 ~default_iters:64
-    ~run_fn:(fun rt ~size ~iters ~paper ->
+    ~paper:paper_arg ~run_fn:(fun rt ~size ~iters ~paper ->
       let p =
         if paper then Unstructured.paper
         else
@@ -753,6 +752,20 @@ let check_cmd =
          & info [ "stats" ] ~doc:"Print the check.* counters per configuration.")
   in
   let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
+  (* The command line that replays a counterexample. *)
+  let reproduce (v : Check.violation) =
+    Printf.sprintf "lcm_sim check --policy %s --scenario %s --replay %s%s%s"
+      v.Check.v_prog.Stress.policy.Lcm_core.Policy.name
+      (let l = v.Check.v_label in
+       match String.index_opt l ':' with
+       | Some i -> String.sub l (i + 1) (String.length l - i - 1)
+       | None -> l)
+      (Check.schedule_to_string v.Check.v_schedule)
+      (if v.Check.v_fault_budget > 0 then
+         Printf.sprintf " --fault-budget %d" v.Check.v_fault_budget
+       else "")
+      (if v.Check.v_dup then " --dup" else "")
+  in
   let write_artifacts ~out (v : Check.violation) =
     ensure_dir out;
     let slug =
@@ -766,18 +779,7 @@ let check_cmd =
     let oc = open_out report_path in
     let ppf = Format.formatter_of_out_channel oc in
     Format.fprintf ppf "%a@." Check.pp_violation v;
-    Format.fprintf ppf
-      "reproduce: lcm_sim check --policy %s --scenario %s --replay %s%s%s@."
-      v.Check.v_prog.Stress.policy.Lcm_core.Policy.name
-      (let l = v.Check.v_label in
-       match String.index_opt l ':' with
-       | Some i -> String.sub l (i + 1) (String.length l - i - 1)
-       | None -> l)
-      (Check.schedule_to_string v.Check.v_schedule)
-      (if v.Check.v_fault_budget > 0 then
-         Printf.sprintf " --fault-budget %d" v.Check.v_fault_budget
-       else "")
-      (if v.Check.v_dup then " --dup" else "");
+    Format.fprintf ppf "reproduce: %s@." (reproduce v);
     close_out oc;
     let verdict, events =
       Check.replay ~trace:true ~fault_budget:v.Check.v_fault_budget
@@ -794,7 +796,6 @@ let check_cmd =
     Printf.printf "  artifacts: %s%s\n" report_path
       (if events = [] then "" else ", " ^ trace_path)
   in
-  let scenario_label s = "scenario:" ^ s in
   let run policy scenario list_scenarios max_schedules random seed fault_budget
       dup no_reduce replay out stats =
     let policies =
@@ -855,17 +856,16 @@ let check_cmd =
         let capped = ref 0 in
         List.iter
           (fun (p : Lcm_core.Policy.t) ->
-            let reports =
-              Check.check_scenarios ~max_schedules ~fault_budget ~dup
-                ~reduce:(not no_reduce) ~random ~seed ~policy:p ()
+            (* --scenario narrows the fixed scenarios before anything is
+               explored; --random micro-configurations always run *)
+            let fixed =
+              List.filter
+                (fun (n, _) -> scenario = None || scenario = Some n)
+                (Check.scenarios ~policy:p)
             in
             let reports =
-              match scenario with
-              | None -> reports
-              | Some s ->
-                List.filter
-                  (fun r -> r.Check.rep_label = scenario_label s)
-                  reports
+              Check.check_scenarios ~max_schedules ~fault_budget ~dup
+                ~reduce:(not no_reduce) ~random ~seed ~policy:p fixed
             in
             List.iter
               (fun (r : Check.report) ->
@@ -890,21 +890,7 @@ let check_cmd =
                     p.Lcm_core.Policy.name r.Check.rep_label st.Check.schedules;
                   let v = Check.shrink_violation v in
                   Format.printf "%a@." Check.pp_violation v;
-                  Printf.printf
-                    "  reproduce: lcm_sim check --policy %s --scenario %s \
-                     --replay %s%s%s\n%!"
-                    v.Check.v_prog.Stress.policy.Lcm_core.Policy.name
-                    (let l = v.Check.v_label in
-                     match String.index_opt l ':' with
-                     | Some i ->
-                       String.sub l (i + 1) (String.length l - i - 1)
-                     | None -> l)
-                    (Check.schedule_to_string v.Check.v_schedule)
-                    (if v.Check.v_fault_budget > 0 then
-                       Printf.sprintf " --fault-budget %d"
-                         v.Check.v_fault_budget
-                     else "")
-                    (if v.Check.v_dup then " --dup" else "");
+                  Printf.printf "  reproduce: %s\n%!" (reproduce v);
                   write_artifacts ~out v);
                 if stats then Format.printf "%a@." Check.pp_stats st)
               reports)

@@ -700,9 +700,9 @@ type report = {
 }
 
 let check_scenarios ?max_schedules ?fault_budget ?dup ?reduce ?(random = 0)
-    ?(seed = 0) ~policy () =
+    ?(seed = 0) ~policy fixed =
   let configs =
-    List.map (fun (n, p) -> ("scenario:" ^ n, p)) (scenarios ~policy)
+    List.map (fun (n, p) -> ("scenario:" ^ n, p)) fixed
     @ List.init random (fun case ->
           ( Printf.sprintf "micro:seed=%d:case=%d" seed case,
             gen_micro ~seed ~case ~policy ))

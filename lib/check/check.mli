@@ -149,8 +149,9 @@ val check_scenarios :
   ?random:int ->
   ?seed:int ->
   policy:Lcm_core.Policy.t ->
-  unit ->
+  (string * Lcm_harness.Stress.prog) list ->
   report list
-(** Explore every fixed scenario plus [random] (default 0) seeded
-    micro-configurations under one policy, one report per
-    configuration. *)
+(** [check_scenarios ~policy fixed] explores the given fixed scenarios
+    ({!scenarios}, or a selection of them) plus [random] (default 0)
+    seeded micro-configurations under one policy, one report per
+    configuration.  Only what is selected is explored. *)

@@ -1,3 +1,6 @@
+module Machine = Lcm_tempest.Machine
+module Stats = Lcm_util.Stats
+
 type style = Constant | Flat | Tree of int
 
 (* One barrier message: fixed network cost plus the receiver's handler
@@ -54,6 +57,20 @@ let release_time ~costs ~style ~join_times =
     (* release broadcasts back down the same depth *)
     let rec depth n = if n <= 1 then 0 else 1 + depth ((n + arity - 1) / arity) in
     joined + (depth n * msg_cost costs)
+
+let release mach ~style ~join_times ~not_before =
+  let release =
+    max not_before (release_time ~costs:(Machine.costs mach) ~style ~join_times)
+  in
+  let wait = Stats.counter (Machine.stats mach) "lcm.barrier_wait_cycles" in
+  Array.iter (fun j -> Stats.Handle.add wait (release - j)) join_times;
+  Machine.set_all_clocks mach release;
+  Machine.incr_epoch mach;
+  Machine.trace_emit mach ~time:release
+    (Machine.Trace.Barrier_release { nnodes = Machine.nnodes mach });
+  Machine.trace_emit mach ~time:release
+    (Machine.Trace.Epoch_advance { epoch = Machine.epoch mach });
+  Machine.set_phase mach `Sequential
 
 let spellings = "constant, flat or tree:<arity>"
 

@@ -17,7 +17,10 @@
       broadcasts back down — logarithmic depth, the paper's suggestion.
 
     The models are analytic (they map join times to a release time) so
-    they can be swapped without re-running the event simulation. *)
+    they can be swapped without re-running the event simulation.
+
+    {!release} ends a phase for both coherence engines; an engine only
+    decides when each node joined. *)
 
 type style = Constant | Flat | Tree of int
 
@@ -27,6 +30,19 @@ val release_time :
     node resumes, given each node's join time.
     @raise Invalid_argument on an empty array or [Tree arity] with
     [arity < 2]. *)
+
+val release :
+  Lcm_tempest.Machine.t ->
+  style:style ->
+  join_times:int array ->
+  not_before:int ->
+  unit
+(** [release mach ~style ~join_times ~not_before] ends a phase at the
+    later of {!release_time} and [not_before]: adds each node's wait
+    (release minus its join time) to [lcm.barrier_wait_cycles], sets every
+    node clock to the release, advances the epoch, emits
+    [Barrier_release] then [Epoch_advance], and returns the machine to its
+    sequential phase.  [join_times] has one entry per node. *)
 
 val of_string : string -> (style, string) result
 (** ["constant"], ["flat"], ["tree:<arity>"]. *)

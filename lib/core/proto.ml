@@ -8,7 +8,11 @@
 
    The dispatch is a plain variant rather than a first-class module
    because the two engines agree on every operation's type; keeping the
-   facade dumb keeps the engines honest about their shared contract. *)
+   facade dumb keeps the engines honest about their shared contract,
+   whose engine-independent parts live here: phases change only while no
+   fiber runs, and a quiescent machine has no parked access. *)
+
+module Machine = Lcm_tempest.Machine
 
 type t =
   | Dir of Proto_dir.t
@@ -34,35 +38,54 @@ let machine = function
   | Dir p -> Proto_dir.machine p
   | Snoop_engine p -> Proto_snoop.machine p
 
+(* Reductions execute as coherent read-modify-writes on a bus: there is
+   no reconciliation for an operator to combine, nor for detection to
+   record conflicts or races in. *)
 let register_reduction t ~base ~nwords op =
   match t with
   | Dir p -> Proto_dir.register_reduction p ~base ~nwords op
-  | Snoop_engine p -> Proto_snoop.register_reduction p ~base ~nwords op
+  | Snoop_engine _ -> ()
 
-let begin_parallel = function
-  | Dir p -> Proto_dir.begin_parallel p
-  | Snoop_engine p -> Proto_snoop.begin_parallel p
+let conflicts = function Dir p -> Proto_dir.conflicts p | Snoop_engine _ -> []
+let races = function Dir p -> Proto_dir.races p | Snoop_engine _ -> []
 
-let reconcile = function
+let require_quiescent t what =
+  if Machine.active_fibers (machine t) > 0 then
+    failwith (Printf.sprintf "Proto.%s: fibers still running" what)
+
+let begin_parallel t =
+  require_quiescent t "begin_parallel";
+  Machine.set_phase (machine t) `Parallel
+
+let reconcile t =
+  require_quiescent t "reconcile";
+  match t with
   | Dir p -> Proto_dir.reconcile p
   | Snoop_engine p -> Proto_snoop.reconcile p
-
-let conflicts = function
-  | Dir p -> Proto_dir.conflicts p
-  | Snoop_engine p -> Proto_snoop.conflicts p
-
-let races = function
-  | Dir p -> Proto_dir.races p
-  | Snoop_engine p -> Proto_snoop.races p
 
 let dump_block t b =
   match t with
   | Dir p -> Proto_dir.dump_block p b
   | Snoop_engine p -> Proto_snoop.dump_block p b
 
-let check_invariants = function
-  | Dir p -> Proto_dir.check_invariants p
-  | Snoop_engine p -> Proto_snoop.check_invariants p
+let check_invariants t =
+  let parked n =
+    List.map
+      (fun b ->
+        Printf.sprintf "block %d: node %d has a pending retry while quiescent"
+          b (Machine.id n))
+      (Machine.parked n)
+  in
+  let engine =
+    match t with
+    | Dir p -> Proto_dir.check_invariants p
+    | Snoop_engine p -> Proto_snoop.check_invariants p
+  in
+  match (match engine with Ok () -> [] | Error es -> es)
+        @ List.concat_map parked (Array.to_list (Machine.nodes (machine t)))
+  with
+  | [] -> Ok ()
+  | es -> Error es
 
 let peek t addr =
   match t with

@@ -21,7 +21,9 @@
     directory engine consists of message-driven state machines at each
     block's home plus a thin requester side; the bus engine serializes
     misses through bus arbitration and applies snoop reactions atomically
-    at transaction completion.  Everything above this layer is
+    at transaction completion.  Both park faulting accesses in the
+    machine ({!Lcm_tempest.Machine.park}) and end every phase with
+    {!Barrier.release}.  Everything above this layer is
     engine-agnostic.
 
     {2 LCM operation (Section 5.1 of the paper)}
@@ -77,12 +79,15 @@ val register_reduction : t -> base:int -> nwords:int -> Reduction.t -> unit
 (** Declare that the region [\[base, base+nwords)] holds reduction
     locations: reconciliation combines flushed values with the operator
     instead of last-writer-wins.  Applies at block granularity — the
-    region is rounded out to whole blocks. *)
+    region is rounded out to whole blocks.  Ignored under a snooping
+    policy: reductions on a coherent bus execute as ordinary atomic
+    read-modify-writes. *)
 
 val begin_parallel : t -> unit
 (** Enter a parallel phase: subsequent write faults follow the policy's
-    [parallel_write_grant].  The caller (the C\*\* runtime) must be
-    quiescent. *)
+    [parallel_write_grant].
+    @raise Failure if fibers are still running; the caller (the C\*\*
+    runtime) must be quiescent. *)
 
 val reconcile : t -> unit
 (** The [reconcile_copies()] directive: flush every node's modified
@@ -90,13 +95,16 @@ val reconcile : t -> unit
     copies to the new global state, invalidate outstanding read-only
     copies of modified blocks, advance the epoch and return to the
     sequential phase.  Runs the simulation to quiescence internally; on
-    return all node clocks equal the barrier release time. *)
+    return all node clocks equal the barrier release time.
+    @raise Failure if fibers are still running. *)
 
 val conflicts : t -> Detect.conflict list
-(** Write/write conflicts recorded so far (empty unless [detect]). *)
+(** Write/write conflicts recorded so far (empty unless [detect], and
+    always under a snooping policy). *)
 
 val races : t -> Detect.race list
-(** Read/write races recorded so far (empty unless [detect]). *)
+(** Read/write races recorded so far (empty unless [detect], and always
+    under a snooping policy). *)
 
 val dump_block : t -> int -> string
 (** One-line description of a block's directory and cached-copy state,
@@ -105,7 +113,10 @@ val dump_block : t -> int -> string
 
 val check_invariants : t -> (unit, string list) result
 (** Audit the global protocol state; intended for tests and debugging
-    (call when the simulation is quiescent).  Checked invariants:
+    (call when the simulation is quiescent).  Both engines: no node has an
+    access parked on a block ({!Lcm_tempest.Machine.parked}).  The bus
+    engine's own audit is {!Proto_snoop.check_invariants}; the directory
+    engine checks:
 
     - directory/line consistency: a remote exclusive owner actually holds a
       writable line, and nobody else holds any copy of that block; every

@@ -44,11 +44,10 @@ type entry = {
   mutable readers_epoch : int;
 }
 
-(* Reconciliation barrier bookkeeping. *)
+(* Reconcile progress: the joins and sweep acks that decide when
+   Barrier.release may run. *)
 type rstate = {
   mutable joined : int;
-  mutable join_time : int;
-  join_times : int array;  (* per-node join instants *)
   done_times : int array;
       (* per-node completion instants: the join, raised by any sweep
          invalidation acks the node's homes receive — the inputs to the
@@ -62,8 +61,6 @@ type rstate = {
    handlers never hash a counter name (see Stats.Handle).  Names are
    unchanged — these are aliases, not new counters. *)
 type handles = {
-  h_fetch_local : Stats.Handle.counter;
-  h_fetch_remote : Stats.Handle.counter;
   h_recalls : Stats.Handle.counter;
   h_invals : Stats.Handle.counter;
   h_writebacks : Stats.Handle.counter;
@@ -82,7 +79,6 @@ type handles = {
   h_reconcile_invals : Stats.Handle.counter;
   h_reconcile_updates : Stats.Handle.counter;
   h_reconciled_blocks : Stats.Handle.counter;
-  h_barrier_wait : Stats.Handle.counter;
   h_strict_invals : Stats.Handle.counter;
   h_survived_invals : Stats.Handle.counter;
   h_stale_pins : Stats.Handle.counter;
@@ -91,8 +87,6 @@ type handles = {
 
 let resolve_handles s =
   {
-    h_fetch_local = Stats.counter s "proto.fetch_local";
-    h_fetch_remote = Stats.counter s "proto.fetch_remote";
     h_recalls = Stats.counter s "proto.recalls";
     h_invals = Stats.counter s "proto.invals";
     h_writebacks = Stats.counter s "proto.writebacks";
@@ -111,7 +105,6 @@ let resolve_handles s =
     h_reconcile_invals = Stats.counter s "lcm.reconcile_invals";
     h_reconcile_updates = Stats.counter s "lcm.reconcile_updates";
     h_reconciled_blocks = Stats.counter s "lcm.reconciled_blocks";
-    h_barrier_wait = Stats.counter s "lcm.barrier_wait_cycles";
     h_strict_invals = Stats.counter s "detect.strict_invals";
     h_survived_invals = Stats.counter s "stale.survived_invals";
     h_stale_pins = Stats.counter s "stale.pins";
@@ -128,7 +121,6 @@ type t = {
   strict_detection : bool;
   entries : (int, entry) Hashtbl.t;
   reductions : (int, Reduction.t) Hashtbl.t;  (* block -> operator *)
-  pending_retries : (int, (unit -> unit) list) Hashtbl.t array;  (* per node *)
   pending_marks : int list ref array;
       (* per node: blocks marked Lcm_modified since the last flush — so
          flush_copies touches only marked blocks instead of scanning the
@@ -243,6 +235,11 @@ let realias_home_line t b ~tag =
     Machine.drop_line home b;
     ignore (Machine.install_line home b ~data:(Machine.master t.mach b) ~tag)
 
+(* No remote copy remains: the home's line is the writable master. *)
+let home_owns t e =
+  e.dstate <- Home_owned;
+  realias_home_line t e.block ~tag:Tag.Writable
+
 let sharers_of = function
   | Shared s -> s
   | Home_owned | Exclusive _ -> ISet.empty
@@ -259,7 +256,7 @@ let want_tag = function
 let note_mark t nid b =
   t.pending_marks.(nid) := b :: !(t.pending_marks.(nid))
 
-(* Install a granted copy and resume any fibers waiting on the block. *)
+(* Install a granted copy and resume the accesses parked on the block. *)
 let recv_data t node b data tag ~now =
   let line = Machine.install_line node b ~data ~tag in
   if tag = Tag.Lcm_modified then begin
@@ -269,16 +266,7 @@ let recv_data t node b data tag ~now =
       clean_copy_created t
     end
   end;
-  let nid = Machine.id node in
-  let retries =
-    match Hashtbl.find_opt t.pending_retries.(nid) b with
-    | Some rs -> List.rev rs
-    | None -> []
-  in
-  Hashtbl.remove t.pending_retries.(nid) b;
-  Machine.resume node ~now
-    ~cost:(Machine.costs t.mach).Lcm_sim.Costs.block_install (fun () ->
-      List.iter (fun retry -> retry ()) retries)
+  Machine.wake node b ~now
 
 (* A data grant: payload = the granted copy, riders = (block, want code). *)
 let recv_data_m t data rnode now b x =
@@ -290,20 +278,14 @@ let recv_data_m t data rnode now b x =
   in
   recv_data t rnode b data tag ~now
 
-let rec request t node b want ~retry =
-  let nid = Machine.id node in
-  let pending = Hashtbl.find_opt t.pending_retries.(nid) b in
-  Hashtbl.replace t.pending_retries.(nid) b
-    (retry :: Option.value pending ~default:[]);
-  match pending with
-  | Some _ -> () (* a request for this block is already in flight *)
-  | None ->
-    let home = home_of t b in
-    Stats.Handle.incr
-      (if home = nid then t.hs.h_fetch_local else t.hs.h_fetch_remote);
+(* One request per (node, block) is in flight: only the first access
+   parked on the block sends it. *)
+let request t node b want ~retry =
+  if Machine.park node b retry then
+    let nid = Machine.id node in
     (* the want and requester pack into the rider, so the request rides
        the pooled message cell with no per-message closure *)
-    Machine.send t.mach ~src:nid ~dst:home ~words:ctrl_words
+    Machine.send t.mach ~src:nid ~dst:(home_of t b) ~words:ctrl_words
       ~tag:(want_tag want) ~at:(Machine.clock node) t.h_get Machine.no_data b
       ((want_code want lsl 20) lor nid)
 
@@ -311,18 +293,21 @@ let rec request t node b want ~retry =
 (* Home side                                                           *)
 (* ------------------------------------------------------------------ *)
 
-and recv_get_m t _hnode now b x =
+(* A request the home cannot serve yet, parked in a pooled cell. *)
+let new_waiter t want requester =
+  let w = Lcm_util.Pool.acquire t.wpool in
+  w.want <- want;
+  w.requester <- requester;
+  w
+
+let rec recv_get_m t _hnode now b x =
   home_recv_get t b ~want:(want_of_code (x lsr 20)) ~requester:(x land 0xfffff)
     ~now
 
 and home_recv_get t b ~want ~requester ~now =
   let e = get_entry t b in
   match e.busy with
-  | Some _ ->
-    let w = Lcm_util.Pool.acquire t.wpool in
-    w.want <- want;
-    w.requester <- requester;
-    Queue.add w e.waiting
+  | Some _ -> Queue.add (new_waiter t want requester) e.waiting
   | None -> serve t e ~want ~requester ~now
 
 (* Reply with a copy of the master under the given tag.  When the
@@ -354,10 +339,7 @@ and serve t e ~want ~requester ~now =
   match (e.dstate, want) with
   | Exclusive owner, _ when owner <> requester ->
     (* Recall the remote writable copy before serving anyone. *)
-    let w = Lcm_util.Pool.acquire t.wpool in
-    w.want <- want;
-    w.requester <- requester;
-    e.busy <- Some (Recalling w);
+    e.busy <- Some (Recalling (new_waiter t want requester));
     Stats.Handle.incr t.hs.h_recalls;
     let home = home_of t b in
     Machine.send t.mach ~src:home ~dst:owner ~words:ctrl_words
@@ -372,32 +354,16 @@ and serve t e ~want ~requester ~now =
       (Printf.sprintf
          "Proto: block %d: request from recorded exclusive owner %d" b owner)
   | (Home_owned | Shared _), Want_ro ->
-    (* the home itself is never listed as a sharer: its line re-aliases *)
-    (if requester <> home_of t b then begin
-       e.dstate <- Shared (ISet.add requester (sharers_of e.dstate));
-       set_home_tag t b Tag.Read_only
-     end);
+    add_sharer t e requester;
     note_reader t e requester;
     reply_data t e requester Want_ro ~now
   | (Home_owned | Shared _), Want_rw ->
     let home = home_of t b in
     let others = ISet.remove requester (sharers_of e.dstate) in
-    if ISet.is_empty others then begin
-      (* The home owning the master IS exclusive ownership: no directory
-         state change, just a writable re-alias of the backing line. *)
-      if requester = home then e.dstate <- Home_owned
-      else begin
-        e.dstate <- Exclusive requester;
-        set_home_tag t b Tag.Invalid
-      end;
-      reply_data t e requester Want_rw ~now
-    end
+    if ISet.is_empty others then grant_exclusive t e requester ~now
     else begin
-      let w = Lcm_util.Pool.acquire t.wpool in
-      w.want <- want;
-      w.requester <- requester;
-      e.busy <- Some (Invalidating { acks_left = ISet.cardinal others; waiter = w });
-      let home = home_of t b in
+      let waiter = new_waiter t want requester in
+      e.busy <- Some (Invalidating { acks_left = ISet.cardinal others; waiter });
       ISet.iter
         (fun sharer ->
           Stats.Handle.incr t.hs.h_invals;
@@ -410,19 +376,37 @@ and serve t e ~want ~requester ~now =
        remote requester also registers as a sharer so that the
        post-reconcile invalidation sweep (and any later exclusive grant)
        reaches the restored read-only copy LCM-mcc keeps. *)
-    (if requester <> home_of t b then begin
-       e.dstate <- Shared (ISet.add requester (sharers_of e.dstate));
-       set_home_tag t b Tag.Read_only
-     end);
+    add_sharer t e requester;
     e.lcm_holders <- ISet.add requester e.lcm_holders;
     reply_data t e requester Want_lcm ~now
 
+(* the home itself is never listed as a sharer: its line re-aliases *)
+and add_sharer t e requester =
+  if requester <> home_of t e.block then begin
+    e.dstate <- Shared (ISet.add requester (sharers_of e.dstate));
+    set_home_tag t e.block Tag.Read_only
+  end
+
+(* Grant [requester] the only copy.  The home owning the master IS
+   exclusive ownership: no directory state change, just a writable
+   re-alias of the backing line. *)
+and grant_exclusive t e requester ~now =
+  if requester = home_of t e.block then e.dstate <- Home_owned
+  else begin
+    e.dstate <- Exclusive requester;
+    set_home_tag t e.block Tag.Invalid
+  end;
+  reply_data t e requester Want_rw ~now
+
+(* Serve a parked request, its cell back in the pool first. *)
+and serve_waiter t e w ~now =
+  let want = w.want and requester = w.requester in
+  Lcm_util.Pool.release t.wpool w;
+  serve t e ~want ~requester ~now
+
 and drain t e ~now =
   if e.busy = None && not (Queue.is_empty e.waiting) then begin
-    let w = Queue.pop e.waiting in
-    let want = w.want and requester = w.requester in
-    Lcm_util.Pool.release t.wpool w;
-    serve t e ~want ~requester ~now;
+    serve_waiter t e (Queue.pop e.waiting) ~now;
     drain t e ~now
   end
 
@@ -431,60 +415,59 @@ and drain t e ~now =
    per message. *)
 and recv_recall_m t onode now b _x = owner_recv_recall t b onode ~now
 
-and recv_inval_serve_m t snode now b home =
+(* A sharer drops its copy and acknowledges through [ack]: the
+   serve-time or the reconcile-sweep handler. *)
+and recv_inval_m t ack snode now b home =
   sharer_do_inval t b snode;
+  send_inval_ack t ack snode b ~home ~now
+
+and send_inval_ack t ack snode b ~home ~now =
   Machine.send t.mach ~src:(Machine.id snode) ~dst:home ~words:ctrl_words
-    ~tag:"inval_ack" ~at:now t.h_inval_ack Machine.no_data b 0
+    ~tag:"inval_ack" ~at:now ack Machine.no_data b 0
 
 and recv_inval_ack_serve_m t _hnode now b _x = home_recv_inval_ack t b ~now
 
 and owner_recv_recall t b onode ~now =
-  let home = home_of t b in
-  let nid = Machine.id onode in
   match Machine.find_line onode b with
   | Some line when line.Machine.tag = Tag.Writable ->
-    let data = Block.copy line.Machine.data in
     Machine.drop_line onode b;
-    Stats.Handle.incr t.hs.h_writebacks;
-    Machine.send t.mach ~src:nid ~dst:home ~words:(data_words t) ~tag:"put"
-      ~at:now
-      (fun _ _ now _ _ -> home_recv_put t b (Some data) ~from:nid ~mark:false ~now)
-      Machine.no_data 0 0
+    send_put t onode b line ~mark:false ~at:now
   | Some _ | None ->
     (* Already evicted or marked: the corresponding Put travelled first on
        this FIFO channel, so the home's master is already current. *)
-    Machine.send t.mach ~src:nid ~dst:home ~words:ctrl_words ~tag:"recall_nack"
-      ~at:now
-      (fun _ _ now _ _ -> home_recv_recall_nack t b ~now)
+    Machine.send t.mach ~src:(Machine.id onode) ~dst:(home_of t b)
+      ~words:ctrl_words ~tag:"recall_nack" ~at:now
+      (fun _ _ now _ _ -> finish_recall t (get_entry t b) ~now)
       Machine.no_data 0 0
+
+(* Return a writable copy to its home: on recall and eviction a writeback
+   ("put"), on a mark of a remote exclusive copy its phase-start value
+   ("put_mark"), after which the node holds an LCM copy. *)
+and send_put t node b (line : Machine.line) ~mark ~at =
+  let from = Machine.id node in
+  if not mark then Stats.Handle.incr t.hs.h_writebacks;
+  let data = Block.copy line.Machine.data in
+  Machine.send t.mach ~src:from ~dst:(home_of t b) ~words:(data_words t)
+    ~tag:(if mark then "put_mark" else "put") ~at
+    (fun _ _ now _ _ -> home_recv_put t b data ~from ~mark ~now)
+    Machine.no_data 0 0
 
 and home_recv_put t b data ~from ~mark ~now =
   let e = get_entry t b in
-  let master = Machine.master t.mach b in
-  (match data with Some d -> Block.blit ~src:d ~dst:master | None -> ());
+  Block.blit ~src:data ~dst:(Machine.master t.mach b);
   (match e.dstate with
-  | Exclusive o when o = from ->
-    e.dstate <- Home_owned;
-    realias_home_line t b ~tag:Tag.Writable
+  | Exclusive o when o = from -> home_owns t e
   | Exclusive _ | Home_owned | Shared _ -> ());
   if mark then e.lcm_holders <- ISet.add from e.lcm_holders;
-  (match e.busy with
-  | Some (Recalling w) ->
-    e.busy <- None;
-    let want = w.want and requester = w.requester in
-    Lcm_util.Pool.release t.wpool w;
-    serve t e ~want ~requester ~now;
-    drain t e ~now
-  | Some (Invalidating _) | None -> ())
+  finish_recall t e ~now
 
-and home_recv_recall_nack t b ~now =
-  let e = get_entry t b in
+(* The recalled owner answered, with its copy or a nack: serve the
+   request that waited for the recall, then any queued behind it. *)
+and finish_recall t e ~now =
   match e.busy with
   | Some (Recalling w) ->
     e.busy <- None;
-    let want = w.want and requester = w.requester in
-    Lcm_util.Pool.release t.wpool w;
-    serve t e ~want ~requester ~now;
+    serve_waiter t e w ~now;
     drain t e ~now
   | Some (Invalidating _) | None -> ()
 
@@ -496,12 +479,7 @@ and home_recv_inval_ack t b ~now =
     if i.acks_left = 0 then begin
       let requester = i.waiter.requester in
       Lcm_util.Pool.release t.wpool i.waiter;
-      if requester = home_of t b then e.dstate <- Home_owned
-      else begin
-        e.dstate <- Exclusive requester;
-        set_home_tag t b Tag.Invalid
-      end;
-      reply_data t e requester Want_rw ~now;
+      grant_exclusive t e requester ~now;
       e.busy <- None;
       drain t e ~now
     end
@@ -525,7 +503,7 @@ let read_fault t node ~addr ~retry =
   let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
   request t node b Want_ro ~retry
 
-(* Helpers of [mark_parallel], hoisted so the hot path allocates no
+(* Helper of [mark_parallel], hoisted so the hot path allocates no
    closures. *)
 let snapshot_clean t node (line : Machine.line) ~costs =
   if t.dp.Policy.local_clean_copies then begin
@@ -537,10 +515,6 @@ let snapshot_clean t node (line : Machine.line) ~costs =
     Stats.Handle.incr t.hs.h_snapshot_refreshes;
     Machine.advance_clock node costs.Lcm_sim.Costs.local_copy
   end
-
-let unalias_if_home t (line : Machine.line) ~home ~nid ~b =
-  if home = nid && line.Machine.data == Machine.master t.mach b then
-    line.Machine.data <- Block.copy line.Machine.data
 
 (* mark_modification: obtain (or upgrade to) a private writable copy of the
    block holding [addr].  Local upgrades need no communication except for a
@@ -567,35 +541,21 @@ and mark_parallel t node ~addr ~retry =
   let costs = Machine.costs t.mach in
   match Machine.find_line node b with
   | Some line when line.Machine.tag = Tag.Lcm_modified -> retry ()
-  | Some line when line.Machine.tag = Tag.Writable ->
+  | Some line
+    when line.Machine.tag = Tag.Writable || line.Machine.tag = Tag.Read_only ->
     Stats.Handle.incr t.hs.h_mark_local;
     if home = nid then begin
-      unalias_if_home t line ~home ~nid ~b;
+      (* the private copy must not alias the phase-start master *)
+      if line.Machine.data == Machine.master t.mach b then
+        line.Machine.data <- Block.copy line.Machine.data;
       let e = get_entry t b in
       e.lcm_holders <- ISet.add nid e.lcm_holders
     end
-    else begin
+    else if line.Machine.tag = Tag.Writable then
       (* Remote exclusive owner: push the current value home (it is the
          phase-start value) and keep a private copy.  FIFO ordering
          guarantees the Put precedes any flush from this node. *)
-      let data = Block.copy line.Machine.data in
-      Machine.send t.mach ~src:nid ~dst:home ~words:(data_words t)
-        ~tag:"put_mark" ~at:(Machine.clock node)
-        (fun _ _ now _ _ -> home_recv_put t b (Some data) ~from:nid ~mark:true ~now)
-        Machine.no_data 0 0
-    end;
-    line.Machine.tag <- Tag.Lcm_modified;
-    line.Machine.dirty <- Mask.empty;
-    note_mark t nid b;
-    snapshot_clean t node line ~costs;
-    Machine.advance_clock node costs.Lcm_sim.Costs.block_install;
-    retry ()
-  | Some line when line.Machine.tag = Tag.Read_only ->
-    Stats.Handle.incr t.hs.h_mark_local;
-    unalias_if_home t line ~home ~nid ~b;
-    (if home = nid then
-       let e = get_entry t b in
-       e.lcm_holders <- ISet.add nid e.lcm_holders);
+      send_put t node b line ~mark:true ~at:(Machine.clock node);
     line.Machine.tag <- Tag.Lcm_modified;
     line.Machine.dirty <- Mask.empty;
     note_mark t nid b;
@@ -621,31 +581,20 @@ let write_fault t node ~addr ~retry =
 (* Flushing and reconciliation                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A node joined the reconcile barrier once all its flushes are acked. *)
-let try_finish_reconcile t ~now:_ =
-  match t.rec_state with
-  | Some r when (not r.finished) && r.joined = Machine.nnodes t.mach
-                && r.inval_acks_left = 0 ->
+let reconciling t =
+  match t.rec_state with Some r -> r | None -> assert false
+
+(* The phase ends once every node has joined and every sweep invalidation
+   is acknowledged: no earlier than the last acknowledgement. *)
+let try_finish_reconcile t =
+  let r = reconciling t in
+  if (not r.finished) && r.joined = Machine.nnodes t.mach
+     && r.inval_acks_left = 0
+  then begin
     r.finished <- true;
-    let barrier_release =
-      Barrier.release_time ~costs:(Machine.costs t.mach) ~style:t.barrier
-        ~join_times:r.done_times
-    in
-    let release = max barrier_release r.last_ack_time in
-    (* Per-node wait: each node idles from when it finished its own work
-       (done_times) until the collective release. *)
-    Array.iter
-      (fun done_t ->
-        Stats.Handle.add t.hs.h_barrier_wait (release - done_t))
-      r.done_times;
-    Machine.set_all_clocks t.mach release;
-    Machine.incr_epoch t.mach;
-    Machine.trace_emit t.mach ~time:release
-      (Machine.Trace.Barrier_release { nnodes = Machine.nnodes t.mach });
-    Machine.trace_emit t.mach ~time:release
-      (Machine.Trace.Epoch_advance { epoch = Machine.epoch t.mach });
-    Machine.set_phase t.mach `Sequential
-  | Some _ | None -> ()
+    Barrier.release t.mach ~style:t.barrier ~join_times:r.done_times
+      ~not_before:r.last_ack_time
+  end
 
 (* Merge one returned copy into the block's pending (shadow) value: the
    reconciliation point of RSM.  Creates the epoch's clean copy on first
@@ -684,47 +633,64 @@ let merge_flush t b data mask ~from ~epoch =
      e.dstate <- Shared (ISet.add from (sharers_of e.dstate)));
   Stats.Handle.incr t.hs.h_flushes_received
 
-(* Sweep-invalidation handlers, shared by the strict-detection and
-   reconcile sweeps and applied to [t] once at [install], because the
-   sweep sends one invalidation per (modified block, outstanding copy) —
-   the dominant message class of write-heavy reconciliations. *)
+(* The sweep-ack handler, shared by the strict-detection and reconcile
+   sweeps and applied to [t] once at [install], because the sweep sends
+   one invalidation per (modified block, outstanding copy) — the dominant
+   message class of write-heavy reconciliations. *)
 let recv_sweep_ack_m t _hnode now b _x =
-  (match t.rec_state with
-  | Some r ->
-    let home = home_of t b in
-    r.inval_acks_left <- r.inval_acks_left - 1;
-    r.last_ack_time <- max r.last_ack_time now;
-    r.done_times.(home) <- max r.done_times.(home) now
-  | None -> assert false);
-  try_finish_reconcile t ~now
-
-let recv_inval_sweep_m t snode now b home =
-  sharer_do_inval t b snode;
-  Machine.send t.mach ~src:(Machine.id snode) ~dst:home ~words:ctrl_words
-    ~tag:"inval_ack" ~at:now t.h_sweep_ack Machine.no_data b 0
-
-let rec home_recv_flush t b data mask ~from ~epoch ~now =
-  merge_flush t b data mask ~from ~epoch;
+  let r = reconciling t in
   let home = home_of t b in
-  Machine.send t.mach ~src:home ~dst:from ~words:ctrl_words ~tag:"flush_ack"
-    ~at:now
+  r.inval_acks_left <- r.inval_acks_left - 1;
+  r.last_ack_time <- max r.last_ack_time now;
+  r.done_times.(home) <- max r.done_times.(home) now;
+  try_finish_reconcile t
+
+(* One sweep invalidation of [b]'s copy at [target], counted in [counter]
+   (strict detection or reconciliation). *)
+let send_sweep_inval t r b ~home ~at counter target =
+  r.inval_acks_left <- r.inval_acks_left + 1;
+  Stats.Handle.incr counter;
+  Machine.send t.mach ~src:home ~dst:target ~words:ctrl_words ~tag:"inval" ~at
+    t.h_sweep_inval Machine.no_data b home
+
+(* Return one dirty LCM block to its [home] (passed in: this runs for
+   every flushed block).  A local home merges the live line in place —
+   [merge_flush] only reads [data], so a host-side copy is pure waste. *)
+let rec flush_block t node b (line : Machine.line) ~home ~epoch =
+  let nid = Machine.id node in
+  let mask = line.Machine.dirty in
+  Stats.Handle.incr t.hs.h_flush_blocks;
+  if home = nid then merge_flush t b line.Machine.data mask ~from:nid ~epoch
+  else begin
+    let data = Block.copy line.Machine.data in
+    t.pending_flush_acks.(nid) <- t.pending_flush_acks.(nid) + 1;
+    Machine.send t.mach ~src:nid ~dst:home ~words:(data_words t + 1)
+      ~tag:"flush" ~at:(Machine.clock node)
+      (fun _ _ now _ _ -> home_recv_flush t b data mask ~from:nid ~epoch ~now)
+      Machine.no_data 0 0
+  end
+
+and home_recv_flush t b data mask ~from ~epoch ~now =
+  merge_flush t b data mask ~from ~epoch;
+  Machine.send t.mach ~src:(home_of t b) ~dst:from ~words:ctrl_words
+    ~tag:"flush_ack" ~at:now
     (fun _ fnode now _ _ ->
       let nid = Machine.id fnode in
       t.pending_flush_acks.(nid) <- t.pending_flush_acks.(nid) - 1;
-      if t.awaiting_join.(nid) && t.pending_flush_acks.(nid) = 0 then begin
-        t.awaiting_join.(nid) <- false;
-        match t.rec_state with
-        | Some r ->
-          r.joined <- r.joined + 1;
-          r.join_time <- max r.join_time now;
-          r.join_times.(nid) <- now;
-          r.done_times.(nid) <- max r.done_times.(nid) now;
-          Machine.trace_emit t.mach ~time:now
-            (Machine.Trace.Barrier_enter { node = nid });
-          if r.joined = Machine.nnodes t.mach then start_sweep t ~now
-        | None -> ()
-      end)
+      if t.awaiting_join.(nid) && t.pending_flush_acks.(nid) = 0 then
+        join_barrier t nid ~now)
     Machine.no_data 0 0
+
+(* Node [nid] joins the reconcile barrier at [now], once all its flushes
+   are acknowledged; the last join starts the sweep. *)
+and join_barrier t nid ~now =
+  let r = reconciling t in
+  t.awaiting_join.(nid) <- false;
+  r.joined <- r.joined + 1;
+  r.done_times.(nid) <- max r.done_times.(nid) now;
+  Machine.trace_emit t.mach ~time:now
+    (Machine.Trace.Barrier_enter { node = nid });
+  if r.joined = Machine.nnodes t.mach then start_sweep t
 
 (* flush_copies(): return every locally-modified LCM block to its home.
    scc drops the local copy (the next access refetches the clean value);
@@ -747,27 +713,13 @@ and flush_node t node =
           line.Machine.tag <- Tag.Read_only
         end
         else begin
-          Stats.Handle.incr t.hs.h_flush_blocks;
-          let mask = line.Machine.dirty in
-          Machine.advance_clock node costs.Lcm_sim.Costs.local_copy;
           let home = home_of t b in
-          if home = nid then begin
-            (* flushing a locally-homed block is a local memory operation:
-               merge into the pending copy on the spot.  The live line is
-               merged in place — [merge_flush] only reads [data], and the
-               local-clean restore below happens after it returns, so the
-               host-side copy a remote flush needs is pure waste here. *)
+          Machine.advance_clock node costs.Lcm_sim.Costs.local_copy;
+          (* flushing a locally-homed block is a local memory operation:
+             merge into the pending copy on the spot *)
+          if home = nid then
             Machine.advance_clock node costs.Lcm_sim.Costs.local_copy;
-            merge_flush t b line.Machine.data mask ~from:nid ~epoch
-          end
-          else begin
-            let data = Block.copy line.Machine.data in
-            t.pending_flush_acks.(nid) <- t.pending_flush_acks.(nid) + 1;
-            Machine.send t.mach ~src:nid ~dst:home ~words:(data_words t + 1)
-              ~tag:"flush" ~at:(Machine.clock node)
-              (fun _ _ now _ _ -> home_recv_flush t b data mask ~from:nid ~epoch ~now)
-              Machine.no_data 0 0
-          end;
+          flush_block t node b line ~home ~epoch;
           if t.dp.Policy.local_clean_copies then begin
             (match line.Machine.local_clean with
             | Some clean -> Block.blit ~src:clean ~dst:line.Machine.data
@@ -785,17 +737,23 @@ and flush_node t node =
     blocks
 
 (* Promote shadows to the new global state and invalidate outstanding
-   copies of every modified block. *)
-and start_sweep t ~now =
-  let r = match t.rec_state with Some r -> r | None -> assert false in
+   copies of every modified block.  The sweep leaves at the last join (no
+   sweep ack has raised a completion time yet), or now if the engine has
+   moved past it. *)
+and start_sweep t =
+  let r = reconciling t in
   let epoch = Machine.epoch t.mach in
-  let sweep_time = max r.join_time now in
+  let sweep_time =
+    max (Array.fold_left max 0 r.done_times)
+      (Lcm_sim.Engine.now (Machine.engine t.mach))
+  in
   let blocks =
     Hashtbl.fold (fun b _ acc -> b :: acc) t.entries [] |> List.sort Int.compare
   in
   List.iter
     (fun b ->
       let e = match Hashtbl.find_opt t.entries b with Some e -> e | None -> assert false in
+      let home = home_of t b in
       (* Strict detection (§7.3): actual races need every read-only copy
          flushed at synchronization points, so that the next phase's reads
          fault and register — otherwise a copy cached in an earlier phase
@@ -804,19 +762,11 @@ and start_sweep t ~now =
         match e.shadow with Some _ -> e.shadow_epoch = epoch | None -> false
       in
       (if t.strict_detection && not modified_this_epoch then begin
-         let home = home_of t b in
          let targets = ISet.remove home (sharers_of e.dstate) in
          ISet.iter
-           (fun target ->
-             r.inval_acks_left <- r.inval_acks_left + 1;
-             Stats.Handle.incr t.hs.h_strict_invals;
-             Machine.send t.mach ~src:home ~dst:target ~words:ctrl_words
-               ~tag:"inval" ~at:sweep_time t.h_sweep_inval Machine.no_data b home)
+           (send_sweep_inval t r b ~home ~at:sweep_time t.hs.h_strict_invals)
            targets;
-         if not (ISet.is_empty targets) then begin
-           e.dstate <- Home_owned;
-           realias_home_line t b ~tag:Tag.Writable
-         end
+         if not (ISet.is_empty targets) then home_owns t e
        end);
       (match e.shadow with
       | Some shadow when e.shadow_epoch = epoch ->
@@ -830,19 +780,8 @@ and start_sweep t ~now =
             { Detect.block = b; readers = ISet.elements e.readers } :: t.races;
         (* Invalidate every outstanding copy; the home line re-aliases the
            new master. *)
-        let home = home_of t b in
         let targets =
           ISet.remove home (ISet.union (sharers_of e.dstate) e.lcm_holders)
-        in
-        let ack_from snode ~now =
-          Machine.send t.mach ~src:(Machine.id snode) ~dst:home
-            ~words:ctrl_words ~tag:"inval_ack" ~at:now
-            (fun _ _ now _ _ ->
-              r.inval_acks_left <- r.inval_acks_left - 1;
-              r.last_ack_time <- max r.last_ack_time now;
-              r.done_times.(home) <- max r.done_times.(home) now;
-              try_finish_reconcile t ~now)
-            Machine.no_data 0 0
         in
         if t.dp.Policy.update_on_reconcile then begin
           (* update-based reconciliation: push the new value into every
@@ -862,14 +801,11 @@ and start_sweep t ~now =
                     ->
                     Block.blit ~src:fresh ~dst:line.Machine.data
                   | Some _ | None -> () (* dropped, pinned or upgraded *));
-                  ack_from snode ~now)
+                  send_inval_ack t t.h_sweep_ack snode b ~home ~now)
                 Machine.no_data 0 0)
             targets;
           (* copies stay valid: the sharer set survives reconciliation *)
-          if ISet.is_empty targets then begin
-            e.dstate <- Home_owned;
-            realias_home_line t b ~tag:Tag.Writable
-          end
+          if ISet.is_empty targets then home_owns t e
           else begin
             e.dstate <- Shared targets;
             realias_home_line t b ~tag:Tag.Read_only
@@ -877,65 +813,40 @@ and start_sweep t ~now =
         end
         else begin
           ISet.iter
-            (fun target ->
-              r.inval_acks_left <- r.inval_acks_left + 1;
-              Stats.Handle.incr t.hs.h_reconcile_invals;
-              Machine.send t.mach ~src:home ~dst:target ~words:ctrl_words
-                ~tag:"inval" ~at:sweep_time t.h_sweep_inval Machine.no_data b home)
+            (send_sweep_inval t r b ~home ~at:sweep_time t.hs.h_reconcile_invals)
             targets;
-          e.dstate <- Home_owned;
-          realias_home_line t b ~tag:Tag.Writable
+          home_owns t e
         end
       | Some _ | None -> ());
       e.lcm_holders <- ISet.empty;
       e.readers <- ISet.empty)
     blocks;
-  try_finish_reconcile t ~now
+  try_finish_reconcile t
 
 let reconcile t =
-  if Machine.active_fibers t.mach > 0 then
-    failwith "Proto.reconcile: fibers still running";
   let nnodes = Machine.nnodes t.mach in
-  let r =
-    {
-      joined = 0;
-      join_time = 0;
-      join_times = Array.make nnodes 0;
-      done_times = Array.make nnodes 0;
-      inval_acks_left = 0;
-      last_ack_time = 0;
-      finished = false;
-    }
-  in
-  t.rec_state <- Some r;
+  t.rec_state <-
+    Some
+      {
+        joined = 0;
+        done_times = Array.make nnodes 0;
+        inval_acks_left = 0;
+        last_ack_time = 0;
+        finished = false;
+      };
   for i = 0 to nnodes - 1 do
     t.awaiting_join.(i) <- true
   done;
   for i = 0 to nnodes - 1 do
     let node = Machine.node t.mach i in
     flush_node t node;
-    if t.pending_flush_acks.(i) = 0 then begin
-      t.awaiting_join.(i) <- false;
-      r.joined <- r.joined + 1;
-      r.join_time <- max r.join_time (Machine.clock node);
-      r.join_times.(i) <- Machine.clock node;
-      r.done_times.(i) <- max r.done_times.(i) (Machine.clock node);
-      Machine.trace_emit t.mach ~time:(Machine.clock node)
-        (Machine.Trace.Barrier_enter { node = i })
-    end
+    if t.pending_flush_acks.(i) = 0 then
+      join_barrier t i ~now:(Machine.clock node)
   done;
-  if r.joined = nnodes then
-    start_sweep t ~now:(Lcm_sim.Engine.now (Machine.engine t.mach));
   Machine.run_to_quiescence t.mach;
-  (match t.rec_state with
-  | Some r when r.finished -> ()
-  | Some _ | None -> failwith "Proto.reconcile: barrier did not complete");
+  if not (reconciling t).finished then
+    failwith "Proto.reconcile: barrier did not complete";
   t.rec_state <- None
-
-let begin_parallel t =
-  if Machine.active_fibers t.mach > 0 then
-    failwith "Proto.begin_parallel: fibers still running";
-  Machine.set_phase t.mach `Parallel
 
 (* ------------------------------------------------------------------ *)
 (* Directives, eviction, installation                                  *)
@@ -988,30 +899,10 @@ let evict t node b line =
         | Shared s -> e.dstate <- Shared (ISet.remove nid s)
         | Home_owned | Exclusive _ -> ())
       Machine.no_data 0 0
-  | Tag.Writable ->
-    let data = Block.copy line.Machine.data in
-    Stats.Handle.incr t.hs.h_writebacks;
-    Machine.send t.mach ~src:nid ~dst:home ~words:(data_words t) ~tag:"put"
-      ~at:(Machine.clock node)
-      (fun _ _ now _ _ -> home_recv_put t b (Some data) ~from:nid ~mark:false ~now)
-      Machine.no_data 0 0
+  | Tag.Writable -> send_put t node b line ~mark:false ~at:(Machine.clock node)
   | Tag.Lcm_modified ->
-    if not (Mask.is_empty line.Machine.dirty) then begin
-      let mask = line.Machine.dirty in
-      let epoch = Machine.epoch t.mach in
-      Stats.Handle.incr t.hs.h_flush_blocks;
-      (* local home: merge the evicted line's data in place (read-only
-         use, and the line is dropped right after) — no copy *)
-      if home = nid then merge_flush t b line.Machine.data mask ~from:nid ~epoch
-      else begin
-        let data = Block.copy line.Machine.data in
-        t.pending_flush_acks.(nid) <- t.pending_flush_acks.(nid) + 1;
-        Machine.send t.mach ~src:nid ~dst:home ~words:(data_words t + 1)
-          ~tag:"flush" ~at:(Machine.clock node)
-          (fun _ _ now _ _ -> home_recv_flush t b data mask ~from:nid ~epoch ~now)
-          Machine.no_data 0 0
-      end
-    end
+    if not (Mask.is_empty line.Machine.dirty) then
+      flush_block t node b line ~home ~epoch:(Machine.epoch t.mach)
 
 let touch_entry t b = ignore (get_entry t b)
 
@@ -1191,7 +1082,6 @@ let install ?(detect = false) ?(strict_detection = false)
       strict_detection;
       entries = Hashtbl.create 4096;
       reductions = Hashtbl.create 64;
-      pending_retries = Array.init nnodes (fun _ -> Hashtbl.create 16);
       pending_marks = Array.init nnodes (fun _ -> ref []);
       pending_flush_acks = Array.make nnodes 0;
       awaiting_join = Array.make nnodes false;
@@ -1209,9 +1099,9 @@ let install ?(detect = false) ?(strict_detection = false)
       h_data = (fun d n now b x -> recv_data_m t d n now b x);
       h_get = (fun _ n now b x -> recv_get_m t n now b x);
       h_recall = (fun _ n now b x -> recv_recall_m t n now b x);
-      h_inval = (fun _ n now b x -> recv_inval_serve_m t n now b x);
+      h_inval = (fun _ n now b x -> recv_inval_m t t.h_inval_ack n now b x);
       h_inval_ack = (fun _ n now b x -> recv_inval_ack_serve_m t n now b x);
-      h_sweep_inval = (fun _ n now b x -> recv_inval_sweep_m t n now b x);
+      h_sweep_inval = (fun _ n now b x -> recv_inval_m t t.h_sweep_ack n now b x);
       h_sweep_ack = (fun _ n now b x -> recv_sweep_ack_m t n now b x);
     }
   in

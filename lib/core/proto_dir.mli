@@ -72,18 +72,14 @@ val register_reduction : t -> base:int -> nwords:int -> Reduction.t -> unit
     instead of last-writer-wins.  Applies at block granularity — the
     region is rounded out to whole blocks. *)
 
-val begin_parallel : t -> unit
-(** Enter a parallel phase: subsequent write faults follow the policy's
-    [parallel_write_grant].  The caller (the C\*\* runtime) must be
-    quiescent. *)
-
 val reconcile : t -> unit
 (** The [reconcile_copies()] directive: flush every node's modified
     copies, wait for all of them to reach their homes, promote pending
     copies to the new global state, invalidate outstanding read-only
-    copies of modified blocks, advance the epoch and return to the
-    sequential phase.  Runs the simulation to quiescence internally; on
-    return all node clocks equal the barrier release time. *)
+    copies of modified blocks, then {!Barrier.release} no earlier than the
+    last sweep acknowledgement.  Runs the simulation to quiescence
+    internally; on return all node clocks equal the barrier release
+    time. *)
 
 val conflicts : t -> Detect.conflict list
 (** Write/write conflicts recorded so far (empty unless [detect]). *)

@@ -1,12 +1,13 @@
 (* The snooping-bus protocol engine: MSI/MESI/MOESI over Lcm_net.Bus.
 
    Division of labour: Snoop holds the pure per-policy transition tables;
-   this engine owns transport (bus transactions and their arbitration),
-   waiter queues (per-node pending fault retries), the writeback buffer,
-   and barrier bookkeeping.  Every bus transaction's state changes happen
-   atomically in its completion callback, so the engine needs no "busy"
-   directory states: concurrent requests simply serialize through bus
-   arbitration.
+   this engine owns transport (bus transactions and their arbitration)
+   and the writeback buffer.  A faulting access parks in the machine
+   (Machine.park/wake), and the end of a phase is Barrier.release — the
+   same two mechanisms the directory engine uses.  Every bus
+   transaction's state changes happen atomically in its completion
+   callback, so the engine needs no "busy" directory states: concurrent
+   requests simply serialize through bus arbitration.
 
    Memory model: the machine's master copies are the (centralized) memory
    image.  Home backing lines are disabled (Machine.set_home_backing
@@ -33,10 +34,7 @@ module Stats = Lcm_util.Stats
 module Bus = Lcm_net.Bus
 
 type handles = {
-  h_fetch_local : Stats.Handle.counter;
-  h_fetch_remote : Stats.Handle.counter;
   h_writebacks : Stats.Handle.counter;
-  h_barrier_wait : Stats.Handle.counter;
   h_snoop_hits : Stats.Handle.counter;
   h_c2c : Stats.Handle.counter;
   h_upgr_races : Stats.Handle.counter;
@@ -45,10 +43,7 @@ type handles = {
 
 let resolve_handles s =
   {
-    h_fetch_local = Stats.counter s "proto.fetch_local";
-    h_fetch_remote = Stats.counter s "proto.fetch_remote";
     h_writebacks = Stats.counter s "proto.writebacks";
-    h_barrier_wait = Stats.counter s "lcm.barrier_wait_cycles";
     h_snoop_hits = Stats.counter s "bus.snoop_hits";
     h_c2c = Stats.counter s "bus.c2c_transfers";
     h_upgr_races = Stats.counter s "bus.upgr_races";
@@ -68,7 +63,6 @@ type t = {
   barrier : Barrier.style;
   states : (int, Snoop.state array) Hashtbl.t;  (* block -> per-node state *)
   wb : (int, Block.t) Hashtbl.t;  (* in-flight evicted dirty data *)
-  pending_retries : (int, (unit -> unit) list) Hashtbl.t array;  (* per node *)
 }
 
 let policy t = t.pol
@@ -128,20 +122,14 @@ let drain_wb t b ~consumed_by_transaction =
 (* Bus transactions (each body runs atomically at grant completion)    *)
 (* ------------------------------------------------------------------ *)
 
-let resume_waiters t b nid ~now =
-  let retries =
-    match Hashtbl.find_opt t.pending_retries.(nid) b with
-    | Some rs -> List.rev rs
-    | None -> []
-  in
-  Hashtbl.remove t.pending_retries.(nid) b;
-  Machine.resume (Machine.node t.mach nid) ~now
-    ~cost:(Machine.costs t.mach).Lcm_sim.Costs.block_install (fun () ->
-      List.iter (fun retry -> retry ()) retries)
-
-let do_bus_rd t b nid ~now =
+(* One pass over the other caches, shared by BUS_RD, BUS_RDX and the
+   invalidation half of BUS_UPGR: retire the writeback buffer, apply each
+   holder's [react]ion to the observed transaction, take the first
+   supplier's copy and write memory back where the reaction says so.
+   Returns the supplied copy, if any, and whether any other cache held
+   the block. *)
+let snoop_others t b nid react =
   drain_wb t b ~consumed_by_transaction:true;
-  let sts = states_of t b in
   let supplier = ref None in
   let others_present = ref false in
   Array.iteri
@@ -149,7 +137,7 @@ let do_bus_rd t b nid ~now =
       if m <> nid && st <> Snoop.I then begin
         others_present := true;
         Stats.Handle.incr t.hs.h_snoop_hits;
-        let r = Snoop.on_bus_rd t.sp st in
+        let r = react st in
         let line =
           match Machine.find_line (Machine.node t.mach m) b with
           | Some l -> l
@@ -161,50 +149,34 @@ let do_bus_rd t b nid ~now =
           Block.blit ~src:line.Machine.data ~dst:(Machine.master t.mach b);
         set_state t b m r.Snoop.next ()
       end)
-    sts;
-  let data =
-    match !supplier with
-    | Some d ->
-      Stats.Handle.incr t.hs.h_c2c;
-      d
-    | None -> Block.copy (Machine.master t.mach b)
-  in
-  let st = Snoop.fill_on_read t.sp ~others_present:!others_present in
+    (states_of t b);
+  (!supplier, !others_present)
+
+(* A miss fills from the supplier's copy, else from memory. *)
+let fill_data t b = function
+  | Some d ->
+    Stats.Handle.incr t.hs.h_c2c;
+    d
+  | None -> Block.copy (Machine.master t.mach b)
+
+let do_bus_rd t b nid ~now =
+  let supplier, others_present = snoop_others t b nid (Snoop.on_bus_rd t.sp) in
+  let data = fill_data t b supplier in
+  let st = Snoop.fill_on_read t.sp ~others_present in
   set_state t b nid st ~data ();
   Machine.tracef t.mach ~time:now "bus_rd node=%d block=%d fill=%s" nid b
     (Snoop.state_to_string st);
-  resume_waiters t b nid ~now
+  Machine.wake (Machine.node t.mach nid) b ~now
 
-(* Core of BUS_RDX, shared with the upgrade-miss conversion: collect the
-   dirty holder's data (if any), invalidate every other copy, install the
-   requester Modified.  Memory may stay stale — the requester is the new
-   single owner. *)
+(* BUS_RDX, also the upgrade-miss conversion: the dirty holder (if any)
+   supplies, every other copy invalidates, the requester installs
+   Modified.  Memory may stay stale — the requester is the new single
+   owner. *)
 let do_bus_rdx t b nid ~now =
-  drain_wb t b ~consumed_by_transaction:true;
-  let sts = states_of t b in
-  let supplier = ref None in
-  Array.iteri
-    (fun m st ->
-      if m <> nid && st <> Snoop.I then begin
-        Stats.Handle.incr t.hs.h_snoop_hits;
-        let r = Snoop.on_bus_rdx st in
-        (if r.Snoop.supplies && !supplier = None then
-           match Machine.find_line (Machine.node t.mach m) b with
-           | Some line -> supplier := Some (Block.copy line.Machine.data)
-           | None -> failwith "Proto_snoop: snooped state without a line");
-        set_state t b m r.Snoop.next ()
-      end)
-    sts;
-  let data =
-    match !supplier with
-    | Some d ->
-      Stats.Handle.incr t.hs.h_c2c;
-      d
-    | None -> Block.copy (Machine.master t.mach b)
-  in
-  set_state t b nid Snoop.fill_on_write ~data ();
+  let supplier, _ = snoop_others t b nid Snoop.on_bus_rdx in
+  set_state t b nid Snoop.fill_on_write ~data:(fill_data t b supplier) ();
   Machine.tracef t.mach ~time:now "bus_rdx node=%d block=%d" nid b;
-  resume_waiters t b nid ~now
+  Machine.wake (Machine.node t.mach nid) b ~now
 
 let do_bus_upgr t b nid ~now =
   match state t b nid with
@@ -215,23 +187,16 @@ let do_bus_upgr t b nid ~now =
     Stats.Handle.incr t.hs.h_upgr_races;
     do_bus_rdx t b nid ~now
   | Snoop.S | Snoop.O ->
-    drain_wb t b ~consumed_by_transaction:true;
-    let sts = states_of t b in
-    Array.iteri
-      (fun m st ->
-        if m <> nid && st <> Snoop.I then begin
-          Stats.Handle.incr t.hs.h_snoop_hits;
-          set_state t b m (Snoop.on_bus_rdx st).Snoop.next ()
-        end)
-      sts;
+    (* the requester's own copy is current: the supplier's is not needed *)
+    ignore (snoop_others t b nid Snoop.on_bus_rdx);
     set_state t b nid Snoop.fill_on_write ();
     Machine.tracef t.mach ~time:now "bus_upgr node=%d block=%d" nid b;
-    resume_waiters t b nid ~now
+    Machine.wake (Machine.node t.mach nid) b ~now
   | Snoop.E | Snoop.M ->
     (* already exclusive (e.g. a racing transaction's supplier bookkeeping
        upgraded us); just complete *)
     set_state t b nid Snoop.fill_on_write ();
-    resume_waiters t b nid ~now
+    Machine.wake (Machine.node t.mach nid) b ~now
 
 let do_bus_flush t b ~now =
   (match Hashtbl.find_opt t.wb b with
@@ -254,28 +219,17 @@ let grant_rdx_m t now x = do_bus_rdx t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
 let grant_upgr_m t now x = do_bus_upgr t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
 let grant_flush_m t now b = do_bus_flush t b ~now
 
-(* One in-flight transaction per (node, block): later faults pile their
-   retries onto the pending entry and resume with the grant.  Returns
-   whether the caller should issue the bus transaction (no transaction
-   for this block is already arbitrating). *)
-let request t node b ~retry =
-  let nid = Machine.id node in
-  let pending = Hashtbl.find_opt t.pending_retries.(nid) b in
-  Hashtbl.replace t.pending_retries.(nid) b
-    (retry :: Option.value pending ~default:[]);
-  match pending with
-  | Some _ -> false (* a transaction for this block is already arbitrating *)
-  | None ->
-    Stats.Handle.incr
-      (if home_of t b = nid then t.hs.h_fetch_local else t.hs.h_fetch_remote);
-    true
+(* One transaction per (node, block) arbitrates at a time: a fault issues
+   one only when it is the first access parked on the block
+   (Machine.park); the grant wakes them all. *)
+let miss t node b ~retry kind ~words grant =
+  if Machine.park node b retry then
+    Bus.transact t.bus ~kind ~at:(Machine.clock node) ~words grant t
+      ((Machine.id node lsl 40) lor b)
 
 let read_fault t node ~addr ~retry =
   let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
-  let nid = Machine.id node in
-  if request t node b ~retry then
-    Bus.transact t.bus ~kind:Bus.Rd ~at:(Machine.clock node)
-      ~words:(data_words t) t.g_rd t ((nid lsl 40) lor b)
+  miss t node b ~retry Bus.Rd ~words:(data_words t) t.g_rd
 
 let write_fault t node ~addr ~retry =
   let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
@@ -287,16 +241,12 @@ let write_fault t node ~addr ~retry =
     set_state t b nid Snoop.fill_on_write ();
     Machine.resume node ~now:(Machine.clock node) ~cost:0 retry
   | Snoop.S | Snoop.O ->
-    if request t node b ~retry then
-      Bus.transact t.bus ~kind:Bus.Upgr ~at:(Machine.clock node)
-        ~words:ctrl_words t.g_upgr t ((nid lsl 40) lor b)
+    miss t node b ~retry Bus.Upgr ~words:ctrl_words t.g_upgr
   | Snoop.M ->
     (* the line is writable; the fault raced a concurrent install *)
     Machine.resume node ~now:(Machine.clock node) ~cost:0 retry
   | Snoop.I | Snoop.E ->
-    if request t node b ~retry then
-      Bus.transact t.bus ~kind:Bus.Rdx ~at:(Machine.clock node)
-        ~words:(data_words t) t.g_rdx t ((nid lsl 40) lor b)
+    miss t node b ~retry Bus.Rdx ~words:(data_words t) t.g_rdx
 
 (* Capacity eviction: dirty states stage their data in the writeback
    buffer and arbitrate for a FLUSH slot; clean states drop silently. *)
@@ -333,48 +283,18 @@ let directive t node d ~retry =
 (* Phases                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let begin_parallel t =
-  if Machine.active_fibers t.mach > 0 then
-    failwith "Proto.begin_parallel: fibers still running";
-  Machine.set_phase t.mach `Parallel
-
 (* Bus protocols are coherent: reconciliation is just the end-of-phase
-   barrier (drain, synchronize clocks, advance the epoch).  The same
-   Barrier timing models price it, so directory-vs-snoop comparisons use
-   identical barrier costs. *)
+   barrier, every node joining at its own clock.  The same Barrier timing
+   models price it, so directory-vs-snoop comparisons use identical
+   barrier costs. *)
 let reconcile t =
-  if Machine.active_fibers t.mach > 0 then
-    failwith "Proto.reconcile: fibers still running";
   Machine.run_to_quiescence t.mach;
-  let nnodes = Machine.nnodes t.mach in
-  let join_times =
-    Array.init nnodes (fun i -> Machine.clock (Machine.node t.mach i))
-  in
+  let join_times = Array.map Machine.clock (Machine.nodes t.mach) in
   Array.iteri
     (fun i jt ->
       Machine.trace_emit t.mach ~time:jt (Machine.Trace.Barrier_enter { node = i }))
     join_times;
-  let release =
-    Barrier.release_time ~costs:(Machine.costs t.mach) ~style:t.barrier
-      ~join_times
-  in
-  Array.iter
-    (fun jt -> Stats.Handle.add t.hs.h_barrier_wait (release - jt))
-    join_times;
-  Machine.set_all_clocks t.mach release;
-  Machine.incr_epoch t.mach;
-  Machine.trace_emit t.mach ~time:release
-    (Machine.Trace.Barrier_release { nnodes });
-  Machine.trace_emit t.mach ~time:release
-    (Machine.Trace.Epoch_advance { epoch = Machine.epoch t.mach });
-  Machine.set_phase t.mach `Sequential
-
-(* reductions execute as coherent read-modify-writes on a bus: there is
-   no reconciliation for an operator to combine *)
-let register_reduction _ ~base:_ ~nwords:_ _ = ()
-
-let conflicts _ = []
-let races _ = []
+  Barrier.release t.mach ~style:t.barrier ~join_times ~not_before:0
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
@@ -408,12 +328,6 @@ let check_invariants t =
     Hashtbl.iter
       (fun b _ -> err "block %d: writeback buffered while quiescent" b)
       t.wb;
-  Array.iteri
-    (fun nid tbl ->
-      Hashtbl.iter
-        (fun b _ -> err "block %d: node %d has a pending retry while quiescent" b nid)
-        tbl)
-    t.pending_retries;
   Hashtbl.iter
     (fun b sts ->
       let master = Machine.master t.mach b in
@@ -538,7 +452,6 @@ let install ?(barrier = Barrier.Constant) ~policy:pol mach =
       invalid_arg "Proto_snoop.install: directory policies ride Proto_dir"
   in
   Machine.set_home_backing mach false;
-  let nnodes = Machine.nnodes mach in
   let bus =
     Bus.create ~engine:(Machine.engine mach) ~costs:(Machine.costs mach)
       ~stats:(Machine.stats mach) ()
@@ -557,7 +470,6 @@ let install ?(barrier = Barrier.Constant) ~policy:pol mach =
       barrier;
       states = Hashtbl.create 4096;
       wb = Hashtbl.create 16;
-      pending_retries = Array.init nnodes (fun _ -> Hashtbl.create 16);
     }
   in
   Machine.set_handlers mach

@@ -4,14 +4,17 @@
     through per-block home directories and point-to-point messages, this
     engine broadcasts every miss on a single arbitrated {!Lcm_net.Bus}
     and lets every cache snoop it.  {!Snoop} holds the pure per-policy
-    transition tables; this module owns only transport, waiter queues,
-    the writeback buffer and barrier bookkeeping — the same division of
-    labour as the directory side.  Use {!Proto} unless you specifically
-    need the concrete engine type.
+    transition tables; this module owns only transport and the writeback
+    buffer.  Faulting accesses wait in the machine
+    ({!Lcm_tempest.Machine.park}/{!Lcm_tempest.Machine.wake}) and a phase
+    ends in {!Barrier.release}, exactly as on the directory side.  Use
+    {!Proto} unless you specifically need the concrete engine type.
 
     Transactions (BUS_RD, BUS_RDX, BUS_UPGR, FLUSH) serialize through bus
     arbitration and apply their state changes atomically at completion,
-    so the engine needs no transient directory states.  Dirty snoopers
+    so the engine needs no transient directory states.  BUS_RD, BUS_RDX
+    and the invalidation half of BUS_UPGR share one pass over the other
+    caches, differing only in the {!Snoop} reaction they apply.  Dirty snoopers
     supply requested lines cache-to-cache; evicted dirty lines wait in a
     writeback buffer that intervening transactions consult (and consume)
     before memory, resolving the Owned/Modified-writeback-versus-BUS_RDX
@@ -21,7 +24,9 @@
     Because bus protocols are coherent, {!reconcile} is only the
     end-of-phase barrier, and LCM/stale-data directives degrade to no-ops
     — programs compiled for LCM run unchanged (the paper's portability
-    argument, mirrored from the Stache behaviour).
+    argument, mirrored from the Stache behaviour).  For the same reason
+    the engine has no reductions, conflicts or races: {!Proto} answers
+    those for it.
 
     The bus is a reliable medium: {!Lcm_net.Faults} plans shape the
     point-to-point network and do not apply to bus transactions. *)
@@ -42,23 +47,10 @@ val install :
 val policy : t -> Policy.t
 val machine : t -> Lcm_tempest.Machine.t
 
-val register_reduction : t -> base:int -> nwords:int -> Reduction.t -> unit
-(** Accepted for API parity with the directory engine and ignored:
-    reductions under a coherent bus execute as ordinary atomic
-    read-modify-writes. *)
-
-val begin_parallel : t -> unit
-
 val reconcile : t -> unit
-(** End-of-phase barrier: drain the machine, synchronize all node clocks
-    to the {!Barrier.release_time} of their join times, advance the
-    epoch.  No data movement — the bus kept memory coherent throughout. *)
-
-val conflicts : t -> Detect.conflict list
-(** Always empty: conflict detection is an LCM reconciliation feature. *)
-
-val races : t -> Detect.race list
-(** Always empty. *)
+(** End-of-phase barrier: drain the machine, then {!Barrier.release} with
+    every node joining at its own clock.  No data movement — the bus kept
+    memory coherent throughout. *)
 
 val dump_block : t -> int -> string
 (** One-line description of a block's per-node MOESI states and whether
@@ -75,7 +67,7 @@ val check_invariants : t -> (unit, string list) result
     - with no dirty owner every cached copy equals memory; with an Owned
       holder every Shared copy equals the owner's data (memory may be
       stale); Exclusive copies equal memory;
-    - the writeback buffer and all waiter queues are empty. *)
+    - the writeback buffer is empty. *)
 
 val peek : t -> int -> int
 (** Coherent read bypassing the simulation: the M/E/O holder's copy if

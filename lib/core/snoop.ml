@@ -1,9 +1,10 @@
 (* Pure transition tables for the snooping-bus family, in the ASM style of
    protocol specification: every rule is a total function from (policy
    knobs, observed state) to the next state, with no engine state in
-   sight.  Proto_snoop owns transport (the bus), waiter queues and barrier
-   bookkeeping; everything protocol-specific lives here, so the tables can
-   be read against a textbook MSI/MESI/MOESI description directly. *)
+   sight.  Proto_snoop owns transport (the bus) and the writeback buffer,
+   the machine parks faulting accesses and Barrier ends each phase;
+   everything protocol-specific lives here, so the tables can be read
+   against a textbook MSI/MESI/MOESI description directly. *)
 
 module Tag = Lcm_tempest.Tag
 
@@ -30,8 +31,6 @@ let tag_of_state = function
   | S | E | O -> Tag.Read_only
   | I -> Tag.Invalid
 
-let readable = function S | E | O | M -> true | I -> false
-
 (* ------------------------------------------------------------------ *)
 (* Requester-side fill states                                          *)
 (* ------------------------------------------------------------------ *)
@@ -51,10 +50,6 @@ let silent_upgrade_ok = function E -> true | I | S | O | M -> false
 (* ------------------------------------------------------------------ *)
 (* Snooper-side responses                                              *)
 (* ------------------------------------------------------------------ *)
-
-type supply =
-  | From_memory  (* memory (the master copy) provides the data *)
-  | Cache_to_cache  (* this snooper supplies the line on the bus *)
 
 type reaction = {
   next : state;

@@ -1,11 +1,12 @@
 (** Pure transition tables for the snooping-bus protocol family.
 
-    {!Proto_snoop} owns transport (the {!Lcm_net.Bus}), waiter queues and
-    barrier bookkeeping; this module is the policy layer — total functions
-    from (policy knobs, observed state) to next state, free of engine
-    state, so each table reads directly against a textbook MSI/MESI/MOESI
-    description.  {!Policy.snoop}'s two knobs select the family member:
-    [exclusive_state] admits E (MESI), [owned_state] admits O (MOESI). *)
+    {!Proto_snoop} owns transport (the {!Lcm_net.Bus}) and the writeback
+    buffer, the machine parks faulting accesses and {!Barrier} ends each
+    phase; this module is the policy layer — total functions from (policy
+    knobs, observed state) to next state, free of engine state, so each
+    table reads directly against a textbook MSI/MESI/MOESI description.
+    {!Policy.snoop}'s two knobs select the family member: [exclusive_state]
+    admits E (MESI), [owned_state] admits O (MOESI). *)
 
 type state = I | S | E | O | M
 
@@ -20,8 +21,6 @@ val tag_of_state : state -> Lcm_tempest.Tag.t
     stores to S/E/O fault into the protocol; [E]'s upgrade then costs only
     the fault trap — no bus transaction — which is MESI's advantage. *)
 
-val readable : state -> bool
-
 val fill_on_read : Policy.snoop -> others_present:bool -> state
 (** State a read miss installs, given whether the snoop found any other
     cached copy: [E] when alone under MESI/MOESI, else [S]. *)
@@ -31,8 +30,6 @@ val fill_on_write : state
 
 val silent_upgrade_ok : state -> bool
 (** Only [E] may upgrade to [M] without a bus transaction. *)
-
-type supply = From_memory | Cache_to_cache
 
 type reaction = {
   next : state;

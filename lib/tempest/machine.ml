@@ -34,6 +34,8 @@ type node = {
       (* optional direct-mapped hardware cache above node memory: slot i
          holds the block number cached there (-1 = empty); a mismatch adds
          the hw-miss penalty to the access *)
+  parked : (int, (unit -> unit) list) Hashtbl.t;
+      (* block -> retries of the accesses waiting for it, newest first *)
   mutable node_machine : t option; (* back-pointer, set once at creation *)
   mutable self : node option;
       (* [Some] of this node, allocated once at creation: what [set_cur]
@@ -79,6 +81,8 @@ and t = {
   h_fault_write : Stats.Handle.counter;
   h_live_clean : Stats.Handle.counter;
   h_handler_runs : Stats.Handle.counter;
+  h_fetch_local : Stats.Handle.counter;
+  h_fetch_remote : Stats.Handle.counter;
   mutable home_backing : bool;
       (* install the home node's master-aliasing backing line on first
          master creation (directory protocols); bus protocols disable
@@ -185,6 +189,7 @@ let create ?(costs = Lcm_sim.Costs.default)
               (fun capacity -> { capacity; heap = Lcm_util.Heap.create () })
               capacity_blocks;
           hw_cache = Option.map (fun n -> Array.make n (-1)) hw_cache_blocks;
+          parked = Hashtbl.create 16;
           node_machine = None;
           self = None;
           sc_addr = 0;
@@ -216,6 +221,8 @@ let create ?(costs = Lcm_sim.Costs.default)
       h_fault_write = Stats.counter stats "fault.write";
       h_live_clean = Stats.counter stats "lcm.live_clean_copies";
       h_handler_runs = Stats.counter stats "proto.handler_runs";
+      h_fetch_local = Stats.counter stats "proto.fetch_local";
+      h_fetch_remote = Stats.counter stats "proto.fetch_remote";
       home_backing = true;
       m_epoch = 0;
       m_phase = `Sequential;
@@ -503,6 +510,29 @@ let resume n ~now ~cost retry =
   | None -> ());
   n.node_clock <- max n.node_clock now + cost;
   retry ()
+
+(* Fault waiting: a node has at most one request in flight per block.
+   Accesses that fault on a block while its request is outstanding park
+   behind the first one and resume with it. *)
+let park n b retry =
+  let t = machine n in
+  let pending = Hashtbl.find_opt n.parked b in
+  Hashtbl.replace n.parked b (retry :: Option.value pending ~default:[]);
+  let first = pending = None in
+  if first then
+    Stats.Handle.incr
+      (if Lcm_mem.Gmem.home_of_block t.m_gmem b = n.node_id then t.h_fetch_local
+       else t.h_fetch_remote);
+  first
+
+let wake n b ~now =
+  let retries = Option.value (Hashtbl.find_opt n.parked b) ~default:[] in
+  Hashtbl.remove n.parked b;
+  resume n ~now ~cost:(machine n).m_costs.Lcm_sim.Costs.block_install
+    (fun () -> List.iter (fun retry -> retry ()) (List.rev retries))
+
+let parked n =
+  Hashtbl.fold (fun b _ acc -> b :: acc) n.parked [] |> List.sort Int.compare
 
 (* ------------------------------------------------------------------ *)
 (* The memory access path.                                            *)
@@ -807,7 +837,3 @@ let max_clock t =
   Array.fold_left (fun acc n -> max acc n.node_clock) 0 t.m_nodes
 
 let set_all_clocks t c = Array.iter (fun n -> n.node_clock <- c) t.m_nodes
-
-let barrier_cost t =
-  t.m_costs.Lcm_sim.Costs.barrier_base
-  + (nnodes t * t.m_costs.Lcm_sim.Costs.barrier_per_node)

@@ -14,7 +14,12 @@
     check the local tag: a hit resumes immediately; a violation charges the
     fault-trap cost and calls the protocol hook registered with
     {!set_handlers}, passing a [retry] thunk that re-executes the access
-    once the protocol has installed an acceptable copy. *)
+    once the protocol has installed an acceptable copy.
+
+    Suspending a faulting access is Tempest's job, not the protocol's: a
+    protocol {!park}s the retry on the block it needs, requests the block
+    for the first access parked there, and {!wake}s them all when the
+    copy arrives.  Both coherence engines share this waiter table. *)
 
 type line = {
   mutable data : Lcm_mem.Block.t;  (** current local contents *)
@@ -171,6 +176,22 @@ val resume : node -> now:int -> cost:int -> (unit -> unit) -> unit
 (** [resume n ~now ~cost retry] returns control to a suspended fiber: sets
     the node clock to [max clock now + cost] and runs [retry]. *)
 
+val park : node -> Lcm_mem.Gmem.block -> (unit -> unit) -> bool
+(** [park n b retry] suspends a faulting access of node [n] until block
+    [b] arrives.  Returns [true] only for the first access parked on [b]:
+    that call counts [proto.fetch_local] or [proto.fetch_remote] by [b]'s
+    home, and its caller issues the one request.  Later accesses return
+    [false] and count nothing; they ride the request already in flight. *)
+
+val wake : node -> Lcm_mem.Gmem.block -> now:int -> unit
+(** [wake n b ~now] resumes every access parked on [b], oldest first,
+    after the block-install cost: the node clock becomes
+    [max clock now + block_install]. *)
+
+val parked : node -> Lcm_mem.Gmem.block list
+(** The blocks node [n] has parked accesses on, sorted.  Empty whenever
+    the machine is quiescent. *)
+
 (** {1 Fibers} *)
 
 val spawn : t -> node -> ?on_done:(unit -> unit) -> (unit -> unit) -> unit
@@ -194,9 +215,6 @@ val max_clock : t -> int
 (** Maximum node CPU clock — the phase completion time. *)
 
 val set_all_clocks : t -> int -> unit
-
-val barrier_cost : t -> int
-(** [barrier_base + nnodes * barrier_per_node] from the cost model. *)
 
 (** {1 Tracing} *)
 

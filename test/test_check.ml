@@ -84,7 +84,9 @@ let test_scenarios_exhaust_all_policies () =
       (List.map
          (fun (p : Policy.t) ->
            ( p.Policy.name,
-             fun () -> Check.check_scenarios ~max_schedules:2_000 ~policy:p () ))
+             fun () ->
+               Check.check_scenarios ~max_schedules:2_000 ~policy:p
+                 (Check.scenarios ~policy:p) ))
          Policy.policies)
   in
   let results = Fleet.Pool.run ~jobs:2 ~budget cells in

@@ -1476,6 +1476,21 @@ let test_invariants_catch_corruption () =
   Alcotest.(check bool) "corruption detected" true
     (match Proto.check_invariants p with Error _ -> true | Ok () -> false)
 
+let test_invariants_catch_parked_retry () =
+  (* the facade audits parked accesses for both engines: a retry left
+     parked on a quiescent directory machine is reported *)
+  let (m, p) = mk Policy.lcm_mcc in
+  let a = alloc m ~dist:(Gmem.On 1) ~nwords:8 in
+  let b = Gmem.block_of_addr (Machine.gmem m) a in
+  Alcotest.(check bool) "clean before" true (Proto.check_invariants p = Ok ());
+  ignore (Machine.park (Machine.node m 0) b (fun () -> ()));
+  match Proto.check_invariants p with
+  | Error [ e ] ->
+    Alcotest.(check string) "names block and node"
+      (Printf.sprintf "block %d: node 0 has a pending retry while quiescent" b)
+      e
+  | Error _ | Ok () -> Alcotest.fail "expected one parked-retry violation"
+
 let test_entry_rejects_unallocated_block () =
   (* A directory entry materialises on first touch, but only for a block
      inside allocated memory: a corrupt block number in a message must
@@ -1616,6 +1631,43 @@ let test_barrier_parse () =
        tree:<arity>)"
       e
   | Ok _ -> Alcotest.fail "junk accepted")
+
+let test_barrier_release () =
+  (* Barrier.release ends a phase for both engines: every clock set to the
+     release, each node's wait charged, epoch advanced, phase sequential,
+     Barrier_release traced before Epoch_advance *)
+  let run ~not_before =
+    let m =
+      Machine.create ~nnodes:4 ~words_per_block:8
+        ~topology:Lcm_net.Topology.Crossbar ()
+    in
+    Machine.enable_trace m;
+    Machine.set_phase m `Parallel;
+    let join_times = [| 10; 400; 250; 90 |] in
+    Barrier.release m ~style:(Barrier.Tree 2) ~join_times ~not_before;
+    (m, join_times)
+  in
+  let m, joins = run ~not_before:0 in
+  let release = Barrier.release_time ~costs ~style:(Barrier.Tree 2) ~join_times:joins in
+  Array.iter
+    (fun n -> Alcotest.(check int) "clock at release" release (Machine.clock n))
+    (Machine.nodes m);
+  Alcotest.(check int) "waits summed"
+    (Array.fold_left (fun acc j -> acc + (release - j)) 0 joins)
+    (Lcm_util.Stats.get (Machine.stats m) "lcm.barrier_wait_cycles");
+  Alcotest.(check int) "epoch advanced" 1 (Machine.epoch m);
+  Alcotest.(check bool) "sequential" true (Machine.phase m = `Sequential);
+  (match List.map snd (Machine.trace_events m) with
+  | [ Machine.Trace.Barrier_release { nnodes = 4 };
+      Machine.Trace.Epoch_advance { epoch = 1 } ] -> ()
+  | _ -> Alcotest.fail "expected Barrier_release then Epoch_advance");
+  let late = release + 1000 in
+  let m, joins = run ~not_before:late in
+  Alcotest.(check int) "later not_before wins" late
+    (Machine.clock (Machine.node m 2));
+  Alcotest.(check int) "waits run to not_before"
+    (Array.fold_left (fun acc j -> acc + (late - j)) 0 joins)
+    (Lcm_util.Stats.get (Machine.stats m) "lcm.barrier_wait_cycles")
 
 let test_barrier_styles_same_results () =
   (* Timing models must not change computed values. *)
@@ -1855,6 +1907,7 @@ let () =
           ("validation", `Quick, test_barrier_validation);
           ("parse", `Quick, test_barrier_parse);
           ("styles agree on results", `Quick, test_barrier_styles_same_results);
+          ("release ends the phase", `Quick, test_barrier_release);
           QCheck_alcotest.to_alcotest prop_barrier_monotone_in_joins;
         ] );
       ( "peek/poke",
@@ -1907,6 +1960,7 @@ let () =
           ("lcm evictions mid-phase", `Quick, test_lcm_capacity_evictions_during_phase);
           ("clean copies reclaimed", `Quick, test_clean_copies_reclaimed_at_reconcile);
           ("auditor detects corruption", `Quick, test_invariants_catch_corruption);
+          ("auditor reports parked retry", `Quick, test_invariants_catch_parked_retry);
           ("entry lookup rejects unallocated block", `Quick,
            test_entry_rejects_unallocated_block);
           QCheck_alcotest.to_alcotest prop_invariants_random_mixed;

@@ -314,8 +314,7 @@ let test_clock_utilities () =
   Machine.advance_clock (Machine.node m 1) 20;
   Alcotest.(check int) "max clock" 520 (Machine.max_clock m);
   Machine.set_all_clocks m 1000;
-  Alcotest.(check int) "sync" 1000 (Machine.clock (Machine.node m 3));
-  Alcotest.(check bool) "barrier cost positive" true (Machine.barrier_cost m > 0)
+  Alcotest.(check int) "sync" 1000 (Machine.clock (Machine.node m 3))
 
 let test_handler_occupancy_serializes () =
   (* two messages arriving together at one node: the second handler's
@@ -345,6 +344,47 @@ let test_resume_clock_semantics () =
   Machine.resume node ~now:100 ~cost:3 (fun () -> ());
   (* an old event cannot move the clock backwards *)
   Alcotest.(check int) "monotone" 210 (Machine.clock node)
+
+let test_park_and_wake () =
+  (* the first access parked on a block counts one fetch by the block's
+     home and asks for the request; later ones ride it and count nothing;
+     wake resumes them all, oldest first, after the block-install cost *)
+  let m = mk () in
+  let gmem = Machine.gmem m in
+  let stat name = Lcm_util.Stats.get (Machine.stats m) name in
+  let block_on home =
+    Lcm_mem.Gmem.block_of_addr gmem
+      (Lcm_mem.Gmem.alloc gmem ~dist:(Lcm_mem.Gmem.On home) ~nwords:8)
+  in
+  let local = block_on 1 and remote = block_on 2 in
+  let node = Machine.node m 1 in
+  let log = ref [] in
+  let retry name () = log := (name, Machine.clock node) :: !log in
+  Alcotest.(check bool) "first local park" true (Machine.park node local (retry "a"));
+  Alcotest.(check (pair int int)) "one local fetch" (1, 0)
+    (stat "proto.fetch_local", stat "proto.fetch_remote");
+  Alcotest.(check bool) "second park" false (Machine.park node local (retry "b"));
+  Alcotest.(check bool) "third park" false (Machine.park node local (retry "c"));
+  Alcotest.(check bool) "first remote park" true
+    (Machine.park node remote (retry "r"));
+  Alcotest.(check (pair int int)) "later parks count nothing" (1, 1)
+    (stat "proto.fetch_local", stat "proto.fetch_remote");
+  Alcotest.(check (list int)) "parked, sorted"
+    (List.sort compare [ local; remote ])
+    (Machine.parked node);
+  Machine.set_clock node 50;
+  Machine.wake node local ~now:100;
+  let at = 100 + (Machine.costs m).Lcm_sim.Costs.block_install in
+  Alcotest.(check (list (pair string int))) "park order, after install"
+    [ ("a", at); ("b", at); ("c", at) ]
+    (List.rev !log);
+  Alcotest.(check (list int)) "only remote still parked" [ remote ]
+    (Machine.parked node);
+  Machine.wake node remote ~now:0;
+  Alcotest.(check (pair string int)) "an old event cannot rewind the clock"
+    ("r", at + (Machine.costs m).Lcm_sim.Costs.block_install)
+    (List.hd !log);
+  Alcotest.(check (list int)) "none parked" [] (Machine.parked node)
 
 let test_hw_cache_charges_misses () =
   let run hw =
@@ -489,6 +529,7 @@ let () =
           ("lines snapshot sorted", `Quick, test_lines_snapshot_sorted);
           ("handler occupancy", `Quick, test_handler_occupancy_serializes);
           ("resume clock semantics", `Quick, test_resume_clock_semantics);
+          ("park and wake", `Quick, test_park_and_wake);
           ("hw cache misses", `Quick, test_hw_cache_charges_misses);
           ("hw cache validation", `Quick, test_hw_cache_validation);
           ("trace ring", `Quick, test_trace_ring);
