@@ -752,21 +752,18 @@ let check_cmd =
          & info [ "stats" ] ~doc:"Print the check.* counters per configuration.")
   in
   let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
-  (* The command line that replays a counterexample. *)
+  (* The command line that replays a violation as exploration found it:
+     [--scenario] rebuilds the explored configuration, not a shrunk one. *)
   let reproduce (v : Check.violation) =
     Printf.sprintf "lcm_sim check --policy %s --scenario %s --replay %s%s%s"
-      v.Check.v_prog.Stress.policy.Lcm_core.Policy.name
-      (let l = v.Check.v_label in
-       match String.index_opt l ':' with
-       | Some i -> String.sub l (i + 1) (String.length l - i - 1)
-       | None -> l)
+      v.Check.v_prog.Stress.policy.Lcm_core.Policy.name v.Check.v_label
       (Check.schedule_to_string v.Check.v_schedule)
       (if v.Check.v_fault_budget > 0 then
          Printf.sprintf " --fault-budget %d" v.Check.v_fault_budget
        else "")
       (if v.Check.v_dup then " --dup" else "")
   in
-  let write_artifacts ~out (v : Check.violation) =
+  let write_artifacts ~out ~reproduce (v : Check.violation) =
     ensure_dir out;
     let slug =
       String.map
@@ -779,7 +776,7 @@ let check_cmd =
     let oc = open_out report_path in
     let ppf = Format.formatter_of_out_channel oc in
     Format.fprintf ppf "%a@." Check.pp_violation v;
-    Format.fprintf ppf "reproduce: %s@." (reproduce v);
+    Format.fprintf ppf "reproduce: %s@." reproduce;
     close_out oc;
     let verdict, events =
       Check.replay ~trace:true ~fault_budget:v.Check.v_fault_budget
@@ -801,6 +798,17 @@ let check_cmd =
     let policies =
       match policy with Some p -> [ p ] | None -> Lcm_core.Policy.policies
     in
+    let resolve p s =
+      match Check.resolve ~policy:p s with
+      | Some config -> Ok config
+      | None ->
+        Error
+          (Printf.sprintf
+             "unknown scenario %S (expected one of: %s; or scenario:NAME, \
+              micro:seed=S:case=C)"
+             s
+             (String.concat ", " (List.map fst (Check.scenarios ~policy:p))))
+    in
     if list_scenarios then begin
       List.iter
         (fun (n, _) -> print_endline n)
@@ -815,9 +823,9 @@ let check_cmd =
         | Ok _, None, _ | Ok _, _, None ->
           `Error (false, "--replay needs --scenario and --policy")
         | Ok schedule, Some sname, Some p -> (
-          match List.assoc_opt sname (Check.scenarios ~policy:p) with
-          | None -> `Error (false, Printf.sprintf "unknown scenario %S" sname)
-          | Some prog -> (
+          match resolve p sname with
+          | Error e -> `Error (false, e)
+          | Ok (_, prog) -> (
             let verdict, events =
               Check.replay ~trace:true ~fault_budget ~dup ~schedule prog
             in
@@ -844,28 +852,32 @@ let check_cmd =
                 sname report;
               negative_verdict "replayed schedule fails")))
       | None ->
-        let known = Check.scenarios ~policy:(List.hd policies) in
-        (match scenario with
-        | Some s when not (List.mem_assoc s known) ->
-          `Error
-            ( false,
-              Printf.sprintf "unknown scenario %S (expected one of: %s)" s
-                (String.concat ", " (List.map fst known)) )
+        (match Option.map (resolve (List.hd policies)) scenario with
+        | Some (Error e) -> `Error (false, e)
         | _ ->
         let violations = ref 0 in
         let capped = ref 0 in
         List.iter
           (fun (p : Lcm_core.Policy.t) ->
-            (* --scenario narrows the fixed scenarios before anything is
-               explored; --random micro-configurations always run *)
-            let fixed =
-              List.filter
-                (fun (n, _) -> scenario = None || scenario = Some n)
-                (Check.scenarios ~policy:p)
-            in
-            let reports =
+            let explore =
               Check.check_scenarios ~max_schedules ~fault_budget ~dup
-                ~reduce:(not no_reduce) ~random ~seed ~policy:p fixed
+                ~reduce:(not no_reduce) ~random ~seed ~policy:p
+            in
+            (* --scenario selects one configuration before anything is
+               explored; --random micro-configurations always run *)
+            let reports =
+              match scenario with
+              | None -> explore (Check.scenarios ~policy:p)
+              | Some s ->
+                (* labels name the same configurations under every policy *)
+                let label, prog = Result.get_ok (resolve p s) in
+                let outcome, st =
+                  Check.explore ~label ~max_schedules ~fault_budget ~dup
+                    ~reduce:(not no_reduce) prog
+                in
+                { Check.rep_label = label; rep_policy = p;
+                  rep_outcome = outcome; rep_stats = st }
+                :: explore []
             in
             List.iter
               (fun (r : Check.report) ->
@@ -884,14 +896,15 @@ let check_cmd =
                     "%-14s %-28s CAPPED at %d schedules (raise \
                      --max-schedules to exhaust)\n%!"
                     p.Lcm_core.Policy.name r.Check.rep_label st.Check.schedules
-                | Check.Found v ->
+                | Check.Found found ->
                   incr violations;
                   Printf.printf "%-14s %-28s VIOLATION after %d schedules\n%!"
                     p.Lcm_core.Policy.name r.Check.rep_label st.Check.schedules;
-                  let v = Check.shrink_violation v in
+                  let reproduce = reproduce found in
+                  let v = Check.shrink_violation found in
                   Format.printf "%a@." Check.pp_violation v;
-                  Printf.printf "  reproduce: %s\n%!" (reproduce v);
-                  write_artifacts ~out v);
+                  Printf.printf "  reproduce: %s\n%!" reproduce;
+                  write_artifacts ~out ~reproduce v);
                 if stats then Format.printf "%a@." Check.pp_stats st)
               reports)
           policies;

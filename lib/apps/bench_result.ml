@@ -37,9 +37,9 @@ let message_breakdown t =
     t.counters
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-let close ?(tol = 1e-4) a b =
+let close a b =
   let denom = max 1.0 (max (abs_float a.checksum) (abs_float b.checksum)) in
-  abs_float (a.checksum -. b.checksum) /. denom <= tol
+  abs_float (a.checksum -. b.checksum) /. denom <= 1e-4
 
 let pp ppf t =
   Format.fprintf ppf

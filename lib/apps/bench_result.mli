@@ -28,9 +28,9 @@ val make :
   name:string -> cycles:int -> checksum:float -> stats:Lcm_util.Stats.t -> t
 (** Extract the standard counters from a run's statistics. *)
 
-val close : ?tol:float -> t -> t -> bool
-(** [close a b] — checksums agree within relative tolerance [tol]
-    (default 1e-4; float32 arithmetic orders differ between protocols only
-    through reduction reassociation, which the benchmarks avoid). *)
+val close : t -> t -> bool
+(** [close a b] — checksums agree within relative tolerance 1e-4
+    (float32 arithmetic orders differ between protocols only through
+    reduction reassociation, which the benchmarks avoid). *)
 
 val pp : Format.formatter -> t -> unit

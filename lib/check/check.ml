@@ -699,13 +699,31 @@ type report = {
   rep_stats : stats;
 }
 
+(* The labels [check_scenarios] reports, which [resolve] reads back. *)
+let scenario_label : (_, _, _, _, _, _) format6 = "scenario:%s"
+let micro_label : (_, _, _, _, _, _) format6 = "micro:seed=%d:case=%d"
+
+let resolve ~policy label =
+  match
+    List.find_opt
+      (fun (name, _) ->
+        label = name || label = Printf.sprintf scenario_label name)
+      (scenarios ~policy)
+  with
+  | Some (name, prog) -> Some (Printf.sprintf scenario_label name, prog)
+  | None -> (
+    try
+      Scanf.sscanf label (micro_label ^^ "%!") (fun seed case ->
+          Some
+            (Printf.sprintf micro_label seed case, gen_micro ~seed ~case ~policy))
+    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+
 let check_scenarios ?max_schedules ?fault_budget ?dup ?reduce ?(random = 0)
     ?(seed = 0) ~policy fixed =
   let configs =
-    List.map (fun (n, p) -> ("scenario:" ^ n, p)) fixed
+    List.map (fun (n, p) -> (Printf.sprintf scenario_label n, p)) fixed
     @ List.init random (fun case ->
-          ( Printf.sprintf "micro:seed=%d:case=%d" seed case,
-            gen_micro ~seed ~case ~policy ))
+          (Printf.sprintf micro_label seed case, gen_micro ~seed ~case ~policy))
   in
   List.map
     (fun (label, prog) ->

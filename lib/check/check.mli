@@ -155,3 +155,10 @@ val check_scenarios :
     ({!scenarios}, or a selection of them) plus [random] (default 0)
     seeded micro-configurations under one policy, one report per
     configuration.  Only what is selected is explored. *)
+
+val resolve :
+  policy:Lcm_core.Policy.t -> string -> (string * Lcm_harness.Stress.prog) option
+(** [resolve ~policy label] is the configuration behind a label
+    {!check_scenarios} reports ([scenario:NAME] or
+    [micro:seed=S:case=C]) or a bare fixed scenario name: its full label
+    and its program.  [None] when nothing answers to the label. *)

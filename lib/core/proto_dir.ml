@@ -21,11 +21,9 @@ type want = Want_ro | Want_rw | Want_lcm
 let want_code = function Want_ro -> 0 | Want_rw -> 1 | Want_lcm -> 2
 let want_of_code = function 0 -> Want_ro | 1 -> Want_rw | _ -> Want_lcm
 
-(* A queued request at the home: pooled (see [wpool]) — cells are
-   acquired only when a request must park (busy entry, pending recall or
-   invalidation) and recycled the moment it is served, so the grant fast
-   path touches no waiter cell at all. *)
-type waiter = { mutable want : want; mutable requester : int }
+(* A request the home cannot serve yet (busy entry, pending recall or
+   invalidation), built where it parks; the grant fast path builds none. *)
+type waiter = { want : want; requester : int }
 
 type busy =
   | Recalling of waiter
@@ -131,7 +129,6 @@ type t = {
   mutable conflicts : Detect.conflict list;
   mutable races : Detect.race list;
   mutable rec_state : rstate option;
-  wpool : waiter Lcm_util.Pool.t;  (* parked-request cells, recycled on serve *)
   (* The hot messages' handlers: closures over [t], built once at
      [install], so each message rides a pooled cell carrying only
      (data, block, rider). *)
@@ -293,13 +290,6 @@ let request t node b want ~retry =
 (* Home side                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A request the home cannot serve yet, parked in a pooled cell. *)
-let new_waiter t want requester =
-  let w = Lcm_util.Pool.acquire t.wpool in
-  w.want <- want;
-  w.requester <- requester;
-  w
-
 let rec recv_get_m t _hnode now b x =
   home_recv_get t b ~want:(want_of_code (x lsr 20)) ~requester:(x land 0xfffff)
     ~now
@@ -307,7 +297,7 @@ let rec recv_get_m t _hnode now b x =
 and home_recv_get t b ~want ~requester ~now =
   let e = get_entry t b in
   match e.busy with
-  | Some _ -> Queue.add (new_waiter t want requester) e.waiting
+  | Some _ -> Queue.add { want; requester } e.waiting
   | None -> serve t e ~want ~requester ~now
 
 (* Reply with a copy of the master under the given tag.  When the
@@ -339,7 +329,7 @@ and serve t e ~want ~requester ~now =
   match (e.dstate, want) with
   | Exclusive owner, _ when owner <> requester ->
     (* Recall the remote writable copy before serving anyone. *)
-    e.busy <- Some (Recalling (new_waiter t want requester));
+    e.busy <- Some (Recalling { want; requester });
     Stats.Handle.incr t.hs.h_recalls;
     let home = home_of t b in
     Machine.send t.mach ~src:home ~dst:owner ~words:ctrl_words
@@ -362,7 +352,7 @@ and serve t e ~want ~requester ~now =
     let others = ISet.remove requester (sharers_of e.dstate) in
     if ISet.is_empty others then grant_exclusive t e requester ~now
     else begin
-      let waiter = new_waiter t want requester in
+      let waiter = { want; requester } in
       e.busy <- Some (Invalidating { acks_left = ISet.cardinal others; waiter });
       ISet.iter
         (fun sharer ->
@@ -398,15 +388,10 @@ and grant_exclusive t e requester ~now =
   end;
   reply_data t e requester Want_rw ~now
 
-(* Serve a parked request, its cell back in the pool first. *)
-and serve_waiter t e w ~now =
-  let want = w.want and requester = w.requester in
-  Lcm_util.Pool.release t.wpool w;
-  serve t e ~want ~requester ~now
-
 and drain t e ~now =
   if e.busy = None && not (Queue.is_empty e.waiting) then begin
-    serve_waiter t e (Queue.pop e.waiting) ~now;
+    let w = Queue.pop e.waiting in
+    serve t e ~want:w.want ~requester:w.requester ~now;
     drain t e ~now
   end
 
@@ -467,7 +452,7 @@ and finish_recall t e ~now =
   match e.busy with
   | Some (Recalling w) ->
     e.busy <- None;
-    serve_waiter t e w ~now;
+    serve t e ~want:w.want ~requester:w.requester ~now;
     drain t e ~now
   | Some (Invalidating _) | None -> ()
 
@@ -477,9 +462,7 @@ and home_recv_inval_ack t b ~now =
   | Some (Invalidating i) ->
     i.acks_left <- i.acks_left - 1;
     if i.acks_left = 0 then begin
-      let requester = i.waiter.requester in
-      Lcm_util.Pool.release t.wpool i.waiter;
-      grant_exclusive t e requester ~now;
+      grant_exclusive t e i.waiter.requester ~now;
       e.busy <- None;
       drain t e ~now
     end
@@ -1089,13 +1072,6 @@ let install ?(detect = false) ?(strict_detection = false)
       conflicts = [];
       races = [];
       rec_state = None;
-      wpool =
-        Lcm_util.Pool.create
-          ~poison:(fun w ->
-            w.want <- Want_ro;
-            w.requester <- min_int)
-          ~make:(fun () -> { want = Want_ro; requester = min_int })
-          ();
       h_data = (fun d n now b x -> recv_data_m t d n now b x);
       h_get = (fun _ n now b x -> recv_get_m t n now b x);
       h_recall = (fun _ n now b x -> recv_recall_m t n now b x);

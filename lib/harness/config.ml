@@ -26,7 +26,6 @@ type machine = {
   costs : Lcm_sim.Costs.t;
   capacity_blocks : int option;
   hw_cache_blocks : int option;
-  seed : int;
   faults : Lcm_net.Faults.t option;
 }
 
@@ -38,17 +37,16 @@ let default_machine =
     costs = Lcm_sim.Costs.default;
     capacity_blocks = None;
     hw_cache_blocks = None;
-    seed = 42;
     faults = None;
   }
 
 let build_machine m =
-  Lcm_tempest.Machine.create ~costs:m.costs ~topology:m.topology ~seed:m.seed
+  Lcm_tempest.Machine.create ~costs:m.costs ~topology:m.topology
     ?capacity_blocks:m.capacity_blocks ?hw_cache_blocks:m.hw_cache_blocks
     ?faults:m.faults ~nnodes:m.nnodes ~words_per_block:m.words_per_block ()
 
-let make_runtime ?detect ?barrier m system ~schedule =
+let make_runtime ?barrier m system ~schedule =
   let proto =
-    Lcm_core.Proto.install ?detect ?barrier ~policy:system.policy (build_machine m)
+    Lcm_core.Proto.install ?barrier ~policy:system.policy (build_machine m)
   in
   Lcm_cstar.Runtime.create proto ~schedule

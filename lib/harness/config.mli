@@ -39,7 +39,6 @@ type machine = {
   costs : Lcm_sim.Costs.t;
   capacity_blocks : int option;
   hw_cache_blocks : int option;
-  seed : int;
   faults : Lcm_net.Faults.t option;
       (** interconnect fault plan; [None] = reliable transport *)
 }
@@ -53,7 +52,6 @@ val build_machine : machine -> Lcm_tempest.Machine.t
     hardware cache included, with no protocol installed yet. *)
 
 val make_runtime :
-  ?detect:bool ->
   ?barrier:Lcm_core.Barrier.style ->
   machine ->
   system ->

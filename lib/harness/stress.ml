@@ -314,7 +314,7 @@ let exec_ops prog base mism si nid ops expected () =
 let machine ?faults prog =
   Machine.create ?capacity_blocks:prog.capacity_blocks
     ?hw_cache_blocks:prog.hw_cache_blocks ?faults ~nnodes:prog.nnodes
-    ~words_per_block:prog.words_per_block ~topology:prog.topology ~seed:17 ()
+    ~words_per_block:prog.words_per_block ~topology:prog.topology ()
 
 let run_on m ~expect prog =
   let nwords = nwords_of prog in
@@ -695,17 +695,26 @@ let report_failure ?faults prog err =
   let small_err =
     match run_case ?faults small with Error e -> e | Ok () -> err
   in
-  let fault_note =
+  let fault_note, fault_flags =
     match faults with
-    | None -> ""
-    | Some plan -> Printf.sprintf " faults=[%s]" (Lcm_net.Faults.to_string plan)
+    | None -> ("", "")
+    | Some plan ->
+      ( Printf.sprintf " faults=[%s]" (Lcm_net.Faults.to_string plan),
+        match plan.Lcm_net.Faults.profile with
+        | None -> ""
+        | Some (name, rate) ->
+          (* the shortest decimal that reads back as [rate] *)
+          let r = Printf.sprintf "%g" rate in
+          Printf.sprintf " --fault-rate %s --fault-profile %s --fault-seed %d"
+            (if float_of_string r = rate then r else Printf.sprintf "%.17g" rate)
+            name plan.Lcm_net.Faults.seed )
   in
   Format.asprintf
     "stress case failed: seed=%d case=%d policy=%s%s@.%s@.@.minimal \
      reproducer (regenerate with: lcm_sim stress --seed %d --cases %d \
-     --policy %s):@.%a@.minimal failure:@.%s"
+     --policy %s%s):@.%a@.minimal failure:@.%s"
     prog.seed prog.case prog.policy.Policy.name fault_note err prog.seed
-    (prog.case + 1) prog.policy.Policy.name pp_prog small small_err
+    (prog.case + 1) prog.policy.Policy.name fault_flags pp_prog small small_err
 
 let check_case ~seed ~case ?policy ?faults () =
   let prog = gen ~seed ~case ?policy () in
@@ -713,18 +722,16 @@ let check_case ~seed ~case ?policy ?faults () =
   | Ok () -> Ok ()
   | Error err -> Error (report_failure ?faults prog err)
 
-let run ?policy ?faults ?(progress = fun _ -> ()) ?(jobs = 1) ~cases ~seed () =
+let run ?policy ?faults ?(jobs = 1) ~cases ~seed () =
   let jobs = Lcm_fleet.Fleet.resolve_jobs jobs in
   if jobs <= 1 then
     (* sequential semantics: stop at the first failing case *)
     let rec go i =
       if i >= cases then Ok ()
-      else begin
-        progress i;
+      else
         match check_case ~seed ~case:i ?policy ?faults () with
         | Ok () -> go (i + 1)
         | Error _ as e -> e
-      end
     in
     go 0
   else begin
@@ -735,9 +742,7 @@ let run ?policy ?faults ?(progress = fun _ -> ()) ?(jobs = 1) ~cases ~seed () =
     let cells =
       Array.init cases (fun i ->
           ( Printf.sprintf "stress case %d (seed %d)" i seed,
-            fun () ->
-              progress i;
-              check_case ~seed ~case:i ?policy ?faults () ))
+            fun () -> check_case ~seed ~case:i ?policy ?faults () ))
     in
     let results = Lcm_fleet.Fleet.Pool.run ~jobs cells in
     let first_problem =

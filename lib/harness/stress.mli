@@ -164,16 +164,13 @@ val check_case :
 val run :
   ?policy:Lcm_core.Policy.t ->
   ?faults:Lcm_net.Faults.t ->
-  ?progress:(int -> unit) ->
   ?jobs:int ->
   cases:int ->
   seed:int ->
   unit ->
   (unit, string) result
 (** Run cases [0 .. cases-1] of stream [seed], stopping at the first
-    failure with its shrunk report.  [progress] is called with each case
-    index before it runs.  [jobs] (default 1; 0 = auto) spreads cases over
-    worker domains: all cases then run to completion and the {e
-    lowest-index} failure is reported, so the reported reproducer matches
-    the sequential run's.  With [jobs > 1], [progress] may be called from
-    worker domains, out of order. *)
+    failure with its shrunk report.  [jobs] (default 1; 0 = auto) spreads
+    cases over worker domains: all cases then run to completion and the
+    {e lowest-index} failure is reported, so the reported reproducer
+    matches the sequential run's. *)

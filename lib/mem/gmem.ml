@@ -24,8 +24,6 @@ type t = {
       (* per-block home node, filled at alloc time: the O(1) fast path for
          every simulated access.  Length >= next_block; slots beyond are
          dead. *)
-  mutable region_idx : int array;
-      (* per-block index into [regions], maintained alongside [home] *)
 }
 
 let create ~nnodes ~words_per_block =
@@ -47,7 +45,6 @@ let create ~nnodes ~words_per_block =
     nregions = 0;
     next_block = 0;
     home = [||];
-    region_idx = [||];
   }
 
 let nnodes t = t.nnodes
@@ -73,16 +70,12 @@ let home_in_region t (r : region) ~index =
       let boundary = (q + 1) * rem in
       if index < boundary then index / (q + 1) else rem + ((index - boundary) / q)
 
-let grow_tables t needed =
+let grow_home t needed =
   let cap = Array.length t.home in
   if needed > cap then begin
-    let new_cap = max needed (max 64 (2 * cap)) in
-    let home = Array.make new_cap (-1) in
+    let home = Array.make (max needed (max 64 (2 * cap))) (-1) in
     Array.blit t.home 0 home 0 t.next_block;
-    t.home <- home;
-    let idx = Array.make new_cap (-1) in
-    Array.blit t.region_idx 0 idx 0 t.next_block;
-    t.region_idx <- idx
+    t.home <- home
   end
 
 let alloc t ~dist ~nwords =
@@ -99,20 +92,17 @@ let alloc t ~dist ~nwords =
     t.regions <- regions
   end;
   t.regions.(t.nregions) <- region;
-  let ridx = t.nregions in
   t.nregions <- t.nregions + 1;
-  grow_tables t (t.next_block + nblocks);
+  grow_home t (t.next_block + nblocks);
   for index = 0 to nblocks - 1 do
-    let b = region.first_block + index in
-    t.home.(b) <- home_in_region t region ~index;
-    t.region_idx.(b) <- ridx
+    t.home.(region.first_block + index) <- home_in_region t region ~index
   done;
   t.next_block <- t.next_block + nblocks;
   region.first_block * t.words_per_block
 
 (* Cold fallback: binary search the (sorted, disjoint, contiguous) region
-   table.  Kept for introspection and as the reference the cached tables
-   are tested against. *)
+   table.  Kept for introspection and as the reference the cached home
+   table is tested against. *)
 let region_of_block t b =
   if b < 0 || b >= t.next_block then unallocated "region_of_block" b;
   let rec search lo hi =

@@ -15,6 +15,7 @@ type t = {
   max_retries : int;
   rto : int option;
   stall_limit : int;
+  profile : (string * float) option;
 }
 
 let default_stall_limit = 1_000_000
@@ -61,7 +62,8 @@ let make ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 0) ?(down = [])
       check_order rest
   in
   check_order down;
-  { seed; drop; dup; jitter; down; retransmit; max_retries; rto; stall_limit }
+  { seed; drop; dup; jitter; down; retransmit; max_retries; rto; stall_limit;
+    profile = None }
 
 let link_down t ~src ~dst ~at =
   List.exists
@@ -92,17 +94,19 @@ let of_profile name ~rate ~seed =
           { w_src = None; w_dst = None; from_t = t0; until_t = t0 + dur })
         [ 2_000; 20_000; 90_000 ]
     in
-    match String.lowercase_ascii (String.trim name) with
-    | "none" -> Ok (make ~seed ())
-    | "drop" -> Ok (make ~drop:rate ~seed ())
-    | "dup" -> Ok (make ~dup:rate ~seed ())
-    | "jitter" -> Ok (make ~jitter:(jitter_of rate) ~seed ())
-    | "flap" -> Ok (make ~down:(flap_windows rate) ~seed ())
+    let name = String.lowercase_ascii (String.trim name) in
+    let named plan = Ok { plan with profile = Some (name, rate) } in
+    match name with
+    | "none" -> named (make ~seed ())
+    | "drop" -> named (make ~drop:rate ~seed ())
+    | "dup" -> named (make ~dup:rate ~seed ())
+    | "jitter" -> named (make ~jitter:(jitter_of rate) ~seed ())
+    | "flap" -> named (make ~down:(flap_windows rate) ~seed ())
     | "chaos" ->
-      Ok
+      named
         (make ~drop:rate ~dup:(rate /. 2.) ~jitter:(jitter_of rate)
            ~down:(flap_windows rate) ~seed ())
-    | "drop-noretx" -> Ok (make ~drop:rate ~retransmit:false ~seed ())
+    | "drop-noretx" -> named (make ~drop:rate ~retransmit:false ~seed ())
     | other ->
       Error
         (Printf.sprintf "unknown fault profile %S; pick one of: %s" other

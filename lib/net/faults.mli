@@ -37,6 +37,9 @@ type t = private {
   stall_limit : int;
       (** quiescence watchdog: engine cycles without semantic progress
           before {!Lcm_sim.Engine.Stalled} *)
+  profile : (string * float) option;
+      (** the profile name and rate {!of_profile} built the plan from;
+          [None] for a plan from {!make} *)
 }
 
 val make :

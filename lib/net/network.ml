@@ -6,16 +6,12 @@ exception
 
 type fate = Deliver | Drop | Dup
 
-(* Sender-side state of one in-flight reliable message.  Pooled: a
-   record is released back to the free list by the final (stale) timer
-   of an acknowledged message.  Acks from duplicate copies can outlive
-   that release, so they carry the [gen] they were sent for:
-   re-acquisition bumps it, turning a late ack for the old occupant into
-   a no-op instead of a write into the recycled record. *)
+(* Sender-side state of one in-flight reliable message, one record per
+   message: acks from duplicate copies can land after the message is
+   done, and they only ever write into their own message's record. *)
 type rel_pending = {
   mutable acked : bool;
   mutable attempt : int;
-  mutable gen : int;
   r_engine : Lcm_sim.Engine.t;
 }
 
@@ -50,7 +46,6 @@ type t = {
          < 2^20 (nnodes^2, nnodes <= max_nodes, checked at [create]) and
          2^40 sequence numbers per channel outlast any plausible run, so
          the pair fits one immediate — no tuple allocation per lookup. *)
-  rel_pool : rel_pending Lcm_util.Pool.t;
   mutable fate_of : (src:int -> dst:int -> tag:string option -> fate) option;
       (* model-checker hook: when installed, every per-copy fault decision
          is delegated to this chooser instead of the plan's RNG stream —
@@ -93,14 +88,6 @@ let create ?faults ~engine ~costs ~stats ~topology ~nnodes () =
     rel_next = Array.make (nnodes * nnodes) 0;
     rel_expected = Array.make (nnodes * nnodes) 0;
     rel_held = Hashtbl.create 16;
-    rel_pool =
-      Lcm_util.Pool.create
-        ~poison:(fun st ->
-          st.acked <- false;
-          st.attempt <- min_int)
-        ~make:(fun () ->
-          { acked = false; attempt = 0; gen = 0; r_engine = engine })
-        ();
     h_drops = Stats.counter stats "fault.drops";
     h_dups = Stats.counter stats "fault.dups";
     h_retx = Stats.counter stats "fault.retransmits";
@@ -265,11 +252,9 @@ let send_call t ~src ~dst ~words ?tag ~at h p x =
     | None -> inject t ~src ~dst ~words ~tag ~at h p x
     | Some plan -> faulty_send t plan ~src ~dst ~words ~tag ~at h p x)
 
-(* An ack landing: static, so acks allocate no continuation.  The [gen]
-   rider keeps a late duplicate's ack from writing into a record the
-   stale timer already recycled. *)
-let ack_landed st _arrival gen =
-  if st.gen = gen then st.acked <- true;
+(* An ack landing: static, so acks allocate no continuation. *)
+let ack_landed st _arrival _ =
+  st.acked <- true;
   (* an ack landing is transport-level progress for the stall watchdog
      even when the payload copy was a suppressed dup *)
   Lcm_sim.Engine.notify_progress st.r_engine
@@ -285,11 +270,7 @@ let reliable t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
   let chan = (src * t.nnodes) + dst in
   let seq = t.rel_next.(chan) in
   t.rel_next.(chan) <- seq + 1;
-  let st = Lcm_util.Pool.acquire t.rel_pool in
-  st.acked <- false;
-  st.attempt <- 0;
-  st.gen <- st.gen + 1;
-  let gen = st.gen in
+  let st = { acked = false; attempt = 0; r_engine = t.engine } in
   let rto0 =
     match plan.rto with
     | Some r -> r
@@ -308,7 +289,7 @@ let reliable t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
     (* Every received copy is acked — a duplicate means the previous ack
        was (or may have been) lost. *)
     faulty_send t plan ~src:dst ~dst:src ~words:1 ~tag:(Some "ack")
-      ~at:arrival ack_landed st gen;
+      ~at:arrival ack_landed st 0;
     let expected = t.rel_expected.(chan) in
     if seq < expected || Hashtbl.mem t.rel_held ((chan lsl 40) + seq) then
       Stats.Handle.incr t.h_dup_suppressed
@@ -350,11 +331,8 @@ let reliable t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
         if st.acked then begin
           (* A stale timer of a delivered message is evidence the run is
              advancing; without this, a long-backoff timer outliving the
-             workload could trip the watchdog during the final drain.
-             Exactly one timer chain exists per message, so this stale
-             timer is the record's last owner-side reference: recycle. *)
-          Lcm_sim.Engine.notify_progress t.engine;
-          Lcm_util.Pool.release t.rel_pool st
+             workload could trip the watchdog during the final drain. *)
+          Lcm_sim.Engine.notify_progress t.engine
         end
         else begin
           Stats.Handle.incr t.h_timeouts;

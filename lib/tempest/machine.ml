@@ -538,19 +538,22 @@ let parked n =
 (* The memory access path.                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The hit path checks the (lookaside-fronted) line table first and only
-   falls back to materialising the home backing line on a miss: [master]'s
-   lazy creation is observation-free (zero fill, no counters, no trace), so
-   deferring it until something actually reads the master copy is
-   unobservable — and the common hit skips a Hashtbl probe. *)
-
+(* Home blocks materialise lazily so that first-touch at home hits:
+   [master]'s lazy creation is observation-free (zero fill, no counters,
+   no trace), so deferring it until something reads the master copy is
+   unobservable. *)
 let home_fill t n b =
   if Lcm_mem.Gmem.home_of_block t.m_gmem b = n.node_id then begin
-    (* Home blocks materialise lazily so that first-touch at home hits. *)
     ignore (master t b);
     find_line n b
   end
   else None
+
+(* The line [n] holds for [b]: the lookaside, then the line table, and
+   only on a miss the home backing line, so the common hit skips a
+   Hashtbl probe. *)
+let[@inline] lookup t n b =
+  match find_line n b with None -> home_fill t n b | some -> some
 
 open Effect.Deep
 
@@ -568,75 +571,66 @@ let[@inline] hit_load t n b off line =
   (match t.on_read_hit with Some f -> f n b line | None -> ());
   line.data.(off)
 
-let[@inline] hit_store t n b off line v =
-  touch n b line;
-  hw_access t n b;
-  line.data.(off) <- v;
+(* A write into an LCM copy records the word for reconcile. *)
+let[@inline] mark_dirty line off =
   match line.tag with
   | Tag.Lcm_modified -> line.dirty <- Lcm_util.Mask.set line.dirty off
   | Tag.Invalid | Tag.Read_only | Tag.Writable -> ()
 
+let[@inline] hit_store t n b off line v =
+  touch n b line;
+  hw_access t n b;
+  line.data.(off) <- v;
+  mark_dirty line off
+
+(* The tag check failed: trap to the protocol's fault handler, which
+   resumes the access through [retry] once the block is installed. *)
+let fault t n kind addr b retry =
+  Stats.Handle.incr
+    (match kind with
+    | Trace.Read -> t.h_fault_read
+    | Trace.Write -> t.h_fault_write);
+  trace_emit t ~time:n.node_clock
+    (Trace.Fault { kind; node = n.node_id; addr; block = b });
+  n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.fault_trap;
+  match kind with
+  | Trace.Read -> t.read_fault n ~addr ~retry
+  | Trace.Write -> t.write_fault n ~addr ~retry
+
 let rec do_load t n addr (k : (int, unit) continuation) =
   let b = Lcm_mem.Gmem.block_of_addr t.m_gmem addr in
-  let off = Lcm_mem.Gmem.offset_in_block t.m_gmem addr in
-  let found =
-    match find_line n b with None -> home_fill t n b | some -> some
-  in
-  match found with
+  match lookup t n b with
   | Some line when Tag.readable line.tag ->
-    let v = hit_load t n b off line in
+    let v = hit_load t n b (Lcm_mem.Gmem.offset_in_block t.m_gmem addr) line in
     set_cur n;
     continue k v
-  | Some _ | None ->
-    Stats.Handle.incr t.h_fault_read;
-    trace_emit t ~time:n.node_clock
-      (Trace.Fault { kind = Trace.Read; node = n.node_id; addr; block = b });
-    n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.fault_trap;
-    t.read_fault n ~addr ~retry:(fun () -> do_load t n addr k)
+  | Some _ | None -> fault t n Trace.Read addr b (fun () -> do_load t n addr k)
 
 let rec do_store t n addr v (k : (unit, unit) continuation) =
   let b = Lcm_mem.Gmem.block_of_addr t.m_gmem addr in
-  let off = Lcm_mem.Gmem.offset_in_block t.m_gmem addr in
-  let found =
-    match find_line n b with None -> home_fill t n b | some -> some
-  in
-  match found with
+  match lookup t n b with
   | Some line when Tag.writable line.tag ->
-    hit_store t n b off line v;
+    hit_store t n b (Lcm_mem.Gmem.offset_in_block t.m_gmem addr) line v;
     set_cur n;
     continue k ()
   | Some _ | None ->
-    Stats.Handle.incr t.h_fault_write;
-    trace_emit t ~time:n.node_clock
-      (Trace.Fault { kind = Trace.Write; node = n.node_id; addr; block = b });
-    n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.fault_trap;
-    t.write_fault n ~addr ~retry:(fun () -> do_store t n addr v k)
+    fault t n Trace.Write addr b (fun () -> do_store t n addr v k)
 
 (* Atomic fetch-and-op: once the line is locally writable the update is a
    single indivisible step. *)
 let rec do_rmw t n addr f (k : (int, unit) continuation) =
   let b = Lcm_mem.Gmem.block_of_addr t.m_gmem addr in
-  let off = Lcm_mem.Gmem.offset_in_block t.m_gmem addr in
-  let found =
-    match find_line n b with None -> home_fill t n b | some -> some
-  in
-  match found with
+  match lookup t n b with
   | Some line when Tag.writable line.tag ->
+    let off = Lcm_mem.Gmem.offset_in_block t.m_gmem addr in
     touch n b line;
     hw_access t n b;
     let old = line.data.(off) in
     line.data.(off) <- f old;
-    (match line.tag with
-    | Tag.Lcm_modified -> line.dirty <- Lcm_util.Mask.set line.dirty off
-    | Tag.Invalid | Tag.Read_only | Tag.Writable -> ());
+    mark_dirty line off;
     set_cur n;
     continue k old
-  | Some _ | None ->
-    Stats.Handle.incr t.h_fault_write;
-    trace_emit t ~time:n.node_clock
-      (Trace.Fault { kind = Trace.Write; node = n.node_id; addr; block = b });
-    n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.fault_trap;
-    t.write_fault n ~addr ~retry:(fun () -> do_rmw t n addr f k)
+  | Some _ | None -> fault t n Trace.Write addr b (fun () -> do_rmw t n addr f k)
 
 let active_fibers t = t.m_active_fibers
 
@@ -662,10 +656,7 @@ let fast_load_hook addr =
     | None -> Memeff.fast_miss
     | Some t -> (
       let b = Lcm_mem.Gmem.block_of_addr t.m_gmem addr in
-      let found =
-        match find_line n b with None -> home_fill t n b | some -> some
-      in
-      match found with
+      match lookup t n b with
       | Some line when Tag.readable line.tag ->
         n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.cpu_op;
         hit_load t n b (Lcm_mem.Gmem.offset_in_block t.m_gmem addr) line
@@ -679,10 +670,7 @@ let fast_store_hook addr v =
     | None -> false
     | Some t -> (
       let b = Lcm_mem.Gmem.block_of_addr t.m_gmem addr in
-      let found =
-        match find_line n b with None -> home_fill t n b | some -> some
-      in
-      match found with
+      match lookup t n b with
       | Some line when Tag.writable line.tag ->
         n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.cpu_op;
         hit_store t n b (Lcm_mem.Gmem.offset_in_block t.m_gmem addr) line v;
@@ -759,7 +747,7 @@ let init_arms t n =
             set_cur n;
             continue k ()))
 
-let spawn t n ?(on_done = fun () -> ()) f =
+let spawn t n f =
   t.m_active_fibers <- t.m_active_fibers + 1;
   (match n.arm_load with None -> init_arms t n | Some _ -> ());
   set_cur n;
@@ -768,8 +756,7 @@ let spawn t n ?(on_done = fun () -> ()) f =
       retc =
         (fun () ->
           clear_cur ();
-          t.m_active_fibers <- t.m_active_fibers - 1;
-          on_done ());
+          t.m_active_fibers <- t.m_active_fibers - 1);
       exnc =
         (fun e ->
           clear_cur ();

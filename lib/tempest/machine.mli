@@ -194,9 +194,9 @@ val parked : node -> Lcm_mem.Gmem.block list
 
 (** {1 Fibers} *)
 
-val spawn : t -> node -> ?on_done:(unit -> unit) -> (unit -> unit) -> unit
+val spawn : t -> node -> (unit -> unit) -> unit
 (** [spawn t n f] runs [f] as a fiber on node [n], immediately, until its
-    first suspension.  [on_done] fires when the fiber finishes. *)
+    first suspension. *)
 
 val active_fibers : t -> int
 

@@ -1,10 +1,11 @@
-(* Free-list object pool for high-churn records on the simulator's hot
-   paths (engine events, reliable-transport state, protocol waiter
-   cells).  [acquire] pops a recycled record or makes a fresh one;
-   [release] pushes it back.  Neither allocates on the steady state: the
-   free list is a plain growable array of already-live records, so a
-   workload that churns N records in flight allocates N records total,
-   not N per delivery.
+(* Free-list object pool for high-churn records on the simulator's two
+   hottest paths: engine event records and machine message cells, the
+   paths the allocation fence (test/test_alloc.ml) measures.  [acquire]
+   pops a recycled record or makes a fresh one; [release] pushes it
+   back.  Neither allocates on the steady state: the free list is a
+   plain growable array of already-live records, so a workload that
+   churns N records in flight allocates N records total, not N per
+   delivery.
 
    The pool trusts its callers: a released record must not be used again
    until re-acquired.  [debug] mode makes that trust checkable — every

@@ -1,9 +1,9 @@
 (** Free-list object pool for high-churn mutable records.
 
     The simulator's steady state recycles a small working set of records
-    (engine events, reliable-transport envelopes, protocol waiter cells)
-    instead of allocating a fresh one per operation — the allocation
-    discipline described in DESIGN.md §"Host allocation discipline".
+    (engine events and machine message cells) instead of allocating a
+    fresh one per operation — the allocation discipline described in
+    DESIGN.md §"Host allocation discipline".
 
     A pool never shrinks: records released at peak churn stay cached for
     the rest of the run.  Pools are single-domain objects, like the

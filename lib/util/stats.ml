@@ -9,8 +9,8 @@ type sample = {
    the name in the owning registry on first write.  Registration is lazy so
    that resolving a handle for a counter that never fires leaves no trace:
    [counters]/[gauges]/[samples] list exactly the names that were actually
-   written, the same set the pure string API produces.  [kind] is a phantom
-   distinguishing counters from gauges at the type level. *)
+   written.  [kind] is a phantom distinguishing counters from gauges at the
+   type level. *)
 type 'kind num_handle = {
   cell : int ref;
   num_name : string;
@@ -119,50 +119,17 @@ let sample s name =
       Hashtbl.add s.pending_samples name h;
       h)
 
-(* The string API is the cold path: it resolves a fresh handle per call. *)
-
-let incr s name = Handle.incr (counter s name)
-
-let add s name n = Handle.add (counter s name) n
-
 let get s name = match Hashtbl.find_opt s.counters name with Some r -> !r | None -> 0
-
-(* Gauges live in their own table: a gauge is a high-water mark, not an
-   accumulation, so merging runs must take the max — summing would report
-   impossible peaks (see merge_into). *)
-let set_max s name v = Handle.set_max (gauge s name) v
-
-let gauge_value s name =
-  match Hashtbl.find_opt s.gauges name with Some r -> !r | None -> 0
-
-let observe s name x = Handle.observe (sample s name) x
-
-let sample_count s name =
-  match Hashtbl.find_opt s.samples name with Some r -> r.count | None -> 0
-
-let sample_sum s name =
-  match Hashtbl.find_opt s.samples name with Some r -> r.sum | None -> 0.0
-
-let sample_mean s name =
-  match Hashtbl.find_opt s.samples name with
-  | Some r when r.count > 0 -> r.sum /. float_of_int r.count
-  | Some _ | None -> 0.0
 
 type summary = { count : int; mean : float; min : float; max : float }
 
 (* Only called on observed series (count > 0): an empty series has no
    min/max, so summarizing it would have to invent values (the old 0.0
    placeholder was indistinguishable from a real all-zero sample).
-   Empty series are instead omitted from [samples] and [None] from
-   [summary]. *)
+   Empty series are instead omitted from [samples]. *)
 let summarize (r : sample) =
   { count = r.count; mean = r.sum /. float_of_int r.count; min = r.min;
     max = r.max }
-
-let summary s name =
-  match Hashtbl.find_opt s.samples name with
-  | Some r when r.count > 0 -> Some (summarize r)
-  | Some _ | None -> None
 
 let samples s =
   Hashtbl.fold
@@ -179,13 +146,16 @@ let counters s = sorted_bindings s.counters
 
 let gauges s = sorted_bindings s.gauges
 
+(* Gauges live in their own table: a gauge is a high-water mark, not an
+   accumulation, so merging runs takes the max — summing would report
+   impossible peaks. *)
 let merge_into ~dst src =
   (* Merging a registry into itself would double-count every counter and
      mutate the sample records mid-iteration; it can only arise by
      accident, so make it an explicit no-op. *)
   if dst != src then begin
-    Hashtbl.iter (fun name r -> add dst name !r) src.counters;
-    Hashtbl.iter (fun name r -> set_max dst name !r) src.gauges;
+    Hashtbl.iter (fun name r -> Handle.add (counter dst name) !r) src.counters;
+    Hashtbl.iter (fun name r -> Handle.set_max (gauge dst name) !r) src.gauges;
     Hashtbl.iter
       (fun name (r : sample) ->
         let dh = sample dst name in
@@ -197,14 +167,6 @@ let merge_into ~dst src =
         if r.max > d.max then d.max <- r.max)
       src.samples
   end
-
-let reset s =
-  Hashtbl.reset s.counters;
-  Hashtbl.reset s.gauges;
-  Hashtbl.reset s.samples;
-  Hashtbl.reset s.pending_counters;
-  Hashtbl.reset s.pending_gauges;
-  Hashtbl.reset s.pending_samples
 
 let pp ppf s =
   List.iter (fun (name, v) -> Format.fprintf ppf "%s = %d@." name v) (counters s);

@@ -4,27 +4,23 @@
     A {!t} is a registry local to one simulation run; protocols, the
     network and the runtime all bump counters through it, and the harness
     reads them out to build the paper's tables.  Counters accumulate by
-    addition; {e gauges} are high-water marks written with {!set_max} and
-    kept in a separate table so that merging two registries takes their
-    [max] instead of (nonsensically) summing peaks.
+    addition; {e gauges} are high-water marks written with
+    {!Handle.set_max} and kept in a separate table so that merging two
+    registries takes their [max] instead of (nonsensically) summing peaks.
 
-    {b Two write paths.}  The string-keyed functions ({!incr}, {!add},
-    {!set_max}, {!observe}) hash the name on every call; they are the cold
-    path and remain the source of truth for reporting.  Hot call sites
-    resolve a {{!Handle}handle} once ({!counter}, {!gauge}, {!sample}) and
-    update through it in O(1) with no hashing or allocation.  Handle
-    registration is lazy: resolving a handle leaves no trace in
-    {!counters}/{!gauges}/{!samples} until its first write, so a
-    pre-resolved counter that never fires is indistinguishable from one
-    never mentioned — reports are unchanged by the handle migration.
-    Counter {e names} are likewise unchanged: a handle is just a
+    {b One write path.}  A writer resolves a {{!Handle}handle} once
+    ({!counter}, {!gauge}, {!sample}) and updates through it in O(1) with
+    no hashing or allocation.  Handle registration is lazy: resolving a
+    handle leaves no trace in {!counters}/{!gauges}/{!samples} until its
+    first write, so a pre-resolved counter that never fires is
+    indistinguishable from one never mentioned.  A handle is just a
     pre-hashed alias for its name (see COUNTERS.md). *)
 
 type t
 
 val create : unit -> t
 
-(** {1 Pre-resolved handles (hot path)} *)
+(** {1 Handles (the write path)} *)
 
 module Handle : sig
   type counter
@@ -32,7 +28,6 @@ module Handle : sig
   type sample
 
   val incr : counter -> unit
-  (** O(1) equivalent of {!val-incr} on the resolved name. *)
 
   val add : counter -> int -> unit
 
@@ -40,50 +35,27 @@ module Handle : sig
   (** Current value of the counter behind the handle (0 if never written). *)
 
   val set_max : gauge -> int -> unit
+  (** Raise the gauge to the value if it is larger. *)
 
   val observe : sample -> float -> unit
+  (** Record one observation (count, sum, min and max are retained). *)
 end
 
 val counter : t -> string -> Handle.counter
 (** [counter s name] resolves a handle for counter [name].  Handles
-    resolved for the same name share one cell with each other and with the
-    string API.  Handles are invalidated by {!reset}: updates through a
-    stale handle are lost — re-resolve after resetting. *)
+    resolved for the same name share one cell. *)
 
 val gauge : t -> string -> Handle.gauge
-(** Resolve a gauge handle (the value is read with {!gauge_value} or
-    {!gauges}). *)
+(** Resolve a gauge handle (the value is read with {!gauges}). *)
 
 val sample : t -> string -> Handle.sample
-(** Resolve an observation-series handle. *)
+(** Resolve an observation-series handle (read with {!samples}). *)
 
-(** {1 String-keyed API (cold path, reporting)} *)
-
-val incr : t -> string -> unit
-(** [incr s name] adds 1 to counter [name], creating it at 0 if needed. *)
-
-val add : t -> string -> int -> unit
-(** [add s name n] adds [n] to counter [name]. *)
+(** {1 Reading} *)
 
 val get : t -> string -> int
 (** [get s name] is the current value of counter [name] (0 if never
-    touched).  Gauges are read with {!gauge_value}. *)
-
-val set_max : t -> string -> int -> unit
-(** [set_max s name v] raises gauge [name] to [v] if [v] is larger. *)
-
-val gauge_value : t -> string -> int
-(** [gauge_value s name] is the current value of gauge [name] (0 if never
-    set). *)
-
-val observe : t -> string -> float -> unit
-(** [observe s name x] records scalar sample [x] under [name] (count, sum,
-    min, max retained). *)
-
-val sample_count : t -> string -> int
-val sample_sum : t -> string -> float
-val sample_mean : t -> string -> float
-(** Mean of observations under a name; 0 when empty. *)
+    touched).  Gauges are read with {!gauges}. *)
 
 val counters : t -> (string * int) list
 (** All counters, sorted by name (gauges excluded — see {!gauges}). *)
@@ -95,11 +67,6 @@ type summary = { count : int; mean : float; min : float; max : float }
 (** Digest of one non-empty observation series ([count > 0] always —
     empty series have no meaningful min/max and are never summarized). *)
 
-val summary : t -> string -> summary option
-(** [summary s name] digests series [name], or [None] if it was never
-    observed — distinguishable from a real all-zero sample, which reports
-    [Some { count; mean = 0.; min = 0.; max = 0. }]. *)
-
 val samples : t -> (string * summary) list
 (** All {e observed} series, summarized, sorted by name; series that were
     never observed (e.g. only resolved as handles) are omitted. *)
@@ -109,10 +76,6 @@ val merge_into : dst:t -> t -> unit
     into [dst], and raises each of [dst]'s gauges to [src]'s value where
     larger.  When [dst == src] this is a checked no-op — self-merging
     would double-count counters and corrupt samples mid-iteration. *)
-
-val reset : t -> unit
-(** Forget every counter, gauge and sample.  Also invalidates all
-    outstanding handles (their subsequent updates are lost). *)
 
 val pp : Format.formatter -> t -> unit
 (** Render all counters, then all gauges, then all samples

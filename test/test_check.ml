@@ -248,6 +248,44 @@ let test_stale_schedule_diverges () =
        the recorded points are never consulted *)
     ()
 
+(* Every label a check run reports names the configuration it explored,
+   so a reproduce line's --scenario rebuilds exactly that program; a
+   fixed scenario's bare name resolves to the same label. *)
+let test_labels_resolve () =
+  let render (p : Stress.prog) =
+    Format.asprintf "seed=%d case=%d %a" p.Stress.seed p.Stress.case
+      Stress.pp_prog p
+  in
+  List.iter
+    (fun (policy : Policy.t) ->
+      let fixed = Check.scenarios ~policy in
+      let reports =
+        Check.check_scenarios ~max_schedules:1 ~random:2 ~policy fixed
+      in
+      let explored =
+        List.map (fun (name, prog) -> (Some name, prog)) fixed
+        @ List.init 2 (fun case -> (None, Check.gen_micro ~seed:0 ~case ~policy))
+      in
+      List.iter2
+        (fun (r : Check.report) (name, prog) ->
+          let what = policy.Policy.name ^ " " ^ r.Check.rep_label in
+          (match Check.resolve ~policy r.Check.rep_label with
+          | Some (label, resolved) ->
+            Alcotest.(check string) (what ^ ": label") r.Check.rep_label label;
+            Alcotest.(check string) (what ^ ": program") (render prog)
+              (render resolved)
+          | None -> Alcotest.failf "%s: does not resolve" what);
+          Option.iter
+            (fun name ->
+              Alcotest.(check (option string)) (what ^ ": bare name")
+                (Some r.Check.rep_label)
+                (Option.map fst (Check.resolve ~policy name)))
+            name)
+        reports explored)
+    Policy.policies;
+  Alcotest.(check bool) "unknown label" true
+    (Check.resolve ~policy:Policy.stache "micro:seed=0" = None)
+
 let () =
   Alcotest.run "lcm_check"
     [
@@ -273,5 +311,6 @@ let () =
            test_violation_shrinks_and_replays);
           ("schedule strings roundtrip", `Quick, test_schedule_strings_roundtrip);
           ("stale schedule diverges", `Quick, test_stale_schedule_diverges);
+          ("labels resolve to their programs", `Quick, test_labels_resolve);
         ] );
     ]

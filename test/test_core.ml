@@ -1407,7 +1407,12 @@ let test_clean_copies_reclaimed_at_reconcile () =
           (Lcm_util.Stats.get (Machine.stats m) "lcm.live_clean_copies")
       done;
       Alcotest.(check bool) (policy.Policy.name ^ ": peak observed") true
-        (Lcm_util.Stats.gauge_value (Machine.stats m) "lcm.peak_clean_copies" > 0))
+        (match
+           List.assoc_opt "lcm.peak_clean_copies"
+             (Lcm_util.Stats.gauges (Machine.stats m))
+         with
+        | Some peak -> peak > 0
+        | None -> false))
     [ Policy.lcm_scc; Policy.lcm_mcc ]
 
 let test_lcm_capacity_evictions_during_phase () =

@@ -268,12 +268,14 @@ let test_reliable_without_plan_is_plain_send () =
   Alcotest.(check int) "no acks" 1 (Stats.get stats "net.msgs");
   Alcotest.(check int) "no retransmits" 0 (Stats.get stats "fault.retransmits")
 
-(* Pooled transport records under fault churn: with Pool.debug on, every
-   release poisons the record and rejects double releases, so a transport
-   bug that recycles an in-flight message or rel_pending cell while it is
-   still in use — across drop → retransmit → late-duplicate-ack cycles —
-   fails loudly here instead of corrupting a later message.  Delivery must
-   stay exactly-once through the pooled [send_reliable_call] convention. *)
+(* The reliable transport under fault churn, across drop → retransmit →
+   late-duplicate-ack cycles.  Every copy, ack and timer rides the
+   engine's pooled event record: with Pool.debug on, every release
+   poisons the record and rejects double releases, so a transport bug
+   that recycles an event still in use fails loudly here instead of
+   corrupting a later message.  Each message owns its sender-side
+   record, so a late duplicate ack writes only into its own.  Delivery
+   must stay exactly-once through the [send_reliable_call] convention. *)
 let prop_pooled_transport_under_faults =
   QCheck.Test.make ~name:"pooled transport survives drop/retransmit cycles"
     ~count:40
@@ -352,7 +354,7 @@ let test_reliable_rides_out_link_flap () =
   Alcotest.(check bool) "timeouts recorded" true
     (Stats.get stats "fault.timeouts" > 0);
   Alcotest.(check bool) "backoff sample recorded" true
-    (Stats.sample_count stats "net.retx_backoff_cycles" > 0)
+    (List.mem_assoc "net.retx_backoff_cycles" (Stats.samples stats))
 
 let test_reliable_unreachable_after_retry_cap () =
   let plan = Faults.make ~drop:1.0 ~rto:8 ~max_retries:3 ~seed:1 () in
@@ -458,31 +460,33 @@ let test_noretx_stalls_deterministically () =
   | _ -> Alcotest.fail "expected the lossy no-retx run to fail"
 
 (* ------------------------------------------------------------------ *)
-(* Stats.summary option (empty-sample bugfix)                          *)
+(* Stats samples omit empty series (empty-sample bugfix)              *)
 (* ------------------------------------------------------------------ *)
 
 let test_stats_summary_option () =
   let s = Stats.create () in
+  let summary name = List.assoc_opt name (Stats.samples s) in
   Alcotest.(check bool) "never-observed series has no summary" true
-    (Stats.summary s "nope" = None);
+    (summary "nope" = None);
   (* resolving a handle without writing must not create a summary *)
   let h = Stats.sample s "resolved_only" in
   ignore h;
   Alcotest.(check bool) "resolved-but-unwritten has no summary" true
-    (Stats.summary s "resolved_only" = None);
+    (summary "resolved_only" = None);
   Alcotest.(check (list string)) "samples listing omits empty series" []
     (List.map fst (Stats.samples s));
   (* a real all-zero observation is distinguishable from absence *)
-  Stats.observe s "zeros" 0.0;
-  (match Stats.summary s "zeros" with
+  Stats.Handle.observe (Stats.sample s "zeros") 0.0;
+  (match summary "zeros" with
   | Some sm ->
     Alcotest.(check int) "count" 1 sm.Stats.count;
     Alcotest.(check (float 0.0)) "min" 0.0 sm.Stats.min;
     Alcotest.(check (float 0.0)) "max" 0.0 sm.Stats.max
   | None -> Alcotest.fail "observed series must have a summary");
-  Stats.observe s "xs" 4.0;
-  Stats.observe s "xs" 2.0;
-  match Stats.summary s "xs" with
+  let xs = Stats.sample s "xs" in
+  Stats.Handle.observe xs 4.0;
+  Stats.Handle.observe xs 2.0;
+  match summary "xs" with
   | Some sm ->
     Alcotest.(check int) "count" 2 sm.Stats.count;
     Alcotest.(check (float 1e-9)) "mean" 3.0 sm.Stats.mean;

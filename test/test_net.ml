@@ -308,11 +308,14 @@ let test_network_stall_sample_and_send_stamp () =
     [ ("a", 0); ("b", second_arrival - lat) ]
     sends;
   let stall = Network.transmission_time net ~words:8 in
-  Alcotest.(check int) "one stall observed" 1
-    (Lcm_util.Stats.sample_count stats "net.channel_stall_cycles");
-  Alcotest.(check (float 1e-9)) "stall magnitude"
-    (float_of_int stall)
-    (Lcm_util.Stats.sample_sum stats "net.channel_stall_cycles")
+  match
+    List.assoc_opt "net.channel_stall_cycles" (Lcm_util.Stats.samples stats)
+  with
+  | Some sm ->
+    Alcotest.(check int) "one stall observed" 1 sm.Lcm_util.Stats.count;
+    Alcotest.(check (float 1e-9)) "stall magnitude" (float_of_int stall)
+      sm.Lcm_util.Stats.mean
+  | None -> Alcotest.fail "no stall observed"
 
 let all_topos =
   [ Topology.Crossbar; Topology.Mesh2d { cols = 8 }; Topology.Fat_tree { arity = 4 } ]

@@ -55,8 +55,9 @@ let mk ?capacity_blocks ?(nnodes = 4) () =
 let test_fiber_completes_without_memory () =
   let m = mk () in
   let done_ = ref false in
-  Machine.spawn m (Machine.node m 0) ~on_done:(fun () -> done_ := true) (fun () ->
-      Memeff.work 100);
+  Machine.spawn m (Machine.node m 0) (fun () ->
+      Memeff.work 100;
+      done_ := true);
   Machine.run_to_quiescence m;
   Alcotest.(check bool) "done" true !done_;
   Alcotest.(check int) "work charged" 100 (Machine.clock (Machine.node m 0));
@@ -107,6 +108,63 @@ let test_remote_access_faults_and_suspends () =
     (Lcm_util.Stats.get (Machine.stats m) "fault.read");
   Alcotest.(check bool) "time advanced past trap+network" true
     (Machine.clock (Machine.node m 0) > 100)
+
+(* One fault path: a load, a store and an rmw that miss each count one
+   fault of their kind, trace one Fault naming the access, and charge the
+   trap once, before the protocol's fault hook runs. *)
+let test_one_fault_path () =
+  List.iter
+    (fun (what, kind, access) ->
+      let m = mk () in
+      Machine.enable_trace m;
+      let gmem = Machine.gmem m in
+      let base = Lcm_mem.Gmem.alloc gmem ~dist:(Lcm_mem.Gmem.On 1) ~nwords:8 in
+      let addr = base + 3 in
+      let b = Lcm_mem.Gmem.block_of_addr gmem addr in
+      let hook_clocks = ref [] in
+      let hook hook_kind node ~addr:_ ~retry =
+        hook_clocks := (hook_kind, Machine.clock node) :: !hook_clocks;
+        ignore
+          (Machine.install_line node b
+             ~data:(Lcm_mem.Block.copy (Machine.master m b))
+             ~tag:Tag.Writable);
+        retry ()
+      in
+      Machine.set_handlers m ~read_fault:(hook Lcm_sim.Trace.Read)
+        ~write_fault:(hook Lcm_sim.Trace.Write)
+        ~directive:(fun _ _ ~retry -> retry ());
+      Machine.spawn m (Machine.node m 0) (fun () -> access addr);
+      Machine.run_to_quiescence m;
+      let count name = Lcm_util.Stats.get (Machine.stats m) name in
+      Alcotest.(check (pair int int)) (what ^ ": fault.read, fault.write")
+        (if kind = Lcm_sim.Trace.Read then (1, 0) else (0, 1))
+        (count "fault.read", count "fault.write");
+      let faults =
+        List.filter_map
+          (function
+            | time, Lcm_sim.Trace.Fault { kind; node; addr; block } ->
+              Some (time, kind, [ node; addr; block ])
+            | _ -> None)
+          (Machine.trace_events m)
+      in
+      match (faults, !hook_clocks) with
+      | [ (time, traced_kind, where) ], [ (hook_kind, clock) ] ->
+        Alcotest.(check bool) (what ^ ": traced kind") true (traced_kind = kind);
+        Alcotest.(check (list int)) (what ^ ": traced node, addr, block")
+          [ 0; addr; b ] where;
+        Alcotest.(check bool) (what ^ ": hook of its kind") true
+          (hook_kind = kind);
+        Alcotest.(check int) (what ^ ": one trap charged before the hook")
+          (time + (Machine.costs m).Lcm_sim.Costs.fault_trap)
+          clock
+      | _ ->
+        Alcotest.failf "%s: %d Fault events, %d hook calls, want 1 and 1" what
+          (List.length faults) (List.length !hook_clocks))
+    [
+      ("load", Lcm_sim.Trace.Read, fun a -> ignore (Memeff.load a));
+      ("store", Lcm_sim.Trace.Write, fun a -> Memeff.store a 5);
+      ("rmw", Lcm_sim.Trace.Write, fun a -> ignore (Memeff.rmw a succ));
+    ]
 
 let test_second_access_hits () =
   let m = mk () in
@@ -512,6 +570,7 @@ let () =
           ("remote faults+suspends", `Quick, test_remote_access_faults_and_suspends);
           ("master rejects unallocated block", `Quick,
            test_master_rejects_unallocated_block);
+          ("one fault path", `Quick, test_one_fault_path);
           ("second access hits", `Quick, test_second_access_hits);
           ("lcm dirty mask", `Quick, test_store_sets_dirty_mask_on_lcm_line);
           ("plain store untracked", `Quick, test_plain_writable_store_does_not_track_dirty);

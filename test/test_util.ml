@@ -324,27 +324,42 @@ let prop_mask_union_cardinal =
 (* Stats                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Writes go through handles; reads through the sorted listings. *)
+let stat_incr s name = Stats.Handle.incr (Stats.counter s name)
+let stat_add s name n = Stats.Handle.add (Stats.counter s name) n
+let stat_max s name v = Stats.Handle.set_max (Stats.gauge s name) v
+let stat_observe s name x = Stats.Handle.observe (Stats.sample s name) x
+let gauge_value s name =
+  Option.value ~default:0 (List.assoc_opt name (Stats.gauges s))
+let summary s name = List.assoc_opt name (Stats.samples s)
+
 let test_stats_counters () =
   let s = Stats.create () in
   check "unset is 0" 0 (Stats.get s "x");
-  Stats.incr s "x";
-  Stats.add s "x" 4;
+  stat_incr s "x";
+  stat_add s "x" 4;
   check "incr+add" 5 (Stats.get s "x");
-  Stats.set_max s "m" 10;
-  Stats.set_max s "m" 3;
-  check "set_max keeps max" 10 (Stats.gauge_value s "m");
+  check "handle value" 5 (Stats.Handle.value (Stats.counter s "x"));
+  stat_max s "m" 10;
+  stat_max s "m" 3;
+  check "set_max keeps max" 10 (gauge_value s "m");
   check "gauges live apart from counters" 0 (Stats.get s "m");
   Alcotest.(check (list string)) "gauge listing" [ "m" ]
     (List.map fst (Stats.gauges s))
 
 let test_stats_samples () =
   let s = Stats.create () in
-  Stats.observe s "lat" 2.0;
-  Stats.observe s "lat" 4.0;
-  check "count" 2 (Stats.sample_count s "lat");
-  Alcotest.(check (float 1e-9)) "mean" 3.0 (Stats.sample_mean s "lat");
-  Alcotest.(check (float 1e-9)) "sum" 6.0 (Stats.sample_sum s "lat");
-  Alcotest.(check (float 1e-9)) "empty mean" 0.0 (Stats.sample_mean s "none")
+  stat_observe s "lat" 2.0;
+  stat_observe s "lat" 4.0;
+  (match summary s "lat" with
+  | Some sm ->
+    check "count" 2 sm.Stats.count;
+    Alcotest.(check (float 1e-9)) "mean" 3.0 sm.Stats.mean;
+    Alcotest.(check (float 1e-9)) "sum" 6.0
+      (sm.Stats.mean *. float_of_int sm.Stats.count)
+  | None -> Alcotest.fail "observed series must be listed");
+  Alcotest.(check bool) "never observed, never listed" true
+    (summary s "none" = None)
 
 (* Regression: [Stats.pp] used to print counters and gauges but silently
    drop observe-samples, so --stats never showed e.g. cstar.phase_cycles. *)
@@ -355,9 +370,9 @@ let test_stats_pp_includes_samples () =
     go 0
   in
   let s = Stats.create () in
-  Stats.incr s "ctr";
-  Stats.observe s "lat" 2.0;
-  Stats.observe s "lat" 4.0;
+  stat_incr s "ctr";
+  stat_observe s "lat" 2.0;
+  stat_observe s "lat" 4.0;
   let out = Format.asprintf "%a" Stats.pp s in
   Alcotest.(check bool) "counter line present" true (contains out "ctr = 1");
   Alcotest.(check bool) "sample line present" true
@@ -373,79 +388,36 @@ let test_stats_pp_includes_samples () =
 
 let test_stats_merge () =
   let a = Stats.create () and b = Stats.create () in
-  Stats.add a "x" 2;
-  Stats.add b "x" 3;
-  Stats.add b "y" 1;
-  Stats.observe b "s" 5.0;
-  Stats.set_max a "peak" 7;
-  Stats.set_max b "peak" 4;
+  stat_add a "x" 2;
+  stat_add b "x" 3;
+  stat_add b "y" 1;
+  stat_observe b "s" 5.0;
+  stat_max a "peak" 7;
+  stat_max b "peak" 4;
   Stats.merge_into ~dst:a b;
   check "merged x" 5 (Stats.get a "x");
   check "merged y" 1 (Stats.get a "y");
-  check "merged sample" 1 (Stats.sample_count a "s");
-  check "gauges merge by max, not sum" 7 (Stats.gauge_value a "peak");
+  check "merged sample" 1
+    (match summary a "s" with Some sm -> sm.Stats.count | None -> 0);
+  check "gauges merge by max, not sum" 7 (gauge_value a "peak");
   let c = Stats.create () in
-  Stats.set_max c "peak" 9;
+  stat_max c "peak" 9;
   Stats.merge_into ~dst:a c;
-  check "larger source gauge wins" 9 (Stats.gauge_value a "peak")
+  check "larger source gauge wins" 9 (gauge_value a "peak")
 
 (* Regression: [merge_into ~dst:s s] must be a checked no-op.  A naive
    fold-over-src-into-dst would double every counter (and, iterating a
    hashtable while inserting into it, is formally undefined). *)
 let test_stats_merge_self_noop () =
   let s = Stats.create () in
-  Stats.add s "x" 5;
-  Stats.set_max s "g" 7;
-  Stats.observe s "lat" 2.0;
+  stat_add s "x" 5;
+  stat_max s "g" 7;
+  stat_observe s "lat" 2.0;
   Stats.merge_into ~dst:s s;
   check "counter unchanged" 5 (Stats.get s "x");
-  check "gauge unchanged" 7 (Stats.gauge_value s "g");
-  check "sample count unchanged" 1 (Stats.sample_count s "lat")
-
-(* The handle API is a pure accelerator: any interleaving of handle and
-   string-keyed updates on one [Stats.t] must leave it indistinguishable
-   from the same updates applied through strings alone.  Ops are drawn over
-   a small name vocabulary so handles and strings collide on the same
-   underlying cells. *)
-let prop_stats_handles_equal_strings =
-  let gen = QCheck.(list (pair (int_bound 5) (int_bound 9))) in
-  QCheck.Test.make ~name:"stats handle API ≡ string API" ~count:200 gen
-    (fun ops ->
-      let names = [| "a"; "b"; "c" |] in
-      let via_handles = Stats.create () and via_strings = Stats.create () in
-      List.iter
-        (fun (op, v) ->
-          let name = names.(v mod 3) in
-          match op with
-          | 0 ->
-            Stats.Handle.incr (Stats.counter via_handles name);
-            Stats.incr via_strings name
-          | 1 ->
-            Stats.Handle.add (Stats.counter via_handles name) v;
-            Stats.add via_strings name v
-          | 2 ->
-            Stats.Handle.set_max (Stats.gauge via_handles name) v;
-            Stats.set_max via_strings name v
-          | 3 ->
-            Stats.Handle.observe (Stats.sample via_handles name) (float_of_int v);
-            Stats.observe via_strings name (float_of_int v)
-          | 4 ->
-            (* mixed: string write on the handle-side instance *)
-            Stats.incr via_handles name;
-            Stats.incr via_strings name
-          | _ ->
-            ignore (Stats.Handle.value (Stats.counter via_handles name));
-            ignore (Stats.get via_strings name))
-        ops;
-      (* merging both into fresh accumulators must also agree *)
-      let acc_h = Stats.create () and acc_s = Stats.create () in
-      Stats.merge_into ~dst:acc_h via_handles;
-      Stats.merge_into ~dst:acc_s via_strings;
-      Stats.counters via_handles = Stats.counters via_strings
-      && Stats.gauges via_handles = Stats.gauges via_strings
-      && Stats.samples via_handles = Stats.samples via_strings
-      && Stats.counters acc_h = Stats.counters acc_s
-      && Stats.gauges acc_h = Stats.gauges acc_s)
+  check "gauge unchanged" 7 (gauge_value s "g");
+  check "sample count unchanged" 1
+    (match summary s "lat" with Some sm -> sm.Stats.count | None -> 0)
 
 (* ------------------------------------------------------------------ *)
 (* Heap capacity hints / Pool                                          *)
@@ -613,18 +585,38 @@ let test_nodeset_collapses_on_shrink () =
   Alcotest.(check bool) "empty collapses" true (Nodeset.is_direct gone);
   Alcotest.(check bool) "is empty" true (Nodeset.is_empty gone)
 
+(* Handles register lazily: resolving one lists nothing until its first
+   write, so --stats and the counter fingerprints name exactly what was
+   written; every handle for a name, resolved before or after that
+   write, shares one cell. *)
+let test_stats_handles_register_lazily () =
+  let s = Stats.create () in
+  let c1 = Stats.counter s "c" and g = Stats.gauge s "g" in
+  ignore (Stats.sample s "lat");
+  let listed () =
+    List.map fst (Stats.counters s) @ List.map fst (Stats.gauges s)
+    @ List.map fst (Stats.samples s)
+  in
+  Alcotest.(check (list string)) "resolved only: nothing listed" [] (listed ());
+  let empty = Stats.create () in
+  Stats.merge_into ~dst:empty s;
+  Alcotest.(check (list string)) "merging resolved-only names adds none" []
+    (List.map fst (Stats.counters empty) @ List.map fst (Stats.gauges empty));
+  let c2 = Stats.counter s "c" in
+  Stats.Handle.incr c1;
+  Stats.Handle.add c2 2;
+  Stats.Handle.incr (Stats.counter s "c");
+  Stats.Handle.set_max g 4;
+  check "one cell per name" 4 (Stats.get s "c");
+  check "early handle sees later writes" 4 (Stats.Handle.value c1);
+  Alcotest.(check (list string)) "written names listed" [ "c"; "g" ] (listed ())
+
 let test_stats_counters_sorted () =
   let s = Stats.create () in
-  Stats.incr s "b";
-  Stats.incr s "a";
+  stat_incr s "b";
+  stat_incr s "a";
   Alcotest.(check (list string)) "sorted names" [ "a"; "b" ]
     (List.map fst (Stats.counters s))
-
-let test_stats_reset () =
-  let s = Stats.create () in
-  Stats.incr s "x";
-  Stats.reset s;
-  check "reset" 0 (Stats.get s "x")
 
 (* ------------------------------------------------------------------ *)
 (* Tablefmt                                                           *)
@@ -657,9 +649,14 @@ let test_table_empty_rows () =
 
 let test_stats_sample_min_max_defaults () =
   let s = Stats.create () in
-  Alcotest.(check int) "count empty" 0 (Stats.sample_count s "x");
-  Stats.observe s "x" (-3.5);
-  Alcotest.(check (float 0.0)) "negative sum" (-3.5) (Stats.sample_sum s "x")
+  Alcotest.(check bool) "empty series not listed" true (summary s "x" = None);
+  stat_observe s "x" (-3.5);
+  match summary s "x" with
+  | Some sm ->
+    Alcotest.(check (float 0.0)) "negative mean" (-3.5) sm.Stats.mean;
+    Alcotest.(check (float 0.0)) "negative min" (-3.5) sm.Stats.min;
+    Alcotest.(check (float 0.0)) "negative max" (-3.5) sm.Stats.max
+  | None -> Alcotest.fail "observed series must be listed"
 
 let test_heap_many_duplicate_keys () =
   let h = Heap.create () in
@@ -716,7 +713,7 @@ let suite =
     ("stats merge", `Quick, test_stats_merge);
     ("stats merge self no-op", `Quick, test_stats_merge_self_noop);
     ("stats sorted", `Quick, test_stats_counters_sorted);
-    ("stats reset", `Quick, test_stats_reset);
+    ("stats handles register lazily", `Quick, test_stats_handles_register_lazily);
     ("table render", `Quick, test_table_render);
     ("table ragged", `Quick, test_table_ragged_rows);
     ("table explicit align", `Quick, test_table_explicit_alignment);
@@ -738,7 +735,6 @@ let suite =
         prop_pool_no_aliasing;
         prop_mask_roundtrip;
         prop_mask_union_cardinal;
-        prop_stats_handles_equal_strings;
         prop_nodeset_matches_set;
       ]
 
