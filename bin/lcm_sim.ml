@@ -185,6 +185,16 @@ let report rt dump_stats (r : Bench_result.t) =
   if dump_stats then
     Format.printf "%a" Lcm_util.Stats.pp (Lcm_cstar.Runtime.stats rt)
 
+(* A single run ends with the audit every experiment cell runs; a
+   violation is a negative verdict. *)
+let audit rt ~experiment ~system =
+  match Experiments.audit ~experiment ~system rt with
+  | Ok () -> ()
+  | Error msg -> negative_verdict msg
+
+let audit_exits =
+  verdict_exits "when the protocol audit after the run finds a violation."
+
 (* Arm tracing/phase logging before a run; [finish_observability] reports
    or exports what was captured afterwards. *)
 let setup_observability rt ~trace ~trace_out ~trace_cap ~phases =
@@ -211,7 +221,7 @@ let finish_observability rt ~trace ~trace_out ~phases =
        Printf.printf "trace: %d events retained; tail:\n" recorded;
        List.iter (fun l -> Printf.printf "  %s\n" l) tail);
   if phases then
-    print_string (Phases.render (Phases.of_log (Lcm_cstar.Runtime.phase_log rt)))
+    print_string (Report.phases (Lcm_cstar.Runtime.phase_log rt))
 
 let simple_bench name ~default_size ~default_iters ~paper ~run_fn =
   let run system schedule nodes topology capacity barrier faults size iters
@@ -221,7 +231,8 @@ let simple_bench name ~default_size ~default_iters ~paper ~run_fn =
     in
     setup_observability rt ~trace ~trace_out ~trace_cap ~phases;
     report rt stats (run_fn rt ~size ~iters ~paper);
-    finish_observability rt ~trace ~trace_out ~phases
+    finish_observability rt ~trace ~trace_out ~phases;
+    audit rt ~experiment:name ~system:system.Config.label
   in
   let term =
     Term.(
@@ -230,7 +241,10 @@ let simple_bench name ~default_size ~default_iters ~paper ~run_fn =
       $ iters_arg default_iters $ stats_arg $ paper $ trace_arg
       $ trace_out_arg $ trace_cap_arg $ phases_arg)
   in
-  Cmd.v (Cmd.info name ~doc:(Printf.sprintf "Run the %s benchmark." name)) term
+  Cmd.v
+    (Cmd.info name ~exits:audit_exits
+       ~doc:(Printf.sprintf "Run the %s benchmark." name))
+    term
 
 let stencil_cmd =
   simple_bench "stencil" ~default_size:128 ~default_iters:10 ~paper:paper_arg
@@ -301,19 +315,23 @@ let reduce_cmd =
       match variant with `Rsm_reconcile -> Config.lcm_mcc | _ -> Config.stache
     in
     let rt = make_runtime system Lcm_cstar.Schedule.Static nodes topology None in
-    report rt stats (Reduce_demo.run rt variant { Reduce_demo.n = size; per_add_work = 2 })
+    report rt stats (Reduce_demo.run rt variant { Reduce_demo.n = size; per_add_work = 2 });
+    audit rt ~experiment:"reduce" ~system:(Reduce_demo.variant_name variant)
   in
   Cmd.v
-    (Cmd.info "reduce" ~doc:"Global-reduction demo (paper section 7.1).")
+    (Cmd.info "reduce" ~exits:audit_exits
+       ~doc:"Global-reduction demo (paper section 7.1).")
     Term.(const run $ variant_arg $ nodes_arg $ topology_arg $ size_arg 8192 $ stats_arg)
 
 let false_sharing_cmd =
   let run system nodes topology size iters stats =
     let rt = make_runtime system Lcm_cstar.Schedule.Static nodes topology None in
-    report rt stats (False_sharing.run rt { False_sharing.blocks = size; rounds = iters })
+    report rt stats (False_sharing.run rt { False_sharing.blocks = size; rounds = iters });
+    audit rt ~experiment:"false-sharing" ~system:system.Config.label
   in
   Cmd.v
-    (Cmd.info "false-sharing" ~doc:"False-sharing demo (paper section 7.4).")
+    (Cmd.info "false-sharing" ~exits:audit_exits
+       ~doc:"False-sharing demo (paper section 7.4).")
     Term.(
       const run $ system_arg $ nodes_arg $ topology_arg $ size_arg 64
       $ iters_arg 20 $ stats_arg)
@@ -328,10 +346,12 @@ let nbody_cmd =
     let rt = make_runtime Config.lcm_mcc Lcm_cstar.Schedule.Static nodes topology None in
     let mode = match refresh with None -> `Fresh | Some k -> `Stale k in
     report rt stats
-      (Nbody_stale.run rt mode { Nbody_stale.bodies = size; iters; work_per_body = 2 })
+      (Nbody_stale.run rt mode { Nbody_stale.bodies = size; iters; work_per_body = 2 });
+    audit rt ~experiment:"nbody" ~system:Config.lcm_mcc.Config.label
   in
   Cmd.v
-    (Cmd.info "nbody" ~doc:"Stale-data demo (paper section 7.5).")
+    (Cmd.info "nbody" ~exits:audit_exits
+       ~doc:"Stale-data demo (paper section 7.5).")
     Term.(
       const run $ refresh_arg $ nodes_arg $ topology_arg $ size_arg 512
       $ iters_arg 16 $ stats_arg)
@@ -365,10 +385,12 @@ let synthetic_cmd =
       }
     in
     report rt stats (Synthetic.run rt p);
-    finish_observability rt ~trace ~trace_out ~phases
+    finish_observability rt ~trace ~trace_out ~phases;
+    audit rt ~experiment:"synthetic" ~system:system.Config.label
   in
   Cmd.v
-    (Cmd.info "synthetic" ~doc:"Configurable synthetic sharing workload.")
+    (Cmd.info "synthetic" ~exits:audit_exits
+       ~doc:"Configurable synthetic sharing workload.")
     Term.(
       const run $ system_arg $ schedule_arg $ nodes_arg $ topology_arg
       $ faults_term $ sharing_arg $ reads_arg $ size_arg 8

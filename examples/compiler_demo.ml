@@ -4,38 +4,14 @@
    accesses; the compiler then emits either LCM directives or conservative
    explicit-copying code.  This demo prints both compilations of the
    paper's stencil function, plus the analysis of a pure map, where the
-   compiler proves no directives are needed at all.
+   compiler proves no directives are needed at all.  It then runs both
+   compilations and exits 1 if their results disagree.
 
      dune exec examples/compiler_demo.exe *)
 
 open Lcm_cstar
 module K = Kernel
-
-let stencil =
-  {
-    K.name = "stencil";
-    body =
-      [
-        K.If
-          ( K.Interior,
-            [
-              K.Assign
-                ( "A",
-                  K.Self,
-                  K.Self,
-                  K.Mul
-                    ( K.Const 0.25,
-                      K.Add
-                        ( K.Add
-                            ( K.Add
-                                ( K.Read ("A", K.Off (-1), K.Self),
-                                  K.Read ("A", K.Off 1, K.Self) ),
-                              K.Read ("A", K.Self, K.Off (-1)) ),
-                          K.Read ("A", K.Self, K.Off 1) ) ) );
-            ],
-            [ K.Assign ("A", K.Self, K.Self, K.Read ("A", K.Self, K.Self)) ] );
-      ];
-  }
+module Kernels = Lcm_apps.Kernels
 
 let blur =
   {
@@ -64,41 +40,26 @@ let mk policy =
 
 let () =
   print_endline "=== source kernel ===";
-  Format.printf "%a@." K.pp stencil;
+  Format.printf "%a@." K.pp Kernels.stencil;
 
   print_endline "=== conflict analysis ===";
-  Format.printf "stencil: %a@." K.pp_decision (K.analyze stencil);
+  Format.printf "stencil: %a@." K.pp_decision (K.analyze Kernels.stencil);
   Format.printf "blur:    %a@.@." K.pp_decision (K.analyze blur);
 
   print_endline "=== compiled for LCM (the paper's section 6.1 listing) ===";
-  Format.printf "%a@." (K.pp_compiled (mk Lcm_core.Policy.lcm_mcc)) stencil;
+  Format.printf "%a@." (K.pp_compiled (mk Lcm_core.Policy.lcm_mcc)) Kernels.stencil;
 
   print_endline "=== compiled with explicit copying (the baseline) ===";
-  Format.printf "%a@." (K.pp_compiled (mk Lcm_core.Policy.stache)) stencil;
+  Format.printf "%a@." (K.pp_compiled (mk Lcm_core.Policy.stache)) Kernels.stencil;
 
   (* And actually run both; they must agree. *)
   let run policy =
-    let rt = mk policy in
-    let a = Runtime.alloc2d rt ~rows:16 ~cols:16 ~dist:Lcm_mem.Gmem.Chunked in
-    for i = 0 to 15 do
-      for j = 0 to 15 do
-        Agg.pokef a i j (if i = 0 then 8.0 else 0.0)
-      done
-    done;
-    let apply = K.compile rt stencil { K.aggs = [ ("A", a) ]; reducers = [] } ~over:"A" in
-    for iter = 0 to 4 do
-      apply ~iter ()
-    done;
-    let sum = ref 0.0 in
-    for i = 0 to 15 do
-      for j = 0 to 15 do
-        sum := !sum +. Agg.peekf a i j
-      done
-    done;
-    !sum
+    Kernels.run_stencil (mk policy) ~n:16 ~iters:5 ~init:(fun i _ ->
+        if i = 0 then 8.0 else 0.0)
   in
   let lcm_sum = run Lcm_core.Policy.lcm_mcc in
   let copy_sum = run Lcm_core.Policy.stache in
+  let agree = abs_float (lcm_sum -. copy_sum) < 1e-6 in
   Printf.printf "=== execution check ===\nLCM result %.4f  explicit-copy result %.4f  agree: %b\n"
-    lcm_sum copy_sum
-    (abs_float (lcm_sum -. copy_sum) < 1e-6)
+    lcm_sum copy_sum agree;
+  if not agree then exit 1

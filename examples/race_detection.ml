@@ -16,7 +16,8 @@ let mk () =
       ~topology:Lcm_net.Topology.Crossbar ()
   in
   let proto =
-    Lcm_core.Proto.install ~detect:true ~policy:Lcm_core.Policy.lcm_mcc machine
+    Lcm_core.Proto.install ~detection:Lcm_core.Detect.At_reconcile
+      ~policy:Lcm_core.Policy.lcm_mcc machine
   in
   let rt = Runtime.create proto ~schedule:Schedule.Static in
   (proto, rt)

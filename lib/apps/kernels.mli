@@ -9,8 +9,8 @@
     analysability.)
 
     The test suite runs each kernel against its hand-written counterpart's
-    reference; the harness uses them to sanity-check the compiler path on
-    real workloads. *)
+    reference, and [examples/compiler_demo.ml] prints and runs both
+    compilations of {!stencil}. *)
 
 val stencil : Lcm_cstar.Kernel.t
 (** Four-point stencil with copy-through borders (paper §6.1). *)

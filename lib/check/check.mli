@@ -36,7 +36,6 @@ type stats = {
     COUNTERS.md).  Mutated in place so one record can accumulate across
     configurations. *)
 
-val fresh_stats : unit -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
 (** {1 Verdicts and exploration} *)
@@ -90,21 +89,15 @@ val replay :
     [[]] is the plain FIFO run.  With [trace], the returned events render
     through {!Lcm_harness.Traceview}. *)
 
-val minimize_schedule :
-  fault_budget:int -> dup:bool -> Lcm_harness.Stress.prog -> int list ->
-  int list
-(** Shrink a violating schedule against a fixed configuration: strip
-    trailing defaults, shorten, lower entries toward 0 — each candidate
-    validated by a full replay.  Returns the smallest still-failing
-    schedule found. *)
-
 val shrink_violation :
   ?max_explore_schedules:int -> ?max_tries:int -> violation -> violation
 (** Shrink to a minimal (configuration, schedule) counterexample:
     configuration first via {!Lcm_harness.Stress.shrink_with} (a
     candidate survives only if bounded re-exploration still finds a
-    violation, which also refreshes the schedule), then the schedule via
-    {!minimize_schedule}. *)
+    violation, which also refreshes the schedule), then the schedule
+    against the fixed configuration: strip trailing defaults, shorten,
+    lower entries toward 0 — each candidate validated by a full replay —
+    keeping the smallest still-failing schedule found. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 

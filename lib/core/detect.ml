@@ -1,3 +1,5 @@
+type setting = Off | At_reconcile | Strict
+
 type conflict = { block : int; words : Lcm_util.Mask.t; writer : int }
 
 type race = { block : int; readers : int list }

@@ -145,5 +145,3 @@ let is_lcm p =
   match p.family with
   | Directory d -> d.parallel_write_grant = Lcm_copy
   | Snoop _ -> false
-
-let is_snoop p = match p.family with Snoop _ -> true | Directory _ -> false

@@ -122,5 +122,3 @@ val is_lcm : t -> bool
     directory family with [Lcm_copy] grants).  Also the C\*\* runtime's
     rule: LCM policies compile to [mark_modification]/[reconcile_copies]
     directives, every coherent policy to explicit copying. *)
-
-val is_snoop : t -> bool

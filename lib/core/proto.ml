@@ -18,16 +18,14 @@ type t =
   | Dir of Proto_dir.t
   | Snoop_engine of Proto_snoop.t
 
-let install ?detect ?strict_detection ?barrier ~policy mach =
+let install ?detection ?barrier ~policy mach =
   match policy.Policy.family with
   | Policy.Directory _ ->
-    Dir
-      (Proto_dir.install ?detect ?strict_detection ?barrier ~policy mach)
+    Dir (Proto_dir.install ?detection ?barrier ~policy mach)
   | Policy.Snoop _ ->
     (* detection is an LCM reconciliation feature; a coherent bus has no
-       reconcile sweep to record conflicts in, so the flags are inert *)
-    ignore detect;
-    ignore strict_detection;
+       reconcile sweep to record conflicts in, so the setting is inert *)
+    ignore detection;
     Snoop_engine (Proto_snoop.install ?barrier ~policy mach)
 
 let policy = function
@@ -62,11 +60,6 @@ let reconcile t =
   match t with
   | Dir p -> Proto_dir.reconcile p
   | Snoop_engine p -> Proto_snoop.reconcile p
-
-let dump_block t b =
-  match t with
-  | Dir p -> Proto_dir.dump_block p b
-  | Snoop_engine p -> Proto_snoop.dump_block p b
 
 let check_invariants t =
   let parked n =

@@ -48,28 +48,23 @@
 type t
 
 val install :
-  ?detect:bool ->
-  ?strict_detection:bool ->
+  ?detection:Detect.setting ->
   ?barrier:Barrier.style ->
   policy:Policy.t ->
   Lcm_tempest.Machine.t ->
   t
 (** [install ~policy machine] registers the protocol on [machine] and
     returns the instance handle.  The engine follows
-    [policy.family]; with a snooping policy, [detect] and
-    [strict_detection] are inert (detection is an LCM reconciliation
-    feature) and home backing lines are disabled, so install must run
-    before any block is touched.  [detect] enables reconcile-time
-    write/write-conflict and read/write-race recording (default false).
-    [strict_detection] additionally flushes {e every} outstanding read-only
-    copy at each reconciliation, so that races involving reads cached in an
-    earlier phase are also caught — "to catch actual violations, all
-    read-only cache blocks must be flushed from the caches at
-    synchronization points" (§7.2); it costs extra invalidation traffic and
-    re-fetches, which is why the paper reserves it for debugging.  Requires
-    [detect].  The eviction hook is always registered; it fires only on a
-    machine created with a finite cache.  [barrier] selects the
-    reconciliation-barrier timing model (default {!Barrier.Constant}). *)
+    [policy.family]; with a snooping policy, [detection] is inert
+    (detection is an LCM reconciliation feature) and home backing lines
+    are disabled, so install must run before any block is touched.
+    [detection] (default {!Detect.Off}) selects reconcile-time
+    write/write-conflict and read/write-race recording, and whether every
+    read-only copy is flushed at each reconciliation ({!Detect.Strict},
+    rejected under update-based reconciliation).  The eviction hook is
+    always registered; it fires only on a machine created with a finite
+    cache.  [barrier] selects the reconciliation-barrier timing model
+    (default {!Barrier.Constant}). *)
 
 val policy : t -> Policy.t
 
@@ -99,17 +94,12 @@ val reconcile : t -> unit
     @raise Failure if fibers are still running. *)
 
 val conflicts : t -> Detect.conflict list
-(** Write/write conflicts recorded so far (empty unless [detect], and
+(** Write/write conflicts recorded so far (empty under {!Detect.Off}, and
     always under a snooping policy). *)
 
 val races : t -> Detect.race list
-(** Read/write races recorded so far (empty unless [detect], and always
-    under a snooping policy). *)
-
-val dump_block : t -> int -> string
-(** One-line description of a block's directory and cached-copy state,
-    for debugging: home, directory state, LCM holders, pending shadow,
-    and every node's cached tag. *)
+(** Read/write races recorded so far (empty under {!Detect.Off}, and
+    always under a snooping policy). *)
 
 val check_invariants : t -> (unit, string list) result
 (** Audit the global protocol state; intended for tests and debugging

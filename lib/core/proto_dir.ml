@@ -897,47 +897,6 @@ let register_reduction t ~base ~nwords op =
 let conflicts t = List.rev t.conflicts
 let races t = List.rev t.races
 
-let rec dump_block t b =
-  match home_of t b with
-  | exception Invalid_argument _ -> Printf.sprintf "block %d: unallocated" b
-  | home -> dump_block_at t b ~home
-
-and dump_block_at t b ~home =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "block %d (home %d): " b home);
-  (match Hashtbl.find_opt t.entries b with
-  | None -> Buffer.add_string buf "no directory entry"
-  | Some e ->
-    (match e.dstate with
-    | Home_owned -> Buffer.add_string buf "home-owned"
-    | Exclusive o -> Buffer.add_string buf (Printf.sprintf "exclusive@%d" o)
-    | Shared s ->
-      Buffer.add_string buf
-        (Printf.sprintf "shared{%s}"
-           (String.concat "," (List.map string_of_int (ISet.elements s)))));
-    if not (ISet.is_empty e.lcm_holders) then
-      Buffer.add_string buf
-        (Printf.sprintf " lcm{%s}"
-           (String.concat "," (List.map string_of_int (ISet.elements e.lcm_holders))));
-    (match e.shadow with
-    | Some _ when e.shadow_epoch = Machine.epoch t.mach ->
-      Buffer.add_string buf
-        (Printf.sprintf " shadow%s" (Format.asprintf "%a" Mask.pp e.shadow_mask))
-    | Some _ | None -> ());
-    if e.busy <> None then Buffer.add_string buf " BUSY";
-    if not (Queue.is_empty e.waiting) then
-      Buffer.add_string buf (Printf.sprintf " %d-waiting" (Queue.length e.waiting)));
-  Buffer.add_string buf "; copies:";
-  Array.iter
-    (fun node ->
-      match Machine.find_line node b with
-      | Some line ->
-        Buffer.add_string buf
-          (Printf.sprintf " %d:%s" (Machine.id node) (Tag.to_string line.Machine.tag))
-      | None -> ())
-    (Machine.nodes t.mach);
-  Buffer.contents buf
-
 let check_invariants t =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
@@ -1038,16 +997,20 @@ let poke t addr v =
   | None -> ());
   (Machine.master t.mach b).(off) <- v
 
-let install ?(detect = false) ?(strict_detection = false)
-    ?(barrier = Barrier.Constant) ~policy:pol mach =
+let install ?(detection = Detect.Off) ?(barrier = Barrier.Constant)
+    ~policy:pol mach =
   let dp =
     match pol.Policy.family with
     | Policy.Directory d -> d
     | Policy.Snoop _ ->
       invalid_arg "Proto_dir.install: snooping policies ride the bus engine"
   in
-  if strict_detection && not detect then
-    invalid_arg "Proto.install: strict_detection requires detect";
+  let detect, strict_detection =
+    match detection with
+    | Detect.Off -> (false, false)
+    | Detect.At_reconcile -> (true, false)
+    | Detect.Strict -> (true, true)
+  in
   if strict_detection && dp.Policy.update_on_reconcile then
     invalid_arg
       "Proto.install: strict detection is incompatible with update-based \

@@ -41,8 +41,7 @@
 type t
 
 val install :
-  ?detect:bool ->
-  ?strict_detection:bool ->
+  ?detection:Detect.setting ->
   ?barrier:Barrier.style ->
   policy:Policy.t ->
   Lcm_tempest.Machine.t ->
@@ -50,17 +49,13 @@ val install :
 (** [install ~policy machine] registers the protocol on [machine] and
     returns the instance handle.  [policy] must belong to the
     [Policy.Directory] family ([Invalid_argument] otherwise — snooping
-    policies ride {!Proto_snoop}).  [detect] enables reconcile-time
-    write/write-conflict and read/write-race recording (default false).
-    [strict_detection] additionally flushes {e every} outstanding read-only
-    copy at each reconciliation, so that races involving reads cached in an
-    earlier phase are also caught — "to catch actual violations, all
-    read-only cache blocks must be flushed from the caches at
-    synchronization points" (§7.2); it costs extra invalidation traffic and
-    re-fetches, which is why the paper reserves it for debugging.  Requires
-    [detect].  The eviction hook is always registered; it fires only on a
-    machine created with a finite cache.  [barrier] selects the
-    reconciliation-barrier timing model (default {!Barrier.Constant}). *)
+    policies ride {!Proto_snoop}).  [detection] (default {!Detect.Off})
+    selects reconcile-time conflict and race recording; {!Detect.Strict}
+    is rejected ([Invalid_argument]) under update-based reconciliation,
+    whose updated copies satisfy reads without faulting.  The eviction
+    hook is always registered; it fires only on a machine created with a
+    finite cache.  [barrier] selects the reconciliation-barrier timing
+    model (default {!Barrier.Constant}). *)
 
 val policy : t -> Policy.t
 
@@ -82,15 +77,10 @@ val reconcile : t -> unit
     time. *)
 
 val conflicts : t -> Detect.conflict list
-(** Write/write conflicts recorded so far (empty unless [detect]). *)
+(** Write/write conflicts recorded so far (empty under {!Detect.Off}). *)
 
 val races : t -> Detect.race list
-(** Read/write races recorded so far (empty unless [detect]). *)
-
-val dump_block : t -> int -> string
-(** One-line description of a block's directory and cached-copy state,
-    for debugging: home, directory state, LCM holders, pending shadow,
-    and every node's cached tag. *)
+(** Read/write races recorded so far (empty under {!Detect.Off}). *)
 
 val touch_entry : t -> int -> unit
 (** Materialise the directory entry for a block, validating the block

@@ -69,7 +69,6 @@ let policy t = t.pol
 let machine t = t.mach
 
 let wpb t = Gmem.words_per_block (Machine.gmem t.mach)
-let home_of t b = Gmem.home_of_block (Machine.gmem t.mach) b
 
 let ctrl_words = 2
 let data_words t = wpb t + 2
@@ -299,25 +298,6 @@ let reconcile t =
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let dump_block t b =
-  match home_of t b with
-  | exception Invalid_argument _ -> Printf.sprintf "block %d: unallocated" b
-  | home ->
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf
-      (Printf.sprintf "block %d (home %d, %s):" b home t.pol.Policy.name);
-    (match Hashtbl.find_opt t.states b with
-    | None -> Buffer.add_string buf " untouched"
-    | Some sts ->
-      Array.iteri
-        (fun nid st ->
-          if st <> Snoop.I then
-            Buffer.add_string buf
-              (Printf.sprintf " %d:%s" nid (Snoop.state_to_string st)))
-        sts);
-    if Hashtbl.mem t.wb b then Buffer.add_string buf " WB-PENDING";
-    Buffer.contents buf
 
 let owner_state = function Snoop.M | Snoop.O | Snoop.E -> true | _ -> false
 

@@ -52,10 +52,6 @@ val reconcile : t -> unit
     every node joining at its own clock.  No data movement — the bus kept
     memory coherent throughout. *)
 
-val dump_block : t -> int -> string
-(** One-line description of a block's per-node MOESI states and whether
-    a writeback is buffered for it. *)
-
 val check_invariants : t -> (unit, string list) result
 (** Audit the global protocol state when quiescent:
 

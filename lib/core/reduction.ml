@@ -93,8 +93,3 @@ let bxor =
   }
 
 let all = [ int_sum; f32_sum; int_min; int_max; f32_min; f32_max; band; bor; bxor ]
-
-let of_string name =
-  match List.find_opt (fun op -> op.name = name) all with
-  | Some op -> Ok op
-  | None -> Error (Printf.sprintf "unknown reduction %S" name)

@@ -47,7 +47,4 @@ val bor : t
 val bxor : t
 (** Bitwise exclusive-or (non-idempotent: uses the clean baseline). *)
 
-val of_string : string -> (t, string) result
-(** Lookup by [name]; accepts the names of all operators above. *)
-
 val all : t list

@@ -4,13 +4,7 @@ module Memeff = Lcm_tempest.Memeff
 
 type strategy = Agg.strategy = Lcm_directives | Explicit_copy
 
-type phase_snapshot = {
-  label : string;
-  started : int;
-  finished : int;
-  before : (string * int) list;
-  after : (string * int) list;
-}
+type phase = { label : string; cycles : int; deltas : (string * int) list }
 
 type t = {
   proto : Proto.t;
@@ -20,7 +14,7 @@ type t = {
   h_invocations : Lcm_util.Stats.Handle.counter;
   h_phase_cycles : Lcm_util.Stats.Handle.sample;
   schedule : Schedule.t;
-  mutable phase_log : phase_snapshot list; (* newest first *)
+  mutable phase_log : phase list; (* newest first *)
   mutable log_phases : bool;
 }
 
@@ -117,8 +111,17 @@ let parallel_apply t ?(iter = 0) ?(reducers = []) ?flush_between ?schedule ~n
       Printf.sprintf "parallel#%d"
         (Lcm_util.Stats.Handle.value t.h_parallel_calls)
     in
-    let after = Lcm_util.Stats.counters (stats t) in
-    t.phase_log <- { label; started; finished; before; after } :: t.phase_log
+    let deltas =
+      List.filter_map
+        (fun (name, v) ->
+          let d =
+            v - Option.value (List.assoc_opt name before) ~default:0
+          in
+          if d <> 0 then Some (name, d) else None)
+        (Lcm_util.Stats.counters (stats t))
+    in
+    t.phase_log <-
+      { label; cycles = finished - started; deltas } :: t.phase_log
   end
 
 let parallel_apply_2d t ?iter ?reducers ?flush_between ?schedule ~rows ~cols

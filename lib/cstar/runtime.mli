@@ -81,18 +81,18 @@ val stats : t -> Lcm_util.Stats.t
 
 (** {1 Per-phase metrics} *)
 
-type phase_snapshot = {
+type phase = {
   label : string;  (** ["parallel#N"], N counting from 1 *)
-  started : int;  (** max node clock when the parallel call began *)
-  finished : int;  (** max node clock after reconciliation *)
-  before : (string * int) list;  (** counter values at phase start *)
-  after : (string * int) list;  (** counter values at phase end *)
+  cycles : int;  (** phase duration, including reconciliation *)
+  deltas : (string * int) list;
+      (** counters that changed during the phase, with their increment,
+          in {!Lcm_util.Stats.counters} order *)
 }
 
 val enable_phase_log : t -> unit
-(** Start capturing a {!phase_snapshot} around every {!parallel_apply};
-    off by default (snapshotting copies every counter twice per phase). *)
+(** Start recording a {!phase} for every {!parallel_apply}; off by
+    default (recording copies every counter twice per phase). *)
 
-val phase_log : t -> phase_snapshot list
-(** Captured snapshots, oldest first ([[]] when logging is off).  Feed to
-    {!Lcm_harness.Phases} for per-phase deltas and rendering. *)
+val phase_log : t -> phase list
+(** Recorded phases, oldest first ([[]] when logging is off);
+    {!Lcm_harness.Report.phases} renders them. *)

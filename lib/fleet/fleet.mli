@@ -72,10 +72,6 @@ module Progress : sig
   val create : ?out:out_channel -> total:int -> unit -> t
   (** [out] defaults to stderr; redraws come at most every 0.1 s. *)
 
-  val cell_done : t -> label:string -> host_s:float -> unit
-  (** Record one finished cell and maybe redraw.  Called by {!Pool.run}
-      under its own lock — safe from any domain. *)
-
   val finish : t -> unit
   (** Final newline + "N cells in S s" summary with the slowest cells. *)
 end

@@ -31,6 +31,14 @@ let run_cells cells = List.map (fun (_, f) -> f ()) cells
 
 let label ~experiment ~system = experiment ^ "/" ^ system
 
+let audit ~experiment ~system rt =
+  match Lcm_core.Proto.check_invariants (Lcm_cstar.Runtime.proto rt) with
+  | Ok () -> Ok ()
+  | Error es ->
+    Error
+      (Printf.sprintf "%s: protocol invariants violated:\n  %s"
+         (label ~experiment ~system) (String.concat "\n  " es))
+
 let checked_cell ~experiment ~system mk_rt run =
   ( label ~experiment ~system,
     fun () ->
@@ -38,12 +46,9 @@ let checked_cell ~experiment ~system mk_rt run =
       let result = run rt in
       (* every harness run is audited: a protocol-state violation fails the
          whole reproduction rather than silently skewing numbers *)
-      (match Lcm_core.Proto.check_invariants (Lcm_cstar.Runtime.proto rt) with
+      (match audit ~experiment ~system rt with
       | Ok () -> ()
-      | Error es ->
-        failwith
-          (Printf.sprintf "%s/%s: protocol invariants violated:\n  %s" experiment
-             system (String.concat "\n  " es)));
+      | Error msg -> failwith msg);
       { experiment; system; result } )
 
 let stencil_params = function
@@ -434,16 +439,17 @@ let ablation_detection_cells ~scale machine =
       { Threshold.n = 96; iters = 8; threshold = 0.5; work_per_cell = 4 }
   in
   List.map
-    (fun (detect_label, detect, strict) ->
+    (fun (detect_label, detection) ->
       checked_cell ~experiment:"threshold detection" ~system:detect_label
         (fun () ->
           let proto =
-            Lcm_core.Proto.install ~detect ~strict_detection:strict
-              ~policy:Lcm_core.Policy.lcm_mcc (Config.build_machine machine)
+            Lcm_core.Proto.install ~detection ~policy:Lcm_core.Policy.lcm_mcc
+              (Config.build_machine machine)
           in
           Lcm_cstar.Runtime.create proto ~schedule:Schedule.Static)
         (fun rt -> Threshold.run rt p))
-    [ ("off", false, false); ("reconcile-time", true, false); ("strict", true, true) ]
+    Lcm_core.Detect.
+      [ ("off", Off); ("reconcile-time", At_reconcile); ("strict", Strict) ]
 
 let ablation_update_cells ~scale machine =
   (* invalidate- vs update-based reconciliation (Policy.lcm_mcc_update):

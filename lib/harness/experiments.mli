@@ -32,8 +32,16 @@ type row = {
 type cells = (string * (unit -> row)) list
 (** Independent simulation cells: [(label, thunk)], label
     ["<experiment>/<system>"].  Each thunk builds its own machine, runs
-    one simulation, checks protocol invariants (raising [Failure] on
-    violation) and returns its row. *)
+    one simulation, {!audit}s it (raising [Failure] on a violation) and
+    returns its row. *)
+
+val audit :
+  experiment:string -> system:string -> Lcm_cstar.Runtime.t ->
+  (unit, string) result
+(** The protocol audit every finished run gets, in a cell or from a
+    single-benchmark command: {!Lcm_core.Proto.check_invariants} on the
+    runtime's protocol.  [Error] names the run
+    (["<experiment>/<system>"]) and lists every violation. *)
 
 val run_cells : cells -> row list
 (** Execute cells sequentially in list order — the reference semantics

@@ -79,7 +79,8 @@ let trace_digest mach =
     (Machine.trace_events mach);
   (!h, !n)
 
-let of_proto proto =
+let of_runtime rt =
+  let proto = Lcm_cstar.Runtime.proto rt in
   let mach = Lcm_core.Proto.machine proto in
   let trace, trace_events = trace_digest mach in
   {
@@ -89,8 +90,6 @@ let of_proto proto =
     trace;
     trace_events;
   }
-
-let of_runtime rt = of_proto (Lcm_cstar.Runtime.proto rt)
 
 let to_string f =
   Printf.sprintf "cycles=%d mem=%Lx counters=%Lx trace=%Lx/%d" f.cycles f.mem

@@ -18,11 +18,9 @@ type t = {
   trace_events : int;  (** number of retained trace events *)
 }
 
-val of_proto : Lcm_core.Proto.t -> t
-(** Digest a quiescent protocol instance (reads memory via
-    {!Lcm_core.Proto.peek}, so outstanding exclusive copies are followed). *)
-
 val of_runtime : Lcm_cstar.Runtime.t -> t
+(** Digest a quiescent runtime (reads memory via {!Lcm_core.Proto.peek},
+    so outstanding exclusive copies are followed). *)
 
 val to_string : t -> string
 (** ["cycles=%d mem=%Lx counters=%Lx trace=%Lx/%d"] — the format the

@@ -115,8 +115,6 @@ let agreement rows =
       ~header:[ "experiment"; "agreement" ]
       (List.map (fun (e, ok) -> [ e; (if ok then "OK" else "MISMATCH") ]) checks)
 
-let all_agree rows = List.for_all snd (Experiments.verify_agreement rows)
-
 let claims cs =
   "== Paper claims (Section 6.3) ==\n"
   ^ Tablefmt.render
@@ -224,3 +222,24 @@ let generic ~title rows =
              Printf.sprintf "%.5g" r.result.Bench_result.checksum;
            ])
          rows)
+
+let phases log =
+  let counter (p : Lcm_cstar.Runtime.phase) name =
+    Option.value (List.assoc_opt name p.deltas) ~default:0
+  in
+  let cell p name = string_of_int (counter p name) in
+  Tablefmt.render
+    ~header:
+      [ "phase"; "cycles"; "misses"; "remote"; "msgs"; "flushed"; "barrier wait" ]
+    (List.map
+       (fun (p : Lcm_cstar.Runtime.phase) ->
+         [
+           p.label;
+           string_of_int p.cycles;
+           string_of_int (counter p "fault.read" + counter p "fault.write");
+           cell p "proto.fetch_remote";
+           cell p "net.msgs";
+           cell p "lcm.flush_blocks";
+           cell p "lcm.barrier_wait_cycles";
+         ])
+       log)

@@ -3,7 +3,8 @@
     All output is plain text meant to be read next to the paper: one
     table of cycles, slowdown and counters per row set (the figures'
     execution times, Table 1's misses and clean copies, every ablation),
-    the differential check, and the §6.3 claim checklist. *)
+    the differential check, the §6.3 claim checklist, and the per-phase
+    table of a single run ([lcm_sim ... --phases]). *)
 
 (** {1 Shared machine-readable serialization}
 
@@ -54,8 +55,6 @@ val generic : title:string -> Experiments.row list -> string
     access faults, remote fetches, clean copies and messages in thousands
     (the paper's Table 1 with our counters broken out) and the checksum. *)
 
-val all_agree : Experiments.row list -> bool
-
 val memory_usage : Experiments.row list -> string
 (** Clean-copy memory accounting (paper §5.1): copies created vs the peak
     simultaneously alive, per run. *)
@@ -68,3 +67,11 @@ val samples : Experiments.row list -> string
 val message_breakdown : Experiments.row list -> string
 (** Per-message-class counts for each row — which protocol actions a
     workload actually consists of. *)
+
+(** {1 Per-phase metrics} *)
+
+val phases : Lcm_cstar.Runtime.phase list -> string
+(** A runtime's phase log ({!Lcm_cstar.Runtime.phase_log}) as a table of
+    phase, cycles, misses (read+write faults), remote fetches, messages,
+    flushed blocks and barrier-wait cycles — a phase-resolved view of
+    where an application's misses, messages and barrier wait go. *)

@@ -14,16 +14,6 @@ let equal a b = a = b
 let merge_masked ~src ~dst ~mask =
   Lcm_util.Mask.iter mask (fun i -> dst.(i) <- src.(i))
 
-let combine_masked ~f ~src ~dst ~mask =
-  Lcm_util.Mask.iter mask (fun i -> dst.(i) <- f dst.(i) src.(i))
-
-let diff_mask ~clean ~dirty =
-  let mask = ref Lcm_util.Mask.empty in
-  for i = 0 to Array.length clean - 1 do
-    if clean.(i) <> dirty.(i) then mask := Lcm_util.Mask.set !mask i
-  done;
-  !mask
-
 let pp ppf b =
   Format.fprintf ppf "[|";
   Array.iteri

@@ -1,4 +1,4 @@
-(** Cache-block payloads: fixed-size word arrays with the merge operations
+(** Cache-block payloads: fixed-size word arrays with the merge operation
     reconciliation needs.
 
     A block is the coherence and transfer unit of the machine (default
@@ -22,19 +22,5 @@ val equal : t -> t -> bool
 val merge_masked : src:t -> dst:t -> mask:Lcm_util.Mask.t -> unit
 (** [merge_masked ~src ~dst ~mask] copies exactly the masked words of [src]
     into [dst] (last-writer-wins reconciliation). *)
-
-val combine_masked :
-  f:(Word.t -> Word.t -> Word.t) ->
-  src:t ->
-  dst:t ->
-  mask:Lcm_util.Mask.t ->
-  unit
-(** [combine_masked ~f ~src ~dst ~mask] sets [dst.(i) <- f dst.(i) src.(i)]
-    for each masked word — the reduction form of reconciliation. *)
-
-val diff_mask : clean:t -> dirty:t -> Lcm_util.Mask.t
-(** [diff_mask ~clean ~dirty] is the set of word indices whose values
-    differ — the value-diff fallback the paper's implementation used (our
-    protocol prefers exact store masks; see DESIGN.md §3). *)
 
 val pp : Format.formatter -> t -> unit

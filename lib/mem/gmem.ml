@@ -130,8 +130,6 @@ let home_of_addr t a = home_of_block t (block_of_addr t a)
 let offset_in_block t a =
   if t.wpb_shift >= 0 then a land t.wpb_mask else a mod t.words_per_block
 
-let base_of_block t b = b * t.words_per_block
-
 let allocated_words t = t.next_block * t.words_per_block
 let is_allocated t b = b >= 0 && b < t.next_block
 

@@ -65,9 +65,6 @@ val block_of_addr : t -> addr -> block
 
 val offset_in_block : t -> addr -> int
 
-val base_of_block : t -> block -> addr
-(** Address of word 0 of a block. *)
-
 val allocated_words : t -> int
 (** Total words allocated so far. *)
 

@@ -63,5 +63,3 @@ let render = function
 let dump t =
   retained t (fun (time, event) ->
       Printf.sprintf "[t=%d] %s" time (render event))
-
-let clear t = t.next <- 0

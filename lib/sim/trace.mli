@@ -59,5 +59,3 @@ val render : event -> string
 
 val dump : t -> string list
 (** The retained events, oldest first, each as ["\[t=<time>\] <event>"]. *)
-
-val clear : t -> unit

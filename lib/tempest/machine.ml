@@ -425,10 +425,6 @@ let drop_line n b =
   Hashtbl.remove n.lines b;
   invalidate_lookaside n b
 
-let lines_snapshot n =
-  Hashtbl.fold (fun b line acc -> (b, line) :: acc) n.lines []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let master t b =
   match Hashtbl.find t.masters b with
   | data -> data

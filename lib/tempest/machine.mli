@@ -112,10 +112,6 @@ val install_line :
 
 val drop_line : node -> Lcm_mem.Gmem.block -> unit
 
-val lines_snapshot : node -> (Lcm_mem.Gmem.block * line) list
-(** Sorted by block number — used where deterministic order matters
-    (flushes, reconciliation). *)
-
 (** {1 Protocol hooks} *)
 
 val set_handlers :

@@ -107,8 +107,6 @@ let top_seq h =
   if h.size = 0 then invalid_arg "Heap.top_seq: empty heap";
   Array.unsafe_get h.seqs 0
 
-let min_key h = if h.size = 0 then None else Some h.keys.(0)
-
 let top_key h =
   if h.size = 0 then invalid_arg "Heap.top_key: empty heap";
   Array.unsafe_get h.keys 0
@@ -141,8 +139,3 @@ let clear h =
      their last occupant alive until overwritten — acceptable for the int
      and closure payloads this heap carries. *)
   h.size <- 0
-
-let iter_unordered h f =
-  for i = 0 to h.size - 1 do
-    f ~key:h.keys.(i) h.vals.(i)
-  done

@@ -43,9 +43,6 @@ val top_seq : 'a t -> int
 (** [top_seq h] is the tie-break stamp of the minimum element.
     @raise Invalid_argument if [h] is empty. *)
 
-val min_key : 'a t -> int option
-(** [min_key h] is the smallest key in [h], if any. *)
-
 val pop : 'a t -> (int * 'a) option
 (** [pop h] removes and returns the minimum-key element, or [None] if the
     heap is empty. *)
@@ -62,7 +59,3 @@ val pop_exn : 'a t -> 'a
 val clear : 'a t -> unit
 (** [clear h] removes every element.  The heap's internal capacity is
     retained, so a clear-then-refill cycle does not reallocate. *)
-
-val iter_unordered : 'a t -> (key:int -> 'a -> unit) -> unit
-(** [iter_unordered h f] applies [f] to every element in unspecified order,
-    without modifying the heap. *)

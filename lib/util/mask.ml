@@ -11,10 +11,6 @@ let full n =
 let check i =
   if i < 0 || i >= max_words then invalid_arg "Mask: word index out of range"
 
-let singleton i =
-  check i;
-  1 lsl i
-
 let set m i =
   check i;
   m lor (1 lsl i)
@@ -25,7 +21,6 @@ let mem m i =
 
 let union a b = a lor b
 let inter a b = a land b
-let diff a b = a land lnot b
 
 let is_empty m = m = 0
 

@@ -19,9 +19,6 @@ val full : int -> t
 (** [full n] has bits [0 .. n-1] set.  @raise Invalid_argument if [n] is
     not in [\[0, max_words\]]. *)
 
-val singleton : int -> t
-(** [singleton i] has only bit [i] set. *)
-
 val set : t -> int -> t
 (** [set m i] is [m] with bit [i] added. *)
 
@@ -30,7 +27,6 @@ val mem : t -> int -> bool
 
 val union : t -> t -> t
 val inter : t -> t -> t
-val diff : t -> t -> t
 
 val is_empty : t -> bool
 

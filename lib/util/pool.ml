@@ -29,7 +29,6 @@ let create ?poison ~make () =
   { make; poison; free = [||]; nfree = 0; live = 0; created = 0 }
 
 let live p = p.live
-let free_count p = p.nfree
 let created p = p.created
 
 let acquire p =

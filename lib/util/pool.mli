@@ -39,9 +39,6 @@ val live : 'a t -> int
 (** Records currently acquired.  A quiescent simulator should be back to
     a small steady count — the pool tests assert round-trip balance. *)
 
-val free_count : 'a t -> int
-(** Records currently cached on the free list. *)
-
 val created : 'a t -> int
 (** Records ever constructed — the pool's total allocation footprint.
     A pooled hot path shows [created] plateauing at the peak in-flight

@@ -7,12 +7,12 @@ module Memeff = Lcm_tempest.Memeff
 module Gmem = Lcm_mem.Gmem
 module Word = Lcm_mem.Word
 
-let mk ?(nnodes = 4) ?detect ?capacity_blocks policy =
+let mk ?(nnodes = 4) ?detection ?capacity_blocks policy =
   let m =
     Machine.create ?capacity_blocks ~nnodes ~words_per_block:8
       ~topology:Lcm_net.Topology.Crossbar ()
   in
-  let p = Proto.install ?detect ~policy m in
+  let p = Proto.install ?detection ~policy m in
   (m, p)
 
 let alloc m ~dist ~nwords = Gmem.alloc (Machine.gmem m) ~dist ~nwords
@@ -557,23 +557,6 @@ let test_evict_ro_cleans_directory () =
     (Lcm_util.Stats.get (Machine.stats m) "proto.invals");
   Alcotest.(check int) "value written" 1 (Proto.peek p a)
 
-let test_dump_block () =
-  let (m, p) = mk Policy.stache in
-  let a = alloc m ~dist:(Gmem.On 1) ~nwords:8 in
-  let b = Gmem.block_of_addr (Machine.gmem m) a in
-  run_fibers m [ (0, fun () -> Memeff.store a 1) ];
-  let s = Proto.dump_block p b in
-  let contains sub =
-    let nl = String.length sub and hl = String.length s in
-    let rec go i = i + nl <= hl && (String.sub s i nl = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) ("exclusive shown: " ^ s) true (contains "exclusive@0");
-  Alcotest.(check bool) "copy tags shown" true (contains "0:Writable");
-  Alcotest.(check bool) "untracked block" true
-    (let s = Proto.dump_block p 9999 in
-     String.length s > 0)
-
 let test_message_breakdown () =
   let (m, p) = mk Policy.lcm_mcc in
   let a = alloc m ~dist:(Gmem.On 1) ~nwords:8 in
@@ -700,18 +683,14 @@ let test_reduction_ops_unit () =
   Alcotest.(check int) "band" 4 (c Reduction.band ~clean:7 ~current:6 ~incoming:5);
   Alcotest.(check int) "bor" 7 (c Reduction.bor ~clean:0 ~current:6 ~incoming:3);
   Alcotest.(check int) "bxor contribution" (12 lxor 9)
-    (c Reduction.bxor ~clean:0 ~current:12 ~incoming:9);
-  Alcotest.(check bool) "of_string" true
-    (match Reduction.of_string "f32_max" with Ok _ -> true | Error _ -> false);
-  Alcotest.(check bool) "of_string unknown" true
-    (match Reduction.of_string "nope" with Error _ -> true | Ok _ -> false)
+    (c Reduction.bxor ~clean:0 ~current:12 ~incoming:9)
 
 (* ------------------------------------------------------------------ *)
 (* Detection                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let test_conflict_detection () =
-  let (m, p) = mk ~detect:true Policy.lcm_mcc in
+  let (m, p) = mk ~detection:Detect.At_reconcile Policy.lcm_mcc in
   let a = alloc m ~dist:(Gmem.On 0) ~nwords:8 in
   parallel_phase (m, p)
     [
@@ -731,7 +710,7 @@ let test_conflict_detection () =
   | other -> Alcotest.failf "expected one conflict, got %d" (List.length other)
 
 let test_no_false_conflicts () =
-  let (m, p) = mk ~detect:true Policy.lcm_mcc in
+  let (m, p) = mk ~detection:Detect.At_reconcile Policy.lcm_mcc in
   let a = alloc m ~dist:(Gmem.On 0) ~nwords:8 in
   parallel_phase (m, p)
     [
@@ -749,7 +728,7 @@ let test_no_false_conflicts () =
 let test_silent_store_conflict_detected () =
   (* Both writers store the same value: a value-diff scheme would miss it;
      dirty masks must not. *)
-  let (m, p) = mk ~detect:true Policy.lcm_scc in
+  let (m, p) = mk ~detection:Detect.At_reconcile Policy.lcm_scc in
   let a = alloc m ~dist:(Gmem.On 0) ~nwords:8 in
   Proto.poke p a 5;
   parallel_phase (m, p)
@@ -766,7 +745,7 @@ let test_silent_store_conflict_detected () =
   Alcotest.(check int) "silent conflict found" 1 (List.length (Proto.conflicts p))
 
 let test_race_detection () =
-  let (m, p) = mk ~detect:true Policy.lcm_mcc in
+  let (m, p) = mk ~detection:Detect.At_reconcile Policy.lcm_mcc in
   let a = alloc m ~dist:(Gmem.On 0) ~nwords:8 in
   parallel_phase (m, p)
     [
@@ -785,7 +764,7 @@ let test_race_detection () =
    to race detection, which only recorded readers in [serve].  The load
    path must record home reads too. *)
 let test_race_detection_home_reader () =
-  let (m, p) = mk ~detect:true Policy.lcm_mcc in
+  let (m, p) = mk ~detection:Detect.At_reconcile Policy.lcm_mcc in
   let a = alloc m ~dist:(Gmem.On 0) ~nwords:8 in
   parallel_phase (m, p)
     [
@@ -803,16 +782,10 @@ let test_strict_detection_requires_detect () =
   let m =
     Machine.create ~nnodes:2 ~words_per_block:8 ~topology:Lcm_net.Topology.Crossbar ()
   in
-  Alcotest.(check bool) "rejected" true
-    (try
-       ignore (Proto.install ~strict_detection:true ~policy:Policy.lcm_mcc m);
-       false
-     with Invalid_argument _ -> true);
   Alcotest.(check bool) "update policy rejected" true
     (try
        ignore
-         (Proto.install ~detect:true ~strict_detection:true
-            ~policy:Policy.lcm_mcc_update m);
+         (Proto.install ~detection:Detect.Strict ~policy:Policy.lcm_mcc_update m);
        false
      with Invalid_argument _ -> true)
 
@@ -820,14 +793,14 @@ let test_strict_detection_requires_detect () =
    only strict detection (flush all read-only copies at sync points)
    catches it. *)
 let run_cross_phase_race ~strict =
-  let (m, p) = mk ~detect:true Policy.lcm_mcc in
+  let (m, p) = mk ~detection:Detect.At_reconcile Policy.lcm_mcc in
   let m, p =
     if strict then begin
       let m2 =
         Machine.create ~nnodes:4 ~words_per_block:8
           ~topology:Lcm_net.Topology.Crossbar ()
       in
-      (m2, Proto.install ~detect:true ~strict_detection:true ~policy:Policy.lcm_mcc m2)
+      (m2, Proto.install ~detection:Detect.Strict ~policy:Policy.lcm_mcc m2)
     end
     else (m, p)
   in
@@ -863,7 +836,8 @@ let test_strict_detection_costs_invals () =
         ~topology:Lcm_net.Topology.Crossbar ()
     in
     let p =
-      Proto.install ~detect:true ~strict_detection:strict
+      Proto.install
+        ~detection:(if strict then Detect.Strict else Detect.At_reconcile)
         ~policy:Policy.lcm_mcc m
     in
     let a = alloc m ~dist:Gmem.Chunked ~nwords:32 in
@@ -1195,7 +1169,9 @@ let test_policy_registry () =
     (fun p ->
       Alcotest.(check bool)
         (p.Policy.name ^ " family split")
-        (Policy.is_snoop p)
+        (match p.Policy.family with
+         | Policy.Snoop _ -> true
+         | Policy.Directory _ -> false)
         (not (Policy.is_lcm p) && p.Policy.name <> "stache"))
     Policy.policies
 
@@ -1886,7 +1862,6 @@ let () =
         @ [
             ("epoch advances", `Quick, test_epoch_advances_per_reconcile);
             ("evict_ro cleans directory", `Quick, test_evict_ro_cleans_directory);
-            ("dump block", `Quick, test_dump_block);
             ("message breakdown", `Quick, test_message_breakdown);
             ("peek/poke untouched", `Quick, test_peek_poke_untouched_address);
           ] );

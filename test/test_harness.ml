@@ -107,7 +107,7 @@ let test_agreement_detects_mismatch () =
   let checks = Experiments.verify_agreement rows in
   Alcotest.(check bool) "good agrees" true (List.assoc "good" checks);
   Alcotest.(check bool) "bad flagged" false (List.assoc "bad" checks);
-  Alcotest.(check bool) "all_agree false" false (Report.all_agree rows)
+  Alcotest.(check bool) "not all agree" false (List.for_all snd checks)
 
 let synthetic_rows =
   (* cycles chosen so every §6.3 claim direction holds *)
@@ -234,7 +234,10 @@ let test_families_honour_fault_plan () =
         (fun (r : Experiments.row) ->
           let bus =
             match Lcm_core.Policy.of_string r.Experiments.system with
-            | Ok s -> Lcm_core.Policy.is_snoop s.Config.policy
+            | Ok s -> (
+              match s.Config.policy.Lcm_core.Policy.family with
+              | Lcm_core.Policy.Snoop _ -> true
+              | Lcm_core.Policy.Directory _ -> false)
             | Error _ -> false
           in
           let count k =
@@ -260,7 +263,8 @@ let test_figure2_pipeline_tiny () =
   in
   let rows = Sweep.rows results in
   Alcotest.(check int) "6 rows" 6 (List.length rows);
-  Alcotest.(check bool) "systems agree" true (Report.all_agree rows);
+  Alcotest.(check bool) "systems agree" true
+    (List.for_all snd (Experiments.verify_agreement rows));
   let csv = Sweep.summary_csv results in
   Alcotest.(check int) "csv lines" 7
     (List.length (String.split_on_char '\n' (String.trim csv)))
@@ -272,7 +276,8 @@ let test_figure3_pipeline_tiny () =
   in
   let rows = tiny Experiments.figure3_cells in
   Alcotest.(check int) "12 rows" 12 (List.length rows);
-  Alcotest.(check bool) "systems agree" true (Report.all_agree rows);
+  Alcotest.(check bool) "systems agree" true
+    (List.for_all snd (Experiments.verify_agreement rows));
   (* every claim is computable over figure2+figure3 rows *)
   let all = tiny Experiments.figure2_cells @ rows in
   List.iter
@@ -400,6 +405,39 @@ let test_validate_rejects_non_traces () =
         "non-monotone timestamps" );
     ]
 
+(* The audit single-benchmark commands and experiment cells share: clean
+   on a finished run, and on a hand-corrupted one an error naming the run
+   and the violation. *)
+let test_audit_reports_corrupted_run () =
+  let rt =
+    Config.make_runtime
+      { Config.default_machine with Config.nnodes = 4 }
+      Config.lcm_mcc ~schedule:Lcm_cstar.Schedule.Static
+  in
+  ignore
+    (Lcm_apps.Stencil.run rt { Lcm_apps.Stencil.n = 12; iters = 2; work_per_cell = 2 });
+  let audit () = Experiments.audit ~experiment:"stencil" ~system:"LCM-mcc" rt in
+  Alcotest.(check bool) "finished run audits clean" true (audit () = Ok ());
+  (* a remote reader gives block 0 a directory entry, then gains a
+     Writable line behind the protocol's back *)
+  let m = Lcm_cstar.Runtime.machine rt in
+  let home = Lcm_mem.Gmem.home_of_addr (Lcm_tempest.Machine.gmem m) 0 in
+  let reader = (home + 1) mod 4 in
+  Lcm_cstar.Runtime.sequential rt ~node:reader (fun () ->
+      ignore (Lcm_tempest.Memeff.load 0));
+  ignore
+    (Lcm_tempest.Machine.install_line (Lcm_tempest.Machine.node m reader) 0
+       ~data:(Lcm_mem.Block.make ~words:8) ~tag:Lcm_tempest.Tag.Writable);
+  match audit () with
+  | Ok () -> Alcotest.fail "audit missed a forged Writable line"
+  | Error msg ->
+    Alcotest.(check bool) ("names the run: " ^ msg) true
+      (contains msg "stencil/LCM-mcc: protocol invariants violated");
+    Alcotest.(check bool) ("names the violation: " ^ msg) true
+      (contains msg
+         (Printf.sprintf "block 0: node %d holds Writable without ownership"
+            reader))
+
 let test_phase_log_deltas () =
   let rt =
     Config.make_runtime
@@ -409,18 +447,18 @@ let test_phase_log_deltas () =
   Lcm_cstar.Runtime.enable_phase_log rt;
   ignore
     (Lcm_apps.Stencil.run rt { Lcm_apps.Stencil.n = 12; iters = 3; work_per_cell = 2 });
-  let rows = Phases.of_log (Lcm_cstar.Runtime.phase_log rt) in
+  let rows = Lcm_cstar.Runtime.phase_log rt in
   Alcotest.(check bool) "one row per parallel call" true (List.length rows >= 3);
   List.iter
-    (fun (r : Phases.row) ->
-      Alcotest.(check bool) "positive phase duration" true (r.Phases.cycles > 0);
+    (fun (r : Lcm_cstar.Runtime.phase) ->
+      Alcotest.(check bool) "positive phase duration" true (r.cycles > 0);
       Alcotest.(check bool) "non-negative deltas" true
-        (List.for_all (fun (_, d) -> d >= 0) r.Phases.deltas))
+        (List.for_all (fun (_, d) -> d >= 0) r.deltas))
     rows;
-  let labels = List.map (fun (r : Phases.row) -> r.Phases.label) rows in
+  let labels = List.map (fun (r : Lcm_cstar.Runtime.phase) -> r.label) rows in
   Alcotest.(check bool) "labels numbered from 1" true
     (List.mem "parallel#1" labels);
-  let table = Phases.render rows in
+  let table = Report.phases rows in
   Alcotest.(check bool) "render has header" true
     (String.length table > 0
     && List.exists
@@ -452,6 +490,7 @@ let () =
           ("agreement mismatch", `Quick, test_agreement_detects_mismatch);
           ("claims hold on paper numbers", `Quick, test_claims_all_hold_on_paper_numbers);
           ("claims detect inversion", `Quick, test_claims_detect_inversion);
+          ("audit reports a corrupted run", `Quick, test_audit_reports_corrupted_run);
         ] );
       ( "report",
         [
