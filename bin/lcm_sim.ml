@@ -22,6 +22,16 @@ let int_at_least min =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* A fraction in [0, 1] (NaN is not one), with the same clean error. *)
+let fraction =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f >= 0.0 && f <= 1.0 -> Ok f
+    | Some _ -> Error (`Msg "must be in [0, 1]")
+    | None -> Error (`Msg (Printf.sprintf "invalid number %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 (* A negative verdict exits 1: cmdliner keeps 124 for a command line it
    rejected before anything ran, so the two never mix.  Each command that
    can reach one lists the code in its --help EXIT STATUS. *)
@@ -86,14 +96,16 @@ let topology_arg =
   Arg.(value & opt topology_conv (Lcm_net.Topology.Fat_tree { arity = 4 })
        & info [ "topology" ] ~docv:"TOPO" ~doc:"crossbar, mesh:COLS or fattree:ARITY.")
 
-let size_arg default =
-  Arg.(value & opt int default & info [ "size" ] ~docv:"SIZE" ~doc:"Problem size.")
+let size_arg ?(min = 1) default =
+  Arg.(value & opt (int_at_least min) default
+       & info [ "size" ] ~docv:"SIZE" ~doc:"Problem size.")
 
 let iters_arg default =
-  Arg.(value & opt int default & info [ "iters" ] ~docv:"ITERS" ~doc:"Iterations.")
+  Arg.(value & opt (int_at_least 0) default
+       & info [ "iters" ] ~docv:"ITERS" ~doc:"Iterations.")
 
 let capacity_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some (int_at_least 1)) None
        & info [ "capacity" ] ~docv:"BLOCKS" ~doc:"Finite per-node cache, in blocks.")
 
 let barrier_conv =
@@ -158,9 +170,8 @@ let fault_profile_arg =
 
 let faults_term =
   let build rate seed profile =
-    if rate < 0.0 then
-      `Error (false, Printf.sprintf "fault rate %g not in [0,1]" rate)
-    else if rate = 0.0 then `Ok None
+    (* of_profile rejects a rate outside [0,1] *)
+    if rate = 0.0 then `Ok None
     else
       match Lcm_net.Faults.of_profile profile ~rate ~seed with
       | Ok plan -> `Ok (Some plan)
@@ -223,7 +234,7 @@ let finish_observability rt ~trace ~trace_out ~phases =
   if phases then
     print_string (Report.phases (Lcm_cstar.Runtime.phase_log rt))
 
-let simple_bench name ~default_size ~default_iters ~paper ~run_fn =
+let simple_bench ?min_size name ~default_size ~default_iters ~paper ~run_fn =
   let run system schedule nodes topology capacity barrier faults size iters
       stats paper trace trace_out trace_cap phases =
     let rt =
@@ -237,7 +248,8 @@ let simple_bench name ~default_size ~default_iters ~paper ~run_fn =
   let term =
     Term.(
       const run $ system_arg $ schedule_arg $ nodes_arg $ topology_arg
-      $ capacity_arg $ barrier_arg $ faults_term $ size_arg default_size
+      $ capacity_arg $ barrier_arg $ faults_term
+      $ size_arg ?min:min_size default_size
       $ iters_arg default_iters $ stats_arg $ paper $ trace_arg
       $ trace_out_arg $ trace_cap_arg $ phases_arg)
   in
@@ -287,7 +299,9 @@ let sor_cmd =
       Sor.run rt { Sor.n = size; iters; omega = 1.5; work_per_cell = 4 })
 
 let unstructured_cmd =
-  simple_bench "unstructured" ~default_size:256 ~default_iters:64
+  (* 4·size edges fit on size nodes, without self-loops or repeated
+     edges, from 9 nodes up *)
+  simple_bench "unstructured" ~min_size:9 ~default_size:256 ~default_iters:64
     ~paper:paper_arg ~run_fn:(fun rt ~size ~iters ~paper ->
       let p =
         if paper then Unstructured.paper
@@ -338,7 +352,7 @@ let false_sharing_cmd =
 
 let nbody_cmd =
   let refresh_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_at_least 1)) None
          & info [ "refresh" ] ~docv:"K"
              ~doc:"Refresh stale copies every K iterations (omit for fresh).")
   in
@@ -368,7 +382,7 @@ let synthetic_cmd =
              ~doc:"private, neighbour, random or hot:BLOCKS.")
   in
   let reads_arg =
-    Arg.(value & opt float 0.75
+    Arg.(value & opt fraction 0.75
          & info [ "reads" ] ~docv:"FRACTION" ~doc:"Fraction of ops that read.")
   in
   let run system schedule nodes topology faults sharing reads size iters stats
@@ -519,6 +533,7 @@ let experiments_cmd =
     let machine =
       { Config.default_machine with Config.nnodes = nodes; topology; faults }
     in
+    let jobs = Fleet.resolve_jobs jobs in
     let figure_families, ablation_families =
       List.partition
         (fun (n, _) -> n = "figure2" || n = "figure3")
@@ -548,7 +563,9 @@ let experiments_cmd =
       else None
     in
     let t0 = Unix.gettimeofday () in
-    let results = Sweep.run ~jobs ~budget ?progress cells in
+    let results =
+      Fleet.Pool.run ~jobs ~budget ?progress (Array.of_list cells)
+    in
     let wall = Unix.gettimeofday () -. t0 in
     Option.iter Fleet.Progress.finish progress;
     let rows = Sweep.rows results in
@@ -608,7 +625,7 @@ let experiments_cmd =
     Printf.printf
       "sweep: %d cells (%d ok, %d failed, %d timed-out) in %.2fs host time, jobs=%d\n"
       (Array.length results) (List.length rows) (List.length failed)
-      (List.length timed_out) wall (Fleet.resolve_jobs jobs);
+      (List.length timed_out) wall jobs;
     List.iter
       (fun (r : _ Fleet.cell_result) ->
         Printf.eprintf "  cell %d %s: %s\n" r.Fleet.index r.Fleet.label

@@ -15,6 +15,14 @@ let paper = { nodes = 256; edges = 1024; iters = 512; seed = 11; work_per_node =
 (* Random multigraph-free undirected graph: a Hamiltonian ring for
    connectivity plus random extra edges, deterministic in the seed. *)
 let build_graph ~nodes ~edges ~seed =
+  (* past this many the loop below would never find a new edge *)
+  let simple = nodes * (nodes - 1) / 2 in
+  if edges > simple then
+    invalid_arg
+      (Printf.sprintf
+         "Unstructured.build_graph: %d edges, but a simple graph on %d nodes \
+          has at most %d"
+         edges nodes simple);
   let rng = Lcm_util.Rng.create ~seed in
   let seen = Hashtbl.create (edges * 2) in
   let adj = Array.make nodes [] in
@@ -42,13 +50,11 @@ let init_value i = float_of_int ((i * 37 mod 101) - 50)
 
 (* Deterministic permutation of value slots: graph nodes are stored in
    construction order, so the partition's write sets straddle cache blocks
-   — multiple processors write words of the same block every iteration. *)
-let scatter { nodes; seed; _ } u =
-  (* multiplicative hash modulo a unit: pick an odd multiplier coprime with
-     [nodes] by construction (nodes is a power-of-two-ish size in practice,
-     any odd a works when nodes is a power of two; otherwise fall back to a
-     full permutation table) *)
-  ignore seed;
+   — multiple processors write words of the same block every iteration.
+   Multiplication by a unit modulo [nodes] is the permutation: any odd
+   multiplier when [nodes] is a power of two, else the prime 7919, a unit
+   for every size it does not divide.  The graph's [seed] plays no part. *)
+let scatter { nodes; _ } u =
   if nodes land (nodes - 1) = 0 then (u * 0x9E5) land (nodes - 1)
   else (u * 7919 mod nodes + nodes) mod nodes
 

@@ -25,12 +25,17 @@ val scatter : params -> int -> int
 (** [scatter p u] is the storage slot of graph node [u]: values are laid
     out in construction order, which a post-hoc partition does not align to
     cache blocks — so neighbouring invocations write words of shared blocks
-    (the irregular-structure behaviour the paper measures). *)
+    (the irregular-structure behaviour the paper measures).  The slots
+    depend on [p.nodes] alone and permute [\[0, p.nodes)] for every size
+    but the multiples of 7919 that are not powers of two. *)
 
 val paper : params
 (** 256 nodes / 1024 edges / 512 iterations. *)
 
 val run : Lcm_cstar.Runtime.t -> params -> Bench_result.t
+(** @raise Invalid_argument when [edges] exceeds [nodes * (nodes - 1) / 2],
+    the most a graph without self-loops or repeated edges has. *)
 
 val reference : params -> float
-(** Host-side sequential reference checksum. *)
+(** Host-side sequential reference checksum.
+    @raise Invalid_argument as {!run} does. *)

@@ -1,4 +1,4 @@
-module ISet = Lcm_util.Nodeset
+module ISet = Set.Make (Int)
 module Machine = Lcm_tempest.Machine
 module Memeff = Lcm_tempest.Memeff
 module Tag = Lcm_tempest.Tag

@@ -126,6 +126,9 @@ end
 
 module Pool = struct
   let run_cell ~(budget : Budget.t) ~index ~label thunk =
+    (* a [Failed] outcome carries its backtrace, and a domain records one
+       only once asked to: spawned domains start with recording off *)
+    Printexc.record_backtrace true;
     let t0 = Unix.gettimeofday () in
     let guard =
       Option.map
@@ -163,43 +166,29 @@ module Pool = struct
     let n = Array.length cells in
     let results = Array.make n None in
     let progress_mu = Mutex.create () in
-    let note_done (r : _ cell_result) =
-      match progress with
-      | None -> ()
-      | Some p ->
-        Mutex.protect progress_mu (fun () ->
-            Progress.cell_done p ~label:r.label ~host_s:r.host_s)
+    let next = Atomic.make 0 in
+    let rec worker () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        let label, thunk = cells.(i) in
+        let r = run_cell ~budget ~index:i ~label thunk in
+        (* distinct slots: no two domains ever write the same index *)
+        results.(i) <- Some r;
+        Option.iter
+          (fun p ->
+            Mutex.protect progress_mu (fun () ->
+                Progress.cell_done p ~label ~host_s:r.host_s))
+          progress;
+        worker ()
+      end
     in
-    let do_cell i =
-      let label, thunk = cells.(i) in
-      let r = run_cell ~budget ~index:i ~label thunk in
-      (* distinct slots: no two domains ever write the same index *)
-      results.(i) <- Some r;
-      note_done r
+    (* the calling domain is the last of the [jobs] workers, and at
+       [jobs = 1] the only one: no domain is spawned *)
+    let others =
+      Array.init (min jobs (max 1 n) - 1) (fun _ -> Domain.spawn worker)
     in
-    let jobs = min jobs (max 1 n) in
-    if jobs <= 1 then
-      for i = 0 to n - 1 do
-        do_cell i
-      done
-    else begin
-      Printexc.record_backtrace true;
-      let next = Atomic.make 0 in
-      let worker () =
-        let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            do_cell i;
-            loop ()
-          end
-        in
-        loop ()
-      in
-      let others = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-      (* the calling domain is the jobs-th worker *)
-      worker ();
-      Array.iter Domain.join others
-    end;
+    worker ();
+    Array.iter Domain.join others;
     Array.map
       (function
         | Some r -> r

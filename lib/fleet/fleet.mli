@@ -84,12 +84,12 @@ module Pool : sig
     (string * (unit -> 'a)) array ->
     'a cell_result array
   (** [run cells] executes every [(label, thunk)] cell and returns results
-      in submission order.  [jobs] defaults to [1] (run inline on the
-      calling domain — deterministic-sequential, no domains spawned); [0]
-      means auto.  With [jobs > 1], [jobs - 1] worker domains are spawned
-      and the calling domain participates; cells are claimed from a shared
-      index so the schedule is work-stealing-ish, but the {e result array}
-      is identical at any job count for deterministic cells.  Budget and
-      crash outcomes are per-cell; the sweep itself never raises on a
-      failing cell. *)
+      in submission order.  [jobs] defaults to [1]; [0] means auto.  The
+      calling domain is one of the [jobs] workers: at [jobs = 1] it is the
+      only one and runs the cells in index order, with no domain spawned;
+      otherwise [jobs - 1] more domains are spawned.  Workers claim cells
+      from a shared index, so the schedule is work-stealing-ish, but the
+      {e result array} is identical at any job count for deterministic
+      cells.  Budget and crash outcomes are per-cell; the sweep itself
+      never raises on a failing cell. *)
 end

@@ -7,8 +7,6 @@ type row = { experiment : string; system : string; result : Bench_result.t }
 
 type cells = (string * (unit -> row)) list
 
-let dyn_seed = 5
-
 let scale_to_string = function
   | Tiny -> "tiny"
   | Quick -> "quick"
@@ -24,8 +22,8 @@ let scale_of_string s =
 (* Every experiment is a {e cell}: an independent, self-contained thunk
    that builds its own runtime, runs one (benchmark × system) simulation
    and returns a row.  Cells never share mutable state, which is what lets
-   {!Sweep} run them across domains; [run_cells] executes them in list
-   order, the reference every parallel sweep must match. *)
+   the fleet pool run them across domains; [run_cells] executes them in
+   list order, the reference every parallel sweep must match. *)
 
 let run_cells cells = List.map (fun (_, f) -> f ()) cells
 
@@ -87,32 +85,36 @@ let unstructured_params = function
   | Quick -> { Unstructured.nodes = 256; edges = 1024; iters = 24; seed = 11; work_per_node = 6 }
   | Paper -> Unstructured.paper
 
-let run_systems_cells machine ~experiment ~schedule run =
+let dynamic = Schedule.Dynamic_random 5 (* one seed for every dynamic cell *)
+
+(* One cell per system: [run] on [machine] under each of [systems], in
+   order, with [schedule]. *)
+let systems_cells ?(schedule = Schedule.Static) machine ~experiment systems run =
   List.map
     (fun system ->
       checked_cell ~experiment ~system:system.Config.label
         (fun () -> Config.make_runtime machine system ~schedule)
         run)
-    Config.systems
+    systems
 
 let figure2_cells ~scale machine =
   let p = stencil_params scale in
-  run_systems_cells machine ~experiment:"stencil-stat" ~schedule:Schedule.Static
+  systems_cells machine ~experiment:"stencil-stat" Config.systems
     (fun rt -> Stencil.run rt p)
-  @ run_systems_cells machine ~experiment:"stencil-dyn"
-      ~schedule:(Schedule.Dynamic_random dyn_seed) (fun rt -> Stencil.run rt p)
+  @ systems_cells ~schedule:dynamic machine ~experiment:"stencil-dyn"
+      Config.systems (fun rt -> Stencil.run rt p)
 
 let figure3_cells ~scale machine =
   let ap = adaptive_params scale in
   let tp = threshold_params scale in
   let up = unstructured_params scale in
-  run_systems_cells machine ~experiment:"adaptive-stat" ~schedule:Schedule.Static
+  systems_cells machine ~experiment:"adaptive-stat" Config.systems
     (fun rt -> Adaptive.run rt ap)
-  @ run_systems_cells machine ~experiment:"adaptive-dyn"
-      ~schedule:(Schedule.Dynamic_random dyn_seed) (fun rt -> Adaptive.run rt ap)
-  @ run_systems_cells machine ~experiment:"threshold" ~schedule:Schedule.Static
+  @ systems_cells ~schedule:dynamic machine ~experiment:"adaptive-dyn"
+      Config.systems (fun rt -> Adaptive.run rt ap)
+  @ systems_cells machine ~experiment:"threshold" Config.systems
       (fun rt -> Threshold.run rt tp)
-  @ run_systems_cells machine ~experiment:"unstructured" ~schedule:Schedule.Static
+  @ systems_cells machine ~experiment:"unstructured" Config.systems
       (fun rt -> Unstructured.run rt up)
 
 let group_by_experiment rows =
@@ -262,12 +264,9 @@ let ablation_false_sharing_cells ~scale machine =
     | Tiny -> { False_sharing.blocks = 16; rounds = 4 }
     | Quick | Paper -> { False_sharing.blocks = 64; rounds = 20 }
   in
-  List.map
-    (fun system ->
-      checked_cell ~experiment:"false-sharing" ~system:system.Config.label
-        (fun () -> Config.make_runtime machine system ~schedule:Schedule.Static)
-        (fun rt -> False_sharing.run rt p))
+  systems_cells machine ~experiment:"false-sharing"
     [ Config.stache; Config.lcm_scc; Config.lcm_mcc ]
+    (fun rt -> False_sharing.run rt p)
 
 let ablation_stale_cells ~scale machine =
   let p =
@@ -277,12 +276,10 @@ let ablation_stale_cells ~scale machine =
   in
   (* each refresh mode computes a different result by design, so each is
      its own experiment *)
-  List.map
+  List.concat_map
     (fun mode ->
-      checked_cell ~experiment:("nbody-" ^ Nbody_stale.mode_name mode)
-        ~system:Config.lcm_mcc.Config.label
-        (fun () -> Config.make_runtime machine Config.lcm_mcc ~schedule:Schedule.Static)
-        (fun rt -> Nbody_stale.run rt mode p))
+      systems_cells machine ~experiment:("nbody-" ^ Nbody_stale.mode_name mode)
+        [ Config.lcm_mcc ] (fun rt -> Nbody_stale.run rt mode p))
     [ `Fresh; `Stale 2; `Stale 4; `Stale 8 ]
 
 let ablation_block_reuse_cells ~scale machine =
@@ -293,15 +290,9 @@ let ablation_block_reuse_cells ~scale machine =
   in
   List.concat_map
     (fun wpb ->
-      let machine = { machine with Config.words_per_block = wpb } in
-      List.map
-        (fun system ->
-          checked_cell
-            ~experiment:(Printf.sprintf "stencil wpb=%d" wpb)
-            ~system:system.Config.label
-            (fun () -> Config.make_runtime machine system ~schedule:Schedule.Static)
-            (fun rt -> Stencil.run rt p))
-        [ Config.lcm_scc; Config.lcm_mcc ])
+      systems_cells { machine with Config.words_per_block = wpb }
+        ~experiment:(Printf.sprintf "stencil wpb=%d" wpb)
+        [ Config.lcm_scc; Config.lcm_mcc ] (fun rt -> Stencil.run rt p))
     [ 2; 4; 8; 16 ]
 
 let small_stencil_params = function
@@ -312,18 +303,12 @@ let ablation_schedule_cells ~scale machine =
   let p = small_stencil_params scale in
   List.concat_map
     (fun (sname, schedule) ->
-      List.map
-        (fun system ->
-          checked_cell
-            ~experiment:("stencil sched=" ^ sname)
-            ~system:system.Config.label
-            (fun () -> Config.make_runtime machine system ~schedule)
-            (fun rt -> Stencil.run rt p))
-        [ Config.stache; Config.lcm_mcc ])
+      systems_cells ~schedule machine ~experiment:("stencil sched=" ^ sname)
+        [ Config.stache; Config.lcm_mcc ] (fun rt -> Stencil.run rt p))
     [
       ("static", Schedule.Static);
       ("rotate", Schedule.Dynamic_rotate);
-      ("random", Schedule.Dynamic_random dyn_seed);
+      ("random", dynamic);
     ]
 
 let ablation_topology_cells ~scale machine =
@@ -332,45 +317,32 @@ let ablation_topology_cells ~scale machine =
   let p = small_stencil_params scale in
   List.concat_map
     (fun (tname, topology) ->
-      let machine = { machine with Config.topology } in
-      List.map
-        (fun system ->
-          checked_cell
-            ~experiment:("stencil-dyn topo=" ^ tname)
-            ~system:system.Config.label
-            (fun () ->
-              Config.make_runtime machine system
-                ~schedule:(Schedule.Dynamic_random dyn_seed))
-            (fun rt -> Stencil.run rt p))
-        [ Config.stache; Config.lcm_mcc ])
+      systems_cells ~schedule:dynamic { machine with Config.topology }
+        ~experiment:("stencil-dyn topo=" ^ tname)
+        [ Config.stache; Config.lcm_mcc ] (fun rt -> Stencil.run rt p))
     [
       ("crossbar", Lcm_net.Topology.Crossbar);
       ("mesh8", Lcm_net.Topology.Mesh2d { cols = 8 });
       ("fattree4", Lcm_net.Topology.Fat_tree { arity = 4 });
     ]
 
-let ablation_scaling_cells ~scale machine =
-  (* weak scaling: per-node work held constant (a fixed-height band each)
-     while the machine grows; reconciliation and boundary traffic grow
-     with P *)
-  let band, iters, sizes =
-    match scale with
-    | Tiny -> (12, 2, [ 4; 8 ])
-    | Quick | Paper -> (24, 3, [ 4; 8; 16; 32 ])
-  in
+(* Weak scaling: per-node work held constant (a fixed-height band each)
+   while the machine grows through [sizes], and on to 32 nodes above
+   [Tiny]. *)
+let weak_scaling_cells ~scale machine ~experiment ~sizes systems =
+  let band, iters = match scale with Tiny -> (12, 2) | Quick | Paper -> (24, 3) in
   List.concat_map
     (fun nnodes ->
-      let machine = { machine with Config.nnodes } in
       let p = { Stencil.n = band * nnodes; iters; work_per_cell = 4 } in
-      List.map
-        (fun system ->
-          checked_cell
-            ~experiment:(Printf.sprintf "stencil weak-scaling P=%d" nnodes)
-            ~system:system.Config.label
-            (fun () -> Config.make_runtime machine system ~schedule:Schedule.Static)
-            (fun rt -> Stencil.run rt p))
-        [ Config.stache; Config.lcm_mcc ])
-    sizes
+      systems_cells { machine with Config.nnodes } ~experiment:(experiment nnodes)
+        systems (fun rt -> Stencil.run rt p))
+    (match scale with Tiny -> sizes | Quick | Paper -> sizes @ [ 16; 32 ])
+
+let ablation_scaling_cells ~scale machine =
+  (* reconciliation and boundary traffic grow with P *)
+  weak_scaling_cells ~scale machine ~sizes:[ 4; 8 ]
+    ~experiment:(Printf.sprintf "stencil weak-scaling P=%d")
+    [ Config.stache; Config.lcm_mcc ]
 
 let dir_vs_snoop_cells ~scale machine =
   (* the crossover family: the same weak-scaling stencil on the directory
@@ -383,24 +355,9 @@ let dir_vs_snoop_cells ~scale machine =
      takes over the critical path: the classic why-buses-don't-scale
      crossover.  Both systems are coherent, so verify_agreement holds
      across the engines — same checksums, different cycle counts. *)
-  let band, iters, sizes =
-    match scale with
-    | Tiny -> (12, 2, [ 2; 4; 8 ])
-    | Quick | Paper -> (24, 3, [ 2; 4; 8; 16; 32 ])
-  in
-  List.concat_map
-    (fun nnodes ->
-      let machine = { machine with Config.nnodes } in
-      let p = { Stencil.n = band * nnodes; iters; work_per_cell = 4 } in
-      List.map
-        (fun system ->
-          checked_cell
-            ~experiment:(Printf.sprintf "dir-vs-snoop P=%d" nnodes)
-            ~system:system.Config.label
-            (fun () -> Config.make_runtime machine system ~schedule:Schedule.Static)
-            (fun rt -> Stencil.run rt p))
-        [ Config.stache; Config.mesi ])
-    sizes
+  weak_scaling_cells ~scale machine ~sizes:[ 2; 4; 8 ]
+    ~experiment:(Printf.sprintf "dir-vs-snoop P=%d")
+    [ Config.stache; Config.mesi ]
 
 let ablation_cost_sensitivity_cells ~scale machine =
   (* robustness: the headline comparisons should not depend on the exact
@@ -413,16 +370,10 @@ let ablation_cost_sensitivity_cells ~scale machine =
       in
       List.concat_map
         (fun (sname, schedule) ->
-          List.map
-            (fun system ->
-              checked_cell
-                ~experiment:
-                  (Printf.sprintf "stencil-%s costs x%.1f" sname cost_scale)
-                ~system:system.Config.label
-                (fun () -> Config.make_runtime machine system ~schedule)
-                (fun rt -> Stencil.run rt p))
-            [ Config.stache; Config.lcm_mcc ])
-        [ ("stat", Schedule.Static); ("dyn", Schedule.Dynamic_random dyn_seed) ])
+          systems_cells ~schedule machine
+            ~experiment:(Printf.sprintf "stencil-%s costs x%.1f" sname cost_scale)
+            [ Config.stache; Config.lcm_mcc ] (fun rt -> Stencil.run rt p))
+        [ ("stat", Schedule.Static); ("dyn", dynamic) ])
     [ 0.5; 1.0; 2.0 ]
 
 let ablation_detection_cells ~scale machine =
@@ -458,13 +409,9 @@ let ablation_update_cells ~scale machine =
   let p = small_stencil_params scale in
   List.concat_map
     (fun (sname, schedule) ->
-      List.map
-        (fun system ->
-          checked_cell ~experiment:("stencil " ^ sname) ~system:system.Config.label
-            (fun () -> Config.make_runtime machine system ~schedule)
-            (fun rt -> Stencil.run rt p))
-        [ Config.lcm_mcc; Config.lcm_mcc_update ])
-    [ ("static", Schedule.Static); ("dyn", Schedule.Dynamic_random dyn_seed) ]
+      systems_cells ~schedule machine ~experiment:("stencil " ^ sname)
+        [ Config.lcm_mcc; Config.lcm_mcc_update ] (fun rt -> Stencil.run rt p))
+    [ ("static", Schedule.Static); ("dyn", dynamic) ]
 
 let ablation_barrier_cells ~scale machine =
   (* Reconciliation organised as a central coordinator vs a combining tree
@@ -500,15 +447,9 @@ let ablation_capacity_cells ~scale machine =
   let p = small_stencil_params scale in
   List.concat_map
     (fun (cap_label, hw_cache_blocks) ->
-      let machine = { machine with Config.hw_cache_blocks } in
-      List.map
-        (fun system ->
-          checked_cell
-            ~experiment:("stencil-stat hw-cache " ^ cap_label)
-            ~system:system.Config.label
-            (fun () -> Config.make_runtime machine system ~schedule:Schedule.Static)
-            (fun rt -> Stencil.run rt p))
-        [ Config.stache; Config.lcm_mcc ])
+      systems_cells { machine with Config.hw_cache_blocks }
+        ~experiment:("stencil-stat hw-cache " ^ cap_label)
+        [ Config.stache; Config.lcm_mcc ] (fun rt -> Stencil.run rt p))
     [ ("none", None); ("64 blocks", Some 64); ("16 blocks", Some 16) ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,12 +1,13 @@
 (** The paper's evaluation, experiment by experiment.
 
     Each family is a list of {e cells}: independent (benchmark ×
-    memory-system) simulations that share no mutable state, so {!Sweep}
-    can run them across domains.  Figure 2 is Stencil (static and dynamic)
-    under the three systems; Figure 3 is Adaptive (static and dynamic),
-    Threshold and Unstructured; Table 1's miss/clean-copy counters come
-    from the same runs.  The ablations cover the paper's §7 extensions and
-    the design choices DESIGN.md calls out.
+    memory-system) simulations that share no mutable state, so
+    {!Lcm_fleet.Fleet.Pool.run} can run them across domains.  Figure 2 is
+    Stencil (static and dynamic) under the three systems; Figure 3 is
+    Adaptive (static and dynamic), Threshold and Unstructured; Table 1's
+    miss/clean-copy counters come from the same runs.  The ablations
+    cover the paper's §7 extensions and the design choices DESIGN.md
+    calls out.
 
     The differential check relies on one rule: cells that share an
     experiment compute the same result, so a family gives a cell whose

@@ -13,6 +13,7 @@ module Barrier = Lcm_core.Barrier
 module Reduction = Lcm_core.Reduction
 module Topology = Lcm_net.Topology
 module Rng = Lcm_util.Rng
+module Fleet = Lcm_fleet.Fleet
 
 type op =
   | Load of int  (* word index within the region *)
@@ -683,15 +684,14 @@ let shrink_with ?(max_tries = 300) still_fails prog =
   in
   go prog
 
-let shrink ?faults prog =
-  shrink_with (fun p -> Result.is_error (run_case ?faults p)) prog
-
 (* ------------------------------------------------------------------ *)
 (* Drivers                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let report_failure ?faults prog err =
-  let small = shrink ?faults prog in
+  let small =
+    shrink_with (fun p -> Result.is_error (run_case ?faults p)) prog
+  in
   let small_err =
     match run_case ?faults small with Error e -> e | Ok () -> err
   in
@@ -716,45 +716,25 @@ let report_failure ?faults prog err =
     prog.seed prog.case prog.policy.Policy.name fault_note err prog.seed
     (prog.case + 1) prog.policy.Policy.name fault_flags pp_prog small small_err
 
-let check_case ~seed ~case ?policy ?faults () =
-  let prog = gen ~seed ~case ?policy () in
-  match run_case ?faults prog with
-  | Ok () -> Ok ()
-  | Error err -> Error (report_failure ?faults prog err)
-
 let run ?policy ?faults ?(jobs = 1) ~cases ~seed () =
-  let jobs = Lcm_fleet.Fleet.resolve_jobs jobs in
-  if jobs <= 1 then
-    (* sequential semantics: stop at the first failing case *)
-    let rec go i =
-      if i >= cases then Ok ()
-      else
-        match check_case ~seed ~case:i ?policy ?faults () with
-        | Ok () -> go (i + 1)
-        | Error _ as e -> e
-    in
-    go 0
-  else begin
-    (* Parallel cases can't stop early, but every case is independent and
-       deterministic, so running them all and reporting the lowest-index
-       failure matches the sequential result on that case exactly (the
-       shrunk reproducer inside check_case depends only on the case). *)
-    let cells =
-      Array.init cases (fun i ->
-          ( Printf.sprintf "stress case %d (seed %d)" i seed,
-            fun () -> check_case ~seed ~case:i ?policy ?faults () ))
-    in
-    let results = Lcm_fleet.Fleet.Pool.run ~jobs cells in
-    let first_problem =
-      Array.to_list results
-      |> List.find_map (fun (r : _ Lcm_fleet.Fleet.cell_result) ->
-             match r.Lcm_fleet.Fleet.outcome with
-             | Lcm_fleet.Fleet.Done (Ok ()) -> None
-             | Lcm_fleet.Fleet.Done (Error e) -> Some e
-             | outcome ->
-               Some
-                 (Printf.sprintf "%s: %s" r.Lcm_fleet.Fleet.label
-                    (Lcm_fleet.Fleet.outcome_string outcome)))
-    in
-    match first_problem with None -> Ok () | Some e -> Error e
-  end
+  (* every case runs at any job count, and only the lowest-index failure
+     is shrunk: the report does not depend on [jobs] *)
+  let cells =
+    Array.init cases (fun case ->
+        ( Printf.sprintf "stress case %d (seed %d)" case seed,
+          fun () ->
+            let prog = gen ~seed ~case ?policy () in
+            Result.map_error (fun err -> (prog, err)) (run_case ?faults prog) ))
+  in
+  let first_problem =
+    Fleet.Pool.run ~jobs cells
+    |> Array.to_list
+    |> List.find_map (fun (r : _ Fleet.cell_result) ->
+           match r.Fleet.outcome with
+           | Fleet.Done (Ok ()) -> None
+           | Fleet.Done (Error (prog, err)) -> Some (report_failure ?faults prog err)
+           | outcome ->
+             Some
+               (Printf.sprintf "%s: %s" r.Fleet.label (Fleet.outcome_string outcome)))
+  in
+  match first_problem with None -> Ok () | Some e -> Error e

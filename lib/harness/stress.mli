@@ -42,9 +42,9 @@
     backstop.  Sequential segments keep each node to its own word
     partition (word [w] belongs to node [w mod nnodes]).
 
-    On failure the harness shrinks the program (dropping segments, whole
-    per-node op lists, then single ops) to a minimal reproducer and
-    prints it together with the generating seed and case number. *)
+    When a batch fails, {!run} shrinks its lowest-index failing program
+    ({!shrink_with}) to a minimal reproducer and reports it together with
+    the generating seed and case number. *)
 
 (** One memory operation of a generated program.  Word indices are
     region-relative (the runner allocates one region and adds the base). *)
@@ -134,32 +134,21 @@ val run_case : ?faults:Lcm_net.Faults.t -> prog -> (unit, string) result
     state must be identical to the fault-free run.
     @raise Failure as {!spec} does. *)
 
-val shrink : ?faults:Lcm_net.Faults.t -> prog -> prog
-(** Greedily minimize a failing program: repeatedly drop segments, then
-    reduction regions (together with every accum targeting them — op
-    retention is conditional on the region surviving, so shrinking never
-    manufactures an accum outside any region), then whole per-node op
-    lists, then single ops, keeping each candidate only if it still
-    fails; stops at a fixpoint or after 300 re-executions.  Individual
+val shrink_with : ?max_tries:int -> (prog -> bool) -> prog -> prog
+(** [shrink_with still_fails prog] greedily minimizes a failing program:
+    repeatedly drop segments, then reduction regions (together with every
+    accum targeting them — op retention is conditional on the region
+    surviving, so shrinking never manufactures an accum outside any
+    region), then whole per-node op lists, then single ops, keeping each
+    candidate only if [still_fails] holds for it; stops at a fixpoint or
+    after [max_tries] (default 300) predicate evaluations.  Individual
     marks are never dropped alone — that could turn a well-formed program
     into one with unmarked parallel writes, which the paper's contract
-    does not cover. *)
-
-val shrink_with : ?max_tries:int -> (prog -> bool) -> prog -> prog
-(** {!shrink} with a caller-supplied failure predicate — the model
-    checker minimizes against "re-exploration still finds a violation"
-    rather than a single re-execution.  [max_tries] (default 300) bounds
-    predicate evaluations. *)
+    does not cover.  {!run} shrinks against "{!run_case} still fails";
+    the model checker against "re-exploration still finds a
+    violation". *)
 
 val pp_prog : Format.formatter -> prog -> unit
-
-val check_case :
-  seed:int -> case:int -> ?policy:Lcm_core.Policy.t ->
-  ?faults:Lcm_net.Faults.t -> unit ->
-  (unit, string) result
-(** {!gen} + {!run_case}; on failure, shrink and return a report with the
-    seed/case provenance, the original failure, the printed minimal
-    reproducer and its failure. *)
 
 val run :
   ?policy:Lcm_core.Policy.t ->
@@ -169,8 +158,11 @@ val run :
   seed:int ->
   unit ->
   (unit, string) result
-(** Run cases [0 .. cases-1] of stream [seed], stopping at the first
-    failure with its shrunk report.  [jobs] (default 1; 0 = auto) spreads
-    cases over worker domains: all cases then run to completion and the
-    {e lowest-index} failure is reported, so the reported reproducer
-    matches the sequential run's. *)
+(** Run cases [0 .. cases-1] of stream [seed] on {!Lcm_fleet.Fleet.Pool}:
+    each case generates its program ({!gen}) and runs it ({!run_case})
+    inside its own cell, and every case always runs.  [Error] reports the
+    {e lowest-index} failure only, the one case that is shrunk: its
+    seed/case provenance, the original failure, the printed minimal
+    reproducer with the command that regenerates it, and the reproducer's
+    failure.  [jobs] (default 1; 0 = auto) is the pool's worker count; the
+    result is the same at any count. *)

@@ -1,8 +1,5 @@
 module Fleet = Lcm_fleet.Fleet
 
-let run ?jobs ?budget ?progress (cells : Experiments.cells) =
-  Fleet.Pool.run ?jobs ?budget ?progress (Array.of_list cells)
-
 let rows results =
   Array.to_list results
   |> List.filter_map (fun (r : _ Fleet.cell_result) ->
@@ -33,7 +30,7 @@ let count tag results =
   |> List.filter (fun r -> outcome_tag r = tag)
   |> List.length
 
-let summary_json ?(suite = "custom") ?(scale = "custom") ?(jobs = 1) results =
+let summary_json ~suite ~scale ~jobs results =
   let open Report.Json in
   let cell (r : Experiments.row Fleet.cell_result) =
     let base =

@@ -13,9 +13,8 @@ type t = {
   nnodes : int;
   words_per_block : int;
   wpb_shift : int;
-      (* log2 words_per_block when it is a power of two, else -1: block and
-         offset arithmetic runs on every simulated access, and a shift/mask
-         beats the two integer divisions *)
+      (* log2 words_per_block: block and offset arithmetic runs on every
+         simulated access, and a shift/mask beats two integer divisions *)
   wpb_mask : int;
   mutable regions : region array;  (* sorted by first_block; dense prefix *)
   mutable nregions : int;
@@ -28,18 +27,16 @@ type t = {
 
 let create ~nnodes ~words_per_block =
   if nnodes < 1 then invalid_arg "Gmem.create: nnodes must be >= 1";
-  if words_per_block < 1 || words_per_block > Lcm_util.Mask.max_words then
-    invalid_arg "Gmem.create: invalid words_per_block";
-  let wpb_shift =
-    let rec log2 acc n = if n = 1 then acc else log2 (acc + 1) (n lsr 1) in
-    if words_per_block land (words_per_block - 1) = 0 then
-      log2 0 words_per_block
-    else -1
-  in
+  if
+    words_per_block < 1
+    || words_per_block > Lcm_util.Mask.max_words
+    || words_per_block land (words_per_block - 1) <> 0
+  then invalid_arg "Gmem.create: invalid words_per_block";
+  let rec log2 acc n = if n = 1 then acc else log2 (acc + 1) (n lsr 1) in
   {
     nnodes;
     words_per_block;
-    wpb_shift;
+    wpb_shift = log2 0 words_per_block;
     wpb_mask = words_per_block - 1;
     regions = [||];
     nregions = 0;
@@ -122,13 +119,11 @@ let home_of_block_uncached t b =
   let r = region_of_block t b in
   home_in_region t r ~index:(b - r.first_block)
 
-let block_of_addr t a =
-  if t.wpb_shift >= 0 then a lsr t.wpb_shift else a / t.words_per_block
+let block_of_addr t a = a lsr t.wpb_shift
 
 let home_of_addr t a = home_of_block t (block_of_addr t a)
 
-let offset_in_block t a =
-  if t.wpb_shift >= 0 then a land t.wpb_mask else a mod t.words_per_block
+let offset_in_block t a = a land t.wpb_mask
 
 let allocated_words t = t.next_block * t.words_per_block
 let is_allocated t b = b >= 0 && b < t.next_block

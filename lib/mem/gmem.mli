@@ -30,8 +30,8 @@ type t
 
 val create : nnodes:int -> words_per_block:int -> t
 (** [create ~nnodes ~words_per_block] is an empty address space.
-    @raise Invalid_argument unless [nnodes >= 1] and
-    [1 <= words_per_block <= Lcm_util.Mask.max_words]. *)
+    @raise Invalid_argument unless [nnodes >= 1] and [words_per_block] is
+    a power of two no larger than {!Lcm_util.Mask.max_words}. *)
 
 val nnodes : t -> int
 

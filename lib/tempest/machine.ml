@@ -170,10 +170,10 @@ let create ?(costs = Lcm_sim.Costs.default)
     Lcm_sim.Engine.set_stall_limit engine (Some plan.Lcm_net.Faults.stall_limit)
   | None -> ());
   let gmem = Lcm_mem.Gmem.create ~nnodes ~words_per_block in
-  (match hw_cache_blocks with
-  | Some n when n <= 0 ->
-    invalid_arg "Machine.create: hw_cache_blocks must be positive"
-  | Some _ | None -> ());
+  if Option.value capacity_blocks ~default:1 <= 0 then
+    invalid_arg "Machine.create: capacity_blocks must be positive";
+  if Option.value hw_cache_blocks ~default:1 <= 0 then
+    invalid_arg "Machine.create: hw_cache_blocks must be positive";
   let nodes =
     Array.init nnodes (fun i ->
         {

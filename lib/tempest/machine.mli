@@ -59,7 +59,9 @@ val create :
 
     A machine runs on the domain that creates it, on one sequential event
     engine; parallelism lives one level up, across independent machines
-    (the fleet pool in [Lcm_fleet]). *)
+    (the fleet pool in [Lcm_fleet]).
+    @raise Invalid_argument on a non-positive [capacity_blocks] or
+    [hw_cache_blocks], or a block size {!Lcm_mem.Gmem.create} rejects. *)
 
 (** {1 Machine accessors} *)
 

@@ -184,6 +184,17 @@ let test_unstructured_graph_construction () =
   let a = Unstructured.reference p and b = Unstructured.reference p in
   Alcotest.(check (float 0.0)) "deterministic" a b
 
+let test_unstructured_edge_bound () =
+  (* 9 nodes hold at most 36 distinct edges: one more must raise, not
+     spin looking for an edge that does not exist *)
+  let p n edges = { unstructured_params with Unstructured.nodes = n; edges; iters = 1 } in
+  ignore (Unstructured.reference (p 9 36));
+  Alcotest.check_raises "one edge too many"
+    (Invalid_argument
+       "Unstructured.build_graph: 37 edges, but a simple graph on 9 nodes has \
+        at most 36")
+    (fun () -> ignore (Unstructured.reference (p 9 37)))
+
 let test_sor_no_explicit_marks () =
   (* the compiler emitted no directives: every mark is an implicit one *)
   let rt = mk_runtime Policy.lcm_mcc in
@@ -251,7 +262,10 @@ let () =
       ( "unstructured",
         app_tests ~app_name:"unstructured" ~reference:Unstructured.reference
           ~run:Unstructured.run ~params:unstructured_params
-        @ [ ("graph deterministic", `Quick, test_unstructured_graph_construction) ] );
+        @ [
+            ("graph deterministic", `Quick, test_unstructured_graph_construction);
+            ("edge bound", `Quick, test_unstructured_edge_bound);
+          ] );
       ( "adaptive",
         app_tests ~app_name:"adaptive" ~reference:Adaptive.reference ~run:Adaptive.run
           ~params:adaptive_params

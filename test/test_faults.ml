@@ -444,8 +444,8 @@ let test_noretx_stalls_deterministically () =
      and identically on every run *)
   let plan = Faults.make ~drop:0.3 ~retransmit:false ~seed:7 () in
   let outcome () =
-    Lcm_harness.Stress.check_case ~seed:1 ~case:0
-      ~policy:Lcm_core.Policy.stache ~faults:plan ()
+    Lcm_harness.Stress.run ~policy:Lcm_core.Policy.stache ~faults:plan
+      ~cases:1 ~seed:1 ()
   in
   match (outcome (), outcome ()) with
   | Error e1, Error e2 ->

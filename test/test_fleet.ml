@@ -64,7 +64,7 @@ let test_families_parallel_identical () =
       (* cells that share an experiment compute the same result *)
       Alcotest.(check bool) (name ^ ": systems agree") true
         (List.for_all snd (Experiments.verify_agreement seq));
-      let results = Sweep.run ~jobs:4 cells in
+      let results = Fleet.Pool.run ~jobs:4 (Array.of_list cells) in
       List.iter
         (fun (r : _ Fleet.cell_result) ->
           Alcotest.failf "%s: cell %s: %s" name r.Fleet.label
@@ -140,7 +140,7 @@ let test_crash_containment () =
       (Printf.sprintf "jobs=%d: exactly one Failed" jobs)
       1 (List.length failed);
     (match (List.hd failed).Fleet.outcome with
-    | Fleet.Failed { exn; _ } ->
+    | Fleet.Failed { exn; backtrace } ->
       Alcotest.(check bool)
         "exception text captured" true
         (let needle = "deliberate failure in cell 4" in
@@ -149,7 +149,11 @@ let test_crash_containment () =
            && (String.sub exn i (String.length needle) = needle
               || contains (i + 1))
          in
-         contains 0)
+         contains 0);
+      (* on whichever domain ran the cell, the calling one included *)
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: backtrace captured" jobs)
+        true (backtrace <> "")
     | _ -> assert false);
     Array.iteri
       (fun i (r : int Fleet.cell_result) ->
@@ -293,7 +297,7 @@ let test_sweep_summaries () =
     Experiments.figure2_cells ~scale:Experiments.Tiny machine
     |> fun c -> List.filteri (fun i _ -> i < 2) c
   in
-  let results = Sweep.run ~jobs:2 cells in
+  let results = Fleet.Pool.run ~jobs:2 (Array.of_list cells) in
   let json = Sweep.summary_json ~suite:"figure2" ~scale:"tiny" ~jobs:2 results in
   (match Traceview.parse json with
   | Error e -> Alcotest.failf "summary JSON does not parse: %s" e
@@ -349,6 +353,33 @@ let test_stress_parallel () =
         Alcotest.failf "stress --jobs 2 (%s) failed:\n%s" policy.Config.label e)
     [ List.nth systems 0; List.nth systems 2 ]
 
+(* A batch with several failing cases reports one of them, the same at any
+   job count: the lowest-index failing case, shrunk. *)
+let test_stress_one_report () =
+  let policy = Lcm_core.Policy.stache in
+  let faults =
+    match Lcm_net.Faults.of_profile "drop-noretx" ~rate:0.5 ~seed:7 with
+    | Ok plan -> plan
+    | Error e -> Alcotest.fail e
+  in
+  let failing =
+    List.filter
+      (fun case ->
+        Result.is_error (Stress.run_case ~faults (Stress.gen ~seed:1 ~case ~policy ())))
+      (List.init 6 Fun.id)
+  in
+  Alcotest.(check bool) "several cases fail" true (List.length failing > 1);
+  let report jobs =
+    match Stress.run ~policy ~faults ~jobs ~cases:6 ~seed:1 () with
+    | Error e -> e
+    | Ok () -> Alcotest.failf "jobs=%d: the batch passed" jobs
+  in
+  let sequential = report 1 in
+  Alcotest.(check string) "jobs=1 and jobs=2 report alike" sequential (report 2);
+  let names = Printf.sprintf "stress case failed: seed=1 case=%d " (List.hd failing) in
+  Alcotest.(check bool) ("names the lowest failing case: " ^ names) true
+    (String.starts_with ~prefix:names sequential)
+
 let () =
   Alcotest.run "fleet"
     [
@@ -382,6 +413,10 @@ let () =
           Alcotest.test_case "sweep summaries" `Quick test_sweep_summaries;
         ] );
       ( "stress",
-        [ Alcotest.test_case "parallel batch matches sequential Ok" `Quick
-            test_stress_parallel ] );
+        [
+          Alcotest.test_case "parallel batch matches sequential Ok" `Quick
+            test_stress_parallel;
+          Alcotest.test_case "one failing batch, one report" `Quick
+            test_stress_one_report;
+        ] );
     ]

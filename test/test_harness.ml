@@ -259,7 +259,8 @@ let test_figure2_pipeline_tiny () =
      the summary CSV renders *)
   let machine = { Config.default_machine with Config.nnodes = 8 } in
   let results =
-    Sweep.run (Experiments.figure2_cells ~scale:Experiments.Tiny machine)
+    Lcm_fleet.Fleet.Pool.run
+      (Array.of_list (Experiments.figure2_cells ~scale:Experiments.Tiny machine))
   in
   let rows = Sweep.rows results in
   Alcotest.(check int) "6 rows" 6 (List.length rows);

@@ -116,7 +116,11 @@ let test_gmem_create_validation () =
   Alcotest.check_raises "nnodes" (Invalid_argument "Gmem.create: nnodes must be >= 1")
     (fun () -> ignore (Gmem.create ~nnodes:0 ~words_per_block:8));
   Alcotest.check_raises "wpb" (Invalid_argument "Gmem.create: invalid words_per_block")
-    (fun () -> ignore (Gmem.create ~nnodes:2 ~words_per_block:0))
+    (fun () -> ignore (Gmem.create ~nnodes:2 ~words_per_block:0));
+  (* block and offset arithmetic is a shift and a mask *)
+  Alcotest.check_raises "wpb not a power of two"
+    (Invalid_argument "Gmem.create: invalid words_per_block")
+    (fun () -> ignore (Gmem.create ~nnodes:2 ~words_per_block:3))
 
 let test_gmem_alloc_alignment () =
   let g = mk () in

@@ -482,6 +482,12 @@ let test_hw_cache_validation () =
        false
      with Invalid_argument _ -> true)
 
+let test_capacity_validation () =
+  Alcotest.check_raises "zero rejected"
+    (Invalid_argument "Machine.create: capacity_blocks must be positive")
+    (fun () ->
+      ignore (Machine.create ~capacity_blocks:0 ~nnodes:2 ~words_per_block:8 ()))
+
 let test_trace_ring () =
   let tr = Lcm_sim.Trace.create ~capacity:3 in
   List.iteri (fun i e -> Lcm_sim.Trace.record tr ~time:(10 * i) e)
@@ -574,6 +580,7 @@ let () =
           ("park and wake", `Quick, test_park_and_wake);
           ("hw cache misses", `Quick, test_hw_cache_charges_misses);
           ("hw cache validation", `Quick, test_hw_cache_validation);
+          ("capacity validation", `Quick, test_capacity_validation);
           ("trace ring", `Quick, test_trace_ring);
           ("machine trace", `Quick, test_machine_trace_captures_events);
           ("deadlock reports trace", `Quick, test_deadlock_reports_trace);

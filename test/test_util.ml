@@ -504,79 +504,6 @@ let test_pool_reuse_and_counts () =
   Alcotest.(check int) "free list empty: the next acquire constructs" 2
     (Pool.created p)
 
-(* ------------------------------------------------------------------ *)
-(* Nodeset                                                            *)
-(* ------------------------------------------------------------------ *)
-
-module RefSet = Set.Make (Int)
-
-(* Nodeset against the stdlib reference, over random
-   add/remove/union/inter sequences.  Ids range past the bitmask capacity
-   (>= Sys.int_size - 1) so the tree spill path and mixed-representation
-   unions are exercised, and removal/intersection of the oversized ids
-   crosses the spill boundary in the shrinking direction too.  Alongside
-   observational equality the property pins the canonical-representation
-   invariant: a set is bitmask-backed exactly when every member fits,
-   regardless of the operation history that produced it. *)
-let prop_nodeset_matches_set =
-  let id = QCheck.Gen.(oneof [ int_bound 61; int_range 60 70 ]) in
-  let gen = QCheck.make QCheck.Gen.(list (pair (int_bound 3) id)) in
-  let max_direct = Sys.int_size - 1 in
-  QCheck.Test.make ~name:"nodeset ≡ Set.Make(Int)" ~count:300 gen
-    (fun ops ->
-      let ns = ref Nodeset.empty and rs = ref RefSet.empty in
-      let canonical () =
-        Nodeset.is_direct !ns = RefSet.for_all (fun x -> x < max_direct) !rs
-      in
-      List.for_all
-        (fun (op, x) ->
-          (match op with
-          | 0 ->
-            ns := Nodeset.add x !ns;
-            rs := RefSet.add x !rs
-          | 1 ->
-            ns := Nodeset.remove x !ns;
-            rs := RefSet.remove x !rs
-          | 2 ->
-            ns := Nodeset.union !ns (Nodeset.of_list [ x; x + 1 ]);
-            rs := RefSet.union !rs (RefSet.of_list [ x; x + 1 ])
-          | _ ->
-            (* drop everything below x: an intersection that can cross
-               the spill boundary downward *)
-            let keep = List.filter (fun y -> y >= x) (List.init 72 Fun.id) in
-            ns := Nodeset.inter !ns (Nodeset.of_list keep);
-            rs := RefSet.inter !rs (RefSet.of_list keep));
-          canonical ())
-        ops
-      &&
-      let members = ref [] in
-      Nodeset.iter (fun x -> members := x :: !members) !ns;
-      Nodeset.elements !ns = RefSet.elements !rs
-      && List.rev !members = RefSet.elements !rs
-      && Nodeset.cardinal !ns = RefSet.cardinal !rs
-      && Nodeset.is_empty !ns = RefSet.is_empty !rs
-      && List.for_all
-           (fun x -> Nodeset.mem x !ns = RefSet.mem x !rs)
-           (List.init 72 Fun.id))
-
-(* The bug this pins: a set spilled to the tree by an oversized id used to
-   stay a tree after the id was removed, so every later update paid the
-   AVL cost.  Both shrink paths must collapse. *)
-let test_nodeset_collapses_on_shrink () =
-  let big = Sys.int_size - 1 in
-  let spilled = Nodeset.add big (Nodeset.of_list [ 1; 5; 9 ]) in
-  Alcotest.(check bool) "spilled to tree" false (Nodeset.is_direct spilled);
-  let back = Nodeset.remove big spilled in
-  Alcotest.(check bool) "remove collapses" true (Nodeset.is_direct back);
-  Alcotest.(check (list int)) "members survive" [ 1; 5; 9 ]
-    (Nodeset.elements back);
-  let small = Nodeset.inter spilled (Nodeset.of_list [ 5; 9; 12 ]) in
-  Alcotest.(check bool) "inter collapses" true (Nodeset.is_direct small);
-  Alcotest.(check (list int)) "intersection" [ 5; 9 ] (Nodeset.elements small);
-  let gone = Nodeset.remove big (Nodeset.add big Nodeset.empty) in
-  Alcotest.(check bool) "empty collapses" true (Nodeset.is_direct gone);
-  Alcotest.(check bool) "is empty" true (Nodeset.is_empty gone)
-
 (* Handles register lazily: resolving one lists nothing until its first
    write, so --stats and the counter fingerprints name exactly what was
    written; every handle for a name, resolved before or after that
@@ -712,7 +639,6 @@ let suite =
     ("table empty rows", `Quick, test_table_empty_rows);
     ("stats sample defaults", `Quick, test_stats_sample_min_max_defaults);
     ("heap 100 equal keys", `Quick, test_heap_many_duplicate_keys);
-    ("nodeset collapses on shrink", `Quick, test_nodeset_collapses_on_shrink);
     ("pool double release detected", `Quick, test_pool_double_release_detected);
     ("pool reuse and counts", `Quick, test_pool_reuse_and_counts);
   ]
@@ -726,7 +652,6 @@ let suite =
         prop_pool_no_aliasing;
         prop_mask_roundtrip;
         prop_mask_union_cardinal;
-        prop_nodeset_matches_set;
       ]
 
 let () = Alcotest.run "lcm_util" [ ("util", suite) ]
