@@ -179,136 +179,118 @@ let faults_term =
   in
   Term.(ret (const build $ fault_rate_arg $ fault_seed_arg $ fault_profile_arg))
 
-let make_runtime ?barrier ?faults system schedule nodes topology capacity =
-  let machine =
-    {
-      Config.default_machine with
-      Config.nnodes = nodes;
-      topology;
-      capacity_blocks = capacity;
-      faults;
-    }
-  in
-  Config.make_runtime ?barrier machine system ~schedule
-
-let report rt dump_stats (r : Bench_result.t) =
-  Format.printf "%a@." Bench_result.pp r;
-  if dump_stats then
-    Format.printf "%a" Lcm_util.Stats.pp (Lcm_cstar.Runtime.stats rt)
-
 (* A single run ends with the audit every experiment cell runs; a
    violation is a negative verdict. *)
-let audit rt ~experiment ~system =
-  match Experiments.audit ~experiment ~system rt with
-  | Ok () -> ()
-  | Error msg -> negative_verdict msg
-
 let audit_exits =
   verdict_exits "when the protocol audit after the run finds a violation."
 
-(* Arm tracing/phase logging before a run; [finish_observability] reports
-   or exports what was captured afterwards. *)
-let setup_observability rt ~trace ~trace_out ~trace_cap ~phases =
-  if trace || trace_out <> None then
-    Lcm_tempest.Machine.enable_trace ~capacity:trace_cap
-      (Lcm_cstar.Runtime.machine rt);
-  if phases then Lcm_cstar.Runtime.enable_phase_log rt
-
-let finish_observability rt ~trace ~trace_out ~phases =
-  (if trace || trace_out <> None then
-     let events = Lcm_tempest.Machine.trace_events (Lcm_cstar.Runtime.machine rt) in
-     let recorded = List.length events in
-     match trace_out with
-     | Some path ->
-       Traceview.export_file ~path events;
-       Printf.printf "trace: %d events -> %s\n" recorded path
-     | None ->
-       let tail =
-         let dumped = Lcm_tempest.Machine.trace_dump (Lcm_cstar.Runtime.machine rt) in
-         let len = List.length dumped in
-         if len <= 20 then dumped
-         else List.filteri (fun i _ -> i >= len - 20) dumped
-       in
-       Printf.printf "trace: %d events retained; tail:\n" recorded;
-       List.iter (fun l -> Printf.printf "  %s\n" l) tail);
-  if phases then
-    print_string (Report.phases (Lcm_cstar.Runtime.phase_log rt))
-
-let simple_bench ?min_size name ~default_size ~default_iters ~paper ~run_fn =
-  let run system schedule nodes topology capacity barrier faults size iters
-      stats paper trace trace_out trace_cap phases =
-    let rt =
-      make_runtime ~barrier ?faults system schedule nodes topology capacity
+(* Every single-run command: [term] yields the label its audit reports,
+   the memory system and the run; the builder owns the machine, fault and
+   observation flags, so all nine commands take the same ones. *)
+let bench_cmd name ~doc term =
+  let module Runtime = Lcm_cstar.Runtime in
+  let main (label, system, run) schedule nnodes topology capacity_blocks
+      barrier faults stats trace trace_out trace_cap phases =
+    let machine =
+      { Config.default_machine with Config.nnodes; topology; capacity_blocks; faults }
     in
-    setup_observability rt ~trace ~trace_out ~trace_cap ~phases;
-    report rt stats (run_fn rt ~size ~iters ~paper);
-    finish_observability rt ~trace ~trace_out ~phases;
-    audit rt ~experiment:name ~system:system.Config.label
-  in
-  let term =
-    Term.(
-      const run $ system_arg $ schedule_arg $ nodes_arg $ topology_arg
-      $ capacity_arg $ barrier_arg $ faults_term
-      $ size_arg ?min:min_size default_size
-      $ iters_arg default_iters $ stats_arg $ paper $ trace_arg
-      $ trace_out_arg $ trace_cap_arg $ phases_arg)
+    let rt = Config.make_runtime ~barrier machine system ~schedule in
+    let mach = Runtime.machine rt in
+    let traced = trace || trace_out <> None in
+    if traced then Lcm_tempest.Machine.enable_trace ~capacity:trace_cap mach;
+    if phases then Runtime.enable_phase_log rt;
+    Format.printf "%a@." Bench_result.pp (run rt);
+    if stats then Format.printf "%a" Lcm_util.Stats.pp (Runtime.stats rt);
+    (if traced then
+       let events = Lcm_tempest.Machine.trace_events mach in
+       let recorded = List.length events in
+       match trace_out with
+       | Some path ->
+         Traceview.export_file ~path events;
+         Printf.printf "trace: %d events -> %s\n" recorded path
+       | None ->
+         Printf.printf "trace: %d events retained; tail:\n" recorded;
+         List.filteri (fun i _ -> i >= recorded - 20) events
+         |> Lcm_sim.Trace.dump
+         |> List.iter (Printf.printf "  %s\n"));
+    if phases then print_string (Report.phases (Runtime.phase_log rt));
+    match Experiments.audit ~experiment:name ~system:label rt with
+    | Ok () -> ()
+    | Error msg -> negative_verdict msg
   in
   Cmd.v
-    (Cmd.info name ~exits:audit_exits
-       ~doc:(Printf.sprintf "Run the %s benchmark." name))
-    term
+    (Cmd.info name ~exits:audit_exits ~doc)
+    Term.(
+      const main $ term $ schedule_arg $ nodes_arg $ topology_arg
+      $ capacity_arg $ barrier_arg $ faults_term $ stats_arg $ trace_arg
+      $ trace_out_arg $ trace_cap_arg $ phases_arg)
+
+(* The term of a command that takes --system, audited under its label. *)
+let on_system run =
+  Term.(
+    const (fun (system : Config.system) run -> (system.Config.label, system, run))
+    $ system_arg $ run)
 
 let stencil_cmd =
-  simple_bench "stencil" ~default_size:128 ~default_iters:10 ~paper:paper_arg
-    ~run_fn:(fun rt ~size ~iters ~paper ->
-      let p =
-        if paper then Stencil.paper
-        else { Stencil.n = size; iters; work_per_cell = 4 }
-      in
-      Stencil.run rt p)
+  bench_cmd "stencil" ~doc:"Run the stencil benchmark."
+    (on_system
+       Term.(
+         const (fun size iters paper rt ->
+             Stencil.run rt
+               (if paper then Stencil.paper
+                else { Stencil.n = size; iters; work_per_cell = 4 }))
+         $ size_arg 128 $ iters_arg 10 $ paper_arg))
 
 let threshold_cmd =
-  simple_bench "threshold" ~default_size:128 ~default_iters:10 ~paper:paper_arg
-    ~run_fn:(fun rt ~size ~iters ~paper ->
-      let p =
-        if paper then Threshold.paper
-        else { Threshold.n = size; iters; threshold = 0.5; work_per_cell = 4 }
-      in
-      Threshold.run rt p)
+  bench_cmd "threshold" ~doc:"Run the threshold benchmark."
+    (on_system
+       Term.(
+         const (fun size iters paper rt ->
+             Threshold.run rt
+               (if paper then Threshold.paper
+                else
+                  { Threshold.n = size; iters; threshold = 0.5; work_per_cell = 4 }))
+         $ size_arg 128 $ iters_arg 10 $ paper_arg))
 
 let adaptive_cmd =
-  simple_bench "adaptive" ~default_size:32 ~default_iters:16 ~paper:paper_arg
-    ~run_fn:(fun rt ~size ~iters ~paper ->
-      let p =
-        if paper then Adaptive.paper
-        else
-          {
-            Adaptive.n = size;
-            iters;
-            max_depth = 3;
-            subdiv_threshold = 2.0;
-            arena_per_node = 4096;
-            work_per_cell = 6;
-          }
-      in
-      Adaptive.run rt p)
+  bench_cmd "adaptive" ~doc:"Run the adaptive benchmark."
+    (on_system
+       Term.(
+         const (fun size iters paper rt ->
+             Adaptive.run rt
+               (if paper then Adaptive.paper
+                else
+                  {
+                    Adaptive.n = size;
+                    iters;
+                    max_depth = 3;
+                    subdiv_threshold = 2.0;
+                    arena_per_node = 4096;
+                    work_per_cell = 6;
+                  }))
+         $ size_arg 32 $ iters_arg 16 $ paper_arg))
 
 let sor_cmd =
-  simple_bench "sor" ~default_size:50 ~default_iters:8 ~paper:(Term.const false)
-    ~run_fn:(fun rt ~size ~iters ~paper:_ ->
-      Sor.run rt { Sor.n = size; iters; omega = 1.5; work_per_cell = 4 })
+  bench_cmd "sor" ~doc:"Run the sor benchmark."
+    (on_system
+       Term.(
+         const (fun size iters rt ->
+             Sor.run rt { Sor.n = size; iters; omega = 1.5; work_per_cell = 4 })
+         $ size_arg 50 $ iters_arg 8))
 
 let unstructured_cmd =
   (* 4·size edges fit on size nodes, without self-loops or repeated
      edges, from 9 nodes up *)
-  simple_bench "unstructured" ~min_size:9 ~default_size:256 ~default_iters:64
-    ~paper:paper_arg ~run_fn:(fun rt ~size ~iters ~paper ->
-      let p =
-        if paper then Unstructured.paper
-        else
-          { Unstructured.nodes = size; edges = size * 4; iters; seed = 11; work_per_node = 6 }
-      in
-      Unstructured.run rt p)
+  bench_cmd "unstructured" ~doc:"Run the unstructured benchmark."
+    (on_system
+       Term.(
+         const (fun size iters paper rt ->
+             Unstructured.run rt
+               (if paper then Unstructured.paper
+                else
+                  { Unstructured.nodes = size; edges = size * 4; iters; seed = 11;
+                    work_per_node = 6 }))
+         $ size_arg ~min:9 256 $ iters_arg 64 $ paper_arg))
 
 let reduce_cmd =
   let variant_conv =
@@ -324,31 +306,22 @@ let reduce_cmd =
     Arg.(value & opt variant_conv `Rsm_reconcile
          & info [ "variant" ] ~docv:"V" ~doc:"rsm, manual or serialized.")
   in
-  let run variant nodes topology size stats =
-    let system =
-      match variant with `Rsm_reconcile -> Config.lcm_mcc | _ -> Config.stache
-    in
-    let rt = make_runtime system Lcm_cstar.Schedule.Static nodes topology None in
-    report rt stats (Reduce_demo.run rt variant { Reduce_demo.n = size; per_add_work = 2 });
-    audit rt ~experiment:"reduce" ~system:(Reduce_demo.variant_name variant)
-  in
-  Cmd.v
-    (Cmd.info "reduce" ~exits:audit_exits
-       ~doc:"Global-reduction demo (paper section 7.1).")
-    Term.(const run $ variant_arg $ nodes_arg $ topology_arg $ size_arg 8192 $ stats_arg)
+  bench_cmd "reduce" ~doc:"Global-reduction demo (paper section 7.1)."
+    Term.(
+      const (fun variant size ->
+          ( Reduce_demo.variant_name variant,
+            (match variant with `Rsm_reconcile -> Config.lcm_mcc | _ -> Config.stache),
+            fun rt ->
+              Reduce_demo.run rt variant { Reduce_demo.n = size; per_add_work = 2 } ))
+      $ variant_arg $ size_arg 8192)
 
 let false_sharing_cmd =
-  let run system nodes topology size iters stats =
-    let rt = make_runtime system Lcm_cstar.Schedule.Static nodes topology None in
-    report rt stats (False_sharing.run rt { False_sharing.blocks = size; rounds = iters });
-    audit rt ~experiment:"false-sharing" ~system:system.Config.label
-  in
-  Cmd.v
-    (Cmd.info "false-sharing" ~exits:audit_exits
-       ~doc:"False-sharing demo (paper section 7.4).")
-    Term.(
-      const run $ system_arg $ nodes_arg $ topology_arg $ size_arg 64
-      $ iters_arg 20 $ stats_arg)
+  bench_cmd "false-sharing" ~doc:"False-sharing demo (paper section 7.4)."
+    (on_system
+       Term.(
+         const (fun size iters rt ->
+             False_sharing.run rt { False_sharing.blocks = size; rounds = iters })
+         $ size_arg 64 $ iters_arg 20))
 
 let nbody_cmd =
   let refresh_arg =
@@ -356,19 +329,16 @@ let nbody_cmd =
          & info [ "refresh" ] ~docv:"K"
              ~doc:"Refresh stale copies every K iterations (omit for fresh).")
   in
-  let run refresh nodes topology size iters stats =
-    let rt = make_runtime Config.lcm_mcc Lcm_cstar.Schedule.Static nodes topology None in
-    let mode = match refresh with None -> `Fresh | Some k -> `Stale k in
-    report rt stats
-      (Nbody_stale.run rt mode { Nbody_stale.bodies = size; iters; work_per_body = 2 });
-    audit rt ~experiment:"nbody" ~system:Config.lcm_mcc.Config.label
-  in
-  Cmd.v
-    (Cmd.info "nbody" ~exits:audit_exits
-       ~doc:"Stale-data demo (paper section 7.5).")
+  bench_cmd "nbody" ~doc:"Stale-data demo (paper section 7.5)."
     Term.(
-      const run $ refresh_arg $ nodes_arg $ topology_arg $ size_arg 512
-      $ iters_arg 16 $ stats_arg)
+      const (fun refresh size iters ->
+          let mode = match refresh with None -> `Fresh | Some k -> `Stale k in
+          ( Config.lcm_mcc.Config.label,
+            Config.lcm_mcc,
+            fun rt ->
+              Nbody_stale.run rt mode
+                { Nbody_stale.bodies = size; iters; work_per_body = 2 } ))
+      $ refresh_arg $ size_arg 512 $ iters_arg 16)
 
 let synthetic_cmd =
   let sharing_conv =
@@ -385,31 +355,19 @@ let synthetic_cmd =
     Arg.(value & opt fraction 0.75
          & info [ "reads" ] ~docv:"FRACTION" ~doc:"Fraction of ops that read.")
   in
-  let run system schedule nodes topology faults sharing reads size iters stats
-      trace trace_out trace_cap phases =
-    let rt = make_runtime ?faults system schedule nodes topology None in
-    setup_observability rt ~trace ~trace_out ~trace_cap ~phases;
-    let p =
-      {
-        Synthetic.default with
-        Synthetic.blocks_per_node = size;
-        phases = iters;
-        sharing;
-        read_fraction = reads;
-      }
-    in
-    report rt stats (Synthetic.run rt p);
-    finish_observability rt ~trace ~trace_out ~phases;
-    audit rt ~experiment:"synthetic" ~system:system.Config.label
-  in
-  Cmd.v
-    (Cmd.info "synthetic" ~exits:audit_exits
-       ~doc:"Configurable synthetic sharing workload.")
-    Term.(
-      const run $ system_arg $ schedule_arg $ nodes_arg $ topology_arg
-      $ faults_term $ sharing_arg $ reads_arg $ size_arg 8
-      $ iters_arg 4 $ stats_arg $ trace_arg $ trace_out_arg $ trace_cap_arg
-      $ phases_arg)
+  bench_cmd "synthetic" ~doc:"Configurable synthetic sharing workload."
+    (on_system
+       Term.(
+         const (fun sharing reads size iters rt ->
+             Synthetic.run rt
+               {
+                 Synthetic.default with
+                 Synthetic.blocks_per_node = size;
+                 phases = iters;
+                 sharing;
+                 read_fraction = reads;
+               })
+         $ sharing_arg $ reads_arg $ size_arg 8 $ iters_arg 4))
 
 let info_cmd =
   let run () =
@@ -559,7 +517,7 @@ let experiments_cmd =
     in
     let progress =
       if show_progress then
-        Some (Fleet.Progress.create ~total:(List.length cells) ())
+        Some (Fleet.Progress.create ~total:(List.length cells))
       else None
     in
     let t0 = Unix.gettimeofday () in

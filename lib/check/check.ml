@@ -309,8 +309,8 @@ let schedule_of_string s =
            s))
 
 let explore ?(label = "config") ?(max_schedules = 20_000) ?(fault_budget = 0)
-    ?(dup = false) ?(reduce = true) ?stats (prog : Stress.prog) =
-  let st = match stats with Some s -> s | None -> fresh_stats () in
+    ?(dup = false) ?(reduce = true) (prog : Stress.prog) =
+  let st = fresh_stats () in
   let expect = Stress.spec prog in
   (* DFS over forced prefixes: each stack entry is (prefix, sleep seed).
      A run's choice points past its prefix length contribute their

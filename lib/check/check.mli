@@ -62,7 +62,6 @@ val explore :
   ?fault_budget:int ->
   ?dup:bool ->
   ?reduce:bool ->
-  ?stats:stats ->
   Lcm_harness.Stress.prog ->
   outcome * stats
 (** Exhaustively explore the schedule space of one bounded configuration

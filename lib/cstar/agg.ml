@@ -29,7 +29,6 @@ let create1d proto ~strategy ~n ~dist = create proto ~strategy ~rows:1 ~cols:n ~
 
 let rows t = t.rows
 let cols t = t.cols
-let size t = t.rows * t.cols
 let strategy t = t.strategy
 
 let offset t i j =

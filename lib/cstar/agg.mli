@@ -44,7 +44,6 @@ val create1d :
 
 val rows : t -> int
 val cols : t -> int
-val size : t -> int
 val strategy : t -> strategy
 
 val read_addr : t -> int -> int -> int

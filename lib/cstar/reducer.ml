@@ -47,8 +47,6 @@ let read t = Word.to_int (Proto.peek t.proto t.var)
 
 let readf t = Word.to_float (Proto.peek t.proto t.var)
 
-let set t v = Proto.poke t.proto t.var (Word.of_int v)
-
 let setf t v = Proto.poke t.proto t.var (Word.of_float v)
 
 let finalize t =
@@ -64,5 +62,3 @@ let finalize t =
         Memeff.store partial t.op.Reduction.identity)
       t.partials;
     Memeff.store t.var !acc
-
-let op t = t.op

@@ -35,16 +35,11 @@ val read : t -> int
 
 val readf : t -> float
 
-val set : t -> int -> unit
+val setf : t -> float -> unit
 (** Non-effectful reset of the global value; only sound when no copies are
     outstanding. *)
-
-val setf : t -> float -> unit
-(** Float variant of {!set}. *)
 
 val finalize : t -> unit
 (** Fold per-node partials into the global variable and reset them (no-op
     under [Lcm_directives]).  Must run from fiber code in a sequential phase; the
     runtime calls this after each parallel apply that names the reducer. *)
-
-val op : t -> Lcm_core.Reduction.t

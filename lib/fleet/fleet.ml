@@ -49,7 +49,6 @@ let resolve_jobs = function
 
 module Progress = struct
   type t = {
-    out : out_channel;
     tty : bool;
     total : int;
     started : float;
@@ -58,10 +57,9 @@ module Progress = struct
     mutable finished : (string * float) list;  (* (label, host_s), any order *)
   }
 
-  let create ?(out = stderr) ~total () =
+  let create ~total =
     {
-      out;
-      tty = (try Unix.isatty (Unix.descr_of_out_channel out) with Unix.Unix_error _ -> false);
+      tty = (try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false);
       total;
       started = Unix.gettimeofday ();
       done_ = 0;
@@ -91,8 +89,8 @@ module Progress = struct
         (if Float.is_nan eta then "" else Printf.sprintf "  eta %.1fs" eta)
         slow
     in
-    if t.tty then Printf.fprintf t.out "\r\027[K%s%!" line
-    else Printf.fprintf t.out "%s\n%!" line
+    if t.tty then Printf.eprintf "\r\027[K%s%!" line
+    else Printf.eprintf "%s\n%!" line
 
   let cell_done t ~label ~host_s =
     t.done_ <- t.done_ + 1;
@@ -105,19 +103,19 @@ module Progress = struct
 
   let finish t =
     draw t ~now:(Unix.gettimeofday ());
-    if t.tty then output_char t.out '\n';
+    if t.tty then prerr_char '\n';
     let elapsed = Unix.gettimeofday () -. t.started in
-    Printf.fprintf t.out "%d cell%s in %.1fs host time\n" t.done_
+    Printf.eprintf "%d cell%s in %.1fs host time\n" t.done_
       (if t.done_ = 1 then "" else "s")
       elapsed;
     (match slowest 3 t.finished with
     | [] -> ()
     | slow ->
-      Printf.fprintf t.out "slowest:\n";
+      Printf.eprintf "slowest:\n";
       List.iter
-        (fun (label, s) -> Printf.fprintf t.out "  %8.2fs  %s\n" s label)
+        (fun (label, s) -> Printf.eprintf "  %8.2fs  %s\n" s label)
         slow);
-    flush t.out
+    flush stderr
 end
 
 (* ------------------------------------------------------------------ *)

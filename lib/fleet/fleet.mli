@@ -69,8 +69,8 @@ val resolve_jobs : int -> int
 module Progress : sig
   type t
 
-  val create : ?out:out_channel -> total:int -> unit -> t
-  (** [out] defaults to stderr; redraws come at most every 0.1 s. *)
+  val create : total:int -> t
+  (** Redraws come at most every 0.1 s. *)
 
   val finish : t -> unit
   (** Final newline + "N cells in S s" summary with the slowest cells. *)

@@ -13,12 +13,3 @@ let equal a b = a = b
 
 let merge_masked ~src ~dst ~mask =
   Lcm_util.Mask.iter mask (fun i -> dst.(i) <- src.(i))
-
-let pp ppf b =
-  Format.fprintf ppf "[|";
-  Array.iteri
-    (fun i w ->
-      if i > 0 then Format.fprintf ppf "; ";
-      Word.pp ppf w)
-    b;
-  Format.fprintf ppf "|]"

@@ -22,5 +22,3 @@ val equal : t -> t -> bool
 val merge_masked : src:t -> dst:t -> mask:Lcm_util.Mask.t -> unit
 (** [merge_masked ~src ~dst ~mask] copies exactly the masked words of [src]
     into [dst] (last-writer-wins reconciliation). *)
-
-val pp : Format.formatter -> t -> unit

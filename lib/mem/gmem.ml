@@ -44,8 +44,6 @@ let create ~nnodes ~words_per_block =
     home = [||];
   }
 
-let nnodes t = t.nnodes
-
 let words_per_block t = t.words_per_block
 
 let unallocated fn b =

@@ -33,8 +33,6 @@ val create : nnodes:int -> words_per_block:int -> t
     @raise Invalid_argument unless [nnodes >= 1] and [words_per_block] is
     a power of two no larger than {!Lcm_util.Mask.max_words}. *)
 
-val nnodes : t -> int
-
 val words_per_block : t -> int
 
 val alloc : t -> dist:dist -> nwords:int -> addr

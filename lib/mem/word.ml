@@ -17,5 +17,3 @@ let float_add a b = of_float (to_float a +. to_float b)
 let float_min a b = of_float (Float.min (to_float a) (to_float b))
 
 let float_max a b = of_float (Float.max (to_float a) (to_float b))
-
-let pp ppf w = Format.fprintf ppf "0x%08x" (w land 0xFFFFFFFF)

@@ -31,5 +31,3 @@ val float_add : t -> t -> t
 val float_min : t -> t -> t
 
 val float_max : t -> t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -36,9 +36,6 @@ val create :
   unit ->
   t
 
-val occupancy : t -> words:int -> int
-(** Cycles a [words]-word transaction holds the bus. *)
-
 type 'a grant
 (** A grant handler, built once per protocol instance by {!grant}. *)
 

@@ -31,12 +31,10 @@ let record t ~time s = emit t ~time (Note s)
 
 let recorded t = t.next
 
-let retained t f =
+let events t =
   let n = min t.next t.capacity in
   let first = t.next - n in
-  List.init n (fun i -> f t.events.((first + i) mod t.capacity))
-
-let events t = retained t Fun.id
+  List.init n (fun i -> t.events.((first + i) mod t.capacity))
 
 let render = function
   | Msg_send { tag; src; dst; words } ->
@@ -60,6 +58,7 @@ let render = function
     Printf.sprintf "handler node %d busy until %d" node finish
   | Note s -> s
 
-let dump t =
-  retained t (fun (time, event) ->
-      Printf.sprintf "[t=%d] %s" time (render event))
+let dump events =
+  List.map
+    (fun (time, event) -> Printf.sprintf "[t=%d] %s" time (render event))
+    events

@@ -57,5 +57,6 @@ val events : t -> (int * event) list
 val render : event -> string
 (** One-line human rendering (used by {!dump}). *)
 
-val dump : t -> string list
-(** The retained events, oldest first, each as ["\[t=<time>\] <event>"]. *)
+val dump : (int * event) list -> string list
+(** Render [(time, event)] pairs (as returned by {!events}), in order,
+    each as ["\[t=<time>\] <event>"]. *)

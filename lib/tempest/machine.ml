@@ -458,19 +458,18 @@ let enable_trace ?(capacity = 256) t =
   t.trace <- Some tr;
   Lcm_net.Network.set_trace t.m_network (Some tr)
 
-let trace_dump t = match t.trace with Some tr -> Trace.dump tr | None -> []
-
 let trace_events t =
   match t.trace with Some tr -> Trace.events tr | None -> []
 
 let trace_emit t ~time ev =
   match t.trace with Some tr -> Trace.emit tr ~time ev | None -> ()
 
+(* Format only when a ring will keep the note: untraced bus grants must
+   not build a string per miss. *)
 let tracef t ~time fmt =
-  Printf.ksprintf
-    (fun s ->
-      match t.trace with Some tr -> Trace.record tr ~time s | None -> ())
-    fmt
+  match t.trace with
+  | Some tr -> Printf.ksprintf (Trace.record tr ~time) fmt
+  | None -> Printf.ikfprintf ignore () fmt
 
 let set_home_backing t enabled = t.home_backing <- enabled
 
@@ -804,8 +803,9 @@ let run_to_quiescence ?limit t =
       match t.trace with
       | None ->
         "\n(enable_trace the machine to capture the event tail)"
-      | Some tr ->
-        "\nlast events:\n  " ^ String.concat "\n  " (Trace.dump tr)
+      | Some _ ->
+        "\nlast events:\n  "
+        ^ String.concat "\n  " (Trace.dump (trace_events t))
     in
     failwith
       (Printf.sprintf

@@ -88,7 +88,6 @@ val id : node -> int
 val clock : node -> int
 val set_clock : node -> int -> unit
 val advance_clock : node -> int -> unit
-val machine : node -> t
 
 (** {1 Block tables (protocol side)} *)
 
@@ -224,13 +223,10 @@ val enable_trace : ?capacity:int -> t -> unit
     (default 256) events; also attaches the ring to the network so message
     events are captured, and a deadlock failure dumps the tail. *)
 
-val trace_dump : t -> string list
-(** The retained trace rendered as strings, oldest first ([[]] when
-    tracing is off). *)
-
 val trace_events : t -> (int * Lcm_sim.Trace.event) list
 (** The retained typed events with their timestamps, oldest first ([[]]
-    when tracing is off).  Feed to {!Lcm_harness.Traceview} for export. *)
+    when tracing is off).  Render with {!Lcm_sim.Trace.dump}, or feed to
+    {!Lcm_harness.Traceview} for export. *)
 
 val trace_emit : t -> time:int -> Lcm_sim.Trace.event -> unit
 (** Record a typed event (no-op when tracing is off); protocol layers use

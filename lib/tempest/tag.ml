@@ -13,5 +13,3 @@ let to_string = function
   | Read_only -> "ReadOnly"
   | Writable -> "Writable"
   | Lcm_modified -> "LcmModified"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

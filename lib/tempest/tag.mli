@@ -20,5 +20,3 @@ val readable : t -> bool
 val writable : t -> bool
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

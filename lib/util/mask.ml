@@ -50,8 +50,6 @@ let to_list m = List.rev (fold m ~init:[] ~f:(fun acc i -> i :: acc))
 
 let of_list is = List.fold_left set empty is
 
-let equal (a : t) b = a = b
-
 let pp ppf m =
   Format.fprintf ppf "{%s}"
     (String.concat "," (List.map string_of_int (to_list m)))

@@ -39,14 +39,10 @@ val cardinal : t -> int
 val iter : t -> (int -> unit) -> unit
 (** [iter m f] applies [f] to each set bit index in increasing order. *)
 
-val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-
 val to_list : t -> int list
 (** Set bit indices in increasing order. *)
 
 val of_list : int list -> t
-
-val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Renders e.g. [{0,3,7}]. *)

@@ -5,35 +5,17 @@ type sample = {
   mutable max : float;
 }
 
-(* Handles wrap the mutable cell together with enough context to register
-   the name in the owning registry on first write.  Registration is lazy so
-   that resolving a handle for a counter that never fires leaves no trace:
-   [counters]/[gauges]/[samples] list exactly the names that were actually
-   written.  [kind] is a phantom distinguishing counters from gauges at the
-   type level. *)
-type 'kind num_handle = {
-  cell : int ref;
-  num_name : string;
-  num_table : (string, int ref) Hashtbl.t;
-  mutable num_linked : bool;
-}
-
-type sample_handle = {
-  rec_ : sample;
-  s_name : string;
-  s_table : (string, sample) Hashtbl.t;
-  mutable s_linked : bool;
-}
+(* One cell per name.  [written] records the first write, so resolving a
+   handle for a counter that never fires leaves no trace:
+   [counters]/[gauges] list exactly the cells something wrote, even when
+   the write left them at 0.  A sample cell needs no flag: [count > 0]
+   already means "observed". *)
+type num = { mutable v : int; mutable written : bool }
 
 type t = {
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, int ref) Hashtbl.t;
+  counters : (string, num) Hashtbl.t;
+  gauges : (string, num) Hashtbl.t;
   samples : (string, sample) Hashtbl.t;
-  (* unregistered handles by name, so two resolutions of a never-written
-     name still share one cell *)
-  pending_counters : (string, [ `Counter ] num_handle) Hashtbl.t;
-  pending_gauges : (string, [ `Gauge ] num_handle) Hashtbl.t;
-  pending_samples : (string, sample_handle) Hashtbl.t;
 }
 
 let create () =
@@ -41,85 +23,54 @@ let create () =
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     samples = Hashtbl.create 16;
-    pending_counters = Hashtbl.create 16;
-    pending_gauges = Hashtbl.create 8;
-    pending_samples = Hashtbl.create 8;
   }
 
 module Handle = struct
-  type counter = [ `Counter ] num_handle
-  type gauge = [ `Gauge ] num_handle
-  type sample = sample_handle
+  type counter = num
+  type gauge = num
+  type nonrec sample = sample
 
-  let link h =
-    if not h.num_linked then begin
-      Hashtbl.replace h.num_table h.num_name h.cell;
-      h.num_linked <- true
-    end
+  let incr c =
+    c.written <- true;
+    c.v <- c.v + 1
 
-  let incr h =
-    link h;
-    Stdlib.incr h.cell
+  let add c n =
+    c.written <- true;
+    c.v <- c.v + n
 
-  let add h n =
-    link h;
-    h.cell := !(h.cell) + n
+  let value c = c.v
 
-  let value h = !(h.cell)
+  let set_max c v =
+    c.written <- true;
+    if v > c.v then c.v <- v
 
-  let set_max h v =
-    link h;
-    if v > !(h.cell) then h.cell := v
-
-  let link_sample h =
-    if not h.s_linked then begin
-      Hashtbl.replace h.s_table h.s_name h.rec_;
-      h.s_linked <- true
-    end
-
-  let observe h x =
-    link_sample h;
-    let r = h.rec_ in
+  let observe r x =
     r.count <- r.count + 1;
     r.sum <- r.sum +. x;
     if x < r.min then r.min <- x;
     if x > r.max then r.max <- x
 end
 
-let resolve_num table pending name =
+let resolve table name fresh =
   match Hashtbl.find_opt table name with
-  | Some cell -> { cell; num_name = name; num_table = table; num_linked = true }
-  | None -> (
-    match Hashtbl.find_opt pending name with
-    | Some h -> h
-    | None ->
-      let h =
-        { cell = ref 0; num_name = name; num_table = table; num_linked = false }
-      in
-      Hashtbl.add pending name h;
-      h)
+  | Some cell -> cell
+  | None ->
+    let cell = fresh () in
+    Hashtbl.add table name cell;
+    cell
 
-let counter s name = resolve_num s.counters s.pending_counters name
+let fresh_num () = { v = 0; written = false }
 
-let gauge s name = resolve_num s.gauges s.pending_gauges name
+let counter s name = resolve s.counters name fresh_num
+
+let gauge s name = resolve s.gauges name fresh_num
 
 let fresh_sample () = { count = 0; sum = 0.0; min = infinity; max = neg_infinity }
 
-let sample s name =
-  match Hashtbl.find_opt s.samples name with
-  | Some rec_ -> { rec_; s_name = name; s_table = s.samples; s_linked = true }
-  | None -> (
-    match Hashtbl.find_opt s.pending_samples name with
-    | Some h -> h
-    | None ->
-      let h =
-        { rec_ = fresh_sample (); s_name = name; s_table = s.samples;
-          s_linked = false }
-      in
-      Hashtbl.add s.pending_samples name h;
-      h)
+let sample s name = resolve s.samples name fresh_sample
 
-let get s name = match Hashtbl.find_opt s.counters name with Some r -> !r | None -> 0
+let get s name =
+  match Hashtbl.find_opt s.counters name with Some c -> c.v | None -> 0
 
 type summary = { count : int; mean : float; min : float; max : float }
 
@@ -131,20 +82,24 @@ let summarize (r : sample) =
   { count = r.count; mean = r.sum /. float_of_int r.count; min = r.min;
     max = r.max }
 
+let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+
 let samples s =
   Hashtbl.fold
     (fun name (r : sample) acc ->
       if r.count > 0 then (name, summarize r) :: acc else acc)
     s.samples []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> by_name
 
-let sorted_bindings table =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let written table =
+  Hashtbl.fold
+    (fun name c acc -> if c.written then (name, c.v) :: acc else acc)
+    table []
+  |> by_name
 
-let counters s = sorted_bindings s.counters
+let counters s = written s.counters
 
-let gauges s = sorted_bindings s.gauges
+let gauges s = written s.gauges
 
 (* Gauges live in their own table: a gauge is a high-water mark, not an
    accumulation, so merging runs takes the max — summing would report
@@ -154,17 +109,21 @@ let merge_into ~dst src =
      mutate the sample records mid-iteration; it can only arise by
      accident, so make it an explicit no-op. *)
   if dst != src then begin
-    Hashtbl.iter (fun name r -> Handle.add (counter dst name) !r) src.counters;
-    Hashtbl.iter (fun name r -> Handle.set_max (gauge dst name) !r) src.gauges;
+    Hashtbl.iter
+      (fun name c -> if c.written then Handle.add (counter dst name) c.v)
+      src.counters;
+    Hashtbl.iter
+      (fun name c -> if c.written then Handle.set_max (gauge dst name) c.v)
+      src.gauges;
     Hashtbl.iter
       (fun name (r : sample) ->
-        let dh = sample dst name in
-        Handle.link_sample dh;
-        let d = dh.rec_ in
-        d.count <- d.count + r.count;
-        d.sum <- d.sum +. r.sum;
-        if r.min < d.min then d.min <- r.min;
-        if r.max > d.max then d.max <- r.max)
+        if r.count > 0 then begin
+          let d = sample dst name in
+          d.count <- d.count + r.count;
+          d.sum <- d.sum +. r.sum;
+          if r.min < d.min then d.min <- r.min;
+          if r.max > d.max then d.max <- r.max
+        end)
       src.samples
   end
 

@@ -10,11 +10,12 @@
 
     {b One write path.}  A writer resolves a {{!Handle}handle} once
     ({!counter}, {!gauge}, {!sample}) and updates through it in O(1) with
-    no hashing or allocation.  Handle registration is lazy: resolving a
-    handle leaves no trace in {!counters}/{!gauges}/{!samples} until its
-    first write, so a pre-resolved counter that never fires is
-    indistinguishable from one never mentioned.  A handle is just a
-    pre-hashed alias for its name (see COUNTERS.md). *)
+    no hashing or allocation.  A name is listed from its first write:
+    resolving a handle leaves no trace in {!counters}/{!gauges}/{!samples},
+    so a pre-resolved counter that never fires is indistinguishable from
+    one never mentioned, while a write that leaves a counter at 0 still
+    lists it.  A handle is just a pre-hashed alias for its name (see
+    COUNTERS.md). *)
 
 type t
 

@@ -284,7 +284,7 @@ let test_trace_typed_events () =
       "[t=9] read fault node 1 addr 64 (block 8)";
       "[t=12] barrier release (4 nodes)";
     ]
-    (Trace.dump tr)
+    (Trace.dump (Trace.events tr))
 
 let test_trace_wraparound_typed () =
   let tr = Trace.create ~capacity:2 in

@@ -495,7 +495,7 @@ let test_trace_ring () =
   Alcotest.(check int) "recorded total" 4 (Lcm_sim.Trace.recorded tr);
   Alcotest.(check (list string)) "keeps newest, oldest first"
     [ "[t=10] b"; "[t=20] c"; "[t=30] d" ]
-    (Lcm_sim.Trace.dump tr);
+    (Lcm_sim.Trace.dump (Lcm_sim.Trace.events tr));
   Alcotest.(check bool) "bad capacity" true
     (try
        ignore (Lcm_sim.Trace.create ~capacity:0);
@@ -508,7 +508,7 @@ let test_machine_trace_captures_events () =
   let a = Lcm_mem.Gmem.alloc (Machine.gmem m) ~dist:(Lcm_mem.Gmem.On 1) ~nwords:8 in
   Machine.spawn m (Machine.node m 0) (fun () -> ignore (Memeff.load a));
   Machine.run_to_quiescence m;
-  let events = Machine.trace_dump m in
+  let events = Lcm_sim.Trace.dump (Machine.trace_events m) in
   Alcotest.(check bool) "fault recorded" true
     (List.exists (fun e -> String.length e > 0 &&
         (let has sub =

@@ -530,6 +530,30 @@ let test_stats_handles_register_lazily () =
   check "early handle sees later writes" 4 (Stats.Handle.value c1);
   Alcotest.(check (list string)) "written names listed" [ "c"; "g" ] (listed ())
 
+(* A name is listed from its first write, whatever value that write
+   leaves: a counter taken back to 0, an [add 0] and a gauge raised to 0
+   are all listed (as [lcm.barrier_wait_cycles = 0] is on a run whose
+   barriers never wait), and a merge carries them. *)
+let test_stats_zero_write_listed () =
+  let s = Stats.create () in
+  let back = Stats.counter s "back" in
+  Stats.Handle.incr back;
+  Stats.Handle.add back (-1);
+  stat_add s "add0" 0;
+  stat_max s "g0" 0;
+  ignore (Stats.counter s "resolved");
+  ignore (Stats.gauge s "resolved-gauge");
+  let pairs = Alcotest.(list (pair string int)) in
+  let check_listed what r =
+    Alcotest.check pairs (what ^ ": counters") [ ("add0", 0); ("back", 0) ]
+      (Stats.counters r);
+    Alcotest.check pairs (what ^ ": gauges") [ ("g0", 0) ] (Stats.gauges r)
+  in
+  check_listed "written zeros" s;
+  let empty = Stats.create () in
+  Stats.merge_into ~dst:empty s;
+  check_listed "merged into an empty registry" empty
+
 let test_stats_counters_sorted () =
   let s = Stats.create () in
   stat_incr s "b";
@@ -653,5 +677,7 @@ let suite =
         prop_mask_roundtrip;
         prop_mask_union_cardinal;
       ]
+  @ [ ("stats: a write that leaves zero stays listed", `Quick,
+       test_stats_zero_write_listed) ]
 
 let () = Alcotest.run "lcm_util" [ ("util", suite) ]
