@@ -32,6 +32,22 @@ let fraction =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* A converter over a library parser: its error message is the option's. *)
+let conv_of of_string to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (of_string s)),
+      fun ppf v -> Format.pp_print_string ppf (to_string v) )
+
+(* A path to write, in a directory that exists: checked before anything
+   runs, so a bad path is exit 124, not a crash after the work is done. *)
+let output_path =
+  let parse s =
+    let dir = Filename.dirname s in
+    if Sys.file_exists dir && Sys.is_directory dir then Ok s
+    else Error (`Msg (Printf.sprintf "no such directory %S" dir))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 (* A negative verdict exits 1: cmdliner keeps 124 for a command line it
    rejected before anything ran, so the two never mix.  Each command that
    can reach one lists the code in its --help EXIT STATUS. *)
@@ -44,29 +60,20 @@ let negative_verdict msg =
 (* The one policy converter: any spelling in Policy.spellings, to the
    registry entry.  --system/--protocol/-p and every --policy use it. *)
 let policy_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Lcm_core.Policy.of_string s) in
-  Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf s.Config.label)
+  conv_of Lcm_core.Policy.of_string (fun p -> p.Config.label)
 
 let policy_spellings = String.concat ", " Lcm_core.Policy.spellings
 
 let policy_arg =
-  let arg =
-    Arg.(value & opt (some policy_conv) None
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:(Printf.sprintf "Restrict to one policy (%s); default: every \
-                                   registered policy." policy_spellings))
-  in
-  Term.(const (Option.map (fun s -> s.Config.policy)) $ arg)
+  Arg.(value & opt (some policy_conv) None
+       & info [ "policy" ] ~docv:"POLICY"
+           ~doc:(Printf.sprintf "Restrict to one policy (%s); default: every \
+                                 registered policy." policy_spellings))
 
 let schedule_conv =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Lcm_cstar.Schedule.of_string s)
-  in
-  Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Lcm_cstar.Schedule.to_string s))
+  conv_of Lcm_cstar.Schedule.of_string Lcm_cstar.Schedule.to_string
 
-let topology_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Lcm_net.Topology.of_string s) in
-  Arg.conv (parse, fun ppf t -> Format.pp_print_string ppf (Lcm_net.Topology.to_string t))
+let topology_conv = conv_of Lcm_net.Topology.of_string Lcm_net.Topology.to_string
 
 let system_arg =
   Arg.(value & opt policy_conv Config.lcm_mcc
@@ -108,9 +115,7 @@ let capacity_arg =
   Arg.(value & opt (some (int_at_least 1)) None
        & info [ "capacity" ] ~docv:"BLOCKS" ~doc:"Finite per-node cache, in blocks.")
 
-let barrier_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Lcm_core.Barrier.of_string s) in
-  Arg.conv (parse, fun ppf b -> Format.pp_print_string ppf (Lcm_core.Barrier.to_string b))
+let barrier_conv = conv_of Lcm_core.Barrier.of_string Lcm_core.Barrier.to_string
 
 let barrier_arg =
   Arg.(value & opt barrier_conv Lcm_core.Barrier.Constant
@@ -126,7 +131,7 @@ let trace_arg =
            ~doc:"Record a protocol event trace and print the tail.")
 
 let trace_out_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some output_path) None
        & info [ "trace-out" ] ~docv:"FILE"
            ~doc:"Write the recorded trace as Chrome trace_event JSON to \
                  $(docv) — open in chrome://tracing or Perfetto.  Implies \
@@ -180,9 +185,11 @@ let faults_term =
   Term.(ret (const build $ fault_rate_arg $ fault_seed_arg $ fault_profile_arg))
 
 (* A single run ends with the audit every experiment cell runs; a
-   violation is a negative verdict. *)
+   violation is a negative verdict, as is a fault plan's typed failure. *)
 let audit_exits =
-  verdict_exits "when the protocol audit after the run finds a violation."
+  verdict_exits
+    "when a fault plan stalls the run or leaves a node unreachable, or the \
+     protocol audit after the run finds a violation."
 
 (* Every single-run command: [term] yields the label its audit reports,
    the memory system and the run; the builder owns the machine, fault and
@@ -199,7 +206,13 @@ let bench_cmd name ~doc term =
     let traced = trace || trace_out <> None in
     if traced then Lcm_tempest.Machine.enable_trace ~capacity:trace_cap mach;
     if phases then Runtime.enable_phase_log rt;
-    Format.printf "%a@." Bench_result.pp (run rt);
+    let result =
+      try run rt
+      with (Lcm_sim.Engine.Stalled _ | Lcm_net.Network.Net_unreachable _) as e ->
+        negative_verdict
+          (Printf.sprintf "%s/%s: %s" name label (Printexc.to_string e))
+    in
+    Format.printf "%a@." Bench_result.pp result;
     if stats then Format.printf "%a" Lcm_util.Stats.pp (Runtime.stats rt);
     (if traced then
        let events = Lcm_tempest.Machine.trace_events mach in
@@ -342,9 +355,8 @@ let nbody_cmd =
 
 let synthetic_cmd =
   let sharing_conv =
-    let parse s = Result.map_error (fun e -> `Msg e) (Lcm_apps.Synthetic.sharing_of_string s) in
-    Arg.conv
-      (parse, fun ppf s -> Format.pp_print_string ppf (Lcm_apps.Synthetic.sharing_to_string s))
+    conv_of Lcm_apps.Synthetic.sharing_of_string
+      Lcm_apps.Synthetic.sharing_to_string
   in
   let sharing_arg =
     Arg.(value & opt sharing_conv `Neighbour
@@ -378,8 +390,8 @@ let info_cmd =
       (Lcm_net.Topology.to_string m.Config.topology);
     Printf.printf "systems:\n";
     List.iter2
-      (fun spellings (i : Lcm_core.Policy.info) ->
-        Printf.printf "  %-28s %s\n" spellings i.Lcm_core.Policy.summary)
+      (fun spellings (p : Lcm_core.Policy.t) ->
+        Printf.printf "  %-28s %s\n" spellings p.Lcm_core.Policy.summary)
       Lcm_core.Policy.spellings Lcm_core.Policy.all;
     Printf.printf "\n";
     Printf.printf "cost model (cycles):\n";
@@ -419,8 +431,7 @@ let jobs_arg =
 let experiments_cmd =
   let module Fleet = Lcm_fleet.Fleet in
   let scale_conv =
-    let parse s = Result.map_error (fun e -> `Msg e) (Experiments.scale_of_string s) in
-    Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Experiments.scale_to_string s))
+    conv_of Experiments.scale_of_string Experiments.scale_to_string
   in
   let scale_arg =
     Arg.(value & opt scale_conv Experiments.Quick
@@ -471,13 +482,13 @@ let experiments_cmd =
                    reported $(b,timed-out) and the sweep continues.")
   in
   let summary_json_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some output_path) None
          & info [ "summary-json" ] ~docv:"FILE"
              ~doc:"Write the machine-readable sweep summary (lcm-sweep/1 \
                    JSON) to $(docv).")
   in
   let summary_csv_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some output_path) None
          & info [ "summary-csv" ] ~docv:"FILE"
              ~doc:"Write the sweep summary as CSV to $(docv).")
   in
@@ -739,7 +750,7 @@ let check_cmd =
                    $(b,--policy) instead of exploring.")
   in
   let out_arg =
-    Arg.(value & opt string "out"
+    Arg.(value & opt output_path "out"
          & info [ "out" ] ~docv:"DIR"
              ~doc:"Directory for counterexample artifacts (trace JSON + \
                    report).")
@@ -784,8 +795,8 @@ let check_cmd =
     | [] -> ()
     | evs -> Traceview.export_file ~path:trace_path evs);
     (match verdict with
-    | Check.Fail _ -> ()
-    | Check.Pass ->
+    | Error _ -> ()
+    | Ok () ->
       Printf.eprintf "warning: minimized schedule no longer fails on replay\n");
     Printf.printf "  artifacts: %s%s\n" report_path
       (if events = [] then "" else ", " ^ trace_path)
@@ -838,12 +849,12 @@ let check_cmd =
               Traceview.export_file ~path evs;
               Printf.printf "trace: %s\n" path);
             match verdict with
-            | Check.Pass ->
+            | Ok () ->
               Printf.printf "replay %s on %s/%s: PASS\n"
                 (Check.schedule_to_string schedule) p.Lcm_core.Policy.name
                 sname;
               `Ok ()
-            | Check.Fail report ->
+            | Error report ->
               Printf.printf "replay %s on %s/%s: FAIL\n%s\n"
                 (Check.schedule_to_string schedule) p.Lcm_core.Policy.name
                 sname report;
@@ -944,16 +955,15 @@ let trace_validate_cmd =
   in
   let run file =
     match Traceview.validate_file file with
-    | Ok n ->
-      Printf.printf "%s: valid Chrome trace, %d events\n" file n;
-      `Ok ()
-    | Error e -> `Error (false, Printf.sprintf "%s: %s" file e)
+    | Ok n -> Printf.printf "%s: valid Chrome trace, %d events\n" file n
+    | Error e -> negative_verdict (Printf.sprintf "%s: %s" file e)
   in
   Cmd.v
     (Cmd.info "trace-validate"
+       ~exits:(verdict_exits "when the file is unreadable or not a valid trace.")
        ~doc:"Check that a --trace-out file is well-formed (parses as JSON, \
              non-empty traceEvents, monotone timestamps).")
-    Term.(ret (const run $ file_arg))
+    Term.(const run $ file_arg)
 
 let default =
   Term.(ret (const (`Help (`Pager, None))))

@@ -93,8 +93,6 @@ let pp_stats ppf st =
    expects; that run proves nothing and is discarded. *)
 exception Diverged
 
-type verdict = Pass | Fail of string
-
 (* One recorded decision point of one run. *)
 type point = {
   pt_fault : bool;
@@ -263,9 +261,7 @@ let run_prog ?(trace = false) (prog : Stress.prog) ~expect ~ctl =
   if ctl.faulty then
     Network.set_fault_chooser (Machine.network m)
       (Some (fun ~src ~dst ~tag -> on_fault ctl ~src ~dst ~tag));
-  let verdict =
-    match Stress.run_on m ~expect prog with Ok () -> Pass | Error e -> Fail e
-  in
+  let verdict = Stress.run_on m ~expect prog in
   (verdict, if trace then Machine.trace_events m else [])
 
 (* ------------------------------------------------------------------ *)
@@ -332,7 +328,7 @@ let explore ?(label = "config") ?(max_schedules = 20_000) ?(fault_budget = 0)
        in
        match run_prog prog ~expect ~ctl with
        | exception Diverged -> ()
-       | Fail report, _ ->
+       | Error report, _ ->
          st.schedules <- st.schedules + 1;
          let points = Array.of_list (List.rev ctl.points) in
          result :=
@@ -347,7 +343,7 @@ let explore ?(label = "config") ?(max_schedules = 20_000) ?(fault_budget = 0)
                v_dup = dup;
              };
          raise Exit
-       | Pass, _ ->
+       | Ok (), _ ->
          st.schedules <- st.schedules + 1;
          let points = Array.of_list (List.rev ctl.points) in
          let npoints = Array.length points in
@@ -392,21 +388,24 @@ let explore ?(label = "config") ?(max_schedules = 20_000) ?(fault_budget = 0)
 (* Replay and shrinking                                                *)
 (* ------------------------------------------------------------------ *)
 
-let replay ?(trace = false) ?(fault_budget = 0) ?(dup = false) ~schedule prog =
+(* One schedule of [prog]; [Diverged] propagates. *)
+let run_schedule ?trace ~fault_budget ~dup ~schedule prog =
   let ctl =
     make_ctl
       ~forced:(Array.of_list schedule)
       ~seed_sleep:[] ~fault_budget ~dup ~reduce:true ~stats:(fresh_stats ())
   in
-  let expect = Stress.spec prog in
-  match run_prog ~trace prog ~expect ~ctl with
-  | verdict, events -> (verdict, events)
-  | exception Diverged -> (Fail "replay diverged: stale schedule", [])
+  run_prog ?trace prog ~expect:(Stress.spec prog) ~ctl
 
+let replay ?trace ?(fault_budget = 0) ?(dup = false) ~schedule prog =
+  try run_schedule ?trace ~fault_budget ~dup ~schedule prog
+  with Diverged -> (Error "replay diverged: stale schedule", [])
+
+(* A stale schedule proves nothing: it is not a failure. *)
 let replay_fails ~fault_budget ~dup prog schedule =
-  match replay ~fault_budget ~dup ~schedule prog with
-  | Fail r, _ when r <> "replay diverged: stale schedule" -> Some r
-  | _ -> None
+  match run_schedule ~fault_budget ~dup ~schedule prog with
+  | Error r, _ -> Some r
+  | Ok (), _ | (exception Diverged) -> None
 
 (* Minimize a violating schedule against a fixed configuration: strip
    trailing default choices, then try progressively shorter prefixes,
@@ -671,22 +670,8 @@ let gen_micro ~seed ~case ~policy : Stress.prog =
         if Rng.int rng 4 = 0 then Sequential (gen_seq ())
         else Parallel (gen_par ()))
   in
-  {
-    seed;
-    case;
-    policy;
-    nnodes;
-    words_per_block = wpb;
-    nblocks;
-    dist;
-    topology = Topology.Crossbar;
-    barrier = Barrier.Constant;
-    capacity_blocks = capacity;
-    hw_cache_blocks = None;
-    reductions;
-    init;
-    segments;
-  }
+  { (mk ~policy ~nnodes ~wpb ~nblocks ~dist ?capacity ~reductions ~init segments)
+    with seed; case }
 
 (* ------------------------------------------------------------------ *)
 (* Driver: check a policy's bounded configurations                     *)

@@ -38,9 +38,7 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** {1 Verdicts and exploration} *)
-
-type verdict = Pass | Fail of string
+(** {1 Exploration} *)
 
 type violation = {
   v_label : string;  (** which configuration (scenario/micro name) *)
@@ -82,11 +80,13 @@ val replay :
   ?dup:bool ->
   schedule:int list ->
   Lcm_harness.Stress.prog ->
-  verdict * (int * Lcm_sim.Trace.event) list
+  (unit, string) result * (int * Lcm_sim.Trace.event) list
 (** Re-execute one schedule: choice point [i] takes candidate
     [schedule.(i)], FIFO default (index 0) beyond the list's end — so
-    [[]] is the plain FIFO run.  With [trace], the returned events render
-    through {!Lcm_harness.Traceview}. *)
+    [[]] is the plain FIFO run.  The verdict is
+    {!Lcm_harness.Stress.run_on}'s; a schedule that no longer fits the
+    run's choice points is an [Error].  With [trace], the returned events
+    render through {!Lcm_harness.Traceview}. *)
 
 val shrink_violation :
   ?max_explore_schedules:int -> ?max_tries:int -> violation -> violation

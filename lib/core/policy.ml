@@ -10,11 +10,20 @@ type snoop = { exclusive_state : bool; owned_state : bool }
 
 type family = Directory of directory | Snoop of snoop
 
-type t = { name : string; family : family }
+type t = {
+  name : string;
+  label : string;
+  aliases : string list;
+  summary : string;
+  family : family;
+}
 
 let stache =
   {
     name = "stache";
+    label = "Stache+copy";
+    aliases = [ "copy" ];
+    summary = "directory; sequentially-consistent single-writer (baseline)";
     family =
       Directory
         {
@@ -27,6 +36,9 @@ let stache =
 let lcm_scc =
   {
     name = "lcm-scc";
+    label = "LCM-scc";
+    aliases = [ "scc" ];
+    summary = "directory; LCM, single clean copy at the home";
     family =
       Directory
         {
@@ -39,6 +51,9 @@ let lcm_scc =
 let lcm_mcc =
   {
     name = "lcm-mcc";
+    label = "LCM-mcc";
+    aliases = [ "mcc"; "lcm" ];
+    summary = "directory; LCM, clean copies on every caching node";
     family =
       Directory
         {
@@ -51,6 +66,9 @@ let lcm_mcc =
 let lcm_mcc_update =
   {
     name = "lcm-mcc-update";
+    label = "LCM-mcc-update";
+    aliases = [ "mcc-update"; "update" ];
+    summary = "directory; LCM-mcc with update-based reconciliation";
     family =
       Directory
         {
@@ -61,13 +79,31 @@ let lcm_mcc_update =
   }
 
 let msi =
-  { name = "msi"; family = Snoop { exclusive_state = false; owned_state = false } }
+  {
+    name = "msi";
+    label = "MSI";
+    aliases = [];
+    summary = "snooping bus; Modified/Shared/Invalid";
+    family = Snoop { exclusive_state = false; owned_state = false };
+  }
 
 let mesi =
-  { name = "mesi"; family = Snoop { exclusive_state = true; owned_state = false } }
+  {
+    name = "mesi";
+    label = "MESI";
+    aliases = [];
+    summary = "snooping bus; MSI plus a silent-upgrade Exclusive state";
+    family = Snoop { exclusive_state = true; owned_state = false };
+  }
 
 let moesi =
-  { name = "moesi"; family = Snoop { exclusive_state = true; owned_state = true } }
+  {
+    name = "moesi";
+    label = "MOESI";
+    aliases = [];
+    summary = "snooping bus; MESI plus an Owned dirty-sharing state";
+    family = Snoop { exclusive_state = true; owned_state = true };
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The registry: the one statement of which memory systems exist and   *)
@@ -76,66 +112,20 @@ let moesi =
 (* every parser derives from [all].                                    *)
 (* ------------------------------------------------------------------ *)
 
-type info = { policy : t; label : string; aliases : string list; summary : string }
+let all = [ stache; lcm_scc; lcm_mcc; lcm_mcc_update; msi; mesi; moesi ]
 
-let all =
-  [
-    {
-      policy = stache;
-      label = "Stache+copy";
-      aliases = [ "copy" ];
-      summary = "directory; sequentially-consistent single-writer (baseline)";
-    };
-    {
-      policy = lcm_scc;
-      label = "LCM-scc";
-      aliases = [ "scc" ];
-      summary = "directory; LCM, single clean copy at the home";
-    };
-    {
-      policy = lcm_mcc;
-      label = "LCM-mcc";
-      aliases = [ "mcc"; "lcm" ];
-      summary = "directory; LCM, clean copies on every caching node";
-    };
-    {
-      policy = lcm_mcc_update;
-      label = "LCM-mcc-update";
-      aliases = [ "mcc-update"; "update" ];
-      summary = "directory; LCM-mcc with update-based reconciliation";
-    };
-    {
-      policy = msi;
-      label = "MSI";
-      aliases = [];
-      summary = "snooping bus; Modified/Shared/Invalid";
-    };
-    {
-      policy = mesi;
-      label = "MESI";
-      aliases = [];
-      summary = "snooping bus; MSI plus a silent-upgrade Exclusive state";
-    };
-    {
-      policy = moesi;
-      label = "MOESI";
-      aliases = [];
-      summary = "snooping bus; MESI plus an Owned dirty-sharing state";
-    };
-  ]
+let policies = all
 
-let policies = List.map (fun i -> i.policy) all
+let spellings_of p =
+  let label = String.lowercase_ascii p.label in
+  p.name :: (if label = p.name then p.aliases else label :: p.aliases)
 
-let spellings_of i =
-  let label = String.lowercase_ascii i.label in
-  i.policy.name :: (if label = i.policy.name then i.aliases else label :: i.aliases)
-
-let spellings = List.map (fun i -> String.concat "|" (spellings_of i)) all
+let spellings = List.map (fun p -> String.concat "|" (spellings_of p)) all
 
 let of_string s =
   let key = String.lowercase_ascii (String.trim s) in
-  match List.find_opt (fun i -> List.mem key (spellings_of i)) all with
-  | Some i -> Ok i
+  match List.find_opt (fun p -> List.mem key (spellings_of p)) all with
+  | Some p -> Ok p
   | None ->
     Error
       (Printf.sprintf "unknown policy %S (expected one of: %s)" key

@@ -1,7 +1,8 @@
 (** Coherence-policy descriptions and the policy registry.
 
-    A {!t} is pure data naming a point in the protocol design space; the
-    engine that interprets it lives in {!Proto}.  Two families exist:
+    A {!t} is the one record of a memory system: its names and, as pure
+    data, its point in the protocol design space; the engine that
+    interprets it lives in {!Proto}.  Two families exist:
 
     - {b Directory} — the paper's RSM family (Section 3): a home-node
       full-directory protocol whose members differ in exactly two
@@ -15,11 +16,11 @@
       ({!Lcm_net.Bus}); the comparison baseline for the directory-vs-bus
       crossover experiments.
 
-    The {!all} registry is the one statement of a memory system: its
-    entry names the policy, carries every spelling {!of_string} accepts,
-    and (through {!is_lcm}) decides the C\*\* compilation strategy the
-    runtime pairs with it.  The stress harness, the harness [Config]
-    systems and every [lcm_sim] policy option derive from it. *)
+    The {!all} registry lists every memory system.  Each record carries
+    every spelling {!of_string} accepts and (through {!is_lcm}) decides
+    the C\*\* compilation strategy the runtime pairs with it.  The stress
+    harness, the harness [Config] systems and every [lcm_sim] policy
+    option derive from it. *)
 
 type write_grant =
   | Exclusive
@@ -57,7 +58,18 @@ type snoop = {
 
 type family = Directory of directory | Snoop of snoop
 
-type t = { name : string; family : family }
+type t = {
+  name : string;  (** canonical name, e.g. ["lcm-mcc"] *)
+  label : string;
+      (** presentation label (e.g. "Stache+copy", "MESI") — the harness
+          Config system labels and figure legends derive from it; accepted
+          by {!of_string} *)
+  aliases : string list;
+      (** further {!of_string} spellings (e.g. "copy" for Stache, "lcm"
+          for LCM-mcc) *)
+  summary : string;  (** one-line description for [--help] and docs *)
+  family : family;
+}
 
 val stache : t
 (** The baseline: user-level sequentially-consistent directory protocol
@@ -88,32 +100,20 @@ val moesi : t
 
 (** {1 The registry} *)
 
-type info = {
-  policy : t;
-  label : string;
-      (** presentation label (e.g. "Stache+copy", "MESI") — the harness
-          Config system labels and figure legends derive from it; accepted
-          by {!of_string} *)
-  aliases : string list;
-      (** further {!of_string} spellings (e.g. "copy" for Stache, "lcm"
-          for LCM-mcc) *)
-  summary : string;  (** one-line description for [--help] and docs *)
-}
-
-val all : info list
+val all : t list
 (** Every registered policy, in presentation order (the four directory
     policies, then MSI/MESI/MOESI). *)
 
 val policies : t list
-(** [List.map (fun i -> i.policy) all]. *)
+(** {!all}. *)
 
 val spellings : string list
 (** Every accepted spelling per policy — canonical name, lowercased label,
     aliases — joined with ["|"] (e.g. ["stache|stache+copy|copy"]): the
     vocabulary the parse error and the CLI help enumerate. *)
 
-val of_string : string -> (info, string) result
-(** The registry entry named by a spelling from {!spellings}; case and
+val of_string : string -> (t, string) result
+(** The policy named by a spelling from {!spellings}; case and
     surrounding blanks are ignored.  The only parser of policy names: the
     error message enumerates every accepted spelling. *)
 

@@ -37,9 +37,7 @@ type entry = {
   mutable lcm_holders : ISet.t;  (* nodes granted an LCM copy this epoch *)
   mutable shadow : Block.t option;  (* pending reconciled value *)
   mutable shadow_mask : Mask.t;  (* words merged into the shadow *)
-  mutable shadow_epoch : int;
   mutable readers : ISet.t;  (* parallel-phase readers (detection only) *)
-  mutable readers_epoch : int;
 }
 
 (* Reconcile progress: the joins and sweep acks that decide when
@@ -115,8 +113,7 @@ type t = {
   dp : Policy.directory;  (* the directory-family knobs of [pol] *)
   hs : handles;
   barrier : Barrier.style;
-  detect : bool;
-  strict_detection : bool;
+  detection : Detect.setting;
   entries : (int, entry) Hashtbl.t;
   reductions : (int, Reduction.t) Hashtbl.t;  (* block -> operator *)
   pending_marks : int list ref array;
@@ -175,27 +172,19 @@ let get_entry t b =
         lcm_holders = ISet.empty;
         shadow = None;
         shadow_mask = Mask.empty;
-        shadow_epoch = -1;
         readers = ISet.empty;
-        readers_epoch = -1;
       }
     in
     Hashtbl.add t.entries b e;
     e
 
-(* Record a parallel-phase reader for race detection (§7.2); readers sets
-   left over from earlier epochs are lazily reset.  Called both from
-   [serve] (remote reads fault and reach the home) and from the machine's
-   read observer (the home's own reads hit its always-readable backing
-   line and never fault). *)
+(* Record a parallel-phase reader for race detection (§7.2).  Called
+   both from [serve] (remote reads fault and reach the home) and from the
+   machine's read observer (the home's own reads hit its always-readable
+   backing line and never fault). *)
 let note_reader t e node =
-  if t.detect && Machine.phase t.mach = `Parallel then begin
-    if e.readers_epoch <> Machine.epoch t.mach then begin
-      e.readers <- ISet.empty;
-      e.readers_epoch <- Machine.epoch t.mach
-    end;
+  if t.detection <> Detect.Off && Machine.phase t.mach = `Parallel then
     e.readers <- ISet.add node e.readers
-  end
 
 (* §5.1 memory accounting: clean copies (home pending copies and mcc local
    snapshots) exist only during a parallel call; track the live gauge and
@@ -588,14 +577,16 @@ let merge_flush t b data mask ~from ~epoch =
   if epoch <> Machine.epoch t.mach then
     failwith "Proto: flush from a stale epoch";
   let master = Machine.master t.mach b in
-  (match e.shadow with
-  | Some _ when e.shadow_epoch = epoch -> ()
-  | Some _ | None ->
-    e.shadow <- Some (Block.copy master);
-    e.shadow_mask <- Mask.empty;
-    e.shadow_epoch <- epoch;
-    clean_copy_created t);
-  let shadow = match e.shadow with Some s -> s | None -> assert false in
+  let shadow =
+    match e.shadow with
+    | Some s -> s
+    | None ->
+      let s = Block.copy master in
+      e.shadow <- Some s;
+      e.shadow_mask <- Mask.empty;
+      clean_copy_created t;
+      s
+  in
   (match Hashtbl.find_opt t.reductions b with
   | Some op ->
     Mask.iter mask (fun i ->
@@ -606,7 +597,7 @@ let merge_flush t b data mask ~from ~epoch =
     let overlap = Mask.inter mask e.shadow_mask in
     if not (Mask.is_empty overlap) then begin
       Stats.Handle.incr t.hs.h_conflicts;
-      if t.detect then
+      if t.detection <> Detect.Off then
         t.conflicts <- { Detect.block = b; words = overlap; writer = from } :: t.conflicts
     end;
     Block.merge_masked ~src:data ~dst:shadow ~mask);
@@ -722,10 +713,11 @@ and flush_node t node =
 (* Promote shadows to the new global state and invalidate outstanding
    copies of every modified block.  The sweep leaves at the last join (no
    sweep ack has raised a completion time yet), or now if the engine has
-   moved past it. *)
+   moved past it.  It visits every entry once per reconcile, before
+   Barrier.release advances the epoch, and retires each entry's per-phase
+   state: the shadow, the LCM holders and the readers. *)
 and start_sweep t =
   let r = reconciling t in
-  let epoch = Machine.epoch t.mach in
   let sweep_time =
     max (Array.fold_left max 0 r.done_times)
       (Lcm_sim.Engine.now (Machine.engine t.mach))
@@ -737,28 +729,25 @@ and start_sweep t =
     (fun b ->
       let e = match Hashtbl.find_opt t.entries b with Some e -> e | None -> assert false in
       let home = home_of t b in
-      (* Strict detection (§7.3): actual races need every read-only copy
-         flushed at synchronization points, so that the next phase's reads
-         fault and register — otherwise a copy cached in an earlier phase
-         satisfies reads invisibly. *)
-      let modified_this_epoch =
-        match e.shadow with Some _ -> e.shadow_epoch = epoch | None -> false
-      in
-      (if t.strict_detection && not modified_this_epoch then begin
-         let targets = ISet.remove home (sharers_of e.dstate) in
-         ISet.iter
-           (send_sweep_inval t r b ~home ~at:sweep_time t.hs.h_strict_invals)
-           targets;
-         if not (ISet.is_empty targets) then home_owns t e
-       end);
       (match e.shadow with
-      | Some shadow when e.shadow_epoch = epoch ->
+      | None ->
+        (* Strict detection (§7.3): actual races need every read-only copy
+           flushed at synchronization points, so that the next phase's
+           reads fault and register — otherwise a copy cached in an
+           earlier phase satisfies reads invisibly. *)
+        if t.detection = Detect.Strict then begin
+          let targets = ISet.remove home (sharers_of e.dstate) in
+          ISet.iter
+            (send_sweep_inval t r b ~home ~at:sweep_time t.hs.h_strict_invals)
+            targets;
+          if not (ISet.is_empty targets) then home_owns t e
+        end
+      | Some shadow ->
         Block.blit ~src:shadow ~dst:(Machine.master t.mach b);
         e.shadow <- None;
         Stats.Handle.add t.hs.h_live_clean_copies (-1);
         Stats.Handle.incr t.hs.h_reconciled_blocks;
-        if t.detect && e.readers_epoch = epoch && not (ISet.is_empty e.readers)
-        then
+        if t.detection <> Detect.Off && not (ISet.is_empty e.readers) then
           t.races <-
             { Detect.block = b; readers = ISet.elements e.readers } :: t.races;
         (* Invalidate every outstanding copy; the home line re-aliases the
@@ -799,8 +788,7 @@ and start_sweep t =
             (send_sweep_inval t r b ~home ~at:sweep_time t.hs.h_reconcile_invals)
             targets;
           home_owns t e
-        end
-      | Some _ | None -> ());
+        end);
       e.lcm_holders <- ISet.empty;
       e.readers <- ISet.empty)
     blocks;
@@ -910,8 +898,8 @@ let check_invariants t =
       (if not (Queue.is_empty e.waiting) then
          err "block %d: %d queued waiters while quiescent" b
            (Queue.length e.waiting));
-      (if (not parallel) && e.shadow <> None && e.shadow_epoch = Machine.epoch t.mach
-       then err "block %d: pending shadow outside a parallel phase" b);
+      (if (not parallel) && e.shadow <> None then
+         err "block %d: pending shadow outside a parallel phase" b);
       (if (not parallel) && not (ISet.is_empty e.lcm_holders) then
          err "block %d: LCM holders outside a parallel phase" b);
       (match e.dstate with
@@ -1005,13 +993,7 @@ let install ?(detection = Detect.Off) ?(barrier = Barrier.Constant)
     | Policy.Snoop _ ->
       invalid_arg "Proto_dir.install: snooping policies ride the bus engine"
   in
-  let detect, strict_detection =
-    match detection with
-    | Detect.Off -> (false, false)
-    | Detect.At_reconcile -> (true, false)
-    | Detect.Strict -> (true, true)
-  in
-  if strict_detection && dp.Policy.update_on_reconcile then
+  if detection = Detect.Strict && dp.Policy.update_on_reconcile then
     invalid_arg
       "Proto.install: strict detection is incompatible with update-based \
        reconciliation (updated copies satisfy reads without faulting, so \
@@ -1024,8 +1006,7 @@ let install ?(detection = Detect.Off) ?(barrier = Barrier.Constant)
       dp;
       hs = resolve_handles (Machine.stats mach);
       barrier;
-      detect;
-      strict_detection;
+      detection;
       entries = Hashtbl.create 4096;
       reductions = Hashtbl.create 64;
       pending_marks = Array.init nnodes (fun _ -> ref []);
@@ -1049,7 +1030,7 @@ let install ?(detection = Detect.Off) ?(barrier = Barrier.Constant)
     ~write_fault:(fun node ~addr ~retry -> write_fault t node ~addr ~retry)
     ~directive:(fun node d ~retry -> directive t node d ~retry);
   Machine.set_evict_handler mach (fun node b line -> evict t node b line);
-  if detect then
+  if detection <> Detect.Off then
     (* Home reads hit the always-readable backing line and never fault, so
        they are invisible to [serve]; without this observer a race where
        the home reads a block another node LCM-modifies in the same phase

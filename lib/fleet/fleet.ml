@@ -123,6 +123,9 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Pool = struct
+  (* Raised by the wall-clock guard [run_cell] installs, caught there. *)
+  exception Wall_clock_exceeded of { limit_s : float }
+
   let run_cell ~(budget : Budget.t) ~index ~label thunk =
     (* a [Failed] outcome carries its backtrace, and a domain records one
        only once asked to: spawned domains start with recording off *)
@@ -134,7 +137,7 @@ module Pool = struct
           let deadline = t0 +. limit_s in
           fun () ->
             if Unix.gettimeofday () > deadline then
-              raise (Engine.Wall_clock_exceeded { limit_s }))
+              raise (Wall_clock_exceeded { limit_s }))
         budget.Budget.wall_s
     in
     let ev0 = Engine.domain_events () in
@@ -145,7 +148,7 @@ module Pool = struct
       | v -> Done v
       | exception Engine.Budget_exhausted { events; now } ->
         Timed_out (Event_budget { events; at_cycle = now })
-      | exception Engine.Wall_clock_exceeded { limit_s } ->
+      | exception Wall_clock_exceeded { limit_s } ->
         Timed_out (Wall_clock { limit_s })
       | exception exn ->
         let backtrace = Printexc.get_backtrace () in

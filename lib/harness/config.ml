@@ -1,21 +1,20 @@
 module Policy = Lcm_core.Policy
 
-type system = Policy.info = {
-  policy : Policy.t;
+type system = Policy.t = {
+  name : string;
   label : string;
   aliases : string list;
   summary : string;
+  family : Policy.family;
 }
 
-let system p = List.find (fun s -> s.policy = p) Policy.all
-
-let stache = system Policy.stache
-let lcm_scc = system Policy.lcm_scc
-let lcm_mcc = system Policy.lcm_mcc
-let lcm_mcc_update = system Policy.lcm_mcc_update
-let msi = system Policy.msi
-let mesi = system Policy.mesi
-let moesi = system Policy.moesi
+let stache = Policy.stache
+let lcm_scc = Policy.lcm_scc
+let lcm_mcc = Policy.lcm_mcc
+let lcm_mcc_update = Policy.lcm_mcc_update
+let msi = Policy.msi
+let mesi = Policy.mesi
+let moesi = Policy.moesi
 
 let systems = [ lcm_scc; lcm_mcc; stache ]
 
@@ -47,6 +46,6 @@ let build_machine m =
 
 let make_runtime ?barrier m system ~schedule =
   let proto =
-    Lcm_core.Proto.install ?barrier ~policy:system.policy (build_machine m)
+    Lcm_core.Proto.install ?barrier ~policy:system (build_machine m)
   in
   Lcm_cstar.Runtime.create proto ~schedule

@@ -2,16 +2,18 @@
 
     The paper's testbed is a 32-processor CM-5 running Blizzard-E; the
     measured systems are Stache with compiler-emitted explicit copying,
-    LCM-scc and LCM-mcc.  A {!system} is a policy registry entry
-    ({!Lcm_core.Policy.info}): the runtime derives the matching C\*\*
-    compilation strategy from its policy; {!systems} lists the three in
-    the paper's order. *)
+    LCM-scc and LCM-mcc.  A {!system} is the policy's one record
+    ({!Lcm_core.Policy.t}), re-exported so its label reads as
+    [system.Config.label]: the runtime derives the matching C\*\*
+    compilation strategy from it; {!systems} lists the three in the
+    paper's order. *)
 
-type system = Lcm_core.Policy.info = {
-  policy : Lcm_core.Policy.t;
+type system = Lcm_core.Policy.t = {
+  name : string;
   label : string;
   aliases : string list;
   summary : string;
+  family : Lcm_core.Policy.family;
 }
 
 val stache : system

@@ -383,15 +383,8 @@ let run_on m ~expect prog =
   | Stress_failure msgs -> Error (String.concat "\n" msgs)
   | Failure msg -> Error ("exception: " ^ msg)
   | Invalid_argument msg -> Error ("invalid argument: " ^ msg)
-  | Lcm_sim.Engine.Stalled { clock; pending } ->
-    Error
-      (Printf.sprintf "stalled: no delivery progress at clock %d (%d pending)"
-         clock pending)
-  | Lcm_net.Network.Net_unreachable { src; dst; tag; attempts } ->
-    Error
-      (Printf.sprintf
-         "net unreachable: %s %d->%d gave up after %d attempts" tag src dst
-         attempts)
+  | (Lcm_sim.Engine.Stalled _ | Lcm_net.Network.Net_unreachable _) as e ->
+    Error (Printexc.to_string e)
 
 let run_case ?faults prog = run_on (machine ?faults prog) ~expect:(spec prog) prog
 

@@ -4,6 +4,14 @@ module Stats = Lcm_util.Stats
 exception
   Net_unreachable of { src : int; dst : int; tag : string; attempts : int }
 
+let () =
+  Printexc.register_printer (function
+    | Net_unreachable { src; dst; tag; attempts } ->
+      Some
+        (Printf.sprintf "net unreachable: %s %d->%d gave up after %d attempts"
+           tag src dst attempts)
+    | _ -> None)
+
 type fate = Deliver | Drop | Dup
 
 (* Sender-side state of one in-flight reliable message, one record per

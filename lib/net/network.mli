@@ -39,7 +39,9 @@ type t
 exception
   Net_unreachable of { src : int; dst : int; tag : string; attempts : int }
 (** Raised (out of the engine loop) when a reliable send exhausted its
-    retransmission budget without an acknowledgement. *)
+    retransmission budget without an acknowledgement.
+    [Printexc.to_string] gives
+    ["net unreachable: TAG SRC->DST gave up after N attempts"]. *)
 
 val create :
   ?faults:Faults.t ->

@@ -6,8 +6,15 @@ type budget = {
 }
 
 exception Budget_exhausted of { events : int; now : int }
-exception Wall_clock_exceeded of { limit_s : float }
 exception Stalled of { clock : int; pending : int }
+
+let () =
+  Printexc.register_printer (function
+    | Stalled { clock; pending } ->
+      Some
+        (Printf.sprintf "stalled: no delivery progress at clock %d (%d pending)"
+           clock pending)
+    | _ -> None)
 
 (* How many events run between calls to the wall-clock guard.  The guard
    costs a system call (gettimeofday), so it is amortized; the stride is

@@ -14,10 +14,6 @@ exception Budget_exhausted of { events : int; now : int }
     Deterministic — a given cell raises at the same event count and clock
     no matter what runs on other domains. *)
 
-exception Wall_clock_exceeded of { limit_s : float }
-(** Raised by the wall-clock guard a fleet installs via {!with_budget}
-    (the engine itself never reads host time). *)
-
 exception Stalled of { clock : int; pending : int }
 (** Raised by {!step} when a quiescence watchdog is armed (see
     {!set_stall_limit}) and a sustained run of events has {e executed}
@@ -25,7 +21,8 @@ exception Stalled of { clock : int; pending : int }
     executed clock at the trip point, [pending] the number of still-queued
     events.  Turns a lost-message livelock — retransmission timers firing
     forever with no semantic progress — into a diagnosable, deterministic
-    failure instead of an unbounded run. *)
+    failure instead of an unbounded run.  [Printexc.to_string] gives
+    ["stalled: no delivery progress at clock C (P pending)"]. *)
 
 val with_budget :
   ?max_events:int -> ?guard:(unit -> unit) -> (unit -> 'a) -> 'a
@@ -35,7 +32,8 @@ val with_budget :
     [max_events] caps the total simulated events processed; exceeding it
     raises {!Budget_exhausted} before the offending event runs, leaving the
     engine consistent.  [guard] is called every few thousand events and may
-    raise (e.g. {!Wall_clock_exceeded}) to abort on host-side criteria.
+    raise to abort on host-side criteria (a fleet's wall-clock limit; the
+    engine itself never reads host time).
     Budgets nest; the previous ambient budget is restored on exit.  Engines
     created {e before} the call are not charged.
     @raise Invalid_argument if [max_events] is negative. *)

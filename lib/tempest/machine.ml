@@ -18,6 +18,7 @@ type lru = { capacity : int; heap : int Lcm_util.Heap.t }
 
 type node = {
   node_id : int;
+  machine : t;
   mutable node_clock : int;
   mutable handler_free : int;
   lines : (int, line) Hashtbl.t;
@@ -36,9 +37,8 @@ type node = {
          the hw-miss penalty to the access *)
   parked : (int, (unit -> unit) list) Hashtbl.t;
       (* block -> retries of the accesses waiting for it, newest first *)
-  mutable node_machine : t option; (* back-pointer, set once at creation *)
-  mutable self : node option;
-      (* [Some] of this node, allocated once at creation: what [set_cur]
+  self : node option;
+      (* [Some] of this node, allocated once with it: what [set_cur]
          stores in the domain's current-node slot, so installing a node
          allocates nothing *)
   (* Preallocated effect-handler arms + the scratch slots they read.
@@ -46,23 +46,21 @@ type node = {
      perform; building that pair fresh each time made the effect
      dispatch itself the simulator's biggest allocator.  Instead the
      effect's payload is parked in a scratch slot and a per-node arm —
-     one [Some closure] for the node's whole lifetime — picks it up.
-     Safe because the arm consumes its scratch synchronously, before any
-     other effect on this domain can perform: the handler runs the arm
-     immediately after [effc] returns it.  Built lazily on first spawn
-     (the arms close over the machine, which outlives node creation). *)
+     one [Some closure] for the node's whole lifetime, built with the
+     node — picks it up.  Safe because the arm consumes its scratch
+     synchronously, before any other effect on this domain can perform:
+     the handler runs the arm immediately after [effc] returns it. *)
   mutable sc_addr : int;
   mutable sc_val : int;
   mutable sc_rmw : int -> int;
   mutable sc_units : int;
   mutable sc_dir : Memeff.dir;
-  mutable arm_load : ((int, unit) Effect.Deep.continuation -> unit) option;
-  mutable arm_store : ((unit, unit) Effect.Deep.continuation -> unit) option;
-  mutable arm_rmw : ((int, unit) Effect.Deep.continuation -> unit) option;
-  mutable arm_work : ((unit, unit) Effect.Deep.continuation -> unit) option;
-  mutable arm_yield : ((unit, unit) Effect.Deep.continuation -> unit) option;
-  mutable arm_directive :
-    ((unit, unit) Effect.Deep.continuation -> unit) option;
+  arm_load : ((int, unit) Effect.Deep.continuation -> unit) option;
+  arm_store : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  arm_rmw : ((int, unit) Effect.Deep.continuation -> unit) option;
+  arm_work : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  arm_yield : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  arm_directive : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
 
 and t = {
@@ -72,7 +70,7 @@ and t = {
   m_costs : Lcm_sim.Costs.t;
   m_stats : Lcm_util.Stats.t;
   m_rng : Lcm_util.Rng.t;
-  m_nodes : node array;
+  mutable m_nodes : node array;  (* filled right after creation *)
   masters : (int, Lcm_mem.Block.t) Hashtbl.t;
   (* pre-resolved handles for every counter the access path can touch *)
   h_hw_misses : Stats.Handle.counter;
@@ -95,15 +93,13 @@ and t = {
   mutable on_directive : node -> Memeff.dir -> retry:(unit -> unit) -> unit;
   mutable on_evict : node -> int -> line -> unit;
   mutable on_read_hit : (node -> int -> line -> unit) option;
-  mutable m_yield_h :
-    (unit, unit) Effect.Deep.continuation -> int -> int -> unit;
+  m_yield_h : (unit, unit) Effect.Deep.continuation -> int -> int -> unit;
       (* preallocated engine-event handler for yield resumption:
          payload = the fiber's continuation, i1 = resume time, i2 = node
-         id (see Engine.schedule_call); installed right after creation *)
-  mutable m_recv_h : msg_cell -> int -> int -> unit;
+         id (see Engine.schedule_call) *)
+  m_recv_h : msg_cell -> int -> int -> unit;
       (* preallocated network delivery handler for protocol messages:
-         payload = the message cell, i1 = arrival; installed right after
-         creation *)
+         payload = the message cell, i1 = arrival *)
   mutable trace : Trace.t option;
   m_msg_pool : msg_cell Lcm_util.Pool.t;
       (* free-list of in-flight protocol-message cells (see [send]) *)
@@ -128,13 +124,12 @@ let no_handler _ = failwith "Machine: no protocol handler registered"
 let no_data : Lcm_mem.Block.t = [||]
 
 (* The node whose fiber code is executing on this domain, for the Memeff
-   fast-path hooks (see [init_arms]): set immediately before every
-   [continue] (and before the initial body in [spawn]), cleared the
-   moment the fiber suspends back into a handler arm or returns.  Fiber
-   code is sequential between a resume and the next suspension, so the
-   slot is never stale while anything that reads it can run.  Each node
-   carries its own preallocated [Some], so reads and writes never
-   allocate. *)
+   fast-path hooks: set immediately before every [continue] (and before
+   the initial body in [spawn]), cleared the moment the fiber suspends
+   back into a handler arm or returns.  Fiber code is sequential between
+   a resume and the next suspension, so the slot is never stale while
+   anything that reads it can run.  Each node carries its own
+   preallocated [Some], so reads and writes never allocate. *)
 let cur_node : node option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let[@inline] set_cur n = Domain.DLS.set cur_node n.self
@@ -153,126 +148,6 @@ let poison_msg_cell c =
 
 let la_slots = 64
 let la_mask = la_slots - 1
-
-let create ?(costs = Lcm_sim.Costs.default)
-    ?(topology = Lcm_net.Topology.Fat_tree { arity = 4 }) ?(seed = 42)
-    ?capacity_blocks ?hw_cache_blocks ?faults ~nnodes ~words_per_block () =
-  let engine = Lcm_sim.Engine.create () in
-  let stats = Lcm_util.Stats.create () in
-  let network =
-    Lcm_net.Network.create ?faults ~engine ~costs ~stats ~topology ~nnodes ()
-  in
-  (* A lossy interconnect can livelock (drops outpacing retransmission);
-     arm the engine's quiescence watchdog so that surfaces as a typed
-     Stalled instead of an unbounded run. *)
-  (match faults with
-  | Some plan ->
-    Lcm_sim.Engine.set_stall_limit engine (Some plan.Lcm_net.Faults.stall_limit)
-  | None -> ());
-  let gmem = Lcm_mem.Gmem.create ~nnodes ~words_per_block in
-  if Option.value capacity_blocks ~default:1 <= 0 then
-    invalid_arg "Machine.create: capacity_blocks must be positive";
-  if Option.value hw_cache_blocks ~default:1 <= 0 then
-    invalid_arg "Machine.create: hw_cache_blocks must be positive";
-  let nodes =
-    Array.init nnodes (fun i ->
-        {
-          node_id = i;
-          node_clock = 0;
-          handler_free = 0;
-          lines = Hashtbl.create 512;
-          access_stamp = 0;
-          la_blocks = Array.make la_slots (-1);
-          la_lines = Array.make la_slots None;
-          lru =
-            Option.map
-              (fun capacity -> { capacity; heap = Lcm_util.Heap.create () })
-              capacity_blocks;
-          hw_cache = Option.map (fun n -> Array.make n (-1)) hw_cache_blocks;
-          parked = Hashtbl.create 16;
-          node_machine = None;
-          self = None;
-          sc_addr = 0;
-          sc_val = 0;
-          sc_rmw = (fun v -> v);
-          sc_units = 0;
-          sc_dir = Memeff.Flush_copies;
-          arm_load = None;
-          arm_store = None;
-          arm_rmw = None;
-          arm_work = None;
-          arm_yield = None;
-          arm_directive = None;
-        })
-  in
-  let m =
-    {
-      m_engine = engine;
-      m_network = network;
-      m_gmem = gmem;
-      m_costs = costs;
-      m_stats = stats;
-      m_rng = Lcm_util.Rng.create ~seed;
-      m_nodes = nodes;
-      masters = Hashtbl.create 4096;
-      h_hw_misses = Stats.counter stats "cache.hw_misses";
-      h_evictions = Stats.counter stats "cache.evictions";
-      h_fault_read = Stats.counter stats "fault.read";
-      h_fault_write = Stats.counter stats "fault.write";
-      h_live_clean = Stats.counter stats "lcm.live_clean_copies";
-      h_handler_runs = Stats.counter stats "proto.handler_runs";
-      h_fetch_local = Stats.counter stats "proto.fetch_local";
-      h_fetch_remote = Stats.counter stats "proto.fetch_remote";
-      home_backing = true;
-      m_epoch = 0;
-      m_phase = `Sequential;
-      m_active_fibers = 0;
-      read_fault = (fun _ ~addr:_ ~retry:_ -> no_handler ());
-      write_fault = (fun _ ~addr:_ ~retry:_ -> no_handler ());
-      on_directive = (fun _ _ ~retry:_ -> no_handler ());
-      on_evict = (fun _ _ _ -> no_handler ());
-      on_read_hit = None;
-      m_yield_h = (fun _ _ _ -> no_handler ());
-      m_recv_h = (fun _ _ _ -> no_handler ());
-      trace = None;
-      m_msg_pool =
-        Lcm_util.Pool.create ~poison:poison_msg_cell ~make:make_msg_cell ();
-    }
-  in
-  Array.iter
-    (fun n ->
-      n.node_machine <- Some m;
-      n.self <- Some n)
-    nodes;
-  m.m_yield_h <-
-    (fun k at nid ->
-      let n = m.m_nodes.(nid) in
-      n.node_clock <- max n.node_clock at;
-      (* a fiber picking its compute back up is semantic progress for the
-         stall watchdog — a yield-heavy phase must not read as a livelock *)
-      Lcm_sim.Engine.notify_progress m.m_engine;
-      set_cur n;
-      Effect.Deep.continue k ());
-  (* Delivery runs on the destination's protocol processor: the message
-     waits for the handler to be free, occupies it, and the receive
-     handler sees the occupancy-completion time.  The cell is recycled
-     before the handler runs, which may send again. *)
-  m.m_recv_h <-
-    (fun c arrival _ ->
-      let dst = c.mc_dst in
-      let dnode = m.m_nodes.(dst) in
-      let start = max arrival dnode.handler_free in
-      let finish = start + m.m_costs.Lcm_sim.Costs.handler_occupancy in
-      dnode.handler_free <- finish;
-      Stats.Handle.incr m.h_handler_runs;
-      (match m.trace with
-      | Some tr -> Trace.emit tr ~time:start (Trace.Handler { node = dst; finish })
-      | None -> ());
-      let h = c.mc_h and data = c.mc_data and b = c.mc_b and x = c.mc_x in
-      poison_msg_cell c;
-      Lcm_util.Pool.release m.m_msg_pool c;
-      h data dnode finish b x);
-  m
 
 let engine t = t.m_engine
 let network t = t.m_network
@@ -294,11 +169,6 @@ let id n = n.node_id
 let clock n = n.node_clock
 let set_clock n c = n.node_clock <- c
 let advance_clock n d = n.node_clock <- n.node_clock + d
-
-let machine n =
-  match n.node_machine with
-  | Some m -> m
-  | None -> assert false
 
 let[@inline] find_line n b =
   let slot = b land la_mask in
@@ -386,7 +256,7 @@ let evict_one t n h =
     invalidate_lookaside n b
 
 let install_line n b ~data ~tag =
-  let t = machine n in
+  let t = n.machine in
   let is_home_line = Lcm_mem.Gmem.home_of_block t.m_gmem b = n.node_id in
   (match Hashtbl.find_opt n.lines b with
   | Some old -> note_clean_copy_gone t old
@@ -420,7 +290,7 @@ let install_line n b ~data ~tag =
 
 let drop_line n b =
   (match Hashtbl.find_opt n.lines b with
-  | Some line -> note_clean_copy_gone (machine n) line
+  | Some line -> note_clean_copy_gone n.machine line
   | None -> ());
   Hashtbl.remove n.lines b;
   invalidate_lookaside n b
@@ -500,9 +370,7 @@ let send t ~src ~dst ~words ~tag ~at h data b x =
 let resume n ~now ~cost retry =
   (* A fiber coming back to life is semantic progress for the quiescence
      watchdog (no-op unless one is armed). *)
-  (match n.node_machine with
-  | Some m -> Lcm_sim.Engine.notify_progress m.m_engine
-  | None -> ());
+  Lcm_sim.Engine.notify_progress n.machine.m_engine;
   n.node_clock <- max n.node_clock now + cost;
   retry ()
 
@@ -510,7 +378,7 @@ let resume n ~now ~cost retry =
    Accesses that fault on a block while its request is outstanding park
    behind the first one and resume with it. *)
 let park n b retry =
-  let t = machine n in
+  let t = n.machine in
   let pending = Hashtbl.find_opt n.parked b in
   Hashtbl.replace n.parked b (retry :: Option.value pending ~default:[]);
   let first = pending = None in
@@ -523,7 +391,7 @@ let park n b retry =
 let wake n b ~now =
   let retries = Option.value (Hashtbl.find_opt n.parked b) ~default:[] in
   Hashtbl.remove n.parked b;
-  resume n ~now ~cost:(machine n).m_costs.Lcm_sim.Costs.block_install
+  resume n ~now ~cost:n.machine.m_costs.Lcm_sim.Costs.block_install
     (fun () -> List.iter (fun retry -> retry ()) (List.rev retries))
 
 let parked n =
@@ -647,104 +515,207 @@ let fast_load_hook addr =
   match Domain.DLS.get cur_node with
   | None -> Memeff.fast_miss
   | Some n -> (
-    match n.node_machine with
-    | None -> Memeff.fast_miss
-    | Some t -> (
-      let b = Lcm_mem.Gmem.block_of_addr t.m_gmem addr in
-      match lookup t n b with
-      | Some line when Tag.readable line.tag ->
-        n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.cpu_op;
-        hit_load t n b (Lcm_mem.Gmem.offset_in_block t.m_gmem addr) line
-      | Some _ | None -> Memeff.fast_miss))
+    let t = n.machine in
+    let b = Lcm_mem.Gmem.block_of_addr t.m_gmem addr in
+    match lookup t n b with
+    | Some line when Tag.readable line.tag ->
+      n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.cpu_op;
+      hit_load t n b (Lcm_mem.Gmem.offset_in_block t.m_gmem addr) line
+    | Some _ | None -> Memeff.fast_miss)
 
 let fast_store_hook addr v =
   match Domain.DLS.get cur_node with
   | None -> false
   | Some n -> (
-    match n.node_machine with
-    | None -> false
-    | Some t -> (
-      let b = Lcm_mem.Gmem.block_of_addr t.m_gmem addr in
-      match lookup t n b with
-      | Some line when Tag.writable line.tag ->
-        n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.cpu_op;
-        hit_store t n b (Lcm_mem.Gmem.offset_in_block t.m_gmem addr) line v;
-        true
-      | Some _ | None -> false))
+    let t = n.machine in
+    let b = Lcm_mem.Gmem.block_of_addr t.m_gmem addr in
+    match lookup t n b with
+    | Some line when Tag.writable line.tag ->
+      n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.cpu_op;
+      hit_store t n b (Lcm_mem.Gmem.offset_in_block t.m_gmem addr) line v;
+      true
+    | Some _ | None -> false)
 
 let fast_work_hook units =
   match Domain.DLS.get cur_node with
   | None -> false
-  | Some n -> (
-    match n.node_machine with
-    | None -> false
-    | Some t ->
-      n.node_clock <-
-        n.node_clock + (units * t.m_costs.Lcm_sim.Costs.compute_unit);
-      true)
+  | Some n ->
+    n.node_clock <-
+      n.node_clock + (units * n.machine.m_costs.Lcm_sim.Costs.compute_unit);
+    true
 
 let () =
   Memeff.fast_load := fast_load_hook;
   Memeff.fast_store := fast_store_hook;
   Memeff.fast_work := fast_work_hook
 
-(* Build the node's preallocated effect arms (see the [node] type).  Each
-   arm is one closure + one [Some] block for the node's lifetime; the
-   per-perform payload travels through the scratch slots, which the arm
-   reads before anything else can perform on this domain. *)
-let init_arms t n =
+(* One node with its preallocated effect arms (see the [node] type).
+   Each arm is one closure + one [Some] block for the node's lifetime;
+   the per-perform payload travels through the scratch slots, which the
+   arm reads before anything else can perform on this domain. *)
+let make_node t ~capacity_blocks ~hw_cache_blocks i =
   let cpu_op = t.m_costs.Lcm_sim.Costs.cpu_op in
   let compute_unit = t.m_costs.Lcm_sim.Costs.compute_unit in
-  n.arm_load <-
-    Some
-      (fun k ->
-        clear_cur ();
-        n.node_clock <- n.node_clock + cpu_op;
-        do_load t n n.sc_addr k);
-  n.arm_store <-
-    Some
-      (fun k ->
-        clear_cur ();
-        n.node_clock <- n.node_clock + cpu_op;
-        do_store t n n.sc_addr n.sc_val k);
-  n.arm_rmw <-
-    Some
-      (fun k ->
-        clear_cur ();
-        n.node_clock <- n.node_clock + (2 * cpu_op);
-        do_rmw t n n.sc_addr n.sc_rmw k);
-  n.arm_work <-
-    Some
-      (fun k ->
-        (* only reached when no current node was installed (a foreign
-           frame): the fast hook handles every in-fiber Work *)
-        clear_cur ();
-        n.node_clock <- n.node_clock + (n.sc_units * compute_unit);
-        set_cur n;
-        continue k ());
-  n.arm_yield <-
-    Some
-      (fun k ->
-        clear_cur ();
-        let at = max n.node_clock (Lcm_sim.Engine.now t.m_engine) in
-        (* allocation-free resume: the continuation rides an engine event
-           as the payload, the resume time and node id in the int slots.
-           The owner hint marks the resume as node-local work for the
-           choice hook's independence heuristic; it never changes
-           execution order. *)
-        Lcm_sim.Engine.schedule_call t.m_engine ~owner:n.node_id ~at
-          t.m_yield_h k at n.node_id);
-  n.arm_directive <-
-    Some
-      (fun k ->
-        clear_cur ();
-        t.on_directive n n.sc_dir ~retry:(fun () ->
+  let rec n =
+    {
+      node_id = i;
+      machine = t;
+      node_clock = 0;
+      handler_free = 0;
+      lines = Hashtbl.create 512;
+      access_stamp = 0;
+      la_blocks = Array.make la_slots (-1);
+      la_lines = Array.make la_slots None;
+      lru =
+        Option.map
+          (fun capacity -> { capacity; heap = Lcm_util.Heap.create () })
+          capacity_blocks;
+      hw_cache = Option.map (fun n -> Array.make n (-1)) hw_cache_blocks;
+      parked = Hashtbl.create 16;
+      self = Some n;
+      sc_addr = 0;
+      sc_val = 0;
+      sc_rmw = (fun v -> v);
+      sc_units = 0;
+      sc_dir = Memeff.Flush_copies;
+      arm_load =
+        Some
+          (fun k ->
+            clear_cur ();
+            n.node_clock <- n.node_clock + cpu_op;
+            do_load t n n.sc_addr k);
+      arm_store =
+        Some
+          (fun k ->
+            clear_cur ();
+            n.node_clock <- n.node_clock + cpu_op;
+            do_store t n n.sc_addr n.sc_val k);
+      arm_rmw =
+        Some
+          (fun k ->
+            clear_cur ();
+            n.node_clock <- n.node_clock + (2 * cpu_op);
+            do_rmw t n n.sc_addr n.sc_rmw k);
+      arm_work =
+        Some
+          (fun k ->
+            (* only reached when no current node was installed (a foreign
+               frame): the fast hook handles every in-fiber Work *)
+            clear_cur ();
+            n.node_clock <- n.node_clock + (n.sc_units * compute_unit);
             set_cur n;
-            continue k ()))
+            continue k ());
+      arm_yield =
+        Some
+          (fun k ->
+            clear_cur ();
+            let at = max n.node_clock (Lcm_sim.Engine.now t.m_engine) in
+            (* allocation-free resume: the continuation rides an engine
+               event as the payload, the resume time and node id in the
+               int slots.  The owner hint marks the resume as node-local
+               work for the choice hook's independence heuristic; it
+               never changes execution order. *)
+            Lcm_sim.Engine.schedule_call t.m_engine ~owner:n.node_id ~at
+              t.m_yield_h k at n.node_id);
+      arm_directive =
+        Some
+          (fun k ->
+            clear_cur ();
+            t.on_directive n n.sc_dir ~retry:(fun () ->
+                set_cur n;
+                continue k ()));
+    }
+  in
+  n
+
+let create ?(costs = Lcm_sim.Costs.default)
+    ?(topology = Lcm_net.Topology.Fat_tree { arity = 4 }) ?(seed = 42)
+    ?capacity_blocks ?hw_cache_blocks ?faults ~nnodes ~words_per_block () =
+  let engine = Lcm_sim.Engine.create () in
+  let stats = Lcm_util.Stats.create () in
+  let network =
+    Lcm_net.Network.create ?faults ~engine ~costs ~stats ~topology ~nnodes ()
+  in
+  (* A lossy interconnect can livelock (drops outpacing retransmission);
+     arm the engine's quiescence watchdog so that surfaces as a typed
+     Stalled instead of an unbounded run. *)
+  (match faults with
+  | Some plan ->
+    Lcm_sim.Engine.set_stall_limit engine (Some plan.Lcm_net.Faults.stall_limit)
+  | None -> ());
+  let gmem = Lcm_mem.Gmem.create ~nnodes ~words_per_block in
+  if Option.value capacity_blocks ~default:1 <= 0 then
+    invalid_arg "Machine.create: capacity_blocks must be positive";
+  if Option.value hw_cache_blocks ~default:1 <= 0 then
+    invalid_arg "Machine.create: hw_cache_blocks must be positive";
+  let rec m =
+    {
+      m_engine = engine;
+      m_network = network;
+      m_gmem = gmem;
+      m_costs = costs;
+      m_stats = stats;
+      m_rng = Lcm_util.Rng.create ~seed;
+      m_nodes = [||];
+      masters = Hashtbl.create 4096;
+      h_hw_misses = Stats.counter stats "cache.hw_misses";
+      h_evictions = Stats.counter stats "cache.evictions";
+      h_fault_read = Stats.counter stats "fault.read";
+      h_fault_write = Stats.counter stats "fault.write";
+      h_live_clean = Stats.counter stats "lcm.live_clean_copies";
+      h_handler_runs = Stats.counter stats "proto.handler_runs";
+      h_fetch_local = Stats.counter stats "proto.fetch_local";
+      h_fetch_remote = Stats.counter stats "proto.fetch_remote";
+      home_backing = true;
+      m_epoch = 0;
+      m_phase = `Sequential;
+      m_active_fibers = 0;
+      read_fault = (fun _ ~addr:_ ~retry:_ -> no_handler ());
+      write_fault = (fun _ ~addr:_ ~retry:_ -> no_handler ());
+      on_directive = (fun _ _ ~retry:_ -> no_handler ());
+      on_evict = (fun _ _ _ -> no_handler ());
+      on_read_hit = None;
+      m_yield_h =
+        (fun k at nid ->
+          let n = m.m_nodes.(nid) in
+          n.node_clock <- max n.node_clock at;
+          (* a fiber picking its compute back up is semantic progress for
+             the stall watchdog — a yield-heavy phase must not read as a
+             livelock *)
+          Lcm_sim.Engine.notify_progress m.m_engine;
+          set_cur n;
+          Effect.Deep.continue k ());
+      (* Delivery runs on the destination's protocol processor: the
+         message waits for the handler to be free, occupies it, and the
+         receive handler sees the occupancy-completion time.  The cell is
+         recycled before the handler runs, which may send again. *)
+      m_recv_h =
+        (fun c arrival _ ->
+          let dst = c.mc_dst in
+          let dnode = m.m_nodes.(dst) in
+          let start = max arrival dnode.handler_free in
+          let finish = start + m.m_costs.Lcm_sim.Costs.handler_occupancy in
+          dnode.handler_free <- finish;
+          Stats.Handle.incr m.h_handler_runs;
+          (match m.trace with
+          | Some tr ->
+            Trace.emit tr ~time:start (Trace.Handler { node = dst; finish })
+          | None -> ());
+          let h = c.mc_h and data = c.mc_data and b = c.mc_b and x = c.mc_x in
+          poison_msg_cell c;
+          Lcm_util.Pool.release m.m_msg_pool c;
+          h data dnode finish b x);
+      trace = None;
+      m_msg_pool =
+        Lcm_util.Pool.create ~poison:poison_msg_cell ~make:make_msg_cell ();
+    }
+  in
+  m.m_nodes <-
+    Array.init nnodes (make_node m ~capacity_blocks ~hw_cache_blocks);
+  m
 
 let spawn t n f =
   t.m_active_fibers <- t.m_active_fibers + 1;
-  (match n.arm_load with None -> init_arms t n | Some _ -> ());
   set_cur n;
   match_with f ()
     {

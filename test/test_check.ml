@@ -210,8 +210,8 @@ let test_violation_shrinks_and_replays () =
       Check.replay ~schedule:v.Check.v_schedule v.Check.v_prog
     in
     (match verdict with
-    | Check.Fail _ -> ()
-    | Check.Pass -> Alcotest.fail "shrunk counterexample no longer replays");
+    | Error _ -> ()
+    | Ok () -> Alcotest.fail "shrunk counterexample no longer replays");
     (* counterexample artifacts: a traced replay renders through Traceview *)
     let _, events = Check.replay ~trace:true ~schedule:[] v.Check.v_prog in
     if events <> [] then begin
@@ -241,9 +241,9 @@ let test_stale_schedule_diverges () =
   let prog = List.assoc "reader-writer" (Check.scenarios ~policy:Policy.lcm_mcc) in
   let verdict, _ = Check.replay ~schedule:[ 9; 9; 9 ] prog in
   match verdict with
-  | Check.Fail r ->
+  | Error r ->
     Alcotest.(check string) "diverged report" "replay diverged: stale schedule" r
-  | Check.Pass ->
+  | Ok () ->
     (* fine too if the run has no choice points at all: indices beyond
        the recorded points are never consulted *)
     ()

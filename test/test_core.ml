@@ -1139,7 +1139,7 @@ let test_policy_registry () =
   List.iter
     (fun (s, expect) ->
       match Policy.of_string s with
-      | Ok i -> Alcotest.(check string) s expect i.Policy.policy.Policy.name
+      | Ok p -> Alcotest.(check string) s expect p.Policy.name
       | Error e -> Alcotest.fail e)
     [
       ("stache", "stache");
@@ -1179,7 +1179,9 @@ let test_rsm_novel_point_runs () =
   (* lcm-scc-update: a point the paper never measured still works *)
   let policy =
     {
+      Policy.lcm_scc with
       Policy.name = "lcm-scc-update";
+      label = "LCM-scc-update";
       family =
         Policy.Directory
           {

@@ -459,6 +459,18 @@ let test_noretx_stalls_deterministically () =
     Alcotest.(check string) "deterministic failure report" e1 e2
   | _ -> Alcotest.fail "expected the lossy no-retx run to fail"
 
+(* A typed failure has one wording wherever it is printed: a stress
+   report, a failed fleet cell, a single run's negative verdict. *)
+let test_typed_failure_wording () =
+  Alcotest.(check string) "stall"
+    "stalled: no delivery progress at clock 1907 (26 pending)"
+    (Printexc.to_string (Engine.Stalled { clock = 1907; pending = 26 }));
+  Alcotest.(check string) "unreachable"
+    "net unreachable: get_ro 1->0 gave up after 13 attempts"
+    (Printexc.to_string
+       (Network.Net_unreachable
+          { src = 1; dst = 0; tag = "get_ro"; attempts = 13 }))
+
 (* ------------------------------------------------------------------ *)
 (* Stats samples omit empty series (empty-sample bugfix)              *)
 (* ------------------------------------------------------------------ *)
@@ -539,6 +551,8 @@ let () =
           ("moesi under chaos", `Quick, fault_stress_policy Lcm_core.Policy.moesi);
           ("no-retx stalls deterministically", `Quick,
            test_noretx_stalls_deterministically);
+          ("typed failures print one wording", `Quick,
+           test_typed_failure_wording);
         ] );
       ( "stats",
         [ ("summary is optional", `Quick, test_stats_summary_option) ] );

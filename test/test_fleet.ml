@@ -346,7 +346,7 @@ let test_stress_parallel () =
   List.iter
     (fun policy ->
       match
-        Stress.run ~policy:policy.Config.policy ~jobs:2 ~cases:3 ~seed:7 ()
+        Stress.run ~policy ~jobs:2 ~cases:3 ~seed:7 ()
       with
       | Ok () -> ()
       | Error e ->

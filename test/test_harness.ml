@@ -235,7 +235,7 @@ let test_families_honour_fault_plan () =
           let bus =
             match Lcm_core.Policy.of_string r.Experiments.system with
             | Ok s -> (
-              match s.Config.policy.Lcm_core.Policy.family with
+              match s.Lcm_core.Policy.family with
               | Lcm_core.Policy.Snoop _ -> true
               | Lcm_core.Policy.Directory _ -> false)
             | Error _ -> false
