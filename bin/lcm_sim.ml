@@ -158,7 +158,9 @@ let fault_rate_arg =
            ~doc:"Inject deterministic network faults at intensity $(docv) \
                  in [0,1] (0 disables).  Shape comes from \
                  $(b,--fault-profile); replay with the same \
-                 $(b,--fault-seed).")
+                 $(b,--fault-seed).  Bus systems (msi, mesi, moesi) do not \
+                 use the interconnect, so they ignore the plan; a single \
+                 run on one rejects it.")
 
 let fault_seed_arg =
   Arg.(value & opt int 7
@@ -196,8 +198,25 @@ let audit_exits =
    observation flags, so all nine commands take the same ones. *)
 let bench_cmd name ~doc term =
   let module Runtime = Lcm_cstar.Runtime in
-  let main (label, system, run) schedule nnodes topology capacity_blocks
-      barrier faults stats trace trace_out trace_cap phases =
+  (* A plan a bus system would ignore is a command-line error, not a
+     fault-free run that reads as a faulty one. *)
+  let run_faults =
+    let check ((label, (system : Config.system), _) as run) faults =
+      match (system.Config.family, faults) with
+      | Lcm_core.Policy.Snoop _, Some _ ->
+        `Error
+          ( false,
+            Printf.sprintf
+              "--fault-rate: %s is a bus system; a fault plan acts on the \
+               interconnect, which it does not use"
+              label )
+      | (Lcm_core.Policy.Snoop _ | Lcm_core.Policy.Directory _), _ ->
+        `Ok (run, faults)
+    in
+    Term.(ret (const check $ term $ faults_term))
+  in
+  let main ((label, system, run), faults) schedule nnodes topology
+      capacity_blocks barrier stats trace trace_out trace_cap phases =
     let machine =
       { Config.default_machine with Config.nnodes; topology; capacity_blocks; faults }
     in
@@ -234,9 +253,9 @@ let bench_cmd name ~doc term =
   Cmd.v
     (Cmd.info name ~exits:audit_exits ~doc)
     Term.(
-      const main $ term $ schedule_arg $ nodes_arg $ topology_arg
-      $ capacity_arg $ barrier_arg $ faults_term $ stats_arg $ trace_arg
-      $ trace_out_arg $ trace_cap_arg $ phases_arg)
+      const main $ run_faults $ schedule_arg $ nodes_arg $ topology_arg
+      $ capacity_arg $ barrier_arg $ stats_arg $ trace_arg $ trace_out_arg
+      $ trace_cap_arg $ phases_arg)
 
 (* The term of a command that takes --system, audited under its label. *)
 let on_system run =
@@ -956,7 +975,7 @@ let trace_validate_cmd =
   let run file =
     match Traceview.validate_file file with
     | Ok n -> Printf.printf "%s: valid Chrome trace, %d events\n" file n
-    | Error e -> negative_verdict (Printf.sprintf "%s: %s" file e)
+    | Error e -> negative_verdict e
   in
   Cmd.v
     (Cmd.info "trace-validate"

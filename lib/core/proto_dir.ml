@@ -178,6 +178,13 @@ let get_entry t b =
     Hashtbl.add t.entries b e;
     e
 
+(* Every entry in ascending block order: the reconcile sweep and the
+   invariant walk visit blocks in this order, so neither depends on the
+   table's bucket count. *)
+let entries_in_order t =
+  Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
+  |> List.sort (fun a b -> Int.compare a.block b.block)
+
 (* Record a parallel-phase reader for race detection (§7.2).  Called
    both from [serve] (remote reads fault and reach the home) and from the
    machine's read observer (the home's own reads hit its always-readable
@@ -722,12 +729,9 @@ and start_sweep t =
     max (Array.fold_left max 0 r.done_times)
       (Lcm_sim.Engine.now (Machine.engine t.mach))
   in
-  let blocks =
-    Hashtbl.fold (fun b _ acc -> b :: acc) t.entries [] |> List.sort Int.compare
-  in
   List.iter
-    (fun b ->
-      let e = match Hashtbl.find_opt t.entries b with Some e -> e | None -> assert false in
+    (fun e ->
+      let b = e.block in
       let home = home_of t b in
       (match e.shadow with
       | None ->
@@ -791,7 +795,7 @@ and start_sweep t =
         end);
       e.lcm_holders <- ISet.empty;
       e.readers <- ISet.empty)
-    blocks;
+    (entries_in_order t);
   try_finish_reconcile t
 
 let reconcile t =
@@ -890,8 +894,9 @@ let check_invariants t =
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let nnodes = Machine.nnodes t.mach in
   let parallel = Machine.phase t.mach = `Parallel in
-  Hashtbl.iter
-    (fun b (e : entry) ->
+  List.iter
+    (fun e ->
+      let b = e.block in
       let home = home_of t b in
       let master = Machine.master t.mach b in
       (if e.busy <> None then err "block %d: busy transaction while quiescent" b);
@@ -959,7 +964,7 @@ let check_invariants t =
               nid
           | Some _ | None -> ()
       done)
-    t.entries;
+    (entries_in_order t);
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
 let peek t addr =
@@ -1007,7 +1012,7 @@ let install ?(detection = Detect.Off) ?(barrier = Barrier.Constant)
       hs = resolve_handles (Machine.stats mach);
       barrier;
       detection;
-      entries = Hashtbl.create 4096;
+      entries = Hashtbl.create 16;
       reductions = Hashtbl.create 64;
       pending_marks = Array.init nnodes (fun _ -> ref []);
       pending_flush_acks = Array.make nnodes 0;

@@ -301,15 +301,20 @@ let reconcile t =
 
 let owner_state = function Snoop.M | Snoop.O | Snoop.E -> true | _ -> false
 
+(* A table's bindings in ascending block order, so the invariant report
+   does not depend on its bucket count. *)
+let by_block tbl =
+  Hashtbl.fold (fun b v acc -> (b, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
 let check_invariants t =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  if Hashtbl.length t.wb > 0 then
-    Hashtbl.iter
-      (fun b _ -> err "block %d: writeback buffered while quiescent" b)
-      t.wb;
-  Hashtbl.iter
-    (fun b sts ->
+  List.iter
+    (fun (b, _) -> err "block %d: writeback buffered while quiescent" b)
+    (by_block t.wb);
+  List.iter
+    (fun (b, sts) ->
       let master = Machine.master t.mach b in
       let owners = ref [] and sharers = ref [] in
       Array.iteri
@@ -380,7 +385,7 @@ let check_invariants t =
               err "block %d: node %d's Exclusive copy diverges from memory" b nid
             | Some _ | None -> ())
         !owners)
-    t.states;
+    (by_block t.states);
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
 let peek t addr =
@@ -448,7 +453,7 @@ let install ?(barrier = Barrier.Constant) ~policy:pol mach =
       g_upgr = Bus.grant bus grant_upgr_m;
       g_flush = Bus.grant bus grant_flush_m;
       barrier;
-      states = Hashtbl.create 4096;
+      states = Hashtbl.create 16;
       wb = Hashtbl.create 16;
     }
   in

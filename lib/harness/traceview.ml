@@ -301,4 +301,5 @@ let validate_file path =
       (fun () -> really_input_string ic (in_channel_length ic))
   with
   | exception Sys_error e -> Error e
-  | text -> validate_chrome text
+  | text ->
+    Result.map_error (Printf.sprintf "%s: %s" path) (validate_chrome text)

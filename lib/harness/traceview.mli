@@ -43,4 +43,5 @@ val validate_chrome : string -> (int, string) result
     the event count. *)
 
 val validate_file : string -> (int, string) result
-(** {!validate_chrome} over a file's contents; [Error] on I/O failure. *)
+(** {!validate_chrome} over a file's contents; [Error] on I/O failure.
+    Every [Error] names the file once. *)

@@ -38,10 +38,9 @@ val with_budget :
     created {e before} the call are not charged.
     @raise Invalid_argument if [max_events] is negative. *)
 
-val create : ?hint:int -> unit -> t
-(** A fresh engine with the clock at cycle 0 and no pending events.
-    [hint] (default 1024) sizes the event queue's first backing
-    allocation (see {!Lcm_util.Heap.create}).  If an ambient
+val create : unit -> t
+(** A fresh engine with the clock at cycle 0 and no pending events.  Its
+    event queue's first backing allocation holds 1024 events.  If an ambient
     {!with_budget} scope is active on this domain, the engine charges
     that budget for every event it processes. *)
 

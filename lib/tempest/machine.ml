@@ -199,7 +199,8 @@ let touch n b line =
     if not line.is_home_line then begin
       Lcm_util.Heap.add h ~key:line.last_use b;
       (* Lazy deletion lets stale stamps pile up; rebuild from the live
-         table when they dominate. *)
+         table when they dominate.  Stamps are unique, so the pop order
+         does not depend on the order the table is walked in. *)
       if Lcm_util.Heap.length h > 64 + (8 * Hashtbl.length n.lines) then begin
         Lcm_util.Heap.clear h;
         Hashtbl.iter
@@ -562,7 +563,7 @@ let make_node t ~capacity_blocks ~hw_cache_blocks i =
       machine = t;
       node_clock = 0;
       handler_free = 0;
-      lines = Hashtbl.create 512;
+      lines = Hashtbl.create 16;
       access_stamp = 0;
       la_blocks = Array.make la_slots (-1);
       la_lines = Array.make la_slots None;
@@ -657,7 +658,7 @@ let create ?(costs = Lcm_sim.Costs.default)
       m_stats = stats;
       m_rng = Lcm_util.Rng.create ~seed;
       m_nodes = [||];
-      masters = Hashtbl.create 4096;
+      masters = Hashtbl.create 16;
       h_hw_misses = Stats.counter stats "cache.hw_misses";
       h_evictions = Stats.counter stats "cache.evictions";
       h_fault_read = Stats.counter stats "fault.read";

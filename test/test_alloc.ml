@@ -1,7 +1,9 @@
 (* Host allocation fence: minor-heap words allocated per simulated event on
    two pinned workloads must stay under fixed ceilings.  A change that
    re-introduces per-event closure or record churn fails here long before
-   it costs wall-clock (DESIGN.md §9).
+   it costs wall-clock (DESIGN.md §9).  A third row fences machine
+   construction: building a small machine must allocate nothing straight
+   into the major heap.
 
    It is its own executable, so no other test's allocation is charged to
    it.  lcmbench's gc.* metrics report the same quantities for the
@@ -32,6 +34,21 @@ let fenced =
     ("synthetic-p16", synthetic, 41.5);
   ]
 
+(* Machines like those stress and the schedule checker build, one per
+   case or schedule: 2-6 nodes, every policy, protocol installed.  An
+   array above the minor heap's size limit goes straight to the major
+   heap, so a table sized for a 32-node paper run costs a major-heap
+   allocation per build; the ceiling is 0 words. *)
+let stress_progs = List.init 200 (fun case -> Stress.gen ~seed:1 ~case ())
+
+let build_stress_machines () =
+  List.iter
+    (fun (prog : Stress.prog) ->
+      ignore
+        (Lcm_core.Proto.install ~barrier:prog.barrier ~policy:prog.policy
+           (Stress.machine prog)))
+    stress_progs
+
 let () =
   (* The first simulation in a process pays one-time lazy initialization
      (registries, hashtable growth, domain-local state) that must not be
@@ -60,10 +77,29 @@ let () =
         if per_event > ceiling then workload :: over else over)
       [] fenced
   in
-  if over <> [] then begin
+  (* Words allocated directly in the major heap: major words that no minor
+     collection promoted. *)
+  Gc.full_major ();
+  let g0 = Gc.quick_stat () in
+  build_stress_machines ();
+  let g1 = Gc.quick_stat () in
+  let direct =
+    g1.Gc.major_words -. g0.Gc.major_words
+    -. (g1.Gc.promoted_words -. g0.Gc.promoted_words)
+  in
+  Printf.printf "%-24s %9s %13s %10s\n" "workload" "builds" "direct-major"
+    "ceiling";
+  Printf.printf "%-24s %9d %13.0f %10d\n" "stress-machines-seed1"
+    (List.length stress_progs) direct 0;
+  if over <> [] then
     Printf.eprintf
       "test_alloc: minor words per event over the ceiling on %s: a change \
        re-introduced per-event allocation churn (DESIGN.md §9)\n"
       (String.concat ", " (List.rev over));
-    exit 1
-  end
+  if direct > 0. then
+    Printf.eprintf
+      "test_alloc: building %d stress machines allocated %.0f words straight \
+       into the major heap: a table or array built at a size no small \
+       machine needs (DESIGN.md §9)\n"
+      (List.length stress_progs) direct;
+  if over <> [] || direct > 0. then exit 1

@@ -1459,6 +1459,34 @@ let test_invariants_catch_corruption () =
   Alcotest.(check bool) "corruption detected" true
     (match Proto.check_invariants p with Error _ -> true | Ok () -> false)
 
+let test_invariants_report_in_block_order () =
+  (* A report lists its blocks in ascending order, whatever order the
+     protocol's block table iterates in: blocks 1 and 6 of eight iterate
+     6 first at 16 buckets and at 4096. *)
+  List.iter
+    (fun (policy, wording) ->
+      let (m, p) = mk policy in
+      let a = alloc m ~dist:(Gmem.On 1) ~nwords:64 in
+      run_fibers m
+        [ (0, fun () -> for blk = 0 to 7 do ignore (Memeff.load (a + (8 * blk))) done) ];
+      let b0 = Gmem.block_of_addr (Machine.gmem m) a in
+      let broken = [ b0 + 6; b0 + 1 ] in
+      List.iter
+        (fun b ->
+          match Machine.find_line (Machine.node m 0) b with
+          | Some line -> line.Lcm_tempest.Machine.data.(0) <- 12345
+          | None -> Alcotest.fail "expected a cached line")
+        broken;
+      Alcotest.(check (result unit (list string)))
+        (policy.Policy.name ^ " reports in block order")
+        (Error (List.map wording (List.sort Int.compare broken)))
+        (Proto.check_invariants p))
+    [
+      ( Policy.stache,
+        Printf.sprintf "block %d: sharer 0's read-only copy differs from master" );
+      (Policy.msi, Printf.sprintf "block %d: node 0's S copy diverges from memory");
+    ]
+
 let test_invariants_catch_parked_retry () =
   (* the facade audits parked accesses for both engines: a retry left
      parked on a quiescent directory machine is reported *)
@@ -1942,6 +1970,8 @@ let () =
           ("lcm evictions mid-phase", `Quick, test_lcm_capacity_evictions_during_phase);
           ("clean copies reclaimed", `Quick, test_clean_copies_reclaimed_at_reconcile);
           ("auditor detects corruption", `Quick, test_invariants_catch_corruption);
+          ("auditor reports in block order", `Quick,
+           test_invariants_report_in_block_order);
           ("auditor reports parked retry", `Quick, test_invariants_catch_parked_retry);
           ("entry lookup rejects unallocated block", `Quick,
            test_entry_rejects_unallocated_block);
