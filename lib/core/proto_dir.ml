@@ -6,6 +6,7 @@ module Block = Lcm_mem.Block
 module Gmem = Lcm_mem.Gmem
 module Mask = Lcm_util.Mask
 module Stats = Lcm_util.Stats
+module Itbl = Lcm_util.Itbl
 
 (* ------------------------------------------------------------------ *)
 (* Directory state                                                     *)
@@ -114,15 +115,15 @@ type t = {
   hs : handles;
   barrier : Barrier.style;
   detection : Detect.setting;
-  entries : (int, entry) Hashtbl.t;
-  reductions : (int, Reduction.t) Hashtbl.t;  (* block -> operator *)
+  entries : entry Itbl.t;
+  reductions : Reduction.t Itbl.t;  (* block -> operator *)
   pending_marks : int list ref array;
       (* per node: blocks marked Lcm_modified since the last flush — so
          flush_copies touches only marked blocks instead of scanning the
          whole line table (which is quadratic at scale) *)
   pending_flush_acks : int array;
   awaiting_join : bool array;
-  stale_pins : (int, unit) Hashtbl.t array;
+  stale_pins : unit Itbl.t array;
   mutable conflicts : Detect.conflict list;
   mutable races : Detect.race list;
   mutable rec_state : rstate option;
@@ -148,7 +149,7 @@ let ctrl_words = 2
 let data_words t = wpb t + 2
 
 let get_entry t b =
-  match Hashtbl.find t.entries b with
+  match Itbl.find t.entries b with
   | e -> e
   | exception Not_found ->
     (* A directory entry materialises on first touch, but only for a block
@@ -175,14 +176,14 @@ let get_entry t b =
         readers = ISet.empty;
       }
     in
-    Hashtbl.add t.entries b e;
+    Itbl.add t.entries b e;
     e
 
 (* Every entry in ascending block order: the reconcile sweep and the
    invariant walk visit blocks in this order, so neither depends on the
    table's bucket count. *)
 let entries_in_order t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
+  Itbl.fold (fun _ e acc -> e :: acc) t.entries []
   |> List.sort (fun a b -> Int.compare a.block b.block)
 
 (* Record a parallel-phase reader for race detection (§7.2).  Called
@@ -466,7 +467,7 @@ and home_recv_inval_ack t b ~now =
 
 and sharer_do_inval t b snode =
   let nid = Machine.id snode in
-  if Hashtbl.mem t.stale_pins.(nid) b then
+  if Itbl.mem t.stale_pins.(nid) b then
     Stats.Handle.incr t.hs.h_survived_invals
   else
     match Machine.find_line snode b with
@@ -594,7 +595,7 @@ let merge_flush t b data mask ~from ~epoch =
       clean_copy_created t;
       s
   in
-  (match Hashtbl.find_opt t.reductions b with
+  (match Itbl.find_opt t.reductions b with
   | Some op ->
     Mask.iter mask (fun i ->
         shadow.(i) <-
@@ -773,7 +774,7 @@ and start_sweep t =
                   (match Machine.find_line snode b with
                   | Some line
                     when line.Machine.tag = Tag.Read_only
-                         && not (Hashtbl.mem t.stale_pins.(Machine.id snode) b)
+                         && not (Itbl.mem t.stale_pins.(Machine.id snode) b)
                     ->
                     Block.blit ~src:fresh ~dst:line.Machine.data
                   | Some _ | None -> () (* dropped, pinned or upgraded *));
@@ -844,14 +845,14 @@ let directive t node d ~retry =
   | Stale.Pin_stale addr ->
     note_directive t node "pin_stale";
     let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
-    Hashtbl.replace t.stale_pins.(Machine.id node) b ();
+    Itbl.replace t.stale_pins.(Machine.id node) b ();
     Stats.Handle.incr t.hs.h_stale_pins;
     retry ()
   | Stale.Refresh addr ->
     note_directive t node "refresh";
     let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
     let nid = Machine.id node in
-    Hashtbl.remove t.stale_pins.(nid) b;
+    Itbl.remove t.stale_pins.(nid) b;
     (match Machine.find_line node b with
     | Some line when not line.Machine.is_home_line ->
       Machine.drop_line node b;
@@ -883,7 +884,7 @@ let touch_entry t b = ignore (get_entry t b)
 
 let register_reduction t ~base ~nwords op =
   List.iter
-    (fun b -> Hashtbl.replace t.reductions b op)
+    (fun b -> Itbl.replace t.reductions b op)
     (Gmem.region_blocks (Machine.gmem t.mach) base ~nwords)
 
 let conflicts t = List.rev t.conflicts
@@ -971,7 +972,7 @@ let peek t addr =
   let g = Machine.gmem t.mach in
   let b = Gmem.block_of_addr g addr in
   let off = Gmem.offset_in_block g addr in
-  match Hashtbl.find_opt t.entries b with
+  match Itbl.find_opt t.entries b with
   | Some { dstate = Exclusive owner; _ } -> (
     match Machine.find_line (Machine.node t.mach owner) b with
     | Some line -> line.Machine.data.(off)
@@ -982,7 +983,7 @@ let poke t addr v =
   let g = Machine.gmem t.mach in
   let b = Gmem.block_of_addr g addr in
   let off = Gmem.offset_in_block g addr in
-  (match Hashtbl.find_opt t.entries b with
+  (match Itbl.find_opt t.entries b with
   | Some e -> (
     match (e.dstate, e.shadow) with
     | Home_owned, None -> ()
@@ -1012,12 +1013,12 @@ let install ?(detection = Detect.Off) ?(barrier = Barrier.Constant)
       hs = resolve_handles (Machine.stats mach);
       barrier;
       detection;
-      entries = Hashtbl.create 16;
-      reductions = Hashtbl.create 64;
+      entries = Itbl.create 16;
+      reductions = Itbl.create 64;
       pending_marks = Array.init nnodes (fun _ -> ref []);
       pending_flush_acks = Array.make nnodes 0;
       awaiting_join = Array.make nnodes false;
-      stale_pins = Array.init nnodes (fun _ -> Hashtbl.create 8);
+      stale_pins = Array.init nnodes (fun _ -> Itbl.create 8);
       conflicts = [];
       races = [];
       rec_state = None;

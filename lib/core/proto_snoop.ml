@@ -31,6 +31,7 @@ module Tag = Lcm_tempest.Tag
 module Block = Lcm_mem.Block
 module Gmem = Lcm_mem.Gmem
 module Stats = Lcm_util.Stats
+module Itbl = Lcm_util.Itbl
 module Bus = Lcm_net.Bus
 
 type handles = {
@@ -61,8 +62,8 @@ type t = {
   g_upgr : t Bus.grant;
   g_flush : t Bus.grant;
   barrier : Barrier.style;
-  states : (int, Snoop.state array) Hashtbl.t;  (* block -> per-node state *)
-  wb : (int, Block.t) Hashtbl.t;  (* in-flight evicted dirty data *)
+  states : Snoop.state array Itbl.t;  (* block -> per-node state *)
+  wb : Block.t Itbl.t;  (* in-flight evicted dirty data *)
 }
 
 let policy t = t.pol
@@ -74,11 +75,11 @@ let ctrl_words = 2
 let data_words t = wpb t + 2
 
 let states_of t b =
-  match Hashtbl.find_opt t.states b with
+  match Itbl.find_opt t.states b with
   | Some sts -> sts
   | None ->
     let sts = Array.make (Machine.nnodes t.mach) Snoop.I in
-    Hashtbl.add t.states b sts;
+    Itbl.add t.states b sts;
     sts
 
 let state t b nid = (states_of t b).(nid)
@@ -110,10 +111,10 @@ let set_state t b nid st ?data () =
    copy of the block, so any transaction touching the block retires it to
    memory first.  The still-queued FLUSH then finds nothing and no-ops. *)
 let drain_wb t b ~consumed_by_transaction =
-  match Hashtbl.find_opt t.wb b with
+  match Itbl.find_opt t.wb b with
   | Some data ->
     Block.blit ~src:data ~dst:(Machine.master t.mach b);
-    Hashtbl.remove t.wb b;
+    Itbl.remove t.wb b;
     if consumed_by_transaction then Stats.Handle.incr t.hs.h_wb_supplies
   | None -> ()
 
@@ -198,10 +199,10 @@ let do_bus_upgr t b nid ~now =
     Machine.wake (Machine.node t.mach nid) b ~now
 
 let do_bus_flush t b ~now =
-  (match Hashtbl.find_opt t.wb b with
+  (match Itbl.find_opt t.wb b with
   | Some data ->
     Block.blit ~src:data ~dst:(Machine.master t.mach b);
-    Hashtbl.remove t.wb b
+    Itbl.remove t.wb b
   | None -> () (* consumed by an intervening transaction *));
   Machine.tracef t.mach ~time:now "bus_flush block=%d" b
 
@@ -256,7 +257,7 @@ let evict t node b (line : Machine.line) =
   (* the machine removes the line after this handler returns *)
   if Snoop.writeback_on_evict st then begin
     Stats.Handle.incr t.hs.h_writebacks;
-    Hashtbl.replace t.wb b (Block.copy line.Machine.data);
+    Itbl.replace t.wb b (Block.copy line.Machine.data);
     Bus.transact t.bus ~kind:Bus.Flush ~at:(Machine.clock node)
       ~words:(data_words t) t.g_flush t b
   end
@@ -304,7 +305,7 @@ let owner_state = function Snoop.M | Snoop.O | Snoop.E -> true | _ -> false
 (* A table's bindings in ascending block order, so the invariant report
    does not depend on its bucket count. *)
 let by_block tbl =
-  Hashtbl.fold (fun b v acc -> (b, v) :: acc) tbl []
+  Itbl.fold (fun b v acc -> (b, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let check_invariants t =
@@ -393,7 +394,7 @@ let peek t addr =
   let b = Gmem.block_of_addr g addr in
   let off = Gmem.offset_in_block g addr in
   let from_owner () =
-    match Hashtbl.find_opt t.states b with
+    match Itbl.find_opt t.states b with
     | None -> None
     | Some sts ->
       let found = ref None in
@@ -410,7 +411,7 @@ let peek t addr =
   match from_owner () with
   | Some v -> v
   | None -> (
-    match Hashtbl.find_opt t.wb b with
+    match Itbl.find_opt t.wb b with
     | Some data -> data.(off)
     | None -> (Machine.master t.mach b).(off))
 
@@ -418,7 +419,7 @@ let poke t addr v =
   let g = Machine.gmem t.mach in
   let b = Gmem.block_of_addr g addr in
   let off = Gmem.offset_in_block g addr in
-  (match Hashtbl.find_opt t.states b with
+  (match Itbl.find_opt t.states b with
   | Some sts ->
     Array.iteri
       (fun nid st ->
@@ -453,8 +454,8 @@ let install ?(barrier = Barrier.Constant) ~policy:pol mach =
       g_upgr = Bus.grant bus grant_upgr_m;
       g_flush = Bus.grant bus grant_flush_m;
       barrier;
-      states = Hashtbl.create 16;
-      wb = Hashtbl.create 16;
+      states = Itbl.create 16;
+      wb = Itbl.create 16;
     }
   in
   Machine.set_handlers mach

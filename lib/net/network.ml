@@ -1,5 +1,6 @@
 module Rng = Lcm_util.Rng
 module Stats = Lcm_util.Stats
+module Itbl = Lcm_util.Itbl
 
 exception
   Net_unreachable of { src : int; dst : int; tag : string; attempts : int }
@@ -48,7 +49,7 @@ type t = {
          pattern — is a deterministic function of (workload, plan) *)
   rel_next : int array;  (* per channel: next seq to assign *)
   rel_expected : int array;  (* per channel: next seq to deliver *)
-  rel_held : (int, int -> unit) Hashtbl.t;
+  rel_held : (int -> unit) Itbl.t;
       (* channel lsl 40 + seq -> application delivery, parked until the
          sequence gap below it is filled.  Packed int key: channels are
          < 2^20 (nnodes^2, nnodes <= max_nodes, checked at [create]) and
@@ -95,7 +96,7 @@ let create ?faults ~engine ~costs ~stats ~topology ~nnodes () =
         ~seed:(match faults with Some p -> p.Faults.seed | None -> 0);
     rel_next = Array.make (nnodes * nnodes) 0;
     rel_expected = Array.make (nnodes * nnodes) 0;
-    rel_held = Hashtbl.create 16;
+    rel_held = Itbl.create 16;
     h_drops = Stats.counter stats "fault.drops";
     h_dups = Stats.counter stats "fault.dups";
     h_retx = Stats.counter stats "fault.retransmits";
@@ -299,7 +300,7 @@ let reliable t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
     faulty_send t plan ~src:dst ~dst:src ~words:1 ~tag:(Some "ack")
       ~at:arrival ack_landed st 0;
     let expected = t.rel_expected.(chan) in
-    if seq < expected || Hashtbl.mem t.rel_held ((chan lsl 40) + seq) then
+    if seq < expected || Itbl.mem t.rel_held ((chan lsl 40) + seq) then
       Stats.Handle.incr t.h_dup_suppressed
     else if seq = expected then begin
       t.rel_expected.(chan) <- expected + 1;
@@ -307,9 +308,9 @@ let reliable t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
       h p arrival x;
       let rec drain () =
         let nxt = t.rel_expected.(chan) in
-        match Hashtbl.find_opt t.rel_held ((chan lsl 40) + nxt) with
+        match Itbl.find_opt t.rel_held ((chan lsl 40) + nxt) with
         | Some run ->
-          Hashtbl.remove t.rel_held ((chan lsl 40) + nxt);
+          Itbl.remove t.rel_held ((chan lsl 40) + nxt);
           t.rel_expected.(chan) <- nxt + 1;
           run arrival;
           drain ()
@@ -317,7 +318,7 @@ let reliable t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
       in
       drain ()
     end
-    else Hashtbl.replace t.rel_held ((chan lsl 40) + seq) (fun a -> h p a x)
+    else Itbl.replace t.rel_held ((chan lsl 40) + seq) (fun a -> h p a x)
   in
   let rec transmit ~at =
     st.attempt <- st.attempt + 1;

@@ -1,5 +1,6 @@
 module Trace = Lcm_sim.Trace
 module Stats = Lcm_util.Stats
+module Itbl = Lcm_util.Itbl
 
 type line = {
   mutable data : Lcm_mem.Block.t;
@@ -21,7 +22,7 @@ type node = {
   machine : t;
   mutable node_clock : int;
   mutable handler_free : int;
-  lines : (int, line) Hashtbl.t;
+  lines : line Itbl.t;
   mutable access_stamp : int;
   la_blocks : int array;
       (* small direct-mapped lookaside in front of [lines]: slot
@@ -35,7 +36,7 @@ type node = {
       (* optional direct-mapped hardware cache above node memory: slot i
          holds the block number cached there (-1 = empty); a mismatch adds
          the hw-miss penalty to the access *)
-  parked : (int, (unit -> unit) list) Hashtbl.t;
+  parked : (unit -> unit) list Itbl.t;
       (* block -> retries of the accesses waiting for it, newest first *)
   self : node option;
       (* [Some] of this node, allocated once with it: what [set_cur]
@@ -71,7 +72,7 @@ and t = {
   m_stats : Lcm_util.Stats.t;
   m_rng : Lcm_util.Rng.t;
   mutable m_nodes : node array;  (* filled right after creation *)
-  masters : (int, Lcm_mem.Block.t) Hashtbl.t;
+  masters : Lcm_mem.Block.t Itbl.t;
   (* pre-resolved handles for every counter the access path can touch *)
   h_hw_misses : Stats.Handle.counter;
   h_evictions : Stats.Handle.counter;
@@ -174,7 +175,7 @@ let[@inline] find_line n b =
   let slot = b land la_mask in
   if Array.unsafe_get n.la_blocks slot = b then Array.unsafe_get n.la_lines slot
   else
-    match Hashtbl.find_opt n.lines b with
+    match Itbl.find_opt n.lines b with
     | Some _ as r ->
       Array.unsafe_set n.la_blocks slot b;
       Array.unsafe_set n.la_lines slot r;
@@ -201,9 +202,9 @@ let touch n b line =
       (* Lazy deletion lets stale stamps pile up; rebuild from the live
          table when they dominate.  Stamps are unique, so the pop order
          does not depend on the order the table is walked in. *)
-      if Lcm_util.Heap.length h > 64 + (8 * Hashtbl.length n.lines) then begin
+      if Lcm_util.Heap.length h > 64 + (8 * Itbl.length n.lines) then begin
         Lcm_util.Heap.clear h;
-        Hashtbl.iter
+        Itbl.iter
           (fun b line ->
             if not line.is_home_line then
               Lcm_util.Heap.add h ~key:line.last_use b)
@@ -239,7 +240,7 @@ let heap_victim n h =
     match Lcm_util.Heap.pop h with
     | None -> None
     | Some (stamp, b) -> (
-      match Hashtbl.find_opt n.lines b with
+      match Itbl.find_opt n.lines b with
       | Some line when (not line.is_home_line) && line.last_use = stamp ->
         Some (b, line)
       | Some _ | None -> go ())
@@ -253,18 +254,18 @@ let evict_one t n h =
     Stats.Handle.incr t.h_evictions;
     t.on_evict n b line;
     note_clean_copy_gone t line;
-    Hashtbl.remove n.lines b;
+    Itbl.remove n.lines b;
     invalidate_lookaside n b
 
 let install_line n b ~data ~tag =
   let t = n.machine in
   let is_home_line = Lcm_mem.Gmem.home_of_block t.m_gmem b = n.node_id in
-  (match Hashtbl.find_opt n.lines b with
+  (match Itbl.find_opt n.lines b with
   | Some old -> note_clean_copy_gone t old
   | None -> (
     match n.lru with
     | Some { capacity; heap }
-      when (not is_home_line) && Hashtbl.length n.lines >= capacity ->
+      when (not is_home_line) && Itbl.length n.lines >= capacity ->
       (* Home backing lines are the node's share of distributed memory,
          not cache fills: they materialise lazily (possibly outside the
          engine loop, e.g. from a debug peek) and must never displace a
@@ -283,21 +284,21 @@ let install_line n b ~data ~tag =
     }
   in
   touch n b line;
-  Hashtbl.replace n.lines b line;
+  Itbl.replace n.lines b line;
   let slot = b land la_mask in
   n.la_blocks.(slot) <- b;
   n.la_lines.(slot) <- Some line;
   line
 
 let drop_line n b =
-  (match Hashtbl.find_opt n.lines b with
+  (match Itbl.find_opt n.lines b with
   | Some line -> note_clean_copy_gone n.machine line
   | None -> ());
-  Hashtbl.remove n.lines b;
+  Itbl.remove n.lines b;
   invalidate_lookaside n b
 
 let master t b =
-  match Hashtbl.find t.masters b with
+  match Itbl.find t.masters b with
   | data -> data
   | exception Not_found ->
     (* Master copies materialise lazily, but only for real blocks: under
@@ -313,12 +314,12 @@ let master t b =
            (Lcm_mem.Gmem.allocated_words t.m_gmem
            / Lcm_mem.Gmem.words_per_block t.m_gmem));
     let data = Lcm_mem.Block.make ~words:(Lcm_mem.Gmem.words_per_block t.m_gmem) in
-    Hashtbl.add t.masters b data;
+    Itbl.add t.masters b data;
     (if t.home_backing then begin
        let home = t.m_nodes.(Lcm_mem.Gmem.home_of_block t.m_gmem b) in
        (* The home's backing line aliases the master copy and starts
           writable: memory is born coherent and home-owned. *)
-       match Hashtbl.find_opt home.lines b with
+       match Itbl.find_opt home.lines b with
        | Some _ -> ()
        | None -> ignore (install_line home b ~data ~tag:Tag.Writable)
      end);
@@ -380,8 +381,8 @@ let resume n ~now ~cost retry =
    behind the first one and resume with it. *)
 let park n b retry =
   let t = n.machine in
-  let pending = Hashtbl.find_opt n.parked b in
-  Hashtbl.replace n.parked b (retry :: Option.value pending ~default:[]);
+  let pending = Itbl.find_opt n.parked b in
+  Itbl.replace n.parked b (retry :: Option.value pending ~default:[]);
   let first = pending = None in
   if first then
     Stats.Handle.incr
@@ -390,13 +391,13 @@ let park n b retry =
   first
 
 let wake n b ~now =
-  let retries = Option.value (Hashtbl.find_opt n.parked b) ~default:[] in
-  Hashtbl.remove n.parked b;
+  let retries = Option.value (Itbl.find_opt n.parked b) ~default:[] in
+  Itbl.remove n.parked b;
   resume n ~now ~cost:n.machine.m_costs.Lcm_sim.Costs.block_install
     (fun () -> List.iter (fun retry -> retry ()) (List.rev retries))
 
 let parked n =
-  Hashtbl.fold (fun b _ acc -> b :: acc) n.parked [] |> List.sort Int.compare
+  Itbl.fold (fun b _ acc -> b :: acc) n.parked [] |> List.sort Int.compare
 
 (* ------------------------------------------------------------------ *)
 (* The memory access path.                                            *)
@@ -415,7 +416,7 @@ let home_fill t n b =
 
 (* The line [n] holds for [b]: the lookaside, then the line table, and
    only on a miss the home backing line, so the common hit skips a
-   Hashtbl probe. *)
+   table probe. *)
 let[@inline] lookup t n b =
   match find_line n b with None -> home_fill t n b | some -> some
 
@@ -563,7 +564,7 @@ let make_node t ~capacity_blocks ~hw_cache_blocks i =
       machine = t;
       node_clock = 0;
       handler_free = 0;
-      lines = Hashtbl.create 16;
+      lines = Itbl.create 16;
       access_stamp = 0;
       la_blocks = Array.make la_slots (-1);
       la_lines = Array.make la_slots None;
@@ -572,7 +573,7 @@ let make_node t ~capacity_blocks ~hw_cache_blocks i =
           (fun capacity -> { capacity; heap = Lcm_util.Heap.create () })
           capacity_blocks;
       hw_cache = Option.map (fun n -> Array.make n (-1)) hw_cache_blocks;
-      parked = Hashtbl.create 16;
+      parked = Itbl.create 16;
       self = Some n;
       sc_addr = 0;
       sc_val = 0;
@@ -658,7 +659,7 @@ let create ?(costs = Lcm_sim.Costs.default)
       m_stats = stats;
       m_rng = Lcm_util.Rng.create ~seed;
       m_nodes = [||];
-      masters = Hashtbl.create 16;
+      masters = Itbl.create 16;
       h_hw_misses = Stats.counter stats "cache.hw_misses";
       h_evictions = Stats.counter stats "cache.evictions";
       h_fault_read = Stats.counter stats "fault.read";

@@ -27,17 +27,6 @@ let before h i j =
   ki < kj
   || (ki = kj && Array.unsafe_get h.seqs i < Array.unsafe_get h.seqs j)
 
-let swap h i j =
-  let k = h.keys.(i) in
-  h.keys.(i) <- h.keys.(j);
-  h.keys.(j) <- k;
-  let s = h.seqs.(i) in
-  h.seqs.(i) <- h.seqs.(j);
-  h.seqs.(j) <- s;
-  let v = h.vals.(i) in
-  h.vals.(i) <- h.vals.(j);
-  h.vals.(j) <- v
-
 let grow h value =
   let cap = Array.length h.keys in
   if cap = 0 then begin
@@ -59,33 +48,52 @@ let grow h value =
     h.vals <- vals
   end
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before h i parent then begin
-      swap h i parent;
-      sift_up h parent
-    end
-  end
+(* The sifts move a hole, not an entry: the entry being placed rides in
+   the arguments [key seq v], each entry it passes moves one level into
+   the hole, and it is written once, where it lands.  Callers keep
+   [i < size <= capacity], so the unchecked accesses stay in bounds. *)
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < h.size && before h l i then l else i in
-  let smallest = if r < h.size && before h r smallest then r else smallest in
-  if smallest <> i then begin
-    swap h i smallest;
-    sift_down h smallest
+let[@inline] place h i key seq v =
+  Array.unsafe_set h.keys i key;
+  Array.unsafe_set h.seqs i seq;
+  Array.unsafe_set h.vals i v
+
+let[@inline] move h ~src ~dst =
+  Array.unsafe_set h.keys dst (Array.unsafe_get h.keys src);
+  Array.unsafe_set h.seqs dst (Array.unsafe_get h.seqs src);
+  Array.unsafe_set h.vals dst (Array.unsafe_get h.vals src)
+
+let rec sift_up h i key seq v =
+  let parent = (i - 1) / 2 in
+  if
+    i > 0
+    &&
+    let pk = Array.unsafe_get h.keys parent in
+    key < pk || (key = pk && seq < Array.unsafe_get h.seqs parent)
+  then begin
+    move h ~src:parent ~dst:i;
+    sift_up h parent key seq v
   end
+  else place h i key seq v
+
+let rec sift_down h i key seq v =
+  let l = (2 * i) + 1 in
+  if l >= h.size then place h i key seq v
+  else
+    let c = if l + 1 < h.size && before h (l + 1) l then l + 1 else l in
+    let ck = Array.unsafe_get h.keys c in
+    if ck < key || (ck = key && Array.unsafe_get h.seqs c < seq) then begin
+      move h ~src:c ~dst:i;
+      sift_down h c key seq v
+    end
+    else place h i key seq v
 
 let add h ~key value =
   if h.size = Array.length h.keys then grow h value;
-  let i = h.size in
-  h.keys.(i) <- key;
-  h.seqs.(i) <- h.next_seq;
-  h.vals.(i) <- value;
-  h.next_seq <- h.next_seq + 1;
+  let i = h.size and seq = h.next_seq in
+  h.next_seq <- seq + 1;
   h.size <- i + 1;
-  sift_up h i
+  sift_up h i key seq value
 
 (* Caller-stamped insertion for the engine's choice hook: it pops every
    event tied at the minimum key, commits one, and re-inserts the rest
@@ -96,12 +104,9 @@ let add h ~key value =
 let add_stamped h ~key ~seq value =
   if h.size = Array.length h.keys then grow h value;
   let i = h.size in
-  h.keys.(i) <- key;
-  h.seqs.(i) <- seq;
-  h.vals.(i) <- value;
   if seq >= h.next_seq then h.next_seq <- seq + 1;
   h.size <- i + 1;
-  sift_up h i
+  sift_up h i key seq value
 
 let top_seq h =
   if h.size = 0 then invalid_arg "Heap.top_seq: empty heap";
@@ -116,12 +121,8 @@ let pop_exn h =
   let v = h.vals.(0) in
   let last = h.size - 1 in
   h.size <- last;
-  if last > 0 then begin
-    h.keys.(0) <- h.keys.(last);
-    h.seqs.(0) <- h.seqs.(last);
-    h.vals.(0) <- h.vals.(last);
-    sift_down h 0
-  end;
+  if last > 0 then
+    sift_down h 0 h.keys.(last) h.seqs.(last) h.vals.(last);
   (* Drop the dead slot's reference so popped values can be collected. *)
   h.vals.(last) <- h.vals.(0);
   v

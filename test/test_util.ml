@@ -202,6 +202,55 @@ let prop_heap_clear_then_pop_order =
       in
       drain [] = expected)
 
+(* The engine's pattern, which the fill-then-drain properties above never
+   reach: pop an event, schedule a few at or after its key, and now and
+   then re-add a popped event under its own stamp, as the choice hook
+   does.  Entries then sift up into a heap that pops have reshaped.
+   Op 0 pops, 3 re-adds the latest popped entry, 1–2 add at now + d;
+   every pop must be the minimum of a sorted model of (key, seq). *)
+let prop_heap_interleaved =
+  QCheck.Test.make ~name:"heap interleaved add/add_stamped/pop_exn"
+    ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 0 300) (pair (int_bound 3) (int_bound 7)))
+    (fun ops ->
+      let h = Heap.create ~hint:1 () in
+      (* live (key, seq, value) triples, ascending *)
+      let model = ref [] and next_seq = ref 0 and now = ref 0 in
+      let popped = ref [] and ok = ref true in
+      let insert e = model := List.merge compare [ e ] !model in
+      let pop () =
+        match !model with
+        | [] -> ()
+        | ((k, s, v) as e) :: rest ->
+          model := rest;
+          let hk = Heap.top_key h and hs = Heap.top_seq h in
+          let hv = Heap.pop_exn h in
+          ok := !ok && hk = k && hs = s && hv = v;
+          now := k;
+          popped := e :: !popped
+      in
+      List.iteri
+        (fun i (op, d) ->
+          match (op, !popped) with
+          | 0, _ -> pop ()
+          | 3, ((k, s, v) as e) :: rest ->
+            popped := rest;
+            Heap.add_stamped h ~key:k ~seq:s v;
+            insert e;
+            next_seq := max !next_seq (s + 1)
+          | 3, [] -> ()
+          | _ ->
+            Heap.add h ~key:(!now + d) i;
+            insert (!now + d, !next_seq, i);
+            incr next_seq)
+        ops;
+      ok := !ok && Heap.length h = List.length !model;
+      while !model <> [] do
+        pop ()
+      done;
+      !ok && Heap.is_empty h)
+
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -672,6 +721,7 @@ let suite =
         prop_heap_fifo_equal_keys;
         prop_heap_restamped_ties;
         prop_heap_clear_then_pop_order;
+        prop_heap_interleaved;
         prop_heap_hint_resize_order;
         prop_pool_no_aliasing;
         prop_mask_roundtrip;
