@@ -38,15 +38,26 @@ let conv_of of_string to_string =
     ( (fun s -> Result.map_error (fun e -> `Msg e) (of_string s)),
       fun ppf v -> Format.pp_print_string ppf (to_string v) )
 
-(* A path to write, in a directory that exists: checked before anything
-   runs, so a bad path is exit 124, not a crash after the work is done. *)
-let output_path =
+(* A path to write, in a directory that exists, and of the right kind if
+   it exists already: checked before anything runs, so a bad path is exit
+   124, not a crash after the work is done.  [output_file] rejects an
+   existing directory, [output_dir] an existing non-directory. *)
+let output_path ~dir =
   let parse s =
-    let dir = Filename.dirname s in
-    if Sys.file_exists dir && Sys.is_directory dir then Ok s
-    else Error (`Msg (Printf.sprintf "no such directory %S" dir))
+    let parent = Filename.dirname s in
+    if not (Sys.file_exists parent && Sys.is_directory parent) then
+      Error (`Msg (Printf.sprintf "no such directory %S" parent))
+    else if Sys.file_exists s && Sys.is_directory s <> dir then
+      Error
+        (`Msg
+          (Printf.sprintf "%S is %s" s
+             (if dir then "not a directory" else "a directory")))
+    else Ok s
   in
   Arg.conv (parse, Format.pp_print_string)
+
+let output_file = output_path ~dir:false
+let output_dir = output_path ~dir:true
 
 (* A negative verdict exits 1: cmdliner keeps 124 for a command line it
    rejected before anything ran, so the two never mix.  Each command that
@@ -131,7 +142,7 @@ let trace_arg =
            ~doc:"Record a protocol event trace and print the tail.")
 
 let trace_out_arg =
-  Arg.(value & opt (some output_path) None
+  Arg.(value & opt (some output_file) None
        & info [ "trace-out" ] ~docv:"FILE"
            ~doc:"Write the recorded trace as Chrome trace_event JSON to \
                  $(docv) — open in chrome://tracing or Perfetto.  Implies \
@@ -153,7 +164,7 @@ let paper_arg =
 (* --fault-rate/--fault-seed/--fault-profile combine into one optional
    fault plan; rate 0 (the default) keeps the interconnect reliable. *)
 let fault_rate_arg =
-  Arg.(value & opt float 0.0
+  Arg.(value & opt fraction 0.0
        & info [ "fault-rate" ] ~docv:"P"
            ~doc:"Inject deterministic network faults at intensity $(docv) \
                  in [0,1] (0 disables).  Shape comes from \
@@ -177,12 +188,11 @@ let fault_profile_arg =
 
 let faults_term =
   let build rate seed profile =
-    (* of_profile rejects a rate outside [0,1] *)
-    if rate = 0.0 then `Ok None
-    else
-      match Lcm_net.Faults.of_profile profile ~rate ~seed with
-      | Ok plan -> `Ok (Some plan)
-      | Error e -> `Error (false, e)
+    (* the profile is checked at every rate, rate 0 included *)
+    match Lcm_net.Faults.of_profile profile ~rate ~seed with
+    | Error e -> `Error (false, e)
+    | Ok _ when rate = 0.0 -> `Ok None
+    | Ok plan -> `Ok (Some plan)
   in
   Term.(ret (const build $ fault_rate_arg $ fault_seed_arg $ fault_profile_arg))
 
@@ -269,8 +279,7 @@ let stencil_cmd =
        Term.(
          const (fun size iters paper rt ->
              Stencil.run rt
-               (if paper then Stencil.paper
-                else { Stencil.n = size; iters; work_per_cell = 4 }))
+               (if paper then Stencil.paper else Stencil.params ~n:size ~iters))
          $ size_arg 128 $ iters_arg 10 $ paper_arg))
 
 let threshold_cmd =
@@ -280,8 +289,7 @@ let threshold_cmd =
          const (fun size iters paper rt ->
              Threshold.run rt
                (if paper then Threshold.paper
-                else
-                  { Threshold.n = size; iters; threshold = 0.5; work_per_cell = 4 }))
+                else Threshold.params ~n:size ~iters))
          $ size_arg 128 $ iters_arg 10 $ paper_arg))
 
 let adaptive_cmd =
@@ -292,22 +300,15 @@ let adaptive_cmd =
              Adaptive.run rt
                (if paper then Adaptive.paper
                 else
-                  {
-                    Adaptive.n = size;
-                    iters;
-                    max_depth = 3;
-                    subdiv_threshold = 2.0;
-                    arena_per_node = 4096;
-                    work_per_cell = 6;
-                  }))
+                  Adaptive.params ~n:size ~iters ~max_depth:3
+                    ~arena_per_node:4096))
          $ size_arg 32 $ iters_arg 16 $ paper_arg))
 
 let sor_cmd =
   bench_cmd "sor" ~doc:"Run the sor benchmark."
     (on_system
        Term.(
-         const (fun size iters rt ->
-             Sor.run rt { Sor.n = size; iters; omega = 1.5; work_per_cell = 4 })
+         const (fun size iters rt -> Sor.run rt (Sor.params ~n:size ~iters))
          $ size_arg 50 $ iters_arg 8))
 
 let unstructured_cmd =
@@ -319,9 +320,7 @@ let unstructured_cmd =
          const (fun size iters paper rt ->
              Unstructured.run rt
                (if paper then Unstructured.paper
-                else
-                  { Unstructured.nodes = size; edges = size * 4; iters; seed = 11;
-                    work_per_node = 6 }))
+                else Unstructured.params ~nodes:size ~iters))
          $ size_arg ~min:9 256 $ iters_arg 64 $ paper_arg))
 
 let reduce_cmd =
@@ -344,7 +343,7 @@ let reduce_cmd =
           ( Reduce_demo.variant_name variant,
             (match variant with `Rsm_reconcile -> Config.lcm_mcc | _ -> Config.stache),
             fun rt ->
-              Reduce_demo.run rt variant { Reduce_demo.n = size; per_add_work = 2 } ))
+              Reduce_demo.run rt variant (Reduce_demo.params ~n:size) ))
       $ variant_arg $ size_arg 8192)
 
 let false_sharing_cmd =
@@ -368,8 +367,7 @@ let nbody_cmd =
           ( Config.lcm_mcc.Config.label,
             Config.lcm_mcc,
             fun rt ->
-              Nbody_stale.run rt mode
-                { Nbody_stale.bodies = size; iters; work_per_body = 2 } ))
+              Nbody_stale.run rt mode (Nbody_stale.params ~bodies:size ~iters) ))
       $ refresh_arg $ size_arg 512 $ iters_arg 16)
 
 let synthetic_cmd =
@@ -501,13 +499,13 @@ let experiments_cmd =
                    reported $(b,timed-out) and the sweep continues.")
   in
   let summary_json_arg =
-    Arg.(value & opt (some output_path) None
+    Arg.(value & opt (some output_file) None
          & info [ "summary-json" ] ~docv:"FILE"
              ~doc:"Write the machine-readable sweep summary (lcm-sweep/1 \
                    JSON) to $(docv).")
   in
   let summary_csv_arg =
-    Arg.(value & opt (some output_path) None
+    Arg.(value & opt (some output_file) None
          & info [ "summary-csv" ] ~docv:"FILE"
              ~doc:"Write the sweep summary as CSV to $(docv).")
   in
@@ -756,9 +754,9 @@ let check_cmd =
   let no_reduce_arg =
     Arg.(value & flag
          & info [ "no-reduce" ]
-             ~doc:"Disable partial-order reduction (sleep sets + \
-                   persistent-set heuristic): enumerate every interleaving.  \
-                   For cross-checking the reduction on tiny configurations.")
+             ~doc:"Disable partial-order reduction (the persistent-set \
+                   heuristic): enumerate every interleaving.  For \
+                   cross-checking the reduction on tiny configurations.")
   in
   let replay_arg =
     Arg.(value & opt (some string) None
@@ -769,7 +767,7 @@ let check_cmd =
                    $(b,--policy) instead of exploring.")
   in
   let out_arg =
-    Arg.(value & opt output_path "out"
+    Arg.(value & opt output_dir "out"
          & info [ "out" ] ~docv:"DIR"
              ~doc:"Directory for counterexample artifacts (trace JSON + \
                    report).")
@@ -953,7 +951,7 @@ let check_cmd =
        ~doc:"Exhaustive small-scope model checking: enumerate every \
              message-delivery and same-timestamp handler interleaving of \
              bounded configurations through the engine's choice-point hook, \
-             with sleep-set + persistent-set partial-order reduction, \
+             with persistent-set partial-order reduction, \
              checking protocol invariants and the stress harness's \
              abstract-state-machine spec.  Optionally composes bounded \
              per-copy fault choices ($(b,--fault-budget)).  Violations are \

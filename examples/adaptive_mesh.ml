@@ -9,15 +9,7 @@
 open Lcm_harness
 open Lcm_apps
 
-let params =
-  {
-    Adaptive.n = 24;
-    iters = 12;
-    max_depth = 3;
-    subdiv_threshold = 2.0;
-    arena_per_node = 2048;
-    work_per_cell = 6;
-  }
+let params = Adaptive.params ~n:24 ~iters:12 ~max_depth:3 ~arena_per_node:2048
 
 let run system schedule =
   let machine = { Config.default_machine with Config.nnodes = 16 } in

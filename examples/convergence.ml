@@ -22,11 +22,7 @@ let () =
   let proto = Lcm_core.Proto.install ~policy:Lcm_core.Policy.lcm_mcc machine in
   let rt = Runtime.create proto ~schedule:Schedule.Static in
   let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Lcm_mem.Gmem.Chunked in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Agg.pokef a i j (if i = 0 then 100.0 else 0.0)
-    done
-  done;
+  Agg.fillf a (fun i _ -> if i = 0 then 100.0 else 0.0);
   let delta = Runtime.reducer rt ~op:Reduction.f32_max ~init:0 in
   let iter = ref 0 in
   let converged = ref false in

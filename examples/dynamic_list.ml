@@ -26,9 +26,7 @@ let run policy =
   let proto = Lcm_core.Proto.install ~policy machine in
   let rt = Runtime.create proto ~schedule:Schedule.Static in
   let data = Runtime.alloc1d rt ~n ~dist:Lcm_mem.Gmem.Chunked in
-  for i = 0 to n - 1 do
-    Agg.poke data 0 i (value i)
-  done;
+  Agg.fill data (fun _ i -> value i);
   (* one list head per partition, each in its own block to avoid sharing *)
   let gmem = Lcm_tempest.Machine.gmem machine in
   let heads =

@@ -25,9 +25,7 @@ let () =
 
   (* An aggregate: a 1-D array of 64 values distributed across the nodes. *)
   let a = Runtime.alloc1d rt ~n:64 ~dist:Lcm_mem.Gmem.Chunked in
-  for i = 0 to 63 do
-    Agg.poke a 0 i i
-  done;
+  Agg.fill a (fun _ i -> i);
 
   (* The parallel function: every element becomes the sum of itself and its
      ring neighbours.  Each invocation READS its neighbours and WRITES its

@@ -9,7 +9,7 @@
 open Lcm_harness
 open Lcm_apps
 
-let params = { Reduce_demo.n = 8192; per_add_work = 2 }
+let params = Reduce_demo.params ~n:8192
 
 let () =
   let machine = { Config.default_machine with Config.nnodes = 16 } in

@@ -7,7 +7,7 @@
 open Lcm_harness
 open Lcm_apps
 
-let params = { Nbody_stale.bodies = 512; iters = 12; work_per_body = 2 }
+let params = Nbody_stale.params ~bodies:512 ~iters:12
 
 let run mode =
   let rt =

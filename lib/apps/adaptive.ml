@@ -10,15 +10,10 @@ type params = {
   work_per_cell : int;
 }
 
-let paper =
-  {
-    n = 64;
-    iters = 100;
-    max_depth = 4;
-    subdiv_threshold = 2.0;
-    arena_per_node = 16384;
-    work_per_cell = 6;
-  }
+let params ~n ~iters ~max_depth ~arena_per_node =
+  { n; iters; max_depth; subdiv_threshold = 2.0; arena_per_node; work_per_cell = 6 }
+
+let paper = params ~n:64 ~iters:100 ~max_depth:4 ~arena_per_node:16384
 
 (* Cell layout: one cache block per cell. *)
 let f_value = 0
@@ -238,43 +233,42 @@ let run_internal rt ({ n; iters; max_depth; subdiv_threshold; work_per_cell; _ }
       end
     done
   in
-  let started = Runtime.elapsed rt in
-  for iter = 0 to iters - 1 do
-    (* Baseline: copy the whole mesh (values and tree structure) into the
-       new buffer first; the relax phase then overwrites the parts that
-       change.  LCM needs no copy — marks do it on demand. *)
-    if explicit_copy then copy_phase rt st ~iter;
-    let value_get i j = cgetf st ((i * n) + j) f_value in
-    Runtime.parallel_apply_2d rt ~iter ~rows:n ~cols:n (fun ctx i j ->
-        Lcm_tempest.Memeff.work work_per_cell;
-        let c = (i * n) + j in
-        let old = cgetf st c f_value in
-        let nv = f32 (base_new_value ~n value_get i j) in
-        csetf st c f_value nv;
-        relax_children ~node:ctx.Ctx.node c nv;
-        if
-          get_child c 0 = 0
-          && cget st c f_depth < max_depth
-          && abs_float (nv -. old) > subdiv_threshold
-        then subdivide st ~node:ctx.Ctx.node ~parent:c ~depth:0 ~value:nv);
-    Agg.swap st.base_cells;
-    Agg.swap st.arena
-  done;
-  let cycles = Runtime.elapsed rt - started in
-  let checksum = ref 0.0 in
-  for c = 0 to st.base - 1 do
-    checksum := !checksum +. Agg.peekf st.base_cells c f_value
-  done;
-  Array.iteri
-    (fun nid used ->
-      for k = 0 to used - 1 do
-        checksum :=
-          !checksum +. Agg.peekf st.arena ((nid * st.arena_per_node) + k) f_value
-      done)
-    st.used;
-  ( Bench_result.make ~name:"adaptive" ~cycles ~checksum:!checksum
-      ~stats:(Runtime.stats rt),
-    st )
+  let iterate () =
+    for iter = 0 to iters - 1 do
+      (* Baseline: copy the whole mesh (values and tree structure) into the
+         new buffer first; the relax phase then overwrites the parts that
+         change.  LCM needs no copy — marks do it on demand. *)
+      if explicit_copy then copy_phase rt st ~iter;
+      let value_get i j = cgetf st ((i * n) + j) f_value in
+      Runtime.parallel_apply_2d rt ~iter ~rows:n ~cols:n (fun ctx i j ->
+          Lcm_tempest.Memeff.work work_per_cell;
+          let c = (i * n) + j in
+          let old = cgetf st c f_value in
+          let nv = f32 (base_new_value ~n value_get i j) in
+          csetf st c f_value nv;
+          relax_children ~node:ctx.Ctx.node c nv;
+          if
+            get_child c 0 = 0
+            && cget st c f_depth < max_depth
+            && abs_float (nv -. old) > subdiv_threshold
+          then subdivide st ~node:ctx.Ctx.node ~parent:c ~depth:0 ~value:nv);
+      Agg.swap st.base_cells;
+      Agg.swap st.arena
+    done;
+    let checksum = ref 0.0 in
+    for c = 0 to st.base - 1 do
+      checksum := !checksum +. Agg.peekf st.base_cells c f_value
+    done;
+    Array.iteri
+      (fun nid used ->
+        for k = 0 to used - 1 do
+          checksum :=
+            !checksum +. Agg.peekf st.arena ((nid * st.arena_per_node) + k) f_value
+        done)
+      st.used;
+    !checksum
+  in
+  (Bench_result.measure rt ~name:"adaptive" iterate, st)
 
 let run rt p = fst (run_internal rt p)
 

@@ -27,6 +27,11 @@ type params = {
   work_per_cell : int;
 }
 
+val params :
+  n:int -> iters:int -> max_depth:int -> arena_per_node:int -> params
+(** An [n × n] base mesh for [iters] iterations, subdividing a cell whose
+    value moves by more than 2.0, 6 work cycles per cell. *)
+
 val paper : params
 (** 64×64, 100 iterations, depth ≤ 4. *)
 

@@ -28,6 +28,13 @@ let make ~name ~cycles ~checksum ~stats =
     samples = Lcm_util.Stats.samples stats;
   }
 
+let measure rt ~name f =
+  let started = Lcm_cstar.Runtime.elapsed rt in
+  let checksum = f () in
+  make ~name
+    ~cycles:(Lcm_cstar.Runtime.elapsed rt - started)
+    ~checksum ~stats:(Lcm_cstar.Runtime.stats rt)
+
 let message_breakdown t =
   List.filter_map
     (fun (name, v) ->

@@ -28,6 +28,12 @@ val make :
   name:string -> cycles:int -> checksum:float -> stats:Lcm_util.Stats.t -> t
 (** Extract the standard counters from a run's statistics. *)
 
+val measure : Lcm_cstar.Runtime.t -> name:string -> (unit -> float) -> t
+(** [measure rt ~name f] runs [f], the measured part of a benchmark that
+    returns its checksum, and {!make}s the result: [cycles] is how far
+    {!Lcm_cstar.Runtime.elapsed} moved during [f], the counters are read
+    after it. *)
+
 val close : t -> t -> bool
 (** [close a b] — checksums agree within relative tolerance 1e-4
     (float32 arithmetic orders differ between protocols only through

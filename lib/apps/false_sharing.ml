@@ -19,26 +19,25 @@ let run rt { blocks; rounds } =
      congruent to (p / wpb) modulo [stride]: up to wpb processors write
      disjoint words of each block, and no word has two writers. *)
   let stride = (nnodes + wpb - 1) / wpb in
-  let started = Runtime.elapsed rt in
-  for iter = 0 to rounds - 1 do
-    Runtime.parallel_apply rt ~iter ~n:nnodes (fun ctx ->
-        let p = ctx.Ctx.index in
-        let word = p mod wpb and group = p / wpb in
-        for b = 0 to blocks - 1 do
-          if b mod stride = group then begin
-            let addr = base + (b * wpb) + word in
-            (match Runtime.strategy rt with
-            | Runtime.Lcm_directives ->
-              Memeff.directive (Memeff.Mark_modification addr)
-            | Runtime.Explicit_copy -> ());
-            Memeff.store addr (Memeff.load addr + p + 1)
-          end
-        done)
-  done;
-  let cycles = Runtime.elapsed rt - started in
-  let checksum = ref 0.0 in
-  for w = 0 to (blocks * wpb) - 1 do
-    checksum := !checksum +. float_of_int (Lcm_core.Proto.peek proto (base + w))
-  done;
-  Bench_result.make ~name:"false-sharing" ~cycles ~checksum:!checksum
-    ~stats:(Runtime.stats rt)
+  Bench_result.measure rt ~name:"false-sharing" (fun () ->
+      for iter = 0 to rounds - 1 do
+        Runtime.parallel_apply rt ~iter ~n:nnodes (fun ctx ->
+            let p = ctx.Ctx.index in
+            let word = p mod wpb and group = p / wpb in
+            for b = 0 to blocks - 1 do
+              if b mod stride = group then begin
+                let addr = base + (b * wpb) + word in
+                (match Runtime.strategy rt with
+                | Runtime.Lcm_directives ->
+                  Memeff.directive (Memeff.Mark_modification addr)
+                | Runtime.Explicit_copy -> ());
+                Memeff.store addr (Memeff.load addr + p + 1)
+              end
+            done)
+      done;
+      let checksum = ref 0.0 in
+      for w = 0 to (blocks * wpb) - 1 do
+        checksum :=
+          !checksum +. float_of_int (Lcm_core.Proto.peek proto (base + w))
+      done;
+      !checksum)

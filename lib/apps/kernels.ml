@@ -67,40 +67,20 @@ let sor_half ~colour ~omega =
 
 let run_stencil rt ~n ~iters ~init =
   let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Lcm_mem.Gmem.Chunked in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Agg.pokef a i j (init i j)
-    done
-  done;
+  Agg.fillf a init;
   let apply = K.compile rt stencil { K.aggs = [ ("A", a) ]; reducers = [] } ~over:"A" in
   for iter = 0 to iters - 1 do
     apply ~iter ()
   done;
-  let sum = ref 0.0 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      sum := !sum +. Agg.peekf a i j
-    done
-  done;
-  !sum
+  Agg.sumf a
 
 let run_sor rt ~n ~iters ~omega ~init =
   let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Lcm_mem.Gmem.Chunked in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Agg.pokef a i j (init i j)
-    done
-  done;
+  Agg.fillf a init;
   let red = K.compile rt (sor_half ~colour:0 ~omega) { K.aggs = [ ("A", a) ]; reducers = [] } ~over:"A" in
   let black = K.compile rt (sor_half ~colour:1 ~omega) { K.aggs = [ ("A", a) ]; reducers = [] } ~over:"A" in
   for iter = 0 to iters - 1 do
     red ~iter:(2 * iter) ();
     black ~iter:((2 * iter) + 1) ()
   done;
-  let sum = ref 0.0 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      sum := !sum +. Agg.peekf a i j
-    done
-  done;
-  !sum
+  Agg.sumf a

@@ -7,6 +7,8 @@ type mode = [ `Fresh | `Stale of int ]
 
 type params = { bodies : int; iters : int; work_per_body : int }
 
+let params ~bodies ~iters = { bodies; iters; work_per_body = 2 }
+
 let mode_name = function
   | `Fresh -> "fresh"
   | `Stale r -> Printf.sprintf "stale-%d" r
@@ -30,55 +32,46 @@ let remote_blocks rt (a : Agg.t) nid =
 
 let run rt mode { bodies; iters; work_per_body } =
   let a = Runtime.alloc1d rt ~n:bodies ~dist:Gmem.Chunked in
-  for i = 0 to bodies - 1 do
-    Agg.pokef a 0 i (init_pos i)
-  done;
+  Agg.fillf a (fun _ i -> init_pos i);
   let mach = Runtime.machine rt in
   let gmem = Machine.gmem mach in
   let wpb = Gmem.words_per_block gmem in
   let nnodes = Machine.nnodes mach in
-  let started = Runtime.elapsed rt in
-  (* Pin phase: each node touches and pins every remote block of the
-     aggregate so reconciliation leaves its copies in place. *)
-  (match mode with
-  | `Stale _ ->
-    Runtime.parallel_apply rt ~n:nnodes (fun ctx ->
-        List.iter
-          (fun b ->
-            let addr = b * wpb in
-            ignore (Memeff.load addr);
-            Lcm_core.Stale.pin addr)
-          (remote_blocks rt a ctx.Ctx.node))
-  | `Fresh -> ());
-  for iter = 0 to iters - 1 do
-    (* Refresh phase: drop pinned copies every refresh_every iterations so
-       the next reads see the latest reconciled positions. *)
-    (match mode with
-    | `Stale refresh_every when iter > 0 && iter mod refresh_every = 0 ->
-      Runtime.parallel_apply rt ~iter ~n:nnodes (fun ctx ->
-          List.iter
-            (fun b ->
-              let addr = b * wpb in
-              Lcm_core.Stale.refresh addr;
-              ignore (Memeff.load addr);
-              Lcm_core.Stale.pin addr)
-            (remote_blocks rt a ctx.Ctx.node))
-    | `Stale _ | `Fresh -> ());
-    Runtime.parallel_apply rt ~iter ~n:bodies (fun ctx ->
-        let i = ctx.Ctx.index in
-        Memeff.work work_per_body;
-        let sum = ref 0.0 in
-        for j = 0 to bodies - 1 do
-          sum := !sum +. Agg.getf1 a j
-        done;
-        let mean = !sum /. float_of_int bodies in
-        Agg.setf1 a i ((0.9 *. Agg.getf1 a i) +. (0.1 *. mean)))
-  done;
-  let cycles = Runtime.elapsed rt - started in
-  let checksum = ref 0.0 in
-  for i = 0 to bodies - 1 do
-    checksum := !checksum +. Agg.peekf a 0 i
-  done;
-  Bench_result.make
-    ~name:("nbody-" ^ mode_name mode)
-    ~cycles ~checksum:!checksum ~stats:(Runtime.stats rt)
+  Bench_result.measure rt ~name:("nbody-" ^ mode_name mode) (fun () ->
+      (* Pin phase: each node touches and pins every remote block of the
+         aggregate so reconciliation leaves its copies in place. *)
+      (match mode with
+      | `Stale _ ->
+        Runtime.parallel_apply rt ~n:nnodes (fun ctx ->
+            List.iter
+              (fun b ->
+                let addr = b * wpb in
+                ignore (Memeff.load addr);
+                Lcm_core.Stale.pin addr)
+              (remote_blocks rt a ctx.Ctx.node))
+      | `Fresh -> ());
+      for iter = 0 to iters - 1 do
+        (* Refresh phase: drop pinned copies every refresh_every iterations
+           so the next reads see the latest reconciled positions. *)
+        (match mode with
+        | `Stale refresh_every when iter > 0 && iter mod refresh_every = 0 ->
+          Runtime.parallel_apply rt ~iter ~n:nnodes (fun ctx ->
+              List.iter
+                (fun b ->
+                  let addr = b * wpb in
+                  Lcm_core.Stale.refresh addr;
+                  ignore (Memeff.load addr);
+                  Lcm_core.Stale.pin addr)
+                (remote_blocks rt a ctx.Ctx.node))
+        | `Stale _ | `Fresh -> ());
+        Runtime.parallel_apply rt ~iter ~n:bodies (fun ctx ->
+            let i = ctx.Ctx.index in
+            Memeff.work work_per_body;
+            let sum = ref 0.0 in
+            for j = 0 to bodies - 1 do
+              sum := !sum +. Agg.getf1 a j
+            done;
+            let mean = !sum /. float_of_int bodies in
+            Agg.setf1 a i ((0.9 *. Agg.getf1 a i) +. (0.1 *. mean)))
+      done;
+      Agg.sumf a)

@@ -19,6 +19,9 @@ type mode = [ `Fresh | `Stale of int ]
 
 type params = { bodies : int; iters : int; work_per_body : int }
 
+val params : bodies:int -> iters:int -> params
+(** [bodies] bodies for [iters] iterations, 2 work cycles per body. *)
+
 val run : Lcm_cstar.Runtime.t -> mode -> params -> Bench_result.t
 (** Requires an LCM-policy runtime (the [Lcm_directives] strategy). *)
 

@@ -7,6 +7,8 @@ type variant = [ `Rsm_reconcile | `Manual_partials | `Serialized ]
 
 type params = { n : int; per_add_work : int }
 
+let params ~n = { n; per_add_work = 2 }
+
 let variant_name = function
   | `Rsm_reconcile -> "rsm-reconcile"
   | `Manual_partials -> "manual-partials"
@@ -20,14 +22,11 @@ let expected_sum { n; _ } =
 
 let run rt variant { n; per_add_work } =
   let a = Runtime.alloc1d rt ~n ~dist:Gmem.Chunked in
-  for i = 0 to n - 1 do
-    Agg.poke a 0 i (element i)
-  done;
+  Agg.fill a (fun _ i -> element i);
   let proto = Runtime.proto rt in
   let gmem = Lcm_tempest.Machine.gmem (Runtime.machine rt) in
   let wpb = Gmem.words_per_block gmem in
-  let started = Runtime.elapsed rt in
-  let total =
+  let total () =
     match variant with
     | `Rsm_reconcile ->
       let r = Runtime.reducer rt ~op:Reduction.int_sum ~init:0 in
@@ -60,7 +59,5 @@ let run rt variant { n; per_add_work } =
           ignore (Memeff.rmw var (fun old -> old + v)));
       Lcm_core.Proto.peek proto var
   in
-  let cycles = Runtime.elapsed rt - started in
-  Bench_result.make
-    ~name:("reduce-" ^ variant_name variant)
-    ~cycles ~checksum:(float_of_int total) ~stats:(Runtime.stats rt)
+  Bench_result.measure rt ~name:("reduce-" ^ variant_name variant) (fun () ->
+      float_of_int (total ()))

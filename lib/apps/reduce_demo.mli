@@ -18,6 +18,9 @@ type variant = [ `Rsm_reconcile | `Manual_partials | `Serialized ]
 
 type params = { n : int; per_add_work : int }
 
+val params : n:int -> params
+(** [n] elements, 2 work cycles per add. *)
+
 val run : Lcm_cstar.Runtime.t -> variant -> params -> Bench_result.t
 (** The checksum is the final sum; all variants must agree.  Run
     [`Rsm_reconcile] on an LCM-policy runtime and the two baselines on a

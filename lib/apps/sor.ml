@@ -4,6 +4,8 @@ module Memeff = Lcm_tempest.Memeff
 
 type params = { n : int; iters : int; omega : float; work_per_cell : int }
 
+let params ~n ~iters = { n; iters; omega = 1.5; work_per_cell = 4 }
+
 let init_value ~n i j =
   if i = 0 then 100.0 else if i = n - 1 || j = 0 || j = n - 1 then 0.0 else 0.0
 
@@ -43,31 +45,32 @@ let run rt { n; iters; omega; work_per_cell } =
     done
   done;
   let load i j = Word.to_float (Memeff.load (base + (i * n) + j)) in
-  let started = Runtime.elapsed rt in
-  for iter = 0 to iters - 1 do
-    List.iter
-      (fun colour ->
-        (* no marks, no flushes: analysis proved the phase conflict-free *)
-        Runtime.parallel_apply_2d rt
-          ~iter:((2 * iter) + colour)
-          ~flush_between:false ~rows:n ~cols:n
-          (fun _ctx i j ->
-            if i > 0 && j > 0 && i < n - 1 && j < n - 1 && (i + j) land 1 = colour
-            then begin
-              Memeff.work work_per_cell;
-              let v =
-                relaxed ~omega (load i j)
-                  (load (i - 1) j +. load (i + 1) j +. load i (j - 1)
-                 +. load i (j + 1))
-              in
-              Memeff.store (base + (i * n) + j) (Word.of_float v)
-            end))
-      [ 0; 1 ]
-  done;
-  let cycles = Runtime.elapsed rt - started in
-  let checksum = ref 0.0 in
-  for w = 0 to (n * n) - 1 do
-    checksum := !checksum +. Word.to_float (Lcm_core.Proto.peek proto (base + w))
-  done;
-  Bench_result.make ~name:"sor" ~cycles ~checksum:!checksum
-    ~stats:(Runtime.stats rt)
+  Bench_result.measure rt ~name:"sor" (fun () ->
+      for iter = 0 to iters - 1 do
+        List.iter
+          (fun colour ->
+            (* no marks, no flushes: analysis proved the phase conflict-free *)
+            Runtime.parallel_apply_2d rt
+              ~iter:((2 * iter) + colour)
+              ~flush_between:false ~rows:n ~cols:n
+              (fun _ctx i j ->
+                if
+                  i > 0 && j > 0 && i < n - 1 && j < n - 1
+                  && (i + j) land 1 = colour
+                then begin
+                  Memeff.work work_per_cell;
+                  let v =
+                    relaxed ~omega (load i j)
+                      (load (i - 1) j +. load (i + 1) j +. load i (j - 1)
+                     +. load i (j + 1))
+                  in
+                  Memeff.store (base + (i * n) + j) (Word.of_float v)
+                end))
+          [ 0; 1 ]
+      done;
+      let checksum = ref 0.0 in
+      for w = 0 to (n * n) - 1 do
+        checksum :=
+          !checksum +. Word.to_float (Lcm_core.Proto.peek proto (base + w))
+      done;
+      !checksum)

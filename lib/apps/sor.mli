@@ -22,6 +22,10 @@ type params = {
   work_per_cell : int;
 }
 
+val params : n:int -> iters:int -> params
+(** An [n × n] mesh for [iters] iterations, omega 1.5, 4 work cycles per
+    cell. *)
+
 val run : Lcm_cstar.Runtime.t -> params -> Bench_result.t
 
 val reference : params -> float

@@ -3,7 +3,8 @@ module Word = Lcm_mem.Word
 
 type params = { n : int; iters : int; work_per_cell : int }
 
-let paper = { n = 1024; iters = 50; work_per_cell = 4 }
+let params ~n ~iters = { n; iters; work_per_cell = 4 }
+let paper = params ~n:1024 ~iters:50
 
 (* Deterministic initial condition: a hot top edge and a cold interior with
    a few point sources, so the relaxation has visible structure. *)
@@ -40,24 +41,18 @@ let reference { n; iters; _ } =
 
 let run rt { n; iters; work_per_cell } =
   let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Lcm_mem.Gmem.Chunked in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Agg.pokef a i j (init_value ~n i j)
-    done
-  done;
-  let started = Runtime.elapsed rt in
-  for iter = 0 to iters - 1 do
-    Runtime.parallel_apply_2d rt ~iter ~rows:n ~cols:n (fun _ctx i j ->
-        Lcm_tempest.Memeff.work work_per_cell;
-        if i = 0 || j = 0 || i = n - 1 || j = n - 1 then
-          Agg.setf a i j (Agg.getf a i j)
-        else
-          Agg.setf a i j
-            (0.25
-            *. (Agg.getf a (i - 1) j +. Agg.getf a (i + 1) j +. Agg.getf a i (j - 1)
-               +. Agg.getf a i (j + 1))));
-    Agg.swap a
-  done;
-  let cycles = Runtime.elapsed rt - started in
-  let checksum = checksum_of_matrix (Agg.to_matrix a) in
-  Bench_result.make ~name:"stencil" ~cycles ~checksum ~stats:(Runtime.stats rt)
+  Agg.fillf a (init_value ~n);
+  Bench_result.measure rt ~name:"stencil" (fun () ->
+      for iter = 0 to iters - 1 do
+        Runtime.parallel_apply_2d rt ~iter ~rows:n ~cols:n (fun _ctx i j ->
+            Lcm_tempest.Memeff.work work_per_cell;
+            if i = 0 || j = 0 || i = n - 1 || j = n - 1 then
+              Agg.setf a i j (Agg.getf a i j)
+            else
+              Agg.setf a i j
+                (0.25
+                *. (Agg.getf a (i - 1) j +. Agg.getf a (i + 1) j
+                   +. Agg.getf a i (j - 1) +. Agg.getf a i (j + 1))));
+        Agg.swap a
+      done;
+      Agg.sumf a)

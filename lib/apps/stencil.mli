@@ -22,6 +22,9 @@ type params = {
   work_per_cell : int;  (** extra compute cycles charged per invocation *)
 }
 
+val params : n:int -> iters:int -> params
+(** An [n × n] mesh for [iters] iterations, at 4 work cycles per cell. *)
+
 val paper : params
 (** 1024×1024, 50 iterations — the paper's configuration. *)
 

@@ -50,9 +50,7 @@ let run rt p =
   let wpb = Gmem.words_per_block (Machine.gmem mach) in
   let total_words = p.blocks_per_node * nnodes * wpb in
   let a = Runtime.alloc1d rt ~n:total_words ~dist:Gmem.Chunked in
-  for w = 0 to total_words - 1 do
-    Agg.poke a 0 w (w mod 251)
-  done;
+  Agg.fill a (fun _ w -> w mod 251);
   let n_inv = nnodes * p.invocations_per_node in
   (* every invocation owns a private write range; the ranges partition the
      whole aggregate, so writes never conflict and results are identical
@@ -80,42 +78,43 @@ let run rt p =
       else Lcm_util.Rng.int rng total_words
   in
   let explicit_copy = Runtime.strategy rt = Runtime.Explicit_copy in
-  let started = Runtime.elapsed rt in
-  for phase = 0 to p.phases - 1 do
-    (* conservative pre-copy under explicit copying: the write sets are
-       data-dependent, so every value must move to the new buffer first *)
-    if explicit_copy then
-      Runtime.parallel_apply rt ~iter:phase ~schedule:Schedule.Static ~n:n_inv
-        (fun ctx ->
-          let lo, hi = ranges.(ctx.Ctx.index) in
-          for w = lo to hi - 1 do
-            Agg.set1 a w (Agg.get1 a w)
-          done);
-    Runtime.parallel_apply rt ~iter:phase ~n:n_inv (fun ctx ->
-        let inv = ctx.Ctx.index in
-        let rng =
-          Lcm_util.Rng.create ~seed:(p.seed + (phase * 7919) + (inv * 104729))
-        in
-        let lo, hi = ranges.(inv) in
-        let span = max 1 (hi - lo) in
-        for _ = 1 to p.ops_per_invocation do
-          if Lcm_util.Rng.float rng 1.0 < p.read_fraction then
-            (* reads drive sharing traffic; written values are independent
-               of them so that read-own-write visibility differences
-               between the strategies cannot change the data *)
-            ignore (Agg.get1 a (read_addr rng ~inv))
-          else begin
-            let w = lo + Lcm_util.Rng.int rng span in
-            Agg.set1 a w (((phase * 31) + w) mod 1009)
-          end
-        done);
-    Agg.swap a
-  done;
-  let cycles = Runtime.elapsed rt - started in
-  let checksum = ref 0.0 in
-  for w = 0 to total_words - 1 do
-    checksum := !checksum +. float_of_int (Agg.peek a 0 w)
-  done;
-  Bench_result.make
-    ~name:("synthetic-" ^ sharing_to_string p.sharing)
-    ~cycles ~checksum:!checksum ~stats:(Runtime.stats rt)
+  Bench_result.measure rt ~name:("synthetic-" ^ sharing_to_string p.sharing)
+    (fun () ->
+      for phase = 0 to p.phases - 1 do
+        (* conservative pre-copy under explicit copying: the write sets are
+           data-dependent, so every value must move to the new buffer
+           first *)
+        if explicit_copy then
+          Runtime.parallel_apply rt ~iter:phase ~schedule:Schedule.Static
+            ~n:n_inv (fun ctx ->
+              let lo, hi = ranges.(ctx.Ctx.index) in
+              for w = lo to hi - 1 do
+                Agg.set1 a w (Agg.get1 a w)
+              done);
+        Runtime.parallel_apply rt ~iter:phase ~n:n_inv (fun ctx ->
+            let inv = ctx.Ctx.index in
+            let rng =
+              Lcm_util.Rng.create
+                ~seed:(p.seed + (phase * 7919) + (inv * 104729))
+            in
+            let lo, hi = ranges.(inv) in
+            let span = max 1 (hi - lo) in
+            for _ = 1 to p.ops_per_invocation do
+              if Lcm_util.Rng.float rng 1.0 < p.read_fraction then
+                (* reads drive sharing traffic; written values are
+                   independent of them so that read-own-write visibility
+                   differences between the strategies cannot change the
+                   data *)
+                ignore (Agg.get1 a (read_addr rng ~inv))
+              else begin
+                let w = lo + Lcm_util.Rng.int rng span in
+                Agg.set1 a w (((phase * 31) + w) mod 1009)
+              end
+            done);
+        Agg.swap a
+      done;
+      let checksum = ref 0.0 in
+      for w = 0 to total_words - 1 do
+        checksum := !checksum +. float_of_int (Agg.peek a 0 w)
+      done;
+      !checksum)

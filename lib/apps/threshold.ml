@@ -3,7 +3,8 @@ module Word = Lcm_mem.Word
 
 type params = { n : int; iters : int; threshold : float; work_per_cell : int }
 
-let paper = { n = 512; iters = 50; threshold = 0.5; work_per_cell = 4 }
+let params ~n ~iters = { n; iters; threshold = 0.5; work_per_cell = 4 }
+let paper = params ~n:512 ~iters:50
 
 (* Zero mesh with a few fixed hot sources sprinkled deterministically. *)
 let source ~n i j =
@@ -39,37 +40,32 @@ let reference { n; iters; threshold; _ } =
 
 let run_counting rt { n; iters; threshold; work_per_cell } ~count =
   let a = Runtime.alloc2d rt ~rows:n ~cols:n ~dist:Lcm_mem.Gmem.Chunked in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Agg.pokef a i j (init_value ~n i j)
-    done
-  done;
+  Agg.fillf a (init_value ~n);
   let explicit_copy = Runtime.strategy rt = Runtime.Explicit_copy in
-  let started = Runtime.elapsed rt in
-  for iter = 0 to iters - 1 do
-    Runtime.parallel_apply_2d rt ~iter ~rows:n ~cols:n (fun _ctx i j ->
-        Lcm_tempest.Memeff.work work_per_cell;
-        let old = Agg.getf a i j in
-        let v =
-          if i = 0 || j = 0 || i = n - 1 || j = n - 1 || source ~n i j then old
-          else
-            0.25
-            *. (Agg.getf a (i - 1) j +. Agg.getf a (i + 1) j +. Agg.getf a i (j - 1)
-               +. Agg.getf a i (j + 1))
-        in
-        let changed = abs_float (f32 v -. old) > threshold in
-        if changed then begin
-          (match count with Some c -> incr c | None -> ());
-          Agg.setf a i j v
-        end
-        else if explicit_copy then
-          (* values must still move from the old buffer to the new one *)
-          Agg.setf a i j old);
-    Agg.swap a
-  done;
-  let cycles = Runtime.elapsed rt - started in
-  let checksum = checksum_of_matrix (Agg.to_matrix a) in
-  Bench_result.make ~name:"threshold" ~cycles ~checksum ~stats:(Runtime.stats rt)
+  Bench_result.measure rt ~name:"threshold" (fun () ->
+      for iter = 0 to iters - 1 do
+        Runtime.parallel_apply_2d rt ~iter ~rows:n ~cols:n (fun _ctx i j ->
+            Lcm_tempest.Memeff.work work_per_cell;
+            let old = Agg.getf a i j in
+            let v =
+              if i = 0 || j = 0 || i = n - 1 || j = n - 1 || source ~n i j then
+                old
+              else
+                0.25
+                *. (Agg.getf a (i - 1) j +. Agg.getf a (i + 1) j
+                   +. Agg.getf a i (j - 1) +. Agg.getf a i (j + 1))
+            in
+            let changed = abs_float (f32 v -. old) > threshold in
+            if changed then begin
+              (match count with Some c -> incr c | None -> ());
+              Agg.setf a i j v
+            end
+            else if explicit_copy then
+              (* values must still move from the old buffer to the new one *)
+              Agg.setf a i j old);
+        Agg.swap a
+      done;
+      Agg.sumf a)
 
 let run rt p = run_counting rt p ~count:None
 

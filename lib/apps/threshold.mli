@@ -19,6 +19,10 @@ type params = {
   work_per_cell : int;
 }
 
+val params : n:int -> iters:int -> params
+(** An [n × n] mesh for [iters] iterations, threshold 0.5, 4 work cycles
+    per cell. *)
+
 val paper : params
 (** 512×512, 50 iterations. *)
 

@@ -10,7 +10,10 @@ type params = {
   work_per_node : int;
 }
 
-let paper = { nodes = 256; edges = 1024; iters = 512; seed = 11; work_per_node = 6 }
+let params ~nodes ~iters =
+  { nodes; edges = 4 * nodes; iters; seed = 11; work_per_node = 6 }
+
+let paper = params ~nodes:256 ~iters:512
 
 (* Random multigraph-free undirected graph: a Hamiltonian ring for
    connectivity plus random extra edges, deterministic in the seed. *)
@@ -100,28 +103,21 @@ let run rt ({ nodes; edges; iters; seed; work_per_node } as p) =
   for u = 0 to nodes - 1 do
     Agg.pokef values 0 (slot u) (f32 (init_value u))
   done;
-  let started = Runtime.elapsed rt in
-  for iter = 0 to iters - 1 do
-    Runtime.parallel_apply rt ~iter ~n:nodes (fun ctx ->
-        let u = ctx.Ctx.index in
-        Lcm_tempest.Memeff.work work_per_node;
-        let lo = Lcm_tempest.Memeff.load (offsets_base + u) in
-        let hi = Lcm_tempest.Memeff.load (offsets_base + u + 1) in
-        let sum = ref 0.0 in
-        for e = lo to hi - 1 do
-          let v = Lcm_tempest.Memeff.load (neigh_base + e) in
-          sum := !sum +. Agg.getf1 values (slot v)
-        done;
-        let avg = !sum /. float_of_int (hi - lo) in
-        Agg.setf1 values (slot u) ((0.5 *. Agg.getf1 values (slot u)) +. (0.5 *. avg)));
-    Agg.swap values
-  done;
-  let cycles = Runtime.elapsed rt - started in
-  let checksum =
-    let acc = ref 0.0 in
-    for u = 0 to nodes - 1 do
-      acc := !acc +. Agg.peekf values 0 u
-    done;
-    !acc
-  in
-  Bench_result.make ~name:"unstructured" ~cycles ~checksum ~stats:(Runtime.stats rt)
+  Bench_result.measure rt ~name:"unstructured" (fun () ->
+      for iter = 0 to iters - 1 do
+        Runtime.parallel_apply rt ~iter ~n:nodes (fun ctx ->
+            let u = ctx.Ctx.index in
+            Lcm_tempest.Memeff.work work_per_node;
+            let lo = Lcm_tempest.Memeff.load (offsets_base + u) in
+            let hi = Lcm_tempest.Memeff.load (offsets_base + u + 1) in
+            let sum = ref 0.0 in
+            for e = lo to hi - 1 do
+              let v = Lcm_tempest.Memeff.load (neigh_base + e) in
+              sum := !sum +. Agg.getf1 values (slot v)
+            done;
+            let avg = !sum /. float_of_int (hi - lo) in
+            Agg.setf1 values (slot u)
+              ((0.5 *. Agg.getf1 values (slot u)) +. (0.5 *. avg)));
+        Agg.swap values
+      done;
+      Agg.sumf values)

@@ -29,6 +29,10 @@ val scatter : params -> int -> int
     depend on [p.nodes] alone and permute [\[0, p.nodes)] for every size
     but the multiples of 7919 that are not powers of two. *)
 
+val params : nodes:int -> iters:int -> params
+(** [nodes] graph nodes with [4 * nodes] edges for [iters] iterations,
+    graph seed 11, 6 work cycles per node. *)
+
 val paper : params
 (** 256 nodes / 1024 edges / 512 iterations. *)
 

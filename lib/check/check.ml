@@ -10,29 +10,20 @@
    recorded choices and defaults (index 0 = FIFO) beyond it, then pushes
    un-explored alternatives of every choice point past the prefix.
 
-   Partial-order reduction, keyed on the events' ownership footprint
-   (the node a delivery/timer/resume belongs to):
+   Partial-order reduction is a persistent-set heuristic keyed on the
+   events' ownership footprint (the node a delivery/timer/resume belongs
+   to): at a choice point, an alternative i needs its own branch only if
+   it conflicts with some earlier candidate j < i — two events with
+   distinct known owners touch disjoint per-node state and commute, so
+   running i before j reaches the same state as j before i and is covered
+   by the canonical order.  An unknown owner (-1) conservatively
+   conflicts with everything.  Owner-level footprints subsume
+   block-level ones here: two events at the *same* node always conflict
+   (they serialize through the node's handler occupancy and local cache
+   state) whatever blocks they touch, and events at different nodes
+   touch disjoint node state.
 
-   - Persistent-set heuristic: at a choice point, an alternative i needs
-     its own branch only if it conflicts with some earlier candidate
-     j < i — two events with distinct known owners touch disjoint
-     per-node state and commute, so running i before j reaches the same
-     state as j before i and is covered by the canonical order.  An
-     unknown owner (-1) conservatively conflicts with everything.
-     Owner-level footprints subsume block-level ones here: two events at
-     the *same* node always conflict (they serialize through the node's
-     handler occupancy and local cache state) whatever blocks they
-     touch, and events at different nodes touch disjoint node state.
-
-   - Sleep sets (Godefroid): after a branch explores candidate s first,
-     sibling branches carry s in a sleep set — s's stamp is pruned from
-     later branch lists until an executed event conflicts with it (the
-     wake rule, applied at choice-point granularity using the owner of
-     each committed event).  Stamps are deterministic for a given
-     prefix, which is what lets a stamp name "the same event" across
-     replays.
-
-   Both reductions only prune *branching*, never change which event a
+   The reduction only prunes *branching*, never changes which event a
    given schedule executes, so a recorded schedule replays identically
    with reduction on or off, and --no-reduce cross-checks the pruned
    exploration against full enumeration on tiny configurations. *)
@@ -58,7 +49,7 @@ type stats = {
   mutable transitions : int;  (* events committed across all runs *)
   mutable choice_points : int;  (* decision points with >= 2 candidates *)
   mutable branches : int;  (* alternatives pushed for later exploration *)
-  mutable sleep_prunes : int;  (* alternatives suppressed by sleep sets *)
+  mutable sleep_prunes : int;  (* always 0; lcmbench still sums it *)
   mutable pset_prunes : int;  (* alternatives suppressed as independent *)
   mutable fault_points : int;  (* per-copy fault decision points *)
   mutable max_depth : int;  (* deepest choice position seen *)
@@ -95,14 +86,8 @@ exception Diverged
 
 (* One recorded decision point of one run. *)
 type point = {
-  pt_fault : bool;
   pt_chosen : int;
   pt_alts : int list;  (* candidate indices still worth exploring *)
-  pt_sib : (int * int) list;
-      (* (stamp, owner) of this point's candidates, used to seed sibling
-         sleep sets: pt_sib for alternative a = sleep-set entries for the
-         candidates explored before a (fault points: []) *)
-  pt_sleep : (int * int) list;  (* active sleep set at this point *)
 }
 
 type ctl = {
@@ -114,13 +99,9 @@ type ctl = {
   mutable budget : int;  (* remaining non-Deliver fault choices *)
   mutable depth : int;
   mutable points : point list;  (* reversed *)
-  sleep : (int, int) Hashtbl.t;  (* stamp -> owner *)
-  mutable last_owner : int;  (* min_int = nothing committed yet *)
 }
 
-let make_ctl ~forced ~seed_sleep ~fault_budget ~dup ~reduce ~stats =
-  let sleep = Hashtbl.create 8 in
-  List.iter (fun (s, o) -> Hashtbl.replace sleep s o) seed_sleep;
+let make_ctl ~forced ~fault_budget ~dup ~reduce ~stats =
   {
     forced;
     c_stats = stats;
@@ -130,40 +111,19 @@ let make_ctl ~forced ~seed_sleep ~fault_budget ~dup ~reduce ~stats =
     budget = fault_budget;
     depth = 0;
     points = [];
-    sleep;
-    last_owner = min_int;
   }
 
 (* Two events conflict unless both owners are known and distinct. *)
 let conflict a b = a < 0 || b < 0 || a = b
 
-(* Wake rule: an executed event conflicts-out matching sleep entries.
-   Over-waking is sound (it only restores branches); the approximation
-   here is at commit granularity, driven by the owner of the previously
-   committed event. *)
-let wake ctl =
-  if ctl.last_owner <> min_int && Hashtbl.length ctl.sleep > 0 then begin
-    let woken =
-      Hashtbl.fold
-        (fun s o acc -> if conflict ctl.last_owner o then s :: acc else acc)
-        ctl.sleep []
-    in
-    List.iter (Hashtbl.remove ctl.sleep) woken
-  end
-
-let sleep_list ctl = Hashtbl.fold (fun s o acc -> (s, o) :: acc) ctl.sleep []
-
-(* The engine's choice hook: called for every commit; only ties with
-   >= 2 candidates become recorded decision points. *)
-let on_tie ctl (cands : (int * int) array) =
-  wake ctl;
+(* The engine's choice hook: called for every commit with the tied
+   events' owners; only ties with >= 2 candidates become recorded
+   decision points. *)
+let on_tie ctl (owners : int array) =
   let st = ctl.c_stats in
   st.transitions <- st.transitions + 1;
-  let n = Array.length cands in
-  if n = 1 then begin
-    ctl.last_owner <- snd cands.(0);
-    0
-  end
+  let n = Array.length owners in
+  if n = 1 then 0
   else begin
     let pos = ctl.depth in
     let chosen = if pos < Array.length ctl.forced then ctl.forced.(pos) else 0 in
@@ -172,38 +132,25 @@ let on_tie ctl (cands : (int * int) array) =
     if pos + 1 > st.max_depth then st.max_depth <- pos + 1;
     (* Alternatives worth a branch of their own: the persistent-set
        heuristic keeps i only when it conflicts with an earlier
-       candidate; sleep sets then drop stamps whose first-run subtrees a
-       sibling already covered. *)
+       candidate. *)
     let alts = ref [] in
     for i = n - 1 downto 0 do
       if i <> chosen then begin
-        let stamp_i, owner_i = cands.(i) in
         let dependent =
           (not ctl.reduce)
           ||
           let dep = ref false in
           for j = 0 to i - 1 do
-            if conflict (snd cands.(j)) owner_i then dep := true
+            if conflict owners.(j) owners.(i) then dep := true
           done;
           !dep
         in
-        if not dependent then st.pset_prunes <- st.pset_prunes + 1
-        else if ctl.reduce && Hashtbl.mem ctl.sleep stamp_i then
-          st.sleep_prunes <- st.sleep_prunes + 1
-        else alts := i :: !alts
+        if dependent then alts := i :: !alts
+        else st.pset_prunes <- st.pset_prunes + 1
       end
     done;
-    ctl.points <-
-      {
-        pt_fault = false;
-        pt_chosen = chosen;
-        pt_alts = !alts;
-        pt_sib = Array.to_list cands;
-        pt_sleep = sleep_list ctl;
-      }
-      :: ctl.points;
+    ctl.points <- { pt_chosen = chosen; pt_alts = !alts } :: ctl.points;
     ctl.depth <- pos + 1;
-    ctl.last_owner <- snd cands.(chosen);
     chosen
   end
 
@@ -222,15 +169,7 @@ let on_fault ctl ~src:_ ~dst:_ ~tag:_ =
     st.fault_points <- st.fault_points + 1;
     if pos + 1 > st.max_depth then st.max_depth <- pos + 1;
     let alts = List.filter (fun i -> i <> chosen) (List.init n Fun.id) in
-    ctl.points <-
-      {
-        pt_fault = true;
-        pt_chosen = chosen;
-        pt_alts = alts;
-        pt_sib = [];
-        pt_sleep = sleep_list ctl;
-      }
-      :: ctl.points;
+    ctl.points <- { pt_chosen = chosen; pt_alts = alts } :: ctl.points;
     ctl.depth <- pos + 1;
     if chosen > 0 then ctl.budget <- ctl.budget - 1;
     match chosen with 0 -> Network.Deliver | 1 -> Network.Drop | _ -> Network.Dup
@@ -308,12 +247,11 @@ let explore ?(label = "config") ?(max_schedules = 20_000) ?(fault_budget = 0)
     ?(dup = false) ?(reduce = true) (prog : Stress.prog) =
   let st = fresh_stats () in
   let expect = Stress.spec prog in
-  (* DFS over forced prefixes: each stack entry is (prefix, sleep seed).
-     A run's choice points past its prefix length contribute their
-     unexplored alternatives; a prefix is pushed exactly once, so the
-     enumeration terminates and covers every reachable schedule within
-     the bounds. *)
-  let stack = ref [ ([||], []) ] in
+  (* DFS over forced prefixes.  A run's choice points past its prefix
+     length contribute their unexplored alternatives; a prefix is pushed
+     exactly once, so the enumeration terminates and covers every
+     reachable schedule within the bounds. *)
+  let stack = ref [ [||] ] in
   let result = ref Exhausted in
   (try
      while !stack <> [] do
@@ -321,65 +259,41 @@ let explore ?(label = "config") ?(max_schedules = 20_000) ?(fault_budget = 0)
          result := Capped;
          raise Exit
        end;
-       let forced, seed_sleep = List.hd !stack in
+       let forced = List.hd !stack in
        stack := List.tl !stack;
-       let ctl =
-         make_ctl ~forced ~seed_sleep ~fault_budget ~dup ~reduce ~stats:st
-       in
+       let ctl = make_ctl ~forced ~fault_budget ~dup ~reduce ~stats:st in
        match run_prog prog ~expect ~ctl with
        | exception Diverged -> ()
-       | Error report, _ ->
+       | verdict, _ -> (
          st.schedules <- st.schedules + 1;
          let points = Array.of_list (List.rev ctl.points) in
-         result :=
-           Found
-             {
-               v_label = label;
-               v_prog = prog;
-               v_schedule =
-                 Array.to_list (Array.map (fun p -> p.pt_chosen) points);
-               v_report = report;
-               v_fault_budget = fault_budget;
-               v_dup = dup;
-             };
-         raise Exit
-       | Ok (), _ ->
-         st.schedules <- st.schedules + 1;
-         let points = Array.of_list (List.rev ctl.points) in
-         let npoints = Array.length points in
-         (* Push alternatives for every decision past the forced prefix.
-            Positions inside the prefix were branched by ancestor runs.
-            Stack order makes sibling exploration order the reverse of
-            the alternative list, so the sibling sleep seed of an
-            alternative holds the chosen candidate plus every
-            alternative explored before it. *)
-         for pos = Array.length forced to npoints - 1 do
-           let pt = points.(pos) in
-           if pt.pt_alts <> [] then begin
-             let prefix =
-               Array.init pos (fun k -> points.(k).pt_chosen)
-             in
-             (* Alternatives are pushed in increasing order, so LIFO
-                pops the largest first: the siblings explored before
-                alternative [a] are the chosen candidate plus every
-                alternative larger than [a] — those form [a]'s sleep
-                seed (first-run subtrees a sibling already covers). *)
+         let chosen = Array.map (fun p -> p.pt_chosen) points in
+         match verdict with
+         | Error report ->
+           result :=
+             Found
+               {
+                 v_label = label;
+                 v_prog = prog;
+                 v_schedule = Array.to_list chosen;
+                 v_report = report;
+                 v_fault_budget = fault_budget;
+                 v_dup = dup;
+               };
+           raise Exit
+         | Ok () ->
+           (* Push alternatives for every decision past the forced
+              prefix; positions inside it were branched by ancestor
+              runs. *)
+           for pos = Array.length forced to Array.length points - 1 do
              List.iter
                (fun a ->
-                 let seed =
-                   if pt.pt_fault then pt.pt_sleep
-                   else
-                     pt.pt_sleep
-                     @ List.map
-                         (fun i -> List.nth pt.pt_sib i)
-                         (pt.pt_chosen
-                         :: List.filter (fun x -> x > a) pt.pt_alts)
-                 in
+                 let prefix = Array.sub chosen 0 (pos + 1) in
+                 prefix.(pos) <- a;
                  st.branches <- st.branches + 1;
-                 stack := (Array.append prefix [| a |], seed) :: !stack)
-               pt.pt_alts
-           end
-         done
+                 stack := prefix :: !stack)
+               points.(pos).pt_alts
+           done)
      done
    with Exit -> ());
   (!result, st)
@@ -391,9 +305,8 @@ let explore ?(label = "config") ?(max_schedules = 20_000) ?(fault_budget = 0)
 (* One schedule of [prog]; [Diverged] propagates. *)
 let run_schedule ?trace ~fault_budget ~dup ~schedule prog =
   let ctl =
-    make_ctl
-      ~forced:(Array.of_list schedule)
-      ~seed_sleep:[] ~fault_budget ~dup ~reduce:true ~stats:(fresh_stats ())
+    make_ctl ~forced:(Array.of_list schedule) ~fault_budget ~dup ~reduce:true
+      ~stats:(fresh_stats ())
   in
   run_prog ?trace prog ~expect:(Stress.spec prog) ~ctl
 
@@ -634,12 +547,12 @@ let gen_micro ~seed ~case ~policy : Stress.prog =
         let owned =
           Array.of_list (List.filter (fun w -> writer.(w) = Some nid) all_words)
         in
-        let marked = Hashtbl.create 4 in
+        let marked = Array.make nblocks false in
         let ensure w (acc : Stress.op list) =
           let b = w / wpb in
-          if Hashtbl.mem marked b then acc
+          if marked.(b) then acc
           else begin
-            Hashtbl.replace marked b ();
+            marked.(b) <- true;
             Stress.Mark w :: acc
           end
         in

@@ -7,15 +7,14 @@
     points, so enumerating them enumerates every behaviour a bounded
     configuration can exhibit: exploration is a stateless DFS over
     forced-choice prefixes (each run replays a recorded prefix and takes
-    the FIFO default beyond it), pruned by DPOR-style partial-order
-    reduction — a persistent-set heuristic plus sleep sets, both keyed on
-    the events' node-ownership footprint.  Every explored schedule drives
-    the {e real} stack (machine, network, protocol, barriers) through the
-    stress harness's runner, {!Lcm_harness.Stress.run_on}, and is checked
-    against the same abstract-state-machine spec,
-    {!Lcm_harness.Stress.spec}, plus {!Lcm_core.Proto.check_invariants};
-    a violating schedule is a list of choice indices that replays
-    deterministically.
+    the FIFO default beyond it), pruned by partial-order reduction — a
+    persistent-set heuristic keyed on the events' node-ownership
+    footprint.  Every explored schedule drives the {e real} stack
+    (machine, network, protocol, barriers) through the stress harness's
+    runner, {!Lcm_harness.Stress.run_on}, and is checked against the same
+    abstract-state-machine spec, {!Lcm_harness.Stress.spec}, plus
+    {!Lcm_core.Proto.check_invariants}; a violating schedule is a list of
+    choice indices that replays deterministically.
 
     See DESIGN.md § "Small-scope model checking" for the soundness
     argument and the bounds. *)
@@ -27,7 +26,10 @@ type stats = {
   mutable transitions : int;  (** events committed across all runs *)
   mutable choice_points : int;  (** decision points with >= 2 candidates *)
   mutable branches : int;  (** alternatives pushed for later exploration *)
-  mutable sleep_prunes : int;  (** alternatives suppressed by sleep sets *)
+  mutable sleep_prunes : int;
+      (** always 0.  The sleep sets it counted never pruned a branch and
+          were deleted; the field stays because lcmbench's [check]
+          workload sums it into [check.prunes]. *)
   mutable pset_prunes : int;  (** alternatives suppressed as independent *)
   mutable fault_points : int;  (** per-copy fault decision points *)
   mutable max_depth : int;  (** deepest choice position seen *)

@@ -76,3 +76,21 @@ let peekf t i j = Word.to_float (peek t i j)
 let pokef t i j v = poke t i j (Word.of_float v)
 
 let to_matrix t = Array.init t.rows (fun i -> Array.init t.cols (fun j -> peekf t i j))
+
+let fill t f =
+  for i = 0 to t.rows - 1 do
+    for j = 0 to t.cols - 1 do
+      poke t i j (f i j)
+    done
+  done
+
+let fillf t f = fill t (fun i j -> Word.of_float (f i j))
+
+let sumf t =
+  let acc = ref 0.0 in
+  for i = 0 to t.rows - 1 do
+    for j = 0 to t.cols - 1 do
+      acc := !acc +. peekf t i j
+    done
+  done;
+  !acc

@@ -87,3 +87,13 @@ val pokef : t -> int -> int -> float -> unit
 
 val to_matrix : t -> float array array
 (** Snapshot of the front buffer as floats, via {!peekf}. *)
+
+val fill : t -> (int -> int -> int) -> unit
+(** [fill t f] {!poke}s [f i j] into every element, row by row. *)
+
+val fillf : t -> (int -> int -> float) -> unit
+(** {!fill} through {!pokef}. *)
+
+val sumf : t -> float
+(** The sum of every element read with {!peekf}, added row by row from
+    [0.0]: bit for bit the row-major fold over {!to_matrix}. *)

@@ -50,39 +50,23 @@ let checked_cell ~experiment ~system mk_rt run =
       { experiment; system; result } )
 
 let stencil_params = function
-  | Tiny -> { Stencil.n = 24; iters = 3; work_per_cell = 4 }
-  | Quick -> { Stencil.n = 96; iters = 6; work_per_cell = 4 }
+  | Tiny -> Stencil.params ~n:24 ~iters:3
+  | Quick -> Stencil.params ~n:96 ~iters:6
   | Paper -> Stencil.paper
 
 let adaptive_params = function
-  | Tiny ->
-    {
-      Adaptive.n = 12;
-      iters = 4;
-      max_depth = 2;
-      subdiv_threshold = 2.0;
-      arena_per_node = 512;
-      work_per_cell = 6;
-    }
-  | Quick ->
-    {
-      Adaptive.n = 24;
-      iters = 12;
-      max_depth = 3;
-      subdiv_threshold = 2.0;
-      arena_per_node = 2048;
-      work_per_cell = 6;
-    }
+  | Tiny -> Adaptive.params ~n:12 ~iters:4 ~max_depth:2 ~arena_per_node:512
+  | Quick -> Adaptive.params ~n:24 ~iters:12 ~max_depth:3 ~arena_per_node:2048
   | Paper -> Adaptive.paper
 
 let threshold_params = function
-  | Tiny -> { Threshold.n = 24; iters = 3; threshold = 0.5; work_per_cell = 4 }
-  | Quick -> { Threshold.n = 96; iters = 8; threshold = 0.5; work_per_cell = 4 }
+  | Tiny -> Threshold.params ~n:24 ~iters:3
+  | Quick -> Threshold.params ~n:96 ~iters:8
   | Paper -> Threshold.paper
 
 let unstructured_params = function
-  | Tiny -> { Unstructured.nodes = 64; edges = 256; iters = 6; seed = 11; work_per_node = 6 }
-  | Quick -> { Unstructured.nodes = 256; edges = 1024; iters = 24; seed = 11; work_per_node = 6 }
+  | Tiny -> Unstructured.params ~nodes:64 ~iters:6
+  | Quick -> Unstructured.params ~nodes:256 ~iters:24
   | Paper -> Unstructured.paper
 
 let dynamic = Schedule.Dynamic_random 5 (* one seed for every dynamic cell *)
@@ -244,8 +228,8 @@ let claims rows =
 let ablation_reduction_cells ~scale machine =
   let p =
     match scale with
-    | Tiny -> { Reduce_demo.n = 512; per_add_work = 2 }
-    | Quick | Paper -> { Reduce_demo.n = 8192; per_add_work = 2 }
+    | Tiny -> Reduce_demo.params ~n:512
+    | Quick | Paper -> Reduce_demo.params ~n:8192
   in
   let cell system variant =
     checked_cell ~experiment:"reduction" ~system:(Reduce_demo.variant_name variant)
@@ -271,8 +255,8 @@ let ablation_false_sharing_cells ~scale machine =
 let ablation_stale_cells ~scale machine =
   let p =
     match scale with
-    | Tiny -> { Nbody_stale.bodies = 64; iters = 3; work_per_body = 2 }
-    | Quick | Paper -> { Nbody_stale.bodies = 512; iters = 12; work_per_body = 2 }
+    | Tiny -> Nbody_stale.params ~bodies:64 ~iters:3
+    | Quick | Paper -> Nbody_stale.params ~bodies:512 ~iters:12
   in
   (* each refresh mode computes a different result by design, so each is
      its own experiment *)
@@ -285,8 +269,8 @@ let ablation_stale_cells ~scale machine =
 let ablation_block_reuse_cells ~scale machine =
   let p =
     match scale with
-    | Tiny -> { Stencil.n = 16; iters = 2; work_per_cell = 4 }
-    | Quick | Paper -> { Stencil.n = 64; iters = 4; work_per_cell = 4 }
+    | Tiny -> Stencil.params ~n:16 ~iters:2
+    | Quick | Paper -> Stencil.params ~n:64 ~iters:4
   in
   List.concat_map
     (fun wpb ->
@@ -296,8 +280,8 @@ let ablation_block_reuse_cells ~scale machine =
     [ 2; 4; 8; 16 ]
 
 let small_stencil_params = function
-  | Tiny -> { Stencil.n = 24; iters = 2; work_per_cell = 4 }
-  | Quick | Paper -> { Stencil.n = 96; iters = 6; work_per_cell = 4 }
+  | Tiny -> Stencil.params ~n:24 ~iters:2
+  | Quick | Paper -> Stencil.params ~n:96 ~iters:6
 
 let ablation_schedule_cells ~scale machine =
   let p = small_stencil_params scale in
@@ -333,7 +317,7 @@ let weak_scaling_cells ~scale machine ~experiment ~sizes systems =
   let band, iters = match scale with Tiny -> (12, 2) | Quick | Paper -> (24, 3) in
   List.concat_map
     (fun nnodes ->
-      let p = { Stencil.n = band * nnodes; iters; work_per_cell = 4 } in
+      let p = Stencil.params ~n:(band * nnodes) ~iters in
       systems_cells { machine with Config.nnodes } ~experiment:(experiment nnodes)
         systems (fun rt -> Stencil.run rt p))
     (match scale with Tiny -> sizes | Quick | Paper -> sizes @ [ 16; 32 ])
@@ -383,12 +367,7 @@ let ablation_detection_cells ~scale machine =
      unmodified per phase, so strict mode's flush of their read-only copies
      is visible — the paper's "loss in performance is less critical [since]
      used only while debugging". *)
-  let p =
-    match scale with
-    | Tiny -> { Threshold.n = 24; iters = 3; threshold = 0.5; work_per_cell = 4 }
-    | Quick | Paper ->
-      { Threshold.n = 96; iters = 8; threshold = 0.5; work_per_cell = 4 }
-  in
+  let p = threshold_params (match scale with Paper -> Quick | s -> s) in
   List.map
     (fun (detect_label, detection) ->
       checked_cell ~experiment:"threshold detection" ~system:detect_label
@@ -419,9 +398,8 @@ let ablation_barrier_cells ~scale machine =
      cost visible. *)
   let p, sizes =
     match scale with
-    | Tiny -> ({ Stencil.n = 16; iters = 6; work_per_cell = 4 }, [ 8; 32 ])
-    | Quick | Paper ->
-      ({ Stencil.n = 32; iters = 24; work_per_cell = 4 }, [ 32; 128 ])
+    | Tiny -> (Stencil.params ~n:16 ~iters:6, [ 8; 32 ])
+    | Quick | Paper -> (Stencil.params ~n:32 ~iters:24, [ 32; 128 ])
   in
   List.concat_map
     (fun nnodes ->

@@ -23,8 +23,10 @@ let default_stall_limit = 1_000_000
 let make ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 0) ?(down = [])
     ?(retransmit = true) ?(max_retries = 12) ?rto
     ?(stall_limit = default_stall_limit) ~seed () =
-  if drop < 0.0 || drop > 1.0 then invalid_arg "Faults.make: drop not in [0,1]";
-  if dup < 0.0 || dup > 1.0 then invalid_arg "Faults.make: dup not in [0,1]";
+  (* written so that NaN, which fails every comparison, is rejected *)
+  let in_unit p = p >= 0.0 && p <= 1.0 in
+  if not (in_unit drop) then invalid_arg "Faults.make: drop not in [0,1]";
+  if not (in_unit dup) then invalid_arg "Faults.make: dup not in [0,1]";
   if jitter < 0 then invalid_arg "Faults.make: jitter must be >= 0";
   if max_retries < 0 then invalid_arg "Faults.make: max_retries must be >= 0";
   (match rto with
@@ -80,7 +82,7 @@ let profiles = [ "drop"; "dup"; "jitter"; "flap"; "chaos"; "drop-noretx" ]
    rate) so that a (profile, rate, seed) triple is a complete, replayable
    description of the run. *)
 let of_profile name ~rate ~seed =
-  if rate < 0.0 || rate > 1.0 then
+  if not (rate >= 0.0 && rate <= 1.0) (* NaN too *) then
     Error (Printf.sprintf "fault rate %g not in [0,1]" rate)
   else
     let jitter_of rate = 1 + int_of_float (rate *. 200.) in

@@ -107,13 +107,13 @@ type t = {
          compute phase followed by a burst of sends) is not a stall. *)
   mutable last_progress : int;
   mutable quiet_events : int;  (* events executed since last_progress *)
-  mutable chooser : ((int * int) array -> int) option;
+  mutable chooser : (int array -> int) option;
       (* model-checker hook: when several events tie at the minimal
          timestamp, the hook picks which one commits next.  Candidates
-         are presented as [(stamp, owner)] pairs in FIFO (stamp) order;
-         the hook returns an index.  It is consulted on *every* commit —
-         including sole candidates — so a controller can observe the
-         committed order, not just the branch points. *)
+         are presented as their owners in FIFO (stamp) order; the hook
+         returns an index.  It is consulted on *every* commit —
+         including sole candidates — so a controller can count every
+         transition, not just the branch points. *)
 }
 
 (* Cycle distance alone cannot tell a livelock from a legitimate silent
@@ -275,8 +275,7 @@ let step_choice e choose =
     ties := (seq, ev) :: !ties
   done;
   let ties = Array.of_list (List.rev !ties) in
-  let cands = Array.map (fun (seq, ev) -> (seq, ev.own)) ties in
-  let k = choose cands in
+  let k = choose (Array.map (fun (_, ev) -> ev.own) ties) in
   let n = Array.length ties in
   if k < 0 || k >= n then
     invalid_arg

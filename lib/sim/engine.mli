@@ -116,24 +116,21 @@ val run : ?limit:int -> t -> unit
 
 (** {1 Choice-point hook (used by {!Lcm_check} — model checking)} *)
 
-val set_choice_hook : t -> ((int * int) array -> int) option -> unit
+val set_choice_hook : t -> (int array -> int) option -> unit
 (** [set_choice_hook e (Some pick)] makes {!step} consult [pick] for the
     commit order of events that tie at the minimal timestamp — the only
     nondeterminism a deterministic-seed simulation has left, and hence
     the complete interleaving space a model checker must enumerate.
 
     At each step, every event tied at the minimal key is dequeued and
-    presented as an array of [(stamp, owner)] pairs in FIFO (stamp)
-    order: [stamp] is the heap's tie-break sequence number — stable and
-    deterministic for a given schedule prefix, so it can key sleep sets
-    across replays — and [owner] is the scheduling ownership hint (a
-    delivery's destination node, a timer's node; [-1] when the scheduler
-    had none).  [pick] returns the index of the event to commit; the
-    rest are re-inserted with their original stamps, so choosing index 0
-    everywhere reproduces the default FIFO run exactly.  The hook is
-    called on {e every} commit, including sole candidates, so a
-    controller can track the committed owner sequence (sleep-set
-    wake-ups), not just the branch points.
+    presented to [pick] as an array of owners in FIFO (stamp) order: an
+    owner is the scheduling ownership hint (a delivery's destination
+    node, a timer's node; [-1] when the scheduler had none).  [pick]
+    returns the index of the event to commit; the rest are re-inserted
+    with their original stamps, so choosing index 0 everywhere
+    reproduces the default FIFO run exactly.  The hook is called on
+    {e every} commit, including sole candidates, so a controller can
+    count every transition, not just the branch points.
 
     The hook path allocates per step; install it for checking, never for
     benchmarked runs.

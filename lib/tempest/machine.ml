@@ -54,12 +54,10 @@ type node = {
   mutable sc_addr : int;
   mutable sc_val : int;
   mutable sc_rmw : int -> int;
-  mutable sc_units : int;
   mutable sc_dir : Memeff.dir;
   arm_load : ((int, unit) Effect.Deep.continuation -> unit) option;
   arm_store : ((unit, unit) Effect.Deep.continuation -> unit) option;
   arm_rmw : ((int, unit) Effect.Deep.continuation -> unit) option;
-  arm_work : ((unit, unit) Effect.Deep.continuation -> unit) option;
   arm_yield : ((unit, unit) Effect.Deep.continuation -> unit) option;
   arm_directive : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
@@ -538,6 +536,9 @@ let fast_store_hook addr v =
       true
     | Some _ | None -> false)
 
+(* The only place a machine fiber's Work is charged: [cur_node] is set
+   whenever fiber code runs, so [spawn]'s handler never sees
+   [Memeff.Work], which stays for foreign handlers. *)
 let fast_work_hook units =
   match Domain.DLS.get cur_node with
   | None -> false
@@ -557,7 +558,6 @@ let () =
    arm reads before anything else can perform on this domain. *)
 let make_node t ~capacity_blocks ~hw_cache_blocks i =
   let cpu_op = t.m_costs.Lcm_sim.Costs.cpu_op in
-  let compute_unit = t.m_costs.Lcm_sim.Costs.compute_unit in
   let rec n =
     {
       node_id = i;
@@ -578,7 +578,6 @@ let make_node t ~capacity_blocks ~hw_cache_blocks i =
       sc_addr = 0;
       sc_val = 0;
       sc_rmw = (fun v -> v);
-      sc_units = 0;
       sc_dir = Memeff.Flush_copies;
       arm_load =
         Some
@@ -598,15 +597,6 @@ let make_node t ~capacity_blocks ~hw_cache_blocks i =
             clear_cur ();
             n.node_clock <- n.node_clock + (2 * cpu_op);
             do_rmw t n n.sc_addr n.sc_rmw k);
-      arm_work =
-        Some
-          (fun k ->
-            (* only reached when no current node was installed (a foreign
-               frame): the fast hook handles every in-fiber Work *)
-            clear_cur ();
-            n.node_clock <- n.node_clock + (n.sc_units * compute_unit);
-            set_cur n;
-            continue k ());
       arm_yield =
         Some
           (fun k ->
@@ -743,9 +733,6 @@ let spawn t n f =
             n.sc_addr <- addr;
             n.sc_rmw <- f;
             (n.arm_rmw : ((c, unit) continuation -> unit) option)
-          | Memeff.Work units ->
-            n.sc_units <- units;
-            (n.arm_work : ((c, unit) continuation -> unit) option)
           | Memeff.Yield ->
             (n.arm_yield : ((c, unit) continuation -> unit) option)
           | Memeff.Directive d ->

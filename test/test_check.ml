@@ -154,6 +154,29 @@ let test_exploration_deterministic () =
     [ b.Check.schedules; b.Check.transitions; b.Check.choice_points;
       b.Check.branches; b.Check.sleep_prunes; b.Check.pset_prunes ]
 
+(* What gets explored, pinned: every counter of two configurations with
+   one drop or duplicate per run, so a change to the reduction, the
+   branching or the fault chooser shows here even when the verdicts
+   stay the same. *)
+let test_exploration_pinned () =
+  List.iter
+    (fun (name, want) ->
+      let prog = List.assoc name (Check.scenarios ~policy:Policy.lcm_mcc) in
+      match Check.explore ~fault_budget:1 ~dup:true prog with
+      | Check.Exhausted, st ->
+        Alcotest.(check (list int))
+          (name ^ ": schedules, transitions, choice points, branches, \
+                   pset prunes, fault points, max depth")
+          want
+          [ st.Check.schedules; st.Check.transitions; st.Check.choice_points;
+            st.Check.branches; st.Check.pset_prunes; st.Check.fault_points;
+            st.Check.max_depth ]
+      | _ -> Alcotest.failf "%s: not exhausted" name)
+    [
+      ("two-writers", [ 33; 840; 360; 32; 360; 288; 28 ]);
+      ("three-nodes", [ 956; 41_572; 8_440; 955; 8_896; 13_748; 37 ]);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Violation -> shrink -> replay pipeline                              *)
 (* ------------------------------------------------------------------ *)
@@ -304,6 +327,7 @@ let () =
           ("POR agrees with full enumeration", `Quick,
            test_por_agrees_with_full_enumeration);
           ("exploration deterministic", `Quick, test_exploration_deterministic);
+          ("exploration pinned", `Quick, test_exploration_pinned);
         ] );
       ( "counterexample",
         [

@@ -157,6 +157,26 @@ let test_agg_to_matrix () =
   Alcotest.(check (float 0.0)) "corner" 4.0 m.(1).(1);
   Alcotest.(check (float 0.0)) "other" 1.0 m.(0).(0)
 
+(* fill writes every element row by row; sumf adds them row by row from
+   0.0, as the row-major fold over to_matrix does, so a checksum taken
+   either way agrees bit for bit. *)
+let test_agg_fill_sumf () =
+  List.iter
+    (fun (policy : Policy.t) ->
+      let rt = mk_runtime policy in
+      let a = Runtime.alloc2d rt ~rows:5 ~cols:7 ~dist:Gmem.Chunked in
+      Agg.fill a (fun i j -> (i * 100) + j);
+      Alcotest.(check int) (policy.Policy.name ^ ": fill") 406 (Agg.peek a 4 6);
+      Agg.fillf a (fun i j -> (float_of_int ((i * 7) + j) *. 0.37) -. 1.1);
+      let fold =
+        Array.fold_left (Array.fold_left ( +. )) 0.0 (Agg.to_matrix a)
+      in
+      Alcotest.(check int64)
+        (policy.Policy.name ^ ": sumf bits")
+        (Int64.bits_of_float fold)
+        (Int64.bits_of_float (Agg.sumf a)))
+    [ Policy.stache; Policy.lcm_mcc ]
+
 (* ------------------------------------------------------------------ *)
 (* parallel_apply semantics                                            *)
 (* ------------------------------------------------------------------ *)
@@ -578,6 +598,7 @@ let () =
           ("double buffer swap", `Quick, test_agg_double_buffer_swap);
           ("lcm single buffer", `Quick, test_agg_lcm_single_buffer);
           ("to_matrix", `Quick, test_agg_to_matrix);
+          ("fill and sumf", `Quick, test_agg_fill_sumf);
         ] );
       ("apply", per_combo test_parallel_square @ per_combo test_parallel_stencil_semantics
                @ per_combo test_dynamic_schedule_same_result);

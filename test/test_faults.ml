@@ -34,6 +34,11 @@ let test_make_validation () =
       ignore (Faults.make ~drop:1.5 ~seed:1 ()));
   bad "Faults.make: dup not in [0,1]" (fun () ->
       ignore (Faults.make ~dup:(-0.1) ~seed:1 ()));
+  (* NaN fails every comparison, so each range check must reject it *)
+  bad "Faults.make: drop not in [0,1]" (fun () ->
+      ignore (Faults.make ~drop:nan ~seed:1 ()));
+  bad "Faults.make: dup not in [0,1]" (fun () ->
+      ignore (Faults.make ~dup:nan ~seed:1 ()));
   bad "Faults.make: jitter must be >= 0" (fun () ->
       ignore (Faults.make ~jitter:(-1) ~seed:1 ()));
   bad "Faults.make: max_retries must be >= 0" (fun () ->
@@ -99,6 +104,8 @@ let test_profiles_parse () =
     (Result.is_error (Faults.of_profile "gremlins" ~rate:0.1 ~seed:3));
   Alcotest.(check bool) "rate out of range rejected" true
     (Result.is_error (Faults.of_profile "drop" ~rate:1.5 ~seed:3));
+  Alcotest.(check bool) "NaN rate rejected" true
+    (Result.is_error (Faults.of_profile "drop" ~rate:nan ~seed:3));
   (match Faults.of_profile "drop-noretx" ~rate:0.2 ~seed:3 with
   | Ok plan ->
     Alcotest.(check bool) "noretx profile disables retransmission" false
