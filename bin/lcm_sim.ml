@@ -41,23 +41,21 @@ let conv_of of_string to_string =
 (* A path to write, in a directory that exists, and of the right kind if
    it exists already: checked before anything runs, so a bad path is exit
    124, not a crash after the work is done.  [output_file] rejects an
-   existing directory, [output_dir] an existing non-directory. *)
-let output_path ~dir =
-  let parse s =
-    let parent = Filename.dirname s in
-    if not (Sys.file_exists parent && Sys.is_directory parent) then
-      Error (`Msg (Printf.sprintf "no such directory %S" parent))
-    else if Sys.file_exists s && Sys.is_directory s <> dir then
-      Error
-        (`Msg
-          (Printf.sprintf "%S is %s" s
-             (if dir then "not a directory" else "a directory")))
-    else Ok s
-  in
-  Arg.conv (parse, Format.pp_print_string)
+   existing directory, [output_dir] an existing non-directory.  Cmdliner
+   never passes a default through a converter, so a command checks its
+   default path with [output_path] itself. *)
+let output_path ~dir s =
+  let parent = Filename.dirname s in
+  if not (Sys.file_exists parent && Sys.is_directory parent) then
+    Error (Printf.sprintf "no such directory %S" parent)
+  else if Sys.file_exists s && Sys.is_directory s <> dir then
+    Error
+      (Printf.sprintf "%S is %s" s
+         (if dir then "not a directory" else "a directory"))
+  else Ok s
 
-let output_file = output_path ~dir:false
-let output_dir = output_path ~dir:true
+let output_file = conv_of (output_path ~dir:false) Fun.id
+let output_dir = conv_of (output_path ~dir:true) Fun.id
 
 (* A negative verdict exits 1: cmdliner keeps 124 for a command line it
    rejected before anything ran, so the two never mix.  Each command that
@@ -788,6 +786,19 @@ let check_cmd =
        else "")
       (if v.Check.v_dup then " --dup" else "")
   in
+  (* Replay one schedule, traced, and export its events to
+     [out/NAME.trace.json]: the verdict, and the path when the run
+     recorded any event. *)
+  let replay_traced ~out ~name ~fault_budget ~dup ~schedule prog =
+    let verdict, events = Check.replay ~fault_budget ~dup ~schedule prog in
+    match events with
+    | [] -> (verdict, None)
+    | evs ->
+      ensure_dir out;
+      let path = Filename.concat out (name ^ ".trace.json") in
+      Traceview.export_file ~path evs;
+      (verdict, Some path)
+  in
   let write_artifacts ~out ~reproduce (v : Check.violation) =
     ensure_dir out;
     let slug =
@@ -803,36 +814,21 @@ let check_cmd =
     Format.fprintf ppf "%a@." Check.pp_violation v;
     Format.fprintf ppf "reproduce: %s@." reproduce;
     close_out oc;
-    let verdict, events =
-      Check.replay ~trace:true ~fault_budget:v.Check.v_fault_budget
+    let verdict, trace =
+      replay_traced ~out ~name:slug ~fault_budget:v.Check.v_fault_budget
         ~dup:v.Check.v_dup ~schedule:v.Check.v_schedule v.Check.v_prog
     in
-    let trace_path = Filename.concat out (slug ^ ".trace.json") in
-    (match events with
-    | [] -> ()
-    | evs -> Traceview.export_file ~path:trace_path evs);
     (match verdict with
     | Error _ -> ()
     | Ok () ->
       Printf.eprintf "warning: minimized schedule no longer fails on replay\n");
     Printf.printf "  artifacts: %s%s\n" report_path
-      (if events = [] then "" else ", " ^ trace_path)
+      (match trace with Some path -> ", " ^ path | None -> "")
   in
   let run policy scenario list_scenarios max_schedules random seed fault_budget
       dup no_reduce replay out stats =
     let policies =
       match policy with Some p -> [ p ] | None -> Lcm_core.Policy.policies
-    in
-    let resolve p s =
-      match Check.resolve ~policy:p s with
-      | Some config -> Ok config
-      | None ->
-        Error
-          (Printf.sprintf
-             "unknown scenario %S (expected one of: %s; or scenario:NAME, \
-              micro:seed=S:case=C)"
-             s
-             (String.concat ", " (List.map fst (Check.scenarios ~policy:p))))
     in
     if list_scenarios then begin
       List.iter
@@ -841,106 +837,94 @@ let check_cmd =
       `Ok ()
     end
     else
-      match replay with
-      | Some sched_s -> (
-        match (Check.schedule_of_string sched_s, scenario, policy) with
-        | Error e, _, _ -> `Error (false, e)
-        | Ok _, None, _ | Ok _, _, None ->
-          `Error (false, "--replay needs --scenario and --policy")
-        | Ok schedule, Some sname, Some p -> (
-          match resolve p sname with
-          | Error e -> `Error (false, e)
-          | Ok (_, prog) -> (
-            let verdict, events =
-              Check.replay ~trace:true ~fault_budget ~dup ~schedule prog
-            in
-            (match events with
-            | [] -> ()
-            | evs ->
-              ensure_dir out;
-              let path =
-                Filename.concat out
-                  (Printf.sprintf "replay-%s-%s.trace.json"
-                     p.Lcm_core.Policy.name sname)
+      (* the default --out gets the converter's check too, before any
+         replay or exploration writes under it *)
+      match output_path ~dir:true out with
+      | Error e -> `Error (true, "option '--out': " ^ e)
+      | Ok _ -> (
+        match replay with
+        | Some sched_s -> (
+          match (Check.schedule_of_string sched_s, scenario, policy) with
+          | Error e, _, _ -> `Error (false, e)
+          | Ok _, None, _ | Ok _, _, None ->
+            `Error (false, "--replay needs --scenario and --policy")
+          | Ok schedule, Some sname, Some p -> (
+            match Check.configs ~scenario:sname ~policy:p () with
+            | Error e -> `Error (false, e)
+            | Ok configs -> (
+              (* with no --random, the one configuration [sname] names *)
+              let prog = snd (List.hd configs) in
+              let verdict, trace =
+                replay_traced ~out
+                  ~name:
+                    (Printf.sprintf "replay-%s-%s" p.Lcm_core.Policy.name sname)
+                  ~fault_budget ~dup ~schedule prog
               in
-              Traceview.export_file ~path evs;
-              Printf.printf "trace: %s\n" path);
-            match verdict with
-            | Ok () ->
-              Printf.printf "replay %s on %s/%s: PASS\n"
-                (Check.schedule_to_string schedule) p.Lcm_core.Policy.name
-                sname;
-              `Ok ()
-            | Error report ->
-              Printf.printf "replay %s on %s/%s: FAIL\n%s\n"
-                (Check.schedule_to_string schedule) p.Lcm_core.Policy.name
-                sname report;
-              negative_verdict "replayed schedule fails")))
-      | None ->
-        (match Option.map (resolve (List.hd policies)) scenario with
-        | Some (Error e) -> `Error (false, e)
-        | _ ->
-        let violations = ref 0 in
-        let capped = ref 0 in
-        List.iter
-          (fun (p : Lcm_core.Policy.t) ->
-            let explore =
-              Check.check_scenarios ~max_schedules ~fault_budget ~dup
-                ~reduce:(not no_reduce) ~random ~seed ~policy:p
-            in
-            (* --scenario selects one configuration before anything is
-               explored; --random micro-configurations always run *)
-            let reports =
-              match scenario with
-              | None -> explore (Check.scenarios ~policy:p)
-              | Some s ->
-                (* labels name the same configurations under every policy *)
-                let label, prog = Result.get_ok (resolve p s) in
-                let outcome, st =
-                  Check.explore ~label ~max_schedules ~fault_budget ~dup
-                    ~reduce:(not no_reduce) prog
-                in
-                { Check.rep_label = label; rep_policy = p;
-                  rep_outcome = outcome; rep_stats = st }
-                :: explore []
-            in
+              Option.iter (Printf.printf "trace: %s\n") trace;
+              match verdict with
+              | Ok () ->
+                Printf.printf "replay %s on %s/%s: PASS\n"
+                  (Check.schedule_to_string schedule) p.Lcm_core.Policy.name
+                  sname;
+                `Ok ()
+              | Error report ->
+                Printf.printf "replay %s on %s/%s: FAIL\n%s\n"
+                  (Check.schedule_to_string schedule) p.Lcm_core.Policy.name
+                  sname report;
+                negative_verdict "replayed schedule fails")))
+        | None -> (
+          let configs p = Check.configs ?scenario ~random ~seed ~policy:p () in
+          (* a label names the same configuration under every policy, so
+             an unknown --scenario is rejected before anything runs *)
+          match configs (List.hd policies) with
+          | Error e -> `Error (false, e)
+          | Ok _ ->
+            let violations = ref 0 in
+            let capped = ref 0 in
             List.iter
-              (fun (r : Check.report) ->
-                let st = r.Check.rep_stats in
-                (match r.Check.rep_outcome with
-                | Check.Exhausted ->
-                  Printf.printf
-                    "%-14s %-28s exhausted: %d schedules, %d choice points, \
-                     %d+%d pruned\n%!"
-                    p.Lcm_core.Policy.name r.Check.rep_label st.Check.schedules
-                    st.Check.choice_points st.Check.sleep_prunes
-                    st.Check.pset_prunes
-                | Check.Capped ->
-                  incr capped;
-                  Printf.printf
-                    "%-14s %-28s CAPPED at %d schedules (raise \
-                     --max-schedules to exhaust)\n%!"
-                    p.Lcm_core.Policy.name r.Check.rep_label st.Check.schedules
-                | Check.Found found ->
-                  incr violations;
-                  Printf.printf "%-14s %-28s VIOLATION after %d schedules\n%!"
-                    p.Lcm_core.Policy.name r.Check.rep_label st.Check.schedules;
-                  let reproduce = reproduce found in
-                  let v = Check.shrink_violation found in
-                  Format.printf "%a@." Check.pp_violation v;
-                  Printf.printf "  reproduce: %s\n%!" reproduce;
-                  write_artifacts ~out ~reproduce v);
-                if stats then Format.printf "%a@." Check.pp_stats st)
-              reports)
-          policies;
-        if !violations > 0 then
-          negative_verdict (Printf.sprintf "%d violation(s) found" !violations)
-        else begin
-          if !capped > 0 then
-            Printf.printf "note: %d configuration(s) capped, not exhausted\n"
-              !capped;
-          `Ok ()
-        end)
+              (fun (p : Lcm_core.Policy.t) ->
+                List.iter
+                  (fun (label, prog) ->
+                    let outcome, st =
+                      Check.explore ~label ~max_schedules ~fault_budget ~dup
+                        ~reduce:(not no_reduce) prog
+                    in
+                    (match outcome with
+                    | Check.Exhausted ->
+                      Printf.printf
+                        "%-14s %-28s exhausted: %d schedules, %d choice \
+                         points, %d+%d pruned\n%!"
+                        p.Lcm_core.Policy.name label st.Check.schedules
+                        st.Check.choice_points st.Check.sleep_prunes
+                        st.Check.pset_prunes
+                    | Check.Capped ->
+                      incr capped;
+                      Printf.printf
+                        "%-14s %-28s CAPPED at %d schedules (raise \
+                         --max-schedules to exhaust)\n%!"
+                        p.Lcm_core.Policy.name label st.Check.schedules
+                    | Check.Found found ->
+                      incr violations;
+                      Printf.printf
+                        "%-14s %-28s VIOLATION after %d schedules\n%!"
+                        p.Lcm_core.Policy.name label st.Check.schedules;
+                      let reproduce = reproduce found in
+                      let v = Check.shrink_violation found in
+                      Format.printf "%a@." Check.pp_violation v;
+                      Printf.printf "  reproduce: %s\n%!" reproduce;
+                      write_artifacts ~out ~reproduce v);
+                    if stats then Format.printf "%a@." Check.pp_stats st)
+                  (Result.get_ok (configs p)))
+              policies;
+            if !violations > 0 then
+              negative_verdict
+                (Printf.sprintf "%d violation(s) found" !violations)
+            else begin
+              if !capped > 0 then
+                Printf.printf
+                  "note: %d configuration(s) capped, not exhausted\n" !capped;
+              `Ok ()
+            end))
   in
   Cmd.v
     (Cmd.info "check"

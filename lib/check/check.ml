@@ -310,8 +310,8 @@ let run_schedule ?trace ~fault_budget ~dup ~schedule prog =
   in
   run_prog ?trace prog ~expect:(Stress.spec prog) ~ctl
 
-let replay ?trace ?(fault_budget = 0) ?(dup = false) ~schedule prog =
-  try run_schedule ?trace ~fault_budget ~dup ~schedule prog
+let replay ?(fault_budget = 0) ?(dup = false) ~schedule prog =
+  try run_schedule ~trace:true ~fault_budget ~dup ~schedule prog
   with Diverged -> (Error "replay diverged: stale schedule", [])
 
 (* A stale schedule proves nothing: it is not a failure. *)
@@ -378,11 +378,11 @@ let minimize_schedule ~fault_budget ~dup prog schedule =
    configuration first (each candidate accepted only if a bounded
    re-exploration still finds a violation — which also refreshes the
    schedule), then the schedule against the final configuration. *)
-let shrink_violation ?(max_explore_schedules = 400) ?(max_tries = 120) v =
+let shrink_violation v =
   let best = ref v in
   let still_violates p =
     match
-      explore ~label:v.v_label ~max_schedules:max_explore_schedules
+      explore ~label:v.v_label ~max_schedules:400
         ~fault_budget:v.v_fault_budget ~dup:v.v_dup ~reduce:true p
     with
     | Found v', _ ->
@@ -390,7 +390,7 @@ let shrink_violation ?(max_explore_schedules = 400) ?(max_tries = 120) v =
       true
     | _ -> false
   in
-  ignore (Stress.shrink_with ~max_tries still_violates v.v_prog);
+  ignore (Stress.shrink_with ~max_tries:120 still_violates v.v_prog);
   let v = !best in
   {
     v with
@@ -587,47 +587,40 @@ let gen_micro ~seed ~case ~policy : Stress.prog =
     with seed; case }
 
 (* ------------------------------------------------------------------ *)
-(* Driver: check a policy's bounded configurations                     *)
+(* The configurations a run explores                                   *)
 (* ------------------------------------------------------------------ *)
 
-type report = {
-  rep_label : string;
-  rep_policy : Policy.t;
-  rep_outcome : outcome;
-  rep_stats : stats;
-}
-
-(* The labels [check_scenarios] reports, which [resolve] reads back. *)
+(* The labels [configs] gives, which [configs ~scenario] reads back. *)
 let scenario_label : (_, _, _, _, _, _) format6 = "scenario:%s"
 let micro_label : (_, _, _, _, _, _) format6 = "micro:seed=%d:case=%d"
 
-let resolve ~policy label =
-  match
-    List.find_opt
-      (fun (name, _) ->
-        label = name || label = Printf.sprintf scenario_label name)
-      (scenarios ~policy)
-  with
-  | Some (name, prog) -> Some (Printf.sprintf scenario_label name, prog)
-  | None -> (
-    try
-      Scanf.sscanf label (micro_label ^^ "%!") (fun seed case ->
-          Some
-            (Printf.sprintf micro_label seed case, gen_micro ~seed ~case ~policy))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+let micro ~seed ~case ~policy =
+  (Printf.sprintf micro_label seed case, gen_micro ~seed ~case ~policy)
 
-let check_scenarios ?max_schedules ?fault_budget ?dup ?reduce ?(random = 0)
-    ?(seed = 0) ~policy fixed =
-  let configs =
-    List.map (fun (n, p) -> (Printf.sprintf scenario_label n, p)) fixed
-    @ List.init random (fun case ->
-          (Printf.sprintf micro_label seed case, gen_micro ~seed ~case ~policy))
-  in
-  List.map
-    (fun (label, prog) ->
-      let outcome, stats =
-        explore ~label ?max_schedules ?fault_budget ?dup ?reduce prog
-      in
-      { rep_label = label; rep_policy = policy; rep_outcome = outcome;
-        rep_stats = stats })
-    configs
+let configs ?scenario ?(random = 0) ?(seed = 0) ~policy () =
+  let fixed = scenarios ~policy in
+  let labelled (name, prog) = (Printf.sprintf scenario_label name, prog) in
+  let micros = List.init random (fun case -> micro ~seed ~case ~policy) in
+  match scenario with
+  | None -> Ok (List.map labelled fixed @ micros)
+  | Some label -> (
+    match
+      List.find_opt
+        (fun (name, _) ->
+          label = name || label = Printf.sprintf scenario_label name)
+        fixed
+    with
+    | Some config -> Ok (labelled config :: micros)
+    | None -> (
+      match
+        Scanf.sscanf_opt label (micro_label ^^ "%!") (fun seed case ->
+            (seed, case))
+      with
+      | Some (seed, case) -> Ok (micro ~seed ~case ~policy :: micros)
+      | None ->
+        Error
+          (Printf.sprintf
+             "unknown scenario %S (expected one of: %s; or scenario:NAME, \
+              micro:seed=S:case=C)"
+             label
+             (String.concat ", " (List.map fst fixed)))))

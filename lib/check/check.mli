@@ -77,7 +77,6 @@ val explore :
     schedules are identical either way. *)
 
 val replay :
-  ?trace:bool ->
   ?fault_budget:int ->
   ?dup:bool ->
   schedule:int list ->
@@ -87,18 +86,18 @@ val replay :
     [schedule.(i)], FIFO default (index 0) beyond the list's end — so
     [[]] is the plain FIFO run.  The verdict is
     {!Lcm_harness.Stress.run_on}'s; a schedule that no longer fits the
-    run's choice points is an [Error].  With [trace], the returned events
-    render through {!Lcm_harness.Traceview}. *)
+    run's choice points is an [Error].  The run is traced: the returned
+    events render through {!Lcm_harness.Traceview}. *)
 
-val shrink_violation :
-  ?max_explore_schedules:int -> ?max_tries:int -> violation -> violation
+val shrink_violation : violation -> violation
 (** Shrink to a minimal (configuration, schedule) counterexample:
-    configuration first via {!Lcm_harness.Stress.shrink_with} (a
-    candidate survives only if bounded re-exploration still finds a
-    violation, which also refreshes the schedule), then the schedule
-    against the fixed configuration: strip trailing defaults, shorten,
-    lower entries toward 0 — each candidate validated by a full replay —
-    keeping the smallest still-failing schedule found. *)
+    configuration first via {!Lcm_harness.Stress.shrink_with} (at most
+    120 candidates; one survives only if a re-exploration of at most 400
+    schedules still finds a violation, which also refreshes the
+    schedule), then the schedule against the fixed configuration: strip
+    trailing defaults, shorten, lower entries toward 0 — each candidate
+    validated by a full replay — keeping the smallest still-failing
+    schedule found. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 
@@ -120,39 +119,20 @@ val scenarios :
     Every scenario respects the stress harness's well-formedness
     contract, so {!Lcm_harness.Stress.spec} applies. *)
 
-val gen_micro :
-  seed:int -> case:int -> policy:Lcm_core.Policy.t -> Lcm_harness.Stress.prog
-(** Deterministic seeded random micro-configuration within the checker's
-    bounds (2–3 nodes, 1–2 blocks, <= 3 ops per node per segment) —
-    breadth beyond the hand-picked scenarios. *)
-
-(** {1 Driver} *)
-
-type report = {
-  rep_label : string;
-  rep_policy : Lcm_core.Policy.t;
-  rep_outcome : outcome;
-  rep_stats : stats;
-}
-
-val check_scenarios :
-  ?max_schedules:int ->
-  ?fault_budget:int ->
-  ?dup:bool ->
-  ?reduce:bool ->
+val configs :
+  ?scenario:string ->
   ?random:int ->
   ?seed:int ->
   policy:Lcm_core.Policy.t ->
-  (string * Lcm_harness.Stress.prog) list ->
-  report list
-(** [check_scenarios ~policy fixed] explores the given fixed scenarios
-    ({!scenarios}, or a selection of them) plus [random] (default 0)
-    seeded micro-configurations under one policy, one report per
-    configuration.  Only what is selected is explored. *)
-
-val resolve :
-  policy:Lcm_core.Policy.t -> string -> (string * Lcm_harness.Stress.prog) option
-(** [resolve ~policy label] is the configuration behind a label
-    {!check_scenarios} reports ([scenario:NAME] or
-    [micro:seed=S:case=C]) or a bare fixed scenario name: its full label
-    and its program.  [None] when nothing answers to the label. *)
+  unit ->
+  ((string * Lcm_harness.Stress.prog) list, string) result
+(** [configs ~policy ()] is every labelled configuration a check run
+    explores under [policy], in order: each fixed scenario ({!scenarios})
+    as [scenario:NAME], then [random] (default 0) deterministic seeded
+    micro-configurations within the checker's bounds (2–3 nodes, 1–2
+    blocks, <= 3 ops per node per segment) as [micro:seed=S:case=C],
+    [seed] (default 0) choosing the stream.  With [scenario], the one
+    configuration that label names (any label [configs] gives, or a bare
+    fixed scenario name) takes the fixed scenarios' place; an [Error]
+    says that nothing answers to it.  A label names the same
+    configuration under every policy. *)

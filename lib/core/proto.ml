@@ -10,82 +10,89 @@
    because the two engines agree on every operation's type; keeping the
    facade dumb keeps the engines honest about their shared contract,
    whose engine-independent parts live here: phases change only while no
-   fiber runs, and a quiescent machine has no parked access. *)
+   fiber runs, a quiescent machine has no parked access, and an address
+   splits into a block and an offset once. *)
 
 module Machine = Lcm_tempest.Machine
+module Gmem = Lcm_mem.Gmem
 
-type t =
-  | Dir of Proto_dir.t
-  | Snoop_engine of Proto_snoop.t
+type engine = Dir of Proto_dir.t | Snoop_engine of Proto_snoop.t
+
+type t = { policy : Policy.t; machine : Machine.t; engine : engine }
 
 let install ?detection ?barrier ~policy mach =
-  match policy.Policy.family with
-  | Policy.Directory _ ->
-    Dir (Proto_dir.install ?detection ?barrier ~policy mach)
-  | Policy.Snoop _ ->
-    (* detection is an LCM reconciliation feature; a coherent bus has no
-       reconcile sweep to record conflicts in, so the setting is inert *)
-    ignore detection;
-    Snoop_engine (Proto_snoop.install ?barrier ~policy mach)
+  let engine =
+    match policy.Policy.family with
+    | Policy.Directory _ ->
+      Dir (Proto_dir.install ?detection ?barrier ~policy mach)
+    | Policy.Snoop _ ->
+      (* detection is an LCM reconciliation feature; a coherent bus has
+         no reconcile sweep to record conflicts in, so the setting is
+         inert *)
+      ignore detection;
+      Snoop_engine (Proto_snoop.install ?barrier ~policy mach)
+  in
+  { policy; machine = mach; engine }
 
-let policy = function
-  | Dir p -> Proto_dir.policy p
-  | Snoop_engine p -> Proto_snoop.policy p
-
-let machine = function
-  | Dir p -> Proto_dir.machine p
-  | Snoop_engine p -> Proto_snoop.machine p
+let policy t = t.policy
+let machine t = t.machine
 
 (* Reductions execute as coherent read-modify-writes on a bus: there is
    no reconciliation for an operator to combine, nor for detection to
    record conflicts or races in. *)
 let register_reduction t ~base ~nwords op =
-  match t with
+  match t.engine with
   | Dir p -> Proto_dir.register_reduction p ~base ~nwords op
   | Snoop_engine _ -> ()
 
-let conflicts = function Dir p -> Proto_dir.conflicts p | Snoop_engine _ -> []
-let races = function Dir p -> Proto_dir.races p | Snoop_engine _ -> []
+let conflicts t =
+  match t.engine with Dir p -> Proto_dir.conflicts p | Snoop_engine _ -> []
+
+let races t =
+  match t.engine with Dir p -> Proto_dir.races p | Snoop_engine _ -> []
 
 let require_quiescent t what =
-  if Machine.active_fibers (machine t) > 0 then
+  if Machine.active_fibers t.machine > 0 then
     failwith (Printf.sprintf "Proto.%s: fibers still running" what)
 
 let begin_parallel t =
   require_quiescent t "begin_parallel";
-  Machine.set_phase (machine t) `Parallel
+  Machine.set_phase t.machine `Parallel
 
 let reconcile t =
   require_quiescent t "reconcile";
-  match t with
+  match t.engine with
   | Dir p -> Proto_dir.reconcile p
   | Snoop_engine p -> Proto_snoop.reconcile p
 
 let check_invariants t =
-  let parked n =
-    List.map
-      (fun b ->
-        Printf.sprintf "block %d: node %d has a pending retry while quiescent"
-          b (Machine.id n))
-      (Machine.parked n)
-  in
-  let engine =
-    match t with
-    | Dir p -> Proto_dir.check_invariants p
-    | Snoop_engine p -> Proto_snoop.check_invariants p
-  in
-  match (match engine with Ok () -> [] | Error es -> es)
-        @ List.concat_map parked (Array.to_list (Machine.nodes (machine t)))
-  with
-  | [] -> Ok ()
-  | es -> Error es
+  let errors = ref [] in
+  let report e = errors := e :: !errors in
+  (match t.engine with
+  | Dir p -> Proto_dir.check_invariants p report
+  | Snoop_engine p -> Proto_snoop.check_invariants p report);
+  Array.iter
+    (fun n ->
+      List.iter
+        (fun b ->
+          report
+            (Printf.sprintf
+               "block %d: node %d has a pending retry while quiescent" b
+               (Machine.id n)))
+        (Machine.parked n))
+    (Machine.nodes t.machine);
+  match !errors with [] -> Ok () | es -> Error (List.rev es)
 
 let peek t addr =
-  match t with
-  | Dir p -> Proto_dir.peek p addr
-  | Snoop_engine p -> Proto_snoop.peek p addr
+  let g = Machine.gmem t.machine in
+  let b = Gmem.block_of_addr g addr and off = Gmem.offset_in_block g addr in
+  match t.engine with
+  | Dir p -> Proto_dir.peek p b off
+  | Snoop_engine p -> Proto_snoop.peek p b off
 
 let poke t addr v =
-  match t with
-  | Dir p -> Proto_dir.poke p addr v
-  | Snoop_engine p -> Proto_snoop.poke p addr v
+  let g = Machine.gmem t.machine in
+  let b = Gmem.block_of_addr g addr and off = Gmem.offset_in_block g addr in
+  match t.engine with
+  | Dir p -> Proto_dir.poke p b off v
+  | Snoop_engine p -> Proto_snoop.poke p b off v

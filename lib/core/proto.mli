@@ -16,15 +16,19 @@
       cache-to-cache supply — the hardware baseline the directory
       protocols are traditionally compared against.
 
-    Either engine installs itself on a {!Lcm_tempest.Machine.t}: it owns
-    the read-fault, write-fault, directive and eviction hooks.  The
-    directory engine consists of message-driven state machines at each
-    block's home plus a thin requester side; the bus engine serializes
-    misses through bus arbitration and applies snoop reactions atomically
-    at transaction completion.  Both park faulting accesses in the
-    machine ({!Lcm_tempest.Machine.park}) and end every phase with
-    {!Barrier.release}.  Everything above this layer is
-    engine-agnostic.
+    Either engine installs itself on a {!Lcm_tempest.Machine.t} as one
+    {!Lcm_tempest.Machine.protocol}: its read-fault, write-fault,
+    directive and eviction handlers, and whether home memory is backed
+    by a line at the home node.  The directory engine consists of
+    message-driven state machines at each block's home plus a thin
+    requester side; the bus engine serializes misses through bus
+    arbitration and applies snoop reactions atomically at transaction
+    completion.  Both park faulting accesses in the machine
+    ({!Lcm_tempest.Machine.park}) and end every phase with
+    {!Barrier.release}.  This facade holds what the two share: the
+    policy and machine, the phase and quiescence checks, the audit's
+    error list and the split of an address into a block and an offset.
+    Everything above this layer is engine-agnostic.
 
     {2 LCM operation (Section 5.1 of the paper)}
 
@@ -61,10 +65,10 @@ val install :
     [detection] (default {!Detect.Off}) selects reconcile-time
     write/write-conflict and read/write-race recording, and whether every
     read-only copy is flushed at each reconciliation ({!Detect.Strict},
-    rejected under update-based reconciliation).  The eviction hook is
-    always registered; it fires only on a machine created with a finite
-    cache.  [barrier] selects the reconciliation-barrier timing model
-    (default {!Barrier.Constant}). *)
+    rejected under update-based reconciliation).  The eviction handler
+    fires only on a machine created with a finite cache.  [barrier]
+    selects the reconciliation-barrier timing model (default
+    {!Barrier.Constant}). *)
 
 val policy : t -> Policy.t
 

@@ -139,14 +139,7 @@ type t = {
   h_sweep_ack : Machine.handler;
 }
 
-let policy t = t.pol
-let machine t = t.mach
-
-let wpb t = Gmem.words_per_block (Machine.gmem t.mach)
 let home_of t b = Gmem.home_of_block (Machine.gmem t.mach) b
-
-let ctrl_words = 2
-let data_words t = wpb t + 2
 
 let get_entry t b =
   match Itbl.find t.entries b with
@@ -279,9 +272,9 @@ let request t node b want ~retry =
     let nid = Machine.id node in
     (* the want and requester pack into the rider, so the request rides
        the pooled message cell with no per-message closure *)
-    Machine.send t.mach ~src:nid ~dst:(home_of t b) ~words:ctrl_words
-      ~tag:(want_tag want) ~at:(Machine.clock node) t.h_get Machine.no_data b
-      ((want_code want lsl 20) lor nid)
+    Machine.send t.mach ~src:nid ~dst:(home_of t b)
+      ~words:Machine.ctrl_words ~tag:(want_tag want) ~at:(Machine.clock node)
+      t.h_get Machine.no_data b ((want_code want lsl 20) lor nid)
 
 (* ------------------------------------------------------------------ *)
 (* Home side                                                           *)
@@ -318,8 +311,9 @@ and reply_data t e requester kind ~now =
     recv_data t (Machine.node t.mach home) b data tag ~now
   else
     let data = Block.copy master in
-    Machine.send t.mach ~src:home ~dst:requester ~words:(data_words t)
-      ~tag:mtag ~at:now t.h_data data b (want_code kind)
+    Machine.send t.mach ~src:home ~dst:requester
+      ~words:(Machine.data_words t.mach) ~tag:mtag ~at:now t.h_data data b
+      (want_code kind)
 
 and serve t e ~want ~requester ~now =
   let b = e.block in
@@ -329,7 +323,7 @@ and serve t e ~want ~requester ~now =
     e.busy <- Some (Recalling { want; requester });
     Stats.Handle.incr t.hs.h_recalls;
     let home = home_of t b in
-    Machine.send t.mach ~src:home ~dst:owner ~words:ctrl_words
+    Machine.send t.mach ~src:home ~dst:owner ~words:Machine.ctrl_words
       ~tag:"recall" ~at:now t.h_recall Machine.no_data b 0
   | Exclusive owner, (Want_ro | Want_rw | Want_lcm) ->
     (* A request from the recorded owner cannot happen: an owner only loses
@@ -354,7 +348,7 @@ and serve t e ~want ~requester ~now =
       ISet.iter
         (fun sharer ->
           Stats.Handle.incr t.hs.h_invals;
-          Machine.send t.mach ~src:home ~dst:sharer ~words:ctrl_words
+          Machine.send t.mach ~src:home ~dst:sharer ~words:Machine.ctrl_words
             ~tag:"inval" ~at:now t.h_inval Machine.no_data b home)
         others
     end
@@ -404,8 +398,8 @@ and recv_inval_m t ack snode now b home =
   send_inval_ack t ack snode b ~home ~now
 
 and send_inval_ack t ack snode b ~home ~now =
-  Machine.send t.mach ~src:(Machine.id snode) ~dst:home ~words:ctrl_words
-    ~tag:"inval_ack" ~at:now ack Machine.no_data b 0
+  Machine.send t.mach ~src:(Machine.id snode) ~dst:home
+    ~words:Machine.ctrl_words ~tag:"inval_ack" ~at:now ack Machine.no_data b 0
 
 and recv_inval_ack_serve_m t _hnode now b _x = home_recv_inval_ack t b ~now
 
@@ -418,7 +412,7 @@ and owner_recv_recall t b onode ~now =
     (* Already evicted or marked: the corresponding Put travelled first on
        this FIFO channel, so the home's master is already current. *)
     Machine.send t.mach ~src:(Machine.id onode) ~dst:(home_of t b)
-      ~words:ctrl_words ~tag:"recall_nack" ~at:now
+      ~words:Machine.ctrl_words ~tag:"recall_nack" ~at:now
       (fun _ _ now _ _ -> finish_recall t (get_entry t b) ~now)
       Machine.no_data 0 0
 
@@ -429,7 +423,8 @@ and send_put t node b (line : Machine.line) ~mark ~at =
   let from = Machine.id node in
   if not mark then Stats.Handle.incr t.hs.h_writebacks;
   let data = Block.copy line.Machine.data in
-  Machine.send t.mach ~src:from ~dst:(home_of t b) ~words:(data_words t)
+  Machine.send t.mach ~src:from ~dst:(home_of t b)
+    ~words:(Machine.data_words t.mach)
     ~tag:(if mark then "put_mark" else "put") ~at
     (fun _ _ now _ _ -> home_recv_put t b data ~from ~mark ~now)
     Machine.no_data 0 0
@@ -632,8 +627,8 @@ let recv_sweep_ack_m t _hnode now b _x =
 let send_sweep_inval t r b ~home ~at counter target =
   r.inval_acks_left <- r.inval_acks_left + 1;
   Stats.Handle.incr counter;
-  Machine.send t.mach ~src:home ~dst:target ~words:ctrl_words ~tag:"inval" ~at
-    t.h_sweep_inval Machine.no_data b home
+  Machine.send t.mach ~src:home ~dst:target ~words:Machine.ctrl_words
+    ~tag:"inval" ~at t.h_sweep_inval Machine.no_data b home
 
 (* Return one dirty LCM block to its [home] (passed in: this runs for
    every flushed block).  A local home merges the live line in place —
@@ -646,7 +641,8 @@ let rec flush_block t node b (line : Machine.line) ~home ~epoch =
   else begin
     let data = Block.copy line.Machine.data in
     t.pending_flush_acks.(nid) <- t.pending_flush_acks.(nid) + 1;
-    Machine.send t.mach ~src:nid ~dst:home ~words:(data_words t + 1)
+    Machine.send t.mach ~src:nid ~dst:home
+      ~words:(Machine.data_words t.mach + 1)
       ~tag:"flush" ~at:(Machine.clock node)
       (fun _ _ now _ _ -> home_recv_flush t b data mask ~from:nid ~epoch ~now)
       Machine.no_data 0 0
@@ -654,7 +650,7 @@ let rec flush_block t node b (line : Machine.line) ~home ~epoch =
 
 and home_recv_flush t b data mask ~from ~epoch ~now =
   merge_flush t b data mask ~from ~epoch;
-  Machine.send t.mach ~src:(home_of t b) ~dst:from ~words:ctrl_words
+  Machine.send t.mach ~src:(home_of t b) ~dst:from ~words:Machine.ctrl_words
     ~tag:"flush_ack" ~at:now
     (fun _ fnode now _ _ ->
       let nid = Machine.id fnode in
@@ -768,7 +764,8 @@ and start_sweep t =
             (fun target ->
               r.inval_acks_left <- r.inval_acks_left + 1;
               Stats.Handle.incr t.hs.h_reconcile_updates;
-              Machine.send t.mach ~src:home ~dst:target ~words:(data_words t)
+              Machine.send t.mach ~src:home ~dst:target
+                ~words:(Machine.data_words t.mach)
                 ~tag:"update" ~at:sweep_time
                 (fun _ snode now _ _ ->
                   (match Machine.find_line snode b with
@@ -828,28 +825,24 @@ let reconcile t =
 (* Directives, eviction, installation                                  *)
 (* ------------------------------------------------------------------ *)
 
-let note_directive t node name =
-  Machine.trace_emit t.mach ~time:(Machine.clock node)
-    (Machine.Trace.Directive { node = Machine.id node; name })
-
 let directive t node d ~retry =
   match d with
   | Memeff.Mark_modification addr ->
-    note_directive t node "mark_modification";
+    Machine.trace_directive node "mark_modification";
     if Policy.is_lcm t.pol then mark t node ~addr ~retry
     else retry () (* Stache: C** code compiled for LCM run unchanged *)
   | Memeff.Flush_copies ->
-    note_directive t node "flush_copies";
+    Machine.trace_directive node "flush_copies";
     if Policy.is_lcm t.pol then flush_node t node;
     retry ()
   | Stale.Pin_stale addr ->
-    note_directive t node "pin_stale";
+    Machine.trace_directive node "pin_stale";
     let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
     Itbl.replace t.stale_pins.(Machine.id node) b ();
     Stats.Handle.incr t.hs.h_stale_pins;
     retry ()
   | Stale.Refresh addr ->
-    note_directive t node "refresh";
+    Machine.trace_directive node "refresh";
     let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
     let nid = Machine.id node in
     Itbl.remove t.stale_pins.(nid) b;
@@ -867,8 +860,8 @@ let evict t node b line =
   match line.Machine.tag with
   | Tag.Invalid -> ()
   | Tag.Read_only ->
-    Machine.send t.mach ~src:nid ~dst:home ~words:ctrl_words ~tag:"evict_ro"
-      ~at:(Machine.clock node)
+    Machine.send t.mach ~src:nid ~dst:home ~words:Machine.ctrl_words
+      ~tag:"evict_ro" ~at:(Machine.clock node)
       (fun _ _ _ _ _ ->
         let e = get_entry t b in
         match e.dstate with
@@ -890,9 +883,8 @@ let register_reduction t ~base ~nwords op =
 let conflicts t = List.rev t.conflicts
 let races t = List.rev t.races
 
-let check_invariants t =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
+let check_invariants t report =
+  let err fmt = Printf.ksprintf report fmt in
   let nnodes = Machine.nnodes t.mach in
   let parallel = Machine.phase t.mach = `Parallel in
   List.iter
@@ -965,13 +957,9 @@ let check_invariants t =
               nid
           | Some _ | None -> ()
       done)
-    (entries_in_order t);
-  match !errors with [] -> Ok () | es -> Error (List.rev es)
+    (entries_in_order t)
 
-let peek t addr =
-  let g = Machine.gmem t.mach in
-  let b = Gmem.block_of_addr g addr in
-  let off = Gmem.offset_in_block g addr in
+let peek t b off =
   match Itbl.find_opt t.entries b with
   | Some { dstate = Exclusive owner; _ } -> (
     match Machine.find_line (Machine.node t.mach owner) b with
@@ -979,10 +967,7 @@ let peek t addr =
     | None -> (Machine.master t.mach b).(off))
   | Some _ | None -> (Machine.master t.mach b).(off)
 
-let poke t addr v =
-  let g = Machine.gmem t.mach in
-  let b = Gmem.block_of_addr g addr in
-  let off = Gmem.offset_in_block g addr in
+let poke t b off v =
   (match Itbl.find_opt t.entries b with
   | Some e -> (
     match (e.dstate, e.shadow) with
@@ -1031,24 +1016,29 @@ let install ?(detection = Detect.Off) ?(barrier = Barrier.Constant)
       h_sweep_ack = (fun _ n now b x -> recv_sweep_ack_m t n now b x);
     }
   in
-  Machine.set_handlers mach
-    ~read_fault:(fun node ~addr ~retry -> read_fault t node ~addr ~retry)
-    ~write_fault:(fun node ~addr ~retry -> write_fault t node ~addr ~retry)
-    ~directive:(fun node d ~retry -> directive t node d ~retry);
-  Machine.set_evict_handler mach (fun node b line -> evict t node b line);
-  if detection <> Detect.Off then
-    (* Home reads hit the always-readable backing line and never fault, so
-       they are invisible to [serve]; without this observer a race where
-       the home reads a block another node LCM-modifies in the same phase
-       goes unreported.  The tag filter keeps the home's own
-       mark-and-write accesses (its line re-aliased as Lcm_modified) from
-       counting the writer as its own reader. *)
-    Machine.set_read_observer mach
-      (Some
-         (fun node b line ->
-           if
-             line.Machine.is_home_line
-             && line.Machine.tag <> Tag.Lcm_modified
-             && Machine.id node = home_of t b
-           then note_reader t (get_entry t b) (Machine.id node)));
+  Machine.install mach
+    {
+      read_fault = read_fault t;
+      write_fault = write_fault t;
+      directive = directive t;
+      evict = evict t;
+      read_hit =
+        (if detection = Detect.Off then None
+         else
+           (* Home reads hit the always-readable backing line and never
+              fault, so they are invisible to [serve]; without this
+              observer a race where the home reads a block another node
+              LCM-modifies in the same phase goes unreported.  The tag
+              filter keeps the home's own mark-and-write accesses (its
+              line re-aliased as Lcm_modified) from counting the writer
+              as its own reader. *)
+           Some
+             (fun node b line ->
+               if
+                 line.Machine.is_home_line
+                 && line.Machine.tag <> Tag.Lcm_modified
+                 && Machine.id node = home_of t b
+               then note_reader t (get_entry t b) (Machine.id node)));
+      home_backing = true;
+    };
   t

@@ -14,29 +14,12 @@
       home node;
     - {b LCM-mcc} — LCM with clean copies on every caching node.
 
-    The engine installs itself on a {!Lcm_tempest.Machine.t}: it owns the
-    read-fault, write-fault, directive and eviction hooks, and consists of
+    The engine installs itself on a {!Lcm_tempest.Machine.t} as one
+    {!Lcm_tempest.Machine.protocol} (read fault, write fault, directive
+    and eviction handlers, with home backing lines on), and consists of
     message-driven state machines at each block's home plus a thin
-    requester side.
-
-    {2 LCM operation (Section 5.1 of the paper)}
-
-    The three directives are [mark_modification(addr)] (the
-    {!Lcm_tempest.Memeff.Mark_modification} directive — or an implicit mark
-    when unannotated code write-faults during a parallel phase),
-    [flush_copies()] ({!Lcm_tempest.Memeff.Flush_copies}), and
-    [reconcile_copies()] ({!reconcile}, invoked by the language runtime at
-    the end of a parallel call).
-
-    During a parallel phase the master copy of every block is immutable:
-    writes land in private [Lcm_modified] copies that track per-word dirty
-    masks, and flushed copies merge into a {e pending} shadow copy at the
-    home.  Reads served during the phase therefore always observe the
-    phase-start global state, which is exactly C\*\*'s "atomic and
-    simultaneous" semantics.  [reconcile] completes the phase: every node
-    flushes, a barrier waits for all flush acknowledgements, each home
-    promotes its shadow to master, and outstanding read-only copies of
-    modified blocks are invalidated system-wide. *)
+    requester side.  {!Proto} states how LCM operates (Section 5.1 of
+    the paper). *)
 
 type t
 
@@ -46,20 +29,16 @@ val install :
   policy:Policy.t ->
   Lcm_tempest.Machine.t ->
   t
-(** [install ~policy machine] registers the protocol on [machine] and
-    returns the instance handle.  [policy] must belong to the
-    [Policy.Directory] family ([Invalid_argument] otherwise — snooping
-    policies ride {!Proto_snoop}).  [detection] (default {!Detect.Off})
-    selects reconcile-time conflict and race recording; {!Detect.Strict}
-    is rejected ([Invalid_argument]) under update-based reconciliation,
-    whose updated copies satisfy reads without faulting.  The eviction
-    hook is always registered; it fires only on a machine created with a
-    finite cache.  [barrier] selects the reconciliation-barrier timing
-    model (default {!Barrier.Constant}). *)
-
-val policy : t -> Policy.t
-
-val machine : t -> Lcm_tempest.Machine.t
+(** [install ~policy machine] {!Lcm_tempest.Machine.install}s the
+    protocol on [machine] and returns the instance handle.  [policy] must
+    belong to the [Policy.Directory] family ([Invalid_argument] otherwise
+    — snooping policies ride {!Proto_snoop}).  [detection] (default
+    {!Detect.Off}) selects reconcile-time conflict and race recording;
+    {!Detect.Strict} is rejected ([Invalid_argument]) under update-based
+    reconciliation, whose updated copies satisfy reads without faulting.
+    The eviction handler fires only on a machine created with a finite
+    cache.  [barrier] selects the reconciliation-barrier timing model
+    (default {!Barrier.Constant}). *)
 
 val register_reduction : t -> base:int -> nwords:int -> Reduction.t -> unit
 (** Declare that the region [\[base, base+nwords)] holds reduction
@@ -89,9 +68,10 @@ val touch_entry : t -> int -> unit
     so a corrupt block number in a message fails loudly instead of
     minting a ghost entry.  White-box probe for tests and debugging. *)
 
-val check_invariants : t -> (unit, string list) result
-(** Audit the global protocol state; intended for tests and debugging
-    (call when the simulation is quiescent).  Checked invariants:
+val check_invariants : t -> (string -> unit) -> unit
+(** [check_invariants t report] audits the global protocol state when
+    quiescent, calling [report] once per violation, in ascending block
+    order ({!Proto.check_invariants} collects them).  Checked invariants:
 
     - directory/line consistency: a remote exclusive owner actually holds a
       writable line, and nobody else holds any copy of that block; every
@@ -101,16 +81,14 @@ val check_invariants : t -> (unit, string list) result
     - sequential phases have no [Lcm_modified] lines, no pending shadow
       copies and no LCM holders;
     - the home's backing line, when present and not a private LCM copy,
-      holds the master's contents.
+      holds the master's contents. *)
 
-    Returns [Error messages] listing every violation found. *)
+val peek : t -> Lcm_mem.Gmem.block -> int -> int
+(** [peek t b off] reads the current coherent value of word [off] of
+    block [b], bypassing the simulation (consults the exclusive owner's
+    copy if one exists). *)
 
-val peek : t -> int -> int
-(** [peek t addr] reads the current coherent value of a word, bypassing
-    the simulation (consults the exclusive owner's copy if one exists).
-    For initialisation, result extraction and tests only. *)
-
-val poke : t -> int -> int -> unit
-(** [poke t addr v] writes a word directly into the master copy.  Only
-    sound while no node caches the block (e.g. before the program starts);
-    raises [Failure] if a remote copy exists. *)
+val poke : t -> Lcm_mem.Gmem.block -> int -> int -> unit
+(** [poke t b off v] writes word [off] of block [b] directly into the
+    master copy; raises [Failure] if a remote copy or a pending shadow
+    exists. *)

@@ -10,13 +10,14 @@
    requests simply serialize through bus arbitration.
 
    Memory model: the machine's master copies are the (centralized) memory
-   image.  Home backing lines are disabled (Machine.set_home_backing
-   false) — a node's accesses to blocks homed locally fault and arbitrate
-   for the bus exactly like everyone else's; only the fetch counters
-   distinguish local from remote homes, for comparability with the
-   directory engine.  A node's locally-homed cached lines are exempt from
-   capacity eviction (the machine treats them as that node's share of
-   memory), which mirrors the directory engine's home-line exemption.
+   image.  Home backing lines are disabled (the protocol this engine
+   installs says [home_backing = false]) — a node's accesses to blocks
+   homed locally fault and arbitrate for the bus exactly like everyone
+   else's; only the fetch counters distinguish local from remote homes,
+   for comparability with the directory engine.  A node's locally-homed
+   cached lines are exempt from capacity eviction (the machine treats
+   them as that node's share of memory), which mirrors the directory
+   engine's home-line exemption.
 
    The writeback race the tables cannot express: evicting an M or O line
    removes the line now but its FLUSH transaction only reaches memory at
@@ -65,14 +66,6 @@ type t = {
   states : Snoop.state array Itbl.t;  (* block -> per-node state *)
   wb : Block.t Itbl.t;  (* in-flight evicted dirty data *)
 }
-
-let policy t = t.pol
-let machine t = t.mach
-
-let wpb t = Gmem.words_per_block (Machine.gmem t.mach)
-
-let ctrl_words = 2
-let data_words t = wpb t + 2
 
 let states_of t b =
   match Itbl.find_opt t.states b with
@@ -198,12 +191,9 @@ let do_bus_upgr t b nid ~now =
     set_state t b nid Snoop.fill_on_write ();
     Machine.wake (Machine.node t.mach nid) b ~now
 
+(* A no-op when an intervening transaction consumed the buffer. *)
 let do_bus_flush t b ~now =
-  (match Itbl.find_opt t.wb b with
-  | Some data ->
-    Block.blit ~src:data ~dst:(Machine.master t.mach b);
-    Itbl.remove t.wb b
-  | None -> () (* consumed by an intervening transaction *));
+  drain_wb t b ~consumed_by_transaction:false;
   Machine.tracef t.mach ~time:now "bus_flush block=%d" b
 
 (* ------------------------------------------------------------------ *)
@@ -229,7 +219,7 @@ let miss t node b ~retry kind ~words grant =
 
 let read_fault t node ~addr ~retry =
   let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
-  miss t node b ~retry Bus.Rd ~words:(data_words t) t.g_rd
+  miss t node b ~retry Bus.Rd ~words:(Machine.data_words t.mach) t.g_rd
 
 let write_fault t node ~addr ~retry =
   let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
@@ -241,12 +231,12 @@ let write_fault t node ~addr ~retry =
     set_state t b nid Snoop.fill_on_write ();
     Machine.resume node ~now:(Machine.clock node) ~cost:0 retry
   | Snoop.S | Snoop.O ->
-    miss t node b ~retry Bus.Upgr ~words:ctrl_words t.g_upgr
+    miss t node b ~retry Bus.Upgr ~words:Machine.ctrl_words t.g_upgr
   | Snoop.M ->
     (* the line is writable; the fault raced a concurrent install *)
     Machine.resume node ~now:(Machine.clock node) ~cost:0 retry
   | Snoop.I | Snoop.E ->
-    miss t node b ~retry Bus.Rdx ~words:(data_words t) t.g_rdx
+    miss t node b ~retry Bus.Rdx ~words:(Machine.data_words t.mach) t.g_rdx
 
 (* Capacity eviction: dirty states stage their data in the writeback
    buffer and arbitrate for a FLUSH slot; clean states drop silently. *)
@@ -259,24 +249,21 @@ let evict t node b (line : Machine.line) =
     Stats.Handle.incr t.hs.h_writebacks;
     Itbl.replace t.wb b (Block.copy line.Machine.data);
     Bus.transact t.bus ~kind:Bus.Flush ~at:(Machine.clock node)
-      ~words:(data_words t) t.g_flush t b
+      ~words:(Machine.data_words t.mach) t.g_flush t b
   end
-
-let note_directive t node name =
-  Machine.trace_emit t.mach ~time:(Machine.clock node)
-    (Machine.Trace.Directive { node = Machine.id node; name })
 
 (* LCM and stale-data directives are memory-system hints with no meaning
    under a coherent bus: programs compiled for LCM run unchanged (the
    paper's portability argument), so every directive degrades to a no-op
    rather than an error. *)
-let directive t node d ~retry =
-  (match d with
-  | Memeff.Mark_modification _ -> note_directive t node "mark_modification"
-  | Memeff.Flush_copies -> note_directive t node "flush_copies"
-  | Stale.Pin_stale _ -> note_directive t node "pin_stale"
-  | Stale.Refresh _ -> note_directive t node "refresh"
-  | _ -> failwith "Proto_snoop: unknown memory-system directive");
+let directive node d ~retry =
+  Machine.trace_directive node
+    (match d with
+    | Memeff.Mark_modification _ -> "mark_modification"
+    | Memeff.Flush_copies -> "flush_copies"
+    | Stale.Pin_stale _ -> "pin_stale"
+    | Stale.Refresh _ -> "refresh"
+    | _ -> failwith "Proto_snoop: unknown memory-system directive");
   retry ()
 
 (* ------------------------------------------------------------------ *)
@@ -308,9 +295,8 @@ let by_block tbl =
   Itbl.fold (fun b v acc -> (b, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let check_invariants t =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
+let check_invariants t report =
+  let err fmt = Printf.ksprintf report fmt in
   List.iter
     (fun (b, _) -> err "block %d: writeback buffered while quiescent" b)
     (by_block t.wb);
@@ -386,13 +372,9 @@ let check_invariants t =
               err "block %d: node %d's Exclusive copy diverges from memory" b nid
             | Some _ | None -> ())
         !owners)
-    (by_block t.states);
-  match !errors with [] -> Ok () | es -> Error (List.rev es)
+    (by_block t.states)
 
-let peek t addr =
-  let g = Machine.gmem t.mach in
-  let b = Gmem.block_of_addr g addr in
-  let off = Gmem.offset_in_block g addr in
+let peek t b off =
   let from_owner () =
     match Itbl.find_opt t.states b with
     | None -> None
@@ -415,10 +397,7 @@ let peek t addr =
     | Some data -> data.(off)
     | None -> (Machine.master t.mach b).(off))
 
-let poke t addr v =
-  let g = Machine.gmem t.mach in
-  let b = Gmem.block_of_addr g addr in
-  let off = Gmem.offset_in_block g addr in
+let poke t b off v =
   (match Itbl.find_opt t.states b with
   | Some sts ->
     Array.iteri
@@ -437,7 +416,6 @@ let install ?(barrier = Barrier.Constant) ~policy:pol mach =
     | Policy.Directory _ ->
       invalid_arg "Proto_snoop.install: directory policies ride Proto_dir"
   in
-  Machine.set_home_backing mach false;
   let bus =
     Bus.create ~engine:(Machine.engine mach) ~costs:(Machine.costs mach)
       ~stats:(Machine.stats mach) ()
@@ -458,9 +436,13 @@ let install ?(barrier = Barrier.Constant) ~policy:pol mach =
       wb = Itbl.create 16;
     }
   in
-  Machine.set_handlers mach
-    ~read_fault:(fun node ~addr ~retry -> read_fault t node ~addr ~retry)
-    ~write_fault:(fun node ~addr ~retry -> write_fault t node ~addr ~retry)
-    ~directive:(fun node d ~retry -> directive t node d ~retry);
-  Machine.set_evict_handler mach (fun node b line -> evict t node b line);
+  Machine.install mach
+    {
+      read_fault = read_fault t;
+      write_fault = write_fault t;
+      directive;
+      evict = evict t;
+      read_hit = None;
+      home_backing = false;
+    };
   t

@@ -38,22 +38,21 @@ val install :
   policy:Policy.t ->
   Lcm_tempest.Machine.t ->
   t
-(** [install ~policy machine] registers the engine: claims the fault,
-    directive and eviction hooks, creates the shared bus, and disables
-    home backing lines — so it must run before any block of [machine] is
-    touched.
+(** [install ~policy machine] creates the shared bus and
+    {!Lcm_tempest.Machine.install}s the engine's fault, directive and
+    eviction handlers, with home backing lines off — so it must run
+    before any block of [machine] is touched.
     @raise Invalid_argument if [policy] is not in the snooping family. *)
-
-val policy : t -> Policy.t
-val machine : t -> Lcm_tempest.Machine.t
 
 val reconcile : t -> unit
 (** End-of-phase barrier: drain the machine, then {!Barrier.release} with
     every node joining at its own clock.  No data movement — the bus kept
     memory coherent throughout. *)
 
-val check_invariants : t -> (unit, string list) result
-(** Audit the global protocol state when quiescent:
+val check_invariants : t -> (string -> unit) -> unit
+(** [check_invariants t report] audits the global protocol state when
+    quiescent, calling [report] once per violation, in ascending block
+    order ({!Proto.check_invariants} collects them):
 
     - every recorded state is admitted by the policy (no E under MSI, no
       O under MSI/MESI), and matches the machine's line table (state and
@@ -65,10 +64,11 @@ val check_invariants : t -> (unit, string list) result
       stale); Exclusive copies equal memory;
     - the writeback buffer is empty. *)
 
-val peek : t -> int -> int
-(** Coherent read bypassing the simulation: the M/E/O holder's copy if
-    one exists, else a buffered writeback, else memory. *)
+val peek : t -> Lcm_mem.Gmem.block -> int -> int
+(** [peek t b off] reads word [off] of block [b] bypassing the
+    simulation: the M/E/O holder's copy if one exists, else a buffered
+    writeback, else memory. *)
 
-val poke : t -> int -> int -> unit
-(** Direct write to memory; raises [Failure] if any node caches the
-    block. *)
+val poke : t -> Lcm_mem.Gmem.block -> int -> int -> unit
+(** [poke t b off v] writes word [off] of block [b] in memory; raises
+    [Failure] if any node caches the block. *)

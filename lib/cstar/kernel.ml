@@ -90,7 +90,6 @@ type decision = {
   marked_aggs : string list;
   unmarked_aggs : string list;
   flush_between : bool;
-  double_buffered : string list;
   precopied : string list;
 }
 
@@ -128,7 +127,6 @@ let analyze { body; _ } =
     marked_aggs = SSet.elements marked;
     unmarked_aggs = SSet.elements unmarked;
     flush_between;
-    double_buffered = SSet.elements marked;
     precopied = SSet.elements precopied;
   }
 
@@ -277,7 +275,7 @@ let compile rt ({ body; _ } as k) env ~over =
   in
   let swap_targets =
     if lcm then []
-    else List.map agg (List.sort_uniq compare d.double_buffered)
+    else List.map agg d.marked_aggs
   in
   let precopy_targets = if lcm then [] else List.map agg d.precopied in
   fun ?(iter = 0) () ->
@@ -378,7 +376,7 @@ let pp_decision ppf d =
     (String.concat ", " d.marked_aggs)
     (String.concat ", " d.unmarked_aggs)
     d.flush_between
-    (String.concat ", " d.double_buffered)
+    (String.concat ", " d.marked_aggs)
     (String.concat ", " d.precopied)
 
 let pp_compiled rt ppf ({ name; body } as k) =
@@ -400,9 +398,9 @@ let pp_compiled rt ppf ({ name; body } as k) =
       d.precopied;
     Format.fprintf ppf "void %s(...) parallel {@." name;
     Format.fprintf ppf "  /* reads from old copies of: %s */@."
-      (String.concat ", " d.double_buffered);
+      (String.concat ", " d.marked_aggs);
     List.iter (pp_stmt 2 ppf) body;
     Format.fprintf ppf "}@.";
     List.iter
       (fun a -> Format.fprintf ppf "/* runtime: swap(%s, %s_new) */@." a a)
-      d.double_buffered
+      d.marked_aggs

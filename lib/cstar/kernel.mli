@@ -76,15 +76,13 @@ type decision = {
       (** true iff an invocation may read elements of an aggregate that
           another invocation on the same node wrote — flush_copies must
           separate invocations *)
-  double_buffered : string list;
-      (** under explicit copying: aggregates needing the two-copy scheme
-          (read old / write new / swap) *)
   precopied : string list;
-      (** under explicit copying: double-buffered aggregates whose
-          elements are not all provably written each call, so every value
-          must be conservatively copied to the new buffer first (the
-          expensive case the paper's Threshold avoids by writing every
-          element by hand) *)
+      (** under explicit copying, which double-buffers every marked
+          aggregate (read old / write new / swap): those whose elements
+          are not all provably written each call, so every value must be
+          conservatively copied to the new buffer first (the expensive
+          case the paper's Threshold avoids by writing every element by
+          hand) *)
 }
 
 val analyze : t -> decision

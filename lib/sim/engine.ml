@@ -184,10 +184,6 @@ let run_event e ev =
 let run_thunk f _ _ = f ()
 let schedule e ?owner ~at f = schedule_call e ?owner ~at run_thunk f 0 0
 
-let after e ~delay f =
-  let delay = max 0 delay in
-  schedule e ~at:(e.now + delay) f
-
 let set_choice_hook e hook = e.chooser <- hook
 
 (* Budget enforcement happens before the event is popped, so a raise leaves

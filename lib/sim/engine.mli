@@ -72,10 +72,6 @@ val schedule : t -> ?owner:int -> at:int -> (unit -> unit) -> unit
     allocation — cold paths (timers, tests) only.
     @raise Invalid_argument if [at] is in the past. *)
 
-val after : t -> delay:int -> (unit -> unit) -> unit
-(** [after e ~delay f] is [schedule e ~at:(now e + delay) f].
-    A negative [delay] is treated as 0. *)
-
 val set_stall_limit : t -> int option -> unit
 (** Arm ([Some limit]) or disarm ([None]) the quiescence watchdog; arming
     also counts as progress.  While armed, {!step} raises {!Stalled} once

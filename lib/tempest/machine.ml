@@ -80,18 +80,10 @@ and t = {
   h_handler_runs : Stats.Handle.counter;
   h_fetch_local : Stats.Handle.counter;
   h_fetch_remote : Stats.Handle.counter;
-  mutable home_backing : bool;
-      (* install the home node's master-aliasing backing line on first
-         master creation (directory protocols); bus protocols disable
-         this so home nodes take the bus like everyone else *)
+  mutable proto : protocol;
   mutable m_epoch : int;
   mutable m_phase : [ `Sequential | `Parallel ];
   mutable m_active_fibers : int;
-  mutable read_fault : node -> addr:int -> retry:(unit -> unit) -> unit;
-  mutable write_fault : node -> addr:int -> retry:(unit -> unit) -> unit;
-  mutable on_directive : node -> Memeff.dir -> retry:(unit -> unit) -> unit;
-  mutable on_evict : node -> int -> line -> unit;
-  mutable on_read_hit : (node -> int -> line -> unit) option;
   m_yield_h : (unit, unit) Effect.Deep.continuation -> int -> int -> unit;
       (* preallocated engine-event handler for yield resumption:
          payload = the fiber's continuation, i1 = resume time, i2 = node
@@ -118,7 +110,27 @@ and msg_cell = {
 
 and handler = Lcm_mem.Block.t -> node -> int -> int -> int -> unit
 
+and protocol = {
+  read_fault : node -> addr:int -> retry:(unit -> unit) -> unit;
+  write_fault : node -> addr:int -> retry:(unit -> unit) -> unit;
+  directive : node -> Memeff.dir -> retry:(unit -> unit) -> unit;
+  evict : node -> int -> line -> unit;
+  read_hit : (node -> int -> line -> unit) option;
+  home_backing : bool;
+}
+
 let no_handler _ = failwith "Machine: no protocol handler registered"
+
+(* What a machine runs until [install]. *)
+let no_protocol =
+  {
+    read_fault = (fun _ ~addr:_ ~retry:_ -> no_handler ());
+    write_fault = (fun _ ~addr:_ ~retry:_ -> no_handler ());
+    directive = (fun _ _ ~retry:_ -> no_handler ());
+    evict = (fun _ _ _ -> no_handler ());
+    read_hit = None;
+    home_backing = true;
+  }
 
 let no_data : Lcm_mem.Block.t = [||]
 
@@ -166,7 +178,6 @@ let set_phase t p = t.m_phase <- p
 
 let id n = n.node_id
 let clock n = n.node_clock
-let set_clock n c = n.node_clock <- c
 let advance_clock n d = n.node_clock <- n.node_clock + d
 
 let[@inline] find_line n b =
@@ -250,7 +261,7 @@ let evict_one t n h =
   | None -> () (* nothing evictable: over-capacity with home lines only *)
   | Some (b, line) ->
     Stats.Handle.incr t.h_evictions;
-    t.on_evict n b line;
+    t.proto.evict n b line;
     note_clean_copy_gone t line;
     Itbl.remove n.lines b;
     invalidate_lookaside n b
@@ -313,7 +324,7 @@ let master t b =
            / Lcm_mem.Gmem.words_per_block t.m_gmem));
     let data = Lcm_mem.Block.make ~words:(Lcm_mem.Gmem.words_per_block t.m_gmem) in
     Itbl.add t.masters b data;
-    (if t.home_backing then begin
+    (if t.proto.home_backing then begin
        let home = t.m_nodes.(Lcm_mem.Gmem.home_of_block t.m_gmem b) in
        (* The home's backing line aliases the master copy and starts
           writable: memory is born coherent and home-owned. *)
@@ -341,15 +352,14 @@ let tracef t ~time fmt =
   | Some tr -> Printf.ksprintf (Trace.record tr ~time) fmt
   | None -> Printf.ikfprintf ignore () fmt
 
-let set_home_backing t enabled = t.home_backing <- enabled
+let trace_directive n name =
+  trace_emit n.machine ~time:n.node_clock
+    (Trace.Directive { node = n.node_id; name })
 
-let set_handlers t ~read_fault ~write_fault ~directive =
-  t.read_fault <- read_fault;
-  t.write_fault <- write_fault;
-  t.on_directive <- directive
+let install t p = t.proto <- p
 
-let set_evict_handler t f = t.on_evict <- f
-let set_read_observer t f = t.on_read_hit <- f
+let ctrl_words = 2
+let data_words t = Lcm_mem.Gmem.words_per_block t.m_gmem + ctrl_words
 
 (* The network layer records Msg_send/Msg_recv; the receive handler
    records the protocol-processor occupancy interval the message induces.
@@ -431,7 +441,7 @@ open Effect.Deep
 let[@inline] hit_load t n b off line =
   touch n b line;
   hw_access t n b;
-  (match t.on_read_hit with Some f -> f n b line | None -> ());
+  (match t.proto.read_hit with Some f -> f n b line | None -> ());
   line.data.(off)
 
 (* A write into an LCM copy records the word for reconcile. *)
@@ -457,8 +467,8 @@ let fault t n kind addr b retry =
     (Trace.Fault { kind; node = n.node_id; addr; block = b });
   n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.fault_trap;
   match kind with
-  | Trace.Read -> t.read_fault n ~addr ~retry
-  | Trace.Write -> t.write_fault n ~addr ~retry
+  | Trace.Read -> t.proto.read_fault n ~addr ~retry
+  | Trace.Write -> t.proto.write_fault n ~addr ~retry
 
 let rec do_load t n addr (k : (int, unit) continuation) =
   let b = Lcm_mem.Gmem.block_of_addr t.m_gmem addr in
@@ -613,7 +623,7 @@ let make_node t ~capacity_blocks ~hw_cache_blocks i =
         Some
           (fun k ->
             clear_cur ();
-            t.on_directive n n.sc_dir ~retry:(fun () ->
+            t.proto.directive n n.sc_dir ~retry:(fun () ->
                 set_cur n;
                 continue k ()));
     }
@@ -658,15 +668,10 @@ let create ?(costs = Lcm_sim.Costs.default)
       h_handler_runs = Stats.counter stats "proto.handler_runs";
       h_fetch_local = Stats.counter stats "proto.fetch_local";
       h_fetch_remote = Stats.counter stats "proto.fetch_remote";
-      home_backing = true;
+      proto = no_protocol;
       m_epoch = 0;
       m_phase = `Sequential;
       m_active_fibers = 0;
-      read_fault = (fun _ ~addr:_ ~retry:_ -> no_handler ());
-      write_fault = (fun _ ~addr:_ ~retry:_ -> no_handler ());
-      on_directive = (fun _ _ ~retry:_ -> no_handler ());
-      on_evict = (fun _ _ _ -> no_handler ());
-      on_read_hit = None;
       m_yield_h =
         (fun k at nid ->
           let n = m.m_nodes.(nid) in

@@ -12,9 +12,9 @@
 
     Computation runs as fibers (OCaml effect handlers).  Loads and stores
     check the local tag: a hit resumes immediately; a violation charges the
-    fault-trap cost and calls the protocol hook registered with
-    {!set_handlers}, passing a [retry] thunk that re-executes the access
-    once the protocol has installed an acceptable copy.
+    fault-trap cost and calls the fault handler of the {!protocol} given to
+    {!install}, passing a [retry] thunk that re-executes the access once
+    the protocol has installed an acceptable copy.
 
     Suspending a faulting access is Tempest's job, not the protocol's: a
     protocol {!park}s the retry on the block it needs, requests the block
@@ -86,7 +86,6 @@ val set_phase : t -> [ `Sequential | `Parallel ] -> unit
 
 val id : node -> int
 val clock : node -> int
-val set_clock : node -> int -> unit
 val advance_clock : node -> int -> unit
 
 (** {1 Block tables (protocol side)} *)
@@ -94,46 +93,53 @@ val advance_clock : node -> int -> unit
 val master : t -> Lcm_mem.Gmem.block -> Lcm_mem.Block.t
 (** [master t b] is the master copy of block [b], created zero-filled on
     first use.  Also installs the home node's writable backing line if not
-    present. *)
-
-val set_home_backing : t -> bool -> unit
-(** Whether {!master} installs the home node's master-aliasing writable
-    backing line on first creation (default [true] — directory protocols
-    rely on it; see DESIGN.md §3).  Bus-snooping protocols disable it at
-    install so home-node accesses fault and take the bus like everyone
-    else's.  Flip it before any block is touched. *)
+    present, when the protocol's [home_backing] asks for it. *)
 
 val find_line : node -> Lcm_mem.Gmem.block -> line option
 
 val install_line :
   node -> Lcm_mem.Gmem.block -> data:Lcm_mem.Block.t -> tag:Tag.t -> line
-(** Install (or overwrite) a cached copy.  May trigger an LRU eviction via
-    the hook registered with {!set_evict_handler} when the node's capacity
-    is bounded. *)
+(** Install (or overwrite) a cached copy.  May trigger an LRU eviction
+    through the protocol's [evict] handler when the node's capacity is
+    bounded. *)
 
 val drop_line : node -> Lcm_mem.Gmem.block -> unit
 
-(** {1 Protocol hooks} *)
+(** {1 The protocol} *)
 
-val set_handlers :
-  t ->
-  read_fault:(node -> addr:int -> retry:(unit -> unit) -> unit) ->
-  write_fault:(node -> addr:int -> retry:(unit -> unit) -> unit) ->
-  directive:(node -> Memeff.dir -> retry:(unit -> unit) -> unit) ->
-  unit
+type protocol = {
+  read_fault : node -> addr:int -> retry:(unit -> unit) -> unit;
+      (** a load missed: install a readable copy, then run [retry] *)
+  write_fault : node -> addr:int -> retry:(unit -> unit) -> unit;
+      (** a store or read-modify-write missed: install a writable copy,
+          then run [retry] *)
+  directive : node -> Memeff.dir -> retry:(unit -> unit) -> unit;
+      (** a fiber issued a memory-system directive; [retry] resumes it *)
+  evict : node -> Lcm_mem.Gmem.block -> line -> unit;
+      (** capacity pressure is about to evict this line: write back or
+          notify the home as needed.  The line leaves the table after the
+          handler returns. *)
+  read_hit : (node -> Lcm_mem.Gmem.block -> line -> unit) option;
+      (** observe loads that {e hit} a readable local line (faulting
+          loads already reach [read_fault]).  Race detection needs it:
+          the home's backing line is always readable, so home reads never
+          fault.  [None] keeps the hit path observer-free. *)
+  home_backing : bool;
+      (** whether {!master} installs the home node's master-aliasing
+          writable backing line when it creates a master copy (directory
+          protocols rely on it, see DESIGN.md §3); bus protocols turn it
+          off so home-node accesses take the bus like everyone else's *)
+}
+(** A coherence protocol as Tempest runs it: the user-level handlers for
+    an access fault, a directive and an eviction, plus how home memory
+    is backed.  Messages reach the protocol through the {!handler} each
+    {!send} carries. *)
 
-val set_evict_handler : t -> (node -> Lcm_mem.Gmem.block -> line -> unit) -> unit
-(** Called when a line is about to be evicted by capacity pressure; the
-    protocol must write back / notify home as needed.  The line is removed
-    from the table after the handler returns. *)
-
-val set_read_observer :
-  t -> (node -> Lcm_mem.Gmem.block -> line -> unit) option -> unit
-(** Observe loads that {e hit} a readable local line (faulting loads
-    already reach the protocol through [read_fault]).  Needed for race
-    detection: the home node's backing line is always readable, so home
-    reads never fault and would otherwise be invisible to the protocol.
-    [None] (the default) keeps the hit path observer-free. *)
+val install : t -> protocol -> unit
+(** [install t p] makes [p] the machine's protocol.  Until then every
+    hook fails with [Failure "Machine: no protocol handler registered"]
+    and home backing is on.  Install before any block is touched:
+    [home_backing] acts when a master copy is first created. *)
 
 (** {1 Messaging} *)
 
@@ -147,6 +153,14 @@ type handler = Lcm_mem.Block.t -> node -> int -> int -> int -> unit
 
 val no_data : Lcm_mem.Block.t
 (** The empty payload, for messages that carry no block. *)
+
+val ctrl_words : int
+(** The size in words of a message that carries no block: a request, an
+    invalidation, an acknowledgement. *)
+
+val data_words : t -> int
+(** The size in words of a message that carries one block: the block's
+    words plus {!ctrl_words}. *)
 
 val send :
   t ->
@@ -230,7 +244,11 @@ val trace_events : t -> (int * Lcm_sim.Trace.event) list
 
 val trace_emit : t -> time:int -> Lcm_sim.Trace.event -> unit
 (** Record a typed event (no-op when tracing is off); protocol layers use
-    this to annotate barriers, directives and epochs. *)
+    this to annotate barriers and epochs. *)
+
+val trace_directive : node -> string -> unit
+(** [trace_directive n name] records that node [n] issued the directive
+    [name], at its clock (no-op when tracing is off). *)
 
 val tracef :
   t -> time:int -> ('a, unit, string, unit) format4 -> 'a

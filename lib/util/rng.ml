@@ -2,8 +2,6 @@ type t = { mutable state : int64 }
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 finaliser (Steele, Lea & Flood 2014). *)
@@ -15,10 +13,6 @@ let mix z =
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
-
-let split t =
-  let seed = bits64 t in
-  { state = seed }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

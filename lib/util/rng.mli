@@ -11,14 +11,6 @@ val create : seed:int -> t
 (** [create ~seed] is a generator whose stream is fully determined by
     [seed]. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator starting from [t]'s current
-    state. *)
-
-val split : t -> t
-(** [split t] derives a new, statistically independent generator from [t],
-    advancing [t].  Useful for giving each simulated node its own stream. *)
-
 val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output. *)
 

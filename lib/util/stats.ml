@@ -101,32 +101,6 @@ let counters s = written s.counters
 
 let gauges s = written s.gauges
 
-(* Gauges live in their own table: a gauge is a high-water mark, not an
-   accumulation, so merging runs takes the max — summing would report
-   impossible peaks. *)
-let merge_into ~dst src =
-  (* Merging a registry into itself would double-count every counter and
-     mutate the sample records mid-iteration; it can only arise by
-     accident, so make it an explicit no-op. *)
-  if dst != src then begin
-    Hashtbl.iter
-      (fun name c -> if c.written then Handle.add (counter dst name) c.v)
-      src.counters;
-    Hashtbl.iter
-      (fun name c -> if c.written then Handle.set_max (gauge dst name) c.v)
-      src.gauges;
-    Hashtbl.iter
-      (fun name (r : sample) ->
-        if r.count > 0 then begin
-          let d = sample dst name in
-          d.count <- d.count + r.count;
-          d.sum <- d.sum +. r.sum;
-          if r.min < d.min then d.min <- r.min;
-          if r.max > d.max then d.max <- r.max
-        end)
-      src.samples
-  end
-
 let pp ppf s =
   List.iter (fun (name, v) -> Format.fprintf ppf "%s = %d@." name v) (counters s);
   List.iter

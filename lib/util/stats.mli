@@ -5,8 +5,7 @@
     network and the runtime all bump counters through it, and the harness
     reads them out to build the paper's tables.  Counters accumulate by
     addition; {e gauges} are high-water marks written with
-    {!Handle.set_max} and kept in a separate table so that merging two
-    registries takes their [max] instead of (nonsensically) summing peaks.
+    {!Handle.set_max} and listed apart from the counters.
 
     {b One write path.}  A writer resolves a {{!Handle}handle} once
     ({!counter}, {!gauge}, {!sample}) and updates through it in O(1) with
@@ -71,12 +70,6 @@ type summary = { count : int; mean : float; min : float; max : float }
 val samples : t -> (string * summary) list
 (** All {e observed} series, summarized, sorted by name; series that were
     never observed (e.g. only resolved as handles) are omitted. *)
-
-val merge_into : dst:t -> t -> unit
-(** [merge_into ~dst src] adds every counter and every sample of [src]
-    into [dst], and raises each of [dst]'s gauges to [src]'s value where
-    larger.  When [dst == src] this is a checked no-op — self-merging
-    would double-count counters and corrupt samples mid-iteration. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render all counters, then all gauges, then all samples

@@ -85,26 +85,29 @@ let test_scenarios_exhaust_all_policies () =
          (fun (p : Policy.t) ->
            ( p.Policy.name,
              fun () ->
-               Check.check_scenarios ~max_schedules:2_000 ~policy:p
-                 (Check.scenarios ~policy:p) ))
+               List.map
+                 (fun (label, prog) ->
+                   ( label,
+                     fst (Check.explore ~label ~max_schedules:2_000 prog) ))
+                 (Result.get_ok (Check.configs ~policy:p ())) ))
          Policy.policies)
   in
   let results = Fleet.Pool.run ~jobs:2 ~budget cells in
   Array.iter
     (fun (r : _ Fleet.cell_result) ->
       match r.Fleet.outcome with
-      | Fleet.Done reports ->
+      | Fleet.Done outcomes ->
         List.iter
-          (fun (rep : Check.report) ->
-            match rep.Check.rep_outcome with
+          (fun (label, outcome) ->
+            match outcome with
             | Check.Exhausted -> ()
             | Check.Capped ->
               Alcotest.failf "%s %s: capped, expected exhausted" r.Fleet.label
-                rep.Check.rep_label
+                label
             | Check.Found v ->
-              Alcotest.failf "%s %s: violation:\n%s" r.Fleet.label
-                rep.Check.rep_label v.Check.v_report)
-          reports
+              Alcotest.failf "%s %s: violation:\n%s" r.Fleet.label label
+                v.Check.v_report)
+          outcomes
       | Fleet.Failed { exn; _ } ->
         Alcotest.failf "%s: raised %s" r.Fleet.label exn
       | Fleet.Timed_out _ ->
@@ -225,7 +228,7 @@ let test_violation_shrinks_and_replays () =
     in
     Alcotest.(check bool) "report is a spec divergence" true
       (contains v.Check.v_report "spec expects");
-    let v = Check.shrink_violation ~max_explore_schedules:50 ~max_tries:50 v in
+    let v = Check.shrink_violation v in
     (* the shrunk program still contains the offending accum and nothing
        about it is schedule-dependent, so the schedule minimizes away *)
     Alcotest.(check (list int)) "schedule minimized" [] v.Check.v_schedule;
@@ -236,7 +239,7 @@ let test_violation_shrinks_and_replays () =
     | Error _ -> ()
     | Ok () -> Alcotest.fail "shrunk counterexample no longer replays");
     (* counterexample artifacts: a traced replay renders through Traceview *)
-    let _, events = Check.replay ~trace:true ~schedule:[] v.Check.v_prog in
+    let _, events = Check.replay ~schedule:[] v.Check.v_prog in
     if events <> [] then begin
       if not (Sys.file_exists "out") then Sys.mkdir "out" 0o755;
       let path = "out/test-check-counterexample.trace.json" in
@@ -279,35 +282,73 @@ let test_labels_resolve () =
     Format.asprintf "seed=%d case=%d %a" p.Stress.seed p.Stress.case
       Stress.pp_prog p
   in
+  let resolve ~policy label =
+    match Check.configs ~scenario:label ~policy () with
+    | Ok [ config ] -> Some config
+    | Ok _ | Error _ -> None
+  in
   List.iter
     (fun (policy : Policy.t) ->
       let fixed = Check.scenarios ~policy in
-      let reports =
-        Check.check_scenarios ~max_schedules:1 ~random:2 ~policy fixed
-      in
-      let explored =
-        List.map (fun (name, prog) -> (Some name, prog)) fixed
-        @ List.init 2 (fun case -> (None, Check.gen_micro ~seed:0 ~case ~policy))
-      in
-      List.iter2
-        (fun (r : Check.report) (name, prog) ->
-          let what = policy.Policy.name ^ " " ^ r.Check.rep_label in
-          (match Check.resolve ~policy r.Check.rep_label with
-          | Some (label, resolved) ->
-            Alcotest.(check string) (what ^ ": label") r.Check.rep_label label;
+      let configs = Result.get_ok (Check.configs ~random:2 ~policy ()) in
+      Alcotest.(check (list string))
+        (policy.Policy.name ^ ": labels, in order")
+        (List.map (fun (name, _) -> "scenario:" ^ name) fixed
+        @ [ "micro:seed=0:case=0"; "micro:seed=0:case=1" ])
+        (List.map fst configs);
+      List.iteri
+        (fun i (label, prog) ->
+          let what = policy.Policy.name ^ " " ^ label in
+          (match resolve ~policy label with
+          | Some (label', resolved) ->
+            Alcotest.(check string) (what ^ ": label") label label';
             Alcotest.(check string) (what ^ ": program") (render prog)
               (render resolved)
           | None -> Alcotest.failf "%s: does not resolve" what);
           Option.iter
-            (fun name ->
+            (fun (name, fixed_prog) ->
+              Alcotest.(check string) (what ^ ": fixed program")
+                (render fixed_prog) (render prog);
               Alcotest.(check (option string)) (what ^ ": bare name")
-                (Some r.Check.rep_label)
-                (Option.map fst (Check.resolve ~policy name)))
-            name)
-        reports explored)
+                (Some label)
+                (Option.map fst (resolve ~policy name)))
+            (List.nth_opt fixed i))
+        configs)
     Policy.policies;
   Alcotest.(check bool) "unknown label" true
-    (Check.resolve ~policy:Policy.stache "micro:seed=0" = None)
+    (Result.is_error
+       (Check.configs ~scenario:"micro:seed=0" ~policy:Policy.stache ()))
+
+(* A bus grant is the one event with no owner ([Bus.transact] passes no
+   [~owner]): its footprint is every cache.  Here node 1's yield resume
+   ties node 0's bus grant at cycle 167 (50 trap + 1 op + 116 bus
+   occupancy), so the reduction must treat the unknown owner as a
+   conflict and explore the second order too. *)
+let test_ownerless_tie_branches () =
+  List.iter
+    (fun (policy : Policy.t) ->
+      let prog =
+        {
+          (bad_prog ()) with
+          policy;
+          nblocks = 2;
+          init = [];
+          segments =
+            [
+              Stress.Parallel
+                [|
+                  [ Stress.Load 2 ];
+                  [ Stress.Work 167; Stress.Yield; Stress.Load 0 ];
+                |];
+            ];
+        }
+      in
+      match Check.explore prog with
+      | Check.Exhausted, st ->
+        Alcotest.(check int) (policy.Policy.name ^ ": schedules") 2
+          st.Check.schedules
+      | _ -> Alcotest.failf "%s: not exhausted" policy.Policy.name)
+    [ Policy.msi; Policy.mesi; Policy.moesi ]
 
 let () =
   Alcotest.run "lcm_check"
@@ -328,6 +369,7 @@ let () =
            test_por_agrees_with_full_enumeration);
           ("exploration deterministic", `Quick, test_exploration_deterministic);
           ("exploration pinned", `Quick, test_exploration_pinned);
+          ("owner-less tie branches", `Quick, test_ownerless_tie_branches);
         ] );
       ( "counterexample",
         [

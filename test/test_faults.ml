@@ -141,7 +141,7 @@ let test_engine_stall_watchdog () =
      must trip the watchdog deterministically instead of running forever *)
   let e = Engine.create () in
   Engine.set_stall_limit e (Some 100);
-  let rec tick () = Engine.after e ~delay:40 tick in
+  let rec tick () = Engine.schedule e ~at:(Engine.now e + 40) tick in
   tick ();
   (try
      Engine.run e;
@@ -159,7 +159,7 @@ let test_engine_stall_watchdog () =
   let rec tick () =
     incr n;
     if !n mod 50 = 0 then Engine.notify_progress e;
-    if !n < 200 then Engine.after e ~delay:40 tick
+    if !n < 200 then Engine.schedule e ~at:(Engine.now e + 40) tick
   in
   tick ();
   Engine.run e;

@@ -230,10 +230,13 @@ let test_wall_clock_guard () =
     [|
       ( "spinner",
         fun () ->
-          let e = Lcm_sim.Engine.create () in
-          let rec respawn () = Lcm_sim.Engine.after e ~delay:1 respawn in
-          Lcm_sim.Engine.after e ~delay:1 respawn;
-          Lcm_sim.Engine.run e );
+          let module Engine = Lcm_sim.Engine in
+          let e = Engine.create () in
+          let rec respawn () =
+            Engine.schedule e ~at:(Engine.now e + 1) respawn
+          in
+          respawn ();
+          Engine.run e );
     |]
   in
   let budget = Fleet.Budget.make ~wall_s:0.05 () in

@@ -80,7 +80,6 @@ let test_analyze_stencil () =
   Alcotest.(check (list string)) "A is marked" [ "A" ] d.K.marked_aggs;
   Alcotest.(check (list string)) "nothing unmarked" [] d.K.unmarked_aggs;
   Alcotest.(check bool) "flush between invocations" true d.K.flush_between;
-  Alcotest.(check (list string)) "A double-buffered" [ "A" ] d.K.double_buffered;
   (* both branches assign A[self][self], so no pre-copy is needed *)
   Alcotest.(check (list string)) "no pre-copy" [] d.K.precopied
 

@@ -29,7 +29,7 @@ let test_engine_cascading () =
   let hits = ref 0 in
   let rec chain n =
     if n > 0 then
-      Engine.after e ~delay:3 (fun () ->
+      Engine.schedule e ~at:(Engine.now e + 3) (fun () ->
           incr hits;
           chain (n - 1))
   in
@@ -39,16 +39,9 @@ let test_engine_cascading () =
   Alcotest.(check int) "time accumulates" 15 (Engine.now e);
   Alcotest.(check int) "processed" 5 (Engine.events_processed e)
 
-let test_engine_negative_delay_clamped () =
-  let e = Engine.create () in
-  let fired = ref false in
-  Engine.after e ~delay:(-10) (fun () -> fired := true);
-  Engine.run e;
-  Alcotest.(check bool) "fired at now" true !fired
-
 let test_engine_limit () =
   let e = Engine.create () in
-  let rec forever () = Engine.after e ~delay:1 forever in
+  let rec forever () = Engine.schedule e ~at:(Engine.now e + 1) forever in
   forever ();
   Alcotest.(check bool) "limit trips" true
     (try
@@ -83,7 +76,7 @@ let test_stalled_charges_no_budget () =
       let e = Engine.create () in
       Engine.set_stall_limit e (Some 5);
       (* a livelock: one event per cycle, none of them progress *)
-      let rec tick () = Engine.after e ~delay:1 tick in
+      let rec tick () = Engine.schedule e ~at:(Engine.now e + 1) tick in
       tick ();
       let got =
         try
@@ -342,7 +335,7 @@ let prop_engine_now_never_decreases =
       let last = ref 0 in
       List.iter
         (fun d ->
-          Engine.after e ~delay:d (fun () ->
+          Engine.schedule e ~at:d (fun () ->
               if Engine.now e < !last then ok := false;
               last := Engine.now e))
         delays;
@@ -358,7 +351,6 @@ let () =
           ("ordering", `Quick, test_engine_ordering);
           ("past rejected", `Quick, test_engine_past_rejected);
           ("cascading", `Quick, test_engine_cascading);
-          ("negative delay", `Quick, test_engine_negative_delay_clamped);
           ("event limit", `Quick, test_engine_limit);
           ("event limit exact", `Quick, test_engine_limit_exact);
           ("stall charges no budget", `Quick, test_stalled_charges_no_budget);

@@ -22,8 +22,9 @@ let send m ~src ~dst ~words ~tag ~at k =
 
 (* A minimal protocol: requester sends a request to home, home replies with a
    copy of the master, requester installs it writable and retries.  Writes
-   are never sent home — the test protocol is incoherent on purpose. *)
-let install_test_protocol m =
+   are never sent home and evicted copies are dropped silently — the test
+   protocol is incoherent on purpose. *)
+let test_protocol m : Machine.protocol =
   let gmem = Machine.gmem m in
   let costs = Machine.costs m in
   let fetch node ~addr ~retry =
@@ -41,16 +42,63 @@ let install_test_protocol m =
             Machine.resume requester ~now ~cost:costs.Lcm_sim.Costs.block_install
               retry))
   in
-  Machine.set_handlers m ~read_fault:fetch ~write_fault:fetch
-    ~directive:(fun _ _ ~retry -> retry ())
+  {
+    read_fault = fetch;
+    write_fault = fetch;
+    directive = (fun _ _ ~retry -> retry ());
+    evict = (fun _ _ _ -> ());
+    read_hit = None;
+    home_backing = true;
+  }
+
+(* A protocol that never resumes a faulting access. *)
+let never_resumes m =
+  {
+    (test_protocol m) with
+    read_fault = (fun _ ~addr:_ ~retry:_ -> ());
+    write_fault = (fun _ ~addr:_ ~retry:_ -> ());
+  }
 
 let mk ?capacity_blocks ?(nnodes = 4) () =
   let m =
     Machine.create ?capacity_blocks ~nnodes ~words_per_block:8
       ~topology:Lcm_net.Topology.Crossbar ()
   in
-  install_test_protocol m;
+  Machine.install m (test_protocol m);
   m
+
+(* Until [install] home backing is on and every hook fails.  After it,
+   home backing is the protocol's choice: with it the home node's first
+   load hits its backing line, without it that load faults like any
+   other node's. *)
+let test_install_contract () =
+  let fresh () =
+    let m =
+      Machine.create ~nnodes:2 ~words_per_block:8
+        ~topology:Lcm_net.Topology.Crossbar ()
+    in
+    (m, Lcm_mem.Gmem.alloc (Machine.gmem m) ~dist:(Lcm_mem.Gmem.On 0) ~nwords:8)
+  in
+  let load m nid a =
+    Machine.spawn m (Machine.node m nid) (fun () -> ignore (Memeff.load a));
+    Machine.run_to_quiescence m;
+    Lcm_util.Stats.get (Machine.stats m) "fault.read"
+  in
+  let m, a = fresh () in
+  Alcotest.(check int) "before install: the home's first load hits" 0
+    (load m 0 a);
+  Alcotest.check_raises "before install: a miss fails"
+    (Failure "Machine: no protocol handler registered")
+    (fun () -> ignore (load m 1 a));
+  List.iter
+    (fun (home_backing, faults) ->
+      let m, a = fresh () in
+      Machine.install m { (test_protocol m) with home_backing };
+      Alcotest.(check int)
+        (Printf.sprintf "home_backing %b: the home's first load, fault.read"
+           home_backing)
+        faults (load m 0 a))
+    [ (true, 0); (false, 1) ]
 
 let test_fiber_completes_without_memory () =
   let m = mk () in
@@ -130,9 +178,12 @@ let test_one_fault_path () =
              ~tag:Tag.Writable);
         retry ()
       in
-      Machine.set_handlers m ~read_fault:(hook Lcm_sim.Trace.Read)
-        ~write_fault:(hook Lcm_sim.Trace.Write)
-        ~directive:(fun _ _ ~retry -> retry ());
+      Machine.install m
+        {
+          (test_protocol m) with
+          read_fault = hook Lcm_sim.Trace.Read;
+          write_fault = hook Lcm_sim.Trace.Write;
+        };
       Machine.spawn m (Machine.node m 0) (fun () -> access addr);
       Machine.run_to_quiescence m;
       let count name = Lcm_util.Stats.get (Machine.stats m) name in
@@ -229,15 +280,19 @@ let test_many_fibers_interleave () =
 let test_directive_dispatch () =
   let m = mk () in
   let hits = ref [] in
-  Machine.set_handlers m
-    ~read_fault:(fun _ ~addr:_ ~retry -> retry ())
-    ~write_fault:(fun _ ~addr:_ ~retry -> retry ())
-    ~directive:(fun node d ~retry ->
-      (match d with
-      | Memeff.Mark_modification a -> hits := ("mark", Machine.id node, a) :: !hits
-      | Memeff.Flush_copies -> hits := ("flush", Machine.id node, -1) :: !hits
-      | _ -> ());
-      retry ());
+  Machine.install m
+    {
+      (test_protocol m) with
+      directive =
+        (fun node d ~retry ->
+          (match d with
+          | Memeff.Mark_modification a ->
+            hits := ("mark", Machine.id node, a) :: !hits
+          | Memeff.Flush_copies ->
+            hits := ("flush", Machine.id node, -1) :: !hits
+          | _ -> ());
+          retry ());
+    };
   Machine.spawn m (Machine.node m 2) (fun () ->
       Memeff.directive (Memeff.Mark_modification 40);
       Memeff.directive Memeff.Flush_copies);
@@ -248,7 +303,11 @@ let test_directive_dispatch () =
 let test_capacity_eviction () =
   let m = mk ~capacity_blocks:2 () in
   let evicted = ref [] in
-  Machine.set_evict_handler m (fun _node b _line -> evicted := b :: !evicted);
+  Machine.install m
+    {
+      (test_protocol m) with
+      evict = (fun _node b _line -> evicted := b :: !evicted);
+    };
   let gmem = Machine.gmem m in
   (* all blocks homed on node 1; node 0 caches them under capacity 2 *)
   let a = Lcm_mem.Gmem.alloc gmem ~dist:(Lcm_mem.Gmem.On 1) ~nwords:(8 * 4) in
@@ -264,7 +323,6 @@ let test_capacity_eviction () =
 
 let test_home_lines_not_evicted () =
   let m = mk ~capacity_blocks:1 () in
-  Machine.set_evict_handler m (fun _ _ _ -> ());
   let gmem = Machine.gmem m in
   let local = Lcm_mem.Gmem.alloc gmem ~dist:(Lcm_mem.Gmem.On 0) ~nwords:(8 * 3) in
   Machine.spawn m (Machine.node m 0) (fun () ->
@@ -283,11 +341,7 @@ let test_deadlock_detected () =
   let m =
     Machine.create ~nnodes:2 ~words_per_block:8 ~topology:Lcm_net.Topology.Crossbar ()
   in
-  (* a protocol that never resumes *)
-  Machine.set_handlers m
-    ~read_fault:(fun _ ~addr:_ ~retry:_ -> ())
-    ~write_fault:(fun _ ~addr:_ ~retry:_ -> ())
-    ~directive:(fun _ _ ~retry -> retry ());
+  Machine.install m (never_resumes m);
   let gmem = Machine.gmem m in
   let a = Lcm_mem.Gmem.alloc gmem ~dist:(Lcm_mem.Gmem.On 1) ~nwords:8 in
   Machine.spawn m (Machine.node m 0) (fun () -> ignore (Memeff.load a));
@@ -368,7 +422,7 @@ let test_epoch_and_phase () =
 
 let test_clock_utilities () =
   let m = mk () in
-  Machine.set_clock (Machine.node m 1) 500;
+  Machine.advance_clock (Machine.node m 1) 500;
   Machine.advance_clock (Machine.node m 1) 20;
   Alcotest.(check int) "max clock" 520 (Machine.max_clock m);
   Machine.set_all_clocks m 1000;
@@ -396,7 +450,7 @@ let test_handler_occupancy_serializes () =
 let test_resume_clock_semantics () =
   let m = mk () in
   let node = Machine.node m 1 in
-  Machine.set_clock node 50;
+  Machine.advance_clock node 50;
   Machine.resume node ~now:200 ~cost:7 (fun () -> ());
   Alcotest.(check int) "clock jumps to event time + cost" 207 (Machine.clock node);
   Machine.resume node ~now:100 ~cost:3 (fun () -> ());
@@ -430,7 +484,7 @@ let test_park_and_wake () =
   Alcotest.(check (list int)) "parked, sorted"
     (List.sort compare [ local; remote ])
     (Machine.parked node);
-  Machine.set_clock node 50;
+  Machine.advance_clock node 50;
   Machine.wake node local ~now:100;
   let at = 100 + (Machine.costs m).Lcm_sim.Costs.block_install in
   Alcotest.(check (list (pair string int))) "park order, after install"
@@ -450,7 +504,7 @@ let test_hw_cache_charges_misses () =
       Machine.create ?hw_cache_blocks:hw ~nnodes:2 ~words_per_block:8
         ~topology:Lcm_net.Topology.Crossbar ()
     in
-    install_test_protocol m;
+    Machine.install m (test_protocol m);
     let a = Lcm_mem.Gmem.alloc (Machine.gmem m) ~dist:(Lcm_mem.Gmem.On 0) ~nwords:(8 * 4) in
     Machine.spawn m (Machine.node m 0) (fun () ->
         (* two sweeps over 4 blocks: all hit node memory, but a 2-slot
@@ -531,10 +585,7 @@ let test_deadlock_reports_trace () =
     Machine.create ~nnodes:2 ~words_per_block:8 ~topology:Lcm_net.Topology.Crossbar ()
   in
   Machine.enable_trace m;
-  Machine.set_handlers m
-    ~read_fault:(fun _ ~addr:_ ~retry:_ -> ())
-    ~write_fault:(fun _ ~addr:_ ~retry:_ -> ())
-    ~directive:(fun _ _ ~retry -> retry ());
+  Machine.install m (never_resumes m);
   let a = Lcm_mem.Gmem.alloc (Machine.gmem m) ~dist:(Lcm_mem.Gmem.On 1) ~nwords:8 in
   Machine.spawn m (Machine.node m 0) (fun () -> ignore (Memeff.load a));
   Alcotest.(check bool) "failure message has events" true
@@ -555,6 +606,7 @@ let () =
       ("tag", [ ("permissions", `Quick, test_tag_permissions) ]);
       ( "machine",
         [
+          ("install contract", `Quick, test_install_contract);
           ("fiber completes", `Quick, test_fiber_completes_without_memory);
           ("home access hits", `Quick, test_local_home_access_hits);
           ("remote faults+suspends", `Quick, test_remote_access_faults_and_suspends);
