@@ -786,36 +786,39 @@ let check_cmd =
        else "")
       (if v.Check.v_dup then " --dup" else "")
   in
+  (* A label as a file name: every character outside [A-Za-z0-9-]
+     becomes '-', so [micro:seed=0:case=3] gives [micro-seed-0-case-3]. *)
+  let slug =
+    String.map (fun c ->
+        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' -> c | _ -> '-')
+  in
   (* Replay one schedule, traced, and export its events to
-     [out/NAME.trace.json]: the verdict, and the path when the run
-     recorded any event. *)
+     [out/SLUG.trace.json], SLUG being [name] slugged: the verdict, and
+     the path when the run recorded any event. *)
   let replay_traced ~out ~name ~fault_budget ~dup ~schedule prog =
     let verdict, events = Check.replay ~fault_budget ~dup ~schedule prog in
     match events with
     | [] -> (verdict, None)
     | evs ->
       ensure_dir out;
-      let path = Filename.concat out (name ^ ".trace.json") in
+      let path = Filename.concat out (slug name ^ ".trace.json") in
       Traceview.export_file ~path evs;
       (verdict, Some path)
   in
   let write_artifacts ~out ~reproduce (v : Check.violation) =
     ensure_dir out;
-    let slug =
-      String.map
-        (fun c ->
-          match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' -> c | _ -> '-')
-        (Printf.sprintf "%s-%s" v.Check.v_prog.Stress.policy.Lcm_core.Policy.name
-           v.Check.v_label)
+    let name =
+      Printf.sprintf "%s-%s" v.Check.v_prog.Stress.policy.Lcm_core.Policy.name
+        v.Check.v_label
     in
-    let report_path = Filename.concat out (slug ^ ".counterexample.txt") in
+    let report_path = Filename.concat out (slug name ^ ".counterexample.txt") in
     let oc = open_out report_path in
     let ppf = Format.formatter_of_out_channel oc in
     Format.fprintf ppf "%a@." Check.pp_violation v;
     Format.fprintf ppf "reproduce: %s@." reproduce;
     close_out oc;
     let verdict, trace =
-      replay_traced ~out ~name:slug ~fault_budget:v.Check.v_fault_budget
+      replay_traced ~out ~name ~fault_budget:v.Check.v_fault_budget
         ~dup:v.Check.v_dup ~schedule:v.Check.v_schedule v.Check.v_prog
     in
     (match verdict with

@@ -11,7 +11,7 @@ let msg_cost (c : Lcm_sim.Costs.t) = c.msg_fixed + c.handler_occupancy
 let release_time ~costs ~style ~join_times =
   let n = Array.length join_times in
   if n = 0 then invalid_arg "Barrier.release_time: no nodes";
-  let latest = Array.fold_left max 0 join_times in
+  let latest = Array.fold_left Int.max 0 join_times in
   match style with
   | Constant ->
     latest + costs.Lcm_sim.Costs.barrier_base
@@ -27,7 +27,7 @@ let release_time ~costs ~style ~join_times =
     let finish =
       Array.fold_left
         (fun busy arrival ->
-          max busy arrival + costs.Lcm_sim.Costs.handler_occupancy)
+          Int.max busy arrival + costs.Lcm_sim.Costs.handler_occupancy)
         0 arrivals
     in
     (* release broadcast: one message out (the coordinator sends P-1
@@ -44,7 +44,7 @@ let release_time ~costs ~style ~join_times =
         let next =
           Array.init groups (fun g ->
               let lo = g * arity in
-              let hi = min (Array.length times) (lo + arity) in
+              let hi = Int.min (Array.length times) (lo + arity) in
               let worst = ref 0 in
               for i = lo to hi - 1 do
                 if times.(i) > !worst then worst := times.(i)
@@ -60,7 +60,8 @@ let release_time ~costs ~style ~join_times =
 
 let release mach ~style ~join_times ~not_before =
   let release =
-    max not_before (release_time ~costs:(Machine.costs mach) ~style ~join_times)
+    Int.max not_before
+      (release_time ~costs:(Machine.costs mach) ~style ~join_times)
   in
   let wait = Stats.counter (Machine.stats mach) "lcm.barrier_wait_cycles" in
   Array.iter (fun j -> Stats.Handle.add wait (release - j)) join_times;

@@ -618,8 +618,8 @@ let recv_sweep_ack_m t _hnode now b _x =
   let r = reconciling t in
   let home = home_of t b in
   r.inval_acks_left <- r.inval_acks_left - 1;
-  r.last_ack_time <- max r.last_ack_time now;
-  r.done_times.(home) <- max r.done_times.(home) now;
+  r.last_ack_time <- Int.max r.last_ack_time now;
+  r.done_times.(home) <- Int.max r.done_times.(home) now;
   try_finish_reconcile t
 
 (* One sweep invalidation of [b]'s copy at [target], counted in [counter]
@@ -665,7 +665,7 @@ and join_barrier t nid ~now =
   let r = reconciling t in
   t.awaiting_join.(nid) <- false;
   r.joined <- r.joined + 1;
-  r.done_times.(nid) <- max r.done_times.(nid) now;
+  r.done_times.(nid) <- Int.max r.done_times.(nid) now;
   Machine.trace_emit t.mach ~time:now
     (Machine.Trace.Barrier_enter { node = nid });
   if r.joined = Machine.nnodes t.mach then start_sweep t
@@ -723,7 +723,7 @@ and flush_node t node =
 and start_sweep t =
   let r = reconciling t in
   let sweep_time =
-    max (Array.fold_left max 0 r.done_times)
+    Int.max (Array.fold_left Int.max 0 r.done_times)
       (Lcm_sim.Engine.now (Machine.engine t.mach))
   in
   List.iter

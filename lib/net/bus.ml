@@ -46,7 +46,7 @@ let occupancy t ~words =
 
 (* Arbitrate: account the transaction and return its completion cycle. *)
 let arbitrate t ~kind ~at ~words =
-  let grant = max at t.free_at in
+  let grant = Int.max at t.free_at in
   let finish = grant + occupancy t ~words in
   t.free_at <- finish;
   Stats.Handle.incr t.h_transactions;

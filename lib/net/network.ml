@@ -121,7 +121,7 @@ let latency t ~src ~dst ~words =
     + (words * t.costs.Lcm_sim.Costs.msg_per_word)
 
 let transmission_time t ~words =
-  max 1 (words * t.costs.Lcm_sim.Costs.msg_per_word)
+  Int.max 1 (words * t.costs.Lcm_sim.Costs.msg_per_word)
 
 let tag_counter t tag =
   match Hashtbl.find_opt t.tag_counters tag with
@@ -176,7 +176,7 @@ let[@inline] deliver t ~src ~dst ~words ~tag ~lat ~arrival h p x =
 let loopback t ~src ~words ?tag ~at h p x =
   count t ~words tag;
   let lat = t.costs.Lcm_sim.Costs.msg_fixed in
-  let arrival = max (at + lat) (Lcm_sim.Engine.now t.engine) in
+  let arrival = Int.max (at + lat) (Lcm_sim.Engine.now t.engine) in
   deliver t ~src ~dst:src ~words ~tag ~lat ~arrival h p x
 
 (* One physical copy onto the wire: latency, channel occupancy, trace. *)
@@ -192,7 +192,7 @@ let inject t ~src ~dst ~words ~tag ~at h p x =
   let arrival =
     (* The engine cannot schedule into the past; a sender's local clock can
        lag the engine when it reacts to an old event, so clamp. *)
-    max (max raw_arrival earliest) (Lcm_sim.Engine.now t.engine)
+    Int.max (Int.max raw_arrival earliest) (Lcm_sim.Engine.now t.engine)
   in
   let stall = arrival - raw_arrival in
   if stall > 0 then
@@ -223,7 +223,7 @@ let faulty_send t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
        fate — a Dup injects two identical un-jittered copies (channel
        occupancy still spaces them), a Drop loses the copy at the
        sender's interface exactly like an RNG drop. *)
-    let t_decide = max at (Lcm_sim.Engine.now t.engine) in
+    let t_decide = Int.max at (Lcm_sim.Engine.now t.engine) in
     match choose ~src ~dst ~tag with
     | Deliver -> inject t ~src ~dst ~words ~tag ~at h p x
     | Drop -> drop_copy t ~src ~dst ~words ~tag ~t_decide
@@ -236,7 +236,7 @@ let faulty_send t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
      drop2, jit1, jit2) is part of the replay contract — fault patterns
      are a deterministic function of (workload, plan) and the stress
      fingerprints pin them. *)
-  let t_decide = max at (Lcm_sim.Engine.now t.engine) in
+  let t_decide = Int.max at (Lcm_sim.Engine.now t.engine) in
   let down = Faults.link_down plan ~src ~dst ~at:t_decide in
   let drop1 = plan.drop > 0.0 && Rng.float t.frng 1.0 < plan.drop in
   let dup = plan.dup > 0.0 && Rng.float t.frng 1.0 < plan.dup in
@@ -327,14 +327,14 @@ let reliable t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
       match t.trace with
       | Some tr ->
         Lcm_sim.Trace.emit tr
-          ~time:(max at (Lcm_sim.Engine.now t.engine))
+          ~time:(Int.max at (Lcm_sim.Engine.now t.engine))
           (Lcm_sim.Trace.Msg_retx
              { tag = tag_name; src; dst; words; attempt = st.attempt })
       | None -> ()
     end;
     faulty_send t plan ~src ~dst ~words ~tag ~at deliver () 0;
-    let backoff = rto0 lsl min (st.attempt - 1) 16 in
-    let t_check = max at (Lcm_sim.Engine.now t.engine) + backoff in
+    let backoff = rto0 lsl Int.min (st.attempt - 1) 16 in
+    let t_check = Int.max at (Lcm_sim.Engine.now t.engine) + backoff in
     (* owner hint: the retransmission timer lives at the sender *)
     Lcm_sim.Engine.schedule t.engine ~owner:src ~at:t_check (fun () ->
         if st.acked then begin

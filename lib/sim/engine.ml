@@ -124,16 +124,16 @@ type t = {
    event count, far above a phase boundary's burst of non-delivery events. *)
 let stall_min_events = 64
 
-(* The queue's first backing arrays hold 1024 events.  That is more than
-   a small machine needs, and kept on measurement: [Array.make] of a
-   major-heap array whose initial value (the first event) is young runs a
-   minor collection first, so every machine built forces one.  Those
-   collections keep most of OCaml's 2 MB minor heap untouched; a
-   16-event first allocation lets it fill, which raised lcmbench's
-   [check] peak RSS from 6.8 to 8.2 MB (DESIGN §9). *)
+(* The queue starts at the heap's default 16 slots and doubles, so a
+   small machine's queue lives and dies in the minor heap with the rest
+   of the machine.  A larger first allocation would not: an array over
+   256 words goes straight to the major heap, and [Array.make] of one
+   with a young fill value (the first event) forces a minor collection,
+   which promotes the machine just built (DESIGN §9 "Machine
+   construction"). *)
 let create () =
   {
-    queue = Lcm_util.Heap.create ~hint:1024 ();
+    queue = Lcm_util.Heap.create ();
     pool = Lcm_util.Pool.create ~poison:poison_ev ~make:make_ev ();
     now = 0;
     processed = 0;

@@ -40,7 +40,7 @@ val with_budget :
 
 val create : unit -> t
 (** A fresh engine with the clock at cycle 0 and no pending events.  Its
-    event queue's first backing allocation holds 1024 events.  If an ambient
+    event queue starts small and doubles as events arrive.  If an ambient
     {!with_budget} scope is active on this domain, the engine charges
     that budget for every event it processes. *)
 

@@ -381,7 +381,7 @@ let resume n ~now ~cost retry =
   (* A fiber coming back to life is semantic progress for the quiescence
      watchdog (no-op unless one is armed). *)
   Lcm_sim.Engine.notify_progress n.machine.m_engine;
-  n.node_clock <- max n.node_clock now + cost;
+  n.node_clock <- Int.max n.node_clock now + cost;
   retry ()
 
 (* Fault waiting: a node has at most one request in flight per block.
@@ -611,7 +611,7 @@ let make_node t ~capacity_blocks ~hw_cache_blocks i =
         Some
           (fun k ->
             clear_cur ();
-            let at = max n.node_clock (Lcm_sim.Engine.now t.m_engine) in
+            let at = Int.max n.node_clock (Lcm_sim.Engine.now t.m_engine) in
             (* allocation-free resume: the continuation rides an engine
                event as the payload, the resume time and node id in the
                int slots.  The owner hint marks the resume as node-local
@@ -633,6 +633,13 @@ let make_node t ~capacity_blocks ~hw_cache_blocks i =
 let create ?(costs = Lcm_sim.Costs.default)
     ?(topology = Lcm_net.Topology.Fat_tree { arity = 4 }) ?(seed = 42)
     ?capacity_blocks ?hw_cache_blocks ?faults ~nnodes ~words_per_block () =
+  (* One minor collection per machine, before any of it is allocated.  A
+     caller that builds a machine per stress case or explored schedule
+     has dropped the previous one by now, so the collection promotes
+     almost nothing, the new machine dies young, and the minor heap's
+     touched footprint stays at about one machine's allocation (DESIGN §9
+     "Machine construction"). *)
+  Gc.minor ();
   let engine = Lcm_sim.Engine.create () in
   let stats = Lcm_util.Stats.create () in
   let network =
@@ -675,7 +682,7 @@ let create ?(costs = Lcm_sim.Costs.default)
       m_yield_h =
         (fun k at nid ->
           let n = m.m_nodes.(nid) in
-          n.node_clock <- max n.node_clock at;
+          n.node_clock <- Int.max n.node_clock at;
           (* a fiber picking its compute back up is semantic progress for
              the stall watchdog — a yield-heavy phase must not read as a
              livelock *)
@@ -690,7 +697,7 @@ let create ?(costs = Lcm_sim.Costs.default)
         (fun c arrival _ ->
           let dst = c.mc_dst in
           let dnode = m.m_nodes.(dst) in
-          let start = max arrival dnode.handler_free in
+          let start = Int.max arrival dnode.handler_free in
           let finish = start + m.m_costs.Lcm_sim.Costs.handler_occupancy in
           dnode.handler_free <- finish;
           Stats.Handle.incr m.h_handler_runs;
@@ -782,6 +789,6 @@ let run_to_quiescence ?limit t =
   end
 
 let max_clock t =
-  Array.fold_left (fun acc n -> max acc n.node_clock) 0 t.m_nodes
+  Array.fold_left (fun acc n -> Int.max acc n.node_clock) 0 t.m_nodes
 
 let set_all_clocks t c = Array.iter (fun n -> n.node_clock <- c) t.m_nodes

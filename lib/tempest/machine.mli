@@ -59,7 +59,9 @@ val create :
 
     A machine runs on the domain that creates it, on one sequential event
     engine; parallelism lives one level up, across independent machines
-    (the fleet pool in [Lcm_fleet]).
+    (the fleet pool in [Lcm_fleet]).  [create] runs one minor collection
+    before it allocates anything, so a caller that builds a machine per
+    case, dropping the last, keeps each machine in the minor heap.
     @raise Invalid_argument on a non-positive [capacity_blocks] or
     [hw_cache_blocks], or a block size {!Lcm_mem.Gmem.create} rejects. *)
 

@@ -11,10 +11,10 @@ type 'a t
 val create : ?hint:int -> unit -> 'a t
 (** [create ?hint ()] is a fresh empty heap.  [hint] (default 16) is the
     capacity of the first backing allocation — a caller that knows its
-    steady-state occupancy (the engine's event queue)
-    skips the grow-and-copy ladder from 16 upward.  Arrays are not
-    allocated until the first {!add}, so an over-hinted heap that stays
-    empty costs nothing.  Growth past the hint still doubles.
+    steady-state occupancy skips the grow-and-copy ladder from 16 upward.
+    Arrays are not allocated until the first {!add}, so an over-hinted
+    heap that stays empty costs nothing.  Growth past the hint still
+    doubles.
     @raise Invalid_argument if [hint] is not positive. *)
 
 val length : 'a t -> int
