@@ -235,7 +235,9 @@ let bench_cmd name ~doc term =
     if phases then Runtime.enable_phase_log rt;
     let result =
       try run rt
-      with (Lcm_sim.Engine.Stalled _ | Lcm_net.Network.Net_unreachable _) as e ->
+      with
+      | ( Lcm_tempest.Machine.Stalled _
+        | Lcm_net.Network.Net_unreachable _ ) as e ->
         negative_verdict
           (Printf.sprintf "%s/%s: %s" name label (Printexc.to_string e))
     in
@@ -488,13 +490,14 @@ let experiments_cmd =
          & info [ "max-events" ] ~docv:"N"
              ~doc:"Per-cell simulated-event budget; a cell exceeding it is \
                    reported $(b,timed-out) at a deterministic simulated \
-                   point and the sweep continues.")
+                   point, and the sweep continues and then exits 1.")
   in
   let timeout_arg =
     Arg.(value & opt (some positive_float) None
          & info [ "timeout" ] ~docv:"SECONDS"
              ~doc:"Per-cell host wall-clock guard; a cell over it is \
-                   reported $(b,timed-out) and the sweep continues.")
+                   reported $(b,timed-out), and the sweep continues and \
+                   then exits 1.")
   in
   let summary_json_arg =
     Arg.(value & opt (some output_file) None
@@ -619,9 +622,10 @@ let experiments_cmd =
       | [] -> []
       | xs -> [ what ^ ": " ^ String.concat ", " xs ]
     in
+    let labels = List.map (fun (r : _ Fleet.cell_result) -> r.Fleet.label) in
     match
-      named "failed cells"
-        (List.map (fun (r : _ Fleet.cell_result) -> r.Fleet.label) failed)
+      named "failed cells" (labels failed)
+      @ named "timed-out cells" (labels timed_out)
       @ named "systems disagree on"
           (List.filter_map
              (fun (e, ok) -> if ok then None else Some e)
@@ -640,10 +644,10 @@ let experiments_cmd =
     (Cmd.info "experiments"
        ~exits:
          (verdict_exits
-            "on a negative verdict: a failed cell, systems that disagree on \
-             an experiment, or, for $(b,--suite) figures or all on the \
-             paper's machine (32 nodes, arity-4 fat tree, no faults), a \
-             paper claim that reads DIFFERS.")
+            "on a negative verdict: a failed or timed-out cell, systems that \
+             disagree on an experiment, or, for $(b,--suite) figures or all \
+             on the paper's machine (32 nodes, arity-4 fat tree, no faults), \
+             a paper claim that reads DIFFERS.")
        ~doc:"Sweep the paper's experiment grid (figures and/or ablations) \
              across worker domains and report it: one table of cycles, \
              slowdown and counters, the differential check, and for \

@@ -79,9 +79,10 @@ let pp_stats ppf st =
 (* The per-run choice controller                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A run replaying a stale forced prefix (possible only while the
-   shrinker mutates schedules) can find fewer candidates than the prefix
-   expects; that run proves nothing and is discarded. *)
+(* A run replaying a stale schedule (a hand-written one, or one the
+   shrinker mutated) can find fewer candidates than an entry asks for,
+   or fewer decision points than it has entries; that run proves
+   nothing and is discarded. *)
 exception Diverged
 
 (* One recorded decision point of one run. *)
@@ -302,13 +303,17 @@ let explore ?(label = "config") ?(max_schedules = 20_000) ?(fault_budget = 0)
 (* Replay and shrinking                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* One schedule of [prog]; [Diverged] propagates. *)
+(* One schedule of [prog]; [Diverged] propagates.  A replay uses every
+   entry: one past the run's last decision point is as stale as an
+   out-of-range one, and a verdict that never read it proves nothing. *)
 let run_schedule ?trace ~fault_budget ~dup ~schedule prog =
   let ctl =
     make_ctl ~forced:(Array.of_list schedule) ~fault_budget ~dup ~reduce:true
       ~stats:(fresh_stats ())
   in
-  run_prog ?trace prog ~expect:(Stress.spec prog) ~ctl
+  let result = run_prog ?trace prog ~expect:(Stress.spec prog) ~ctl in
+  if ctl.depth < Array.length ctl.forced then raise Diverged;
+  result
 
 let replay ?(fault_budget = 0) ?(dup = false) ~schedule prog =
   try run_schedule ~trace:true ~fault_budget ~dup ~schedule prog

@@ -85,9 +85,11 @@ val replay :
 (** Re-execute one schedule: choice point [i] takes candidate
     [schedule.(i)], FIFO default (index 0) beyond the list's end — so
     [[]] is the plain FIFO run.  The verdict is
-    {!Lcm_harness.Stress.run_on}'s; a schedule that no longer fits the
-    run's choice points is an [Error].  The run is traced: the returned
-    events render through {!Lcm_harness.Traceview}. *)
+    {!Lcm_harness.Stress.run_on}'s.  A replay must use every entry: a
+    schedule that asks a choice point for a candidate it does not have,
+    or has entries past the run's last choice point, is the [Error]
+    ["replay diverged: stale schedule"].  The run is traced: the
+    returned events render through {!Lcm_harness.Traceview}. *)
 
 val shrink_violation : violation -> violation
 (** Shrink to a minimal (configuration, schedule) counterexample:
@@ -96,8 +98,8 @@ val shrink_violation : violation -> violation
     schedules still finds a violation, which also refreshes the
     schedule), then the schedule against the fixed configuration: strip
     trailing defaults, shorten, lower entries toward 0 — each candidate
-    validated by a full replay — keeping the smallest still-failing
-    schedule found. *)
+    validated by a full replay that uses every entry — keeping the
+    smallest still-failing schedule found. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 

@@ -58,10 +58,6 @@ type t = {
   sp : Policy.snoop;
   hs : handles;
   bus : Bus.t;
-  g_rd : t Bus.grant;
-  g_rdx : t Bus.grant;
-  g_upgr : t Bus.grant;
-  g_flush : t Bus.grant;
   barrier : Barrier.style;
   states : Snoop.state array Itbl.t;  (* block -> per-node state *)
   wb : Block.t Itbl.t;  (* in-flight evicted dirty data *)
@@ -200,10 +196,9 @@ let do_bus_flush t b ~now =
 (* Fault handling                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Static grant handlers, wrapped as bus grants once at [install]; a
-   steady-state snooping transaction then allocates nothing host-side.
-   The rider packs [(nid lsl 40) lor b] — block numbers stay far below
-   2^40. *)
+(* Static grant handlers, so a steady-state snooping transaction
+   allocates nothing host-side.  The rider packs [(nid lsl 40) lor b] —
+   block numbers stay far below 2^40. *)
 let grant_rd_m t now x = do_bus_rd t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
 let grant_rdx_m t now x = do_bus_rdx t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
 let grant_upgr_m t now x = do_bus_upgr t (x land ((1 lsl 40) - 1)) (x lsr 40) ~now
@@ -219,7 +214,7 @@ let miss t node b ~retry kind ~words grant =
 
 let read_fault t node ~addr ~retry =
   let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
-  miss t node b ~retry Bus.Rd ~words:(Machine.data_words t.mach) t.g_rd
+  miss t node b ~retry Bus.Rd ~words:(Machine.data_words t.mach) grant_rd_m
 
 let write_fault t node ~addr ~retry =
   let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
@@ -231,12 +226,12 @@ let write_fault t node ~addr ~retry =
     set_state t b nid Snoop.fill_on_write ();
     Machine.resume node ~now:(Machine.clock node) ~cost:0 retry
   | Snoop.S | Snoop.O ->
-    miss t node b ~retry Bus.Upgr ~words:Machine.ctrl_words t.g_upgr
+    miss t node b ~retry Bus.Upgr ~words:Machine.ctrl_words grant_upgr_m
   | Snoop.M ->
     (* the line is writable; the fault raced a concurrent install *)
     Machine.resume node ~now:(Machine.clock node) ~cost:0 retry
   | Snoop.I | Snoop.E ->
-    miss t node b ~retry Bus.Rdx ~words:(Machine.data_words t.mach) t.g_rdx
+    miss t node b ~retry Bus.Rdx ~words:(Machine.data_words t.mach) grant_rdx_m
 
 (* Capacity eviction: dirty states stage their data in the writeback
    buffer and arbitrate for a FLUSH slot; clean states drop silently. *)
@@ -249,7 +244,7 @@ let evict t node b (line : Machine.line) =
     Stats.Handle.incr t.hs.h_writebacks;
     Itbl.replace t.wb b (Block.copy line.Machine.data);
     Bus.transact t.bus ~kind:Bus.Flush ~at:(Machine.clock node)
-      ~words:(Machine.data_words t.mach) t.g_flush t b
+      ~words:(Machine.data_words t.mach) grant_flush_m t b
   end
 
 (* LCM and stale-data directives are memory-system hints with no meaning
@@ -427,10 +422,6 @@ let install ?(barrier = Barrier.Constant) ~policy:pol mach =
       sp;
       hs = resolve_handles (Machine.stats mach);
       bus;
-      g_rd = Bus.grant bus grant_rd_m;
-      g_rdx = Bus.grant bus grant_rdx_m;
-      g_upgr = Bus.grant bus grant_upgr_m;
-      g_flush = Bus.grant bus grant_flush_m;
       barrier;
       states = Itbl.create 16;
       wb = Itbl.create 16;

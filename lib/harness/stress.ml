@@ -383,7 +383,7 @@ let run_on m ~expect prog =
   | Stress_failure msgs -> Error (String.concat "\n" msgs)
   | Failure msg -> Error ("exception: " ^ msg)
   | Invalid_argument msg -> Error ("invalid argument: " ^ msg)
-  | (Lcm_sim.Engine.Stalled _ | Lcm_net.Network.Net_unreachable _) as e ->
+  | (Machine.Stalled _ | Lcm_net.Network.Net_unreachable _) as e ->
     Error (Printexc.to_string e)
 
 let run_case ?faults prog = run_on (machine ?faults prog) ~expect:(spec prog) prog

@@ -121,10 +121,11 @@ val run_on :
     [Error] carries every divergence found in the first diverging segment
     (load values, post-segment state, protocol invariants), or the
     exception that stopped the run: [Failure] or [Invalid_argument]
-    (e.g. a deadlock), a typed {!Lcm_sim.Engine.Stalled} quiescence
-    failure, or {!Lcm_net.Network.Net_unreachable}.  Any other exception
-    propagates, so a hook the caller installed can abort the run with
-    its own. *)
+    (e.g. a deadlock), a typed {!Lcm_tempest.Machine.Stalled} (messages
+    lost under a plan without retransmission), or
+    {!Lcm_net.Network.Net_unreachable} (a message past the retry cap).
+    Any other exception propagates, so a hook the caller installed can
+    abort the run with its own. *)
 
 val run_case : ?faults:Lcm_net.Faults.t -> prog -> (unit, string) result
 (** [run_on (machine ?faults prog) ~expect:(spec prog) prog].  [faults]

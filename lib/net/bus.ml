@@ -60,18 +60,6 @@ let arbitrate t ~kind ~at ~words =
   Stats.Handle.add t.h_busy (finish - grant);
   finish
 
-(* A grant handler is the caller's handler behind one wrapper, built once
-   per handler (not per transaction): a completed bus transaction is
-   semantic progress for the stall watchdog armed by fault plans, and the
-   wrapper is the only way to obtain a ['a grant], so no grant can skip
-   it — including FLUSH grants, which resume no fiber. *)
-type 'a grant = 'a -> int -> int -> unit
-
-let grant t h : _ grant =
- fun p now x ->
-  Lcm_sim.Engine.notify_progress t.engine;
-  h p now x
-
-let transact t ~kind ~at ~words (g : 'a grant) p x =
+let transact t ~kind ~at ~words g p x =
   let finish = arbitrate t ~kind ~at ~words in
   Lcm_sim.Engine.schedule_call t.engine ~at:finish g p finish x

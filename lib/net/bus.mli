@@ -36,22 +36,19 @@ val create :
   unit ->
   t
 
-type 'a grant
-(** A grant handler, built once per protocol instance by {!grant}. *)
-
-val grant : t -> ('a -> int -> int -> unit) -> 'a grant
-(** [grant t h] wraps [h] as a grant handler of bus [t]: when a
-    transaction completes it marks watchdog progress on the engine (see
-    {!Lcm_sim.Engine.notify_progress}) and then runs [h].  Every grant
-    goes through such a wrapper, so a long run of grants — including
-    FLUSH grants, which resume no fiber — never reads as a stall.  Build
-    it once (at protocol install), not per transaction. *)
-
 val transact :
-  t -> kind:kind -> at:int -> words:int -> 'a grant -> 'a -> int -> unit
+  t ->
+  kind:kind ->
+  at:int ->
+  words:int ->
+  ('a -> int -> int -> unit) ->
+  'a ->
+  int ->
+  unit
 (** [transact t ~kind ~at ~words g p x] queues a transaction requested at
-    cycle [at]; [g p now x] runs when its bus occupancy completes ([now]
-    is that cycle).  [p] is the handler's payload and [x] an integer rider
-    (a packed requester/block descriptor).  The triple rides the engine's
-    pooled event, so a steady-state transaction allocates nothing.  Grants
-    are in request order. *)
+    cycle [at]; the grant handler [g p now x] runs when its bus occupancy
+    completes ([now] is that cycle).  [p] is the handler's payload and [x]
+    an integer rider (a packed requester/block descriptor).  [g] is meant
+    to be a static handler; the triple then rides the engine's pooled
+    event, so a steady-state transaction allocates nothing.  Grants are in
+    request order. *)

@@ -13,26 +13,17 @@ type t = {
   down : window list;
   retransmit : bool;
   max_retries : int;
-  rto : int option;
-  stall_limit : int;
   profile : (string * float) option;
 }
 
-let default_stall_limit = 1_000_000
-
 let make ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 0) ?(down = [])
-    ?(retransmit = true) ?(max_retries = 12) ?rto
-    ?(stall_limit = default_stall_limit) ~seed () =
+    ?(retransmit = true) ?(max_retries = 12) ~seed () =
   (* written so that NaN, which fails every comparison, is rejected *)
   let in_unit p = p >= 0.0 && p <= 1.0 in
   if not (in_unit drop) then invalid_arg "Faults.make: drop not in [0,1]";
   if not (in_unit dup) then invalid_arg "Faults.make: dup not in [0,1]";
   if jitter < 0 then invalid_arg "Faults.make: jitter must be >= 0";
   if max_retries < 0 then invalid_arg "Faults.make: max_retries must be >= 0";
-  (match rto with
-  | Some r when r <= 0 -> invalid_arg "Faults.make: rto must be positive"
-  | Some _ | None -> ());
-  if stall_limit <= 0 then invalid_arg "Faults.make: stall_limit must be positive";
   List.iter
     (fun w ->
       if w.from_t < 0 || w.until_t < w.from_t then
@@ -64,8 +55,7 @@ let make ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 0) ?(down = [])
       check_order rest
   in
   check_order down;
-  { seed; drop; dup; jitter; down; retransmit; max_retries; rto; stall_limit;
-    profile = None }
+  { seed; drop; dup; jitter; down; retransmit; max_retries; profile = None }
 
 let link_down t ~src ~dst ~at =
   List.exists

@@ -9,9 +9,12 @@
     drops, same duplicates, same jitter, same [fault.*] counters.
 
     The plan also configures the reliable transport built on top (see
-    {!Network.send_reliable_call}): whether retransmission is enabled, the
-    retry cap, the base retransmission timeout, and the quiescence
-    watchdog limit armed on the machine's engine. *)
+    {!Network.send_reliable_call}): whether retransmission is enabled, and
+    the retry cap.  The cap is what ends a hopeless run: a message is sent
+    at most [max_retries + 1] times before {!Network.Net_unreachable}
+    names its channel.  Without retransmission, lost messages stay lost,
+    and the machine reports the drained queue as a typed stall
+    ([Lcm_tempest.Machine.Stalled]). *)
 
 type window = {
   w_src : int option;  (** [None] = any source *)
@@ -30,13 +33,9 @@ type t = private {
       (** when false, {!Network.send_reliable_call} degrades to the lossy
           fire-and-forget path — lost messages stay lost *)
   max_retries : int;
-      (** retransmissions per message before {!Network.Net_unreachable} *)
-  rto : int option;
-      (** base retransmission timeout in cycles; default: derived from the
-          message's round-trip latency *)
-  stall_limit : int;
-      (** quiescence watchdog: engine cycles without semantic progress
-          before {!Lcm_sim.Engine.Stalled} *)
+      (** retransmissions per message before {!Network.Net_unreachable};
+          the base retransmission timeout is derived from the message's
+          round-trip latency *)
   profile : (string * float) option;
       (** the profile name and rate {!of_profile} built the plan from;
           [None] for a plan from {!make} *)
@@ -49,18 +48,16 @@ val make :
   ?down:window list ->
   ?retransmit:bool ->
   ?max_retries:int ->
-  ?rto:int ->
-  ?stall_limit:int ->
   seed:int ->
   unit ->
   t
-(** Defaults: no faults, retransmission on with [max_retries = 12],
-    derived rto, [stall_limit = 1_000_000].  Down windows whose channel
-    patterns can match the same (src, dst) pair — wildcards intersect
-    everything — must be listed in time order and must not overlap.
+(** Defaults: no faults, retransmission on with [max_retries = 12].
+    Down windows whose channel patterns can match the same (src, dst)
+    pair — wildcards intersect everything — must be listed in time order
+    and must not overlap.
     @raise Invalid_argument on out-of-range probabilities, negative
-    jitter/retries, non-positive rto/stall_limit, a malformed window, or
-    intersecting windows that are unsorted or overlapping. *)
+    jitter/retries, a malformed window, or intersecting windows that are
+    unsorted or overlapping. *)
 
 val link_down : t -> src:int -> dst:int -> at:int -> bool
 (** Is channel [(src, dst)] inside a down window at engine time [at]? *)
@@ -74,7 +71,7 @@ val of_profile : string -> rate:float -> seed:int -> (t, string) result
     [rate] (the drop/dup probability; jitter and flap-window length scale
     with it).  [drop-noretx] is the diagnostic shape with retransmission
     disabled — runs under it lose messages for good and are expected to
-    end in {!Lcm_sim.Engine.Stalled}. *)
+    end in a typed stall ([Lcm_tempest.Machine.Stalled]). *)
 
 val to_string : t -> string
 (** One-line rendering, e.g. ["seed=7 drop=0.05 retx<=12"]. *)

@@ -18,11 +18,7 @@ type fate = Deliver | Drop | Dup
 (* Sender-side state of one in-flight reliable message, one record per
    message: acks from duplicate copies can land after the message is
    done, and they only ever write into their own message's record. *)
-type rel_pending = {
-  mutable acked : bool;
-  mutable attempt : int;
-  r_engine : Lcm_sim.Engine.t;
-}
+type rel_pending = { mutable acked : bool; mutable attempt : int }
 
 type t = {
   engine : Lcm_sim.Engine.t;
@@ -262,11 +258,7 @@ let send_call t ~src ~dst ~words ?tag ~at h p x =
     | Some plan -> faulty_send t plan ~src ~dst ~words ~tag ~at h p x)
 
 (* An ack landing: static, so acks allocate no continuation. *)
-let ack_landed st _arrival _ =
-  st.acked <- true;
-  (* an ack landing is transport-level progress for the stall watchdog
-     even when the payload copy was a suppressed dup *)
-  Lcm_sim.Engine.notify_progress st.r_engine
+let ack_landed st _arrival _ = st.acked <- true
 
 (* Reliable transport: sequence-numbered envelopes per channel, an ack per
    received copy (itself lossy), receiver-side dedup + in-order release,
@@ -279,18 +271,15 @@ let reliable t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
   let chan = (src * t.nnodes) + dst in
   let seq = t.rel_next.(chan) in
   t.rel_next.(chan) <- seq + 1;
-  let st = { acked = false; attempt = 0; r_engine = t.engine } in
+  let st = { acked = false; attempt = 0 } in
+  (* The base timeout: a round trip (envelope + 1-word ack) with headroom
+     for jitter and channel occupancy.  A spurious retransmit is only
+     wasted bandwidth (dedup absorbs it), so err short rather than long. *)
   let rto0 =
-    match plan.rto with
-    | Some r -> r
-    | None ->
-      (* a round trip (envelope + 1-word ack) with headroom for jitter
-         and channel occupancy; a spurious retransmit is only wasted
-         bandwidth (dedup absorbs it), so err short rather than long *)
-      (2 * (latency t ~src ~dst ~words + latency t ~src:dst ~dst:src ~words:1))
-      + (4 * plan.jitter)
-      + (4 * transmission_time t ~words)
-      + 16
+    (2 * (latency t ~src ~dst ~words + latency t ~src:dst ~dst:src ~words:1))
+    + (4 * plan.jitter)
+    + (4 * transmission_time t ~words)
+    + 16
   in
   (* One envelope per message: its delivery handler closes over the
      sequence state, so every copy shares it. *)
@@ -304,7 +293,6 @@ let reliable t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
       Stats.Handle.incr t.h_dup_suppressed
     else if seq = expected then begin
       t.rel_expected.(chan) <- expected + 1;
-      Lcm_sim.Engine.notify_progress t.engine;
       h p arrival x;
       let rec drain () =
         let nxt = t.rel_expected.(chan) in
@@ -337,13 +325,7 @@ let reliable t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
     let t_check = Int.max at (Lcm_sim.Engine.now t.engine) + backoff in
     (* owner hint: the retransmission timer lives at the sender *)
     Lcm_sim.Engine.schedule t.engine ~owner:src ~at:t_check (fun () ->
-        if st.acked then begin
-          (* A stale timer of a delivered message is evidence the run is
-             advancing; without this, a long-backoff timer outliving the
-             workload could trip the watchdog during the final drain. *)
-          Lcm_sim.Engine.notify_progress t.engine
-        end
-        else begin
+        if not st.acked then begin
           Stats.Handle.incr t.h_timeouts;
           if st.attempt > plan.max_retries then
             raise
@@ -358,8 +340,8 @@ let reliable t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
   transmit ~at
 
 (* A plan without retransmission degrades to the lossy fire-and-forget
-   path: messages are lost for good and the engine watchdog (or a drained
-   queue with suspended fibers) reports the stall. *)
+   path: messages are lost for good, and the machine reports the drained
+   queue with suspended fibers as a stall. *)
 let send_reliable_call t ~src ~dst ~words ?tag ~at h p x =
   match t.faults with
   | Some plan when plan.retransmit && src <> dst ->

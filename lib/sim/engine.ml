@@ -6,15 +6,6 @@ type budget = {
 }
 
 exception Budget_exhausted of { events : int; now : int }
-exception Stalled of { clock : int; pending : int }
-
-let () =
-  Printexc.register_printer (function
-    | Stalled { clock; pending } ->
-      Some
-        (Printf.sprintf "stalled: no delivery progress at clock %d (%d pending)"
-           clock pending)
-    | _ -> None)
 
 (* How many events run between calls to the wall-clock guard.  The guard
    costs a system call (gettimeofday), so it is amortized; the stride is
@@ -97,16 +88,6 @@ type t = {
   mutable processed : int;
   tally : int Atomic.t;  (* this domain's event cell, snapshotted at create *)
   budget : budget option;  (* ambient cell budget at creation time, if any *)
-  mutable stall_limit : int option;
-      (* quiescence watchdog: raise Stalled when events have *executed*
-         more than this many cycles past the last notify_progress —
-         catches livelocks where events keep firing (e.g. retransmission
-         timers) but nothing semantically advances.  Judged on [now], not
-         on the next pending timestamp, and only once [stall_min_events]
-         events have run without progress: a sparse schedule (one long
-         compute phase followed by a burst of sends) is not a stall. *)
-  mutable last_progress : int;
-  mutable quiet_events : int;  (* events executed since last_progress *)
   mutable chooser : (int array -> int) option;
       (* model-checker hook: when several events tie at the minimal
          timestamp, the hook picks which one commits next.  Candidates
@@ -115,14 +96,6 @@ type t = {
          including sole candidates — so a controller can count every
          transition, not just the branch points. *)
 }
-
-(* Cycle distance alone cannot tell a livelock from a legitimate silent
-   jump — a node computing locally for longer than the stall limit, then
-   injecting its next messages.  A livelock also keeps *executing* events
-   (timers re-arming), so the watchdog additionally requires this many
-   events since the last progress mark.  Far below any real livelock's
-   event count, far above a phase boundary's burst of non-delivery events. *)
-let stall_min_events = 64
 
 (* The queue starts at the heap's default 16 slots and doubles, so a
    small machine's queue lives and dies in the minor heap with the rest
@@ -139,9 +112,6 @@ let create () =
     processed = 0;
     tally = Domain.DLS.get domain_total;
     budget = !(Domain.DLS.get ambient_budget);
-    stall_limit = None;
-    last_progress = 0;
-    quiet_events = 0;
     chooser = None;
   }
 
@@ -211,45 +181,13 @@ let check_budget e =
         g ()
       end)
 
-let set_stall_limit e limit =
-  (match limit with
-  | Some n when n <= 0 -> invalid_arg "Engine.set_stall_limit: limit must be positive"
-  | Some _ | None -> ());
-  e.stall_limit <- limit;
-  e.last_progress <- e.now;
-  e.quiet_events <- 0
-
-let notify_progress e =
-  e.last_progress <- e.now;
-  e.quiet_events <- 0
-
 let pending e = Lcm_util.Heap.length e.queue
-
-(* Pre-event checks, run while the event is still queued so a raise leaves
-   the engine consistent (clock unmoved, event recoverable).  The watchdog
-   fires *before* the budget is charged: a Stalled raise reports an event
-   that never executed, so it must not consume a budget event or tick the
-   wall-clock guard — the stall trips at the same remaining-budget count
-   whether or not a budget is armed (satellite regression: test_sim). *)
-let check_next e =
-  (* The watchdog compares the *executed* clock against the last progress
-     mark and requires a run of [stall_min_events] progress-free events:
-     only sustained event activity with nothing semantically advancing —
-     e.g. retransmission timers re-arming forever — trips it. *)
-  (match e.stall_limit with
-  | Some limit
-    when e.now - e.last_progress > limit
-         && e.quiet_events >= stall_min_events ->
-    raise (Stalled { clock = e.now; pending = pending e })
-  | Some _ | None -> ());
-  check_budget e
 
 (* Commit one already-dequeued event: advance the clock, account it, run
    the body.  Shared by the plain and the choice-hook [step]. *)
 let commit e ~at ev =
   e.now <- at;
   e.processed <- e.processed + 1;
-  e.quiet_events <- e.quiet_events + 1;
   Atomic.incr e.tally;
   run_event e ev
 
@@ -261,7 +199,7 @@ let commit e ~at ev =
    replayable.  This path allocates per step — it exists for the model
    checker, not for benchmarked runs. *)
 let step_choice e choose =
-  check_next e;
+  check_budget e;
   let q = e.queue in
   let t0 = Lcm_util.Heap.top_key q in
   let ties = ref [] in
@@ -288,7 +226,7 @@ let step e =
     (match e.chooser with
     | Some choose -> step_choice e choose
     | None ->
-      check_next e;
+      check_budget e;
       let t = Lcm_util.Heap.top_key e.queue in
       let ev = Lcm_util.Heap.pop_exn e.queue in
       commit e ~at:t ev);

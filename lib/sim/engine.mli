@@ -14,16 +14,6 @@ exception Budget_exhausted of { events : int; now : int }
     Deterministic — a given cell raises at the same event count and clock
     no matter what runs on other domains. *)
 
-exception Stalled of { clock : int; pending : int }
-(** Raised by {!step} when a quiescence watchdog is armed (see
-    {!set_stall_limit}) and a sustained run of events has {e executed}
-    more than the limit past the last {!notify_progress}: [clock] is the
-    executed clock at the trip point, [pending] the number of still-queued
-    events.  Turns a lost-message livelock — retransmission timers firing
-    forever with no semantic progress — into a diagnosable, deterministic
-    failure instead of an unbounded run.  [Printexc.to_string] gives
-    ["stalled: no delivery progress at clock C (P pending)"]. *)
-
 val with_budget :
   ?max_events:int -> ?guard:(unit -> unit) -> (unit -> 'a) -> 'a
 (** [with_budget ?max_events ?guard f] runs [f] with an ambient,
@@ -67,39 +57,18 @@ val schedule_call :
 val schedule : t -> ?owner:int -> at:int -> (unit -> unit) -> unit
 (** [schedule e ?owner ~at f] runs [f ()] when the clock reaches [at]:
     {!schedule_call} with a fixed handler that applies its payload, so a
-    closure event is the same pooled record and follows the same ordering,
-    budget and watchdog rules.  The closure [f] is the caller's own
-    allocation — cold paths (timers, tests) only.
+    closure event is the same pooled record and follows the same ordering
+    and budget rules.  The closure [f] is the caller's own allocation —
+    cold paths (timers, tests) only.
     @raise Invalid_argument if [at] is in the past. *)
-
-val set_stall_limit : t -> int option -> unit
-(** Arm ([Some limit]) or disarm ([None]) the quiescence watchdog; arming
-    also counts as progress.  While armed, {!step} raises {!Stalled} once
-    events have {e executed} more than [limit] cycles past the last
-    {!notify_progress} — and at least a few dozen of them have run since
-    it — with another event still pending.  The check is on the executed
-    clock, never on the next pending timestamp, and a lone silent jump
-    does not satisfy the event-count arm, so a sparse schedule — one long
-    compute phase followed by a burst of sends — is not mistaken for a
-    stall.  The network's reliable path notifies on every application
-    delivery and every ack, so the watchdog only fires when events keep
-    firing without the simulation advancing (e.g. every copy of a message
-    being dropped faster than it is retransmitted).
-    @raise Invalid_argument if the limit is not positive. *)
-
-val notify_progress : t -> unit
-(** Record that the simulation made semantic progress now (see
-    {!set_stall_limit}).  Cheap; safe to call with no watchdog armed. *)
 
 val step : t -> bool
 (** Process the single earliest pending event, advancing the clock to its
-    timestamp.  Returns [false] when no event is pending.  A budget or
-    watchdog raise happens {e before} the event is dequeued and charges
-    nothing: the event is still queued, the clock unmoved, and — for
-    {!Stalled} specifically — no budget event or wall-clock guard tick has
-    been consumed for an event that never executed.  A body that raises
-    has still consumed its own event: the clock stands at its timestamp
-    and the rest of the queue is untouched. *)
+    timestamp.  Returns [false] when no event is pending.  A budget raise
+    happens {e before} the event is dequeued: the event is still queued
+    and the clock unmoved.  A body that raises has still consumed its own
+    event: the clock stands at its timestamp and the rest of the queue is
+    untouched. *)
 
 val run : ?limit:int -> t -> unit
 (** [run e] processes events until the queue drains.  [limit] bounds the

@@ -378,9 +378,6 @@ let send t ~src ~dst ~words ~tag ~at h data b x =
     t.m_recv_h c 0
 
 let resume n ~now ~cost retry =
-  (* A fiber coming back to life is semantic progress for the quiescence
-     watchdog (no-op unless one is armed). *)
-  Lcm_sim.Engine.notify_progress n.machine.m_engine;
   n.node_clock <- Int.max n.node_clock now + cost;
   retry ()
 
@@ -645,13 +642,6 @@ let create ?(costs = Lcm_sim.Costs.default)
   let network =
     Lcm_net.Network.create ?faults ~engine ~costs ~stats ~topology ~nnodes ()
   in
-  (* A lossy interconnect can livelock (drops outpacing retransmission);
-     arm the engine's quiescence watchdog so that surfaces as a typed
-     Stalled instead of an unbounded run. *)
-  (match faults with
-  | Some plan ->
-    Lcm_sim.Engine.set_stall_limit engine (Some plan.Lcm_net.Faults.stall_limit)
-  | None -> ());
   let gmem = Lcm_mem.Gmem.create ~nnodes ~words_per_block in
   if Option.value capacity_blocks ~default:1 <= 0 then
     invalid_arg "Machine.create: capacity_blocks must be positive";
@@ -683,10 +673,6 @@ let create ?(costs = Lcm_sim.Costs.default)
         (fun k at nid ->
           let n = m.m_nodes.(nid) in
           n.node_clock <- Int.max n.node_clock at;
-          (* a fiber picking its compute back up is semantic progress for
-             the stall watchdog — a yield-heavy phase must not read as a
-             livelock *)
-          Lcm_sim.Engine.notify_progress m.m_engine;
           set_cur n;
           Effect.Deep.continue k ());
       (* Delivery runs on the destination's protocol processor: the
@@ -753,6 +739,16 @@ let spawn t n f =
           | _ -> None);
     }
 
+exception Stalled of { clock : int; pending : int }
+
+let () =
+  Printexc.register_printer (function
+    | Stalled { clock; pending } ->
+      Some
+        (Printf.sprintf "stalled: no delivery progress at clock %d (%d pending)"
+           clock pending)
+    | _ -> None)
+
 let run_to_quiescence ?limit t =
   Lcm_sim.Engine.run ?limit t.m_engine;
   if
@@ -765,7 +761,7 @@ let run_to_quiescence ?limit t =
        suspended fibers is the expected outcome of a lost message, not a
        protocol bug: report it as the typed stall. *)
     raise
-      (Lcm_sim.Engine.Stalled
+      (Stalled
          {
            clock = Lcm_sim.Engine.now t.m_engine;
            pending = t.m_active_fibers;

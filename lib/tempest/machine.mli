@@ -54,8 +54,7 @@ val create :
     {!Lcm_sim.Costs.t.hw_miss} extra cycles (default: no hardware cache —
     every local access costs one cycle).  [faults] makes the interconnect
     unreliable per the plan (see {!Lcm_net.Faults}): protocol messaging
-    then rides {!Lcm_net.Network.send_reliable_call} and the engine's
-    quiescence watchdog is armed with the plan's stall limit.
+    then rides {!Lcm_net.Network.send_reliable_call}.
 
     A machine runs on the domain that creates it, on one sequential event
     engine; parallelism lives one level up, across independent machines
@@ -213,16 +212,25 @@ val spawn : t -> node -> (unit -> unit) -> unit
 
 val active_fibers : t -> int
 
+exception Stalled of { clock : int; pending : int }
+(** Raised by {!run_to_quiescence} when the queue drained while fibers
+    were still waiting for messages a fault plan without retransmission
+    lost: [clock] is the engine clock, [pending] the number of suspended
+    fibers.  [Printexc.to_string] gives
+    ["stalled: no delivery progress at clock C (P pending)"]. *)
+
 val run_to_quiescence : ?limit:int -> t -> unit
 (** Drain the event queue.
     @raise Failure if fibers remain suspended after the queue empties
     (protocol deadlock) or [limit] events are exceeded.
-    @raise Lcm_sim.Engine.Stalled instead of the deadlock [Failure] when
-    the machine runs a fault plan with retransmission disabled — losing a
-    message for good makes suspended fibers the expected outcome, and the
-    typed stall identifies it deterministically.  Also propagated from the
-    engine watchdog, and {!Lcm_net.Network.Net_unreachable} from an
-    exhausted retransmission budget. *)
+    @raise Stalled instead of the deadlock [Failure] when the machine runs
+    a fault plan with retransmission disabled — losing a message for good
+    makes suspended fibers the expected outcome, and the typed stall
+    identifies it deterministically.
+    @raise Lcm_net.Network.Net_unreachable from a message that exhausted
+    its retransmission budget, naming its channel.  The retry cap bounds
+    every message's transmissions, so a run under a retransmitting plan
+    cannot spin forever on lost messages. *)
 
 val max_clock : t -> int
 (** Maximum node CPU clock — the phase completion time. *)

@@ -261,18 +261,21 @@ let test_schedule_strings_roundtrip () =
   Alcotest.(check bool) "garbage rejected" true
     (Result.is_error (Check.schedule_of_string "0.x.1"))
 
-(* Replaying a schedule that asks for more candidates than a choice
-   point offers proves nothing and must be reported, not believed. *)
+(* A replay must use every entry of its schedule.  One that asks a
+   choice point for more candidates than it offers proves nothing, and
+   so does one whose entries outlast the run's choice points: both are
+   reported, not believed. *)
 let test_stale_schedule_diverges () =
-  let prog = List.assoc "reader-writer" (Check.scenarios ~policy:Policy.lcm_mcc) in
-  let verdict, _ = Check.replay ~schedule:[ 9; 9; 9 ] prog in
-  match verdict with
-  | Error r ->
-    Alcotest.(check string) "diverged report" "replay diverged: stale schedule" r
-  | Ok () ->
-    (* fine too if the run has no choice points at all: indices beyond
-       the recorded points are never consulted *)
-    ()
+  let diverges what policy scenario schedule =
+    let prog = List.assoc scenario (Check.scenarios ~policy) in
+    match Check.replay ~schedule prog with
+    | Error r, _ ->
+      Alcotest.(check string) what "replay diverged: stale schedule" r
+    | Ok (), _ -> Alcotest.failf "%s: replay passed" what
+  in
+  diverges "out-of-range entries" Policy.lcm_mcc "reader-writer" [ 9; 9; 9 ];
+  (* two-writers under MSI has no choice point at all *)
+  diverges "an entry no choice point reads" Policy.msi "two-writers" [ 99 ]
 
 (* Every label a check run reports names the configuration it explored,
    so a reproduce line's --scenario rebuilds exactly that program; a

@@ -43,10 +43,6 @@ let test_make_validation () =
       ignore (Faults.make ~jitter:(-1) ~seed:1 ()));
   bad "Faults.make: max_retries must be >= 0" (fun () ->
       ignore (Faults.make ~max_retries:(-1) ~seed:1 ()));
-  bad "Faults.make: rto must be positive" (fun () ->
-      ignore (Faults.make ~rto:0 ~seed:1 ()));
-  bad "Faults.make: stall_limit must be positive" (fun () ->
-      ignore (Faults.make ~stall_limit:0 ~seed:1 ()));
   bad "Faults.make: malformed down window" (fun () ->
       ignore
         (Faults.make
@@ -133,71 +129,23 @@ let test_link_down_windows () =
   check "src window other src" false ~src:0 ~dst:3 ~at:300
 
 (* ------------------------------------------------------------------ *)
-(* Engine quiescence watchdog                                          *)
+(* Bus machine under a fault plan                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_engine_stall_watchdog () =
-  (* an endless timer chain — events keep executing, nothing advances —
-     must trip the watchdog deterministically instead of running forever *)
-  let e = Engine.create () in
-  Engine.set_stall_limit e (Some 100);
-  let rec tick () = Engine.schedule e ~at:(Engine.now e + 40) tick in
-  tick ();
-  (try
-     Engine.run e;
-     Alcotest.fail "expected Stalled"
-   with Engine.Stalled { clock; pending } ->
-     (* both arms must hold: > 100 cycles past progress AND >= 64 quiet
-        events executed — the chain runs 64 ticks (40 cycles apart), then
-        the check before tick 65 fires *)
-     Alcotest.(check int) "stall clock" (64 * 40) clock;
-     Alcotest.(check int) "pending events" 1 pending);
-  (* notify_progress resets both the cycle window and the event count *)
-  let e = Engine.create () in
-  Engine.set_stall_limit e (Some 100);
-  let n = ref 0 in
-  let rec tick () =
-    incr n;
-    if !n mod 50 = 0 then Engine.notify_progress e;
-    if !n < 200 then Engine.schedule e ~at:(Engine.now e + 40) tick
-  in
-  tick ();
-  Engine.run e;
-  Alcotest.(check int) "ran to completion" (199 * 40) (Engine.now e)
-
-let test_engine_sparse_schedule_is_not_a_stall () =
-  (* A long silent gap — a node computing locally far past the stall
-     limit, then injecting a burst of sends — is not a livelock: the
-     watchdog judges the executed clock, not the next pending timestamp,
-     and a handful of progress-free events never satisfies its event-count
-     arm.  (Regression: the weak-scaling bench tripped a spurious Stalled
-     on exactly this shape.) *)
-  let e = Engine.create () in
-  Engine.set_stall_limit e (Some 100);
-  Engine.schedule e ~at:50 (fun () -> ());
-  (* burst of progress-free events way beyond the window *)
-  for i = 0 to 9 do
-    Engine.schedule e ~at:(5000 + i) (fun () -> ())
-  done;
-  Engine.run e;
-  Alcotest.(check int) "jumped the gap" 5009 (Engine.now e)
-
-let test_bus_grants_are_progress () =
+let test_bus_flush_tail_drains () =
   (* A fault-armed machine under MSI whose tail is a long run of FLUSH
      grants, none of which resumes a fiber: every node writes block A,
      then block B with room for one line, so each B grant evicts dirty A
-     and queues its writeback behind all other traffic.  The run ends in
-     one FLUSH per node whose A is not homed locally (home lines are
-     never evicted) — far more than the watchdog's event threshold, past
-     a 1-cycle stall limit — so only the bus's own progress marks keep
-     the run alive. *)
+     and queues its writeback behind all other traffic.  The plan acts on
+     the interconnect, which a bus machine does not use; the run drains,
+     every writeback lands and the audit is clean. *)
   let module Machine = Lcm_tempest.Machine in
   let nnodes = 100 in
-  let plan = Faults.make ~stall_limit:1 ~seed:1 () in
+  let plan = Faults.make ~seed:1 () in
   let m =
     Machine.create ~faults:plan ~capacity_blocks:1 ~nnodes ~words_per_block:8 ()
   in
-  ignore (Lcm_core.Proto.install ~policy:Lcm_core.Policy.msi m);
+  let p = Lcm_core.Proto.install ~policy:Lcm_core.Policy.msi m in
   let base =
     Lcm_mem.Gmem.alloc (Machine.gmem m) ~dist:Lcm_mem.Gmem.Interleaved
       ~nwords:(2 * nnodes * 8)
@@ -210,8 +158,29 @@ let test_bus_grants_are_progress () =
           Lcm_tempest.Memeff.store (a + 8) 2))
     (Machine.nodes m);
   Machine.run_to_quiescence m;
-  Alcotest.(check bool) "a FLUSH run past the watchdog threshold" true
-    (Stats.get (Machine.stats m) "bus.flush" > 64)
+  (* A node's dirty A is written back unless A is its home line, which is
+     never evicted, or B is, whose install evicts nothing. *)
+  let home = Lcm_mem.Gmem.home_of_addr (Machine.gmem m) in
+  let evicting =
+    List.length
+      (List.filter
+         (fun i ->
+           let a = base + (2 * i * 8) in
+           home a <> i && home (a + 8) <> i)
+         (List.init nnodes Fun.id))
+  in
+  Alcotest.(check bool) "a long FLUSH tail" true (evicting > nnodes / 2);
+  Alcotest.(check int) "one FLUSH per evicting node" evicting
+    (Stats.get (Machine.stats m) "bus.flush");
+  for i = 0 to nnodes - 1 do
+    let a = base + (2 * i * 8) in
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "node %d's writes" i)
+      (1, 2)
+      (Lcm_core.Proto.peek p a, Lcm_core.Proto.peek p (a + 8))
+  done;
+  Alcotest.(check (result unit (list string))) "audit" (Ok ())
+    (Lcm_core.Proto.check_invariants p)
 
 (* ------------------------------------------------------------------ *)
 (* Lossy path: drops are deterministic and counted                     *)
@@ -350,7 +319,7 @@ let test_reliable_rides_out_link_flap () =
   let plan =
     Faults.make
       ~down:[ { Faults.w_src = None; w_dst = None; from_t = 0; until_t = 400 } ]
-      ~rto:50 ~seed:2 ()
+      ~seed:2 ()
   in
   let engine, stats, net = mk_net ~faults:plan () in
   let arrived = ref (-1) in
@@ -364,7 +333,7 @@ let test_reliable_rides_out_link_flap () =
     (List.mem_assoc "net.retx_backoff_cycles" (Stats.samples stats))
 
 let test_reliable_unreachable_after_retry_cap () =
-  let plan = Faults.make ~drop:1.0 ~rto:8 ~max_retries:3 ~seed:1 () in
+  let plan = Faults.make ~drop:1.0 ~max_retries:3 ~seed:1 () in
   let engine, stats, net = mk_net ~faults:plan () in
   send_reliable net ~src:0 ~dst:1 ~words:4 ~tag:"req" ~at:0
     (fun ~arrival:_ -> Alcotest.fail "must never deliver");
@@ -379,6 +348,46 @@ let test_reliable_unreachable_after_retry_cap () =
   Alcotest.(check int) "every copy dropped" (Stats.get stats "fault.drops")
     (4 (* initial + 3 retries *))
 
+(* A random reliable workload on the 4-node crossbar: message i goes from
+   [src] to [(src + 1 + doff) mod 4], [words] long, sent at cycle 2i.  The
+   engine runs at most [limit] events ([Failure] past them).  Returns the
+   attempt count of a [Net_unreachable] that ended the run, each
+   message's delivery count, whether every channel released its messages
+   in send order, and the counters. *)
+let reliable_workload ?limit plan msgs =
+  let engine, stats, net = mk_net ~faults:plan () in
+  let counts = Array.make (List.length msgs) 0 in
+  let order = Hashtbl.create 8 in
+  List.iteri
+    (fun i (src, doff, words) ->
+      let dst = (src + 1 + doff) mod 4 in
+      send_reliable net ~src ~dst ~words ~tag:"p" ~at:(i * 2)
+        (fun ~arrival:_ ->
+          counts.(i) <- counts.(i) + 1;
+          let chan = (src, dst) in
+          let prev = Option.value (Hashtbl.find_opt order chan) ~default:[] in
+          Hashtbl.replace order chan (i :: prev)))
+    msgs;
+  let unreachable =
+    match Engine.run ?limit engine with
+    | () -> None
+    | exception Network.Net_unreachable { attempts; _ } -> Some attempts
+  in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | [ _ ] | [] -> true
+  in
+  let in_order =
+    Hashtbl.fold (fun _ l acc -> acc && increasing (List.rev l)) order true
+  in
+  (unreachable, counts, in_order, Stats.counters stats)
+
+let workload_arb =
+  QCheck.(
+    list_of_size
+      Gen.(1 -- 25)
+      (triple (int_bound 3) (int_bound 2) (int_range 1 16)))
+
 let prop_reliable_exactly_once =
   (* any seeded plan with drop < 1 and retransmission on delivers every
      reliable send exactly once, in per-channel order; replaying the same
@@ -386,10 +395,8 @@ let prop_reliable_exactly_once =
   QCheck.Test.make ~name:"reliable transport: exactly-once under any plan"
     ~count:60
     QCheck.(
-      quad (int_bound 1000)
-        (pair (int_bound 30) (int_bound 30))
-        (int_bound 20)
-        (list_of_size Gen.(1 -- 25) (triple (int_bound 3) (int_bound 2) (int_range 1 16))))
+      quad (int_bound 1000) (pair (int_bound 30) (int_bound 30)) (int_bound 20)
+        workload_arb)
     (fun (fseed, (drop_pct, dup_pct), jitter, msgs) ->
       let plan =
         Faults.make
@@ -397,38 +404,43 @@ let prop_reliable_exactly_once =
           ~dup:(float_of_int dup_pct /. 100.)
           ~jitter ~max_retries:30 ~seed:fseed ()
       in
-      let run () =
-        let engine, stats, net = mk_net ~faults:plan () in
-        let n = List.length msgs in
-        let counts = Array.make n 0 in
-        let order = Hashtbl.create 8 in
-        List.iteri
-          (fun i (src, doff, words) ->
-            let dst = (src + 1 + doff) mod 4 in
-            send_reliable net ~src ~dst ~words ~tag:"p" ~at:(i * 2)
-              (fun ~arrival:_ ->
-                counts.(i) <- counts.(i) + 1;
-                let chan = (src, dst) in
-                let prev =
-                  Option.value (Hashtbl.find_opt order chan) ~default:[]
-                in
-                Hashtbl.replace order chan (i :: prev)))
-          msgs;
-        Engine.run engine;
-        (counts, order, Stats.counters stats)
+      let unreachable, counts, in_order, ctrs = reliable_workload plan msgs in
+      let _, _, _, ctrs2 = reliable_workload plan msgs in
+      unreachable = None
+      && Array.for_all (fun c -> c = 1) counts
+      && in_order && ctrs = ctrs2)
+
+(* The retry cap ends every lossy run, whatever the loss: under any plan
+   with retransmission on, a reliable workload either delivers every
+   message exactly once, in per-channel order, or stops with
+   [Net_unreachable] after [max_retries + 1] attempts, having delivered
+   none twice.  Either way the engine runs at most 7 events per
+   transmission (two payload copies, two ack copies per received copy and
+   one timer); a run that needs more fails on the event limit. *)
+let prop_retry_cap_ends_lossy_runs =
+  QCheck.Test.make ~name:"retry cap ends every lossy run" ~count:100
+    QCheck.(
+      quad (int_bound 1000)
+        (pair (int_bound 100) (int_bound 100))
+        (int_bound 20) workload_arb)
+    (fun (fseed, (drop_pct, dup_pct), jitter, msgs) ->
+      let plan =
+        Faults.make
+          ~drop:(float_of_int drop_pct /. 100.)
+          ~dup:(float_of_int dup_pct /. 100.)
+          ~jitter ~seed:fseed ()
       in
-      let counts, order, ctrs = run () in
-      let _, _, ctrs2 = run () in
-      Array.for_all (fun c -> c = 1) counts
-      && Hashtbl.fold
-           (fun _ l acc ->
-             let rec increasing = function
-               | a :: (b :: _ as rest) -> a < b && increasing rest
-               | [ _ ] | [] -> true
-             in
-             acc && increasing (List.rev l))
-           order true
-      && ctrs = ctrs2)
+      let transmissions = plan.Faults.max_retries + 1 in
+      let unreachable, counts, in_order, _ =
+        reliable_workload
+          ~limit:(List.length msgs * transmissions * 7)
+          plan msgs
+      in
+      (match unreachable with
+      | None -> Array.for_all (fun c -> c = 1) counts
+      | Some attempts ->
+        attempts = transmissions && Array.for_all (fun c -> c <= 1) counts)
+      && in_order)
 
 (* ------------------------------------------------------------------ *)
 (* Full stack: stress harness over an unreliable interconnect          *)
@@ -466,12 +478,35 @@ let test_noretx_stalls_deterministically () =
     Alcotest.(check string) "deterministic failure report" e1 e2
   | _ -> Alcotest.fail "expected the lossy no-retx run to fail"
 
+(* A machine whose every message is lost stops at the retry cap, naming
+   the channel it gave up on: the first remote read of the 32-node
+   stencil, node 1 asking home node 0 for a read-only copy. *)
+let test_total_loss_names_the_channel () =
+  let module Config = Lcm_harness.Config in
+  let plan =
+    match Faults.of_profile "drop" ~rate:1.0 ~seed:7 with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let rt =
+    Config.make_runtime
+      { Config.default_machine with Config.faults = Some plan }
+      Config.lcm_mcc ~schedule:Lcm_cstar.Schedule.Static
+  in
+  match Lcm_apps.Stencil.run rt (Lcm_apps.Stencil.params ~n:128 ~iters:2) with
+  | _ -> Alcotest.fail "expected Net_unreachable"
+  | exception Network.Net_unreachable { tag; src; dst; attempts } ->
+    Alcotest.(check (pair string (triple int int int)))
+      "tag, src, dst, attempts" ("get_ro", (1, 0, 13))
+      (tag, (src, dst, attempts))
+
 (* A typed failure has one wording wherever it is printed: a stress
    report, a failed fleet cell, a single run's negative verdict. *)
 let test_typed_failure_wording () =
   Alcotest.(check string) "stall"
     "stalled: no delivery progress at clock 1907 (26 pending)"
-    (Printexc.to_string (Engine.Stalled { clock = 1907; pending = 26 }));
+    (Printexc.to_string
+       (Lcm_tempest.Machine.Stalled { clock = 1907; pending = 26 }));
   Alcotest.(check string) "unreachable"
     "net unreachable: get_ro 1->0 gave up after 13 attempts"
     (Printexc.to_string
@@ -524,12 +559,9 @@ let () =
           ("profiles parse", `Quick, test_profiles_parse);
           ("link-down windows", `Quick, test_link_down_windows);
         ] );
-      ( "watchdog",
+      ( "bus",
         [
-          ("engine stall watchdog", `Quick, test_engine_stall_watchdog);
-          ("sparse schedule is not a stall", `Quick,
-           test_engine_sparse_schedule_is_not_a_stall);
-          ("bus grants are progress", `Quick, test_bus_grants_are_progress);
+          ("fault-armed FLUSH tail drains", `Quick, test_bus_flush_tail_drains);
         ] );
       ( "lossy",
         [
@@ -545,6 +577,7 @@ let () =
            test_reliable_unreachable_after_retry_cap);
           QCheck_alcotest.to_alcotest prop_reliable_exactly_once;
           QCheck_alcotest.to_alcotest prop_pooled_transport_under_faults;
+          QCheck_alcotest.to_alcotest prop_retry_cap_ends_lossy_runs;
         ] );
       ( "full stack",
         [
@@ -558,6 +591,8 @@ let () =
           ("moesi under chaos", `Quick, fault_stress_policy Lcm_core.Policy.moesi);
           ("no-retx stalls deterministically", `Quick,
            test_noretx_stalls_deterministically);
+          ("total loss names the channel", `Quick,
+           test_total_loss_names_the_channel);
           ("typed failures print one wording", `Quick,
            test_typed_failure_wording);
         ] );

@@ -66,45 +66,6 @@ let test_engine_limit_exact () =
        false
      with Failure _ -> true)
 
-(* Regression: the stall watchdog must fire *before* the budget is
-   charged.  The engine used to charge a budget event (and possibly tick
-   the wall-clock guard) for the event a Stalled raise then refused to
-   run; with a budget of exactly the executed event count, that
-   double-charge surfaced as Budget_exhausted instead of Stalled. *)
-let test_stalled_charges_no_budget () =
-  Engine.with_budget ~max_events:64 (fun () ->
-      let e = Engine.create () in
-      Engine.set_stall_limit e (Some 5);
-      (* a livelock: one event per cycle, none of them progress *)
-      let rec tick () = Engine.schedule e ~at:(Engine.now e + 1) tick in
-      tick ();
-      let got =
-        try
-          Engine.run e;
-          `Drained
-        with
-        | Engine.Stalled _ -> `Stalled
-        | Engine.Budget_exhausted _ -> `Budget
-      in
-      (* the watchdog trips after 64 quiet events — exactly the budget, so
-         any charge for the never-executed 65th event would flip this *)
-      Alcotest.(check bool) "Stalled, not Budget_exhausted" true (got = `Stalled);
-      Alcotest.(check int) "64 events executed" 64 (Engine.events_processed e);
-      (* nothing was consumed for the refused event: with the watchdog
-         disarmed, the budget trips at that same event *)
-      Engine.set_stall_limit e None;
-      let got2 =
-        try
-          Engine.run e;
-          `Drained
-        with
-        | Engine.Budget_exhausted _ -> `Budget
-        | Engine.Stalled _ -> `Stalled
-      in
-      Alcotest.(check bool) "budget intact up to the stall point" true
-        (got2 = `Budget);
-      Alcotest.(check int) "still 64 events" 64 (Engine.events_processed e))
-
 (* Regression: a negative limit used to behave as unlimited (the countdown
    started below zero and never hit it). *)
 let test_engine_negative_limit_rejected () =
@@ -249,9 +210,6 @@ let test_guards () =
     (Invalid_argument "Engine.with_budget: max_events < 0") (fun () ->
       Engine.with_budget ~max_events:(-1) ignore);
   let e = Engine.create () in
-  Alcotest.check_raises "zero stall limit"
-    (Invalid_argument "Engine.set_stall_limit: limit must be positive")
-    (fun () -> Engine.set_stall_limit e (Some 0));
   let fired = ref 0 in
   Engine.schedule e ~at:1 (fun () -> incr fired);
   Engine.set_choice_hook e (Some (fun cands -> Array.length cands));
@@ -353,7 +311,6 @@ let () =
           ("cascading", `Quick, test_engine_cascading);
           ("event limit", `Quick, test_engine_limit);
           ("event limit exact", `Quick, test_engine_limit_exact);
-          ("stall charges no budget", `Quick, test_stalled_charges_no_budget);
           ("negative limit rejected", `Quick, test_engine_negative_limit_rejected);
           ("pending", `Quick, test_engine_pending);
           ("equal-timestamp storm", `Quick, test_storm_order);
