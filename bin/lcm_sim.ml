@@ -409,7 +409,7 @@ let info_cmd =
     List.iter2
       (fun spellings (p : Lcm_core.Policy.t) ->
         Printf.printf "  %-28s %s\n" spellings p.Lcm_core.Policy.summary)
-      Lcm_core.Policy.spellings Lcm_core.Policy.all;
+      Lcm_core.Policy.spellings Lcm_core.Policy.policies;
     Printf.printf "\n";
     Printf.printf "cost model (cycles):\n";
     List.iter

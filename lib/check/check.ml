@@ -117,49 +117,44 @@ let make_ctl ~forced ~fault_budget ~dup ~reduce ~stats =
 (* Two events conflict unless both owners are known and distinct. *)
 let conflict a b = a < 0 || b < 0 || a = b
 
-(* The engine's choice hook: called for every commit with the tied
-   events' owners; only ties with >= 2 candidates become recorded
-   decision points. *)
+(* The engine's choice hook: called with the owners of two or more tied
+   events, each call one recorded decision point. *)
 let on_tie ctl (owners : int array) =
   let st = ctl.c_stats in
-  st.transitions <- st.transitions + 1;
   let n = Array.length owners in
-  if n = 1 then 0
-  else begin
-    let pos = ctl.depth in
-    let chosen = if pos < Array.length ctl.forced then ctl.forced.(pos) else 0 in
-    if chosen >= n then raise Diverged;
-    st.choice_points <- st.choice_points + 1;
-    if pos + 1 > st.max_depth then st.max_depth <- pos + 1;
-    (* Alternatives worth a branch of their own: the persistent-set
-       heuristic keeps i only when it conflicts with an earlier
-       candidate. *)
-    let alts = ref [] in
-    for i = n - 1 downto 0 do
-      if i <> chosen then begin
-        let dependent =
-          (not ctl.reduce)
-          ||
-          let dep = ref false in
-          for j = 0 to i - 1 do
-            if conflict owners.(j) owners.(i) then dep := true
-          done;
-          !dep
-        in
-        if dependent then alts := i :: !alts
-        else st.pset_prunes <- st.pset_prunes + 1
-      end
-    done;
-    ctl.points <- { pt_chosen = chosen; pt_alts = !alts } :: ctl.points;
-    ctl.depth <- pos + 1;
-    chosen
-  end
+  let pos = ctl.depth in
+  let chosen = if pos < Array.length ctl.forced then ctl.forced.(pos) else 0 in
+  if chosen >= n then raise Diverged;
+  st.choice_points <- st.choice_points + 1;
+  if pos + 1 > st.max_depth then st.max_depth <- pos + 1;
+  (* Alternatives worth a branch of their own: the persistent-set
+     heuristic keeps i only when it conflicts with an earlier
+     candidate. *)
+  let alts = ref [] in
+  for i = n - 1 downto 0 do
+    if i <> chosen then begin
+      let dependent =
+        (not ctl.reduce)
+        ||
+        let dep = ref false in
+        for j = 0 to i - 1 do
+          if conflict owners.(j) owners.(i) then dep := true
+        done;
+        !dep
+      in
+      if dependent then alts := i :: !alts
+      else st.pset_prunes <- st.pset_prunes + 1
+    end
+  done;
+  ctl.points <- { pt_chosen = chosen; pt_alts = !alts } :: ctl.points;
+  ctl.depth <- pos + 1;
+  chosen
 
 (* The network's per-copy fate oracle.  Whether a copy is a decision
    point depends only on the remaining budget, itself a deterministic
    function of the choices so far — so replays reproduce the same
    decision positions.  Out of budget, every copy delivers silently. *)
-let on_fault ctl ~src:_ ~dst:_ ~tag:_ =
+let on_fault ctl () =
   if ctl.budget <= 0 then Network.Deliver
   else begin
     let st = ctl.c_stats in
@@ -196,12 +191,19 @@ let run_prog ?(trace = false) (prog : Stress.prog) ~expect ~ctl =
     else None
   in
   let m = Stress.machine ?faults prog in
+  let e = Machine.engine m in
   if trace then Machine.enable_trace ~capacity:8192 m;
-  Engine.set_choice_hook (Machine.engine m) (Some (fun c -> on_tie ctl c));
+  Engine.set_choice_hook e (Some (on_tie ctl));
   if ctl.faulty then
-    Network.set_fault_chooser (Machine.network m)
-      (Some (fun ~src ~dst ~tag -> on_fault ctl ~src ~dst ~tag));
-  let verdict = Stress.run_on m ~expect prog in
+    Network.set_fault_chooser (Machine.network m) (Some (on_fault ctl));
+  (* Every commit is a transition, a diverged run's included. *)
+  let verdict =
+    Fun.protect
+      ~finally:(fun () ->
+        ctl.c_stats.transitions <-
+          ctl.c_stats.transitions + Engine.events_processed e)
+      (fun () -> Stress.run_on m ~expect prog)
+  in
   (verdict, if trace then Machine.trace_events m else [])
 
 (* ------------------------------------------------------------------ *)

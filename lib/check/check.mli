@@ -23,7 +23,9 @@
 
 type stats = {
   mutable schedules : int;  (** complete interleavings executed *)
-  mutable transitions : int;  (** events committed across all runs *)
+  mutable transitions : int;
+      (** events committed across all runs: each run's
+          {!Lcm_sim.Engine.events_processed} *)
   mutable choice_points : int;  (** decision points with >= 2 candidates *)
   mutable branches : int;  (** alternatives pushed for later exploration *)
   mutable sleep_prunes : int;

@@ -109,22 +109,21 @@ let moesi =
 (* The registry: the one statement of which memory systems exist and   *)
 (* what they are called.  Every other list of policies (the stress     *)
 (* harness, the harness Config systems, the lcm_sim CLI choices) and   *)
-(* every parser derives from [all].                                    *)
+(* every parser derives from [policies].                               *)
 (* ------------------------------------------------------------------ *)
 
-let all = [ stache; lcm_scc; lcm_mcc; lcm_mcc_update; msi; mesi; moesi ]
-
-let policies = all
+let policies = [ stache; lcm_scc; lcm_mcc; lcm_mcc_update; msi; mesi; moesi ]
 
 let spellings_of p =
   let label = String.lowercase_ascii p.label in
   p.name :: (if label = p.name then p.aliases else label :: p.aliases)
 
-let spellings = List.map (fun p -> String.concat "|" (spellings_of p)) all
+let spellings =
+  List.map (fun p -> String.concat "|" (spellings_of p)) policies
 
 let of_string s =
   let key = String.lowercase_ascii (String.trim s) in
-  match List.find_opt (fun p -> List.mem key (spellings_of p)) all with
+  match List.find_opt (fun p -> List.mem key (spellings_of p)) policies with
   | Some p -> Ok p
   | None ->
     Error

@@ -16,7 +16,7 @@
       ({!Lcm_net.Bus}); the comparison baseline for the directory-vs-bus
       crossover experiments.
 
-    The {!all} registry lists every memory system.  Each record carries
+    The {!policies} registry lists every memory system.  Each record carries
     every spelling {!of_string} accepts and (through {!is_lcm}) decides
     the C\*\* compilation strategy the runtime pairs with it.  The stress
     harness, the harness [Config] systems and every [lcm_sim] policy
@@ -100,12 +100,9 @@ val moesi : t
 
 (** {1 The registry} *)
 
-val all : t list
+val policies : t list
 (** Every registered policy, in presentation order (the four directory
     policies, then MSI/MESI/MOESI). *)
-
-val policies : t list
-(** {!all}. *)
 
 val spellings : string list
 (** Every accepted spelling per policy — canonical name, lowercased label,

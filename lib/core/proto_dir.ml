@@ -474,9 +474,7 @@ and sharer_do_inval t b snode =
 (* Faults                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let read_fault t node ~addr ~retry =
-  let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
-  request t node b Want_ro ~retry
+let read_fault t node b ~retry = request t node b Want_ro ~retry
 
 (* Helper of [mark_parallel], hoisted so the hot path allocates no
    closures. *)
@@ -491,25 +489,21 @@ let snapshot_clean t node (line : Machine.line) ~costs =
     Machine.advance_clock node costs.Lcm_sim.Costs.local_copy
   end
 
-(* mark_modification: obtain (or upgrade to) a private writable copy of the
-   block holding [addr].  Local upgrades need no communication except for a
+(* mark_modification: obtain (or upgrade to) a private writable copy of
+   block [b].  Local upgrades need no communication except for a
    remotely-owned exclusive block, whose current value must first reach the
    home so that reconciliation baselines are correct. *)
-let rec mark t node ~addr ~retry =
-  let g = Machine.gmem t.mach in
-  let b = Gmem.block_of_addr g addr in
+let rec mark t node b ~retry =
   if Machine.phase t.mach = `Sequential then
     (* mark_modification outside a parallel call degrades to an ordinary
        coherent write acquire: there is nothing to reconcile against. *)
     match Machine.find_line node b with
     | Some line when Tag.writable line.Lcm_tempest.Machine.tag -> retry ()
     | Some _ | None -> request t node b Want_rw ~retry
-  else mark_parallel t node ~addr ~retry
+  else mark_parallel t node b ~retry
 
-and mark_parallel t node ~addr ~retry =
+and mark_parallel t node b ~retry =
   Stats.Handle.incr t.hs.h_marks;
-  let g = Machine.gmem t.mach in
-  let b = Gmem.block_of_addr g addr in
   let nid = Machine.id node in
   let home = home_of t b in
   if home = nid then ignore (Machine.master t.mach b);
@@ -541,14 +535,13 @@ and mark_parallel t node ~addr ~retry =
     Stats.Handle.incr t.hs.h_mark_remote;
     request t node b Want_lcm ~retry
 
-let write_fault t node ~addr ~retry =
-  let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
+let write_fault t node b ~retry =
   match (Machine.phase t.mach, t.dp.Policy.parallel_write_grant) with
   | `Parallel, Policy.Lcm_copy ->
     (* Unannotated write during a parallel phase: LCM detects the unusual
        case and handles it as an implicit mark_modification. *)
     Stats.Handle.incr t.hs.h_implicit_marks;
-    mark t node ~addr ~retry
+    mark t node b ~retry
   | (`Sequential | `Parallel), (Policy.Exclusive | Policy.Lcm_copy) ->
     request t node b Want_rw ~retry
 
@@ -829,7 +822,8 @@ let directive t node d ~retry =
   match d with
   | Memeff.Mark_modification addr ->
     Machine.trace_directive node "mark_modification";
-    if Policy.is_lcm t.pol then mark t node ~addr ~retry
+    if Policy.is_lcm t.pol then
+      mark t node (Gmem.block_of_addr (Machine.gmem t.mach) addr) ~retry
     else retry () (* Stache: C** code compiled for LCM run unchanged *)
   | Memeff.Flush_copies ->
     Machine.trace_directive node "flush_copies";

@@ -212,12 +212,10 @@ let miss t node b ~retry kind ~words grant =
     Bus.transact t.bus ~kind ~at:(Machine.clock node) ~words grant t
       ((Machine.id node lsl 40) lor b)
 
-let read_fault t node ~addr ~retry =
-  let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
+let read_fault t node b ~retry =
   miss t node b ~retry Bus.Rd ~words:(Machine.data_words t.mach) grant_rd_m
 
-let write_fault t node ~addr ~retry =
-  let b = Gmem.block_of_addr (Machine.gmem t.mach) addr in
+let write_fault t node b ~retry =
   let nid = Machine.id node in
   match state t b nid with
   | st when Snoop.silent_upgrade_ok st ->

@@ -295,6 +295,10 @@ let validate_chrome text =
 
 let validate_file path =
   match
+    (* A directory opens, but reading its length fails with a message
+       that names nothing. *)
+    if Sys.file_exists path && Sys.is_directory path then
+      raise (Sys_error (path ^ ": is a directory"));
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in ic)

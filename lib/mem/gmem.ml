@@ -3,12 +3,6 @@ type block = int
 
 type dist = On of int | Interleaved | Chunked
 
-type region = {
-  first_block : int;
-  nblocks : int;
-  dist : dist;
-}
-
 type t = {
   nnodes : int;
   words_per_block : int;
@@ -16,13 +10,11 @@ type t = {
       (* log2 words_per_block: block and offset arithmetic runs on every
          simulated access, and a shift/mask beats two integer divisions *)
   wpb_mask : int;
-  mutable regions : region array;  (* sorted by first_block; dense prefix *)
-  mutable nregions : int;
   mutable next_block : int;
   mutable home : int array;
-      (* per-block home node, filled at alloc time: the O(1) fast path for
-         every simulated access.  Length >= next_block; slots beyond are
-         dead. *)
+      (* per-block home node, filled at alloc time: the one home map,
+         read on every simulated access.  Length >= next_block; slots
+         beyond are dead. *)
 }
 
 let create ~nnodes ~words_per_block =
@@ -38,8 +30,6 @@ let create ~nnodes ~words_per_block =
     words_per_block;
     wpb_shift = log2 0 words_per_block;
     wpb_mask = words_per_block - 1;
-    regions = [||];
-    nregions = 0;
     next_block = 0;
     home = [||];
   }
@@ -49,17 +39,16 @@ let words_per_block t = t.words_per_block
 let unallocated fn b =
   invalid_arg (Printf.sprintf "Gmem.%s: block %d is not allocated" fn b)
 
-(* Home of the [index]-th block of region [r], from the distribution alone
-   — the reference computation the per-block cache is filled from (and
-   checked against in tests). *)
-let home_in_region t (r : region) ~index =
-  match r.dist with
+(* Home of the [index]-th block of a region of [nblocks] blocks
+   allocated with [dist]. *)
+let home_in_region t ~nblocks ~dist ~index =
+  match dist with
   | On n -> n
   | Interleaved -> index mod t.nnodes
   | Chunked ->
     (* Even contiguous split: node n owns blocks [n*q + min n rem, ...) where
        the first [rem] nodes get one extra block. *)
-    let q = r.nblocks / t.nnodes and rem = r.nblocks mod t.nnodes in
+    let q = nblocks / t.nnodes and rem = nblocks mod t.nnodes in
     if q = 0 then index mod t.nnodes
     else
       let boundary = (q + 1) * rem in
@@ -79,43 +68,17 @@ let alloc t ~dist ~nwords =
   | On n when n < 0 || n >= t.nnodes -> invalid_arg "Gmem.alloc: node out of range"
   | On _ | Interleaved | Chunked -> ());
   let nblocks = (nwords + t.words_per_block - 1) / t.words_per_block in
-  let region = { first_block = t.next_block; nblocks; dist } in
-  if t.nregions = Array.length t.regions then begin
-    let cap = max 8 (2 * t.nregions) in
-    let regions = Array.make cap region in
-    Array.blit t.regions 0 regions 0 t.nregions;
-    t.regions <- regions
-  end;
-  t.regions.(t.nregions) <- region;
-  t.nregions <- t.nregions + 1;
-  grow_home t (t.next_block + nblocks);
+  let first = t.next_block in
+  grow_home t (first + nblocks);
   for index = 0 to nblocks - 1 do
-    t.home.(region.first_block + index) <- home_in_region t region ~index
+    t.home.(first + index) <- home_in_region t ~nblocks ~dist ~index
   done;
-  t.next_block <- t.next_block + nblocks;
-  region.first_block * t.words_per_block
-
-(* Cold fallback: binary search the (sorted, disjoint, contiguous) region
-   table.  Kept for introspection and as the reference the cached home
-   table is tested against. *)
-let region_of_block t b =
-  if b < 0 || b >= t.next_block then unallocated "region_of_block" b;
-  let rec search lo hi =
-    (* invariant: regions.(lo).first_block <= b < end of regions.(hi) *)
-    if lo = hi then t.regions.(lo)
-    else
-      let mid = (lo + hi + 1) / 2 in
-      if t.regions.(mid).first_block <= b then search mid hi else search lo (mid - 1)
-  in
-  search 0 (t.nregions - 1)
+  t.next_block <- first + nblocks;
+  first * t.words_per_block
 
 let home_of_block t b =
   if b < 0 || b >= t.next_block then unallocated "home_of_block" b;
   Array.unsafe_get t.home b
-
-let home_of_block_uncached t b =
-  let r = region_of_block t b in
-  home_in_region t r ~index:(b - r.first_block)
 
 let block_of_addr t a = a lsr t.wpb_shift
 

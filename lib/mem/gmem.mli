@@ -21,11 +21,6 @@ type block = int
 
 type dist = On of int | Interleaved | Chunked
 
-type region = { first_block : int; nblocks : int; dist : dist }
-(** One allocated region: a contiguous run of blocks sharing a
-    distribution.  Regions are dense — the first starts at block 0 and each
-    subsequent region starts where the previous ended. *)
-
 type t
 
 val create : nnodes:int -> words_per_block:int -> t
@@ -42,19 +37,9 @@ val alloc : t -> dist:dist -> nwords:int -> addr
     with [n] out of range. *)
 
 val home_of_block : t -> block -> int
-(** Home node of a block, read from a per-block table filled at {!alloc}
-    time (O(1), no search).  @raise Invalid_argument naming the block for
-    never-allocated blocks. *)
-
-val home_of_block_uncached : t -> block -> int
-(** Home node recomputed from the region table and the distribution
-    formula, bypassing the per-block cache.  Same result and same
-    exceptions as {!home_of_block}; exists so tests can check the cache
-    against the reference computation. *)
-
-val region_of_block : t -> block -> region
-(** The region a block was allocated in (binary search of the region
-    table).  @raise Invalid_argument naming the block for never-allocated
+(** Home node of a block, read from the per-block table {!alloc} fills
+    from the region's distribution: the address space's one home map.
+    @raise Invalid_argument naming the block for never-allocated
     blocks. *)
 
 val home_of_addr : t -> addr -> int

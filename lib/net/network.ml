@@ -51,7 +51,7 @@ type t = {
          < 2^20 (nnodes^2, nnodes <= max_nodes, checked at [create]) and
          2^40 sequence numbers per channel outlast any plausible run, so
          the pair fits one immediate — no tuple allocation per lookup. *)
-  mutable fate_of : (src:int -> dst:int -> tag:string option -> fate) option;
+  mutable fate_of : (unit -> fate) option;
       (* model-checker hook: when installed, every per-copy fault decision
          is delegated to this chooser instead of the plan's RNG stream —
          no RNG is drawn, no jitter applied, and down windows are not
@@ -220,7 +220,7 @@ let faulty_send t (plan : Faults.t) ~src ~dst ~words ~tag ~at h p x =
        occupancy still spaces them), a Drop loses the copy at the
        sender's interface exactly like an RNG drop. *)
     let t_decide = Int.max at (Lcm_sim.Engine.now t.engine) in
-    match choose ~src ~dst ~tag with
+    match choose () with
     | Deliver -> inject t ~src ~dst ~words ~tag ~at h p x
     | Drop -> drop_copy t ~src ~dst ~words ~tag ~t_decide
     | Dup ->

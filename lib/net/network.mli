@@ -68,13 +68,12 @@ val faults : t -> Faults.t option
 type fate = Deliver | Drop | Dup
 (** The fate of one physical message copy under {!set_fault_chooser}. *)
 
-val set_fault_chooser :
-  t -> (src:int -> dst:int -> tag:string option -> fate) option -> unit
+val set_fault_chooser : t -> (unit -> fate) option -> unit
 (** [set_fault_chooser n (Some choose)] replaces the fault plan's RNG
     stream with a deterministic per-copy oracle: every copy a fault plan
-    would subject to probabilistic drop/dup/jitter instead asks [choose]
-    for its fate.  No RNG is drawn, no jitter is applied, and down
-    windows are ignored — the chooser is the single source of fault
+    would subject to probabilistic drop/dup/jitter instead asks
+    [choose ()] for its fate.  No RNG is drawn, no jitter is applied, and
+    down windows are ignored — the chooser is the single source of fault
     truth, which is what makes a model checker's recorded fault choices
     replayable.  [Dup] injects two identical copies (channel occupancy
     still spaces them); [Drop] loses the copy at the sender's interface,

@@ -89,12 +89,10 @@ type t = {
   tally : int Atomic.t;  (* this domain's event cell, snapshotted at create *)
   budget : budget option;  (* ambient cell budget at creation time, if any *)
   mutable chooser : (int array -> int) option;
-      (* model-checker hook: when several events tie at the minimal
-         timestamp, the hook picks which one commits next.  Candidates
-         are presented as their owners in FIFO (stamp) order; the hook
-         returns an index.  It is consulted on *every* commit —
-         including sole candidates — so a controller can count every
-         transition, not just the branch points. *)
+      (* model-checker hook: when two or more events tie at the
+         minimal timestamp, the hook picks which one commits next.
+         Candidates are presented as their owners in FIFO order; the
+         hook returns an index.  A sole event commits unasked. *)
 }
 
 (* The queue starts at the heap's default 16 slots and doubles, so a
@@ -192,33 +190,37 @@ let commit e ~at ev =
   run_event e ev
 
 (* One step under a choice hook: pop every event tied at the minimal
-   timestamp, let the hook pick which commits, and re-insert the rest
-   with their original stamps ([add_stamped]) so the FIFO default order
-   is preserved for later steps.  Stamps are deterministic for a given
-   schedule prefix, which is what makes a recorded choice string
-   replayable.  This path allocates per step — it exists for the model
-   checker, not for benchmarked runs. *)
+   timestamp [t0].  A sole event commits unasked.  Otherwise the hook
+   picks one, and the rest go back with a plain [add], in the order they
+   came out, before the winner runs.  No event is left queued at [t0], so
+   the losers pop again first and in their FIFO order, ahead of whatever
+   the winner schedules at [t0], as they would have without the hook.
+   This path allocates per tie; it exists for the model checker, not for
+   benchmarked runs. *)
 let step_choice e choose =
   check_budget e;
   let q = e.queue in
   let t0 = Lcm_util.Heap.top_key q in
-  let ties = ref [] in
-  while (not (Lcm_util.Heap.is_empty q)) && Lcm_util.Heap.top_key q = t0 do
-    let seq = Lcm_util.Heap.top_seq q in
-    let ev = Lcm_util.Heap.pop_exn q in
-    ties := (seq, ev) :: !ties
-  done;
-  let ties = Array.of_list (List.rev !ties) in
-  let k = choose (Array.map (fun (_, ev) -> ev.own) ties) in
-  let n = Array.length ties in
-  if k < 0 || k >= n then
-    invalid_arg
-      (Printf.sprintf "Engine: choice hook returned %d with %d candidates" k n);
-  Array.iteri
-    (fun i (seq, ev) ->
-      if i <> k then Lcm_util.Heap.add_stamped q ~key:t0 ~seq ev)
-    ties;
-  commit e ~at:t0 (snd ties.(k))
+  let first = Lcm_util.Heap.pop_exn q in
+  if Lcm_util.Heap.is_empty q || Lcm_util.Heap.top_key q <> t0 then
+    commit e ~at:t0 first
+  else begin
+    let ties = ref [ first ] in
+    while (not (Lcm_util.Heap.is_empty q)) && Lcm_util.Heap.top_key q = t0 do
+      ties := Lcm_util.Heap.pop_exn q :: !ties
+    done;
+    let ties = Array.of_list (List.rev !ties) in
+    let n = Array.length ties in
+    let k = choose (Array.map (fun ev -> ev.own) ties) in
+    if k < 0 || k >= n then
+      invalid_arg
+        (Printf.sprintf "Engine: choice hook returned %d with %d candidates" k
+           n);
+    Array.iteri
+      (fun i ev -> if i <> k then Lcm_util.Heap.add q ~key:t0 ev)
+      ties;
+    commit e ~at:t0 ties.(k)
+  end
 
 let step e =
   if Lcm_util.Heap.is_empty e.queue then false

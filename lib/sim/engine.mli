@@ -87,17 +87,17 @@ val set_choice_hook : t -> (int array -> int) option -> unit
     nondeterminism a deterministic-seed simulation has left, and hence
     the complete interleaving space a model checker must enumerate.
 
-    At each step, every event tied at the minimal key is dequeued and
-    presented to [pick] as an array of owners in FIFO (stamp) order: an
-    owner is the scheduling ownership hint (a delivery's destination
-    node, a timer's node; [-1] when the scheduler had none).  [pick]
-    returns the index of the event to commit; the rest are re-inserted
-    with their original stamps, so choosing index 0 everywhere
-    reproduces the default FIFO run exactly.  The hook is called on
-    {e every} commit, including sole candidates, so a controller can
-    count every transition, not just the branch points.
+    When two or more events tie at the minimal key, all of them are
+    dequeued and presented to [pick] as an array of owners in FIFO
+    order: an owner is the scheduling ownership hint (a delivery's
+    destination node, a timer's node; [-1] when the scheduler had
+    none).  [pick] returns the index of the event to commit; the rest
+    are re-queued in the same order before it runs, so they commit
+    before anything it schedules at the same time, and choosing index 0
+    everywhere reproduces the default FIFO run exactly.  A sole event
+    commits without a call; {!events_processed} counts every commit.
 
-    The hook path allocates per step; install it for checking, never for
+    The hook path allocates per tie; install it for checking, never for
     benchmarked runs.
     @raise Invalid_argument (from {!step}) if [pick] returns an
     out-of-range index. *)

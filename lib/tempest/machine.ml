@@ -111,8 +111,8 @@ and msg_cell = {
 and handler = Lcm_mem.Block.t -> node -> int -> int -> int -> unit
 
 and protocol = {
-  read_fault : node -> addr:int -> retry:(unit -> unit) -> unit;
-  write_fault : node -> addr:int -> retry:(unit -> unit) -> unit;
+  read_fault : node -> int -> retry:(unit -> unit) -> unit;
+  write_fault : node -> int -> retry:(unit -> unit) -> unit;
   directive : node -> Memeff.dir -> retry:(unit -> unit) -> unit;
   evict : node -> int -> line -> unit;
   read_hit : (node -> int -> line -> unit) option;
@@ -124,8 +124,8 @@ let no_handler _ = failwith "Machine: no protocol handler registered"
 (* What a machine runs until [install]. *)
 let no_protocol =
   {
-    read_fault = (fun _ ~addr:_ ~retry:_ -> no_handler ());
-    write_fault = (fun _ ~addr:_ ~retry:_ -> no_handler ());
+    read_fault = (fun _ _ ~retry:_ -> no_handler ());
+    write_fault = (fun _ _ ~retry:_ -> no_handler ());
     directive = (fun _ _ ~retry:_ -> no_handler ());
     evict = (fun _ _ _ -> no_handler ());
     read_hit = None;
@@ -464,8 +464,8 @@ let fault t n kind addr b retry =
     (Trace.Fault { kind; node = n.node_id; addr; block = b });
   n.node_clock <- n.node_clock + t.m_costs.Lcm_sim.Costs.fault_trap;
   match kind with
-  | Trace.Read -> t.proto.read_fault n ~addr ~retry
-  | Trace.Write -> t.proto.write_fault n ~addr ~retry
+  | Trace.Read -> t.proto.read_fault n b ~retry
+  | Trace.Write -> t.proto.write_fault n b ~retry
 
 let rec do_load t n addr (k : (int, unit) continuation) =
   let b = Lcm_mem.Gmem.block_of_addr t.m_gmem addr in
@@ -543,9 +543,9 @@ let fast_store_hook addr v =
       true
     | Some _ | None -> false)
 
-(* The only place a machine fiber's Work is charged: [cur_node] is set
-   whenever fiber code runs, so [spawn]'s handler never sees
-   [Memeff.Work], which stays for foreign handlers. *)
+(* The only place compute time is charged: [cur_node] is set whenever
+   fiber code runs, so every [Memeff.work] in a machine fiber lands here
+   and one outside any fiber raises. *)
 let fast_work_hook units =
   match Domain.DLS.get cur_node with
   | None -> false

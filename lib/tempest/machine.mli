@@ -109,11 +109,12 @@ val drop_line : node -> Lcm_mem.Gmem.block -> unit
 (** {1 The protocol} *)
 
 type protocol = {
-  read_fault : node -> addr:int -> retry:(unit -> unit) -> unit;
-      (** a load missed: install a readable copy, then run [retry] *)
-  write_fault : node -> addr:int -> retry:(unit -> unit) -> unit;
-      (** a store or read-modify-write missed: install a writable copy,
-          then run [retry] *)
+  read_fault : node -> Lcm_mem.Gmem.block -> retry:(unit -> unit) -> unit;
+      (** a load missed on this block: install a readable copy, then run
+          [retry] *)
+  write_fault : node -> Lcm_mem.Gmem.block -> retry:(unit -> unit) -> unit;
+      (** a store or read-modify-write missed on this block: install a
+          writable copy, then run [retry] *)
   directive : node -> Memeff.dir -> retry:(unit -> unit) -> unit;
       (** a fiber issued a memory-system directive; [retry] resumes it *)
   evict : node -> Lcm_mem.Gmem.block -> line -> unit;

@@ -6,7 +6,6 @@ type _ Effect.t +=
   | Load : int -> int Effect.t
   | Store : int * int -> unit Effect.t
   | Rmw : int * (int -> int) -> int Effect.t
-  | Work : int -> unit Effect.t
   | Yield : unit Effect.t
   | Directive : dir -> unit Effect.t
 
@@ -15,8 +14,8 @@ type _ Effect.t +=
    handler resumes immediately, which a cache hit always does; the hooks
    let the machine complete hit accesses synchronously — with side
    effects identical to the handler's hit path — and fall back to the
-   effect only on a miss.  The defaults always miss, so code running
-   under a foreign handler (or none) behaves exactly as before. *)
+   effect only on a miss.  The load and store defaults always miss, so
+   code running under a foreign handler performs the effect. *)
 
 let fast_miss = min_int
 (* Word values are 32-bit, so a real load can never equal [fast_miss];
@@ -36,7 +35,9 @@ let store addr w =
 
 let rmw addr f = Effect.perform (Rmw (addr, f))
 
-let work n = if not (!fast_work n) then Effect.perform (Work n)
+let work n =
+  if not (!fast_work n) then
+    invalid_arg "Memeff.work: outside a machine fiber"
 
 let yield () = Effect.perform Yield
 

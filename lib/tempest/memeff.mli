@@ -28,8 +28,6 @@ type _ Effect.t +=
       (** [Rmw (addr, f)] atomically replaces the word with [f old] once the
           block is locally writable, returning [old] — a fetch-and-op
           instruction.  Used by code that would otherwise need a lock. *)
-  | Work : int -> unit Effect.t
-      (** [Work n] charges [n] units of pure compute time. *)
   | Yield : unit Effect.t
       (** Suspend and resume through the event queue at the node's current
           clock.  Fibers otherwise run ahead of the engine between faults;
@@ -45,6 +43,9 @@ val store : int -> int -> unit
 val rmw : int -> (int -> int) -> int
 
 val work : int -> unit
+(** [work n] charges [n] units of pure compute time to the running
+    machine fiber's clock, through {!fast_work}.
+    @raise Invalid_argument outside a machine fiber. *)
 
 val yield : unit -> unit
 
@@ -69,4 +70,5 @@ val fast_store : (int -> int -> bool) ref
 (** [!fast_store addr w] returns [true] iff the store completed. *)
 
 val fast_work : (int -> bool) ref
-(** [!fast_work n] returns [true] iff the compute charge completed. *)
+(** [!fast_work n] returns [true] iff the compute charge completed.  There
+    is no effect behind it: a declined charge makes {!work} raise. *)

@@ -95,23 +95,6 @@ let add h ~key value =
   h.size <- i + 1;
   sift_up h i key seq value
 
-(* Caller-stamped insertion for the engine's choice hook: it pops every
-   event tied at the minimum key, commits one, and re-inserts the rest
-   with the stamps they were popped with, so they keep their FIFO order
-   for later steps.  next_seq is kept strictly above every explicit stamp
-   so a later plain [add] can never collide with (and tie ambiguously
-   against) a caller-provided stamp. *)
-let add_stamped h ~key ~seq value =
-  if h.size = Array.length h.keys then grow h value;
-  let i = h.size in
-  if seq >= h.next_seq then h.next_seq <- seq + 1;
-  h.size <- i + 1;
-  sift_up h i key seq value
-
-let top_seq h =
-  if h.size = 0 then invalid_arg "Heap.top_seq: empty heap";
-  Array.unsafe_get h.seqs 0
-
 let top_key h =
   if h.size = 0 then invalid_arg "Heap.top_key: empty heap";
   Array.unsafe_get h.keys 0

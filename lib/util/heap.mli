@@ -28,20 +28,8 @@ val add : 'a t -> key:int -> 'a -> unit
     first; among equal keys, values pop in the order they were added
     (each insertion is stamped with an internal sequence number and ties
     break on it — FIFO among equals is a guarantee, not an accident of
-    sift order). *)
-
-val add_stamped : 'a t -> key:int -> seq:int -> 'a -> unit
-(** [add_stamped h ~key ~seq v] inserts [v] with an explicit tie-break
-    stamp instead of the internal counter.  Used by the engine's choice
-    hook: it pops every element tied at the minimum key (reading each
-    stamp with {!top_seq}), keeps one, and re-inserts the rest with their
-    stamps, so they pop again in their original order.  The caller owns
-    stamp uniqueness; the internal counter is advanced past [seq] so
-    later {!add}s never collide. *)
-
-val top_seq : 'a t -> int
-(** [top_seq h] is the tie-break stamp of the minimum element.
-    @raise Invalid_argument if [h] is empty. *)
+    sift order).  A popped value added again is a new insertion: it pops
+    after every value already queued at its key. *)
 
 val pop : 'a t -> (int * 'a) option
 (** [pop h] removes and returns the minimum-key element, or [None] if the

@@ -58,17 +58,40 @@ let test_hook_sees_all_candidates () =
          sizes := Array.length cands :: !sizes;
          0));
   Engine.run e;
-  (* 3-way tie, then the two re-inserted, then one, then the singleton *)
-  Alcotest.(check (list int)) "candidate counts" [ 3; 2; 1; 1 ]
-    (List.rev !sizes)
+  (* 3-way tie, then the two re-queued; sole events commit unasked *)
+  Alcotest.(check (list int)) "candidate counts" [ 3; 2 ] (List.rev !sizes)
 
 let test_hook_bad_index_rejected () =
   let e = Engine.create () in
   Engine.schedule e ~at:5 (fun () -> ());
+  Engine.schedule e ~at:5 (fun () -> ());
   Engine.set_choice_hook e (Some (fun _ -> 7));
   Alcotest.check_raises "out-of-range choice"
-    (Invalid_argument "Engine: choice hook returned 7 with 1 candidates")
+    (Invalid_argument "Engine: choice hook returned 7 with 2 candidates")
     (fun () -> Engine.run e)
+
+(* The losers of a tie keep their FIFO order and commit before anything
+   the winner schedules at the same time: three thunks tied at t=10, the
+   hook picks b first and index 0 after, and b schedules one more at
+   t=10. *)
+let test_hook_losers_before_winner_events () =
+  let order = ref [] in
+  let e = Engine.create () in
+  let log id () = order := id :: !order in
+  Engine.schedule e ~at:10 (log "a");
+  Engine.schedule e ~at:10 (fun () ->
+      log "b" ();
+      Engine.schedule e ~at:10 (log "new"));
+  Engine.schedule e ~at:10 (log "c");
+  let calls = ref 0 in
+  Engine.set_choice_hook e
+    (Some
+       (fun _ ->
+         incr calls;
+         if !calls = 1 then 1 else 0));
+  Engine.run e;
+  Alcotest.(check (list string)) "commit order" [ "b"; "a"; "c"; "new" ]
+    (List.rev !order)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded exhaustive exploration                                      *)
@@ -362,6 +385,8 @@ let () =
           ("hook reorders ties", `Quick, test_hook_reorders_ties);
           ("hook sees every candidate", `Quick, test_hook_sees_all_candidates);
           ("bad index rejected", `Quick, test_hook_bad_index_rejected);
+          ("losers precede the winner's events", `Quick,
+           test_hook_losers_before_winner_events);
         ] );
       ( "explore",
         [

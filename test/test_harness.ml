@@ -51,7 +51,7 @@ let test_system_parse () =
 
 let test_all_systems_follow_registry () =
   let m = { Config.default_machine with Config.nnodes = 4 } in
-  Alcotest.(check int) "seven policies" 7 (List.length Lcm_core.Policy.all);
+  Alcotest.(check int) "seven policies" 7 (List.length Lcm_core.Policy.policies);
   List.iter
     (fun (s : Config.system) ->
       let rt = Config.make_runtime m s ~schedule:Lcm_cstar.Schedule.Static in
@@ -59,7 +59,7 @@ let test_all_systems_follow_registry () =
         (s.Config.label ^ " strategy follows the policy")
         (List.mem s.Config.label [ "LCM-scc"; "LCM-mcc"; "LCM-mcc-update" ])
         (Lcm_cstar.Runtime.strategy rt = Lcm_cstar.Runtime.Lcm_directives))
-    Lcm_core.Policy.all
+    Lcm_core.Policy.policies
 
 let test_systems_order () =
   Alcotest.(check (list string)) "paper order"

@@ -191,12 +191,8 @@ let test_gmem_unallocated_home () =
         mentions 0)
   in
   expects_invalid "home_of_block" (fun () -> Gmem.home_of_block g 99);
-  expects_invalid "home_of_block_uncached" (fun () ->
-      Gmem.home_of_block_uncached g 99);
-  expects_invalid "region_of_block" (fun () ->
-      (Gmem.region_of_block g 99).Gmem.first_block);
   (* negative block numbers are rejected the same way *)
-  (match Gmem.region_of_block g (-1) with
+  (match Gmem.home_of_block g (-1) with
   | _ -> Alcotest.fail "negative block: expected Invalid_argument"
   | exception Invalid_argument _ -> ());
   (* allocation extends the valid range *)
@@ -260,9 +256,11 @@ let prop_gmem_homes_monotone_chunked =
       in
       non_decreasing homes)
 
-(* The per-block home cache filled at alloc time must agree with the
-   distribution formulas recomputed from the region table, across random
-   multi-region layouts mixing all three distribution modes. *)
+(* The per-block home table filled at alloc time must agree with the
+   distribution rules, restated here as lists of homes per region (an
+   independent reference: [Chunked] as nnodes contiguous runs, the first
+   [nblocks mod nnodes] one block longer), across random multi-region
+   layouts mixing all three distribution modes. *)
 let prop_gmem_home_cache_consistent =
   let region_gen =
     QCheck.Gen.(
@@ -273,23 +271,23 @@ let prop_gmem_home_cache_consistent =
   QCheck.Test.make ~name:"gmem home cache ≡ uncached recompute" ~count:200 gen
     (fun (nnodes, regions) ->
       let g = Gmem.create ~nnodes ~words_per_block:8 in
-      List.iter
-        (fun (sel, nblocks) ->
-          let dist =
-            match sel with
-            | 0 -> Gmem.On (nblocks mod nnodes)
-            | 1 -> Gmem.Interleaved
-            | _ -> Gmem.Chunked
-          in
-          ignore (Gmem.alloc g ~dist ~nwords:(8 * nblocks)))
-        regions;
-      let nblocks_total = Gmem.allocated_words g / 8 in
-      let ok = ref true in
-      for b = 0 to nblocks_total - 1 do
-        if Gmem.home_of_block g b <> Gmem.home_of_block_uncached g b then
-          ok := false
-      done;
-      !ok)
+      let homes (sel, nblocks) =
+        let dist, homes =
+          match sel with
+          | 0 ->
+            let n = nblocks mod nnodes in
+            (Gmem.On n, List.init nblocks (fun _ -> n))
+          | 1 -> (Gmem.Interleaved, List.init nblocks (fun i -> i mod nnodes))
+          | _ ->
+            let run n = (nblocks / nnodes) + if n < nblocks mod nnodes then 1 else 0 in
+            ( Gmem.Chunked,
+              List.concat (List.init nnodes (fun n -> List.init (run n) (fun _ -> n))) )
+        in
+        ignore (Gmem.alloc g ~dist ~nwords:(8 * nblocks));
+        homes
+      in
+      let expected = List.concat_map homes regions in
+      List.init (Gmem.allocated_words g / 8) (Gmem.home_of_block g) = expected)
 
 let () =
   Alcotest.run "lcm_mem"

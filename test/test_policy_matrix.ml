@@ -3,7 +3,7 @@
    determinism check (same fixed-seed workload twice must digest
    bit-identically), (b) a short differential stress sweep against the
    per-epoch spec, and (c) a protocol-invariant audit on the quiescent
-   machine.  The suite iterates [Policy.all] / [Policy.policies], so a
+   machine.  The suite iterates [Policy.policies], so a
    policy added to the registry is covered here with no test edits — and
    a policy that bypasses the registry simply does not exist as far as
    the CLI and this matrix are concerned.  Run directly via [make policy-matrix] or as part of
@@ -49,7 +49,7 @@ let test_checksums_agree () =
      compute the same answer under every one of them. *)
   let sums =
     List.map (fun sys -> (sys.Config.label, fst (run_stencil sys)))
-      Policy.all
+      Policy.policies
   in
   match sums with
   | [] -> Alcotest.fail "empty registry"
@@ -73,7 +73,7 @@ let () =
             Alcotest.test_case
               (sys.Config.label ^ " deterministic")
               `Quick (test_deterministic sys))
-          Policy.all
+          Policy.policies
         @ [ Alcotest.test_case "checksums agree" `Quick test_checksums_agree ]
       );
       ( "stress",

@@ -212,9 +212,10 @@ let test_guards () =
   let e = Engine.create () in
   let fired = ref 0 in
   Engine.schedule e ~at:1 (fun () -> incr fired);
+  Engine.schedule e ~at:1 (fun () -> incr fired);
   Engine.set_choice_hook e (Some (fun cands -> Array.length cands));
   Alcotest.check_raises "out-of-range choice"
-    (Invalid_argument "Engine: choice hook returned 1 with 1 candidates")
+    (Invalid_argument "Engine: choice hook returned 2 with 2 candidates")
     (fun () -> ignore (Engine.step e));
   Engine.set_choice_hook e None;
   Alcotest.(check int) "nothing ran" 0 !fired

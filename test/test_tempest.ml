@@ -27,8 +27,7 @@ let send m ~src ~dst ~words ~tag ~at k =
 let test_protocol m : Machine.protocol =
   let gmem = Machine.gmem m in
   let costs = Machine.costs m in
-  let fetch node ~addr ~retry =
-    let b = Lcm_mem.Gmem.block_of_addr gmem addr in
+  let fetch node b ~retry =
     let home = Lcm_mem.Gmem.home_of_block gmem b in
     let src = Machine.id node in
     send m ~src ~dst:home ~words:1 ~tag:"req" ~at:(Machine.clock node)
@@ -55,8 +54,8 @@ let test_protocol m : Machine.protocol =
 let never_resumes m =
   {
     (test_protocol m) with
-    read_fault = (fun _ ~addr:_ ~retry:_ -> ());
-    write_fault = (fun _ ~addr:_ ~retry:_ -> ());
+    read_fault = (fun _ _ ~retry:_ -> ());
+    write_fault = (fun _ _ ~retry:_ -> ());
   }
 
 let mk ?capacity_blocks ?(nnodes = 4) () =
@@ -110,6 +109,13 @@ let test_fiber_completes_without_memory () =
   Alcotest.(check bool) "done" true !done_;
   Alcotest.(check int) "work charged" 100 (Machine.clock (Machine.node m 0));
   Alcotest.(check int) "no active fibers" 0 (Machine.active_fibers m)
+
+(* Compute time is charged to a machine fiber's clock; outside one there
+   is nothing to charge. *)
+let test_work_outside_fiber () =
+  Alcotest.check_raises "work outside a machine fiber"
+    (Invalid_argument "Memeff.work: outside a machine fiber") (fun () ->
+      Memeff.work 1)
 
 let test_local_home_access_hits () =
   let m = mk () in
@@ -170,8 +176,8 @@ let test_one_fault_path () =
       let addr = base + 3 in
       let b = Lcm_mem.Gmem.block_of_addr gmem addr in
       let hook_clocks = ref [] in
-      let hook hook_kind node ~addr:_ ~retry =
-        hook_clocks := (hook_kind, Machine.clock node) :: !hook_clocks;
+      let hook hook_kind node fb ~retry =
+        hook_clocks := (hook_kind, Machine.clock node, fb) :: !hook_clocks;
         ignore
           (Machine.install_line node b
              ~data:(Lcm_mem.Block.copy (Machine.master m b))
@@ -199,12 +205,13 @@ let test_one_fault_path () =
           (Machine.trace_events m)
       in
       match (faults, !hook_clocks) with
-      | [ (time, traced_kind, where) ], [ (hook_kind, clock) ] ->
+      | [ (time, traced_kind, where) ], [ (hook_kind, clock, fb) ] ->
         Alcotest.(check bool) (what ^ ": traced kind") true (traced_kind = kind);
         Alcotest.(check (list int)) (what ^ ": traced node, addr, block")
           [ 0; addr; b ] where;
         Alcotest.(check bool) (what ^ ": hook of its kind") true
           (hook_kind = kind);
+        Alcotest.(check int) (what ^ ": hook given the block") b fb;
         Alcotest.(check int) (what ^ ": one trap charged before the hook")
           (time + (Machine.costs m).Lcm_sim.Costs.fault_trap)
           clock
@@ -636,5 +643,6 @@ let () =
           ("trace ring", `Quick, test_trace_ring);
           ("machine trace", `Quick, test_machine_trace_captures_events);
           ("deadlock reports trace", `Quick, test_deadlock_reports_trace);
+          ("work outside a fiber", `Quick, test_work_outside_fiber);
         ] );
     ]
